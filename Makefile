@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-cpu test-full test-chaos bench bench-smoke bench-json serve-smoke shard-smoke examples fmt fmt-check vet lint lint-tools
+.PHONY: build test test-cpu test-full test-chaos bench bench-smoke bench-json profile-dot serve-smoke shard-smoke examples fmt fmt-check vet lint lint-tools
 
 build:
 	$(GO) build ./...
@@ -17,8 +17,13 @@ test:
 # Parallelism lane: the process-wide table cache, pool condition-variable
 # wait and SecretOps/pool registries re-run under the race detector at 1 and
 # 4 CPUs, so single-core schedules and real parallelism are both exercised.
+# The dot kernel rides along: its differential fuzz target for ten seconds
+# from the seeded corpus, and its allocation guard — without -race, under
+# which sync.Pool drops items at random and the guard skips itself.
 test-cpu:
 	$(GO) test -short -race -timeout 10m -cpu 1,4 ./internal/paillier/ ./internal/hetensor/
+	$(GO) test -race -run '^$$' -fuzz '^FuzzDotSigned$$' -fuzztime=10s ./internal/paillier/
+	$(GO) test -run '^TestDotAllocsConstant$$' -cpu 1,4 ./internal/paillier/
 
 # Full lane: everything, including the ~4 min federated model suite.
 test-full:
@@ -51,6 +56,13 @@ bench:
 # the engine/kernel/fed-step benchmarks all execute.
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x -short -timeout 15m ./...
+
+# One-command CPU profile of the dot-product kernel at the production key
+# size (BenchmarkDotGrid: the dense fed step's forward shape, fresh identity
+# every iteration). Leaves dot.prof and the test binary in the working
+# directory; read with `go tool pprof -top hetensor.test dot.prof`.
+profile-dot:
+	$(GO) test ./internal/hetensor -run '^$$' -bench 'DotGrid/2048' -benchtime 20x -benchmem -cpuprofile dot.prof
 
 # Benchmarks as data: the exponentiation-engine and amortized-precompute
 # perf suites at a production key size, the end-to-end fed-step, fed-epoch,

@@ -20,7 +20,7 @@ import (
 //     (hetensor's tableCacheGet/cachedTables). Cached *paillier.DotTables
 //     are shared across every kernel invocation of the process and must
 //     stay read-only; the only methods callable on a cache result are the
-//     read-only ones (Dot, Window, Bytes).
+//     read-only ones (Dot, DotGroup, Window, Bytes).
 var Bigval = &analysis.Analyzer{
 	Name: "bigval",
 	Doc: "flags big.Int/paillier.Ciphertext value copies and mutation of shared dot-table cache results\n\n" +
@@ -38,9 +38,10 @@ var cacheAccessors = map[string]bool{
 
 // tableReadOnlyMethods are the methods a cache result may call.
 var tableReadOnlyMethods = map[string]bool{
-	"Dot":    true,
-	"Window": true,
-	"Bytes":  true,
+	"Dot":      true,
+	"DotGroup": true,
+	"Window":   true,
+	"Bytes":    true,
 }
 
 func runBigval(pass *analysis.Pass) (interface{}, error) {
@@ -253,7 +254,7 @@ func checkCacheMutation(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 			if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
 				if acc, ok := cached[obj]; ok {
-					pass.Reportf(n.Pos(), "calls non-read-only method %s on the result of %s; cached DotTables are shared and read-only (allowed: Dot, Window, Bytes)", sel.Sel.Name, acc)
+					pass.Reportf(n.Pos(), "calls non-read-only method %s on the result of %s; cached DotTables are shared and read-only (allowed: Dot, DotGroup, Window, Bytes)", sel.Sel.Name, acc)
 				}
 			}
 		}

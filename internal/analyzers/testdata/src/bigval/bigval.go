@@ -41,5 +41,5 @@ func useCache() int {
 	t := tableCacheGet("k")
 	t.N = 9   // want `shared and read-only`
 	t.Touch() // want `non-read-only method`
-	return t.Dot() + t.Window() + t.Bytes()
+	return t.Dot() + t.DotGroup() + t.Window() + t.Bytes()
 }

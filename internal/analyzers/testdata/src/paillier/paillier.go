@@ -17,6 +17,9 @@ type DotTables struct {
 // Dot is read-only: callable on cache results.
 func (t *DotTables) Dot() int { return t.N }
 
+// DotGroup is read-only: callable on cache results.
+func (t *DotTables) DotGroup() int { return t.N }
+
 // Window is read-only: callable on cache results.
 func (t *DotTables) Window() int { return t.N }
 

@@ -32,7 +32,7 @@ func TextbookExp() bool { return textbookExp.Load() }
 // maxDotTableEntries caps the total number of precomputed window-table
 // residues one kernel invocation may hold (~32 MiB at a 1024-bit modulus).
 // Beyond it the kernels fall back to per-cell DotRow, which builds tables
-// per evaluation but only for the live bases.
+// per evaluation but only for the live bases, and only the side each needs.
 const maxDotTableEntries = 1 << 17
 
 // encodeSignedVec encodes a plaintext vector at scale 1 into signed-magnitude
@@ -57,15 +57,13 @@ func encodeSignedVec(vals []float64) ([]paillier.SignedExp, int) {
 //
 //	res[r][g] = Π_k base(k, g) ^ exps[r][k],  k = 0..inner−1,
 //
-// emitting each cell via emit(r, g, c). Table resolution runs in three
-// tiers: (1) when the base matrix has a stable identity and the persistent
-// table cache is enabled, per-group tables come from (or are inserted into)
-// the process-wide cache and survive across kernel invocations, batches and
-// epochs; (2) otherwise, when the per-base window tables fit the per-call
-// memory cap they are precomputed once per g and shared across all exponent
-// vectors (each batch row of a matmul hits the same weight column);
-// (3) otherwise each cell runs a standalone DotRow. emit is called from one
-// goroutine per r, so writes keyed by r need no locking.
+// emitting each cell via emit(r, g, c). One set of window tables over all
+// gpr base vectors is shared by every exponent vector (each batch row of a
+// matmul hits the same weight column): from the persistent cache when the
+// base matrix has been seen before (cachedTables), else built for this call
+// at the per-call window, narrowed until the tables fit the memory cap. Only
+// when no window fits does each cell run a standalone DotRow. emit is called
+// from one goroutine per r, so writes keyed by r need no locking.
 func dotProducts(pk *paillier.PublicKey, src tableSource, base func(k, g int) *paillier.Ciphertext,
 	inner, gpr int, exps [][]paillier.SignedExp, maxBits int,
 	emit func(r, g int, c *paillier.Ciphertext)) {
@@ -98,34 +96,22 @@ func dotProducts(pk *paillier.PublicKey, src tableSource, base func(k, g int) *p
 			rowExps[r] = fe
 		}
 	}
-	// Tier 1: persistent cross-invocation tables keyed by matrix identity.
-	if tabs := cachedTables(pk, src, live, gpr, maxBits, base); tabs != nil {
+	tabs := cachedTables(pk, src, live, gpr, maxBits, base)
+	if tabs == nil {
+		// A narrower shared table still amortizes across all rows, which
+		// beats rebuilding per-cell tables in the DotRow fallback.
+		win := paillier.DotWindow(maxBits, len(exps))
+		for win > 0 && 2*len(live)*gpr*((1<<win)-1) > maxDotTableEntries {
+			win--
+		}
+		if win > 0 {
+			tabs = buildTables(pk, live, gpr, win, base)
+		}
+	}
+	if tabs != nil {
 		parallel.For(len(exps), func(r int) {
 			for g := 0; g < gpr; g++ {
-				emit(r, g, tabs[g].Dot(rowExps[r]))
-			}
-		})
-		return
-	}
-	// Narrow the window until the shared tables fit the cap: a smaller
-	// shared table still amortizes across all rows, which beats rebuilding
-	// per-cell tables in the DotRow fallback.
-	win := paillier.DotWindow(maxBits, len(exps))
-	for win > 1 && len(live)*gpr*((1<<win)-1) > maxDotTableEntries {
-		win--
-	}
-	if len(live)*gpr*((1<<win)-1) <= maxDotTableEntries {
-		tabs := make([]*paillier.DotTables, gpr)
-		parallel.For(gpr, func(g int) {
-			col := make([]*paillier.Ciphertext, len(live))
-			for t, k := range live {
-				col[t] = base(k, g)
-			}
-			tabs[g] = pk.PrecomputeDot(col, win)
-		})
-		parallel.For(len(exps), func(r int) {
-			for g := 0; g < gpr; g++ {
-				emit(r, g, tabs[g].Dot(rowExps[r]))
+				emit(r, g, tabs.DotGroup(g, rowExps[r]))
 			}
 		})
 		return
@@ -139,6 +125,20 @@ func dotProducts(pk *paillier.PublicKey, src tableSource, base func(k, g int) *p
 			emit(r, g, pk.DotRow(col, rowExps[r]))
 		}
 	})
+}
+
+// buildTables builds one DotTables over the live bases of all gpr base
+// vectors laid end to end, so the build spreads over every (group, base)
+// pair however few groups a row has.
+func buildTables(pk *paillier.PublicKey, live []int, gpr int, w uint,
+	base func(k, g int) *paillier.Ciphertext) *paillier.DotTables {
+	cs := make([]*paillier.Ciphertext, 0, gpr*len(live))
+	for g := 0; g < gpr; g++ {
+		for _, k := range live {
+			cs = append(cs, base(k, g))
+		}
+	}
+	return pk.PrecomputeDot(cs, w)
 }
 
 // denseRowExps encodes every row of x at scale 1.

@@ -85,6 +85,17 @@ func (m *CipherMatrix) RowSlice(lo, hi int) *CipherMatrix {
 	return &CipherMatrix{Rows: hi - lo, Cols: m.Cols, Scale: m.Scale, PK: m.PK, C: m.C[lo*m.Cols : hi*m.Cols]}
 }
 
+// Anonymous returns a shallow copy of m sharing its ciphertexts but carrying
+// no table-cache identity: what a receive path hands the kernels for a
+// single-use stream chunk, so that a chunk delivered by pointer (in-process
+// transports) looks exactly like one that went through gob, and reattaching
+// the trusted key does not write to the sender's object.
+func (m *CipherMatrix) Anonymous() *CipherMatrix {
+	cp := *m
+	cp.id = 0
+	return &cp
+}
+
 func (m *CipherMatrix) shapeCheck(rows, cols int, op string) {
 	if m.Rows != rows || m.Cols != cols {
 		panic(fmt.Sprintf("hetensor: %s shape mismatch: have %d×%d want %d×%d", op, m.Rows, m.Cols, rows, cols))

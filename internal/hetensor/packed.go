@@ -79,6 +79,13 @@ func (m *PackedMatrix) RowSlice(lo, hi int) *PackedMatrix {
 		PK: m.PK, C: m.C[lo*g : hi*g]}
 }
 
+// Anonymous is the packed-matrix analogue of CipherMatrix.Anonymous.
+func (m *PackedMatrix) Anonymous() *PackedMatrix {
+	cp := *m
+	cp.id = 0
+	return &cp
+}
+
 // laneCount returns how many lanes group g (indexed within a row) holds.
 func (m *PackedMatrix) laneCount(g int) int {
 	gInBlock := g % m.GroupsPerBlock()

@@ -6,37 +6,36 @@ import (
 	"sync/atomic"
 
 	"blindfl/internal/paillier"
-	"blindfl/internal/parallel"
 )
 
 // Persistent dot-table cache. A Straus window table depends only on the
-// ciphertext bases it was built from — one column (or row) of an encrypted
-// matrix — yet before this cache every kernel invocation rebuilt its tables
-// from scratch, even though the same encrypted feature/weight columns recur
-// in every batch of every epoch (the encrypted embedding tables, the
-// inference-time weight copies, the fed-top ⟦∇Z⟧ reused by several kernels
-// of one backward pass). The cache keys tables by *ciphertext-column
+// ciphertext bases it was built from — the columns (or rows) of an encrypted
+// matrix — and some encrypted matrices recur in every batch of every epoch
+// (inference-time weight copies, encrypted tables between refreshes) while
+// most are used by exactly one kernel invocation (re-encrypted weight pieces,
+// every streamed ⟦∇Z⟧ chunk). The cache keys tables by *ciphertext-matrix
 // identity*: every CipherMatrix/PackedMatrix is minted a process-unique ID
-// when it is created by encryption or received from the peer, and a table is
-// identified by (matrix ID, orientation, group index, live-base set). IDs
-// are never reused and accumulator matrices (whose cells mutate) carry ID 0,
-// so a cached table can never go stale — refreshed weights arrive as a new
-// matrix with a new ID and the old entries age out of the LRU.
+// when it is created by encryption or received from the peer, and a table set
+// is identified by (matrix ID, orientation, live-base set). IDs are never
+// reused and accumulator matrices (whose cells mutate) carry ID 0, so a
+// cached table can never go stale — refreshed weights arrive as a new matrix
+// with a new ID and the old entries age out of the LRU.
 //
-// Because cached tables amortize across the whole training run rather than
-// one kernel call, they are built at a much wider window than the per-call
-// tables (up to width 8: ~6 window digits for a 45-bit fixed-point scalar
-// instead of 12 at width 4), so a warm hit is not just "no build cost" but
-// also a ~1.7× cheaper evaluation per row.
+// Admission materialises only what recurs: the first kernel invocation on a
+// source records its ID in a small bounded ghost set (no tables, no eviction)
+// and runs on per-call tables; the second builds and inserts; later ones hit.
+// Cached tables amortize across the run rather than one kernel call, so they
+// are built at a wider window than per-call tables (up to width 8: 6 digits
+// for a 45-bit fixed-point scalar instead of 12 at width 4). Each base costs
+// 2·(2^w−1) residues — its powers and its inverse's — all charged to the
+// budget.
 //
 // The cache is process-wide and byte-budgeted: entries are evicted LRU-first
 // the moment the budget is exceeded. A budget of 0 (the default) disables
 // caching entirely; core.Config.TableCacheMB / model.Hyper.TableCacheMB /
-// `blindfl-train -tablecache` set it per run. Streamed row-chunk transfers
-// compose safely with the cache: individual chunks are single-use and stay
-// anonymous (only fully assembled receives are minted an identity), so
-// chunked kernels simply use the per-call table tier without churning the
-// persistent entries.
+// `blindfl-train -tablecache` set it per run. Stream chunks are single-use:
+// the protocol receive paths hand them over anonymous (ID 0) on every
+// transport; only fully assembled receives are minted an identity.
 
 // matrixIDs mints process-unique ciphertext-matrix identities. ID 0 is
 // reserved for uncacheable matrices (accumulators, row-slice views).
@@ -65,13 +64,12 @@ const (
 	orientRow              // base vector g = row g of the matrix
 )
 
-// tableKey identifies one cached DotTables build.
+// tableKey identifies one cached DotTables build: all base vectors of one
+// source, over one live-base set.
 type tableKey struct {
-	id     uint64
-	orient uint8
-	crt    bool // built in SecretOps dual-chain mode
-	group  int
-	live   uint64 // FNV-1a hash of the live base indices
+	src  tableSource
+	crt  bool   // built in SecretOps dual-chain mode
+	live uint64 // FNV-1a hash of the live base indices
 }
 
 // liveHash fingerprints the set of live (non-zero-exponent) base indices.
@@ -90,6 +88,11 @@ type tableEntry struct {
 	bytes int64
 }
 
+// ghostCap bounds the ghost set: the IDs of the most recent first sightings.
+// Small enough to scan on a miss, far more than the single-use matrices (and
+// stream chunks' worth of kernels) between two uses of one that recurs.
+const ghostCap = 1024
+
 // tableCache is the process-wide LRU. All fields are guarded by mu; the
 // critical sections are map/list operations only, never table builds.
 var tableCache struct {
@@ -101,6 +104,11 @@ var tableCache struct {
 	hits    int64
 	misses  int64
 	evicted int64
+
+	// Ghost set: matrix IDs seen once, tables not built; a ring, so the
+	// oldest first sighting is forgotten first.
+	ghosts    [ghostCap]uint64
+	ghostNext int
 }
 
 // TableCacheStats reports the cache's effectiveness counters.
@@ -154,6 +162,7 @@ func ResetTableCache() {
 	tableCache.lru.Init()
 	tableCache.bytes = 0
 	tableCache.hits, tableCache.misses, tableCache.evicted = 0, 0, 0
+	tableCache.ghosts = [ghostCap]uint64{}
 }
 
 // evictOverLocked drops LRU entries until the cache fits its budget.
@@ -171,18 +180,27 @@ func evictOverLocked() {
 	}
 }
 
-// tableCacheGet returns the cached tables for key, bumping recency.
-func tableCacheGet(key tableKey) *paillier.DotTables {
+// tableCacheGet returns the cached tables for key, bumping recency. On a
+// miss, admit reports whether the source has been seen before — the caller
+// should build and insert; a first sighting is only recorded in the ghost
+// set, displacing the oldest ghost and nothing else.
+func tableCacheGet(key tableKey) (tabs *paillier.DotTables, admit bool) {
 	tableCache.mu.Lock()
 	defer tableCache.mu.Unlock()
-	el, ok := tableCache.entries[key]
-	if !ok {
-		tableCache.misses++
-		return nil
+	if el, ok := tableCache.entries[key]; ok {
+		tableCache.hits++
+		tableCache.lru.MoveToFront(el)
+		return el.Value.(*tableEntry).tabs, false
 	}
-	tableCache.hits++
-	tableCache.lru.MoveToFront(el)
-	return el.Value.(*tableEntry).tabs
+	tableCache.misses++
+	for _, id := range tableCache.ghosts {
+		if id == key.src.id {
+			return nil, true
+		}
+	}
+	tableCache.ghosts[tableCache.ghostNext] = key.src.id
+	tableCache.ghostNext = (tableCache.ghostNext + 1) % ghostCap
+	return nil, false
 }
 
 // tableCachePut inserts freshly built tables, evicting LRU entries over
@@ -208,34 +226,33 @@ func tableCachePut(key tableKey, tabs *paillier.DotTables) {
 }
 
 // cacheWindow picks the Straus window for persistent tables: the widest
-// width (≤ 8) at which the *whole invocation's* working set — all gpr
-// columns of the source matrix — fits half the budget, so one kernel call
-// can never evict its own inserts and two similarly-shaped matrices (a
-// layer's two weight copies, say) can coexist. Reuse across a whole run
-// amortizes the build cost, so this is deliberately wider than DotWindow's
-// per-call choice — and when the budget cannot even afford the width a
-// well-amortized per-call build would use, it returns 0: caching narrower
-// tables would make every warm hit evaluate *slower* than the uncached
-// tier, the opposite of the knob's contract, so the caller bypasses.
+// width (≤ 8) at which the *whole invocation's* table set — all gpr base
+// vectors of the source matrix, powers and inverse powers — fits half the
+// budget, so two similarly-shaped matrices (a layer's two weight copies,
+// say) can coexist. Reuse across a whole run amortizes the build cost, so
+// this is deliberately wider than DotWindow's per-call choice — and when the
+// budget cannot even afford the width a well-amortized per-call build would
+// use, it returns 0: caching narrower tables would make every warm hit
+// evaluate *slower* than the uncached tier, the opposite of the knob's
+// contract, so the caller bypasses.
 func cacheWindow(live, gpr, maxBits int, pk *paillier.PublicKey, budget int64) uint {
-	eb := int64(pk.N2.BitLen()/8 + 48)
 	floor := paillier.DotWindow(maxBits, 8) // the amortized per-call width
 	for w := uint(8); w >= floor; w-- {
-		if int64(gpr)*int64(live)*int64((1<<w)-1)*eb <= budget/2 {
+		if pk.DotTableBytes(gpr*live, w) <= budget/2 {
 			return w
 		}
 	}
 	return 0
 }
 
-// cachedTables resolves the per-group Straus tables for one kernel
-// invocation through the cache, building (and inserting) missing groups at
-// the cache's window width. It returns nil when the cache cannot serve the
-// call — disabled, anonymous source (ID 0), or the invocation's table
-// working set would not fit at a width worth caching — in which case the
-// caller falls back to the per-call table paths.
+// cachedTables resolves one kernel invocation's Straus tables through the
+// cache, building (and inserting) them at the cache's window width when the
+// source recurs. It returns nil when the cache does not serve the call —
+// disabled, anonymous source (ID 0), a source seen for the first time, or a
+// table set that would not fit at a width worth caching — in which case the
+// caller builds per-call tables.
 func cachedTables(pk *paillier.PublicKey, src tableSource, live []int, gpr, maxBits int,
-	base func(k, g int) *paillier.Ciphertext) []*paillier.DotTables {
+	base func(k, g int) *paillier.Ciphertext) *paillier.DotTables {
 	if src.id == 0 {
 		return nil
 	}
@@ -247,22 +264,11 @@ func cachedTables(pk *paillier.PublicKey, src tableSource, live []int, gpr, maxB
 	if w == 0 {
 		return nil
 	}
-	lh := liveHash(live)
-	crt := paillier.SecretOpsFor(pk) != nil
-	tabs := make([]*paillier.DotTables, gpr)
-	parallel.For(gpr, func(g int) {
-		key := tableKey{id: src.id, orient: src.orient, crt: crt, group: g, live: lh}
-		if t := tableCacheGet(key); t != nil {
-			tabs[g] = t
-			return
-		}
-		col := make([]*paillier.Ciphertext, len(live))
-		for t, k := range live {
-			col[t] = base(k, g)
-		}
-		t := pk.PrecomputeDot(col, w)
-		tableCachePut(key, t)
-		tabs[g] = t
-	})
+	key := tableKey{src: src, crt: paillier.SecretOpsFor(pk) != nil, live: liveHash(live)}
+	tabs, admit := tableCacheGet(key)
+	if admit {
+		tabs = buildTables(pk, live, gpr, w, base)
+		tableCachePut(key, tabs)
+	}
 	return tabs
 }

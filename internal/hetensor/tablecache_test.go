@@ -1,7 +1,9 @@
 package hetensor
 
 import (
+	"math/big"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -36,8 +38,8 @@ func denseEq(t *testing.T, a, b *CipherMatrix, what string) {
 
 // TestTableCacheBitExact: cached evaluations must be bit-identical to the
 // uncached engine (the cache only changes when and at what width tables are
-// built, never the group element computed), and repeat invocations over the
-// same encrypted matrix must actually hit.
+// built, never the group element computed), and a recurring encrypted matrix
+// must be admitted on its second invocation and hit from the third.
 func TestTableCacheBitExact(t *testing.T) {
 	k := testKey
 	pk := &k.PublicKey
@@ -53,18 +55,21 @@ func TestTableCacheBitExact(t *testing.T) {
 	coldR := MulPlainRightTranspose(gT, tensor.RandDense(rand.New(rand.NewSource(9)), 4, 3, 1))
 
 	withCacheBudget(t, 64<<20, func() {
-		warm1 := MulPlainLeft(x1, w)
-		warm2 := MulPlainLeft(x2, w) // same bases, different exponents: pure hits
-		denseEq(t, cold1, warm1, "MulPlainLeft first call")
-		denseEq(t, cold2, warm2, "MulPlainLeft second call")
-		s := TableCacheStatsNow()
-		if s.Misses == 0 || s.Hits == 0 {
-			t.Fatalf("stats %+v: want both misses (first build) and hits (reuse)", s)
+		denseEq(t, cold1, MulPlainLeft(x1, w), "MulPlainLeft first sighting")
+		if s := TableCacheStatsNow(); s.Misses != 1 || s.Entries != 0 {
+			t.Fatalf("stats %+v: a first sighting is one miss and builds nothing", s)
 		}
-		denseEq(t, coldT, TransposeMulLeft(x1, gT), "TransposeMulLeft")
-		denseEq(t, coldR, MulPlainRightTranspose(gT, tensor.RandDense(rand.New(rand.NewSource(9)), 4, 3, 1)), "MulPlainRightTranspose")
-		if s2 := TableCacheStatsNow(); s2.Bytes <= 0 || s2.Entries <= 0 {
-			t.Fatalf("stats %+v: cache should hold entries", s2)
+		denseEq(t, cold2, MulPlainLeft(x2, w), "MulPlainLeft admission") // same bases, different exponents
+		denseEq(t, cold1, MulPlainLeft(x1, w), "MulPlainLeft warm")
+		if s := TableCacheStatsNow(); s.Misses != 2 || s.Hits != 1 || s.Entries != 1 || s.Bytes <= 0 {
+			t.Fatalf("stats %+v: want ghost miss, build miss, then a hit on one entry", s)
+		}
+		for i := 0; i < 3; i++ { // gT recurs under two orientations
+			denseEq(t, coldT, TransposeMulLeft(x1, gT), "TransposeMulLeft")
+			denseEq(t, coldR, MulPlainRightTranspose(gT, tensor.RandDense(rand.New(rand.NewSource(9)), 4, 3, 1)), "MulPlainRightTranspose")
+		}
+		if s := TableCacheStatsNow(); s.Entries != 3 {
+			t.Fatalf("stats %+v: want w plus gT's column and row tables", s)
 		}
 	})
 }
@@ -78,15 +83,16 @@ func TestTableCachePackedBitExact(t *testing.T) {
 	w := PackEncrypt(pk, tensor.RandDense(rng, 10, 4, 2), 1)
 	cold := MulPlainLeftPacked(x, w)
 	withCacheBudget(t, 64<<20, func() {
-		warmA := MulPlainLeftPacked(x, w)
-		warmB := MulPlainLeftPacked(x, w)
-		for i := range cold.C {
-			if cold.C[i].C.Cmp(warmA.C[i].C) != 0 || cold.C[i].C.Cmp(warmB.C[i].C) != 0 {
-				t.Fatalf("packed cell %d is not bit-identical", i)
+		for call := 0; call < 3; call++ {
+			warm := MulPlainLeftPacked(x, w)
+			for i := range cold.C {
+				if cold.C[i].C.Cmp(warm.C[i].C) != 0 {
+					t.Fatalf("call %d: packed cell %d is not bit-identical", call, i)
+				}
 			}
 		}
-		if s := TableCacheStatsNow(); s.Hits == 0 {
-			t.Fatalf("stats %+v: second packed call should hit", s)
+		if s := TableCacheStatsNow(); s.Hits != 1 {
+			t.Fatalf("stats %+v: third packed call should hit", s)
 		}
 	})
 }
@@ -105,8 +111,14 @@ func TestTableCacheEviction(t *testing.T) {
 		ws[i] = Encrypt(pk, tensor.RandDense(rng, 8, 2, 2), 1)
 		cold[i] = MulPlainLeft(x, ws[i])
 	}
-	const budget = 256 << 10 // holds roughly half the 6 matrices' tables
+	const budget = 512 << 10 // holds roughly half the 6 matrices' tables
 	withCacheBudget(t, budget, func() {
+		for i := range ws {
+			denseEq(t, cold[i], MulPlainLeft(x, ws[i]), "first-sighting MulPlainLeft")
+		}
+		if s := TableCacheStatsNow(); s.Evicted != 0 || s.Entries != 0 {
+			t.Fatalf("stats %+v: first sightings must not build or evict", s)
+		}
 		for i := range ws {
 			denseEq(t, cold[i], MulPlainLeft(x, ws[i]), "evicting MulPlainLeft")
 		}
@@ -210,12 +222,75 @@ func TestTableCacheCRTMode(t *testing.T) {
 	paillier.RegisterSecretOps(k)
 	defer paillier.UnregisterSecretOps(pk)
 	withCacheBudget(t, 32<<20, func() {
-		warm1 := MulPlainLeft(x, w)
-		warm2 := MulPlainLeft(x, w)
-		denseEq(t, cold, warm1, "CRT cached first call")
-		denseEq(t, cold, warm2, "CRT cached second call")
+		denseEq(t, cold, MulPlainLeft(x, w), "CRT first sighting")
+		denseEq(t, cold, MulPlainLeft(x, w), "CRT cached build")
+		denseEq(t, cold, MulPlainLeft(x, w), "CRT cached hit")
 		if s := TableCacheStatsNow(); s.Hits == 0 {
 			t.Fatalf("stats %+v: CRT-mode reuse should hit", s)
+		}
+	})
+}
+
+// TestTableCacheAdmission is the budget-honesty contract over a mixed serve
+// + train sequence: fixed serve weights hit from their third invocation,
+// single-use training matrices only ever pass through the ghost set (a miss
+// each, nothing built, nothing evicted), the accounted bytes — powers and
+// inverse powers — never exceed the budget, and the ghost set is bounded.
+func TestTableCacheAdmission(t *testing.T) {
+	k := testKey
+	pk := &k.PublicKey
+	rng := rand.New(rand.NewSource(23))
+	v := Encrypt(pk, tensor.RandDense(rng, 8, 2, 1), 1) // fixed serve weights
+	req := tensor.RandDense(rng, 3, 8, 1)
+	x := tensor.RandDense(rng, 4, 8, 2)
+	const budget = 4 << 20 // half of it holds the serve tables at the full cache window
+	withCacheBudget(t, budget, func() {
+		under := func(when string) TableCacheStats {
+			s := TableCacheStatsNow()
+			if s.Bytes > s.Budget || s.Budget != budget {
+				t.Fatalf("%s: stats %+v exceed the budget", when, s)
+			}
+			return s
+		}
+		want := ServeProducts(req, v.RowSlice(0, v.Rows)) // anonymous: uncached
+		for step := 0; step < 6; step++ {
+			got := ServeProducts(req, v)
+			for i := range want.C {
+				if got.C[i].C.Cmp(want.C[i].C) != 0 {
+					t.Fatalf("step %d: serve cell %d is not bit-identical", step, i)
+				}
+			}
+			before := under("serve")
+			w := Encrypt(pk, tensor.RandDense(rng, 8, 2, 2), 1) // re-encrypted every step
+			MulPlainLeft(x, w)
+			g := PackEncrypt(pk, tensor.RandDense(rng, 4, 3, 1), 1)
+			TransposeMulLeftPacked(x, g)
+			after := under("train")
+			if after.Misses != before.Misses+2 || after.Entries != before.Entries || after.Evicted != 0 {
+				t.Fatalf("step %d: single-use matrices moved the cache: %+v -> %+v", step, before, after)
+			}
+		}
+		if s := under("end"); s.Hits != 4 || s.Entries != 1 || s.Bytes != pk.DotTableBytes(8*2, 8) {
+			t.Fatalf("stats %+v: want serve hits from the third invocation on one %d-byte entry",
+				s, pk.DotTableBytes(8*2, 8))
+		}
+		// More first sightings than the ghost set holds: an ID it has
+		// forgotten is a first sighting again, not an admission.
+		first := Encrypt(pk, tensor.RandDense(rng, 1, 1, 1), 1)
+		one := tensor.RandDense(rng, 1, 1, 1)
+		w := Encrypt(pk, tensor.RandDense(rng, 1, 1, 1), 1)
+		MulPlainLeft(one, first)
+		for i := 0; i < ghostCap; i++ {
+			w.MintID()
+			MulPlainLeft(one, w)
+		}
+		MulPlainLeft(one, first)
+		if s := under("ghosts"); s.Entries != 1 || s.Evicted != 0 {
+			t.Fatalf("stats %+v: a forgotten ghost must not be admitted", s)
+		}
+		MulPlainLeft(one, first)
+		if s := under("readmit"); s.Entries != 2 {
+			t.Fatalf("stats %+v: the second sighting in a row is admitted", s)
 		}
 	})
 }
@@ -232,7 +307,8 @@ func BenchmarkMulPlainLeftWarmCache(b *testing.B) {
 		SetTableCacheBudget(prev)
 		ResetTableCache()
 	}()
-	MulPlainLeft(x, w) // warm the tables
+	MulPlainLeft(x, w) // first sighting
+	MulPlainLeft(x, w) // admitted: warm the tables
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MulPlainLeft(x, w)
@@ -248,5 +324,40 @@ func BenchmarkMulPlainLeftUncached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MulPlainLeft(x, w)
+	}
+}
+
+// BenchmarkDotGrid is the dense fed step's forward kernel — a 32×14 plaintext
+// batch times a packed 14×16 encrypted weight piece — under the deployment's
+// cache budget, with the weights minted a fresh identity every iteration as a
+// re-encrypted ⟦V⟧ is: always a first sighting, so the per-call table build
+// and the single-chain evaluation are both in the loop. `make profile-dot`
+// profiles the 2048-bit row; -short (bench-smoke) keeps only the 512-bit one.
+// The modulus is a random odd number, not a key: nothing here decrypts.
+func BenchmarkDotGrid(b *testing.B) {
+	for _, bits := range []int{512, 2048} {
+		b.Run(strconv.Itoa(bits), func(b *testing.B) {
+			if bits > 512 && testing.Short() {
+				b.Skip("2048-bit row skipped in -short mode")
+			}
+			rng := rand.New(rand.NewSource(29))
+			n := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits-1)))
+			n.SetBit(n, bits-1, 1).SetBit(n, 0, 1)
+			pk := &paillier.PublicKey{N: n, N2: new(big.Int).Mul(n, n)}
+			x := tensor.RandDense(rng, 32, 14, 2)
+			w := PackEncrypt(pk, tensor.RandDense(rng, 14, 16, 2), 1)
+			prev := SetTableCacheBudget(64 << 20)
+			ResetTableCache()
+			defer func() {
+				SetTableCacheBudget(prev)
+				ResetTableCache()
+			}()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.MintID()
+				MulPlainLeftPacked(x, w)
+			}
+		})
 	}
 }

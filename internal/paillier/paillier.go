@@ -20,9 +20,9 @@
 //	  exponentiating by the small magnitude and inverting once mod n²
 //	  instead of exponentiating by the full-width ring image n−|k|;
 //	DotRow / DotTables — Straus interleaved multi-exponentiation computing
-//	  an encrypted dot product Π cᵢ^{kᵢ} with one shared squaring chain,
-//	  per-base window tables, and a single inversion for all negative
-//	  factors;
+//	  an encrypted dot product Π cᵢ^{kᵢ} with one shared squaring chain
+//	  over per-base window tables of each base's and its inverse's powers
+//	  (one inversion per table build, none per evaluation);
 //	Pool + WithShortExp — precomputed encryption blindings, optionally
 //	  drawn as (h^n)^α for a short random α in the style of
 //	  Damgård–Jurik–Nielsen, replacing the full n-bit refill

@@ -3,6 +3,8 @@ package paillier
 import (
 	"fmt"
 	"math/big"
+
+	"blindfl/internal/parallel"
 )
 
 // Fast exponentiation engine. BlindFL's homomorphic matmuls spend nearly all
@@ -17,8 +19,10 @@ import (
 //  2. Every matmul output cell is a dot product Π cᵢ^{kᵢ}. Exponentiating
 //     each factor separately repeats the squaring chain per base; DotRow uses
 //     Straus' interleaved multi-exponentiation (a.k.a. Shamir's trick) with
-//     per-base window tables, sharing one squaring chain across the whole
-//     row and batching all negative factors into a single inversion.
+//     per-base window tables of the base's powers and of its inverse's, so
+//     one squaring chain with one accumulator serves the whole row whatever
+//     the exponents' signs, and inversion happens once per table build (all
+//     bases together, by Montgomery's trick), never per output cell.
 //
 // DotTables additionally lets callers reuse the window tables when the same
 // bases are exponentiated by many different scalar vectors (each batch row of
@@ -111,87 +115,162 @@ func windowDigit(x *big.Int, off int, w uint) uint {
 	return d
 }
 
-// MaxDotWindow bounds the Straus/cache window width: 2^10−1 table entries
+// MaxDotWindow bounds the Straus/cache window width: 2·(2^10−1) table entries
 // per base is the widest layout the persistent table cache ever pays for.
 const MaxDotWindow = 10
 
 // DotTables holds per-base window tables for Straus multi-exponentiation
-// over a fixed slice of ciphertext bases (one weight-matrix column, say).
-// Build once with PrecomputeDot, evaluate with Dot for each exponent vector.
+// over a fixed slice of ciphertext bases (the columns of a weight matrix,
+// say). Build once with PrecomputeDot, evaluate with Dot or DotGroup for
+// each exponent vector.
 //
 // When a SecretOps is registered for the key at build time, the tables are
-// built modulo p² and q² instead of N² and Dot runs two half-width squaring
-// chains recombined once per evaluation — the CRT split for decrypt-adjacent
-// matmuls. The recombined result is bit-identical to the public-path Dot.
+// built modulo p² and q² instead of N² and every evaluation runs two
+// half-width chains recombined once — the CRT split for decrypt-adjacent
+// matmuls. The recombined result is bit-identical to the public-path one.
 type DotTables struct {
-	pk   *PublicKey
-	w    uint
-	tabs [][]*big.Int // tabs[i][d] = cs[i]^d mod N², d = 1..2^w−1 (index 0 unused)
+	pk    *PublicKey
+	w     uint
+	n     int        // bases
+	rows  int        // power rows built per half: 2n, or n for DotRow's one side each
+	so    *SecretOps // non-nil selects the CRT dual-chain mode
+	halfs []dotHalf  // one mod N², or two mod p² and q²
+}
 
-	so           *SecretOps   // non-nil selects the CRT dual-chain mode
-	tabsP, tabsQ [][]*big.Int // cs[i]^d mod p², mod q² (CRT mode)
+// dotHalf is the tables modulo one modulus: pow[2i+s][d] = cᵢ^{±d} mod m for
+// d = 1..2^w−1 (index 0 unused), s = 1 holding the powers of cᵢ⁻¹. A nil row
+// is a side DotRow did not need.
+type dotHalf struct {
+	m   *big.Int
+	pow [][]*big.Int
 }
 
 // Window reports the table's Straus window width.
 func (t *DotTables) Window() uint { return t.w }
 
-// Bytes estimates the tables' memory footprint (the CRT layout's two
-// half-size residues cost the same as one full-size one).
-func (t *DotTables) Bytes() int64 {
-	bases := len(t.tabs)
-	if t.so != nil {
-		bases = len(t.tabsP)
-	}
-	return int64(bases) * int64((1<<t.w)-1) * fixedBaseEntryBytes(t.pk.N2)
+// DotTableBytes estimates the memory of width-w tables over the given number
+// of bases with both sides built (the CRT layout's two half-size residues
+// cost the same as one full-size one).
+func (pk *PublicKey) DotTableBytes(bases int, w uint) int64 {
+	return 2 * int64(bases) * int64((1<<w)-1) * fixedBaseEntryBytes(pk.N2)
 }
 
-// precomputeHalf builds width-w power tables for bases reduced mod m.
-func precomputeHalf(cs []*Ciphertext, w uint, m *big.Int) [][]*big.Int {
-	tabs := make([][]*big.Int, len(cs))
-	size := 1 << w
+// Bytes estimates the tables' memory footprint.
+func (t *DotTables) Bytes() int64 { return t.pk.DotTableBytes(t.rows, t.w) / 2 }
+
+// batchInverse inverts every x mod m with Montgomery's trick — prefix
+// products, one ModInverse, unwind — so a table build pays one inversion,
+// not one per base. Panics like mustInverse if any x is not a unit.
+func batchInverse(xs []*big.Int, m *big.Int) []*big.Int {
+	inv := make([]*big.Int, len(xs))
+	if len(xs) == 0 {
+		return inv
+	}
+	acc := big.NewInt(1)
+	for i, x := range xs {
+		inv[i] = acc // product of xs[:i], until the unwind below
+		acc = new(big.Int).Mul(acc, x)
+		acc.Mod(acc, m)
+	}
+	acc = mustInverse(acc, m, "PrecomputeDot")
+	for i := len(xs) - 1; i >= 0; i-- {
+		inv[i] = new(big.Int).Mul(acc, inv[i])
+		inv[i].Mod(inv[i], m)
+		acc.Mul(acc, xs[i]).Mod(acc, m)
+	}
+	return inv
+}
+
+// buildHalf builds the width-w tables mod m. A nil es builds both sides of
+// every base, the power rows in parallel; otherwise (DotRow, already inside a
+// parallel cell) base i gets only the side es[i]'s sign selects, serially.
+// The inversion runs on the calling goroutine either way, so a non-invertible
+// base panics where the caller can recover.
+func buildHalf(cs []*Ciphertext, es []SignedExp, w uint, m *big.Int) dotHalf {
+	roots := make([]*big.Int, 2*len(cs)) // roots[2i+s] generates row pow[2i+s]
+	var negIdx []int
+	var negs []*big.Int
 	for i, c := range cs {
-		tab := make([]*big.Int, size)
-		tab[1] = new(big.Int).Mod(c.C, m)
-		for d := 2; d < size; d++ {
-			tab[d] = new(big.Int).Mul(tab[d-1], tab[1])
-			tab[d].Mod(tab[d], m)
+		r := new(big.Int).Mod(c.C, m)
+		if es == nil || !es[i].Neg {
+			roots[2*i] = r
 		}
-		tabs[i] = tab
+		if es == nil || es[i].Neg {
+			negIdx, negs = append(negIdx, i), append(negs, r)
+		}
 	}
-	return tabs
+	for t, inv := range batchInverse(negs, m) {
+		roots[2*negIdx[t]+1] = inv
+	}
+	h := dotHalf{m: m, pow: make([][]*big.Int, len(roots))}
+	fill := func(j int) {
+		if roots[j] == nil {
+			return
+		}
+		row := make([]*big.Int, 1<<w)
+		row[1] = roots[j]
+		for d := 2; d < len(row); d++ {
+			row[d] = new(big.Int).Mul(row[d-1], row[1])
+			row[d].Mod(row[d], m)
+		}
+		h.pow[j] = row
+	}
+	if es == nil {
+		parallel.For(len(h.pow), fill)
+	} else {
+		for j := range h.pow {
+			fill(j)
+		}
+	}
+	return h
 }
 
-// PrecomputeDot builds Straus window tables of width w for the given bases.
-// The tables hold len(cs)·(2^w−1) residues mod N², so callers choose w via
-// dotWindow-style reasoning: wider windows pay off when the tables are reused
-// across many Dot calls (the hetensor table cache goes up to MaxDotWindow).
-func (pk *PublicKey) PrecomputeDot(cs []*Ciphertext, w uint) *DotTables {
+func (pk *PublicKey) precomputeDot(cs []*Ciphertext, es []SignedExp, w uint) *DotTables {
 	if w < 1 || w > MaxDotWindow {
 		panic(fmt.Sprintf("paillier: PrecomputeDot window %d out of range [1,%d]", w, MaxDotWindow))
 	}
-	t := &DotTables{pk: pk, w: w}
-	if so := SecretOpsFor(pk); so != nil {
-		t.so = so
-		t.tabsP = precomputeHalf(cs, w, so.sk.p2)
-		t.tabsQ = precomputeHalf(cs, w, so.sk.q2)
-		return t
+	t := &DotTables{pk: pk, w: w, n: len(cs), rows: 2 * len(cs), so: SecretOpsFor(pk)}
+	if es != nil {
+		t.rows = len(cs)
 	}
-	t.tabs = precomputeHalf(cs, w, pk.N2)
+	mods := []*big.Int{pk.N2}
+	if t.so != nil {
+		mods = []*big.Int{t.so.sk.p2, t.so.sk.q2}
+	}
+	for _, m := range mods {
+		t.halfs = append(t.halfs, buildHalf(cs, es, w, m))
+	}
 	return t
 }
 
-// Dot computes ⟦Σ kᵢ·mᵢ⟧ = Π cᵢ^{kᵢ} over the precomputed bases with one
-// shared squaring chain. es must align with the bases passed to
-// PrecomputeDot; zero exponents contribute nothing (so sparse exponent
-// vectors are cheap). Negative factors accumulate into a separate
-// denominator inverted once at the end.
+// PrecomputeDot builds Straus window tables of width w for the given bases:
+// 2·len(cs)·(2^w−1) residues mod N² (DotTableBytes). Callers choose w via
+// DotWindow-style reasoning: wider windows pay off when the tables are reused
+// across many Dot calls (the hetensor table cache goes up to MaxDotWindow).
+// Panics if a base is not invertible mod N².
+func (pk *PublicKey) PrecomputeDot(cs []*Ciphertext, w uint) *DotTables {
+	return pk.precomputeDot(cs, nil, w)
+}
+
+// Dot computes ⟦Σ kᵢ·mᵢ⟧ = Π cᵢ^{kᵢ} over all the precomputed bases; es
+// must align with the bases passed to PrecomputeDot.
 func (t *DotTables) Dot(es []SignedExp) *Ciphertext {
-	nbases := len(t.tabs)
-	if t.so != nil {
-		nbases = len(t.tabsP)
+	if len(es) != t.n {
+		panic(fmt.Sprintf("paillier: Dot over %d exponents for %d bases", len(es), t.n))
 	}
-	if len(es) != nbases {
-		panic(fmt.Sprintf("paillier: Dot over %d exponents for %d bases", len(es), nbases))
+	return t.DotGroup(0, es)
+}
+
+// DotGroup computes Π cᵢ^{kᵢ} over the g-th run of len(es) bases — tables
+// built over several equally long base vectors laid end to end evaluate each
+// of them separately. One shared squaring chain, one accumulator: a negative
+// exponent multiplies in the inverse base's power. Zero exponents contribute
+// nothing (so sparse exponent vectors are cheap). The result is the canonical
+// residue of Π⁺·(Π⁻)⁻¹ mod N², whatever the window or mode.
+func (t *DotTables) DotGroup(g int, es []SignedExp) *Ciphertext {
+	off := g * len(es)
+	if g < 0 || off+len(es) > t.n {
+		panic(fmt.Sprintf("paillier: DotGroup %d of %d exponents over %d bases", g, len(es), t.n))
 	}
 	maxBits := 0
 	for i := range es {
@@ -208,89 +287,66 @@ func (t *DotTables) Dot(es []SignedExp) *Ciphertext {
 	if maxBits == 0 {
 		return &Ciphertext{C: big.NewInt(1)}
 	}
+	var s dotScratch
+	x := t.halfs[0].chain(off, es, maxBits, t.w, &s)
 	if t.so != nil {
-		// CRT dual chain: the shared squaring chain runs twice at half
-		// width (≈¼ the per-multiplication cost each), recombined once.
-		posP, negP := strausChain(t.tabsP, es, maxBits, t.w, t.so.sk.p2)
-		posQ, negQ := strausChain(t.tabsQ, es, maxBits, t.w, t.so.sk.q2)
-		xp := combineDotHalf(posP, negP, t.so.sk.p2)
-		xq := combineDotHalf(posQ, negQ, t.so.sk.q2)
-		return &Ciphertext{C: t.so.combine(xp, xq)}
+		// CRT dual chain: the chain runs twice at half width (≈¼ the
+		// per-multiplication cost each), recombined once.
+		x = t.so.combine(x, t.halfs[1].chain(off, es, maxBits, t.w, &s))
 	}
-	n2 := t.pk.N2
-	pos, neg := strausChain(t.tabs, es, maxBits, t.w, n2)
-	return &Ciphertext{C: combineDotHalf(pos, neg, n2)}
+	return &Ciphertext{C: x}
 }
 
-// strausChain runs one Straus interleaved chain over width-w tables mod m,
-// returning the positive- and negative-factor accumulators (nil when that
-// sign never contributed). pos and neg stay nil until their first
-// contribution so leading all-zero window columns cost nothing.
-func strausChain(tabs [][]*big.Int, es []SignedExp, maxBits int, width uint, m *big.Int) (pos, neg *big.Int) {
+// dotScratch is the product and quotient storage one evaluation reuses for
+// every multiplication, so a chain allocates a constant number of limbs
+// however long the exponents are.
+type dotScratch struct{ prod, quo big.Int }
+
+// mulMod sets acc = acc·f mod m without allocating.
+func (s *dotScratch) mulMod(acc, f, m *big.Int) {
+	s.prod.Mul(acc, f)
+	s.quo.QuoRem(&s.prod, m, acc)
+}
+
+// chain runs the Straus interleaved chain over es against bases off… . The
+// accumulator starts at the first non-zero digit, so leading all-zero window
+// columns cost nothing; maxBits > 0 guarantees there is one.
+func (h *dotHalf) chain(off int, es []SignedExp, maxBits int, width uint, s *dotScratch) *big.Int {
 	w := int(width)
-	digits := (maxBits + w - 1) / w
-	for d := digits - 1; d >= 0; d-- {
-		if pos != nil || neg != nil {
-			for s := 0; s < w; s++ {
-				if pos != nil {
-					pos.Mul(pos, pos).Mod(pos, m)
-				}
-				if neg != nil {
-					neg.Mul(neg, neg).Mod(neg, m)
-				}
-			}
+	var acc *big.Int
+	for d := (maxBits+w-1)/w - 1; d >= 0; d-- {
+		for k := 0; k < w && acc != nil; k++ {
+			s.mulMod(acc, acc, h.m)
 		}
-		off := d * w
 		for i := range es {
 			if es[i].IsZero() {
 				continue
 			}
-			dig := windowDigit(es[i].Mag, off, width)
+			dig := windowDigit(es[i].Mag, d*w, width)
 			if dig == 0 {
 				continue
 			}
-			f := tabs[i][dig]
+			row := 2 * (off + i)
 			if es[i].Neg {
-				if neg == nil {
-					neg = new(big.Int).Set(f)
-				} else {
-					neg.Mul(neg, f).Mod(neg, m)
-				}
+				row++
+			}
+			if f := h.pow[row][dig]; acc == nil {
+				acc = new(big.Int).Set(f)
 			} else {
-				if pos == nil {
-					pos = new(big.Int).Set(f)
-				} else {
-					pos.Mul(pos, f).Mod(pos, m)
-				}
+				s.mulMod(acc, f, h.m)
 			}
 		}
 	}
-	return pos, neg
-}
-
-// combineDotHalf folds one chain's accumulators into pos·neg⁻¹ mod m.
-func combineDotHalf(pos, neg, m *big.Int) *big.Int {
-	switch {
-	case pos == nil && neg == nil:
-		return big.NewInt(1)
-	case pos == nil:
-		return mustInverse(neg, m, "Dot")
-	case neg == nil:
-		return pos
-	default:
-		inv := mustInverse(neg, m, "Dot")
-		pos.Mul(pos, inv).Mod(pos, m)
-		return pos
-	}
+	return acc
 }
 
 // DotRow computes the encrypted dot product ⟦Σ kᵢ·mᵢ⟧ = Π cᵢ^{kᵢ} for one
-// row of ciphertexts and signed scalar exponents, using Straus interleaved
-// multi-exponentiation: one shared squaring chain across all bases, per-base
-// window tables sized to the largest exponent magnitude, and a single
-// inversion for all negative factors. It decrypts identically to the
-// textbook loop Σ AddCipher(MulPlain(cᵢ, kᵢ)) with signed kᵢ. Zero exponents
-// skip their base entirely (no table is built).
+// row of ciphertexts and signed scalar exponents: single-use tables sized to
+// the largest exponent magnitude, holding for each base only the side its
+// exponent's sign selects (so the negative bases share one inversion and an
+// all-positive row pays none), evaluated by the same chain as DotTables.Dot.
+// It decrypts identically to the textbook loop Σ AddCipher(MulPlain(cᵢ, kᵢ))
+// with signed kᵢ. Zero exponents skip their base entirely.
 func (pk *PublicKey) DotRow(cs []*Ciphertext, es []SignedExp) *Ciphertext {
 	if len(cs) != len(es) {
 		panic(fmt.Sprintf("paillier: DotRow over %d ciphertexts, %d exponents", len(cs), len(es)))
@@ -324,6 +380,5 @@ func (pk *PublicKey) DotRow(cs []*Ciphertext, es []SignedExp) *Ciphertext {
 			liveE = append(liveE, es[i])
 		}
 	}
-	t := pk.PrecomputeDot(liveC, DotWindow(maxBits, 1))
-	return t.Dot(liveE)
+	return pk.precomputeDot(liveC, liveE, DotWindow(maxBits, 1)).Dot(liveE)
 }

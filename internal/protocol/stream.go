@@ -181,12 +181,15 @@ func (p *Peer) trustPacked(c *hetensor.PackedMatrix) {
 }
 
 // cipherChunk asserts a stream payload is a cipher matrix chunk and
-// reattaches the trusted key.
+// reattaches the trusted key — on an anonymous copy: the in-process
+// transports deliver the sender's own object, whose minted identity gob
+// would have dropped and whose PK field is not this party's to rewrite.
 func (p *Peer) cipherChunk(v any) *hetensor.CipherMatrix {
 	c, ok := v.(*hetensor.CipherMatrix)
 	if !ok {
 		p.fail("stream recv: want *hetensor.CipherMatrix chunk, got %T", v)
 	}
+	c = c.Anonymous()
 	p.trustCipher(c)
 	return c
 }
@@ -196,6 +199,7 @@ func (p *Peer) packedChunk(v any) *hetensor.PackedMatrix {
 	if !ok {
 		p.fail("stream recv: want *hetensor.PackedMatrix chunk, got %T", v)
 	}
+	c = c.Anonymous()
 	p.trustPacked(c)
 	return c
 }

@@ -2,11 +2,15 @@ package protocol
 
 import (
 	"math"
+	"math/rand"
+	"net"
 	"strings"
 	"testing"
 
 	"blindfl/internal/hetensor"
+	"blindfl/internal/paillier"
 	"blindfl/internal/tensor"
+	"blindfl/internal/transport"
 )
 
 // Streamed conversions must reconstruct exactly what the monolithic ones do.
@@ -198,5 +202,76 @@ func TestStreamSingleRowMatrix(t *testing.T) {
 	}
 	if !got.Equal(v, 1e-9) {
 		t.Fatalf("single-chunk stream decrypts to %v", got.Data)
+	}
+}
+
+// TestStreamChunksAnonymousOnEveryTransport: a streamed packed backward pass
+// must look the same to the dot-table cache whether its ⟦∇Z⟧ chunks arrive by
+// pointer (transport.Pair hands over the sender's own object, minted identity
+// and all) or through gob (which drops the identity): no lookups, no ghosts,
+// no inserts. The receiver must also leave the sender's object alone.
+func TestStreamChunksAnonymousOnEveryTransport(t *testing.T) {
+	skA, skB := TestKeys()
+	rng := rand.New(rand.NewSource(77))
+	x := tensor.RandDense(rng, 6, 5, 2)
+	gz := tensor.RandDense(rng, 6, 3, 0.5)
+	hetensor.SetTableCacheBudget(64 << 20)
+	defer func() {
+		hetensor.SetTableCacheBudget(0)
+		hetensor.ResetTableCache()
+	}()
+
+	backward := func(ca, cb transport.Conn) (*tensor.Dense, hetensor.TableCacheStats) {
+		t.Helper()
+		hetensor.ResetTableCache()
+		a, b, err := PipeOn(ca, cb, skA, skB, 77)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.ChunkRows, b.ChunkRows = 2, 2
+		// A key object of the sender's own, so a receiver that reattaches
+		// its trusted copy in place is caught.
+		pkA := &paillier.PublicKey{N: skA.N, N2: skA.N2}
+		var sent []*hetensor.PackedMatrix
+		var acc *hetensor.PackedMatrix
+		err = RunParties(a, b, func() {
+			a.sendStream(gz.Rows, gz.Cols, func(lo, hi int) any {
+				c := hetensor.PackEncryptBlocks(pkA, gz.RowSlice(lo, hi), 1, gz.Cols)
+				sent = append(sent, c)
+				return c
+			})
+		}, func() {
+			b.RecvPackedStreamEach(func(lo int, chunk *hetensor.PackedMatrix) {
+				if acc == nil {
+					acc = hetensor.NewPackedMatrix(chunk.PK, x.Cols, chunk.Cols, chunk.Block, chunk.Scale+1)
+				}
+				// Twice: a chunk that kept an identity would be admitted here.
+				hetensor.TransposeMulLeftPacked(x.RowSlice(lo, lo+chunk.Rows), chunk)
+				hetensor.TransposeMulLeftPackedAcc(acc, x.RowSlice(lo, lo+chunk.Rows), chunk)
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range sent {
+			if c.PK != pkA {
+				t.Fatalf("chunk %d: the receiver rewrote the sender's object", i)
+			}
+		}
+		return hetensor.DecryptPacked(skA, acc), hetensor.TableCacheStatsNow()
+	}
+
+	pa, pb := transport.Pair(64)
+	byPointer, sp := backward(pa, pb)
+	na, nb := net.Pipe()
+	byGob, sg := backward(transport.NewGobConn(na), transport.NewGobConn(nb))
+	if sp != sg {
+		t.Fatalf("cache counters differ by transport: Pair %+v, gob %+v", sp, sg)
+	}
+	if sp.Entries != 0 || sp.Hits != 0 || sp.Misses != 0 {
+		t.Fatalf("stats %+v: stream chunks must stay anonymous", sp)
+	}
+	if want := x.TransposeMatMul(gz); !byPointer.Equal(want, 1e-6) || !byGob.Equal(byPointer, 0) {
+		t.Fatalf("backward pass wrong: %v / %v, want %v", byPointer.Data, byGob.Data, want.Data)
 	}
 }
