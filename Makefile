@@ -34,11 +34,16 @@ test-full:
 # the stream transport, the k-session group runtime and full federated
 # training, asserting bit-exact recovery or a typed loud failure, never
 # silent garbage. Race detector on: fault handling exercises the teardown
-# paths where latent races live.
+# paths where latent races live. Then ten seconds of arbitrary link bytes
+# against the one matrix receive path (FuzzRecvMatrix, seeded from the
+# hostile-header table): no panic, allocation bounded by the input. The
+# minimizer is capped: left at its one-minute default it spends the whole run
+# shrinking the first gob stream that reaches a new branch.
 test-chaos:
 	$(GO) test -short -race -timeout 10m \
-		-run 'TestChaos|TestFault|TestStream|TestDeadline|TestRunGroupFaultConn|TestGroupAllSessionsLost|TestRetry' \
+		-run 'TestChaos|TestFault|TestStream|TestDeadline|TestRunGroupFaultConn|TestGroupAllSessionsLost|TestRetry|TestTrainHonoursEngineOptions' \
 		./internal/transport/ ./internal/protocol/ ./internal/model/ ./internal/serve/
+	$(GO) test -race -run '^$$' -fuzz '^FuzzRecvMatrix$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/protocol/
 
 # Examples lane: compile every example, smoke-run the quickstart and the
 # multi-party group runtime.

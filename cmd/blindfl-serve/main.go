@@ -97,7 +97,7 @@ func main() {
 		skAs[i] = skA
 	}
 
-	ck := loadOrTrain(kind, ds, h, eng, skAs, skB, *ckPath, *seed)
+	ck := loadOrTrain(kind, ds, h, skAs, skB, *ckPath, *seed)
 
 	// Serving runs on fresh sessions: the checkpoint restore plus the
 	// serve-session weight exchange is the whole cold start, and each
@@ -114,10 +114,11 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
+		// A checkpoint file carries the options it was trained under; this
+		// run's flags go on top of them.
 		for i := range as {
-			as[i].ChunkRows, g.Peers[i].ChunkRows = eng.ChunkRows, eng.ChunkRows
-			g.Peers[i].SpotCheck = eng.SpotCheck // label party re-verifies decrypts
-			as[i].ANCheck, g.Peers[i].ANCheck = eng.ANCheck, eng.ANCheck
+			as[i].ApplyOptions(eng)
+			g.Peers[i].ApplyOptions(eng)
 		}
 		var pred *model.Predictor
 		err = protocol.Within(*setupTimeout, func() {
@@ -217,7 +218,7 @@ func main() {
 
 // loadOrTrain returns the serve checkpoint bytes: read from ckPath when the
 // file exists, trained (and written to ckPath when set) otherwise.
-func loadOrTrain(kind model.Kind, ds *data.Dataset, h model.Hyper, eng engine.Options,
+func loadOrTrain(kind model.Kind, ds *data.Dataset, h model.Hyper,
 	skAs []*paillier.PrivateKey, skB *paillier.PrivateKey, ckPath string, seed int64) []byte {
 	if ckPath != "" {
 		if b, err := os.ReadFile(ckPath); err == nil {
@@ -228,10 +229,6 @@ func loadOrTrain(kind model.Kind, ds *data.Dataset, h model.Hyper, eng engine.Op
 	as, g, err := protocol.GroupPipe(skAs, skB, seed)
 	if err != nil {
 		fatal(err)
-	}
-	for i := range as {
-		as[i].ChunkRows, g.Peers[i].ChunkRows = eng.ChunkRows, eng.ChunkRows
-		g.Peers[i].SpotCheck = eng.SpotCheck
 	}
 	fmt.Printf("training %s (%d feature parties + label party in-process)...\n", kind, len(skAs))
 	var buf bytes.Buffer

@@ -142,11 +142,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		for i := range as {
-			as[i].ChunkRows, g.Peers[i].ChunkRows = eng.ChunkRows, eng.ChunkRows
-			g.Peers[i].SpotCheck = eng.SpotCheck // label party re-verifies decrypts
-			as[i].ANCheck, g.Peers[i].ANCheck = eng.ANCheck, eng.ANCheck
-		}
 		fed, err = trainOrResume(tr, *resume, ds, model.PartySet{As: as, B: g})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -159,9 +154,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		pa.ChunkRows, pb.ChunkRows = eng.ChunkRows, eng.ChunkRows
-		pb.SpotCheck = eng.SpotCheck // label party re-verifies decrypts
-		pa.ANCheck, pb.ANCheck = eng.ANCheck, eng.ANCheck
 		fed, err = trainOrResume(tr, *resume, ds, model.Pair(pa, pb))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

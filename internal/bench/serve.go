@@ -99,7 +99,6 @@ func RunServePerf(eng engine.Options, keyBits, requests int) (ServePerf, error) 
 	if err != nil {
 		return ServePerf{}, err
 	}
-	pb2.SpotCheck = eng.SpotCheck // label party re-verifies serve decrypts
 	p, err := model.NewPredictor(bytes.NewReader(ck.Bytes()), model.Pair(pa2, pb2))
 	if err != nil {
 		return ServePerf{}, err

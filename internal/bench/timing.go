@@ -57,8 +57,6 @@ func NewBlindFLStepperOpts(spec data.Spec, batch, out int, opts StepperOpts) fun
 		panic(err)
 	}
 	opts.SetupKeys(skA, skB)
-	pa.ChunkRows, pb.ChunkRows = opts.ChunkRows, opts.ChunkRows
-	pb.SpotCheck = opts.SpotCheck // label party re-verifies decrypts
 	rng := rand.New(rand.NewSource(11))
 	half := spec.Feats / 2
 	cfg := core.Config{Out: out, LR: 0.05, Options: opts.Options}

@@ -101,14 +101,13 @@ func Traffic() *Table {
 		pa, pb, cleanup := tcpPeerPair(76)
 		var la *core.MatMulA
 		var lb *core.MatMulB
-		cfg := core.Config{Out: out, LR: 0.1, Options: engine.Options{Stream: true}}
+		cfg := core.Config{Out: out, LR: 0.1, Options: engine.Options{Stream: true, SpotCheck: true}}
 		if err := protocol.RunParties(pa, pb,
 			func() { la = core.NewMatMulA(pa, cfg, 32, 32) },
 			func() { lb = core.NewMatMulB(pb, cfg, 32, 32) },
 		); err != nil {
 			panic(err)
 		}
-		pb.SpotCheck = true
 		pa.Stream, pb.Stream = protocol.StreamStats{}, protocol.StreamStats{}
 		m0, b0 := pa.Conn.Stats()
 		rng := rand.New(rand.NewSource(1))
@@ -138,14 +137,13 @@ func Traffic() *Table {
 		pa, pb, cleanup := tcpPeerPair(77)
 		var la *core.MatMulA
 		var lb *core.MatMulB
-		cfg := core.Config{Out: out, LR: 0.1}
+		cfg := core.Config{Out: out, LR: 0.1, Options: engine.Options{ANCheck: true}}
 		if err := protocol.RunParties(pa, pb,
 			func() { la = core.NewMatMulA(pa, cfg, 32, 32) },
 			func() { lb = core.NewMatMulB(pb, cfg, 32, 32) },
 		); err != nil {
 			panic(err)
 		}
-		pa.ANCheck, pb.ANCheck = true, true
 		pa.Stream, pb.Stream = protocol.StreamStats{}, protocol.StreamStats{}
 		m0, b0 := pa.Conn.Stats()
 		rng := rand.New(rand.NewSource(1))

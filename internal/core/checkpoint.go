@@ -20,18 +20,17 @@ import (
 
 // matMulAState mirrors MatMulA's persistent fields for gob.
 type matMulAState struct {
-	Cfg    Config
-	UA     *tensor.Dense
-	VB     *tensor.Dense
-	EncVA  *hetensor.CipherMatrix
-	PackVA *hetensor.PackedMatrix
-	MomUA  *tensor.Dense
-	MomVB  *tensor.Dense
+	Cfg   Config
+	UA    *tensor.Dense
+	VB    *tensor.Dense
+	EncVA hetensor.Matrix
+	MomUA *tensor.Dense
+	MomVB *tensor.Dense
 }
 
 // Save writes Party A's half of the layer.
 func (l *MatMulA) Save(w io.Writer) error {
-	st := matMulAState{Cfg: l.cfg, UA: l.UA, VB: l.VB, EncVA: l.encVA, PackVA: l.packVA,
+	st := matMulAState{Cfg: l.cfg, UA: l.UA, VB: l.VB, EncVA: l.encVA,
 		MomUA: l.momUA.buf, MomVB: l.momVB.buf}
 	if err := gob.NewEncoder(w).Encode(&st); err != nil {
 		return fmt.Errorf("core: save MatMulA: %w", err)
@@ -45,15 +44,9 @@ func LoadMatMulA(r io.Reader, p *protocol.Peer) (*MatMulA, error) {
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("core: load MatMulA: %w", err)
 	}
-	if st.EncVA != nil {
-		st.EncVA.PK = p.PeerPK
-	}
-	if st.PackVA != nil {
-		st.PackVA.PK = p.PeerPK
-	}
 	return &MatMulA{
 		cfg: st.Cfg, peer: p,
-		UA: st.UA, VB: st.VB, encVA: st.EncVA, packVA: st.PackVA,
+		UA: st.UA, VB: st.VB, encVA: st.EncVA,
 		momUA: momentum{mu: st.Cfg.Momentum, buf: st.MomUA},
 		momVB: momentum{mu: st.Cfg.Momentum, buf: st.MomVB},
 	}, nil
@@ -61,18 +54,17 @@ func LoadMatMulA(r io.Reader, p *protocol.Peer) (*MatMulA, error) {
 
 // matMulBState mirrors MatMulB's persistent fields for gob.
 type matMulBState struct {
-	Cfg    Config
-	UB     *tensor.Dense
-	VA     *tensor.Dense
-	EncVB  *hetensor.CipherMatrix
-	PackVB *hetensor.PackedMatrix
-	MomUB  *tensor.Dense
-	MomVA  *tensor.Dense
+	Cfg   Config
+	UB    *tensor.Dense
+	VA    *tensor.Dense
+	EncVB hetensor.Matrix
+	MomUB *tensor.Dense
+	MomVA *tensor.Dense
 }
 
 // Save writes Party B's half of the layer.
 func (l *MatMulB) Save(w io.Writer) error {
-	st := matMulBState{Cfg: l.cfg, UB: l.UB, VA: l.VA, EncVB: l.encVB, PackVB: l.packVB,
+	st := matMulBState{Cfg: l.cfg, UB: l.UB, VA: l.VA, EncVB: l.encVB,
 		MomUB: l.momUB.buf, MomVA: l.momVA.buf}
 	if err := gob.NewEncoder(w).Encode(&st); err != nil {
 		return fmt.Errorf("core: save MatMulB: %w", err)
@@ -86,15 +78,9 @@ func LoadMatMulB(r io.Reader, p *protocol.Peer) (*MatMulB, error) {
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("core: load MatMulB: %w", err)
 	}
-	if st.EncVB != nil {
-		st.EncVB.PK = p.PeerPK
-	}
-	if st.PackVB != nil {
-		st.PackVB.PK = p.PeerPK
-	}
 	return &MatMulB{
 		cfg: st.Cfg, peer: p,
-		UB: st.UB, VA: st.VA, encVB: st.EncVB, packVB: st.PackVB,
+		UB: st.UB, VA: st.VA, encVB: st.EncVB,
 		momUB: momentum{mu: st.Cfg.Momentum, buf: st.MomUB},
 		momVA: momentum{mu: st.Cfg.Momentum, buf: st.MomVA},
 	}, nil
@@ -104,8 +90,8 @@ func LoadMatMulB(r io.Reader, p *protocol.Peer) (*MatMulB, error) {
 type embedAState struct {
 	Cfg                        EmbedConfig
 	SA, TB, UA, VB             *tensor.Dense
-	EncTA, EncVA, EncUB        *hetensor.CipherMatrix
-	PackTA                     *hetensor.PackedMatrix
+	EncTA                      hetensor.Matrix
+	EncVA, EncUB               *hetensor.CipherMatrix
 	MomSA, MomTB, MomUA, MomVB *tensor.Dense
 }
 
@@ -113,7 +99,7 @@ type embedAState struct {
 func (l *EmbedMatMulA) Save(w io.Writer) error {
 	st := embedAState{Cfg: l.cfg,
 		SA: l.SA, TB: l.TB, UA: l.UA, VB: l.VB,
-		EncTA: l.encTA, EncVA: l.encVA, EncUB: l.encUB, PackTA: l.packTA,
+		EncTA: l.encTA, EncVA: l.encVA, EncUB: l.encUB,
 		MomSA: l.momSA.buf, MomTB: l.momTB.buf, MomUA: l.momUA.buf, MomVB: l.momVB.buf}
 	if err := gob.NewEncoder(w).Encode(&st); err != nil {
 		return fmt.Errorf("core: save EmbedMatMulA: %w", err)
@@ -127,19 +113,11 @@ func LoadEmbedMatMulA(r io.Reader, p *protocol.Peer) (*EmbedMatMulA, error) {
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("core: load EmbedMatMulA: %w", err)
 	}
-	for _, c := range []*hetensor.CipherMatrix{st.EncTA, st.EncVA, st.EncUB} {
-		if c != nil {
-			c.PK = p.PeerPK
-		}
-	}
-	if st.PackTA != nil {
-		st.PackTA.PK = p.PeerPK
-	}
 	mu := st.Cfg.Momentum
 	return &EmbedMatMulA{
 		cfg: st.Cfg, peer: p,
 		SA: st.SA, TB: st.TB, UA: st.UA, VB: st.VB,
-		encTA: st.EncTA, encVA: st.EncVA, encUB: st.EncUB, packTA: st.PackTA,
+		encTA: st.EncTA, encVA: st.EncVA, encUB: st.EncUB,
 		momSA: momentum{mu: mu, buf: st.MomSA}, momTB: momentum{mu: mu, buf: st.MomTB},
 		momUA: momentum{mu: mu, buf: st.MomUA}, momVB: momentum{mu: mu, buf: st.MomVB},
 	}, nil
@@ -149,8 +127,8 @@ func LoadEmbedMatMulA(r io.Reader, p *protocol.Peer) (*EmbedMatMulA, error) {
 type embedBState struct {
 	Cfg                        EmbedConfig
 	SB, TA, UB, VA             *tensor.Dense
-	EncTB, EncVB, EncUA        *hetensor.CipherMatrix
-	PackTB                     *hetensor.PackedMatrix
+	EncTB                      hetensor.Matrix
+	EncVB, EncUA               *hetensor.CipherMatrix
 	MomSB, MomTA, MomUB, MomVA *tensor.Dense
 }
 
@@ -158,7 +136,7 @@ type embedBState struct {
 func (l *EmbedMatMulB) Save(w io.Writer) error {
 	st := embedBState{Cfg: l.cfg,
 		SB: l.SB, TA: l.TA, UB: l.UB, VA: l.VA,
-		EncTB: l.encTB, EncVB: l.encVB, EncUA: l.encUA, PackTB: l.packTB,
+		EncTB: l.encTB, EncVB: l.encVB, EncUA: l.encUA,
 		MomSB: l.momSB.buf, MomTA: l.momTA.buf, MomUB: l.momUB.buf, MomVA: l.momVA.buf}
 	if err := gob.NewEncoder(w).Encode(&st); err != nil {
 		return fmt.Errorf("core: save EmbedMatMulB: %w", err)
@@ -172,19 +150,11 @@ func LoadEmbedMatMulB(r io.Reader, p *protocol.Peer) (*EmbedMatMulB, error) {
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("core: load EmbedMatMulB: %w", err)
 	}
-	for _, c := range []*hetensor.CipherMatrix{st.EncTB, st.EncVB, st.EncUA} {
-		if c != nil {
-			c.PK = p.PeerPK
-		}
-	}
-	if st.PackTB != nil {
-		st.PackTB.PK = p.PeerPK
-	}
 	mu := st.Cfg.Momentum
 	return &EmbedMatMulB{
 		cfg: st.Cfg, peer: p,
 		SB: st.SB, TA: st.TA, UB: st.UB, VA: st.VA,
-		encTB: st.EncTB, encVB: st.EncVB, encUA: st.EncUA, packTB: st.PackTB,
+		encTB: st.EncTB, encVB: st.EncVB, encUA: st.EncUA,
 		momSB: momentum{mu: mu, buf: st.MomSB}, momTA: momentum{mu: mu, buf: st.MomTA},
 		momUB: momentum{mu: mu, buf: st.MomUB}, momVA: momentum{mu: mu, buf: st.MomVA},
 	}, nil

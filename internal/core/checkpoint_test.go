@@ -9,59 +9,6 @@ import (
 	"blindfl/internal/tensor"
 )
 
-func TestMatMulCheckpointRoundTrip(t *testing.T) {
-	pa, pb := pipe(t, 800)
-	cfg := Config{Out: 2, LR: 0.1, Momentum: 0.9}
-	la, lb := newMatMulPair(t, pa, pb, cfg, 3, 3)
-
-	rng := rand.New(rand.NewSource(1))
-	step := func(a *MatMulA, b *MatMulB) {
-		xA := tensor.RandDense(rng, 4, 3, 1)
-		xB := tensor.RandDense(rng, 4, 3, 1)
-		g := tensor.RandDense(rng, 4, 2, 1)
-		if err := protocol.RunParties(pa, pb,
-			func() { a.Forward(DenseFeatures{xA}); a.Backward() },
-			func() { b.Forward(DenseFeatures{xB}); b.Backward(g) },
-		); err != nil {
-			t.Fatal(err)
-		}
-	}
-	step(la, lb) // momentum buffers now non-nil
-
-	var bufA, bufB bytes.Buffer
-	if err := la.Save(&bufA); err != nil {
-		t.Fatal(err)
-	}
-	if err := lb.Save(&bufB); err != nil {
-		t.Fatal(err)
-	}
-	la2, err := LoadMatMulA(&bufA, pa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb2, err := LoadMatMulB(&bufB, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Restored halves reconstruct the same weights...
-	if !DebugWeightsA(la2, lb2).Equal(DebugWeightsA(la, lb), 0) {
-		t.Fatal("restored W_A differs")
-	}
-	if !DebugWeightsB(la2, lb2).Equal(DebugWeightsB(la, lb), 0) {
-		t.Fatal("restored W_B differs")
-	}
-	// ...and continue training identically: run the same batch through the
-	// original and restored pairs (reset rng so the draws coincide).
-	rng = rand.New(rand.NewSource(2))
-	step(la, lb)
-	rng = rand.New(rand.NewSource(2))
-	step(la2, lb2)
-	if !DebugWeightsA(la2, lb2).Equal(DebugWeightsA(la, lb), 1e-6) {
-		t.Fatal("training diverged after checkpoint restore")
-	}
-}
-
 func TestEmbedCheckpointRoundTrip(t *testing.T) {
 	pa, pb := pipe(t, 801)
 	cfg := embedTestCfg()

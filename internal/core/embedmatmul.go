@@ -36,10 +36,9 @@ type EmbedMatMulA struct {
 	UA *tensor.Dense // A's piece of W_A (FieldsA·Dim×Out)
 	VB *tensor.Dense // A's piece of W_B (FieldsB·Dim×Out)
 
-	encTA  *hetensor.CipherMatrix // ⟦T_A⟧ under B's key
-	packTA *hetensor.PackedMatrix // packed ⟦T_A⟧ when cfg.Packed
-	encVA  *hetensor.CipherMatrix // ⟦V_A⟧ under B's key
-	encUB  *hetensor.CipherMatrix // ⟦U_B⟧ under B's key
+	encTA hetensor.Matrix        // ⟦T_A⟧ under B's key, packed if B packs
+	encVA *hetensor.CipherMatrix // ⟦V_A⟧ under B's key
+	encUB *hetensor.CipherMatrix // ⟦U_B⟧ under B's key
 
 	momSA, momTB, momUA, momVB momentum
 
@@ -59,10 +58,9 @@ type EmbedMatMulB struct {
 	UB *tensor.Dense // B's piece of W_B
 	VA *tensor.Dense // B's piece of W_A
 
-	encTB  *hetensor.CipherMatrix // ⟦T_B⟧ under A's key
-	packTB *hetensor.PackedMatrix // packed ⟦T_B⟧ when cfg.Packed
-	encVB  *hetensor.CipherMatrix // ⟦V_B⟧ under A's key
-	encUA  *hetensor.CipherMatrix // ⟦U_A⟧ under A's key
+	encTB hetensor.Matrix        // ⟦T_B⟧ under A's key, packed if A packs
+	encVB *hetensor.CipherMatrix // ⟦V_B⟧ under A's key
+	encUA *hetensor.CipherMatrix // ⟦U_A⟧ under A's key
 
 	momSB, momTA, momUB, momVA momentum
 
@@ -75,7 +73,7 @@ type EmbedMatMulB struct {
 // S_A, T_B, U_A, V_B, ships ⟦T_B⟧, ⟦U_A⟧, ⟦V_B⟧ under its own key, and
 // receives ⟦T_A⟧, ⟦U_B⟧, ⟦V_A⟧ under B's key.
 func NewEmbedMatMulA(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulA {
-	cfg.applyExpEngine()
+	cfg.apply(p)
 	s := cfg.initScale()
 	l := &EmbedMatMulA{
 		cfg: cfg, peer: p,
@@ -86,26 +84,18 @@ func NewEmbedMatMulA(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulA {
 		momSA: momentum{mu: cfg.Momentum}, momTB: momentum{mu: cfg.Momentum},
 		momUA: momentum{mu: cfg.Momentum}, momVB: momentum{mu: cfg.Momentum},
 	}
-	if cfg.Packed {
-		encryptAndSendPacked(p, cfg.Stream, l.TB, 1)
-	} else {
-		encryptAndSend(p, cfg.Stream, l.TB, 1)
-	}
-	encryptAndSend(p, cfg.Stream, l.UA, 1)
-	encryptAndSend(p, cfg.Stream, l.VB, 1)
-	if cfg.Packed {
-		l.packTA = recvPacked(p, cfg.Stream)
-	} else {
-		l.encTA = recvCipher(p, cfg.Stream)
-	}
-	l.encUB = recvCipher(p, cfg.Stream)
-	l.encVA = recvCipher(p, cfg.Stream)
+	cfg.sendEncrypted(p, l.TB)
+	p.EncryptAndSend(l.UA, 1, false)
+	p.EncryptAndSend(l.VB, 1, false)
+	l.encTA = p.RecvMatrix()
+	l.encUB = recvCipher(p)
+	l.encVA = recvCipher(p)
 	return l
 }
 
 // NewEmbedMatMulB initializes Party B's half, symmetric to NewEmbedMatMulA.
 func NewEmbedMatMulB(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulB {
-	cfg.applyExpEngine()
+	cfg.apply(p)
 	s := cfg.initScale()
 	l := &EmbedMatMulB{
 		cfg: cfg, peer: p,
@@ -116,43 +106,26 @@ func NewEmbedMatMulB(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulB {
 		momSB: momentum{mu: cfg.Momentum}, momTA: momentum{mu: cfg.Momentum},
 		momUB: momentum{mu: cfg.Momentum}, momVA: momentum{mu: cfg.Momentum},
 	}
-	if cfg.Packed {
-		l.packTB = recvPacked(p, cfg.Stream)
-	} else {
-		l.encTB = recvCipher(p, cfg.Stream)
-	}
-	l.encUA = recvCipher(p, cfg.Stream)
-	l.encVB = recvCipher(p, cfg.Stream)
-	if cfg.Packed {
-		encryptAndSendPacked(p, cfg.Stream, l.TA, 1)
-	} else {
-		encryptAndSend(p, cfg.Stream, l.TA, 1)
-	}
-	encryptAndSend(p, cfg.Stream, l.UB, 1)
-	encryptAndSend(p, cfg.Stream, l.VA, 1)
+	l.encTB = p.RecvMatrix()
+	l.encUA = recvCipher(p)
+	l.encVB = recvCipher(p)
+	cfg.sendEncrypted(p, l.TA)
+	p.EncryptAndSend(l.UB, 1, false)
+	p.EncryptAndSend(l.VA, 1, false)
 	return l
 }
 
 // embedStage runs Fig. 7 lines 5–7 for one party: lookup over the encrypted
 // peer-generated piece ⟦T⟧ with the local indices, convert to shares, and
 // assemble ψ = ε + lkup(S, X). It returns ψ (this party's share of its own
-// E) and the peer's complementary share E' − ψ' obtained from HE2SS.
-func embedStage(p *protocol.Peer, stream bool, encT *hetensor.CipherMatrix, s *tensor.Dense, x *tensor.IntMatrix) (psi, otherShare *tensor.Dense) {
-	encLk := hetensor.Lookup(encT, x)  // ⟦lkup(T, X)⟧ under the peer's key
-	eps := he2ssSend(p, stream, encLk) // peer receives lkup(T, X) − ε
-	otherShare = he2ssRecv(p, stream)  // this party's share of the peer's E
-	psi = eps.Add(tensor.Lookup(s, x))
-	return psi, otherShare
-}
-
-// embedStagePacked is embedStage over a packed table: the lookup gathers
-// packed rows and the HE2SS conversion masks K lanes per blinding
-// exponentiation. The table's per-row lane layout carries through the
-// batch×(fields·dim) lookup result (Block = dim).
-func embedStagePacked(p *protocol.Peer, stream bool, packT *hetensor.PackedMatrix, s *tensor.Dense, x *tensor.IntMatrix) (psi, otherShare *tensor.Dense) {
-	encLk := hetensor.LookupPacked(packT, x)
-	eps := he2ssSendPacked(p, stream, encLk)
-	otherShare = he2ssRecvPacked(p, stream)
+// E) and the peer's complementary share E' − ψ' obtained from HE2SS. A
+// packed table's per-row lane layout carries through the batch×(fields·dim)
+// lookup result (Block = dim), so its conversion masks K lanes per blinding
+// exponentiation.
+func embedStage(p *protocol.Peer, encT hetensor.Matrix, s *tensor.Dense, x *tensor.IntMatrix) (psi, otherShare *tensor.Dense) {
+	encLk := hetensor.LookupRows(encT, x) // ⟦lkup(T, X)⟧ under the peer's key
+	eps := p.HE2SSSend(encLk)             // peer receives lkup(T, X) − ε
+	otherShare = p.HE2SSRecv()            // this party's share of the peer's E
 	psi = eps.Add(tensor.Lookup(s, x))
 	return psi, otherShare
 }
@@ -161,18 +134,12 @@ func embedStagePacked(p *protocol.Peer, stream bool, packT *hetensor.PackedMatri
 // nothing; its share Z'_A is shipped to B.
 func (l *EmbedMatMulA) Forward(x *tensor.IntMatrix) {
 	l.x = x
-	var psiA, ebmPsi *tensor.Dense
-	if l.cfg.Packed {
-		psiA, ebmPsi = embedStagePacked(l.peer, l.cfg.Stream, l.packTA, l.SA, x)
-	} else {
-		psiA, ebmPsi = embedStage(l.peer, l.cfg.Stream, l.encTA, l.SA, x)
-	}
-	l.psiA, l.ebmPsi = psiA, ebmPsi
+	l.psiA, l.ebmPsi = embedStage(l.peer, l.encTA, l.SA, x)
 
 	// Line 8: Z'_1,A = MatMulFw(ψ_A, U_A, ⟦V_A⟧).
-	z1 := forwardHalf(l.peer, l.cfg.Stream, DenseFeatures{psiA}, l.UA, l.encVA)
+	z1 := forwardHalf(l.peer, DenseFeatures{l.psiA}, l.UA, l.encVA)
 	// Line 9: Z'_2,A = MatMulFw(E_B−ψ_B, V_B, ⟦U_B⟧).
-	z2 := forwardHalf(l.peer, l.cfg.Stream, DenseFeatures{ebmPsi}, l.VB, l.encUB)
+	z2 := forwardHalf(l.peer, DenseFeatures{l.ebmPsi}, l.VB, l.encUB)
 
 	z1.AddInPlace(z2)
 	l.peer.Send(z1) // line 10: ship Z'_A
@@ -181,16 +148,10 @@ func (l *EmbedMatMulA) Forward(x *tensor.IntMatrix) {
 // Forward runs Party B's forward pass and returns Z = E_A·W_A + E_B·W_B.
 func (l *EmbedMatMulB) Forward(x *tensor.IntMatrix) *tensor.Dense {
 	l.x = x
-	var psiB, eamPsi *tensor.Dense
-	if l.cfg.Packed {
-		psiB, eamPsi = embedStagePacked(l.peer, l.cfg.Stream, l.packTB, l.SB, x)
-	} else {
-		psiB, eamPsi = embedStage(l.peer, l.cfg.Stream, l.encTB, l.SB, x)
-	}
-	l.psiB, l.eamPsi = psiB, eamPsi
+	l.psiB, l.eamPsi = embedStage(l.peer, l.encTB, l.SB, x)
 
-	z1 := forwardHalf(l.peer, l.cfg.Stream, DenseFeatures{psiB}, l.UB, l.encVB)
-	z2 := forwardHalf(l.peer, l.cfg.Stream, DenseFeatures{eamPsi}, l.VA, l.encUA)
+	z1 := forwardHalf(l.peer, DenseFeatures{l.psiB}, l.UB, l.encVB)
+	z2 := forwardHalf(l.peer, DenseFeatures{l.eamPsi}, l.VA, l.encUA)
 
 	z1.AddInPlace(z2)
 	zA := l.peer.RecvDense()
@@ -199,10 +160,10 @@ func (l *EmbedMatMulB) Forward(x *tensor.IntMatrix) *tensor.Dense {
 
 // Backward runs Party A's backward pass (Fig. 7 lines 12–26).
 func (l *EmbedMatMulA) Backward() {
-	p, stream := l.peer, l.cfg.Stream
+	p := l.peer
 	// Line 12: receive ⟦∇Z⟧ and ⟦∇Z·V_Aᵀ⟧ under B's key.
-	encGradZ := recvCipher(p, stream)
-	encGradZVAT := recvCipher(p, stream)
+	encGradZ := recvCipher(p)
+	encGradZVAT := recvCipher(p)
 
 	// Line 21, first term: ⟦∇Z⟧·U_Aᵀ must use the forward-pass U_A, so it
 	// is computed before the MatMul-part update below touches U_A.
@@ -210,50 +171,45 @@ func (l *EmbedMatMulA) Backward() {
 
 	// --- Backward of the MatMul part (lines 13–20) ---
 	// ∇W_A = ψ_Aᵀ∇Z + (E_A−ψ_A)ᵀ∇Z; A computes the first term encrypted.
-	phi := he2ssSend(p, stream, hetensor.TransposeMulLeft(l.psiA, encGradZ))
+	phi := p.HE2SSSend(hetensor.TransposeMulLeft(l.psiA, encGradZ))
 	l.momUA.step(l.UA, phi, l.cfg.LR)
 
 	// ∇W_B = ψ_Bᵀ∇Z + (E_B−ψ_B)ᵀ∇Z; A computes the second term encrypted.
-	xi := he2ssSend(p, stream, hetensor.TransposeMulLeft(l.ebmPsi, encGradZ))
+	xi := p.HE2SSSend(hetensor.TransposeMulLeft(l.ebmPsi, encGradZ))
 	l.momVB.step(l.VB, xi, l.cfg.LR)
 
 	// Refresh the encrypted weight copies (U_A changed here; V_A at B).
-	encryptAndSend(p, stream, l.UA, 1)
-	encryptAndSend(p, stream, l.VB, 1)
-	l.encVA = recvCipher(p, stream)
-	l.encUB = recvCipher(p, stream)
+	p.EncryptAndSend(l.UA, 1, false)
+	p.EncryptAndSend(l.VB, 1, false)
+	l.encVA = recvCipher(p)
+	l.encUB = recvCipher(p)
 
 	// --- Backward of the Embed part (lines 21–26) ---
 	// ⟦∇E_A⟧ = ⟦∇Z⟧·U_Aᵀ + ⟦∇Z·V_Aᵀ⟧ (computed above with forward weights).
 	encGradQA := hetensor.LookupBackward(encGradEA, l.x, l.cfg.VocabA, l.cfg.Dim)
-	rhoA := he2ssSend(p, stream, encGradQA) // B receives ∇Q_A − ρ_A
+	rhoA := p.HE2SSSend(encGradQA) // B receives ∇Q_A − ρ_A
 	l.momSA.step(l.SA, rhoA, l.cfg.LR)
 
 	// Symmetric for Q_B: B ships the masked ⟦∇Q_B − ρ_B⟧ under A's key.
-	gradTBshare := he2ssRecv(p, stream) // ∇Q_B − ρ_B
+	gradTBshare := p.HE2SSRecv() // ∇Q_B − ρ_B
 	l.momTB.step(l.TB, gradTBshare, l.cfg.LR)
 
 	// Refresh encrypted table copies: T_B changed here, T_A at B.
-	if l.cfg.Packed {
-		encryptAndSendPacked(p, stream, l.TB, 1)
-		l.packTA = recvPacked(p, stream)
-	} else {
-		encryptAndSend(p, stream, l.TB, 1)
-		l.encTA = recvCipher(p, stream)
-	}
+	l.cfg.sendEncrypted(p, l.TB)
+	l.encTA = p.RecvMatrix()
 
 	l.x, l.psiA, l.ebmPsi = nil, nil, nil
 }
 
 // Backward runs Party B's backward pass given the top model's ∇Z.
 func (l *EmbedMatMulB) Backward(gradZ *tensor.Dense) {
-	p, stream := l.peer, l.cfg.Stream
+	p := l.peer
 	// Line 12: encrypt and ship ∇Z and ∇Z·V_Aᵀ under B's own key. The
 	// product is computed in plaintext (B holds both operands) and
 	// encrypted at scale 2 so A can add it to its scale-2 ⟦∇Z⟧·U_Aᵀ term.
-	encryptAndSend(p, stream, gradZ, 1)
+	p.EncryptAndSend(gradZ, 1, false)
 	gradZVAT := gradZ.MatMulTranspose(l.VA)
-	encryptAndSend(p, stream, gradZVAT, 2)
+	p.EncryptAndSend(gradZVAT, 2, false)
 
 	// The Embed-part derivative ⟦∇E_B⟧ = Enc_A(∇Z·U_Bᵀ) + ∇Z·⟦V_B⟧ᵀ must
 	// use the forward-pass U_B and ⟦V_B⟧, so both terms are computed before
@@ -263,36 +219,31 @@ func (l *EmbedMatMulB) Backward(gradZ *tensor.Dense) {
 
 	// --- Backward of the MatMul part ---
 	// ∇W_A − φ = (E_A−ψ_A)ᵀ∇Z + (ψ_Aᵀ∇Z − φ).
-	gradWAshare := l.eamPsi.TransposeMatMul(gradZ).Add(he2ssRecv(p, stream))
+	gradWAshare := l.eamPsi.TransposeMatMul(gradZ).Add(p.HE2SSRecv())
 	l.momVA.step(l.VA, gradWAshare, l.cfg.LR)
 
 	// ∇W_B − ξ = ψ_Bᵀ∇Z + ((E_B−ψ_B)ᵀ∇Z − ξ).
-	gradWBshare := l.psiB.TransposeMatMul(gradZ).Add(he2ssRecv(p, stream))
+	gradWBshare := l.psiB.TransposeMatMul(gradZ).Add(p.HE2SSRecv())
 	l.momUB.step(l.UB, gradWBshare, l.cfg.LR)
 
 	// Refresh encrypted weight copies.
-	l.encUA = recvCipher(p, stream)
-	l.encVB = recvCipher(p, stream)
-	encryptAndSend(p, stream, l.VA, 1)
-	encryptAndSend(p, stream, l.UB, 1)
+	l.encUA = recvCipher(p)
+	l.encVB = recvCipher(p)
+	p.EncryptAndSend(l.VA, 1, false)
+	p.EncryptAndSend(l.UB, 1, false)
 
 	// --- Backward of the Embed part ---
 	// B's share of ∇Q_A arrives masked from A.
-	gradTAshare := he2ssRecv(p, stream) // ∇Q_A − ρ_A
+	gradTAshare := p.HE2SSRecv() // ∇Q_A − ρ_A
 	l.momTA.step(l.TA, gradTAshare, l.cfg.LR)
 
 	encGradQB := hetensor.LookupBackward(encGradEB, l.x, l.cfg.VocabB, l.cfg.Dim)
-	rhoB := he2ssSend(p, stream, encGradQB) // A receives ∇Q_B − ρ_B
+	rhoB := p.HE2SSSend(encGradQB) // A receives ∇Q_B − ρ_B
 	l.momSB.step(l.SB, rhoB, l.cfg.LR)
 
 	// Refresh encrypted table copies.
-	if l.cfg.Packed {
-		l.packTB = recvPacked(p, stream)
-		encryptAndSendPacked(p, stream, l.TA, 1)
-	} else {
-		l.encTB = recvCipher(p, stream)
-		encryptAndSend(p, stream, l.TA, 1)
-	}
+	l.encTB = p.RecvMatrix()
+	l.cfg.sendEncrypted(p, l.TA)
 
 	l.x, l.psiB, l.eamPsi = nil, nil, nil
 }

@@ -10,7 +10,11 @@
 // (W⋄ = U⋄ + V⋄, Q⋄ = S⋄ + T⋄) with the pieces held by different parties,
 // and encrypted copies of the pieces needed for homomorphic computation are
 // exchanged at initialization and refreshed after every update, exactly as
-// in the paper's Figures 6 and 7.
+// in the paper's Figures 6 and 7. Every ciphertext matrix crosses the link
+// on the protocol package's one transfer path and is held as a
+// hetensor.Matrix, so each layer has one body: how a matrix is packed and
+// chunked is decided where it is encrypted (Config.sendEncrypted, the
+// sending Peer's span) and nowhere downstream.
 package core
 
 import (
@@ -21,10 +25,10 @@ import (
 // Numeric abstracts the mini-batch feature matrix of one party for the
 // MatMul source layer, so dense and sparse inputs share one protocol
 // implementation. Sparse inputs skip zero entries in both the plaintext and
-// the homomorphic matmuls — the source of BlindFL's Table 5 speedups.
+// the homomorphic matmuls — the source of BlindFL's Table 5 speedups. The
+// encrypted operands are hetensor.Matrix values: whether they are packed is
+// theirs to know, not the layer's.
 type Numeric interface {
-	// Rows returns the batch size.
-	Rows() int
 	// NumCols returns the feature dimensionality.
 	NumCols() int
 	// MatMul returns X·W for plaintext W.
@@ -32,25 +36,22 @@ type Numeric interface {
 	// TransposeMatMul returns Xᵀ·G for plaintext G.
 	TransposeMatMul(g *tensor.Dense) *tensor.Dense
 	// MulCipher returns ⟦X·W⟧ for encrypted W.
-	MulCipher(w *hetensor.CipherMatrix) *hetensor.CipherMatrix
-	// TransposeMulCipher returns ⟦Xᵀ·G⟧ for encrypted G.
-	TransposeMulCipher(g *hetensor.CipherMatrix) *hetensor.CipherMatrix
-	// MulCipherPacked returns ⟦X·W⟧ for packed encrypted W.
-	MulCipherPacked(w *hetensor.PackedMatrix) *hetensor.PackedMatrix
-	// TransposeMulCipherPacked returns ⟦Xᵀ·G⟧ for packed encrypted G.
-	TransposeMulCipherPacked(g *hetensor.PackedMatrix) *hetensor.PackedMatrix
-	// TransposeMulCipherAcc accumulates ⟦X[lo:lo+g.Rows]ᵀ·G⟧ into acc for a
-	// row-chunk G of the derivative: the unit of the streamed backward pass.
-	TransposeMulCipherAcc(acc *hetensor.CipherMatrix, lo int, g *hetensor.CipherMatrix)
-	// TransposeMulCipherPackedAcc is TransposeMulCipherAcc over packed chunks.
-	TransposeMulCipherPackedAcc(acc *hetensor.PackedMatrix, lo int, g *hetensor.PackedMatrix)
+	MulCipher(w hetensor.Matrix) hetensor.Matrix
+	// TransposeMulCipherAcc accumulates ⟦X[lo:lo+g.Rows]ᵀ·G⟧ into acc (from
+	// g.NewAcc) for a row-chunk G of the derivative arriving at row lo: the
+	// unit of the backward pass, which folds each chunk in as it arrives.
+	TransposeMulCipherAcc(acc hetensor.Matrix, lo int, g hetensor.Matrix)
+}
+
+// transposeMul returns ⟦Xᵀ·G⟧ for a derivative held in full.
+func transposeMul(x Numeric, g hetensor.Matrix) hetensor.Matrix {
+	acc := g.NewAcc(x.NumCols())
+	x.TransposeMulCipherAcc(acc, 0, g)
+	return acc
 }
 
 // DenseFeatures adapts a dense matrix to the Numeric interface.
 type DenseFeatures struct{ M *tensor.Dense }
-
-// Rows returns the batch size.
-func (f DenseFeatures) Rows() int { return f.M.Rows }
 
 // NumCols returns the feature dimensionality.
 func (f DenseFeatures) NumCols() int { return f.M.Cols }
@@ -64,40 +65,18 @@ func (f DenseFeatures) TransposeMatMul(g *tensor.Dense) *tensor.Dense {
 }
 
 // MulCipher returns ⟦X·W⟧.
-func (f DenseFeatures) MulCipher(w *hetensor.CipherMatrix) *hetensor.CipherMatrix {
-	return hetensor.MulPlainLeft(f.M, w)
-}
-
-// TransposeMulCipher returns ⟦Xᵀ·G⟧.
-func (f DenseFeatures) TransposeMulCipher(g *hetensor.CipherMatrix) *hetensor.CipherMatrix {
-	return hetensor.TransposeMulLeft(f.M, g)
-}
-
-// MulCipherPacked returns ⟦X·W⟧ over packed ciphertexts.
-func (f DenseFeatures) MulCipherPacked(w *hetensor.PackedMatrix) *hetensor.PackedMatrix {
-	return hetensor.MulPlainLeftPacked(f.M, w)
-}
-
-// TransposeMulCipherPacked returns ⟦Xᵀ·G⟧ over packed ciphertexts.
-func (f DenseFeatures) TransposeMulCipherPacked(g *hetensor.PackedMatrix) *hetensor.PackedMatrix {
-	return hetensor.TransposeMulLeftPacked(f.M, g)
+func (f DenseFeatures) MulCipher(w hetensor.Matrix) hetensor.Matrix {
+	return hetensor.MulLeft(f.M, w)
 }
 
 // TransposeMulCipherAcc accumulates a derivative row-chunk into acc.
-func (f DenseFeatures) TransposeMulCipherAcc(acc *hetensor.CipherMatrix, lo int, g *hetensor.CipherMatrix) {
-	hetensor.TransposeMulLeftAcc(acc, f.M.RowSlice(lo, lo+g.Rows), g)
-}
-
-// TransposeMulCipherPackedAcc accumulates a packed derivative row-chunk.
-func (f DenseFeatures) TransposeMulCipherPackedAcc(acc *hetensor.PackedMatrix, lo int, g *hetensor.PackedMatrix) {
-	hetensor.TransposeMulLeftPackedAcc(acc, f.M.RowSlice(lo, lo+g.Rows), g)
+func (f DenseFeatures) TransposeMulCipherAcc(acc hetensor.Matrix, lo int, g hetensor.Matrix) {
+	rows, _ := g.Dims()
+	hetensor.TransposeMulAcc(acc, f.M.RowSlice(lo, lo+rows), g)
 }
 
 // SparseFeatures adapts a CSR matrix to the Numeric interface.
 type SparseFeatures struct{ M *tensor.CSR }
-
-// Rows returns the batch size.
-func (f SparseFeatures) Rows() int { return f.M.Rows }
 
 // NumCols returns the feature dimensionality.
 func (f SparseFeatures) NumCols() int { return f.M.Cols }
@@ -111,34 +90,12 @@ func (f SparseFeatures) TransposeMatMul(g *tensor.Dense) *tensor.Dense {
 }
 
 // MulCipher returns ⟦X·W⟧ visiting only non-zeros.
-func (f SparseFeatures) MulCipher(w *hetensor.CipherMatrix) *hetensor.CipherMatrix {
-	return hetensor.MulPlainLeftCSR(f.M, w)
-}
-
-// TransposeMulCipher returns ⟦Xᵀ·G⟧ visiting only non-zeros.
-func (f SparseFeatures) TransposeMulCipher(g *hetensor.CipherMatrix) *hetensor.CipherMatrix {
-	return hetensor.TransposeMulLeftCSR(f.M, g)
-}
-
-// MulCipherPacked returns ⟦X·W⟧ over packed ciphertexts, visiting only
-// non-zeros.
-func (f SparseFeatures) MulCipherPacked(w *hetensor.PackedMatrix) *hetensor.PackedMatrix {
-	return hetensor.MulPlainLeftCSRPacked(f.M, w)
-}
-
-// TransposeMulCipherPacked returns ⟦Xᵀ·G⟧ over packed ciphertexts, visiting
-// only non-zeros.
-func (f SparseFeatures) TransposeMulCipherPacked(g *hetensor.PackedMatrix) *hetensor.PackedMatrix {
-	return hetensor.TransposeMulLeftCSRPacked(f.M, g)
+func (f SparseFeatures) MulCipher(w hetensor.Matrix) hetensor.Matrix {
+	return hetensor.MulLeftCSR(f.M, w)
 }
 
 // TransposeMulCipherAcc accumulates a derivative row-chunk into acc,
 // visiting only the chunk's non-zeros.
-func (f SparseFeatures) TransposeMulCipherAcc(acc *hetensor.CipherMatrix, lo int, g *hetensor.CipherMatrix) {
-	hetensor.TransposeMulLeftCSRAcc(acc, f.M, lo, g)
-}
-
-// TransposeMulCipherPackedAcc accumulates a packed derivative row-chunk.
-func (f SparseFeatures) TransposeMulCipherPackedAcc(acc *hetensor.PackedMatrix, lo int, g *hetensor.PackedMatrix) {
-	hetensor.TransposeMulLeftCSRPackedAcc(acc, f.M, lo, g)
+func (f SparseFeatures) TransposeMulCipherAcc(acc hetensor.Matrix, lo int, g hetensor.Matrix) {
+	hetensor.TransposeMulCSRAcc(acc, f.M, lo, g)
 }

@@ -19,28 +19,28 @@ import (
 // returns A's share Z'_A instead of shipping it to B (Fig. 13 line 1).
 func (l *MatMulA) ForwardSS(x Numeric) *tensor.Dense {
 	l.x = x
-	return forwardHalf(l.peer, l.cfg.Stream, x, l.UA, l.encVA)
+	return forwardHalf(l.peer, x, l.UA, l.encVA)
 }
 
 // ForwardSS runs Party B's forward pass and returns B's share Z'_B.
 func (l *MatMulB) ForwardSS(x Numeric) *tensor.Dense {
 	l.x = x
-	return forwardHalf(l.peer, l.cfg.Stream, x, l.UB, l.encVB)
+	return forwardHalf(l.peer, x, l.UB, l.encVB)
 }
 
 // BackwardSS runs Party A's backward pass given A's derivative share ε
 // (Fig. 13 lines 2–8). Both of A's held pieces (U_A and V_B) update.
 func (l *MatMulA) BackwardSS(eps *tensor.Dense) {
-	p, stream := l.peer, l.cfg.Stream
-	encGradZ := ss2he(p, stream, eps, 1) // ⟦∇Z⟧ under B's key
-	phiA := he2ssSend(p, stream, l.x.TransposeMulCipher(encGradZ))
+	p := l.peer
+	encGradZ := p.SS2HE(eps, 1) // ⟦∇Z⟧ under B's key
+	phiA := p.HE2SSSend(transposeMul(l.x, encGradZ))
 	l.momUA.step(l.UA, phiA, l.cfg.LR)
 
-	gradVBshare := he2ssRecv(p, stream) // ∇W_B − φ_B
+	gradVBshare := p.HE2SSRecv() // ∇W_B − φ_B
 	l.momVB.step(l.VB, gradVBshare, l.cfg.LR)
 
-	encryptAndSend(p, stream, l.VB, 1) // refresh ⟦V_B⟧ at B (V_B now changes too)
-	l.encVA = recvCipher(p, stream)
+	p.EncryptAndSend(l.VB, 1, false) // refresh ⟦V_B⟧ at B (V_B now changes too)
+	l.encVA = recvCipher(p)
 	l.x = nil
 }
 
@@ -48,16 +48,16 @@ func (l *MatMulA) BackwardSS(eps *tensor.Dense) {
 // ∇Z − ε. Unlike the plaintext-top backward, ∇W_B is computed under A's
 // key, so B also only ever holds a masked share of its own gradient.
 func (l *MatMulB) BackwardSS(gradShare *tensor.Dense) {
-	p, stream := l.peer, l.cfg.Stream
-	encGradZ := ss2he(p, stream, gradShare, 1) // ⟦∇Z⟧ under A's key
+	p := l.peer
+	encGradZ := p.SS2HE(gradShare, 1) // ⟦∇Z⟧ under A's key
 
-	gradVAshare := he2ssRecv(p, stream) // ∇W_A − φ_A
+	gradVAshare := p.HE2SSRecv() // ∇W_A − φ_A
 	l.momVA.step(l.VA, gradVAshare, l.cfg.LR)
 
-	phiB := he2ssSend(p, stream, l.x.TransposeMulCipher(encGradZ))
+	phiB := p.HE2SSSend(transposeMul(l.x, encGradZ))
 	l.momUB.step(l.UB, phiB, l.cfg.LR)
 
-	l.encVB = recvCipher(p, stream)
-	encryptAndSend(p, stream, l.VA, 1)
+	l.encVB = recvCipher(p)
+	p.EncryptAndSend(l.VA, 1, false)
 	l.x = nil
 }

@@ -16,10 +16,9 @@ import (
 // returns A's share Z'_A (Fig. 14 line 1).
 func (l *EmbedMatMulA) ForwardSS(x *tensor.IntMatrix) *tensor.Dense {
 	l.x = x
-	psiA, ebmPsi := embedStage(l.peer, l.cfg.Stream, l.encTA, l.SA, x)
-	l.psiA, l.ebmPsi = psiA, ebmPsi
-	z1 := forwardHalf(l.peer, l.cfg.Stream, DenseFeatures{psiA}, l.UA, l.encVA)
-	z2 := forwardHalf(l.peer, l.cfg.Stream, DenseFeatures{ebmPsi}, l.VB, l.encUB)
+	l.psiA, l.ebmPsi = embedStage(l.peer, l.encTA, l.SA, x)
+	z1 := forwardHalf(l.peer, DenseFeatures{l.psiA}, l.UA, l.encVA)
+	z2 := forwardHalf(l.peer, DenseFeatures{l.ebmPsi}, l.VB, l.encUB)
 	z1.AddInPlace(z2)
 	return z1
 }
@@ -27,10 +26,9 @@ func (l *EmbedMatMulA) ForwardSS(x *tensor.IntMatrix) *tensor.Dense {
 // ForwardSS runs Party B's forward pass and returns B's share Z'_B.
 func (l *EmbedMatMulB) ForwardSS(x *tensor.IntMatrix) *tensor.Dense {
 	l.x = x
-	psiB, eamPsi := embedStage(l.peer, l.cfg.Stream, l.encTB, l.SB, x)
-	l.psiB, l.eamPsi = psiB, eamPsi
-	z1 := forwardHalf(l.peer, l.cfg.Stream, DenseFeatures{psiB}, l.UB, l.encVB)
-	z2 := forwardHalf(l.peer, l.cfg.Stream, DenseFeatures{eamPsi}, l.VA, l.encUA)
+	l.psiB, l.eamPsi = embedStage(l.peer, l.encTB, l.SB, x)
+	z1 := forwardHalf(l.peer, DenseFeatures{l.psiB}, l.UB, l.encVB)
+	z2 := forwardHalf(l.peer, DenseFeatures{l.eamPsi}, l.VA, l.encUA)
 	z1.AddInPlace(z2)
 	return z1
 }
@@ -38,24 +36,24 @@ func (l *EmbedMatMulB) ForwardSS(x *tensor.IntMatrix) *tensor.Dense {
 // BackwardSS runs Party A's backward pass given A's derivative share ε
 // (Fig. 14 lines 2–10).
 func (l *EmbedMatMulA) BackwardSS(eps *tensor.Dense) {
-	p, stream := l.peer, l.cfg.Stream
-	encGradZ := ss2he(p, stream, eps, 1) // ⟦∇Z⟧ under B's key
+	p := l.peer
+	encGradZ := p.SS2HE(eps, 1) // ⟦∇Z⟧ under B's key
 
 	// --- Embed-part derivative pieces must use forward-pass weights ---
 	// ⟦∇E_A⟧_B = ⟦∇Z⟧_B·U_Aᵀ + ⟦(∇Z−ε)·V_Aᵀ⟧_B + ε·⟦V_Aᵀ⟧_B.
 	encGradEA := hetensor.MulPlainRightTranspose(encGradZ, l.UA).
-		AddCipher(recvCipher(p, stream)). // ⟦(∇Z−ε)·V_Aᵀ⟧ from B
+		AddCipher(recvCipher(p)). // ⟦(∇Z−ε)·V_Aᵀ⟧ from B
 		AddCipher(hetensor.MulPlainLeftTransposeRight(eps, l.encVA))
 	// A's contribution to ∇E_B: ε·V_Bᵀ encrypted under A's own key.
-	encryptAndSend(p, stream, eps.MatMulTranspose(l.VB), 2)
+	p.EncryptAndSend(eps.MatMulTranspose(l.VB), 2, false)
 
 	// --- MatMul part (shares of ∇W_A and ∇W_B) ---
 	// A's pieces: ⟦ψ_Aᵀ∇Z⟧_B and ⟦(E_B−ψ_B)ᵀ∇Z⟧_B via HE2SS.
-	phiA := he2ssSend(p, stream, hetensor.TransposeMulLeft(l.psiA, encGradZ))
-	xiA := he2ssSend(p, stream, hetensor.TransposeMulLeft(l.ebmPsi, encGradZ))
+	phiA := p.HE2SSSend(hetensor.TransposeMulLeft(l.psiA, encGradZ))
+	xiA := p.HE2SSSend(hetensor.TransposeMulLeft(l.ebmPsi, encGradZ))
 	// B's pieces arrive masked: (E_A−ψ_A)ᵀ∇Z − ξ and ψ_Bᵀ∇Z − φ_B.
-	gradWAother := he2ssRecv(p, stream)
-	gradWBother := he2ssRecv(p, stream)
+	gradWAother := p.HE2SSRecv()
+	gradWBother := p.HE2SSRecv()
 
 	// ∇W_A share at A: φ_A + ((E_A−ψ_A)ᵀ∇Z − ξ) → updates U_A.
 	l.momUA.step(l.UA, phiA.Add(gradWAother), l.cfg.LR)
@@ -63,44 +61,44 @@ func (l *EmbedMatMulA) BackwardSS(eps *tensor.Dense) {
 	l.momVB.step(l.VB, xiA.Add(gradWBother), l.cfg.LR)
 
 	// Refresh encrypted weight copies (all four pieces changed).
-	encryptAndSend(p, stream, l.UA, 1)
-	encryptAndSend(p, stream, l.VB, 1)
-	l.encVA = recvCipher(p, stream)
-	l.encUB = recvCipher(p, stream)
+	p.EncryptAndSend(l.UA, 1, false)
+	p.EncryptAndSend(l.VB, 1, false)
+	l.encVA = recvCipher(p)
+	l.encUB = recvCipher(p)
 
 	// --- Embed part: table updates (Fig. 7 lines 22–26 unchanged) ---
 	encGradQA := hetensor.LookupBackward(encGradEA, l.x, l.cfg.VocabA, l.cfg.Dim)
-	rhoA := he2ssSend(p, stream, encGradQA)
+	rhoA := p.HE2SSSend(encGradQA)
 	l.momSA.step(l.SA, rhoA, l.cfg.LR)
 
-	gradTBshare := he2ssRecv(p, stream) // ∇Q_B − ρ_B
+	gradTBshare := p.HE2SSRecv() // ∇Q_B − ρ_B
 	l.momTB.step(l.TB, gradTBshare, l.cfg.LR)
 
-	encryptAndSend(p, stream, l.TB, 1)
-	l.encTA = recvCipher(p, stream)
+	l.cfg.sendEncrypted(p, l.TB)
+	l.encTA = p.RecvMatrix()
 
 	l.x, l.psiA, l.ebmPsi = nil, nil, nil
 }
 
 // BackwardSS runs Party B's backward pass given B's derivative share ∇Z−ε.
 func (l *EmbedMatMulB) BackwardSS(gradShare *tensor.Dense) {
-	p, stream := l.peer, l.cfg.Stream
-	encGradZ := ss2he(p, stream, gradShare, 1) // ⟦∇Z⟧ under A's key
+	p := l.peer
+	encGradZ := p.SS2HE(gradShare, 1) // ⟦∇Z⟧ under A's key
 
 	// B's contribution to ∇E_A: (∇Z−ε)·V_Aᵀ encrypted under B's own key.
-	encryptAndSend(p, stream, gradShare.MatMulTranspose(l.VA), 2)
+	p.EncryptAndSend(gradShare.MatMulTranspose(l.VA), 2, false)
 	// ⟦∇E_B⟧_A = ⟦∇Z⟧_A·U_Bᵀ + ⟦ε·V_Bᵀ⟧_A + (∇Z−ε)·⟦V_Bᵀ⟧_A.
 	encGradEB := hetensor.MulPlainRightTranspose(encGradZ, l.UB).
-		AddCipher(recvCipher(p, stream)). // ⟦ε·V_Bᵀ⟧ from A
+		AddCipher(recvCipher(p)). // ⟦ε·V_Bᵀ⟧ from A
 		AddCipher(hetensor.MulPlainLeftTransposeRight(gradShare, l.encVB))
 
 	// --- MatMul part ---
 	// B's masked pieces of A's homomorphic terms.
-	gradWAother := he2ssRecv(p, stream) // ψ_Aᵀ∇Z − φ_A
-	gradWBother := he2ssRecv(p, stream) // (E_B−ψ_B)ᵀ∇Z − ξ_A
+	gradWAother := p.HE2SSRecv() // ψ_Aᵀ∇Z − φ_A
+	gradWBother := p.HE2SSRecv() // (E_B−ψ_B)ᵀ∇Z − ξ_A
 	// B's own homomorphic terms.
-	xiB := he2ssSend(p, stream, hetensor.TransposeMulLeft(l.eamPsi, encGradZ)) // (E_A−ψ_A)ᵀ∇Z
-	phiB := he2ssSend(p, stream, hetensor.TransposeMulLeft(l.psiB, encGradZ))  // ψ_Bᵀ∇Z
+	xiB := p.HE2SSSend(hetensor.TransposeMulLeft(l.eamPsi, encGradZ)) // (E_A−ψ_A)ᵀ∇Z
+	phiB := p.HE2SSSend(hetensor.TransposeMulLeft(l.psiB, encGradZ))  // ψ_Bᵀ∇Z
 
 	// ∇W_A share at B: (ψ_Aᵀ∇Z − φ_A) + ξ_B → updates V_A.
 	l.momVA.step(l.VA, gradWAother.Add(xiB), l.cfg.LR)
@@ -108,21 +106,21 @@ func (l *EmbedMatMulB) BackwardSS(gradShare *tensor.Dense) {
 	l.momUB.step(l.UB, phiB.Add(gradWBother), l.cfg.LR)
 
 	// Refresh encrypted weight copies.
-	l.encUA = recvCipher(p, stream)
-	l.encVB = recvCipher(p, stream)
-	encryptAndSend(p, stream, l.VA, 1)
-	encryptAndSend(p, stream, l.UB, 1)
+	l.encUA = recvCipher(p)
+	l.encVB = recvCipher(p)
+	p.EncryptAndSend(l.VA, 1, false)
+	p.EncryptAndSend(l.UB, 1, false)
 
 	// --- Embed part ---
-	gradTAshare := he2ssRecv(p, stream) // ∇Q_A − ρ_A
+	gradTAshare := p.HE2SSRecv() // ∇Q_A − ρ_A
 	l.momTA.step(l.TA, gradTAshare, l.cfg.LR)
 
 	encGradQB := hetensor.LookupBackward(encGradEB, l.x, l.cfg.VocabB, l.cfg.Dim)
-	rhoB := he2ssSend(p, stream, encGradQB)
+	rhoB := p.HE2SSSend(encGradQB)
 	l.momSB.step(l.SB, rhoB, l.cfg.LR)
 
-	l.encTB = recvCipher(p, stream)
-	encryptAndSend(p, stream, l.TA, 1)
+	l.encTB = p.RecvMatrix()
+	l.cfg.sendEncrypted(p, l.TA)
 
 	l.x, l.psiB, l.eamPsi = nil, nil, nil
 }

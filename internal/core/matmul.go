@@ -24,8 +24,7 @@ type MatMulA struct {
 	UA *tensor.Dense // A's piece of W_A (InA×Out)
 	VB *tensor.Dense // A's piece of W_B (InB×Out)
 
-	encVA  *hetensor.CipherMatrix // ⟦V_A⟧ under B's key, refreshed per step
-	packVA *hetensor.PackedMatrix // packed ⟦V_A⟧ when cfg.Packed
+	encVA hetensor.Matrix // ⟦V_A⟧ under B's key, refreshed per step
 
 	momUA momentum
 	momVB momentum
@@ -41,8 +40,7 @@ type MatMulB struct {
 	UB *tensor.Dense // B's piece of W_B (InB×Out)
 	VA *tensor.Dense // B's piece of W_A (InA×Out)
 
-	encVB  *hetensor.CipherMatrix // ⟦V_B⟧ under A's key, refreshed per step
-	packVB *hetensor.PackedMatrix // packed ⟦V_B⟧ when cfg.Packed
+	encVB hetensor.Matrix // ⟦V_B⟧ under A's key, refreshed per step
 
 	momUB momentum
 	momVA momentum
@@ -54,7 +52,6 @@ type MatMulB struct {
 // V_B, ships ⟦V_B⟧ under A's key to B, and receives ⟦V_A⟧ under B's key.
 // Must run concurrently with NewMatMulB on the other side.
 func NewMatMulA(p *protocol.Peer, cfg Config, inA, inB int) *MatMulA {
-	cfg.applyExpEngine()
 	s := cfg.initScale()
 	l := &MatMulA{
 		cfg: cfg, peer: p,
@@ -63,19 +60,12 @@ func NewMatMulA(p *protocol.Peer, cfg Config, inA, inB int) *MatMulA {
 		momUA: momentum{mu: cfg.Momentum},
 		momVB: momentum{mu: cfg.Momentum},
 	}
-	if cfg.Packed {
-		encryptAndSendPacked(p, cfg.Stream, l.VB, 1)
-		l.packVA = recvPacked(p, cfg.Stream)
-	} else {
-		encryptAndSend(p, cfg.Stream, l.VB, 1)
-		l.encVA = recvCipher(p, cfg.Stream)
-	}
+	l.ResumeExchange()
 	return l
 }
 
 // NewMatMulB initializes Party B's half, symmetric to NewMatMulA.
 func NewMatMulB(p *protocol.Peer, cfg Config, inA, inB int) *MatMulB {
-	cfg.applyExpEngine()
 	s := cfg.initScale()
 	l := &MatMulB{
 		cfg: cfg, peer: p,
@@ -84,104 +74,75 @@ func NewMatMulB(p *protocol.Peer, cfg Config, inA, inB int) *MatMulB {
 		momUB: momentum{mu: cfg.Momentum},
 		momVA: momentum{mu: cfg.Momentum},
 	}
-	if cfg.Packed {
-		l.packVB = recvPacked(p, cfg.Stream)
-		encryptAndSendPacked(p, cfg.Stream, l.VA, 1)
-	} else {
-		l.encVB = recvCipher(p, cfg.Stream)
-		encryptAndSend(p, cfg.Stream, l.VA, 1)
-	}
+	l.ResumeExchange()
 	return l
 }
 
-// ResumeExchange re-runs the initialization exchange of encrypted weight
-// pieces from the restored plaintext V pieces after a checkpoint restore:
-// A ships a fresh ⟦V_B⟧ under its own key and receives ⟦V_A⟧ under B's key,
-// overwriting whatever stale ciphertexts the checkpoint carried (Paillier
-// keys are per-process, so checkpointed ciphertexts cannot decrypt across a
-// restart). Fresh encryption randomness does not change the decrypted
-// values, so a resumed trajectory stays bit-identical. Must run concurrently
-// with ResumeExchange on the other side.
+// ResumeExchange runs the initialization exchange of encrypted weight pieces
+// from the plaintext V pieces — at construction, and again after a
+// checkpoint restore: A ships a fresh ⟦V_B⟧ under its own key and receives
+// ⟦V_A⟧ under B's key, overwriting whatever stale ciphertexts the checkpoint
+// carried (Paillier keys are per-process, so checkpointed ciphertexts cannot
+// decrypt across a restart). Fresh encryption randomness does not change the
+// decrypted values, so a resumed trajectory stays bit-identical. Must run
+// concurrently with ResumeExchange on the other side.
 func (l *MatMulA) ResumeExchange() {
-	l.cfg.applyExpEngine()
-	p := l.peer
-	if l.cfg.Packed {
-		encryptAndSendPacked(p, l.cfg.Stream, l.VB, 1)
-		l.packVA = recvPacked(p, l.cfg.Stream)
-		l.encVA = nil
-	} else {
-		encryptAndSend(p, l.cfg.Stream, l.VB, 1)
-		l.encVA = recvCipher(p, l.cfg.Stream)
-		l.packVA = nil
-	}
+	l.cfg.apply(l.peer)
+	l.cfg.sendEncrypted(l.peer, l.VB)
+	l.encVA = l.peer.RecvMatrix()
 }
 
-// ResumeExchange is Party B's half of the post-restore weight re-exchange,
-// mirroring NewMatMulB's recv-then-send order.
+// ResumeExchange is Party B's half of the weight exchange: receive, then
+// send.
 func (l *MatMulB) ResumeExchange() {
-	l.cfg.applyExpEngine()
-	p := l.peer
-	if l.cfg.Packed {
-		l.packVB = recvPacked(p, l.cfg.Stream)
-		encryptAndSendPacked(p, l.cfg.Stream, l.VA, 1)
-		l.encVB = nil
-	} else {
-		l.encVB = recvCipher(p, l.cfg.Stream)
-		encryptAndSend(p, l.cfg.Stream, l.VA, 1)
-		l.packVB = nil
-	}
+	l.cfg.apply(l.peer)
+	l.encVB = l.peer.RecvMatrix()
+	l.cfg.sendEncrypted(l.peer, l.VA)
 }
 
 // forwardHalf runs lines 5–7 of Fig. 6 for one party: given the local
 // features x, the local weight piece u and the encrypted peer-held piece
 // ⟦v⟧, it returns this party's share Z' = x·u + ε + (peer's masked piece).
-// With stream, the masked send and the peer's decryption run chunk-pipelined.
-func forwardHalf(p *protocol.Peer, stream bool, x Numeric, u *tensor.Dense, encV *hetensor.CipherMatrix) *tensor.Dense {
-	prod := x.MulCipher(encV)         // ⟦x·V⟧ under the peer's key, scale 2
-	eps := he2ssSend(p, stream, prod) // keep ε, send ⟦x·V − ε⟧
-	other := he2ssRecv(p, stream)     // peer's x̄·V̄ − ε̄, decrypted locally
-	z := x.MatMul(u)                  // x·U in plaintext
+// The masked send and the peer's decryption run chunk-pipelined at the
+// sender's span; over a packed ⟦v⟧ the product, the send and the decryption
+// all touch ~K× fewer ciphertexts.
+func forwardHalf(p *protocol.Peer, x Numeric, u *tensor.Dense, encV hetensor.Matrix) *tensor.Dense {
+	prod := x.MulCipher(encV) // ⟦x·V⟧ under the peer's key, scale 2
+	eps := p.HE2SSSend(prod)  // keep ε, send ⟦x·V − ε⟧
+	other := p.HE2SSRecv()    // peer's x̄·V̄ − ε̄, decrypted locally
+	z := x.MatMul(u)          // x·U in plaintext
 	z.AddInPlace(eps)
 	z.AddInPlace(other)
 	return z
 }
 
-// forwardHalfPacked is forwardHalf over packed ciphertexts: the homomorphic
-// product, the masked send, and the peer's decryption all touch ~K× fewer
-// ciphertexts. Both parties must run the packed variant.
-func forwardHalfPacked(p *protocol.Peer, stream bool, x Numeric, u *tensor.Dense, packV *hetensor.PackedMatrix) *tensor.Dense {
-	prod := x.MulCipherPacked(packV)
-	eps := he2ssSendPacked(p, stream, prod)
-	other := he2ssRecvPacked(p, stream)
-	z := x.MatMul(u)
-	z.AddInPlace(eps)
-	z.AddInPlace(other)
-	return z
+// recvGradAcc receives ⟦∇Z⟧ and returns the accumulated ⟦Xᵀ·∇Z⟧ at scale+1,
+// folding each derivative chunk into the accumulator while the peer encrypts
+// the next one — the receiver-side half of the compute/communication
+// overlap.
+func recvGradAcc(p *protocol.Peer, x Numeric) hetensor.Matrix {
+	var acc hetensor.Matrix
+	p.RecvMatrixEach(func(lo int, chunk hetensor.Matrix) {
+		if acc == nil {
+			acc = chunk.NewAcc(x.NumCols())
+		}
+		x.TransposeMulCipherAcc(acc, lo, chunk)
+	})
+	return acc
 }
 
 // Forward runs Party A's forward pass. A learns nothing: its share Z'_A is
 // shipped to B and the random masks cancel in the sum (Fig. 6 lines 5–8).
 func (l *MatMulA) Forward(x Numeric) {
 	l.x = x
-	var zA *tensor.Dense
-	if l.cfg.Packed {
-		zA = forwardHalfPacked(l.peer, l.cfg.Stream, x, l.UA, l.packVA)
-	} else {
-		zA = forwardHalf(l.peer, l.cfg.Stream, x, l.UA, l.encVA)
-	}
-	l.peer.Send(zA)
+	l.peer.Send(forwardHalf(l.peer, x, l.UA, l.encVA))
 }
 
 // Forward runs Party B's forward pass and returns the aggregated activation
 // Z = X_A·W_A + X_B·W_B, the only forward value B is allowed to see.
 func (l *MatMulB) Forward(x Numeric) *tensor.Dense {
 	l.x = x
-	var zB *tensor.Dense
-	if l.cfg.Packed {
-		zB = forwardHalfPacked(l.peer, l.cfg.Stream, x, l.UB, l.packVB)
-	} else {
-		zB = forwardHalf(l.peer, l.cfg.Stream, x, l.UB, l.encVB)
-	}
+	zB := forwardHalf(l.peer, x, l.UB, l.encVB)
 	zA := l.peer.RecvDense()
 	return zA.Add(zB)
 }
@@ -191,21 +152,10 @@ func (l *MatMulB) Forward(x Numeric) *tensor.Dense {
 // an SS pair ⟨φ, ∇W_A−φ⟩, updates U_A with its share φ, and receives the
 // refreshed ⟦V_A⟧ for the next step. A never sees ∇Z, ∇W_A, or W_A.
 func (l *MatMulA) Backward() {
-	stream := l.cfg.Stream
-	if l.cfg.Packed {
-		// Streamed: fold each arriving ⟦∇Z⟧ chunk into the gradient
-		// accumulator while B encrypts the next one.
-		encGradWA := recvGradAccPacked(l.peer, stream, l.x) // packed ⟦X_Aᵀ∇Z⟧, scale 2
-		phi := he2ssSendPacked(l.peer, stream, encGradWA)   // keep φ, B gets ∇W_A − φ
-		l.momUA.step(l.UA, phi, l.cfg.LR)
-		l.packVA = recvPacked(l.peer, stream)
-		l.x = nil
-		return
-	}
-	encGradWA := recvGradAcc(l.peer, stream, l.x) // ⟦X_Aᵀ∇Z⟧, scale 2
-	phi := he2ssSend(l.peer, stream, encGradWA)   // keep φ, B gets ∇W_A − φ
+	encGradWA := recvGradAcc(l.peer, l.x) // ⟦X_Aᵀ∇Z⟧, scale 2
+	phi := l.peer.HE2SSSend(encGradWA)    // keep φ, B gets ∇W_A − φ
 	l.momUA.step(l.UA, phi, l.cfg.LR)
-	l.encVA = recvCipher(l.peer, stream) // refreshed ⟦V_A⟧ after B's V_A update
+	l.encVA = l.peer.RecvMatrix() // refreshed ⟦V_A⟧ after B's V_A update
 	l.x = nil
 }
 
@@ -224,19 +174,10 @@ func (l *MatMulB) backwardMulti(gradFull, gradLocal *tensor.Dense) {
 	gradWB := l.x.TransposeMatMul(gradLocal)
 	l.momUB.step(l.UB, gradWB, l.cfg.LR)
 
-	stream := l.cfg.Stream
-	if l.cfg.Packed {
-		encryptAndSendPacked(l.peer, stream, gradFull, 1)
-		gradVAshare := he2ssRecvPacked(l.peer, stream) // ∇W_A − φ
-		l.momVA.step(l.VA, gradVAshare, l.cfg.LR)
-		encryptAndSendPacked(l.peer, stream, l.VA, 1) // refresh packed ⟦V_A⟧ at A
-		l.x = nil
-		return
-	}
-	encryptAndSend(l.peer, stream, gradFull, 1)
-	gradVAshare := he2ssRecv(l.peer, stream) // ∇W_A − φ
+	l.cfg.sendEncrypted(l.peer, gradFull)
+	gradVAshare := l.peer.HE2SSRecv() // ∇W_A − φ
 	l.momVA.step(l.VA, gradVAshare, l.cfg.LR)
-	encryptAndSend(l.peer, stream, l.VA, 1) // refresh ⟦V_A⟧ at A
+	l.cfg.sendEncrypted(l.peer, l.VA) // refresh ⟦V_A⟧ at A
 	l.x = nil
 }
 

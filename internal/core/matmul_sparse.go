@@ -122,7 +122,7 @@ func touchedCols(x *tensor.CSR) []int {
 // NewSparseMatMulA initializes Party A's half. Unlike the dense layer no
 // encrypted pieces are exchanged up front; rows are served on demand.
 func NewSparseMatMulA(p *protocol.Peer, cfg Config, inA, inB int) *SparseMatMulA {
-	cfg.applyExpEngine()
+	cfg.apply(p)
 	s := cfg.initScale()
 	return &SparseMatMulA{
 		cfg: cfg, peer: p,
@@ -135,7 +135,7 @@ func NewSparseMatMulA(p *protocol.Peer, cfg Config, inA, inB int) *SparseMatMulA
 
 // NewSparseMatMulB initializes Party B's half.
 func NewSparseMatMulB(p *protocol.Peer, cfg Config, inA, inB int) *SparseMatMulB {
-	cfg.applyExpEngine()
+	cfg.apply(p)
 	s := cfg.initScale()
 	return &SparseMatMulB{
 		cfg: cfg, peer: p,
@@ -147,24 +147,19 @@ func NewSparseMatMulB(p *protocol.Peer, cfg Config, inA, inB int) *SparseMatMulB
 	}
 }
 
-// sparseForwardHalf mirrors forwardHalf with on-demand cipher rows: request
+// sparseForwardHalf is forwardHalf over on-demand cipher rows: request the
 // missing ⟦V⟧ rows, serve the peer's request against the piece this party
-// holds for the peer, then run the masked-product exchange.
+// holds for the peer, then run the masked-product exchange on the cached
+// rows. Every transfer of this layer is a handful of touched rows, so all of
+// them go unchunked.
 func sparseForwardHalf(p *protocol.Peer, x *tensor.CSR, touched []int, u, servePiece *tensor.Dense, cache *rowCache) *tensor.Dense {
+	defer p.Unchunked()()
 	missing := cache.missing(touched)
 	p.Send(missing)
 	peerMissing := p.RecvInts()
-	p.Send(hetensor.EncryptRows(&p.SK.PublicKey, servePiece, peerMissing, 1))
-	got := p.RecvCipher()
-	cache.fill(missing, got)
-
-	prod := hetensor.MulPlainLeftCSR(x, cache.matrixFor()) // ⟦x·V⟧, scale 2
-	eps := p.HE2SSSend(prod)
-	other := p.HE2SSRecv()
-	z := x.MatMul(u)
-	z.AddInPlace(eps)
-	z.AddInPlace(other)
-	return z
+	p.SendMatrix(hetensor.EncryptRows(&p.SK.PublicKey, servePiece, peerMissing, 1))
+	cache.fill(missing, recvCipher(p))
+	return forwardHalf(p, SparseFeatures{x}, u, cache.matrixFor())
 }
 
 // Forward runs Party A's sparse forward pass.
@@ -188,8 +183,8 @@ func (l *SparseMatMulB) Forward(x *tensor.CSR) *tensor.Dense {
 // active coordinates.
 func (l *SparseMatMulA) Backward() {
 	p := l.peer
-	encGradZ := p.RecvCipher()
-	encGradSub := hetensor.TransposeMulLeftCSRSubset(l.x, encGradZ, l.touched)
+	defer p.Unchunked()()
+	encGradSub := hetensor.TransposeMulLeftCSRSubset(l.x, recvCipher(p), l.touched)
 	p.Send(l.touched)
 	phi := p.HE2SSSend(encGradSub) // len(touched)×Out share
 
@@ -197,8 +192,7 @@ func (l *SparseMatMulA) Backward() {
 	l.momUA.stepRows(l.UA, phi, l.touched, l.cfg.LR)
 
 	// Refresh the cache for the rows B just updated.
-	fresh := p.RecvCipher()
-	l.cacheVA.fill(l.touched, fresh)
+	l.cacheVA.fill(l.touched, recvCipher(p))
 
 	l.x, l.touched = nil, nil
 }
@@ -216,19 +210,18 @@ func (l *SparseMatMulB) backwardMulti(gradFull, gradLocal *tensor.Dense) {
 	// Local sparse update of U_B: only B's own touched coordinates move.
 	touchedB := touchedCols(l.x)
 	gradUB := l.x.TransposeMatMul(gradLocal) // rows outside touchedB are zero
-	l.momUB.stepRows(l.UB, gatherRows(gradUB, touchedB), touchedB, l.cfg.LR)
+	l.momUB.stepRows(l.UB, gradUB.GatherRows(touchedB), touchedB, l.cfg.LR)
 
-	p.EncryptAndSend(gradFull, 1)
+	defer p.Unchunked()()
+	p.EncryptAndSend(gradFull, 1, false)
 	touchedA := p.RecvInts()
 	gradVAshare := p.HE2SSRecv() // len(touchedA)×Out: ∇W_A[touched] − φ
 	l.momVA.stepRows(l.VA, gradVAshare, touchedA, l.cfg.LR)
 
 	// Re-encrypt only the updated rows of V_A for A's cache.
-	p.Send(hetensor.EncryptRows(&p.SK.PublicKey, l.VA, touchedA, 1))
+	p.SendMatrix(hetensor.EncryptRows(&p.SK.PublicKey, l.VA, touchedA, 1))
 	l.x = nil
 }
-
-func gatherRows(d *tensor.Dense, idx []int) *tensor.Dense { return d.GatherRows(idx) }
 
 // DebugUA exposes Party A's share of W_A for the Fig. 9/11 privacy
 // experiments (A predicting with X_A·U_A must be a random guess).

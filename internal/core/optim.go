@@ -4,7 +4,10 @@ import (
 	"math"
 
 	"blindfl/internal/engine"
+	"blindfl/internal/hetensor"
+	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
+	"blindfl/internal/transport"
 )
 
 // momentum applies momentum SGD to one secret-share piece. Momentum is a
@@ -52,10 +55,11 @@ func (m *momentum) stepRows(w, gradRows *tensor.Dense, idx []int, lr float64) {
 }
 
 // Config carries the hyper-parameters shared by both halves of a source
-// layer. Both parties must construct their halves with identical values.
-// The engine knobs (Packed, Stream, Textbook, TableCacheMB, …) live on the
-// embedded engine.Options — the single declaration shared with model.Hyper
-// and bench.StepperOpts.
+// layer. Both parties must construct their halves with identical values for
+// everything that shapes the model. The engine knobs live on the embedded
+// engine.Options — the single declaration shared with model.Hyper and
+// bench.StepperOpts — and are sender-local: a party packs and chunks what it
+// encrypts, and takes what arrives as it comes.
 type Config struct {
 	Out       int     // output dimensionality of the source layer
 	LR        float64 // learning rate η
@@ -71,17 +75,37 @@ type Config struct {
 	// per-session W_A pieces (U_A, V_A) keep the full scale (W_A is
 	// column-partitioned across sessions, not summed). 0 or 1 means the
 	// ordinary two-party layer. Both parties of every session must agree on
-	// the value, like Packed and Stream.
+	// the value.
 	GroupParties int
 
 	engine.Options
 }
 
-// applyExpEngine applies the process-wide exponentiation-engine toggles (the
-// Textbook ablation and the persistent dot-table cache budget). Called by
-// the layer constructors so the flags take effect wherever a Config enters
-// the system.
-func (c Config) applyExpEngine() { c.Options.Apply() }
+// apply installs the engine options wherever a Config enters the system —
+// the layer constructors, ResumeExchange and ServeStart call it: the
+// process-wide toggles (the Textbook ablation, the dot-table cache budget)
+// and the per-Peer ones (send span, integrity probes).
+func (c Config) apply(p *protocol.Peer) {
+	c.Options.Apply()
+	p.ApplyOptions(c.Options)
+}
+
+// sendEncrypted ships d (a weight piece or a derivative, at scale 1) under
+// this party's key in the lane format its options choose — the one place
+// Packed is read: every later holder takes the matrix as it comes.
+func (c Config) sendEncrypted(p *protocol.Peer, d *tensor.Dense) {
+	p.EncryptAndSend(d, 1, c.Packed)
+}
+
+// recvCipher receives a matrix the protocol fixes as unpacked (the
+// Embed-MatMul weight mirrors and derivatives, the sparse layer's rows).
+func recvCipher(p *protocol.Peer) *hetensor.CipherMatrix {
+	c, ok := p.RecvMatrix().(*hetensor.CipherMatrix)
+	if !ok {
+		p.Fail("recv: %w: want an unpacked cipher matrix", transport.ErrCorrupt)
+	}
+	return c
+}
 
 func (c Config) initScale() float64 {
 	if c.InitScale == 0 {

@@ -28,14 +28,18 @@ import (
 // copies — possibly packed, possibly unminted after a restore — are not used
 // by the serve path. Must run concurrently with MatMulB.ServeStart.
 func (l *MatMulA) ServeStart() {
-	encryptAndSend(l.peer, false, l.VB, 1)
-	l.encVA = recvCipher(l.peer, false)
+	l.cfg.apply(l.peer)
+	defer l.peer.Unchunked()()
+	l.peer.EncryptAndSend(l.VB, 1, false)
+	l.encVA = recvCipher(l.peer)
 }
 
 // ServeStart is Party B's half of the serve-session weight exchange.
 func (l *MatMulB) ServeStart() {
-	l.encVB = recvCipher(l.peer, false)
-	encryptAndSend(l.peer, false, l.VA, 1)
+	l.cfg.apply(l.peer)
+	defer l.peer.Unchunked()()
+	l.encVB = recvCipher(l.peer)
+	l.peer.EncryptAndSend(l.VA, 1, false)
 }
 
 // serveHalf runs one party's half of the batched serve forward: homomorphic
@@ -48,14 +52,20 @@ func (l *MatMulB) ServeStart() {
 // mod a small prime and verified before the share joins the decrypted
 // homomorphic half — the HE2SS boundary is exactly where a silently corrupt
 // share would poison the reconstruction.
-func serveHalf(p *protocol.Peer, x, u *tensor.Dense, encV *hetensor.CipherMatrix) *hetensor.BigMatrix {
-	if encV == nil {
+func serveHalf(p *protocol.Peer, x, u *tensor.Dense, encV hetensor.Matrix) *hetensor.BigMatrix {
+	v, ok := encV.(*hetensor.CipherMatrix)
+	if !ok {
 		panic("core: serve forward before ServeStart (no unpacked encrypted weight piece)")
 	}
-	prod := hetensor.ServeProducts(x, encV)        // ⟦(x·V)ᵀ⟧ under the peer's key, scale 2
+	defer p.Unchunked()()                          // a few lane groups: nothing to pipeline
+	prod := hetensor.ServeProducts(x, v)           // ⟦(x·V)ᵀ⟧ under the peer's key, scale 2
 	eps, masked := hetensor.ServeMask(p.Rng, prod) // keep integer S, send ⟦(x·V)ᵀ − S⟧
-	p.Send(masked)
-	other := hetensor.DecryptPackedInts(p.SK, p.RecvPacked()) // peer's (x̄·V̄)ᵀ − S̄
+	p.SendMatrix(masked)
+	got, ok := p.RecvMatrix().(*hetensor.PackedMatrix)
+	if !ok || got.Key() != &p.SK.PublicKey {
+		p.Fail("serve: %w: peer's masked product is not a packed matrix under this party's key", transport.ErrCorrupt)
+	}
+	other := hetensor.DecryptPackedInts(p.SK, got) // peer's (x̄·V̄)ᵀ − S̄
 	var share *hetensor.BigMatrix
 	if p.ANCheck {
 		var bad int

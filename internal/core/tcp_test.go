@@ -5,6 +5,7 @@ import (
 	"net"
 	"testing"
 
+	"blindfl/internal/engine"
 	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
 	"blindfl/internal/transport"
@@ -58,33 +59,41 @@ func tcpPeers(t *testing.T, seed int64) (*protocol.Peer, *protocol.Peer) {
 }
 
 // TestMatMulOverTCP runs the full federated MatMul protocol across a real
-// TCP connection with gob serialization: ciphertext matrices, shares and
-// the refresh traffic all cross the wire.
+// TCP connection with gob serialization, whole-span and packed in 2-row
+// chunks: ciphertext matrices, shares and the refresh traffic all cross the
+// wire, and chunk envelopes, sequence numbers and the gobConn writer see
+// genuine socket behaviour.
 func TestMatMulOverTCP(t *testing.T) {
-	pa, pb := tcpPeers(t, 700)
-	cfg := Config{Out: 2, LR: 0.1}
-	la, lb := newMatMulPair(t, pa, pb, cfg, 4, 4)
+	for _, opts := range []engine.Options{{}, {Packed: true, Stream: true, ChunkRows: 2}} {
+		pa, pb := tcpPeers(t, 700)
+		cfg := Config{Out: 2, LR: 0.1, Options: opts}
+		la, lb := newMatMulPair(t, pa, pb, cfg, 4, 4)
 
-	rng := rand.New(rand.NewSource(1))
-	for step := 0; step < 2; step++ {
-		xA := tensor.RandDense(rng, 3, 4, 1)
-		xB := tensor.RandDense(rng, 3, 4, 1)
-		g := tensor.RandDense(rng, 3, 2, 1)
-		want := xA.MatMul(DebugWeightsA(la, lb)).Add(xB.MatMul(DebugWeightsB(la, lb)))
-		var z *tensor.Dense
-		if err := protocol.RunParties(pa, pb,
-			func() { la.Forward(DenseFeatures{xA}); la.Backward() },
-			func() { z = lb.Forward(DenseFeatures{xB}); lb.Backward(g) },
-		); err != nil {
-			t.Fatal(err)
+		rng := rand.New(rand.NewSource(1))
+		for step := 0; step < 2; step++ {
+			xA := tensor.RandDense(rng, 5, 4, 1)
+			xB := tensor.RandDense(rng, 5, 4, 1)
+			g := tensor.RandDense(rng, 5, 2, 1)
+			want := xA.MatMul(DebugWeightsA(la, lb)).Add(xB.MatMul(DebugWeightsB(la, lb)))
+			var z *tensor.Dense
+			if err := protocol.RunParties(pa, pb,
+				func() { la.Forward(DenseFeatures{xA}); la.Backward() },
+				func() { z = lb.Forward(DenseFeatures{xB}); lb.Backward(g) },
+			); err != nil {
+				t.Fatal(err)
+			}
+			if !z.Equal(want, 1e-4) {
+				t.Fatalf("%+v step %d over TCP: Z mismatch (maxdiff %g)", opts, step, z.Sub(want).MaxAbs())
+			}
 		}
-		if !z.Equal(want, 1e-4) {
-			t.Fatalf("step %d over TCP: Z mismatch (maxdiff %g)", step, z.Sub(want).MaxAbs())
+		// The initial ⟦V_B⟧ (4 rows), then per step a 5-row and a 4-row
+		// conversion.
+		if want := int64(chunksOf(4, opts.ChunkRows) + 2*(chunksOf(5, opts.ChunkRows)+chunksOf(4, opts.ChunkRows))); pa.Stream.ChunksSent != want {
+			t.Fatalf("%+v: party A sent %d chunks, want %d", opts, pa.Stream.ChunksSent, want)
 		}
-	}
-	msgs, bytes := pa.Conn.Stats()
-	if msgs == 0 || bytes == 0 {
-		t.Fatal("no traffic recorded on the TCP transport")
+		if msgs, bytes := pa.Conn.Stats(); msgs == 0 || bytes == 0 {
+			t.Fatal("no traffic recorded on the TCP transport")
+		}
 	}
 }
 

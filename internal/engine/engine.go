@@ -19,23 +19,25 @@ import (
 )
 
 // Options selects the throughput-engine features of a run. The zero value is
-// the baseline engine: unpacked, monolithic transfers, signed/Straus
+// the baseline engine: unpacked, whole-matrix transfers, signed/Straus
 // exponentiation on, no table cache, no pools, no secret-key fast paths.
 type Options struct {
-	// Packed enables ciphertext packing (K fixed-point lanes per Paillier
-	// plaintext) on the source-layer homomorphic hot paths. Both parties
-	// must agree on the flag; results match the unpacked protocol to
+	// Packed makes this party encrypt the weight pieces and derivatives it
+	// ships packed (K fixed-point lanes per Paillier plaintext). The matrix
+	// carries its kind, so the peer computes on whatever arrives and need
+	// not set the same flag; results match the unpacked protocol to
 	// fixed-point tolerance. The sparse MatMul layer ignores it (its
 	// on-demand row-cache protocol is bandwidth-bound, not blinding-bound).
 	Packed bool
 
-	// Stream splits large ciphertext transfers into bounded row-chunks so
-	// the sender encrypts chunk i+1 while chunk i is on the wire and the
-	// receiver decrypts chunk i−1. Orthogonal to Packed; both parties must
-	// agree. Chunking changes message framing, not values.
+	// Stream makes this party send ciphertext matrices in bounded
+	// row-chunks instead of whole, so it encrypts chunk i+1 while chunk i is
+	// on the wire and the receiver decrypts chunk i−1. Sender-local like
+	// Packed, and orthogonal to it: receivers take chunk heights from the
+	// stream. Chunking changes message framing, not values.
 	Stream bool
 
-	// ChunkRows bounds the rows per streamed chunk (0 = protocol default).
+	// ChunkRows is the rows per chunk under Stream (0 = protocol default).
 	ChunkRows int
 
 	// Textbook disables the signed/Straus exponentiation engine on the

@@ -76,30 +76,19 @@ func (m *CipherMatrix) Set(i, j int, c *paillier.Ciphertext) { m.C[i*m.Cols+j] =
 // Row returns a view of row i.
 func (m *CipherMatrix) Row(i int) []*paillier.Ciphertext { return m.C[i*m.Cols : (i+1)*m.Cols] }
 
-// RowSlice returns a view of rows [lo, hi) sharing m's ciphertexts. The
-// chunk unit of the streamed protocol paths.
-func (m *CipherMatrix) RowSlice(lo, hi int) *CipherMatrix {
+// RowSlice returns a view of rows [lo, hi) sharing m's ciphertexts, its
+// capacity clipped so that appending to the view never writes into m.
+func (m *CipherMatrix) RowSlice(lo, hi int) Matrix {
 	if lo < 0 || hi < lo || hi > m.Rows {
 		panic(fmt.Sprintf("hetensor: RowSlice [%d,%d) of %d rows", lo, hi, m.Rows))
 	}
-	return &CipherMatrix{Rows: hi - lo, Cols: m.Cols, Scale: m.Scale, PK: m.PK, C: m.C[lo*m.Cols : hi*m.Cols]}
+	return &CipherMatrix{Rows: hi - lo, Cols: m.Cols, Scale: m.Scale, PK: m.PK, C: m.C[lo*m.Cols : hi*m.Cols : hi*m.Cols]}
 }
 
-// Anonymous returns a shallow copy of m sharing its ciphertexts but carrying
-// no table-cache identity: what a receive path hands the kernels for a
-// single-use stream chunk, so that a chunk delivered by pointer (in-process
-// transports) looks exactly like one that went through gob, and reattaching
-// the trusted key does not write to the sender's object.
-func (m *CipherMatrix) Anonymous() *CipherMatrix {
+func (m *CipherMatrix) Anonymous() Matrix {
 	cp := *m
 	cp.id = 0
 	return &cp
-}
-
-func (m *CipherMatrix) shapeCheck(rows, cols int, op string) {
-	if m.Rows != rows || m.Cols != cols {
-		panic(fmt.Sprintf("hetensor: %s shape mismatch: have %d×%d want %d×%d", op, m.Rows, m.Cols, rows, cols))
-	}
 }
 
 // Encrypt encrypts a dense matrix elementwise at the given scale. When a
@@ -128,11 +117,11 @@ func Decrypt(sk *paillier.PrivateKey, m *CipherMatrix) *tensor.Dense {
 	return out
 }
 
-// AddCipher returns the elementwise homomorphic sum m + o. Scales must match.
+// AddCipher returns the elementwise homomorphic sum m + o. Shapes and scales
+// must match.
 func (m *CipherMatrix) AddCipher(o *CipherMatrix) *CipherMatrix {
-	o.shapeCheck(m.Rows, m.Cols, "AddCipher")
-	if m.Scale != o.Scale {
-		panic(fmt.Sprintf("hetensor: AddCipher scale mismatch %d vs %d", m.Scale, o.Scale))
+	if m.Rows != o.Rows || !m.SameLayout(o) {
+		panic(fmt.Sprintf("hetensor: AddCipher mismatch: %d×%d@%d vs %d×%d@%d", m.Rows, m.Cols, m.Scale, o.Rows, o.Cols, o.Scale))
 	}
 	out := &CipherMatrix{Rows: m.Rows, Cols: m.Cols, Scale: m.Scale, PK: m.PK, C: make([]*paillier.Ciphertext, len(m.C))}
 	parallel.For(len(m.C), func(i int) {
@@ -154,9 +143,7 @@ func (m *CipherMatrix) AddPlain(d *tensor.Dense) *CipherMatrix {
 	return out
 }
 
-// SubPlainFresh returns ⟦m − d⟧ using a fresh encryption of −d, which also
-// re-randomizes every ciphertext. This is the send half of HE2SS.
-func (m *CipherMatrix) SubPlainFresh(d *tensor.Dense) *CipherMatrix {
+func (m *CipherMatrix) SubPlainFresh(d *tensor.Dense) Matrix {
 	if m.Rows != d.Rows || m.Cols != d.Cols {
 		panic("hetensor: SubPlainFresh shape mismatch")
 	}

@@ -48,7 +48,7 @@ func TestAddPlainAndSubPlainFresh(t *testing.T) {
 	if got := Decrypt(testKey, ca.AddPlain(b)); !got.Equal(a.Add(b), 1e-6) {
 		t.Fatal("AddPlain mismatch")
 	}
-	if got := Decrypt(testKey, ca.SubPlainFresh(b)); !got.Equal(a.Sub(b), 1e-6) {
+	if got := ca.SubPlainFresh(b).Decrypt(testKey); !got.Equal(a.Sub(b), 1e-6) {
 		t.Fatal("SubPlainFresh mismatch")
 	}
 }
@@ -57,7 +57,7 @@ func TestSubPlainFreshReRandomizes(t *testing.T) {
 	a := tensor.FromSlice(1, 1, []float64{5})
 	zero := tensor.NewDense(1, 1)
 	ca := Encrypt(&testKey.PublicKey, a, 1)
-	cb := ca.SubPlainFresh(zero)
+	cb := ca.SubPlainFresh(zero).(*CipherMatrix)
 	if ca.C[0].C.Cmp(cb.C[0].C) == 0 {
 		t.Fatal("SubPlainFresh(0) did not re-randomize the ciphertext")
 	}

@@ -69,18 +69,17 @@ func (m *PackedMatrix) Row(i int) []*paillier.Ciphertext {
 }
 
 // RowSlice returns a view of rows [lo, hi) sharing m's ciphertexts and lane
-// layout. The chunk unit of the streamed protocol paths.
-func (m *PackedMatrix) RowSlice(lo, hi int) *PackedMatrix {
+// layout, capacity clipped like CipherMatrix.RowSlice.
+func (m *PackedMatrix) RowSlice(lo, hi int) Matrix {
 	if lo < 0 || hi < lo || hi > m.Rows {
 		panic(fmt.Sprintf("hetensor: packed RowSlice [%d,%d) of %d rows", lo, hi, m.Rows))
 	}
 	g := m.GroupsPerRow()
 	return &PackedMatrix{Rows: hi - lo, Cols: m.Cols, Block: m.Block, Scale: m.Scale, W: m.W, K: m.K,
-		PK: m.PK, C: m.C[lo*g : hi*g]}
+		PK: m.PK, C: m.C[lo*g : hi*g : hi*g]}
 }
 
-// Anonymous is the packed-matrix analogue of CipherMatrix.Anonymous.
-func (m *PackedMatrix) Anonymous() *PackedMatrix {
+func (m *PackedMatrix) Anonymous() Matrix {
 	cp := *m
 	cp.id = 0
 	return &cp
@@ -100,13 +99,6 @@ func (m *PackedMatrix) laneCount(g int) int {
 func (m *PackedMatrix) groupCol(g int) int {
 	gpb := m.GroupsPerBlock()
 	return (g/gpb)*m.Block + (g%gpb)*m.K
-}
-
-func (m *PackedMatrix) layoutCheck(o *PackedMatrix, op string) {
-	if m.Rows != o.Rows || m.Cols != o.Cols || m.Block != o.Block || m.W != o.W || m.K != o.K {
-		panic(fmt.Sprintf("hetensor: %s packed layout mismatch: %d×%d/%d lanes %d×%d vs %d×%d/%d lanes %d×%d",
-			op, m.Rows, m.Cols, m.Block, m.K, m.W, o.Rows, o.Cols, o.Block, o.K, o.W))
-	}
 }
 
 // NewPackedMatrix allocates a packed matrix of unrandomized encryptions of
@@ -173,9 +165,9 @@ func DecryptPacked(sk *paillier.PrivateKey, m *PackedMatrix) *tensor.Dense {
 // AddCipher returns the elementwise homomorphic sum m + o for identical
 // layouts and scales.
 func (m *PackedMatrix) AddCipher(o *PackedMatrix) *PackedMatrix {
-	m.layoutCheck(o, "AddCipher")
-	if m.Scale != o.Scale {
-		panic(fmt.Sprintf("hetensor: packed AddCipher scale mismatch %d vs %d", m.Scale, o.Scale))
+	if m.Rows != o.Rows || !m.SameLayout(o) {
+		panic(fmt.Sprintf("hetensor: packed AddCipher mismatch: %d×%d/%d@%d lanes %d×%d vs %d×%d/%d@%d lanes %d×%d",
+			m.Rows, m.Cols, m.Block, m.Scale, m.K, m.W, o.Rows, o.Cols, o.Block, o.Scale, o.K, o.W))
 	}
 	out := &PackedMatrix{Rows: m.Rows, Cols: m.Cols, Block: m.Block, Scale: m.Scale, W: m.W, K: m.K, PK: m.PK,
 		C: make([]*paillier.Ciphertext, len(m.C))}
@@ -185,10 +177,9 @@ func (m *PackedMatrix) AddCipher(o *PackedMatrix) *PackedMatrix {
 	return out
 }
 
-// SubPlainFresh returns ⟦m − d⟧ using fresh packed encryptions of −d, which
-// also re-randomizes every ciphertext: the send half of HE2SS, at 1/K of the
-// unpacked blinding cost.
-func (m *PackedMatrix) SubPlainFresh(d *tensor.Dense) *PackedMatrix {
+// SubPlainFresh packs the fresh encryptions of −d too, so the conversion
+// costs 1/K of the unpacked blinding exponentiations.
+func (m *PackedMatrix) SubPlainFresh(d *tensor.Dense) Matrix {
 	if m.Rows != d.Rows || m.Cols != d.Cols {
 		panic("hetensor: packed SubPlainFresh shape mismatch")
 	}

@@ -50,7 +50,7 @@ func TestPackedSubPlainFreshMatchesUnpackedAndReRandomizes(t *testing.T) {
 	mask := tensor.RandDense(rng, 2, 5, 1<<20)
 	pk := &testKey.PublicKey
 	enc := PackEncrypt(pk, a, 2)
-	fresh := enc.SubPlainFresh(mask)
+	fresh := enc.SubPlainFresh(mask).(*PackedMatrix)
 	got := DecryptPacked(testKey, fresh)
 	if !got.Equal(a.Sub(mask), 2e-5) {
 		t.Fatal("packed SubPlainFresh wrong value")

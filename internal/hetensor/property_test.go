@@ -82,7 +82,7 @@ func TestPropMaskCancels(t *testing.T) {
 		v := tensor.FromSlice(1, 2, clampVals([]float64{v1, v2}))
 		phi := tensor.FromSlice(1, 2, clampVals([]float64{m1, m2}))
 		c := Encrypt(&testKey.PublicKey, v, 1)
-		share := Decrypt(testKey, c.SubPlainFresh(phi))
+		share := c.SubPlainFresh(phi).Decrypt(testKey)
 		return share.Add(phi).Equal(v, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {

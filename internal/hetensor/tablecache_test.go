@@ -163,7 +163,7 @@ func TestTableCacheAnonymousSourcesBypass(t *testing.T) {
 	w := Encrypt(pk, tensor.RandDense(rng, 8, 2, 2), 1)
 	withCacheBudget(t, 64<<20, func() {
 		view := w.RowSlice(0, 8) // full view, but still an anonymous source
-		MulPlainLeft(x, view)
+		MulLeft(x, view)
 		if s := TableCacheStatsNow(); s.Entries != 0 {
 			t.Fatalf("stats %+v: row-slice view must bypass the cache", s)
 		}
@@ -252,7 +252,7 @@ func TestTableCacheAdmission(t *testing.T) {
 			}
 			return s
 		}
-		want := ServeProducts(req, v.RowSlice(0, v.Rows)) // anonymous: uncached
+		want := ServeProducts(req, v.Anonymous().(*CipherMatrix)) // anonymous: uncached
 		for step := 0; step < 6; step++ {
 			got := ServeProducts(req, v)
 			for i := range want.C {

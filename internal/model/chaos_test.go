@@ -10,6 +10,7 @@ import (
 	"blindfl/internal/data"
 	"blindfl/internal/paillier"
 	"blindfl/internal/protocol"
+	"blindfl/internal/tensor"
 	"blindfl/internal/transport"
 )
 
@@ -29,6 +30,7 @@ func chaosHyper() Hyper {
 	h := tinyHyper()
 	h.Epochs = 1
 	h.Stream = true
+	h.ChunkRows = 3
 	return h
 }
 
@@ -80,58 +82,108 @@ func totalFaults(s transport.FaultStats) int64 {
 	return s.Flips + s.Drops + s.Dups + s.Reorders
 }
 
-// TestChaosChunkFaultsRecoverBitExact trains the same streamed LR once
-// fault-free and once per fault class. Chunk faults within the injector's
-// budget are absorbed by the checksum/NACK/resend protocol, and delays only
-// stretch time, so every faulted trajectory must be bit-identical to the
-// clean one — recovery that "mostly" works would show up here as a loss
-// divergence.
+// TestChaosChunkFaultsRecoverBitExact runs each input once fault-free and once
+// per fault class: a streamed and a whole-span dense LR, a sparse LR (the
+// SparseMatMul layer's on-demand rows), and one served request on a restored
+// Predictor (the serve path's weight exchange and masked products). Every
+// ciphertext matrix of every one of them crosses the wire as checksummed
+// chunks, so chunk faults within the injector's budget are absorbed by the
+// NACK/resend protocol, and delays only stretch time: every faulted result
+// must be bit-identical to the clean one — recovery that "mostly" works
+// would show up here as a divergence.
 func TestChaosChunkFaultsRecoverBitExact(t *testing.T) {
-	ds := data.Generate(tinySpec("t-chaos-rec", 12, 12, 2, false), 3)
-	h := chaosHyper()
+	train := func(ds *data.Dataset, h Hyper) func(*testing.T, *protocol.Peer, *protocol.Peer) []float64 {
+		return func(t *testing.T, pa, pb *protocol.Peer) []float64 {
+			hist, err := Trainer{Kind: LR, Hyper: h}.Train(ds, Pair(pa, pb))
+			if err != nil {
+				t.Fatalf("training failed: %v", err)
+			}
+			return append(append([]float64{hist.TestMetric}, hist.Losses...), hist.TestLogits.Data...)
+		}
+	}
+	dense := data.Generate(tinySpec("t-chaos-rec", 12, 12, 2, false), 3)
+	streamed := chaosHyper()
+	whole := chaosHyper()
+	whole.Stream = false
 
-	pa, pb := fedPipe(t, 600)
-	pa.ChunkRows, pb.ChunkRows = 3, 3
-	clean, err := TrainFederated(LR, ds, h, pa, pb)
-	if err != nil {
+	var ck bytes.Buffer
+	pa, pb := fedPipe(t, 599)
+	if _, err := (Trainer{Kind: LR, Hyper: whole, Checkpoint: &ck}).Train(dense, Pair(pa, pb)); err != nil {
 		t.Fatal(err)
 	}
+	serve := func(t *testing.T, pa, pb *protocol.Peer) []float64 {
+		p, err := NewPredictor(bytes.NewReader(ck.Bytes()), Pair(pa, pb))
+		if err != nil {
+			t.Fatalf("restoring the predictor failed: %v", err)
+		}
+		logits, err := p.PredictBatch([]*tensor.Dense{dense.TestA.Dense.RowSlice(0, 4)}, dense.TestB.Dense.RowSlice(0, 4))
+		if err != nil {
+			t.Fatalf("PredictBatch failed: %v", err)
+		}
+		return logits.Data
+	}
 
+	inputs := []struct {
+		name string
+		// prob is the per-chunk fault probability — a whole-span input ships
+		// far fewer chunks for the schedule to land on — and more the number
+		// of faults beyond the first: on a one-chunk stream the resend is the
+		// next chunk sent, so only a budget of one keeps it clean.
+		prob float64
+		more int64
+		run  func(*testing.T, *protocol.Peer, *protocol.Peer) []float64
+	}{
+		{"dense-streamed", 0.3, 1, train(dense, streamed)},
+		{"dense-whole", 0.6, 0, train(dense, whole)},
+		{"sparse", 0.3, 0, train(data.Generate(tinySpec("t-chaos-sparse", 60, 6, 2, false), 3), streamed)},
+		{"serve", 1, 0, serve},
+	}
 	classes := []struct {
 		name string
-		plan transport.FaultPlan
+		plan func(p float64, more int64) transport.FaultPlan
 		// hit reports whether the schedule actually fired.
 		hit func(transport.FaultStats) bool
 	}{
-		{"bitflip", transport.FaultPlan{FlipProb: 0.3, MaxFaults: 2}, func(s transport.FaultStats) bool { return s.Flips > 0 }},
-		{"drop", transport.FaultPlan{DropProb: 0.3, MaxFaults: 2}, func(s transport.FaultStats) bool { return s.Drops > 0 }},
-		{"dup", transport.FaultPlan{DupProb: 0.3, MaxFaults: 2}, func(s transport.FaultStats) bool { return s.Dups > 0 }},
-		{"reorder", transport.FaultPlan{ReorderProb: 0.3, MaxFaults: 2}, func(s transport.FaultStats) bool { return s.Reorders > 0 }},
-		{"delay", transport.FaultPlan{DelayProb: 0.2, Delay: time.Millisecond}, func(s transport.FaultStats) bool { return s.Delays > 0 }},
-		{"mixed", transport.FaultPlan{FlipProb: 0.2, DropProb: 0.2, DupProb: 0.2, ReorderProb: 0.2, MaxFaults: 3}, func(s transport.FaultStats) bool { return totalFaults(s) > 0 }},
+		{"bitflip", func(p float64, more int64) transport.FaultPlan {
+			return transport.FaultPlan{FlipProb: p, MaxFaults: 1 + more}
+		}, func(s transport.FaultStats) bool { return s.Flips > 0 }},
+		{"drop", func(p float64, more int64) transport.FaultPlan {
+			return transport.FaultPlan{DropProb: p, MaxFaults: 1 + more}
+		}, func(s transport.FaultStats) bool { return s.Drops > 0 }},
+		{"dup", func(p float64, more int64) transport.FaultPlan {
+			return transport.FaultPlan{DupProb: p, MaxFaults: 1 + more}
+		}, func(s transport.FaultStats) bool { return s.Dups > 0 }},
+		{"reorder", func(p float64, more int64) transport.FaultPlan {
+			return transport.FaultPlan{ReorderProb: p, MaxFaults: 1 + more}
+		}, func(s transport.FaultStats) bool { return s.Reorders > 0 }},
+		{"delay", func(p float64, _ int64) transport.FaultPlan {
+			return transport.FaultPlan{DelayProb: 2 * p / 3, Delay: time.Millisecond}
+		}, func(s transport.FaultStats) bool { return s.Delays > 0 }},
+		{"mixed", func(p float64, more int64) transport.FaultPlan {
+			p = 2 * p / 3
+			return transport.FaultPlan{FlipProb: p, DropProb: p, DupProb: p, ReorderProb: p, MaxFaults: 1 + 2*more}
+		}, func(s transport.FaultStats) bool { return totalFaults(s) > 0 }},
 	}
-	for _, tc := range classes {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			pa, pb, fc := fedPipeFault(t, 600, "chaos-"+tc.name, tc.plan)
-			pa.ChunkRows, pb.ChunkRows = 3, 3
-			hist, err := TrainFederated(LR, ds, h, pa, pb)
-			if err != nil {
-				t.Fatalf("training under %s faults failed: %v", tc.name, err)
-			}
-			if !tc.hit(fc.Injected()) {
-				t.Fatalf("fault schedule never fired: %+v", fc.Injected())
-			}
-			if len(hist.Losses) != len(clean.Losses) {
-				t.Fatalf("iteration counts differ: %d vs %d", len(hist.Losses), len(clean.Losses))
-			}
-			for i := range hist.Losses {
-				if hist.Losses[i] != clean.Losses[i] {
-					t.Fatalf("loss %d diverges after recovery: %v vs clean %v", i, hist.Losses[i], clean.Losses[i])
-				}
-			}
-			if hist.TestMetric != clean.TestMetric {
-				t.Fatalf("test metric diverges after recovery: %v vs clean %v", hist.TestMetric, clean.TestMetric)
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			pa, pb := fedPipe(t, 600)
+			clean := in.run(t, pa, pb)
+			for _, tc := range classes {
+				t.Run(tc.name, func(t *testing.T) {
+					pa, pb, fc := fedPipeFault(t, 600, "chaos-"+tc.name, tc.plan(in.prob, in.more))
+					got := in.run(t, pa, pb)
+					if !tc.hit(fc.Injected()) {
+						t.Fatalf("fault schedule never fired: %+v", fc.Injected())
+					}
+					if len(got) != len(clean) {
+						t.Fatalf("result sizes differ: %d vs %d", len(got), len(clean))
+					}
+					for i := range got {
+						if got[i] != clean[i] {
+							t.Fatalf("value %d diverges after recovery: %v vs clean %v", i, got[i], clean[i])
+						}
+					}
+				})
 			}
 		})
 	}
@@ -143,7 +195,6 @@ func TestChaosChunkFaultsRecoverBitExact(t *testing.T) {
 func TestChaosPersistentCorruptionFailsTyped(t *testing.T) {
 	ds := data.Generate(tinySpec("t-chaos-corrupt", 12, 12, 2, false), 3)
 	pa, pb, _ := fedPipeFault(t, 601, "chaos-persistent", transport.FaultPlan{FlipProb: 1})
-	pa.ChunkRows, pb.ChunkRows = 3, 3
 	_, err := TrainFederated(LR, ds, chaosHyper(), pa, pb)
 	if err == nil {
 		t.Fatal("training returned a model over persistently corrupted chunks")
@@ -283,8 +334,7 @@ func TestChaosSpotCheckCleanRun(t *testing.T) {
 
 			run := func(spot bool) (*History, *protocol.Peer) {
 				pa, pb := fedPipe(t, 610)
-				pa.ChunkRows, pb.ChunkRows = 3, 3
-				pb.SpotCheck = spot
+				h.SpotCheck = spot
 				hist, err := TrainFederated(LR, ds, h, pa, pb)
 				if err != nil {
 					t.Fatal(err)

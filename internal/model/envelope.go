@@ -28,8 +28,10 @@ var ErrBadCheckpoint = errors.New("model: bad checkpoint")
 // ckMagic identifies a sealed blindfl checkpoint stream.
 var ckMagic = [4]byte{'B', 'F', 'C', 'K'}
 
-// ckVersion is the current envelope format version.
-const ckVersion = 1
+// ckVersion is the current envelope format version. 2: a layer half holds
+// its encrypted copy of the peer's piece as one hetensor.Matrix field,
+// where version 1 had a cipher and a packed field.
+const ckVersion = 2
 
 // maxCkPayload bounds the declared payload length so a corrupted header
 // cannot drive a multi-gigabyte allocation before the checksum check.

@@ -232,7 +232,6 @@ func (t Trainer) trainSharded(ds *data.Dataset, ss ShardSet, ck *runCheckpoint) 
 	for i, c := range conns {
 		a := protocol.NewPeer(protocol.PartyA, c, ss.SKAs[i], protocol.SessionRNG(h.Seed, i, protocol.PartyA))
 		a.SetStreamIdentity(h.Seed, i)
-		a.ChunkRows, a.SpotCheck, a.ANCheck = h.Options.ChunkRows, h.Options.SpotCheck, h.Options.ANCheck
 		as[i] = a
 		go func(a *protocol.Peer) { hsErrs <- a.Handshake() }(a)
 	}

@@ -76,7 +76,6 @@ func RunShardWorker(ctl transport.Conn, accept func() (transport.Conn, error), s
 		// the single-process group, for any shard count.
 		p := protocol.NewPeer(protocol.PartyB, c, skB, protocol.ShardSessionRNG(h.Seed, lo, j, protocol.PartyB))
 		p.SetStreamIdentity(h.Seed, lo+j)
-		p.ChunkRows, p.SpotCheck, p.ANCheck = h.Options.ChunkRows, h.Options.SpotCheck, h.Options.ANCheck
 		peers[j] = p
 		go func(p *protocol.Peer) { hsErrs <- p.Handshake() }(p)
 	}

@@ -19,9 +19,8 @@ func TestFederatedLRStreamedMatchesMonolithic(t *testing.T) {
 
 	run := func(stream bool) *History {
 		hh := h
-		hh.Stream = stream
+		hh.Stream, hh.ChunkRows = stream, 3
 		pa, pb := fedPipe(t, 530)
-		pa.ChunkRows, pb.ChunkRows = 3, 3
 		hist, err := TrainFederated(LR, ds, hh, pa, pb)
 		if err != nil {
 			t.Fatal(err)
@@ -56,9 +55,8 @@ func TestFederatedPackedStreamedWDL(t *testing.T) {
 	run := func(stream bool) *History {
 		hh := h
 		hh.Packed = true
-		hh.Stream = stream
+		hh.Stream, hh.ChunkRows = stream, 2
 		pa, pb := fedPipe(t, 531)
-		pa.ChunkRows, pb.ChunkRows = 2, 2
 		hist, err := TrainFederated(WDL, ds, hh, pa, pb)
 		if err != nil {
 			t.Fatal(err)
@@ -71,5 +69,35 @@ func TestFederatedPackedStreamedWDL(t *testing.T) {
 		if math.Abs(streamed.Losses[i]-plain.Losses[i]) > 1e-6 {
 			t.Fatalf("loss %d diverges: streamed %v vs monolithic %v", i, streamed.Losses[i], plain.Losses[i])
 		}
+	}
+}
+
+// TestTrainHonoursEngineOptions: the engine options on a Hyper reach the
+// peers of a plain Pair through Trainer.Train alone — no caller copies them
+// onto the Peer. The send span shows in the chunk counts (every A→B transfer
+// of a dense LR step is a 32-row batch or a 6-row weight piece) and the
+// integrity probe in the label party's counters, and only there.
+func TestTrainHonoursEngineOptions(t *testing.T) {
+	ds := data.Generate(tinySpec("t-fed-options", 12, 12, 2, false), 3)
+	h := tinyHyper()
+	h.Epochs = 1
+	h.Stream, h.ChunkRows, h.SpotCheck = true, 3, true
+	pa, pb := fedPipe(t, 532)
+	if _, err := (Trainer{Kind: LR, Hyper: h}).Train(ds, Pair(pa, pb)); err != nil {
+		t.Fatal(err)
+	}
+	// Training: the initial ⟦V_B⟧ and, per step, a forward and a gradient
+	// conversion. Evaluation runs the serve path, one chunk per transfer:
+	// its weight exchange and one masked product per test batch.
+	steps, evals := (ds.TrainA.Rows()+h.Batch-1)/h.Batch, (ds.TestA.Rows()+h.Batch-1)/h.Batch
+	piece, batch := (ds.TrainB.NumCols()+2)/3, (h.Batch+2)/3
+	if want := int64(piece + steps*(batch+(ds.TrainA.NumCols()+2)/3) + 1 + evals); pa.Stream.ChunksSent != want {
+		t.Fatalf("feature party sent %d chunks, want %d at 3 rows a chunk", pa.Stream.ChunksSent, want)
+	}
+	if pb.Stream.SpotChecks == 0 || pb.Stream.SpotMismatches != 0 {
+		t.Fatalf("label party spot-checks: %+v", pb.Stream)
+	}
+	if pa.Stream.SpotChecks != 0 {
+		t.Fatalf("feature party ran %d spot-checks; the probe is the label party's", pa.Stream.SpotChecks)
 	}
 }

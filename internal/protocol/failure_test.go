@@ -47,23 +47,6 @@ func TestMidProtocolDisconnect(t *testing.T) {
 	}
 }
 
-func TestHE2SSRecvRejectsForeignKeyCiphertext(t *testing.T) {
-	a, b := newPipe(t, 23)
-	err := RunParties(a, b,
-		func() {
-			// A wrongly ships a ciphertext under its own key: the receiver
-			// cannot decrypt it and must fail loudly instead of decrypting
-			// garbage.
-			a.Send(a.Encrypt(tensor.NewDense(1, 1), 1))
-		},
-		func() {
-			b.HE2SSRecv()
-		})
-	if err == nil || !strings.Contains(err.Error(), "not under this party's key") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 // TestRunPartiesUnblocksPeerOnEarlyError is the regression test for the
 // one-sided-failure hang: A fails on the first message (a type it does not
 // expect), after which B blocks in Recv waiting for a reply that will never
@@ -103,7 +86,7 @@ func TestRunPartiesErrorThenSurvivorGetsErrClosed(t *testing.T) {
 	a, b := newPipe(t, 31)
 	var survivorErr error
 	err := RunParties(a, b,
-		func() { a.fail("injected failure") },
+		func() { a.Fail("injected failure") },
 		func() {
 			_, survivorErr = b.Conn.Recv()
 		})

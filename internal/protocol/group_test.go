@@ -117,7 +117,7 @@ func TestRunGroupUnblocksSurvivorsOnSessionFailure(t *testing.T) {
 		done <- RunGroup(as, g,
 			func(i int) {
 				if i == 1 {
-					as[i].fail("injected mid-step failure")
+					as[i].Fail("injected mid-step failure")
 				}
 				as[i].RecvDense() // healthy sessions: nothing will ever arrive
 			},
@@ -189,7 +189,7 @@ func TestGroupForEachRunsEverySession(t *testing.T) {
 			g.ForEach(func(i int, p *Peer) { got[i] = p.RecvDense().At(0, 0) })
 			for i, v := range got {
 				if v != float64(i) {
-					g.Peers[i].fail("session %d delivered %v", i, v)
+					g.Peers[i].Fail("session %d delivered %v", i, v)
 				}
 			}
 		})

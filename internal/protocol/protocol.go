@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"time"
 
+	"blindfl/internal/engine"
 	"blindfl/internal/hetensor"
 	"blindfl/internal/paillier"
 	"blindfl/internal/tensor"
@@ -54,17 +55,17 @@ type Peer struct {
 	Rng     *rand.Rand           // local randomness for masks and init
 	MaskMag float64
 
-	// ChunkRows bounds the rows per chunk of this peer's streamed sends
-	// (stream.go); 0 means DefaultChunkRows. Receivers take chunk heights
-	// from the stream itself, so peers may use different values.
+	// ChunkRows is the span of this peer's matrix sends (stream.go): the
+	// rows per chunk, 0 meaning the whole matrix in one chunk. Sender-local:
+	// receivers take chunk heights from the stream itself.
 	ChunkRows int
-	// Stream accumulates per-chunk accounting across streamed sends and
+	// Stream accumulates per-chunk accounting across matrix sends and
 	// receives. Owned by this peer's protocol goroutine; read it between
 	// rounds.
 	Stream StreamStats
 
 	// SpotCheck enables the probabilistic decrypt spot-check (spotcheck.go):
-	// after a sampled HE2SS decryption (one conversion in four, starting
+	// inside a sampled HE2SS decryption (one conversion in four, starting
 	// with the first), one derived row is re-verified through the
 	// exact-integer path; outcomes accumulate in Stream.
 	SpotCheck bool
@@ -126,6 +127,22 @@ func (p *Peer) SeedEpoch(epoch int) {
 // sender's retained copy before the session aborts with a typed error.
 func NewPeer(role Role, conn transport.Conn, sk *paillier.PrivateKey, rng *rand.Rand) *Peer {
 	return &Peer{Role: role, Conn: transport.NewStreamConn(conn), SK: sk, Rng: rng, MaskMag: DefaultMaskMag}
+}
+
+// ApplyOptions is the one place engine options reach a Peer; the source-layer
+// constructors call it wherever a Config enters the system. A set option wins
+// over what the caller put on the Peer and an unset one leaves it alone:
+// Stream sets the send span to ChunkRows rows, or to DefaultChunkRows if
+// neither the option nor the caller chose one; SpotCheck is the label
+// party's probe and reaches Party B only.
+func (p *Peer) ApplyOptions(o engine.Options) {
+	if o.Stream && o.ChunkRows > 0 {
+		p.ChunkRows = o.ChunkRows
+	} else if o.Stream && p.ChunkRows == 0 {
+		p.ChunkRows = DefaultChunkRows
+	}
+	p.SpotCheck = p.SpotCheck || (o.SpotCheck && p.Role == PartyB)
+	p.ANCheck = p.ANCheck || o.ANCheck
 }
 
 // Handshake exchanges public keys with the peer. Party A sends first. Keys
@@ -223,181 +240,47 @@ func (p *Peer) Run(f func()) (err error) {
 	return nil
 }
 
-func (p *Peer) fail(format string, args ...any) {
-	panic(protoErr{fmt.Errorf(format, args...)})
-}
-
-// Fail raises a typed protocol failure from layer code running under Run —
-// the exported counterpart of the helpers' internal panic path, for checks
-// (like the core layers' AN-coded residue verification) that live outside
-// this package but inside a Run/RunParties/RunGroup scope.
+// Fail raises a protocol failure from code running under Run: the helpers
+// here, and layer checks (like core's AN-coded residue verification) that
+// live outside this package but inside a Run/RunParties/RunGroup scope.
 func (p *Peer) Fail(format string, args ...any) {
-	p.fail(format, args...)
+	panic(protoErr{fmt.Errorf(format, args...)})
 }
 
 // Send transmits a message, panicking (inside Run) on failure.
 func (p *Peer) Send(v any) {
 	if err := p.Conn.Send(v); err != nil {
-		p.fail("send: %w", err)
+		p.Fail("send: %w", err)
 	}
 }
 
-func (p *Peer) recv() any {
+// recvAs receives the next message as a T, failing (inside Run) on a
+// transport error or any other type.
+func recvAs[T any](p *Peer) T {
 	v, err := p.Conn.Recv()
 	if err != nil {
-		p.fail("recv: %w", err)
+		p.Fail("recv: %w", err)
 	}
-	return v
+	t, ok := v.(T)
+	if !ok {
+		p.Fail("recv: want %T, got %T", t, v)
+	}
+	return t
 }
 
 // RecvDense receives a *tensor.Dense.
-func (p *Peer) RecvDense() *tensor.Dense {
-	v := p.recv()
-	d, ok := v.(*tensor.Dense)
-	if !ok {
-		p.fail("recv: want *tensor.Dense, got %T", v)
-	}
-	return d
-}
-
-// RecvCipher receives a *hetensor.CipherMatrix. Ciphertexts arriving under
-// this party's own key get SK's public part attached so they can be used
-// homomorphically without trusting the sender's copy of the key. The
-// received matrix is minted a receiver-local table-cache identity: its
-// cells are never replaced locally, so the persistent dot-table cache may
-// key Straus tables to it.
-func (p *Peer) RecvCipher() *hetensor.CipherMatrix {
-	v := p.recv()
-	c, ok := v.(*hetensor.CipherMatrix)
-	if !ok {
-		p.fail("recv: want *hetensor.CipherMatrix, got %T", v)
-	}
-	p.trustCipher(c)
-	c.MintID()
-	return c
-}
+func (p *Peer) RecvDense() *tensor.Dense { return recvAs[*tensor.Dense](p) }
 
 // RecvBig receives a *hetensor.BigMatrix (an integer serve share).
-func (p *Peer) RecvBig() *hetensor.BigMatrix {
-	v := p.recv()
-	m, ok := v.(*hetensor.BigMatrix)
-	if !ok {
-		p.fail("recv: want *hetensor.BigMatrix, got %T", v)
-	}
-	return m
-}
+func (p *Peer) RecvBig() *hetensor.BigMatrix { return recvAs[*hetensor.BigMatrix](p) }
 
 // RecvInts receives a []int (e.g. a touched-coordinate set).
-func (p *Peer) RecvInts() []int {
-	v := p.recv()
-	s, ok := v.([]int)
-	if !ok {
-		p.fail("recv: want []int, got %T", v)
-	}
-	return s
-}
-
-// RecvIntMatrix receives a *tensor.IntMatrix.
-func (p *Peer) RecvIntMatrix() *tensor.IntMatrix {
-	v := p.recv()
-	m, ok := v.(*tensor.IntMatrix)
-	if !ok {
-		p.fail("recv: want *tensor.IntMatrix, got %T", v)
-	}
-	return m
-}
-
-// RecvPacked receives a *hetensor.PackedMatrix, reattaching the trusted
-// public key as RecvCipher does.
-func (p *Peer) RecvPacked() *hetensor.PackedMatrix {
-	v := p.recv()
-	c, ok := v.(*hetensor.PackedMatrix)
-	if !ok {
-		p.fail("recv: want *hetensor.PackedMatrix, got %T", v)
-	}
-	p.trustPacked(c)
-	c.MintID()
-	return c
-}
+func (p *Peer) RecvInts() []int { return recvAs[[]int](p) }
 
 // Mask samples a rows×cols matrix of uniform values in [−MaskMag, MaskMag),
 // the obfuscation values (ε, φ, ξ, ρ …) of the paper's protocols.
 func (p *Peer) Mask(rows, cols int) *tensor.Dense {
 	return tensor.RandDense(p.Rng, rows, cols, p.MaskMag)
-}
-
-// Encrypt encrypts a plaintext matrix under this party's own key at scale.
-func (p *Peer) Encrypt(d *tensor.Dense, scale uint) *hetensor.CipherMatrix {
-	return hetensor.Encrypt(&p.SK.PublicKey, d, scale)
-}
-
-// EncryptAndSend encrypts d under this party's own key and ships it.
-func (p *Peer) EncryptAndSend(d *tensor.Dense, scale uint) {
-	p.Send(p.Encrypt(d, scale))
-}
-
-// EncryptAndSendPacked encrypts d packed (K values per ciphertext) under
-// this party's own key and ships it: the refresh path of the packed source
-// layers, at 1/K of the unpacked blinding cost.
-func (p *Peer) EncryptAndSendPacked(d *tensor.Dense, scale uint) {
-	p.Send(hetensor.PackEncrypt(&p.SK.PublicKey, d, scale))
-}
-
-// HE2SSSend is the masking half of Algorithm 1, run by the party that holds
-// ⟦v⟧ under the *peer's* key: draw a mask φ, send ⟦v−φ⟧ (freshly
-// re-randomized), and keep φ as this party's share of v.
-func (p *Peer) HE2SSSend(c *hetensor.CipherMatrix) *tensor.Dense {
-	phi := p.Mask(c.Rows, c.Cols)
-	p.Send(c.SubPlainFresh(phi))
-	return phi
-}
-
-// HE2SSRecv is the decrypting half of Algorithm 1, run by the key owner:
-// receive ⟦v−φ⟧ and decrypt it as this party's share of v.
-func (p *Peer) HE2SSRecv() *tensor.Dense {
-	c := p.RecvCipher()
-	if c.PK.N.Cmp(p.SK.N) != 0 {
-		p.fail("HE2SSRecv: ciphertext is not under this party's key")
-	}
-	d := hetensor.Decrypt(p.SK, c)
-	p.spotCheckCipher(c, d)
-	return d
-}
-
-// HE2SSSendPacked is HE2SSSend for a packed ciphertext matrix: the fresh
-// re-randomizing encryptions of the mask are packed too, so the conversion
-// costs 1/K of the unpacked blinding exponentiations.
-func (p *Peer) HE2SSSendPacked(c *hetensor.PackedMatrix) *tensor.Dense {
-	phi := p.Mask(c.Rows, c.Cols)
-	p.Send(c.SubPlainFresh(phi))
-	return phi
-}
-
-// HE2SSRecvPacked is the decrypting half of Algorithm 1 for a packed
-// matrix: receive packed ⟦v−φ⟧ and decrypt-unpack it as this party's share.
-func (p *Peer) HE2SSRecvPacked() *tensor.Dense {
-	c := p.RecvPacked()
-	if c.PK.N.Cmp(p.SK.N) != 0 {
-		p.fail("HE2SSRecvPacked: ciphertext is not under this party's key")
-	}
-	d := hetensor.DecryptPacked(p.SK, c)
-	p.spotCheckPacked(c, d)
-	return d
-}
-
-// SS2HE is Algorithm 2: both parties hold one additive piece of v; each
-// encrypts its piece under its own key and sends it; each returns
-// ⟦v⟧ under the *peer's* key by homomorphically adding its own plaintext
-// piece to the received encrypted piece. Party A sends first.
-func (p *Peer) SS2HE(piece *tensor.Dense, scale uint) *hetensor.CipherMatrix {
-	if p.Role == PartyA {
-		p.EncryptAndSend(piece, scale)
-		other := p.RecvCipher()
-		return other.AddPlain(piece)
-	}
-	other := p.RecvCipher()
-	p.EncryptAndSend(piece, scale)
-	return other.AddPlain(piece)
 }
 
 // Pipe wires two in-process peers together: it generates (or reuses) key

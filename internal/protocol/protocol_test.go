@@ -99,11 +99,10 @@ func TestSS2HEValue(t *testing.T) {
 		// A obtains ⟦v⟧ under B's key, then ships it straight back for B
 		// to decrypt (test-only; real protocols mask first).
 		c := a.SS2HE(pieceA, 1)
-		a.Send(c)
+		a.SendMatrix(c)
 	}, func() {
 		_ = b.SS2HE(pieceB, 1)
-		c := b.RecvCipher()
-		rec = hetensor.Decrypt(b.SK, c)
+		rec = b.RecvMatrix().Decrypt(b.SK)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +115,7 @@ func TestSS2HEValue(t *testing.T) {
 func TestRunPartiesPropagatesErrors(t *testing.T) {
 	a, b := newPipe(t, 7)
 	err := RunParties(a, b, func() {
-		a.fail("boom: %d", 42)
+		a.Fail("boom: %d", 42)
 	}, func() {})
 	if err == nil || err.Error() != "PartyA: boom: 42" {
 		t.Fatalf("err = %v", err)

@@ -1,64 +1,30 @@
 // Run-integrity checks at the protocol trust boundary.
 //
-// Two layers guard a received ciphertext. vetCipher/vetPacked run on every
-// receive (monolithic and per chunk): each ciphertext must be present,
-// in-range mod N² and invertible — the structural validity any honest sender
-// guarantees, so a violation is transport corruption or a malicious peer and
-// surfaces as a typed transport.ErrCorrupt instead of a deep panic inside the
-// homomorphic kernels.
+// Two layers guard a received ciphertext. Vetting (Peer.trusted, through
+// hetensor.Matrix.Trust) runs on every chunk of every transfer: each
+// ciphertext must be present, in-range mod N² and invertible — the structural
+// validity any honest sender guarantees, so a violation is transport
+// corruption or a malicious peer and surfaces as a typed transport.ErrCorrupt
+// instead of a deep panic inside the homomorphic kernels.
 //
 // The decrypt spot-check (Peer.SpotCheck, engine option "spotcheck") is the
-// opt-in probabilistic second layer at the label party: after a sampled
+// opt-in probabilistic second layer at the label party: inside a sampled
 // HE2SS decryption (one conversion in spotEvery, starting with the first)
 // it re-decrypts one derived row through the exact-integer path
-// and checks (a) the signed plaintext fits the fixed-point range a legitimate
-// protocol value can occupy — a corrupted ciphertext decrypts to an
-// essentially uniform ring element, detected with overwhelming probability —
-// and (b) the integer decodes to exactly the float the bulk decryption
-// produced. Outcomes are counted in StreamStats (SpotChecks/SpotMismatches);
-// the serving layer surfaces its own counters in serve.Stats.
+// (hetensor.Matrix.VerifyRow) and checks (a) the signed plaintext fits the
+// fixed-point range a legitimate protocol value can occupy — a corrupted
+// ciphertext decrypts to an essentially uniform ring element, detected with
+// overwhelming probability — and (b) the integer decodes to exactly the float
+// the bulk decryption produced. Outcomes are counted in StreamStats
+// (SpotChecks/SpotMismatches); the serving layer surfaces its own counters in
+// serve.Stats.
 //
 // The spot row is derived from a per-peer ordinal via internal/rng, not drawn
 // from Peer.Rng: the mask streams of the two parties must stay in lockstep,
 // and an opt-in check that consumed mask randomness would desynchronize them.
 package protocol
 
-import (
-	"math/big"
-
-	"blindfl/internal/fixedpoint"
-	"blindfl/internal/hetensor"
-	"blindfl/internal/paillier"
-	"blindfl/internal/rng"
-	"blindfl/internal/tensor"
-	"blindfl/internal/transport"
-)
-
-// spotSlackBits is the integer headroom a legitimate plaintext may occupy
-// beyond its F·scale fractional bits: masks (≤ 2^20), dot-product
-// accumulation and batch sums. Far below the ~keybits a corrupted ciphertext
-// decrypts to.
-const spotSlackBits = 64
-
-// vetCells validates every ciphertext of a received matrix against the
-// trusted key: present, 0 < C < N², and invertible mod N² (gcd(C, N) = 1 —
-// a non-invertible C would reveal a factor of N and cannot come from an
-// honest encryptor). kind names the receive path in the failure.
-func (p *Peer) vetCells(cells []*paillier.Ciphertext, pk *paillier.PublicKey, kind string) {
-	one := big.NewInt(1)
-	gcd := new(big.Int)
-	for i, c := range cells {
-		if c == nil || c.C == nil {
-			p.fail("%s: %w: ciphertext %d missing", kind, transport.ErrCorrupt, i)
-		}
-		if c.C.Sign() <= 0 || c.C.Cmp(pk.N2) >= 0 {
-			p.fail("%s: %w: ciphertext %d outside Z_N²", kind, transport.ErrCorrupt, i)
-		}
-		if gcd.GCD(nil, nil, c.C, pk.N).Cmp(one) != 0 {
-			p.fail("%s: %w: ciphertext %d not invertible", kind, transport.ErrCorrupt, i)
-		}
-	}
-}
+import "blindfl/internal/rng"
 
 // spotEvery is the sampling period: one in spotEvery HE2SS conversions gets
 // the exact-integer re-verification. Checking every conversion would cost an
@@ -79,73 +45,4 @@ func (p *Peer) spotSample() bool {
 // current check ordinal — reproducible, and independent of the mask streams.
 func (p *Peer) spotRow(rows int) int {
 	return int(uint64(rng.Derive(int64(p.spotSeq), "spot-check-row")) % uint64(rows))
-}
-
-// spotCheckCipher re-verifies one derived row of a just-decrypted cipher
-// matrix (d = bulk decryption of c) through the exact-integer path.
-func (p *Peer) spotCheckCipher(c *hetensor.CipherMatrix, d *tensor.Dense) {
-	if !p.SpotCheck || c.Rows == 0 || !p.spotSample() {
-		return
-	}
-	row := p.spotRow(c.Rows)
-	p.recordSpot(p.spotRowCipher(c.RowSlice(row, row+1), d.Row(row)))
-}
-
-// spotCheckPacked is spotCheckCipher for packed matrices.
-func (p *Peer) spotCheckPacked(c *hetensor.PackedMatrix, d *tensor.Dense) {
-	if !p.SpotCheck || c.Rows == 0 || !p.spotSample() {
-		return
-	}
-	row := p.spotRow(c.Rows)
-	p.recordSpot(p.spotRowPacked(c.RowSlice(row, row+1), d.Row(row)))
-}
-
-func (p *Peer) recordSpot(ok bool) {
-	p.Stream.SpotChecks++
-	if !ok {
-		p.Stream.SpotMismatches++
-	}
-}
-
-// spotRowCipher checks a single-row cipher chunk against its expected
-// decoded floats: exact-integer decrypt, fixed-point range, decode equality.
-func (p *Peer) spotRowCipher(row *hetensor.CipherMatrix, want []float64) bool {
-	limit := int(hetensor.Codec.F)*int(row.Scale) + spotSlackBits
-	for j := 0; j < row.Cols; j++ {
-		m := p.SK.Decrypt(row.C[j])
-		if fixedpoint.FromRing(m, p.SK.N).BitLen() > limit {
-			return false
-		}
-		if hetensor.Codec.DecodeRing(m, row.Scale, p.SK.N) != want[j] {
-			return false
-		}
-	}
-	return true
-}
-
-// spotRowPacked checks a single-row packed chunk: each ciphertext group's
-// signed plaintext must fit its lanes·W bits (a legitimate packed value is a
-// lane polynomial; a corrupted one is ring-wide), and the exact-integer lane
-// extraction must reproduce the bulk decryption's floats.
-func (p *Peer) spotRowPacked(row *hetensor.PackedMatrix, want []float64) bool {
-	lc := fixedpoint.LaneCodec{Codec: hetensor.Codec, W: row.W, K: row.K}
-	gpb := row.GroupsPerBlock()
-	for g := 0; g < row.GroupsPerRow(); g++ {
-		col := (g/gpb)*row.Block + (g%gpb)*row.K
-		lanes := row.Block - (g%gpb)*row.K
-		if lanes > row.K {
-			lanes = row.K
-		}
-		m := p.SK.Decrypt(row.C[g])
-		if fixedpoint.FromRing(m, p.SK.N).BitLen() > lanes*int(row.W)+1+spotSlackBits {
-			return false
-		}
-		vals := lc.UnpackRing(m, lanes, row.Scale, p.SK.N)
-		for i, v := range vals {
-			if v != want[col+i] {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -4,36 +4,39 @@ import (
 	"time"
 
 	"blindfl/internal/hetensor"
-	"blindfl/internal/paillier"
 	"blindfl/internal/tensor"
 	"blindfl/internal/transport"
 )
 
-// Chunk-streamed conversions: the streamed counterparts of the monolithic
-// Send/Recv/HE2SS/SS2HE helpers. A large CipherMatrix/PackedMatrix transfer
-// is split into bounded row-chunks (transport.StreamHeader/StreamChunk with
-// per-direction sequence numbers), and the expensive per-chunk work —
-// encryption and masking on the sender, decryption and gradient accumulation
-// on the receiver — is done lazily per chunk. The sender therefore encrypts
-// chunk i+1 while chunk i is on the wire and the receiver works on chunk i−1:
-// the two halves of a conversion overlap instead of running back to back.
+// The one transfer path. Every ciphertext matrix that crosses the link —
+// weight pieces, derivatives, both conversions of Algorithms 1 and 2, the
+// sparse layer's rows, the serve path's masked products — travels as a
+// transport stream: a header, checksummed row-chunks, an end marker and the
+// receiver's ack, with one NACK/resend round on a damaged chunk and every
+// received ciphertext vetted at this trust boundary. Two identities make one
+// path enough:
 //
-// Both parties must agree on whether a given transfer is streamed (a streamed
-// send must meet a streamed receive), exactly as they must agree on packing.
-// Chunk sizing, in contrast, is sender-local: receivers take each chunk's
-// height from the payload itself, so peers with different ChunkRows still
-// interoperate.
+//   - A monolithic transfer is a one-chunk stream. How many rows go into a
+//     chunk is the sending Peer's ChunkRows, 0 meaning all of them; a span
+//     below the matrix height pipelines the per-chunk work, so the sender
+//     encrypts or masks chunk i+1 while chunk i is on the wire and the
+//     receiver decrypts or accumulates chunk i−1. Receivers take each
+//     chunk's height from the chunk itself, so the span is the sender's
+//     business alone.
+//   - Packing travels with the data. A transfer carries a hetensor.Matrix of
+//     whichever lane format the encrypting party chose; the receiver
+//     decrypts, spot-checks and assembles what arrives.
 
-// DefaultChunkRows is the row bound per streamed chunk when Peer.ChunkRows
-// is zero. Small enough that a mini-batch (32–128 rows) splits into several
+// DefaultChunkRows is the span engine.Options.Stream selects when nothing
+// names one. Small enough that a mini-batch (32–128 rows) splits into several
 // pipeline stages; large enough that per-chunk envelope overhead stays
 // negligible against ciphertext payloads.
 const DefaultChunkRows = 8
 
-// StreamStats aggregates per-chunk accounting for one peer's streamed
-// traffic. Bytes are transport.WireSize estimates accumulated per chunk as
-// it is handed to the transport, so they are exact in timing (no async
-// writer lag) and available on every transport, including the plain Pair.
+// StreamStats aggregates per-chunk accounting for one peer's matrix traffic.
+// Bytes are transport.WireSize estimates accumulated per chunk as it is
+// handed to the transport, so they are exact in timing (no async writer lag)
+// and available on every transport, including the plain Pair.
 type StreamStats struct {
 	StreamsSent int64
 	ChunksSent  int64
@@ -56,87 +59,88 @@ type StreamStats struct {
 	ANMismatches int64
 }
 
-// chunkSpan returns the agreed chunk row bound.
-func (p *Peer) chunkSpan() int {
-	if p.ChunkRows > 0 {
-		return p.ChunkRows
-	}
-	return DefaultChunkRows
-}
-
-// chunkBounds returns the row range of chunk i for a rows-tall matrix.
-func chunkBounds(rows, span, i int) (lo, hi int) {
-	lo = i * span
-	hi = lo + span
-	if hi > rows {
-		hi = rows
-	}
-	return lo, hi
-}
-
-func chunkCount(rows, span int) int {
-	if rows <= 0 {
-		return 1
-	}
-	return (rows + span - 1) / span
+// Unchunked makes this peer's sends go out whole, whatever its span, until
+// the returned restore runs (defer p.Unchunked()()): for the sparse MatMul
+// layer and the serve path, whose transfers are a handful of touched rows or
+// lane groups — a finer span would buy round trips and no overlap.
+func (p *Peer) Unchunked() (restore func()) {
+	span := p.ChunkRows
+	p.ChunkRows = 0
+	return func() { p.ChunkRows = span }
 }
 
 // sendStream ships one logical rows×cols matrix as lazily produced
-// row-chunks, recording per-chunk accounting. produce(lo, hi) is called only
-// after the previous chunk was handed to the transport.
+// row-chunks of the peer's span, recording per-chunk accounting.
+// produce(lo, hi) is called only after the previous chunk was handed to the
+// transport. An empty matrix still ships one (empty) chunk.
 //
 // BytesSent counts the full wire footprint of the stream — header, chunk
 // envelopes (sequence numbers and checksums included) and end marker, not
 // just the chunk payloads — so the bench traffic tables report what actually
 // crosses the link.
 func (p *Peer) sendStream(rows, cols int, produce func(lo, hi int) any) {
-	span := p.chunkSpan()
-	chunks := chunkCount(rows, span)
+	span, chunks := p.ChunkRows, 1
+	if span <= 0 || span > rows {
+		span = rows
+	}
+	if rows > 0 {
+		chunks = (rows + span - 1) / span
+	}
 	seq := p.sendSeq
 	p.sendSeq++
 	p.Stream.BytesSent += int64(transport.WireSize(&transport.StreamHeader{}))
 	err := transport.SendStream(p.Conn, seq, rows, cols, chunks, func(i int) (any, error) {
-		lo, hi := chunkBounds(rows, span, i)
-		v := produce(lo, hi)
+		v := produce(i*span, min(i*span+span, rows))
 		p.Stream.BytesSent += int64(transport.WireSize(&transport.StreamChunk{V: v}))
 		return v, nil
 	})
 	if err != nil {
-		p.fail("stream send: %w", err)
+		p.Fail("stream send: %w", err)
 	}
 	p.Stream.BytesSent += int64(transport.WireSize(&transport.StreamEnd{}))
 	p.Stream.StreamsSent++
 	p.Stream.ChunksSent += int64(chunks)
 }
 
-// recvStream receives one chunked transfer, timing the blocking waits and
-// recording per-chunk accounting. consume sees chunks in row order with the
-// running row offset and returns how many rows the chunk held; the chunk
-// layout is taken from the stream itself (each payload knows its height), so
-// the receiver adapts to whatever ChunkRows the sender chose.
-func (p *Peer) recvStream(consume func(h *transport.StreamHeader, lo int, v any) int) *transport.StreamHeader {
+// recvStream is the one receive function: it takes one transfer off the
+// link, timing the blocking waits and recording per-chunk accounting, and
+// hands consume each chunk in row order with the rows received before it.
+// A chunk reaches consume only as a vetted, anonymous hetensor.Matrix under
+// the locally trusted copy of its key, in the first chunk's layout, as wide
+// as announced and inside the announced height; anything else is a typed
+// transport.ErrCorrupt. What a consumer builds therefore grows with chunks
+// that really arrived, never with what the header (whose dimensions the
+// transport has bounded) merely announced.
+func (p *Peer) recvStream(consume func(h *transport.StreamHeader, lo int, c hetensor.Matrix)) {
 	seq := p.recvSeq
 	p.recvSeq++
 	start := time.Now()
 	wait := time.Duration(0)
 	off := 0
+	var first hetensor.Matrix
 	h, err := transport.RecvStream(p.Conn, seq, func(h *transport.StreamHeader, i int, v any) error {
 		wait += time.Since(start)
-		rows := consume(h, off, v)
+		c := p.trusted(v)
+		if first == nil {
+			first = c
+		}
 		// A zero-row chunk is valid only as the sole chunk of an empty
 		// stream (the sender always ships at least one chunk).
-		if rows < 0 || off+rows > h.Rows || (rows == 0 && h.Rows > 0) {
-			p.fail("stream recv: chunk of %d rows at offset %d overflows %d announced rows", rows, off, h.Rows)
+		rows, cols := c.Dims()
+		if !first.SameLayout(c) || cols != h.Cols || rows > h.Rows-off || (rows == 0 && h.Rows > 0) {
+			p.Fail("stream recv: %w: chunk of %d×%d at row %d does not continue a %d×%d stream",
+				transport.ErrCorrupt, rows, cols, off, h.Rows, h.Cols)
 		}
+		consume(h, off, c)
 		off += rows
 		start = time.Now()
 		return nil
 	})
 	if err != nil {
-		p.fail("stream recv: %w", err)
+		p.Fail("stream recv: %w", err)
 	}
 	if off != h.Rows {
-		p.fail("stream recv: stream delivered %d of %d announced rows", off, h.Rows)
+		p.Fail("stream recv: %w: stream delivered %d of %d announced rows", transport.ErrCorrupt, off, h.Rows)
 	}
 	p.Stream.StreamsRecv++
 	p.Stream.ChunksRecv += int64(h.Chunks)
@@ -144,250 +148,147 @@ func (p *Peer) recvStream(consume func(h *transport.StreamHeader, lo int, v any)
 	// The receive side of every stream sends one ack back (transport layer);
 	// count it so both directions' BytesSent stay envelope-honest.
 	p.Stream.BytesSent += int64(transport.WireSize(&transport.StreamAck{}))
-	return h
 }
 
-// trustCipher reattaches the locally trusted public key, as RecvCipher
-// does for monolithic transfers, and vets every ciphertext against it
-// (spotcheck.go): out-of-range or non-invertible cells fail here, at the
-// trust boundary, with a typed transport.ErrCorrupt instead of panicking
-// deep inside a homomorphic kernel. Table-cache identities are minted by the
-// whole-matrix receive paths (RecvCipher, RecvCipherStream), NOT here:
-// stream chunks pass through this helper too, and a chunk is a single-use
-// view that never recurs — minting per chunk would fill the persistent
-// cache with unreachable entries and evict the genuinely reusable ones.
-func (p *Peer) trustCipher(c *hetensor.CipherMatrix) {
-	if c.PK == nil || c.PK.N == nil {
-		p.fail("recv cipher: %w: matrix carries no public key", transport.ErrCorrupt)
-	}
-	if c.PK.N.Cmp(p.SK.N) == 0 {
-		c.PK = &p.SK.PublicKey
-	} else {
-		c.PK = p.PeerPK
-	}
-	p.vetCells(c.C, c.PK, "recv cipher")
-}
-
-func (p *Peer) trustPacked(c *hetensor.PackedMatrix) {
-	if c.PK == nil || c.PK.N == nil {
-		p.fail("recv packed: %w: matrix carries no public key", transport.ErrCorrupt)
-	}
-	if c.PK.N.Cmp(p.SK.N) == 0 {
-		c.PK = &p.SK.PublicKey
-	} else {
-		c.PK = p.PeerPK
-	}
-	p.vetCells(c.C, c.PK, "recv packed")
-}
-
-// cipherChunk asserts a stream payload is a cipher matrix chunk and
-// reattaches the trusted key — on an anonymous copy: the in-process
-// transports deliver the sender's own object, whose minted identity gob
-// would have dropped and whose PK field is not this party's to rewrite.
-func (p *Peer) cipherChunk(v any) *hetensor.CipherMatrix {
-	c, ok := v.(*hetensor.CipherMatrix)
+// trusted turns a chunk payload into a matrix this party may compute on: an
+// anonymous copy (the in-process transports deliver the sender's own object,
+// whose minted identity gob would have dropped and whose key field is not
+// this party's to rewrite) carrying the local copy of whichever session key
+// it claims, vetted against it. Out-of-range or non-invertible cells fail
+// here with a typed transport.ErrCorrupt instead of panicking deep inside a
+// homomorphic kernel. Chunks stay identity-less: a chunk is a single-use view
+// that never recurs, and minting one per chunk would fill the persistent
+// table cache with unreachable entries; RecvMatrix mints the assembled whole.
+func (p *Peer) trusted(v any) hetensor.Matrix {
+	c, ok := v.(hetensor.Matrix)
 	if !ok {
-		p.fail("stream recv: want *hetensor.CipherMatrix chunk, got %T", v)
+		p.Fail("stream recv: %w: want an encrypted matrix chunk, got %T", transport.ErrCorrupt, v)
 	}
 	c = c.Anonymous()
-	p.trustCipher(c)
+	pk := p.PeerPK
+	if k := c.Key(); k == nil || k.N == nil {
+		p.Fail("stream recv: %w: matrix carries no public key", transport.ErrCorrupt)
+	} else if k.N.Cmp(p.SK.N) == 0 {
+		pk = &p.SK.PublicKey
+	}
+	if err := c.Trust(pk); err != nil {
+		p.Fail("stream recv: %w: %v", transport.ErrCorrupt, err)
+	}
 	return c
 }
 
-func (p *Peer) packedChunk(v any) *hetensor.PackedMatrix {
-	c, ok := v.(*hetensor.PackedMatrix)
-	if !ok {
-		p.fail("stream recv: want *hetensor.PackedMatrix chunk, got %T", v)
-	}
-	c = c.Anonymous()
-	p.trustPacked(c)
-	return c
+// SendMatrix ships an already-assembled matrix as row-chunk views.
+func (p *Peer) SendMatrix(m hetensor.Matrix) {
+	rows, cols := m.Dims()
+	p.sendStream(rows, cols, func(lo, hi int) any { return m.RowSlice(lo, hi) })
 }
 
-// EncryptAndSendStream encrypts d under this party's own key chunk by chunk
-// and streams the chunks: the encryption of chunk i+1 overlaps the wire (and
-// the peer's handling) of chunk i.
-func (p *Peer) EncryptAndSendStream(d *tensor.Dense, scale uint) {
+// EncryptAndSend encrypts d under this party's own key, packed or not as
+// the caller's engine options say, chunk by chunk: the encryption of chunk
+// i+1 overlaps the wire (and the peer's handling) of chunk i.
+func (p *Peer) EncryptAndSend(d *tensor.Dense, scale uint, packed bool) {
 	p.sendStream(d.Rows, d.Cols, func(lo, hi int) any {
-		return hetensor.Encrypt(&p.SK.PublicKey, d.RowSlice(lo, hi), scale)
+		return hetensor.EncryptAs(&p.SK.PublicKey, d.RowSlice(lo, hi), scale, packed)
 	})
 }
 
-// EncryptAndSendPackedStream is EncryptAndSendStream with packed chunks.
-func (p *Peer) EncryptAndSendPackedStream(d *tensor.Dense, scale uint) {
-	p.sendStream(d.Rows, d.Cols, func(lo, hi int) any {
-		return hetensor.PackEncryptBlocks(&p.SK.PublicKey, d.RowSlice(lo, hi), scale, d.Cols)
-	})
-}
-
-// SendCipherStream streams an already-assembled cipher matrix as row-chunk
-// views (no recompute; the gain is wire/consumer overlap only).
-func (p *Peer) SendCipherStream(c *hetensor.CipherMatrix) {
-	p.sendStream(c.Rows, c.Cols, func(lo, hi int) any { return c.RowSlice(lo, hi) })
-}
-
-// RecvCipherStream assembles a streamed cipher matrix, reattaching the
-// trusted public key. The streamed counterpart of RecvCipher, used on paths
-// (weight refresh) where the receiver only stores the matrix.
-func (p *Peer) RecvCipherStream() *hetensor.CipherMatrix {
-	var out *hetensor.CipherMatrix
-	p.recvStream(func(h *transport.StreamHeader, lo int, v any) int {
-		c := p.cipherChunk(v)
+// RecvMatrix assembles a transfer into one matrix of whichever kind arrived
+// and mints it a receiver-local table-cache identity: its cells are never
+// replaced locally, so the persistent dot-table cache may key tables to it.
+// For the paths (weight exchange and refresh) where the receiver stores the
+// matrix.
+func (p *Peer) RecvMatrix() hetensor.Matrix {
+	var out hetensor.Matrix
+	p.RecvMatrixEach(func(_ int, c hetensor.Matrix) {
 		if out == nil {
-			out = &hetensor.CipherMatrix{Rows: h.Rows, Cols: h.Cols, Scale: c.Scale, PK: c.PK,
-				C: make([]*paillier.Ciphertext, h.Rows*h.Cols)}
+			out = c.RowSlice(0, 0)
 		}
-		if c.Cols != out.Cols || c.Scale != out.Scale {
-			p.fail("stream recv: chunk layout %d cols @%d, want %d @%d", c.Cols, c.Scale, out.Cols, out.Scale)
-		}
-		copy(out.C[lo*out.Cols:], c.C)
-		return c.Rows
+		out.Append(c)
 	})
-	if out != nil {
-		out.MintID() // assembled in full before use: a stable base set
-	}
+	out.MintID()
 	return out
 }
 
-// RecvPackedStream assembles a streamed packed matrix.
-func (p *Peer) RecvPackedStream() *hetensor.PackedMatrix {
-	var out *hetensor.PackedMatrix
-	p.recvStream(func(h *transport.StreamHeader, lo int, v any) int {
-		c := p.packedChunk(v)
-		if out == nil {
-			out = &hetensor.PackedMatrix{Rows: h.Rows, Cols: h.Cols, Block: c.Block, Scale: c.Scale,
-				W: c.W, K: c.K, PK: c.PK,
-				C: make([]*paillier.Ciphertext, h.Rows*c.GroupsPerRow())}
-		}
-		if c.Cols != out.Cols || c.Block != out.Block || c.W != out.W || c.K != out.K || c.Scale != out.Scale {
-			p.fail("stream recv: packed chunk layout mismatch")
-		}
-		copy(out.C[lo*out.GroupsPerRow():], c.C)
-		return c.Rows
-	})
-	if out != nil {
-		out.MintID()
-	}
-	return out
+// RecvMatrixEach receives a transfer without assembling it: each chunk is
+// handed to fn with its starting row, so the consumer can decrypt or
+// accumulate chunk i while the sender produces chunk i+1.
+func (p *Peer) RecvMatrixEach(fn func(lo int, chunk hetensor.Matrix)) {
+	p.recvStream(func(_ *transport.StreamHeader, lo int, c hetensor.Matrix) { fn(lo, c) })
 }
 
-// RecvCipherStreamEach receives a streamed cipher matrix without assembling
-// it: each row-chunk (trusted key reattached) is handed to fn with its
-// starting row, so the consumer can decrypt or accumulate chunk i while the
-// sender produces chunk i+1. Returns the logical shape.
-func (p *Peer) RecvCipherStreamEach(fn func(lo int, chunk *hetensor.CipherMatrix)) (rows, cols int) {
-	h := p.recvStream(func(h *transport.StreamHeader, lo int, v any) int {
-		c := p.cipherChunk(v)
-		fn(lo, c)
-		return c.Rows
-	})
-	return h.Rows, h.Cols
-}
-
-// RecvPackedStreamEach is RecvCipherStreamEach for packed chunks.
-func (p *Peer) RecvPackedStreamEach(fn func(lo int, chunk *hetensor.PackedMatrix)) (rows, cols int) {
-	h := p.recvStream(func(h *transport.StreamHeader, lo int, v any) int {
-		c := p.packedChunk(v)
-		fn(lo, c)
-		return c.Rows
-	})
-	return h.Rows, h.Cols
-}
-
-// HE2SSSendStream is the streamed masking half of Algorithm 1: draw the mask
-// φ up front, then per row-chunk freshly re-randomize ⟦v−φ⟧ and stream it.
-// The key owner decrypts chunk i while this party blinds chunk i+1.
-func (p *Peer) HE2SSSendStream(c *hetensor.CipherMatrix) *tensor.Dense {
-	phi := p.Mask(c.Rows, c.Cols)
-	p.sendStream(c.Rows, c.Cols, func(lo, hi int) any {
+// HE2SSSend is the masking half of Algorithm 1, run by the party that holds
+// ⟦v⟧ under the *peer's* key: draw the mask φ up front, send ⟦v−φ⟧ freshly
+// re-randomized chunk by chunk, and keep φ as this party's share of v. The
+// key owner decrypts chunk i while this party blinds chunk i+1.
+func (p *Peer) HE2SSSend(c hetensor.Matrix) *tensor.Dense {
+	rows, cols := c.Dims()
+	phi := p.Mask(rows, cols)
+	p.sendStream(rows, cols, func(lo, hi int) any {
 		return c.RowSlice(lo, hi).SubPlainFresh(phi.RowSlice(lo, hi))
 	})
 	return phi
 }
 
-// HE2SSRecvStream is the streamed decrypting half of Algorithm 1: decrypt
-// each arriving chunk of ⟦v−φ⟧ while the peer blinds the next one. One
-// derived row per stream is spot-checked (when enabled) inside the chunk
-// that carries it — chunk payloads are transient, so the check must run
-// before the ciphertexts go out of scope.
-func (p *Peer) HE2SSRecvStream() *tensor.Dense {
+// HE2SSRecv is the decrypting half of Algorithm 1, run by the key owner:
+// decrypt each arriving chunk of ⟦v−φ⟧ as this party's share of v while the
+// peer blinds the next one. One derived row of a sampled conversion is
+// spot-checked (when enabled) inside the chunk that carries it — chunk
+// payloads are transient, so the check must run before the ciphertexts go
+// out of scope.
+func (p *Peer) HE2SSRecv() *tensor.Dense {
 	var out *tensor.Dense
 	spot := -1
-	p.recvStream(func(h *transport.StreamHeader, lo int, v any) int {
-		c := p.cipherChunk(v)
-		if c.PK.N.Cmp(p.SK.N) != 0 {
-			p.fail("HE2SSRecvStream: ciphertext is not under this party's key")
+	p.recvStream(func(h *transport.StreamHeader, lo int, c hetensor.Matrix) {
+		if c.Key() != &p.SK.PublicKey { // trusted attaches this very object, or the peer's
+			p.Fail("HE2SSRecv: ciphertext is not under this party's key")
 		}
+		d := c.Decrypt(p.SK)
 		if out == nil {
-			out = tensor.NewDense(h.Rows, h.Cols)
+			out = d
 			if p.SpotCheck && h.Rows > 0 && p.spotSample() {
 				spot = p.spotRow(h.Rows)
 			}
+		} else {
+			out.Data = append(out.Data, d.Data...)
+			out.Rows += d.Rows
 		}
-		copy(out.RowSlice(lo, lo+c.Rows).Data, hetensor.Decrypt(p.SK, c).Data)
-		if spot >= lo && spot < lo+c.Rows {
-			p.recordSpot(p.spotRowCipher(c.RowSlice(spot-lo, spot-lo+1), out.Row(spot)))
+		if spot >= lo && spot < out.Rows {
+			p.Stream.SpotChecks++
+			if !c.VerifyRow(p.SK, spot-lo, out.Row(spot)) {
+				p.Stream.SpotMismatches++
+			}
 		}
-		return c.Rows
 	})
 	return out
 }
 
-// HE2SSSendPackedStream is HE2SSSendStream over packed ciphertexts.
-func (p *Peer) HE2SSSendPackedStream(c *hetensor.PackedMatrix) *tensor.Dense {
-	phi := p.Mask(c.Rows, c.Cols)
-	p.sendStream(c.Rows, c.Cols, func(lo, hi int) any {
-		return c.RowSlice(lo, hi).SubPlainFresh(phi.RowSlice(lo, hi))
-	})
-	return phi
-}
-
-// HE2SSRecvPackedStream is HE2SSRecvStream over packed ciphertexts, with the
-// same per-stream decrypt spot-check on one derived row.
-func (p *Peer) HE2SSRecvPackedStream() *tensor.Dense {
-	var out *tensor.Dense
-	spot := -1
-	p.recvStream(func(h *transport.StreamHeader, lo int, v any) int {
-		c := p.packedChunk(v)
-		if c.PK.N.Cmp(p.SK.N) != 0 {
-			p.fail("HE2SSRecvPackedStream: ciphertext is not under this party's key")
-		}
-		if out == nil {
-			out = tensor.NewDense(h.Rows, h.Cols)
-			if p.SpotCheck && h.Rows > 0 && p.spotSample() {
-				spot = p.spotRow(h.Rows)
-			}
-		}
-		copy(out.RowSlice(lo, lo+c.Rows).Data, hetensor.DecryptPacked(p.SK, c).Data)
-		if spot >= lo && spot < lo+c.Rows {
-			p.recordSpot(p.spotRowPacked(c.RowSlice(spot-lo, spot-lo+1), out.Row(spot)))
-		}
-		return c.Rows
-	})
-	return out
-}
-
-// SS2HEStream is the streamed Algorithm 2: each party streams the chunked
-// encryption of its additive piece (encrypting chunk i+1 while chunk i is in
-// flight) and adds its plaintext piece to the peer's chunks as they arrive.
-// Party A sends first, as in SS2HE.
-func (p *Peer) SS2HEStream(piece *tensor.Dense, scale uint) *hetensor.CipherMatrix {
+// SS2HE is Algorithm 2: both parties hold one additive piece of v; each
+// sends the encryption of its piece under its own key and returns ⟦v⟧ under
+// the *peer's* key by homomorphically adding its own plaintext piece to the
+// peer's chunks as they arrive. Party A sends first.
+func (p *Peer) SS2HE(piece *tensor.Dense, scale uint) *hetensor.CipherMatrix {
 	recv := func() *hetensor.CipherMatrix {
-		out := hetensor.NewCipherMatrix(p.PeerPK, piece.Rows, piece.Cols, scale)
-		p.RecvCipherStreamEach(func(lo int, chunk *hetensor.CipherMatrix) {
-			if chunk.Scale != scale {
-				p.fail("SS2HEStream: chunk scale %d, want %d", chunk.Scale, scale)
+		var out *hetensor.CipherMatrix
+		p.recvStream(func(h *transport.StreamHeader, lo int, c hetensor.Matrix) {
+			chunk, ok := c.(*hetensor.CipherMatrix)
+			if !ok || chunk.Scale != scale || h.Rows != piece.Rows || h.Cols != piece.Cols {
+				p.Fail("SS2HE: %w: peer's piece is not an unpacked %d×%d matrix at scale %d",
+					transport.ErrCorrupt, piece.Rows, piece.Cols, scale)
 			}
 			sum := chunk.AddPlain(piece.RowSlice(lo, lo+chunk.Rows))
-			copy(out.C[lo*out.Cols:], sum.C)
+			if out == nil {
+				out = sum
+			} else {
+				out.Append(sum)
+			}
 		})
 		return out
 	}
 	if p.Role == PartyA {
-		p.EncryptAndSendStream(piece, scale)
+		p.EncryptAndSend(piece, scale, false)
 		return recv()
 	}
 	out := recv()
-	p.EncryptAndSendStream(piece, scale)
+	p.EncryptAndSend(piece, scale, false)
 	return out
 }

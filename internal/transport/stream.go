@@ -24,6 +24,7 @@ package transport
 import (
 	"encoding/gob"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -175,11 +176,19 @@ func RecvStream(c Conn, seq uint64, consume func(h *StreamHeader, i int, v any) 
 	if h.Seq != seq {
 		return nil, fmt.Errorf("%w: stream sequence mismatch: got %d want %d", ErrCorrupt, h.Seq, seq)
 	}
-	if h.Chunks <= 0 {
-		return nil, fmt.Errorf("%w: stream header announces %d chunks", ErrCorrupt, h.Chunks)
+	// The receive loop indexes and the consumers size by what the header
+	// announces, so an announcement no honest sender makes — a negative or
+	// overflowing shape, or more chunks than rows to put in them — is
+	// refused before a single chunk is read.
+	if h.Chunks <= 0 || h.Rows < 0 || h.Cols < 0 || h.Chunks > max(h.Rows, 1) || (h.Cols > 0 && h.Rows > math.MaxInt/h.Cols) {
+		return nil, fmt.Errorf("%w: stream header announces %d chunks of a %d×%d matrix", ErrCorrupt, h.Chunks, h.Rows, h.Cols)
 	}
 	if sc, ok := c.(*StreamConn); ok {
-		return h, recvStreamRecover(sc, h, consume)
+		err := recvStreamRecover(sc, h, consume)
+		if err == nil {
+			sc.done = h.Seq + 1
+		}
+		return h, err
 	}
 	return h, recvStreamStrict(c, h, consume)
 }
@@ -218,6 +227,9 @@ func recvStreamStrict(c Conn, h *StreamHeader, consume func(h *StreamHeader, i i
 	return nil
 }
 
+// maxNack bounds the gap list of one StreamAck.
+const maxNack = 1 << 10
+
 // recvStreamRecover is the StreamConn receive path: a first pass that
 // tolerates corrupt/dropped/duplicated/reordered chunks, an ack naming the
 // gaps, and at most one retransmission round before the stream aborts.
@@ -251,9 +263,12 @@ func recvStreamRecover(sc *StreamConn, h *StreamHeader, consume func(h *StreamHe
 		held[chunk.Index] = chunk.V
 		return deliver()
 	}
+	// At most maxNack gaps are named per ack: the list is sized by the chunk
+	// count the peer announced, and a transfer that lost more than that is
+	// beyond one resend round anyway — it ends in the same ErrCorrupt.
 	missing := func() []int {
 		var m []int
-		for i := next; i < h.Chunks; i++ {
+		for i := next; i < h.Chunks && len(m) < maxNack; i++ {
 			if held[i] == nil {
 				m = append(m, i)
 			}

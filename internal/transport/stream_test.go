@@ -239,6 +239,30 @@ func TestStreamConnRecoversEveryChunkFaultClass(t *testing.T) {
 	}
 }
 
+// TestStreamConnDropsStragglersOfFinishedStreams: a link that reorders the
+// resent copy of a chunk past its end marker delivers it after the stream
+// was received in full; the next receive must see the next message, not it.
+// Likewise a header the peer could never mean is refused before any chunk.
+func TestStreamConnDropsStragglersOfFinishedStreams(t *testing.T) {
+	src := tensor.FromSlice(2, 1, []float64{1, 2})
+	a, b := streamPair(64, nil)
+	if _, err := runStream(t, a, b, src); err != nil {
+		t.Fatal(err)
+	}
+	a.Send(&StreamChunk{Seq: 0, Index: 0, V: src, Sum: Checksum(src)})
+	a.Send(&StreamEnd{Seq: 0})
+	a.Send("next")
+	if v, err := b.Recv(); err != nil || v != "next" {
+		t.Fatalf("Recv after a finished stream = %v, %v; want the next message", v, err)
+	}
+	for _, h := range []StreamHeader{{Seq: 1, Rows: -1, Cols: 1, Chunks: 1}, {Seq: 1, Rows: 2, Cols: 1, Chunks: 3}, {Seq: 1, Rows: 1 << 40, Cols: 1 << 40, Chunks: 1}} {
+		a.Send(h.seal())
+		if _, err := RecvStream(b, 1, nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("header %+v: err = %v, want ErrCorrupt", h, err)
+		}
+	}
+}
+
 // TestStreamConnPersistentCorruptionFailsTyped: when the retransmitted chunk
 // is corrupted again, the stream must abort with ErrCorrupt — one retry, then
 // a loud typed failure, never silent garbage.

@@ -31,6 +31,7 @@ type StreamConn struct {
 	inner Conn
 	inbox []any                 // buffered messages that raced past a recovery wait
 	out   map[uint64]*outStream // outgoing streams awaiting their ack
+	done  uint64                // incoming streams received in full
 	err   error                 // sticky integrity failure
 }
 
@@ -81,11 +82,23 @@ func (s *StreamConn) recvWire() (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ack, ok := v.(*StreamAck); ok {
-			if err := s.handleAck(ack); err != nil {
+		switch m := v.(type) {
+		case *StreamAck:
+			if err := s.handleAck(m); err != nil {
 				return nil, err
 			}
 			continue
+		// A faulty link can deliver a copy of a chunk, or the end marker
+		// of a resend round, after its stream was received in full; it is
+		// nobody's message any more.
+		case *StreamChunk:
+			if m.Seq < s.done {
+				continue
+			}
+		case *StreamEnd:
+			if m.Seq < s.done {
+				continue
+			}
 		}
 		return v, nil
 	}
