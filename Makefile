@@ -38,12 +38,16 @@ test-full:
 # against the one matrix receive path (FuzzRecvMatrix, seeded from the
 # hostile-header table): no panic, allocation bounded by the input. The
 # minimizer is capped: left at its one-minute default it spends the whole run
-# shrinking the first gob stream that reaches a new branch.
+# shrinking the first gob stream that reaches a new branch. Then the same for
+# the other attacker-sized input, a checkpoint file (FuzzCheckpoint: both
+# readers, raw and behind a valid envelope, seeded from real checkpoints and
+# lying headers).
 test-chaos:
 	$(GO) test -short -race -timeout 10m \
 		-run 'TestChaos|TestFault|TestStream|TestDeadline|TestRunGroupFaultConn|TestGroupAllSessionsLost|TestRetry|TestTrainHonoursEngineOptions' \
 		./internal/transport/ ./internal/protocol/ ./internal/model/ ./internal/serve/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzRecvMatrix$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/protocol/
+	$(GO) test -race -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/model/
 
 # Examples lane: compile every example, smoke-run the quickstart and the
 # multi-party group runtime.

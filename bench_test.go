@@ -247,7 +247,7 @@ func benchTable8(b *testing.B, layers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := model.TrainFederated(model.MLP, ds, h, pa, pb); err != nil {
+		if _, err := (model.Trainer{Kind: model.MLP, Hyper: h}).Train(ds, model.Pair(pa, pb)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -308,7 +308,7 @@ func BenchmarkFig12Lossless_a9a_LR(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := model.TrainFederated(model.LR, ds, h, pa, pb); err != nil {
+		if _, err := (model.Trainer{Kind: model.LR, Hyper: h}).Train(ds, model.Pair(pa, pb)); err != nil {
 			b.Fatal(err)
 		}
 		model.TrainCollocated(model.LR, ds, h)
@@ -332,7 +332,7 @@ func BenchmarkFig15Fmnist(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := model.TrainFederated(model.MLP, ds, h, pa, pb); err != nil {
+		if _, err := (model.Trainer{Kind: model.MLP, Hyper: h}).Train(ds, model.Pair(pa, pb)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -131,7 +131,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	} else if *parties > 1 {
+	} else {
+		// A pair is a one-session group: GroupPipe's session 0 draws Pipe's
+		// streams, so -parties 1 is the two-party run.
 		fmt.Printf("training federated BlindFL model (%d feature parties + label party in-process)...\n", *parties)
 		skAs := make([]*paillier.PrivateKey, *parties)
 		for i := range skAs {
@@ -143,18 +145,6 @@ func main() {
 			os.Exit(1)
 		}
 		fed, err = trainOrResume(tr, *resume, ds, model.PartySet{As: as, B: g})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	} else {
-		fmt.Println("training federated BlindFL model (both parties in-process)...")
-		pa, pb, err := protocol.Pipe(skA, skB, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fed, err = trainOrResume(tr, *resume, ds, model.Pair(pa, pb))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

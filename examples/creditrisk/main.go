@@ -63,7 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("training federated Wide & Deep risk model...")
-	fed, err := model.TrainFederated(model.WDL, train, h, pa, pb)
+	fed, err := model.Trainer{Kind: model.WDL, Hyper: h}.Train(train, model.Pair(pa, pb))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // parties and one label party train a federated logistic model over a
 // k-session protocol.Group — the whole runtime (column split, per-session
 // handshakes, concurrent scheduling, activation aggregation, teardown) lives
-// behind model.TrainFederatedMulti.
+// behind model.Trainer.Train.
 //
 //	go run ./examples/multiparty
 package main
@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hist, err := model.TrainFederatedMulti(model.LR, ds, h, as, g)
+	hist, err := model.Trainer{Kind: model.LR, Hyper: h}.Train(ds, model.PartySet{As: as, B: g})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func main() {
 	h.Hidden = []int{8}
 
 	fmt.Println("training federated DLRM over TCP...")
-	fed, err := model.TrainFederated(model.DLRM, ds, h, pa, pb)
+	fed, err := model.Trainer{Kind: model.DLRM, Hyper: h}.Train(ds, model.Pair(pa, pb))
 	if err != nil {
 		log.Fatal(err)
 	}

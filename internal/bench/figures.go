@@ -314,7 +314,7 @@ func fig12One(dataset string, kind model.Kind, quick bool, seed int64) *Table {
 	ds := data.Generate(spec, seed)
 
 	pa, pb := quickPipe(seed)
-	fed, err := model.TrainFederated(kind, ds, h, pa, pb)
+	fed, err := model.Trainer{Kind: kind, Hyper: h}.Train(ds, model.Pair(pa, pb))
 	if err != nil {
 		panic(err)
 	}
@@ -354,7 +354,7 @@ func Fig15(quick bool) *Table {
 	}
 	ds := data.Generate(spec, 151)
 	pa, pb := quickPipe(151)
-	fed, err := model.TrainFederated(model.MLP, ds, h, pa, pb)
+	fed, err := model.Trainer{Kind: model.MLP, Hyper: h}.Train(ds, model.Pair(pa, pb))
 	if err != nil {
 		panic(err)
 	}

@@ -137,7 +137,7 @@ func NewBlindFLMultiStepper(spec data.Spec, batch, out, k int, opts StepperOpts)
 	}
 	runStep(
 		func(i int) { las[i] = core.NewMatMulA(as[i], acfg, inAs[i], inB) },
-		func() { lb = core.NewMultiMatMulB(g, cfg, inAs, inB) },
+		func() { lb = core.NewMultiMatMulB(g, cfg, inAs, inB, false) },
 	)
 	xAs := make([]*tensor.Dense, k)
 	for i := range xAs {

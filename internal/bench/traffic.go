@@ -229,7 +229,7 @@ func Traffic() *Table {
 		var lb *core.MultiMatMulB
 		if err := protocol.RunGroup(peersA, g,
 			func(i int) { las[i] = core.NewMatMulA(peersA[i], acfg, inAs[i], inB) },
-			func() { lb = core.NewMultiMatMulB(g, cfg, inAs, inB) },
+			func() { lb = core.NewMultiMatMulB(g, cfg, inAs, inB, false) },
 		); err != nil {
 			panic(err)
 		}

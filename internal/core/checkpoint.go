@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"blindfl/internal/hetensor"
 	"blindfl/internal/protocol"
@@ -38,10 +39,16 @@ func (l *MatMulA) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadMatMulA restores Party A's half onto a live peer session.
-func LoadMatMulA(r io.Reader, p *protocol.Peer) (*MatMulA, error) {
+// LoadMatMulA restores Party A's half onto a live peer session. inA, inB and
+// out are the shape the enclosing checkpoint declares for this session; a
+// decoded half that disagrees with it is refused here rather than handed back
+// to fail on its first Forward.
+func LoadMatMulA(r io.Reader, p *protocol.Peer, inA, inB, out int) (*MatMulA, error) {
 	var st matMulAState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
+		return nil, fmt.Errorf("core: load MatMulA: %w", err)
+	}
+	if err := checkHalf(st.Cfg, out, st.UA, st.MomUA, inA, st.VB, st.MomVB, inB); err != nil {
 		return nil, fmt.Errorf("core: load MatMulA: %w", err)
 	}
 	return &MatMulA{
@@ -50,6 +57,32 @@ func LoadMatMulA(r io.Reader, p *protocol.Peer) (*MatMulA, error) {
 		momUA: momentum{mu: st.Cfg.Momentum, buf: st.MomUA},
 		momVB: momentum{mu: st.Cfg.Momentum, buf: st.MomVB},
 	}, nil
+}
+
+// checkHalf validates a decoded layer half against the declared shape: the
+// W_A piece is inA×out, the W_B piece inB×out, each momentum buffer absent
+// or shaped like its piece, every value finite (a NaN weight would panic the
+// fixed-point encoder at the first exchange), and the options within
+// engine.Options' range. The encrypted copy of the peer's piece is not
+// checked — both restore paths (ResumeExchange, ServeStart) replace it
+// before anything reads it.
+func checkHalf(cfg Config, out int, pieceA, momA *tensor.Dense, inA int, pieceB, momB *tensor.Dense, inB int) error {
+	if cfg.Out != out || out < 1 || inA < 1 || inB < 1 {
+		return fmt.Errorf("layer is %d wide, checkpoint declares %d+%d features by %d", cfg.Out, inA, inB, out)
+	}
+	if math.IsNaN(cfg.LR+cfg.Momentum) || math.IsInf(cfg.LR+cfg.Momentum, 0) {
+		return fmt.Errorf("non-finite learning rate or momentum")
+	}
+	if err := cfg.Options.Validate(); err != nil {
+		return err
+	}
+	if !pieceA.WellFormed(inA, out) || !pieceB.WellFormed(inB, out) {
+		return fmt.Errorf("weight piece missing or not %d×%d / %d×%d", inA, out, inB, out)
+	}
+	if momA != nil && !momA.WellFormed(inA, out) || momB != nil && !momB.WellFormed(inB, out) {
+		return fmt.Errorf("momentum buffer not shaped like its weight piece")
+	}
+	return nil
 }
 
 // matMulBState mirrors MatMulB's persistent fields for gob.
@@ -72,10 +105,14 @@ func (l *MatMulB) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadMatMulB restores Party B's half onto a live peer session.
-func LoadMatMulB(r io.Reader, p *protocol.Peer) (*MatMulB, error) {
+// LoadMatMulB restores Party B's half onto a live peer session, with the
+// same shape check as LoadMatMulA.
+func LoadMatMulB(r io.Reader, p *protocol.Peer, inA, inB, out int) (*MatMulB, error) {
 	var st matMulBState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
+		return nil, fmt.Errorf("core: load MatMulB: %w", err)
+	}
+	if err := checkHalf(st.Cfg, out, st.VA, st.MomVA, inA, st.UB, st.MomUB, inB); err != nil {
 		return nil, fmt.Errorf("core: load MatMulB: %w", err)
 	}
 	return &MatMulB{
@@ -83,79 +120,5 @@ func LoadMatMulB(r io.Reader, p *protocol.Peer) (*MatMulB, error) {
 		UB: st.UB, VA: st.VA, encVB: st.EncVB,
 		momUB: momentum{mu: st.Cfg.Momentum, buf: st.MomUB},
 		momVA: momentum{mu: st.Cfg.Momentum, buf: st.MomVA},
-	}, nil
-}
-
-// embedAState mirrors EmbedMatMulA's persistent fields for gob.
-type embedAState struct {
-	Cfg                        EmbedConfig
-	SA, TB, UA, VB             *tensor.Dense
-	EncTA                      hetensor.Matrix
-	EncVA, EncUB               *hetensor.CipherMatrix
-	MomSA, MomTB, MomUA, MomVB *tensor.Dense
-}
-
-// Save writes Party A's half of the Embed-MatMul layer.
-func (l *EmbedMatMulA) Save(w io.Writer) error {
-	st := embedAState{Cfg: l.cfg,
-		SA: l.SA, TB: l.TB, UA: l.UA, VB: l.VB,
-		EncTA: l.encTA, EncVA: l.encVA, EncUB: l.encUB,
-		MomSA: l.momSA.buf, MomTB: l.momTB.buf, MomUA: l.momUA.buf, MomVB: l.momVB.buf}
-	if err := gob.NewEncoder(w).Encode(&st); err != nil {
-		return fmt.Errorf("core: save EmbedMatMulA: %w", err)
-	}
-	return nil
-}
-
-// LoadEmbedMatMulA restores Party A's Embed-MatMul half.
-func LoadEmbedMatMulA(r io.Reader, p *protocol.Peer) (*EmbedMatMulA, error) {
-	var st embedAState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("core: load EmbedMatMulA: %w", err)
-	}
-	mu := st.Cfg.Momentum
-	return &EmbedMatMulA{
-		cfg: st.Cfg, peer: p,
-		SA: st.SA, TB: st.TB, UA: st.UA, VB: st.VB,
-		encTA: st.EncTA, encVA: st.EncVA, encUB: st.EncUB,
-		momSA: momentum{mu: mu, buf: st.MomSA}, momTB: momentum{mu: mu, buf: st.MomTB},
-		momUA: momentum{mu: mu, buf: st.MomUA}, momVB: momentum{mu: mu, buf: st.MomVB},
-	}, nil
-}
-
-// embedBState mirrors EmbedMatMulB's persistent fields for gob.
-type embedBState struct {
-	Cfg                        EmbedConfig
-	SB, TA, UB, VA             *tensor.Dense
-	EncTB                      hetensor.Matrix
-	EncVB, EncUA               *hetensor.CipherMatrix
-	MomSB, MomTA, MomUB, MomVA *tensor.Dense
-}
-
-// Save writes Party B's half of the Embed-MatMul layer.
-func (l *EmbedMatMulB) Save(w io.Writer) error {
-	st := embedBState{Cfg: l.cfg,
-		SB: l.SB, TA: l.TA, UB: l.UB, VA: l.VA,
-		EncTB: l.encTB, EncVB: l.encVB, EncUA: l.encUA,
-		MomSB: l.momSB.buf, MomTA: l.momTA.buf, MomUB: l.momUB.buf, MomVA: l.momVA.buf}
-	if err := gob.NewEncoder(w).Encode(&st); err != nil {
-		return fmt.Errorf("core: save EmbedMatMulB: %w", err)
-	}
-	return nil
-}
-
-// LoadEmbedMatMulB restores Party B's Embed-MatMul half.
-func LoadEmbedMatMulB(r io.Reader, p *protocol.Peer) (*EmbedMatMulB, error) {
-	var st embedBState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("core: load EmbedMatMulB: %w", err)
-	}
-	mu := st.Cfg.Momentum
-	return &EmbedMatMulB{
-		cfg: st.Cfg, peer: p,
-		SB: st.SB, TA: st.TA, UB: st.UB, VA: st.VA,
-		encTB: st.EncTB, encVB: st.EncVB, encUA: st.EncUA,
-		momSB: momentum{mu: mu, buf: st.MomSB}, momTA: momentum{mu: mu, buf: st.MomTA},
-		momUB: momentum{mu: mu, buf: st.MomUB}, momVA: momentum{mu: mu, buf: st.MomVA},
 	}, nil
 }

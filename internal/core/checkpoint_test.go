@@ -2,70 +2,62 @@ package core
 
 import (
 	"bytes"
-	"math/rand"
+	"encoding/gob"
+	"math"
 	"testing"
 
-	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
 )
 
-func TestEmbedCheckpointRoundTrip(t *testing.T) {
-	pa, pb := pipe(t, 801)
-	cfg := embedTestCfg()
-	cfg.Momentum = 0.9
-	la, lb := newEmbedPair(t, pa, pb, cfg)
-
-	rng := rand.New(rand.NewSource(3))
-	xA := randIdx(rng, 3, cfg.FieldsA, cfg.VocabA)
-	xB := randIdx(rng, 3, cfg.FieldsB, cfg.VocabB)
-	g := tensor.RandDense(rng, 3, cfg.Out, 1)
-	if err := protocol.RunParties(pa, pb,
-		func() { la.Forward(xA); la.Backward() },
-		func() { lb.Forward(xB); lb.Backward(g) },
-	); err != nil {
-		t.Fatal(err)
-	}
-
-	var bufA, bufB bytes.Buffer
-	if err := la.Save(&bufA); err != nil {
-		t.Fatal(err)
-	}
-	if err := lb.Save(&bufB); err != nil {
-		t.Fatal(err)
-	}
-	la2, err := LoadEmbedMatMulA(&bufA, pa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb2, err := LoadEmbedMatMulB(&bufB, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !DebugTableA(la2, lb2).Equal(DebugTableA(la, lb), 0) {
-		t.Fatal("restored Q_A differs")
-	}
-	if !DebugEmbedWeightsB(la2, lb2).Equal(DebugEmbedWeightsB(la, lb), 0) {
-		t.Fatal("restored W_B differs")
-	}
-
-	// The restored pair must still run the protocol (encrypted copies and
-	// momentum intact): one more step, checked for forward consistency.
-	want := plaintextZ(la2, lb2, xA, xB)
-	var z *tensor.Dense
-	if err := protocol.RunParties(pa, pb,
-		func() { la2.Forward(xA); la2.Backward() },
-		func() { z = lb2.Forward(xB); lb2.Backward(g) },
-	); err != nil {
-		t.Fatal(err)
-	}
-	if !z.Equal(want, 1e-4) {
-		t.Fatal("restored embed layer forward inconsistent")
-	}
-}
-
-func TestLoadMatMulARejectsGarbage(t *testing.T) {
-	pa, _ := pipe(t, 802)
-	if _, err := LoadMatMulA(bytes.NewReader([]byte("not a checkpoint")), pa); err == nil {
+// TestLoadMatMulRejectsUnsoundHalves: a half that decodes but does not add
+// up to a layer of the declared shape — garbage, a missing or misshapen
+// piece, a non-finite weight, a stray momentum buffer, an out-of-range
+// option — is an error at load, never a layer that panics on first use.
+func TestLoadMatMulRejectsUnsoundHalves(t *testing.T) {
+	pa, pb := pipe(t, 802)
+	if _, err := LoadMatMulA(bytes.NewReader([]byte("not a checkpoint")), pa, 4, 3, 2); err == nil {
 		t.Fatal("garbage checkpoint accepted")
+	}
+	sound := func() matMulAState {
+		return matMulAState{Cfg: Config{Out: 2, LR: 0.1},
+			UA: tensor.NewDense(4, 2), VB: tensor.NewDense(3, 2), MomUA: tensor.NewDense(4, 2)}
+	}
+	load := func(st any, inA int) error {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadMatMulA(&buf, pa, inA, 3, 2)
+		return err
+	}
+	if err := load(sound(), 4); err != nil {
+		t.Fatalf("sound half refused: %v", err)
+	}
+	for name, mutate := range map[string]func(*matMulAState){
+		"nil piece":        func(st *matMulAState) { st.UA = nil },
+		"misshapen piece":  func(st *matMulAState) { st.VB = tensor.NewDense(3, 1) },
+		"short backing":    func(st *matMulAState) { st.UA.Data = st.UA.Data[:3] },
+		"NaN weight":       func(st *matMulAState) { st.VB.Data[0] = math.NaN() },
+		"stray momentum":   func(st *matMulAState) { st.MomVB = tensor.NewDense(4, 2) },
+		"width mismatch":   func(st *matMulAState) { st.Cfg.Out = 3 },
+		"negative chunk":   func(st *matMulAState) { st.Cfg.ChunkRows = -1 },
+		"NaN learningrate": func(st *matMulAState) { st.Cfg.LR = math.NaN() },
+	} {
+		st := sound()
+		mutate(&st)
+		if err := load(st, 4); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if err := load(sound(), 5); err == nil {
+		t.Error("half accepted against a different declared width")
+	}
+	// The B half goes through the same check.
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(matMulBState{Cfg: Config{Out: 2}, UB: tensor.NewDense(3, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadMatMulB(&buf, pb, 4, 3, 2); err == nil {
+		t.Error("B half without its V_A piece accepted")
 	}
 }

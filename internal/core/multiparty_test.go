@@ -34,11 +34,20 @@ func newMultiMatMul(t testing.TB, peersA []*protocol.Peer, g *protocol.Group, cf
 	var b *MultiMatMulB
 	if err := protocol.RunGroup(peersA, g,
 		func(i int) { as[i] = NewMatMulA(peersA[i], acfg, inAs[i], inB) },
-		func() { b = NewMultiMatMulB(g, cfg, inAs, inB) },
+		func() { b = NewMultiMatMulB(g, cfg, inAs, inB, false) },
 	); err != nil {
 		t.Fatal(err)
 	}
 	return as, b
+}
+
+// vbs collects every feature party's V_B piece for DebugMultiWeightsB.
+func vbs(as []*MatMulA) []*tensor.Dense {
+	out := make([]*tensor.Dense, len(as))
+	for i, a := range as {
+		out[i] = a.VB
+	}
+	return out
 }
 
 // TestMultiPartyForwardBackwardMatchesPlaintext drives a k=3 group (with
@@ -61,14 +70,14 @@ func TestMultiPartyForwardBackwardMatchesPlaintext(t *testing.T) {
 	xB := tensor.RandDense(rng, 4, inB, 1)
 	gradZ := tensor.RandDense(rng, 4, cfg.Out, 1)
 
-	want := xB.MatMul(DebugMultiWeightsB(b, as))
+	want := xB.MatMul(DebugMultiWeightsB(b, vbs(as)))
 	for i := 0; i < k; i++ {
-		want.AddInPlace(xAs[i].MatMul(DebugMultiWeightsA(b, as[i], i)))
+		want.AddInPlace(xAs[i].MatMul(DebugMultiWeightsA(b, as[i].UA, i)))
 	}
-	wantWB := DebugMultiWeightsB(b, as).Sub(xB.TransposeMatMul(gradZ).Scale(cfg.LR))
+	wantWB := DebugMultiWeightsB(b, vbs(as)).Sub(xB.TransposeMatMul(gradZ).Scale(cfg.LR))
 	var wantWAs []*tensor.Dense
 	for i := 0; i < k; i++ {
-		wantWAs = append(wantWAs, DebugMultiWeightsA(b, as[i], i).Sub(xAs[i].TransposeMatMul(gradZ).Scale(cfg.LR)))
+		wantWAs = append(wantWAs, DebugMultiWeightsA(b, as[i].UA, i).Sub(xAs[i].TransposeMatMul(gradZ).Scale(cfg.LR)))
 	}
 
 	var z *tensor.Dense
@@ -82,11 +91,11 @@ func TestMultiPartyForwardBackwardMatchesPlaintext(t *testing.T) {
 	if !z.Equal(want, 1e-4) {
 		t.Fatalf("multi-party Z diverges (maxdiff %g)", z.Sub(want).MaxAbs())
 	}
-	if got := DebugMultiWeightsB(b, as); !got.Equal(wantWB, 1e-4) {
+	if got := DebugMultiWeightsB(b, vbs(as)); !got.Equal(wantWB, 1e-4) {
 		t.Fatalf("multi-party W_B update wrong (maxdiff %g)", got.Sub(wantWB).MaxAbs())
 	}
 	for i := 0; i < k; i++ {
-		if got := DebugMultiWeightsA(b, as[i], i); !got.Equal(wantWAs[i], 1e-4) {
+		if got := DebugMultiWeightsA(b, as[i].UA, i); !got.Equal(wantWAs[i], 1e-4) {
 			t.Fatalf("multi-party W_A(%d) update wrong (maxdiff %g)", i, got.Sub(wantWAs[i]).MaxAbs())
 		}
 	}
@@ -105,12 +114,19 @@ func TestMultiPartySparseMatchesPlaintext(t *testing.T) {
 	inB := 10
 
 	as := make([]*SparseMatMulA, k)
-	var b *MultiSparseMatMulB
+	var b *MultiMatMulB
 	if err := protocol.RunGroup(peersA, g,
 		func(i int) { as[i] = NewSparseMatMulA(peersA[i], acfg, inAs[i], inB) },
-		func() { b = NewMultiSparseMatMulB(g, cfg, inAs, inB) },
+		func() { b = NewMultiMatMulB(g, cfg, inAs, inB, true) },
 	); err != nil {
 		t.Fatal(err)
+	}
+	sparseVBs := func() []*tensor.Dense {
+		out := make([]*tensor.Dense, k)
+		for i, a := range as {
+			out[i] = a.VB
+		}
+		return out
 	}
 
 	rng := rand.New(rand.NewSource(2))
@@ -121,23 +137,23 @@ func TestMultiPartySparseMatchesPlaintext(t *testing.T) {
 	xB := tensor.RandCSR(rng, 5, inB, 3)
 	gradZ := tensor.RandDense(rng, 5, cfg.Out, 1)
 
-	want := xB.ToDense().MatMul(DebugMultiSparseWeightsB(b, as))
+	want := xB.ToDense().MatMul(DebugMultiWeightsB(b, sparseVBs()))
 	for i := 0; i < k; i++ {
-		want.AddInPlace(xAs[i].ToDense().MatMul(DebugMultiSparseWeightsA(b, as[i], i)))
+		want.AddInPlace(xAs[i].ToDense().MatMul(DebugMultiWeightsA(b, as[i].UA, i)))
 	}
-	wantWB := DebugMultiSparseWeightsB(b, as).Sub(xB.ToDense().TransposeMatMul(gradZ).Scale(cfg.LR))
+	wantWB := DebugMultiWeightsB(b, sparseVBs()).Sub(xB.ToDense().TransposeMatMul(gradZ).Scale(cfg.LR))
 
 	var z *tensor.Dense
 	if err := protocol.RunGroup(peersA, g,
 		func(i int) { as[i].Forward(xAs[i]); as[i].Backward() },
-		func() { z = b.Forward(xB); b.Backward(gradZ) },
+		func() { z = b.Forward(SparseFeatures{xB}); b.Backward(gradZ) },
 	); err != nil {
 		t.Fatal(err)
 	}
 	if !z.Equal(want, 1e-4) {
 		t.Fatalf("multi-party sparse Z diverges (maxdiff %g)", z.Sub(want).MaxAbs())
 	}
-	if got := DebugMultiSparseWeightsB(b, as); !got.Equal(wantWB, 1e-4) {
+	if got := DebugMultiWeightsB(b, sparseVBs()); !got.Equal(wantWB, 1e-4) {
 		t.Fatalf("multi-party sparse W_B update wrong (maxdiff %g)", got.Sub(wantWB).MaxAbs())
 	}
 }
@@ -181,10 +197,10 @@ func TestMultiPartyK1BitExactTwoParty(t *testing.T) {
 	if !zk.Equal(z2, 0) {
 		t.Fatalf("k=1 group forward differs from the two-party layer (maxdiff %g)", zk.Sub(z2).MaxAbs())
 	}
-	if got, want := DebugMultiWeightsA(b, as[0], 0), DebugWeightsA(la, lb); !got.Equal(want, 0) {
+	if got, want := DebugMultiWeightsA(b, as[0].UA, 0), DebugWeightsA(la, lb); !got.Equal(want, 0) {
 		t.Fatalf("k=1 group W_A differs bitwise after backward (maxdiff %g)", got.Sub(want).MaxAbs())
 	}
-	if got, want := DebugMultiWeightsB(b, as), DebugWeightsB(la, lb); !got.Equal(want, 0) {
+	if got, want := DebugMultiWeightsB(b, vbs(as)), DebugWeightsB(la, lb); !got.Equal(want, 0) {
 		t.Fatalf("k=1 group W_B differs bitwise after backward (maxdiff %g)", got.Sub(want).MaxAbs())
 	}
 }
@@ -217,11 +233,11 @@ func TestMultiPartyPackedStreamMatchesPlaintext(t *testing.T) {
 			xB := tensor.RandDense(rng, 6, inB, 1)
 			gradZ := tensor.RandDense(rng, 6, cfg.Out, 1)
 
-			want := xB.MatMul(DebugMultiWeightsB(b, as))
+			want := xB.MatMul(DebugMultiWeightsB(b, vbs(as)))
 			for i := 0; i < k; i++ {
-				want.AddInPlace(xAs[i].MatMul(DebugMultiWeightsA(b, as[i], i)))
+				want.AddInPlace(xAs[i].MatMul(DebugMultiWeightsA(b, as[i].UA, i)))
 			}
-			wantWB := DebugMultiWeightsB(b, as).Sub(xB.TransposeMatMul(gradZ).Scale(cfg.LR))
+			wantWB := DebugMultiWeightsB(b, vbs(as)).Sub(xB.TransposeMatMul(gradZ).Scale(cfg.LR))
 
 			var z *tensor.Dense
 			if err := protocol.RunGroup(peersA, g,
@@ -233,7 +249,7 @@ func TestMultiPartyPackedStreamMatchesPlaintext(t *testing.T) {
 			if !z.Equal(want, 1e-4) {
 				t.Fatalf("%s multi-party Z diverges (maxdiff %g)", tc.name, z.Sub(want).MaxAbs())
 			}
-			if got := DebugMultiWeightsB(b, as); !got.Equal(wantWB, 1e-4) {
+			if got := DebugMultiWeightsB(b, vbs(as)); !got.Equal(wantWB, 1e-4) {
 				t.Fatalf("%s multi-party W_B update wrong (maxdiff %g)", tc.name, got.Sub(wantWB).MaxAbs())
 			}
 		})

@@ -243,9 +243,9 @@ func TestMultiPartyHonoursOptions(t *testing.T) {
 	xB := tensor.RandDense(rng, 4, 3, 1)
 	gradZ := tensor.RandDense(rng, 4, 2, 1)
 
-	want := xB.MatMul(DebugMultiWeightsB(b, as))
+	want := xB.MatMul(DebugMultiWeightsB(b, vbs(as)))
 	for i := range as {
-		want.AddInPlace(xAs[i].MatMul(DebugMultiWeightsA(b, as[i], i)))
+		want.AddInPlace(xAs[i].MatMul(DebugMultiWeightsA(b, as[i].UA, i)))
 	}
 
 	var z *tensor.Dense
@@ -302,11 +302,11 @@ func TestMatMulCheckpointOnEveryKind(t *testing.T) {
 			if err := lb.Save(&bufB); err != nil {
 				t.Fatal(err)
 			}
-			la2, err := LoadMatMulA(&bufA, pa)
+			la2, err := LoadMatMulA(&bufA, pa, 3, 3, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lb2, err := LoadMatMulB(&bufB, pb)
+			lb2, err := LoadMatMulB(&bufB, pb, 3, 3, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

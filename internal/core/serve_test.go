@@ -110,7 +110,7 @@ func TestServeForwardMulti(t *testing.T) {
 	var lb *MultiMatMulB
 	if err := protocol.RunGroup(as, g,
 		func(i int) { las[i] = NewMatMulA(as[i], acfg, inAs[i], 4) },
-		func() { lb = NewMultiMatMulB(g, cfg, inAs, 4) },
+		func() { lb = NewMultiMatMulB(g, cfg, inAs, 4, false) },
 	); err != nil {
 		t.Fatal(err)
 	}

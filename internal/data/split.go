@@ -8,8 +8,12 @@ import "fmt"
 // one not divisible by k — round-trips with every column assigned to
 // exactly one party. Dense and sparse storage both split via column slices.
 // Categorical fields are not split (the multi-party runtime covers the
-// numeric source layers) and stay off the returned parts.
+// numeric source layers) and stay off the returned parts — except at k = 1,
+// where nothing is split and the one block is the part itself.
 func SplitCols(p Part, k int) []Part {
+	if k == 1 {
+		return []Part{p}
+	}
 	cols := p.NumCols()
 	if k < 1 || k > cols {
 		panic(fmt.Sprintf("data: cannot split %d feature columns across %d parties", cols, k))

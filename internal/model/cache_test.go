@@ -21,7 +21,7 @@ func TestTableCacheTrainingBitExact(t *testing.T) {
 		t.Helper()
 		h.TableCacheMB = cacheMB
 		pa, pb := fedPipe(t, 700)
-		hist, err := TrainFederated(LR, ds, h, pa, pb)
+		hist, err := trainOn(LR, ds, h, Pair(pa, pb))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestTableCacheTrainingBudgetRespected(t *testing.T) {
 
 	h.TableCacheMB = 0
 	pa, pb := fedPipe(t, 701)
-	base, err := TrainFederated(LR, ds, h, pa, pb)
+	base, err := trainOn(LR, ds, h, Pair(pa, pb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestTableCacheTrainingBudgetRespected(t *testing.T) {
 	hetensor.ResetTableCache()
 	h.TableCacheMB = 1 // 1 MiB: far below a full epoch's table working set
 	pa, pb = fedPipe(t, 701)
-	tight, err := TrainFederated(LR, ds, h, pa, pb)
+	tight, err := trainOn(LR, ds, h, Pair(pa, pb))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,8 +48,8 @@ func fedPipeFault(t *testing.T, seed int64, label string, plan transport.FaultPl
 	return pa, pb, fc
 }
 
-// faultGroupPipe is GroupPipe with session faultSession's Party-A endpoint
-// wrapped in a FaultConn running plan.
+// faultGroupPipe is GroupPipe — same streams, same stream identities — with
+// session faultSession's Party-A endpoint wrapped in a FaultConn running plan.
 func faultGroupPipe(t *testing.T, k int, seed int64, faultSession int, plan transport.FaultPlan) ([]*protocol.Peer, *protocol.Group, *transport.FaultConn) {
 	t.Helper()
 	skA, skB := protocol.TestKeys()
@@ -66,6 +66,8 @@ func faultGroupPipe(t *testing.T, k int, seed int64, faultSession int, plan tran
 		}
 		a := protocol.NewPeer(protocol.PartyA, connA, skA, protocol.SessionRNG(seed, i, protocol.PartyA))
 		b := protocol.NewPeer(protocol.PartyB, cb, skB, protocol.SessionRNG(seed, i, protocol.PartyB))
+		a.SetStreamIdentity(seed, i)
+		b.SetStreamIdentity(seed, i)
 		as[i], bs[i] = a, b
 		go func() { errs <- a.Handshake() }()
 		go func() { errs <- b.Handshake() }()
@@ -195,7 +197,7 @@ func TestChaosChunkFaultsRecoverBitExact(t *testing.T) {
 func TestChaosPersistentCorruptionFailsTyped(t *testing.T) {
 	ds := data.Generate(tinySpec("t-chaos-corrupt", 12, 12, 2, false), 3)
 	pa, pb, _ := fedPipeFault(t, 601, "chaos-persistent", transport.FaultPlan{FlipProb: 1})
-	_, err := TrainFederated(LR, ds, chaosHyper(), pa, pb)
+	_, err := trainOn(LR, ds, chaosHyper(), Pair(pa, pb))
 	if err == nil {
 		t.Fatal("training returned a model over persistently corrupted chunks")
 	}
@@ -212,7 +214,7 @@ func TestChaosMidRunKillFailsTyped(t *testing.T) {
 	pa, pb, _ := fedPipeFault(t, 602, "chaos-kill", transport.FaultPlan{KillAtMsg: 20})
 	done := make(chan error, 1)
 	go func() {
-		_, err := TrainFederated(LR, ds, chaosHyper(), pa, pb)
+		_, err := trainOn(LR, ds, chaosHyper(), Pair(pa, pb))
 		done <- err
 	}()
 	select {
@@ -335,7 +337,7 @@ func TestChaosSpotCheckCleanRun(t *testing.T) {
 			run := func(spot bool) (*History, *protocol.Peer) {
 				pa, pb := fedPipe(t, 610)
 				h.SpotCheck = spot
-				hist, err := TrainFederated(LR, ds, h, pa, pb)
+				hist, err := trainOn(LR, ds, h, Pair(pa, pb))
 				if err != nil {
 					t.Fatal(err)
 				}

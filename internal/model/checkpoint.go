@@ -3,10 +3,14 @@ package model
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 
+	"blindfl/internal/core"
 	"blindfl/internal/data"
+	"blindfl/internal/nn"
+	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
 )
 
@@ -52,7 +56,6 @@ func newCkCapture(t Trainer, ds *data.Dataset, inAs []int) *ckCapture {
 			Kind: t.Kind, Classes: ds.Spec.Classes, Hyper: t.Hyper,
 			InAs: inAs, InB: ds.TrainB.NumCols(),
 			LayerA: make([][]byte, len(inAs)),
-			LayerB: make([][]byte, len(inAs)),
 		},
 		errA: make([]error, len(inAs)),
 	}
@@ -69,23 +72,7 @@ func (c *ckCapture) captureB(mb *FedB) {
 	if c.ck == nil {
 		return
 	}
-	var layers [][]byte
-	layers, c.errB = saveLayerB(mb)
-	if c.errB != nil {
-		return
-	}
-	copy(c.ck.LayerB, layers)
-	c.ck.Head = headParams(mb.head)
-}
-
-// captureShardB records the sharded label party's pieces: the per-session
-// layer halves gathered from the workers (already in global session order)
-// plus the root-held head parameters.
-func (c *ckCapture) captureShardB(blobs [][]byte, mb *FedB) {
-	if c.ck == nil {
-		return
-	}
-	copy(c.ck.LayerB, blobs)
+	c.ck.LayerB, c.errB = mb.num.layers(-1)
 	c.ck.Head = headParams(mb.head)
 }
 
@@ -108,10 +95,14 @@ func (c *ckCapture) write(w io.Writer) error {
 	return sealEnvelope(w, buf.Bytes())
 }
 
+// errDenseOnly refuses to checkpoint a sparse source layer (Trainer.plan
+// turns the request down first; this is the layer-level backstop).
+var errDenseOnly = errors.New("model: checkpoint covers dense numeric source layers only")
+
 // saveLayerA serializes a feature party's dense source-layer half.
 func saveLayerA(ma *FedA) ([]byte, error) {
-	if ma.num == nil || ma.num.dense == nil {
-		return nil, fmt.Errorf("model: checkpoint covers dense numeric source layers only")
+	if ma.num.dense == nil {
+		return nil, errDenseOnly
 	}
 	var buf bytes.Buffer
 	if err := ma.num.dense.Save(&buf); err != nil {
@@ -120,34 +111,39 @@ func saveLayerA(ma *FedA) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// saveLayerB serializes the label party's dense source-layer half, one blob
-// per session.
-func saveLayerB(mb *FedB) ([][]byte, error) {
-	switch src := mb.num.(type) {
-	case *numericSrcB:
-		if src.dense == nil {
-			return nil, fmt.Errorf("model: checkpoint covers dense numeric source layers only")
+// saveLayersB serializes the label party's dense per-session halves, in the
+// layer's session order.
+func saveLayersB(l *core.MultiMatMulB) ([][]byte, error) {
+	out := make([][]byte, l.K())
+	for i := range out {
+		sub := l.Sub(i)
+		if sub == nil {
+			return nil, errDenseOnly
 		}
 		var buf bytes.Buffer
-		if err := src.dense.Save(&buf); err != nil {
+		if err := sub.Save(&buf); err != nil {
 			return nil, err
 		}
-		return [][]byte{buf.Bytes()}, nil
-	case *multiNumericSrcB:
-		if src.dense == nil {
-			return nil, fmt.Errorf("model: checkpoint covers dense numeric source layers only")
-		}
-		out := make([][]byte, src.dense.K())
-		for i := range out {
-			var buf bytes.Buffer
-			if err := src.dense.Sub(i).Save(&buf); err != nil {
-				return nil, err
-			}
-			out[i] = buf.Bytes()
-		}
-		return out, nil
+		out[i] = buf.Bytes()
 	}
-	return nil, fmt.Errorf("model: unknown source-layer facade %T", mb.num)
+	return out, nil
+}
+
+// loadLayers decodes per-session layer halves blobs[i] onto peers[i] with
+// load (core.LoadMatMulA or core.LoadMatMulB), each checked against the shape
+// the checkpoint declares. It runs sequentially, before any session traffic:
+// a rotted half is one typed ErrBadCheckpoint naming its session, and the
+// sessions are left untouched.
+func loadLayers[L any](load func(io.Reader, *protocol.Peer, int, int, int) (L, error),
+	blobs [][]byte, peers []*protocol.Peer, inAs []int, inB, out int) ([]L, error) {
+	halves := make([]L, len(blobs))
+	for i, blob := range blobs {
+		var err error
+		if halves[i], err = load(bytes.NewReader(blob), peers[i], inAs[i], inB, out); err != nil {
+			return nil, fmt.Errorf("%w: session %d: %v", ErrBadCheckpoint, i, err)
+		}
+	}
+	return halves, nil
 }
 
 // headParams clones the head's parameters in params() order.
@@ -158,4 +154,62 @@ func headParams(h headB) []*tensor.Dense {
 		out[i] = p.W.Clone()
 	}
 	return out
+}
+
+// restoreHead rebuilds a family's plaintext head through the training-time
+// constructor (so the module shapes match) and overwrites its parameters
+// with saved — the one head restore behind Predictor and Resume. The family,
+// class count and widths may come from the checkpoint itself, so they are
+// vetted arithmetically before anything is built: the head's linear layers
+// must fit in the elements saved actually carries, which bounds the
+// allocation by the input. Every refusal is a typed ErrBadCheckpoint.
+func restoreHead(kind Kind, classes int, h Hyper, saved []*tensor.Dense) (headB, error) {
+	if _, err := ParseKind(string(kind)); err != nil || kind.UsesEmbedding() || classes < 2 {
+		return nil, fmt.Errorf("%w: head of family %q over %d classes (checkpoints cover lr|mlr|mlp)", ErrBadCheckpoint, kind, classes)
+	}
+	have := 0
+	for _, w := range saved {
+		if w != nil {
+			have += len(w.Data)
+		}
+	}
+	dims := []int{outDim(classes)}
+	if kind == MLP {
+		dims = append(append([]int{firstHidden(h)}, restHidden(h)...), dims...)
+	}
+	for i, d := range dims {
+		if d < 1 || d > have || i > 0 && dims[i-1]*d > have {
+			return nil, fmt.Errorf("%w: head widths %v do not fit the %d saved parameters", ErrBadCheckpoint, dims, have)
+		}
+	}
+	head := buildHead(kind, classes, h)
+	params := head.params()
+	if len(params) != len(saved) {
+		return nil, fmt.Errorf("%w: head has %d parameters, %s wants %d", ErrBadCheckpoint, len(saved), kind, len(params))
+	}
+	for i, par := range params {
+		if !saved[i].WellFormed(par.W.Rows, par.W.Cols) {
+			return nil, fmt.Errorf("%w: head parameter %d is not a finite %d×%d matrix", ErrBadCheckpoint, i, par.W.Rows, par.W.Cols)
+		}
+		copy(par.W.Data, saved[i].Data)
+	}
+	return head, nil
+}
+
+// setMomentum restores the head optimizer's velocity buffers, so a resumed
+// momentum trajectory continues rather than restarting from rest. mom is nil
+// for a checkpoint of a momentum-free head; anything else must be shaped
+// like the head's parameters.
+func setMomentum(opt *nn.SGD, head headB, mom []*tensor.Dense) error {
+	params := head.params()
+	if mom != nil && len(mom) != len(params) {
+		return fmt.Errorf("%w: %d momentum buffers for %d head parameters", ErrBadCheckpoint, len(mom), len(params))
+	}
+	for i, b := range mom {
+		if !b.WellFormed(params[i].W.Rows, params[i].W.Cols) {
+			return fmt.Errorf("%w: momentum buffer %d is not a finite %d×%d matrix", ErrBadCheckpoint, i, params[i].W.Rows, params[i].W.Cols)
+		}
+	}
+	opt.SetMomentumState(mom)
+	return nil
 }

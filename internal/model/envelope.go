@@ -33,8 +33,10 @@ var ckMagic = [4]byte{'B', 'F', 'C', 'K'}
 // where version 1 had a cipher and a packed field.
 const ckVersion = 2
 
-// maxCkPayload bounds the declared payload length so a corrupted header
-// cannot drive a multi-gigabyte allocation before the checksum check.
+// maxCkPayload is the ceiling on a declared payload length. It is a sanity
+// bound, not the allocation bound: openEnvelope's buffer grows with the
+// bytes actually present, so a header that lies about its length costs no
+// more than the stream behind it.
 const maxCkPayload = 1 << 31
 
 // sealEnvelope writes payload to w under the versioned checksum header.
@@ -72,14 +74,17 @@ func openEnvelope(r io.Reader) ([]byte, error) {
 	if n > maxCkPayload {
 		return nil, fmt.Errorf("%w: implausible payload length %d", ErrBadCheckpoint, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated payload: %v", ErrBadCheckpoint, err)
+	// A checkpoint file is attacker-sized input: read through a limit into a
+	// buffer that grows with what arrives, never make([]byte, n) up front.
+	var payload bytes.Buffer
+	payload.Grow(int(min(n, 64<<10)))
+	if got, err := io.Copy(&payload, io.LimitReader(r, int64(n))); err != nil || uint64(got) != n {
+		return nil, fmt.Errorf("%w: truncated payload: %d of %d bytes (%v)", ErrBadCheckpoint, got, n, err)
 	}
 	sum := fnv.New64a()
-	sum.Write(payload)
+	sum.Write(payload.Bytes())
 	if sum.Sum64() != binary.BigEndian.Uint64(hdr[16:24]) {
 		return nil, fmt.Errorf("%w: payload checksum mismatch", ErrBadCheckpoint)
 	}
-	return payload, nil
+	return payload.Bytes(), nil
 }

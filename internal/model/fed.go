@@ -42,45 +42,60 @@ func (s *numericSrcA) serveStart() {
 
 func (s *numericSrcA) serveForward(x *tensor.Dense) { s.dense.ServeForward(x) }
 
-// numSrcB abstracts Party B's numeric source layer: the two-party
-// dense/sparse facade below, or the k-session multi-party one (multi.go).
-// The serve methods are defined for the dense layers only (Serveable guards
-// every call site); the sparse facades panic.
+// numSrcB is the label party's numeric source layer as a run sees it: the
+// k-session group layer over local sessions (groupSrcB), or the shard root's
+// view of halves living in worker processes (shardSrcB, shard.go). The serve
+// methods are defined for dense layers only (Serveable guards every call
+// site).
 type numSrcB interface {
+	// seedEpoch re-derives the sessions' mask streams at an epoch boundary.
+	seedEpoch(e int)
 	forward(p data.Part) *tensor.Dense
 	backward(g *tensor.Dense)
 	serveStart()
 	serveForward(x *tensor.Dense) *tensor.Dense
+	// layers serializes the per-session dense halves, in session order, at
+	// the epoch-e checkpoint boundary (−1: the end-of-run serve checkpoint).
+	layers(epoch int) ([][]byte, error)
 }
 
-type numericSrcB struct {
-	dense  *core.MatMulB
-	sparse *core.SparseMatMulB
-}
-
-func (s *numericSrcB) forward(p data.Part) *tensor.Dense {
-	if s.sparse != nil {
-		return s.sparse.Forward(p.Sparse)
+// numeric views a part's numeric features as the MatMul layer's input.
+func numeric(p data.Part) core.Numeric {
+	if p.Sparse != nil {
+		return core.SparseFeatures{M: p.Sparse}
 	}
-	return s.dense.Forward(core.DenseFeatures{M: p.Dense})
+	return core.DenseFeatures{M: p.Dense}
 }
 
-func (s *numericSrcB) backward(g *tensor.Dense) {
-	if s.sparse != nil {
-		s.sparse.Backward(g)
-		return
+// openGroupLayer opens the k-session numeric source layer on g: built fresh,
+// or assembled from restored halves (loadLayers) and put through the resume
+// exchange. Must run concurrently with the feature parties opening theirs.
+func openGroupLayer(g *protocol.Group, subs []*core.MatMulB, cfg core.Config, inAs []int, inB int, sparse bool) *core.MultiMatMulB {
+	if subs == nil {
+		return core.NewMultiMatMulB(g, cfg, inAs, inB, sparse)
 	}
-	s.dense.Backward(g)
+	l := core.NewMultiMatMulBFrom(g, subs)
+	l.ResumeExchange()
+	return l
 }
 
-func (s *numericSrcB) serveStart() {
-	if s.sparse != nil {
-		panic("model: the serve path covers dense numeric source layers only")
-	}
-	s.dense.ServeStart()
+// groupSrcB is the numeric source layer on local sessions. A pair is a
+// one-session group, so this is the two-party facade too.
+type groupSrcB struct {
+	g *protocol.Group
+	l *core.MultiMatMulB
 }
 
-func (s *numericSrcB) serveForward(x *tensor.Dense) *tensor.Dense { return s.dense.ServeForward(x) }
+func (s *groupSrcB) seedEpoch(e int) { s.g.SeedEpoch(e) }
+
+func (s *groupSrcB) forward(p data.Part) *tensor.Dense { return s.l.Forward(numeric(p)) }
+
+func (s *groupSrcB) backward(g *tensor.Dense) { s.l.Backward(g) }
+func (s *groupSrcB) serveStart()              { s.l.ServeStart() }
+
+func (s *groupSrcB) serveForward(x *tensor.Dense) *tensor.Dense { return s.l.ServeForward(x) }
+
+func (s *groupSrcB) layers(int) ([][]byte, error) { return saveLayersB(s.l) }
 
 // FedA is Party A's half of a federated model: at most one numeric source
 // layer and one Embed-MatMul source layer, mirroring FedB.
@@ -202,9 +217,18 @@ func coreCfg(kind Kind, classes int, h Hyper) core.Config {
 
 // NewFedA builds Party A's model half. Must run concurrently with NewFedB.
 func NewFedA(p *protocol.Peer, kind Kind, ds *data.Dataset, h Hyper) *FedA {
+	return newFedA(p, kind, ds, h, ds.TrainA.NumCols(), 1)
+}
+
+// newFedA builds one feature party's half of a k-session run over its inA
+// columns: the ordinary two-party A-half with the run's k agreed in the
+// layer Config. The embedding layer attaches for the embedding families,
+// which train at k = 1 only (Trainer.plan).
+func newFedA(p *protocol.Peer, kind Kind, ds *data.Dataset, h Hyper, inA, k int) *FedA {
 	m := &FedA{}
 	cfg := coreCfg(kind, ds.Spec.Classes, h)
-	inA, inB := ds.TrainA.NumCols(), ds.TrainB.NumCols()
+	cfg.GroupParties = k
+	inB := ds.TrainB.NumCols()
 	if ds.Spec.Dense() {
 		m.num = &numericSrcA{dense: core.NewMatMulA(p, cfg, inA, inB)}
 	} else {
@@ -216,30 +240,25 @@ func NewFedA(p *protocol.Peer, kind Kind, ds *data.Dataset, h Hyper) *FedA {
 	return m
 }
 
-// NewFedB builds Party B's model half with the plaintext top model.
+// NewFedB builds Party B's model half with the plaintext top model: the
+// label party of a one-session group.
 func NewFedB(p *protocol.Peer, kind Kind, ds *data.Dataset, h Hyper) *FedB {
-	classes := ds.Spec.Classes
-	m := &FedB{kind: kind, classes: classes}
-	cfg := coreCfg(kind, classes, h)
-	inA, inB := ds.TrainA.NumCols(), ds.TrainB.NumCols()
-	if ds.Spec.Dense() {
-		m.num = &numericSrcB{dense: core.NewMatMulB(p, cfg, inA, inB)}
-	} else {
-		m.num = &numericSrcB{sparse: core.NewSparseMatMulB(p, cfg, inA, inB)}
-	}
-	if kind.UsesEmbedding() {
-		m.emb = core.NewEmbedMatMulB(p, embedCfg(kind, ds, h))
-	}
-	m.finishTop(kind, classes, h)
-	return m
+	g := protocol.NewGroup([]*protocol.Peer{p})
+	l := openGroupLayer(g, nil, coreCfg(kind, ds.Spec.Classes, h), []int{ds.TrainA.NumCols()}, ds.TrainB.NumCols(), !ds.Spec.Dense())
+	head := buildHead(kind, ds.Spec.Classes, h)
+	return newFedB(kind, ds, h, &groupSrcB{g: g, l: l}, p, head, nn.NewSGD(h.LR, h.Momentum, head.params()))
 }
 
-// finishTop builds the plaintext head and its optimizer for a family —
-// shared by the two-party and multi-party B constructors so both draw the
-// top-model init from the same (h.Seed+77) stream.
-func (m *FedB) finishTop(kind Kind, classes int, h Hyper) {
-	m.head = buildHead(kind, classes, h)
-	m.opt = nn.NewSGD(h.LR, h.Momentum, m.head.params())
+// newFedB assembles the label party's half around an opened numeric source
+// layer and a head built (or restored) beforehand. The embedding layer, for
+// the embedding families, attaches to embPeer — the run's one session —
+// after the numeric layer, the order their init draws have always had.
+func newFedB(kind Kind, ds *data.Dataset, h Hyper, num numSrcB, embPeer *protocol.Peer, head headB, opt *nn.SGD) *FedB {
+	m := &FedB{kind: kind, classes: ds.Spec.Classes, num: num, head: head, opt: opt}
+	if kind.UsesEmbedding() {
+		m.emb = core.NewEmbedMatMulB(embPeer, embedCfg(kind, ds, h))
+	}
+	return m
 }
 
 // buildHead constructs the plaintext head for a family, drawing its init
@@ -361,16 +380,6 @@ func (m *FedB) lossGrad(logits *tensor.Dense, y []int) (float64, *tensor.Dense) 
 	return nn.SoftmaxCE(logits, y)
 }
 
-// TrainFederated trains a two-party federated model end to end on an
-// in-process protocol session and returns Party B's training history.
-//
-// Deprecated: use Trainer.Train with Pair(pa, pb) — the single entry point
-// across party counts (and the only one that can write serve checkpoints).
-// Kept as a thin wrapper for existing callers.
-func TrainFederated(kind Kind, ds *data.Dataset, h Hyper, pa, pb *protocol.Peer) (*History, error) {
-	return Trainer{Kind: kind, Hyper: h}.Train(ds, Pair(pa, pb))
-}
-
 // evalB computes Party B's test-set logits. Serveable models evaluate
 // through the exact-integer serve forward (mask- and engine-independent, so
 // a later Predictor reproduces these logits bit for bit); the rest use the
@@ -419,18 +428,6 @@ func finishHistory(hist *History, ds *data.Dataset) {
 	} else {
 		hist.TestMetric = nn.Accuracy(hist.TestLogits, ds.TestY)
 	}
-}
-
-func batchesOf(perm []int, batch int) [][]int {
-	var out [][]int
-	for lo := 0; lo < len(perm); lo += batch {
-		hi := lo + batch
-		if hi > len(perm) {
-			hi = len(perm)
-		}
-		out = append(out, perm[lo:hi])
-	}
-	return out
 }
 
 func gather(y []int, idx []int) []int {

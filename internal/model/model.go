@@ -2,7 +2,7 @@
 // MLP, WDL and DLRM (paper Sec. 7.1) — in three flavours:
 //
 //   - federated: source layers from internal/core under a plaintext top
-//     model at Party B (TrainFederated);
+//     model at Party B (Trainer);
 //   - NonFed-collocated: the same architecture trained in plaintext on the
 //     horizontally concatenated features of both parties (TrainCollocated);
 //   - NonFed-PartyB: the plaintext architecture on Party B's features only

@@ -31,6 +31,11 @@ func fedPipe(t *testing.T, seed int64) (*protocol.Peer, *protocol.Peer) {
 	return a, b
 }
 
+// trainOn is the tests' shorthand for a fresh run over a party set.
+func trainOn(kind Kind, ds *data.Dataset, h Hyper, ps PartySet) (*History, error) {
+	return Trainer{Kind: kind, Hyper: h}.Train(ds, ps)
+}
+
 func TestParseKind(t *testing.T) {
 	for _, s := range []string{"lr", "mlr", "mlp", "wdl", "dlrm"} {
 		if _, err := ParseKind(s); err != nil {
@@ -71,7 +76,7 @@ func TestFederatedLRMatchesCollocated(t *testing.T) {
 	h := tinyHyper()
 	h.Epochs = 6
 	pa, pb := fedPipe(t, 500)
-	fed, err := TrainFederated(LR, ds, h, pa, pb)
+	fed, err := trainOn(LR, ds, h, Pair(pa, pb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +94,7 @@ func TestFederatedSparseLR(t *testing.T) {
 	h := tinyHyper()
 	h.Epochs = 6
 	pa, pb := fedPipe(t, 501)
-	fed, err := TrainFederated(LR, ds, h, pa, pb)
+	fed, err := trainOn(LR, ds, h, Pair(pa, pb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +111,7 @@ func TestFederatedMLR(t *testing.T) {
 	h := tinyHyper()
 	h.Epochs = 6
 	pa, pb := fedPipe(t, 502)
-	fed, err := TrainFederated(MLR, ds, h, pa, pb)
+	fed, err := trainOn(MLR, ds, h, Pair(pa, pb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +131,7 @@ func TestFederatedMLP(t *testing.T) {
 	h := tinyHyper()
 	h.Epochs = 5
 	pa, pb := fedPipe(t, 503)
-	fed, err := TrainFederated(MLP, ds, h, pa, pb)
+	fed, err := trainOn(MLP, ds, h, Pair(pa, pb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +148,7 @@ func TestFederatedWDL(t *testing.T) {
 	h := tinyHyper()
 	h.Epochs = 3
 	pa, pb := fedPipe(t, 504)
-	fed, err := TrainFederated(WDL, ds, h, pa, pb)
+	fed, err := trainOn(WDL, ds, h, Pair(pa, pb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +166,7 @@ func TestFederatedDLRM(t *testing.T) {
 	h := tinyHyper()
 	h.Epochs = 5
 	pa, pb := fedPipe(t, 505)
-	fed, err := TrainFederated(DLRM, ds, h, pa, pb)
+	fed, err := trainOn(DLRM, ds, h, Pair(pa, pb))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,71 +45,6 @@ func requireBitIdentical(t *testing.T, name string, multi, two *History) {
 	}
 }
 
-// TestMultiK1BitExactTwoParty pins the degenerate group shape end to end: a
-// 1-party group over the column-concatenated dataset *is* the two-party run
-// — GroupPipe session 0 draws Pipe's streams — so losses, AUC and test
-// logits must be bit-identical, not merely close.
-func TestMultiK1BitExactTwoParty(t *testing.T) {
-	ds := data.Generate(tinySpec("t-mk1", 16, 16, 2, false), 30)
-	h := tinyHyper()
-	h.Epochs = 3
-	pa, pb := fedPipe(t, 520)
-	two, err := TrainFederated(LR, ds, h, pa, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	as, g := fedGroup(t, 1, 520)
-	multi, err := TrainFederatedMulti(LR, ds, h, as, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitIdentical(t, "k=1 plain", multi, two)
-}
-
-// TestMultiK1BitExactTwoPartyEngineOn repeats the k=1 bit-exactness with the
-// whole throughput engine on — packing, chunk streaming, the persistent
-// dot-table cache, and blinding pools for both keys. Pool blinding changes
-// ciphertext bits, never plaintexts, so the histories must still agree bit
-// for bit.
-func TestMultiK1BitExactTwoPartyEngineOn(t *testing.T) {
-	if testing.Short() {
-		t.Skip("engine-on k=1 bit-exactness skipped in -short")
-	}
-	skA, skB := protocol.TestKeys()
-	var pools []*paillier.Pool
-	for _, sk := range []*paillier.PrivateKey{skA, skB} {
-		p := paillier.NewPool(&sk.PublicKey, 64, 0, paillier.Rand, paillier.WithShortExp(0))
-		paillier.RegisterPool(p)
-		pools = append(pools, p)
-	}
-	defer func() {
-		for _, sk := range []*paillier.PrivateKey{skA, skB} {
-			paillier.UnregisterPool(&sk.PublicKey)
-		}
-		for _, p := range pools {
-			p.Close()
-		}
-	}()
-
-	ds := data.Generate(tinySpec("t-mk1e", 16, 16, 2, false), 31)
-	h := tinyHyper()
-	h.Epochs = 2
-	h.Packed = true
-	h.Stream = true
-	h.TableCacheMB = 64
-	pa, pb := fedPipe(t, 521)
-	two, err := TrainFederated(LR, ds, h, pa, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	as, g := fedGroup(t, 1, 521)
-	multi, err := TrainFederatedMulti(LR, ds, h, as, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitIdentical(t, "k=1 engine-on", multi, two)
-}
-
 // TestMultiK3LosslessAgainstTwoParty checks Algorithm 3's lossless property
 // at k=3 on an unevenly split dense dataset (8 columns across 3 parties:
 // 3+3+2): the k-party run must match the two-party run on the
@@ -121,12 +56,12 @@ func TestMultiK3LosslessAgainstTwoParty(t *testing.T) {
 	h := tinyHyper()
 	h.Epochs = 6
 	pa, pb := fedPipe(t, 522)
-	two, err := TrainFederated(LR, ds, h, pa, pb)
+	two, err := trainOn(LR, ds, h, Pair(pa, pb))
 	if err != nil {
 		t.Fatal(err)
 	}
 	as, g := fedGroup(t, 3, 522)
-	multi, err := TrainFederatedMulti(LR, ds, h, as, g)
+	multi, err := trainOn(LR, ds, h, PartySet{As: as, B: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +85,7 @@ func TestMultiK3SparseLR(t *testing.T) {
 	h := tinyHyper()
 	h.Epochs = 6
 	as, g := fedGroup(t, 3, 523)
-	multi, err := TrainFederatedMulti(LR, ds, h, as, g)
+	multi, err := trainOn(LR, ds, h, PartySet{As: as, B: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +103,7 @@ func TestMultiK3MLP(t *testing.T) {
 	h := tinyHyper()
 	h.Epochs = 4
 	as, g := fedGroup(t, 3, 524)
-	multi, err := TrainFederatedMulti(MLP, ds, h, as, g)
+	multi, err := trainOn(MLP, ds, h, PartySet{As: as, B: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +112,20 @@ func TestMultiK3MLP(t *testing.T) {
 	}
 }
 
+// TestMultiRejectsEmbeddingFamilies: WDL and DLRM train at k = 1
+// (TestFederatedWDL, TestFederatedDLRM, the recorded wdl/k1 trajectory) and
+// are refused at k = 3 before any session is touched — the one guard where
+// the k-party body used to reject them.
 func TestMultiRejectsEmbeddingFamilies(t *testing.T) {
 	ds := data.Generate(tinySpec("t-mwdl", 40, 5, 2, true), 35)
-	as, g := fedGroup(t, 2, 525)
-	if _, err := TrainFederatedMulti(WDL, ds, tinyHyper(), as, g); err == nil || !strings.Contains(err.Error(), "Embed-MatMul") {
-		t.Fatalf("err = %v, want an embedding-family rejection", err)
+	for _, kind := range []Kind{WDL, DLRM} {
+		as, g := fedGroup(t, 3, 525)
+		if _, err := trainOn(kind, ds, tinyHyper(), PartySet{As: as, B: g}); err == nil || !strings.Contains(err.Error(), "Embed-MatMul") {
+			t.Fatalf("%s at k=3: err = %v, want an embedding-family rejection", kind, err)
+		}
+		if msgs, _ := as[0].Conn.Stats(); msgs != 1 {
+			t.Fatalf("%s at k=3: %d messages crossed session 0, want the handshake's one", kind, msgs)
+		}
 	}
 }
 
@@ -189,13 +133,13 @@ func TestMultiRejectsTooManyParties(t *testing.T) {
 	// TrainA holds 3 of the 6 columns; ask for 4 parties.
 	ds := data.Generate(tinySpec("t-mwide", 6, 6, 2, false), 36)
 	as, g := fedGroup(t, 4, 526)
-	if _, err := TrainFederatedMulti(LR, ds, tinyHyper(), as, g); err == nil || !strings.Contains(err.Error(), "cannot split") {
+	if _, err := trainOn(LR, ds, tinyHyper(), PartySet{As: as, B: g}); err == nil || !strings.Contains(err.Error(), "cannot split") {
 		t.Fatalf("err = %v, want a split rejection", err)
 	}
 }
 
 // TestMultiFailingSessionSurfacesError injects a dead feature party into a
-// k=3 group mid-setup: TrainFederatedMulti must return the transport error
+// k=3 group mid-setup: Train must return the transport error
 // (unblocking the other sessions) instead of hanging — the model-level form
 // of the RunGroup teardown regression test.
 func TestMultiFailingSessionSurfacesError(t *testing.T) {
@@ -206,7 +150,7 @@ func TestMultiFailingSessionSurfacesError(t *testing.T) {
 	as[1].Conn.Close() // feature party 1 is gone before training starts
 	done := make(chan error, 1)
 	go func() {
-		_, err := TrainFederatedMulti(LR, ds, h, as, g)
+		_, err := trainOn(LR, ds, h, PartySet{As: as, B: g})
 		done <- err
 	}()
 	select {
@@ -215,6 +159,6 @@ func TestMultiFailingSessionSurfacesError(t *testing.T) {
 			t.Fatal("expected an error from the dead session")
 		}
 	case <-time.After(60 * time.Second):
-		t.Fatal("TrainFederatedMulti hung on a dead session")
+		t.Fatal("Train hung on a dead session")
 	}
 }

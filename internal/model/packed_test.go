@@ -21,7 +21,7 @@ func TestFederatedLRPackedMatchesUnpacked(t *testing.T) {
 		hh := h
 		hh.Packed = packed
 		pa, pb := fedPipe(t, 520)
-		hist, err := TrainFederated(LR, ds, hh, pa, pb)
+		hist, err := trainOn(LR, ds, hh, Pair(pa, pb))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -166,18 +166,15 @@ func hstackCSR(a, b *tensor.CSR) *tensor.CSR {
 	return out
 }
 
-// trainPlain runs the shared plaintext loop.
+// trainPlain runs the shared plaintext loop, over the batch schedule the
+// federated run with the same hyper-parameters follows.
 func trainPlain(m *plainModel, mkBatch func(idx []int) plainInput, y []int, n int,
 	testIn func() []plainInput, testY []int, classes int, h Hyper) *History {
 
 	hist := &History{MetricName: metricName(classes)}
-	order := rng.New(h.Seed, "batch-order")
-	for e := 0; e < h.Epochs; e++ {
-		perm := data.Shuffle(order, n)
-		for _, idx := range batchesOf(perm, h.Batch) {
-			hist.Losses = append(hist.Losses, m.step(mkBatch(idx), gather(y, idx)))
-		}
-	}
+	schedule{h: h, rows: n}.each(nil, func(idx []int) {
+		hist.Losses = append(hist.Losses, m.step(mkBatch(idx), gather(y, idx)))
+	}, nil)
 	var rows []*tensor.Dense
 	for _, in := range testIn() {
 		rows = append(rows, m.forward(in))

@@ -51,7 +51,9 @@ type Predictor struct {
 // set's live sessions and runs the serve-session weight exchange. The party
 // set must span exactly the checkpoint's feature-party count. The stream
 // must carry a sealed checkpoint envelope; a truncated, corrupted or
-// foreign stream fails with the typed (and permanent) ErrBadCheckpoint.
+// foreign stream — or one whose contents do not add up to a model — fails
+// with the typed (and permanent) ErrBadCheckpoint before any session is
+// touched.
 func NewPredictor(r io.Reader, ps PartySet) (*Predictor, error) {
 	payload, err := openEnvelope(r)
 	if err != nil {
@@ -63,78 +65,36 @@ func NewPredictor(r io.Reader, ps PartySet) (*Predictor, error) {
 	}
 	k := len(ck.InAs)
 	if k == 0 || len(ck.LayerA) != k || len(ck.LayerB) != k {
-		return nil, fmt.Errorf("model: malformed checkpoint (%d parties, %d A layers, %d B layers)",
-			k, len(ck.LayerA), len(ck.LayerB))
+		return nil, fmt.Errorf("%w: malformed (%d parties, %d A layers, %d B layers)",
+			ErrBadCheckpoint, k, len(ck.LayerA), len(ck.LayerB))
 	}
-	if ps.K() != k || ps.B.K() != k {
-		return nil, fmt.Errorf("model: checkpoint spans %d feature parties, party set has %d", k, ps.K())
+	if err := ps.check("NewPredictor"); err != nil {
+		return nil, err
+	}
+	if ps.K() != k {
+		return nil, fmt.Errorf("%w: it spans %d feature parties, party set has %d", errCkMismatch, k, ps.K())
 	}
 
 	p := &Predictor{
 		kind: ck.Kind, classes: ck.Classes, hyper: ck.Hyper,
 		inAs: ck.InAs, inB: ck.InB,
 		as: ps.As, g: ps.B,
-		las: make([]*core.MatMulA, k),
 	}
-	head := buildHead(ck.Kind, ck.Classes, ck.Hyper)
-	params := head.params()
-	if len(params) != len(ck.Head) {
-		return nil, fmt.Errorf("model: checkpoint head has %d parameters, %s wants %d", len(ck.Head), ck.Kind, len(params))
+	if p.head, err = restoreHead(ck.Kind, ck.Classes, ck.Hyper, ck.Head); err != nil {
+		return nil, err
 	}
-	for i, par := range params {
-		saved := ck.Head[i]
-		if saved == nil || !par.W.SameShape(saved) {
-			return nil, fmt.Errorf("model: checkpoint head parameter %d shape mismatch", i)
-		}
-		copy(par.W.Data, saved.Data)
+	out := sourceOut(ck.Kind, ck.Classes, ck.Hyper)
+	if p.las, err = loadLayers(core.LoadMatMulA, ck.LayerA, ps.As, ck.InAs, ck.InB, out); err != nil {
+		return nil, err
 	}
-	p.head = head
-
-	// Restore each session's layer halves and run the serve-session weight
-	// exchange. A local decode failure closes that party's own connections
-	// so the peers unblock with a transport error instead of hanging; the
-	// recorded decode error then takes precedence in the report.
-	loadErrA := make([]error, k)
-	loadErrB := make([]error, k)
-	subs := make([]*core.MatMulB, k)
+	subs, err := loadLayers(core.LoadMatMulB, ck.LayerB, ps.B.Peers, ck.InAs, ck.InB, out)
+	if err != nil {
+		return nil, err
+	}
+	p.lb = core.NewMultiMatMulBFrom(ps.B, subs)
 	err = protocol.RunGroup(ps.As, ps.B,
-		func(i int) {
-			la, err := core.LoadMatMulA(bytes.NewReader(ck.LayerA[i]), ps.As[i])
-			if err != nil {
-				loadErrA[i] = err
-				//blindfl:allow teardown deliberate early close: unblocks the peer so the decode error wins the race
-				ps.As[i].Conn.Close()
-				return
-			}
-			p.las[i] = la
-			la.ServeStart()
-		},
-		func() {
-			failed := false
-			ps.B.ForEach(func(i int, peer *protocol.Peer) {
-				lbHalf, err := core.LoadMatMulB(bytes.NewReader(ck.LayerB[i]), peer)
-				if err != nil {
-					loadErrB[i] = err
-					failed = true
-					return
-				}
-				subs[i] = lbHalf
-			})
-			if failed {
-				ps.B.Close()
-				return
-			}
-			p.lb = core.NewMultiMatMulBFrom(ps.B, subs)
-			p.lb.ServeStart()
-		})
-	for i := 0; i < k; i++ {
-		if loadErrA[i] != nil {
-			return nil, loadErrA[i]
-		}
-		if loadErrB[i] != nil {
-			return nil, loadErrB[i]
-		}
-	}
+		func(i int) { p.las[i].ServeStart() },
+		func() { p.lb.ServeStart() })
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"blindfl/internal/data"
-	"blindfl/internal/protocol"
 	"blindfl/internal/transport"
 )
 
@@ -80,72 +79,31 @@ func assertBitExact(t *testing.T, hist, clean *History) {
 	}
 }
 
-// TestChaosKillAtEpochResumeBitExact is the crash-recovery contract end to
-// end: train clean with mid-run checkpointing, kill an identical run
-// two-thirds of the way through its transport traffic, then resume the
-// newest durable checkpoint on fresh sessions — the resumed trajectory must
-// be bit-identical to the uninterrupted one. The tail of the test corrupts
-// checkpoint files to pin the fallback ladder: a rotted newest file falls
-// back to the next-oldest (still bit-exact), and a directory with no usable
-// file fails with the typed ErrBadCheckpoint.
-func TestChaosKillAtEpochResumeBitExact(t *testing.T) {
+// TestChaosResumeFallbackLadder pins what a resume does with rotted files.
+// (That a killed run resumes bit-exactly at all — at k = 1 and k = 3, on any
+// shard topology — is TestChaosOneBodyMatrix's.) A 3-epoch run leaves the
+// epoch-1 and epoch-2 checkpoints: the newest resumes bit-exactly; with the
+// newest rotted the scan falls back to the older one, still bit-exact; and a
+// directory with no usable file fails with the typed ErrBadCheckpoint, never
+// a restore into garbage.
+func TestChaosResumeFallbackLadder(t *testing.T) {
 	const seed = 640
 	ds := data.Generate(tinySpec("t-chaos-resume", 12, 12, 2, false), 3)
 	h := chaosHyper()
-	h.Epochs = 3 // checkpoints land after epochs 1 and 2
-
-	// Clean uninterrupted reference run, checkpointing on, over a pipe whose
-	// Party-A message count calibrates where the crashed run's kill lands.
-	skA, skB := protocol.TestKeys()
-	ca, cb := transport.Pair(4096)
-	pa, pb, err := protocol.PipeOn(ca, cb, skA, skB, seed)
+	h.Epochs = 3
+	tr := Trainer{Kind: LR, Hyper: h, CheckpointDir: t.TempDir()}
+	pa, pb := fedPipe(t, seed)
+	clean, err := tr.Train(ds, Pair(pa, pb))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanDir := t.TempDir()
-	clean, err := Trainer{Kind: LR, Hyper: h, CheckpointDir: cleanDir}.Train(ds, Pair(pa, pb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files := ckptFiles(t, cleanDir); len(files) != 2 {
+	files := ckptFiles(t, tr.CheckpointDir)
+	if len(files) != 2 {
 		t.Fatalf("clean 3-epoch run left %d checkpoints, want 2 (after epochs 1 and 2)", len(files))
 	}
-	msgs, _ := ca.Stats()
-
-	// The crashed run: same seed, same traffic schedule, killed two-thirds of
-	// the way through Party A's sends — past the first checkpoint, before the
-	// finish line.
-	crashDir := t.TempDir()
-	pa, pb, fc := fedPipeFault(t, seed, "chaos-resume-kill", transport.FaultPlan{KillAtMsg: msgs * 2 / 3})
-	done := make(chan error, 1)
-	go func() {
-		_, err := Trainer{Kind: LR, Hyper: h, CheckpointDir: crashDir}.Train(ds, Pair(pa, pb))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("training completed over a killed connection")
-		}
-		if !errors.Is(err, transport.ErrClosed) {
-			t.Fatalf("err = %v, want transport.ErrClosed", err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("training hung after a mid-run kill")
-	}
-	if !fc.Injected().Killed {
-		t.Fatal("kill schedule never fired")
-	}
-	files := ckptFiles(t, crashDir)
-	if len(files) == 0 {
-		t.Fatal("crashed run left no durable checkpoint behind")
-	}
-
-	// Resume on fresh sessions: every random stream is re-derived, so the
-	// remaining epochs replay the uninterrupted trajectory exactly.
 	resume := func() (*History, error) {
 		pa, pb := fedPipe(t, seed)
-		return Trainer{Kind: LR, Hyper: h, CheckpointDir: crashDir}.Resume(ds, Pair(pa, pb))
+		return tr.Resume(ds, Pair(pa, pb))
 	}
 	hist, err := resume()
 	if err != nil {
@@ -153,29 +111,20 @@ func TestChaosKillAtEpochResumeBitExact(t *testing.T) {
 	}
 	assertBitExact(t, hist, clean)
 
-	// Rot the newest checkpoint: with an older usable file present the scan
-	// must fall back to it and still resume bit-exactly.
-	corruptFile(t, files[len(files)-1])
-	if len(files) > 1 {
-		hist, err := resume()
-		if err != nil {
-			t.Fatalf("resume failed to fall back past a corrupted newest checkpoint: %v", err)
-		}
-		assertBitExact(t, hist, clean)
+	corruptFile(t, files[1])
+	if hist, err = resume(); err != nil {
+		t.Fatalf("resume failed to fall back past a corrupted newest checkpoint: %v", err)
 	}
-	// Rot everything — re-listing first, since the resumed runs deposited
-	// fresh checkpoints of their own. The refusal must be typed, not a
-	// restore into garbage.
-	for _, f := range ckptFiles(t, crashDir) {
+	assertBitExact(t, hist, clean)
+
+	// Re-list before rotting everything: the fallback resume deposited a
+	// fresh epoch-2 checkpoint of its own.
+	for _, f := range ckptFiles(t, tr.CheckpointDir) {
 		corruptFile(t, f)
 	}
-	pa, pb = fedPipe(t, seed)
-	_, err = Trainer{Kind: LR, Hyper: h, CheckpointDir: crashDir}.Resume(ds, Pair(pa, pb))
-	if !errors.Is(err, ErrBadCheckpoint) {
+	if _, err = resume(); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("resume over all-corrupt checkpoints = %v, want ErrBadCheckpoint", err)
 	}
-	pa.Conn.Close()
-	pb.Conn.Close()
 }
 
 // TestChaosResumeRefusesChangedConfig: a resume whose trainer disagrees with
@@ -249,7 +198,7 @@ func TestChaosCtrlCorruptTrainingFailsTyped(t *testing.T) {
 	pa, pb, fc := fedPipeFault(t, 653, "chaos-ctrl-flip", transport.FaultPlan{CtrlFlipProb: 0.3, MaxFaults: 1})
 	done := make(chan error, 1)
 	go func() {
-		_, err := TrainFederated(LR, ds, chaosHyper(), pa, pb)
+		_, err := trainOn(LR, ds, chaosHyper(), Pair(pa, pb))
 		done <- err
 	}()
 	select {

@@ -8,13 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
-	"blindfl/internal/core"
 	"blindfl/internal/data"
-	"blindfl/internal/nn"
 	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
 )
@@ -32,7 +31,11 @@ import (
 // (protocol.Peer.SeedEpoch), so the resumed trajectory is the uninterrupted
 // run's, bit for bit.
 
-// runCheckpoint is the gob root of a run checkpoint file.
+// runCheckpoint is the gob root of a run checkpoint file. Nothing in it says
+// how the label party was sharded when it was written: the layer halves are
+// stored per *session*, and every per-session stream is a pure function of
+// the global session index, so a checkpoint resumes onto any shard count
+// (including unsharded) bit-exactly.
 type runCheckpoint struct {
 	Kind        Kind
 	Classes     int
@@ -46,26 +49,19 @@ type runCheckpoint struct {
 	Head        []*tensor.Dense
 	HeadMom     []*tensor.Dense // head optimizer momentum, params() order
 	Fingerprint uint64          // engine.Options.Fingerprint() of the run
-
-	// Shards records the worker count of the sharded run that wrote the
-	// checkpoint (0: single-process). Informational only — the layer halves
-	// are stored per *session*, and every per-session stream is a pure
-	// function of the global session index, so a checkpoint resumes onto any
-	// shard count (including unsharded) bit-exactly.
-	Shards int
 }
 
 // runCkpt collects the per-party deposits for each checkpointed epoch and
-// writes the assembled file once all k+1 arrive. The training closures run
-// concurrently (one goroutine per party), so the collector locks; a nil
-// collector (CheckpointDir unset) is a no-op throughout. Write errors are
-// recorded and surfaced once by finish — a failing checkpoint disk should
-// not tear down an otherwise healthy training run mid-epoch.
+// writes the assembled file once all k+1 arrive. Which epochs deposit is the
+// schedule's decision (schedule.each), made identically by every party. The
+// training closures run concurrently (one goroutine per party), so the
+// collector locks. Write errors are recorded and surfaced once by finish — a
+// failing checkpoint disk should not tear down an otherwise healthy training
+// run mid-epoch.
 type runCkpt struct {
-	t      Trainer
-	ds     *data.Dataset
-	inAs   []int
-	shards int // worker count of a sharded run (0: single-process)
+	t    Trainer
+	ds   *data.Dataset
+	inAs []int
 
 	mu   sync.Mutex
 	pend map[int]*runCheckpoint
@@ -73,6 +69,8 @@ type runCkpt struct {
 	err  error
 }
 
+// newRunCkpt returns nil without a CheckpointDir; the schedule then never
+// calls a deposit, and finish on nil reports no error.
 func newRunCkpt(t Trainer, ds *data.Dataset, inAs []int) *runCkpt {
 	if t.CheckpointDir == "" {
 		return nil
@@ -81,64 +79,20 @@ func newRunCkpt(t Trainer, ds *data.Dataset, inAs []int) *runCkpt {
 		pend: make(map[int]*runCheckpoint), n: make(map[int]int)}
 }
 
-// due reports whether the epoch-e boundary deposits a checkpoint: every
-// CheckpointEvery epochs, excluding the final epoch (the run's end state is
-// the serve checkpoint's job; a run checkpoint there could never be
-// resumed, Epochs being already reached).
-func (c *runCkpt) due(e int) bool {
-	if c == nil {
-		return false
-	}
-	return ckptDue(e, c.t.CheckpointEvery, c.t.Hyper.Epochs)
-}
-
-// ckptDue is the checkpoint-epoch formula shared by the root collector and
-// the shard workers: both sides must agree on which epoch boundaries deposit
-// layer halves, with no coordination message — it is part of the
-// deterministic schedule (values of every below 1 mean every epoch).
-func ckptDue(e, every, epochs int) bool {
-	if every < 1 {
-		every = 1
-	}
-	return (e+1)%every == 0 && e+1 < epochs
-}
-
 // depositA adds feature party i's layer half for epoch e.
 func (c *runCkpt) depositA(e, i int, ma *FedA) {
-	if !c.due(e) {
-		return
-	}
 	blob, err := saveLayerA(ma)
 	c.add(e, err, func(ck *runCheckpoint) { ck.LayerA[i] = blob })
 }
 
-// depositB adds the label party's halves, head, momentum and loss prefix
-// for epoch e. losses is read under the collector lock inside add — the
-// label party goroutine owns it, and it appends only between deposits.
+// depositB adds the label party's halves (serialized locally, or gathered
+// from the shard workers), head, momentum and loss prefix for epoch e.
+// losses is read under the collector lock inside add — the label party
+// goroutine owns it, and it appends only between deposits.
 func (c *runCkpt) depositB(e int, mb *FedB, losses []float64) {
-	if !c.due(e) {
-		return
-	}
-	blobs, err := saveLayerB(mb)
+	blobs, err := mb.num.layers(e)
 	c.add(e, err, func(ck *runCheckpoint) {
-		copy(ck.LayerB, blobs)
-		ck.Head = headParams(mb.head)
-		ck.HeadMom = mb.opt.MomentumState()
-		ck.Losses = append([]float64(nil), losses...)
-	})
-}
-
-// depositShardB adds the sharded label party's contribution for epoch e: the
-// layer halves gathered from the workers (already in global session order)
-// plus the root-held head, momentum and loss prefix — one deposit, like the
-// single-process depositB, so the k+1 arrival count is unchanged.
-func (c *runCkpt) depositShardB(e int, blobs [][]byte, mb *FedB, losses []float64) {
-	if !c.due(e) {
-		return
-	}
-	c.add(e, nil, func(ck *runCheckpoint) {
-		ck.Shards = c.shards
-		copy(ck.LayerB, blobs)
+		ck.LayerB = blobs
 		ck.Head = headParams(mb.head)
 		ck.HeadMom = mb.opt.MomentumState()
 		ck.Losses = append([]float64(nil), losses...)
@@ -159,7 +113,7 @@ func (c *runCkpt) add(e int, err error, fill func(*runCheckpoint)) {
 		ck = &runCheckpoint{
 			Kind: c.t.Kind, Classes: c.ds.Spec.Classes, Hyper: c.t.Hyper,
 			InAs: c.inAs, InB: c.ds.TrainB.NumCols(), Epoch: e + 1,
-			LayerA: make([][]byte, len(c.inAs)), LayerB: make([][]byte, len(c.inAs)),
+			LayerA:      make([][]byte, len(c.inAs)),
 			Fingerprint: c.t.Hyper.Options.Fingerprint(),
 		}
 		c.pend[e] = ck
@@ -289,20 +243,14 @@ func readRunCheckpoint(path string) (*runCheckpoint, error) {
 // (protocol pipes set one; hand-assembled peers must call
 // SetStreamIdentity), and the Trainer's hyper-parameters and engine options
 // must match the checkpointed run's (epoch count excepted — raising it
-// trains further).
+// trains further). A checkpoint that cannot be restored fails typed
+// (ErrBadCheckpoint) before any session is touched.
 func (t Trainer) Resume(ds *data.Dataset, ps PartySet) (*History, error) {
-	if t.CheckpointDir == "" {
-		return nil, fmt.Errorf("model: Resume needs CheckpointDir")
-	}
-	ck, err := latestRunCheckpoint(t.CheckpointDir)
+	ck, err := t.latestCheckpoint("Resume")
 	if err != nil {
 		return nil, err
 	}
-	k := ps.K()
-	if ps.B == nil || k == 0 || k != ps.B.K() {
-		return nil, fmt.Errorf("model: Resume needs a party set matching the checkpoint")
-	}
-	if err := t.resumeCompat(ck, k); err != nil {
+	if err := ps.check("Resume"); err != nil {
 		return nil, err
 	}
 	for _, p := range append(append([]*protocol.Peer{}, ps.As...), ps.B.Peers...) {
@@ -310,208 +258,48 @@ func (t Trainer) Resume(ds *data.Dataset, ps PartySet) (*History, error) {
 			return nil, fmt.Errorf("model: Resume needs sessions with a stream identity (protocol pipes record one; set SetStreamIdentity on hand-assembled peers)")
 		}
 	}
-	if k == 1 {
-		return t.resumePair(ck, ds, ps.As[0], ps.B.Peers[0])
-	}
-	return t.resumeMulti(ck, ds, ps)
+	return t.trainGroup(ds, ps, ck)
 }
 
+// latestCheckpoint picks the checkpoint op resumes from.
+func (t Trainer) latestCheckpoint(op string) (*runCheckpoint, error) {
+	if t.CheckpointDir == "" {
+		return nil, fmt.Errorf("model: %s needs CheckpointDir", op)
+	}
+	return latestRunCheckpoint(t.CheckpointDir)
+}
+
+// errCkMismatch types the refusal of a sound checkpoint that belongs to a
+// different run: another party count, family, dataset shape, engine
+// configuration or hyper-parameters.
+var errCkMismatch = errors.New("model: checkpoint does not match this run")
+
 // resumeCompat checks a restored checkpoint against the trainer's
-// configuration — the shared validation gate of Resume and ResumeSharded. k
-// is the session count the caller will run; a checkpoint's *shard* topology
-// is deliberately not checked (any shard count resumes any checkpoint), but
-// its session count, model family, engine options and hyper-parameters must
-// match for the resumed trajectory to be the uninterrupted run's.
-func (t Trainer) resumeCompat(ck *runCheckpoint, k int) error {
-	if len(ck.InAs) != k {
-		return fmt.Errorf("model: checkpoint spans %d feature parties, party set has %d", len(ck.InAs), k)
+// configuration and the run's shape — the validation gate of every resume.
+// inAs are the per-session feature widths the caller will run; a
+// checkpoint's *shard* topology is deliberately not checked (any shard count
+// resumes any checkpoint), but its sessions, model family, dataset shape,
+// engine options and hyper-parameters must match for the resumed trajectory
+// to be the uninterrupted run's.
+func (t Trainer) resumeCompat(ck *runCheckpoint, ds *data.Dataset, inAs []int) error {
+	if !slices.Equal(ck.InAs, inAs) || ck.InB != ds.TrainB.NumCols() || ck.Classes != ds.Spec.Classes {
+		return fmt.Errorf("%w: it spans feature widths %v + %d over %d classes, this run %v + %d over %d",
+			errCkMismatch, ck.InAs, ck.InB, ck.Classes, inAs, ds.TrainB.NumCols(), ds.Spec.Classes)
 	}
 	if ck.Kind != t.Kind {
-		return fmt.Errorf("model: checkpoint is a %s run, trainer wants %s", ck.Kind, t.Kind)
+		return fmt.Errorf("%w: it is a %s run, trainer wants %s", errCkMismatch, ck.Kind, t.Kind)
 	}
 	if ck.Fingerprint != t.Hyper.Options.Fingerprint() {
-		return fmt.Errorf("model: engine options changed since the checkpoint (fingerprint %016x, trainer %016x) — a resume under a different engine configuration would not be bit-exact",
-			ck.Fingerprint, t.Hyper.Options.Fingerprint())
+		return fmt.Errorf("%w: engine options changed since the checkpoint (fingerprint %016x, trainer %016x) — a resume under a different engine configuration would not be bit-exact",
+			errCkMismatch, ck.Fingerprint, t.Hyper.Options.Fingerprint())
 	}
 	ckH, h := ck.Hyper, t.Hyper
 	ckH.Epochs, h.Epochs = 0, 0
 	if !reflect.DeepEqual(ckH, h) {
-		return fmt.Errorf("model: hyper-parameters differ from the checkpointed run (only the epoch count may change on resume)")
+		return fmt.Errorf("%w: hyper-parameters differ from the checkpointed run (only the epoch count may change on resume)", errCkMismatch)
 	}
 	if ck.Epoch >= t.Hyper.Epochs {
-		return fmt.Errorf("model: checkpoint already covers %d of %d epochs — nothing to resume", ck.Epoch, t.Hyper.Epochs)
+		return fmt.Errorf("%w: it already covers %d of %d epochs — nothing to resume", errCkMismatch, ck.Epoch, t.Hyper.Epochs)
 	}
 	return nil
-}
-
-// resumePair continues a two-party run from ck.
-func (t Trainer) resumePair(ck *runCheckpoint, ds *data.Dataset, pa, pb *protocol.Peer) (*History, error) {
-	kind, h := t.Kind, t.Hyper
-	hist := &History{MetricName: metricName(ds.Spec.Classes),
-		Losses: append([]float64(nil), ck.Losses...)}
-	cc := newCkCapture(t, ds, ck.InAs)
-	rc := newRunCkpt(t, ds, ck.InAs)
-	var restoreErrA, restoreErrB error
-	err := protocol.RunParties(pa, pb,
-		func() {
-			la, err := core.LoadMatMulA(bytes.NewReader(ck.LayerA[0]), pa)
-			if err != nil {
-				restoreErrA = err
-				//blindfl:allow teardown deliberate early close: unblocks the peer so the restore error wins the race
-				pa.Conn.Close()
-				return
-			}
-			la.ResumeExchange()
-			ma := &FedA{num: &numericSrcA{dense: la}}
-			trainLoopA(pa, ma, ds.TrainA, h, ck.Epoch, func(e int) { rc.depositA(e, 0, ma) })
-			evalA(ma, kind, ds, ds.TestA, h.Batch)
-			cc.captureA(0, ma)
-		},
-		func() {
-			lb, err := core.LoadMatMulB(bytes.NewReader(ck.LayerB[0]), pb)
-			if err != nil {
-				restoreErrB = err
-				//blindfl:allow teardown deliberate early close: unblocks the peer so the restore error wins the race
-				pb.Conn.Close()
-				return
-			}
-			lb.ResumeExchange()
-			mb, err := restoredFedB(ck, &numericSrcB{dense: lb})
-			if err != nil {
-				restoreErrB = err
-				//blindfl:allow teardown deliberate early close: unblocks the peer so the restore error wins the race
-				pb.Conn.Close()
-				return
-			}
-			trainLoopB(pb, mb, ds, h, hist, ck.Epoch, func(e int) { rc.depositB(e, mb, hist.Losses) })
-			hist.TestLogits = evalB(mb, ds, h)
-			cc.captureB(mb)
-		})
-	if restoreErrA != nil {
-		return nil, restoreErrA
-	}
-	if restoreErrB != nil {
-		return nil, restoreErrB
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := rc.finish(); err != nil {
-		return nil, err
-	}
-	if err := cc.write(t.Checkpoint); err != nil {
-		return nil, err
-	}
-	finishHistory(hist, ds)
-	return hist, nil
-}
-
-// resumeMulti continues a k-party run from ck.
-func (t Trainer) resumeMulti(ck *runCheckpoint, ds *data.Dataset, ps PartySet) (*History, error) {
-	kind, h, k := t.Kind, t.Hyper, ps.K()
-	trainAs := data.SplitCols(ds.TrainA, k)
-	testAs := data.SplitCols(ds.TestA, k)
-	for i, p := range trainAs {
-		if p.NumCols() != ck.InAs[i] {
-			return nil, fmt.Errorf("model: feature party %d has %d columns, checkpoint wants %d", i, p.NumCols(), ck.InAs[i])
-		}
-	}
-	hist := &History{MetricName: metricName(ds.Spec.Classes),
-		Losses: append([]float64(nil), ck.Losses...)}
-	cc := newCkCapture(t, ds, ck.InAs)
-	rc := newRunCkpt(t, ds, ck.InAs)
-	ps.B.ContinueOnLoss = t.ContinueOnLoss
-	restoreErrA := make([]error, k)
-	var restoreErrB error
-	err := protocol.RunGroup(ps.As, ps.B,
-		func(i int) {
-			la, err := core.LoadMatMulA(bytes.NewReader(ck.LayerA[i]), ps.As[i])
-			if err != nil {
-				restoreErrA[i] = err
-				//blindfl:allow teardown deliberate early close: unblocks the peer so the restore error wins the race
-				ps.As[i].Conn.Close()
-				return
-			}
-			la.ResumeExchange()
-			ma := &FedA{num: &numericSrcA{dense: la}}
-			trainLoopA(ps.As[i], ma, trainAs[i], h, ck.Epoch, func(e int) { rc.depositA(e, i, ma) })
-			evalA(ma, kind, ds, testAs[i], h.Batch)
-			cc.captureA(i, ma)
-		},
-		func() {
-			subs := make([]*core.MatMulB, k)
-			ps.B.ForEach(func(i int, peer *protocol.Peer) {
-				sub, err := core.LoadMatMulB(bytes.NewReader(ck.LayerB[i]), peer)
-				if err != nil {
-					restoreErrB = err
-					return
-				}
-				subs[i] = sub
-			})
-			if restoreErrB != nil {
-				ps.B.Close()
-				return
-			}
-			lb := core.NewMultiMatMulBFrom(ps.B, subs)
-			lb.ResumeExchange()
-			mb, err := restoredFedB(ck, &multiNumericSrcB{dense: lb})
-			if err != nil {
-				restoreErrB = err
-				ps.B.Close()
-				return
-			}
-			trainLoopB(ps.B, mb, ds, h, hist, ck.Epoch, func(e int) { rc.depositB(e, mb, hist.Losses) })
-			hist.TestLogits = evalB(mb, ds, h)
-			cc.captureB(mb)
-		})
-	for i := 0; i < k; i++ {
-		if restoreErrA[i] != nil {
-			return nil, restoreErrA[i]
-		}
-	}
-	if restoreErrB != nil {
-		return nil, restoreErrB
-	}
-	if err != nil {
-		return nil, err
-	}
-	if ps.B.LostCount() > 0 {
-		hist.LostSessions = ps.B.Lost()
-		if t.Checkpoint != nil {
-			return nil, fmt.Errorf("model: %w: %d of %d sessions lost mid-run, refusing to write a partial checkpoint",
-				protocol.ErrSessionLost, ps.B.LostCount(), k)
-		}
-	}
-	if err := rc.finish(); err != nil {
-		return nil, err
-	}
-	if err := cc.write(t.Checkpoint); err != nil {
-		return nil, err
-	}
-	finishHistory(hist, ds)
-	return hist, nil
-}
-
-// restoredFedB rebuilds the label party's model half around a restored
-// source-layer facade: the head is constructed through the same family
-// constructor as training (so module shapes match), its parameters
-// overwritten from the checkpoint, and the optimizer's momentum buffers
-// restored so the velocity trajectory continues rather than restarting.
-func restoredFedB(ck *runCheckpoint, num numSrcB) (*FedB, error) {
-	head := buildHead(ck.Kind, ck.Classes, ck.Hyper)
-	params := head.params()
-	if len(params) != len(ck.Head) {
-		return nil, fmt.Errorf("model: checkpoint head has %d parameters, %s wants %d", len(ck.Head), ck.Kind, len(params))
-	}
-	for i, par := range params {
-		saved := ck.Head[i]
-		if saved == nil || !par.W.SameShape(saved) {
-			return nil, fmt.Errorf("model: checkpoint head parameter %d shape mismatch", i)
-		}
-		copy(par.W.Data, saved.Data)
-	}
-	m := &FedB{kind: ck.Kind, classes: ck.Classes, num: num, head: head}
-	m.opt = nn.NewSGD(ck.Hyper.LR, ck.Hyper.Momentum, head.params())
-	m.opt.SetMomentumState(ck.HeadMom)
-	return m, nil
 }

@@ -54,14 +54,12 @@ type shardSetup struct {
 	TrainB  data.Part
 	TestB   data.Part
 
-	StartEpoch      int  // completed epochs to replay through (resume)
-	CheckpointEvery int  // run-checkpoint stride (ckptDue)
-	RunCkpt         bool // workers send layer blobs at checkpoint epochs
-	ServeCapture    bool // workers send final layer blobs for the serve checkpoint
-	ServeEval       bool // evaluation runs the exact-integer serve path
+	StartEpoch   int  // completed epochs to replay through (resume)
+	CkptEvery    int  // run-checkpoint stride (schedule.ckptEvery); 0: none
+	ServeCapture bool // workers send final layer blobs for the serve checkpoint
+	ServeEval    bool // evaluation runs the exact-integer serve path
 
-	Resume bool
-	LayerB [][]byte // resume only: every session's restored B half
+	LayerB [][]byte // resume only: every session's B half to restore
 }
 
 // fingerprint hashes everything that determines the deterministic schedule:
@@ -74,25 +72,30 @@ type shardSetup struct {
 // with protocol.ErrShardMismatch instead of silently diverging.
 func (su *shardSetup) fingerprint(plan protocol.ShardPlan) uint64 {
 	f := fnv.New64a()
-	fmt.Fprintf(f, "%s|%d|%+v|%v|%d|%d/%d|%d|%d|%v|%v|%v|%v|%016x",
+	fmt.Fprintf(f, "%s|%d|%+v|%v|%d|%d/%d|%d|%d|%v|%v|%v|%016x",
 		su.Kind, su.Classes, su.Hyper, su.InAs, su.InB,
-		plan.Sessions, plan.Shards, su.StartEpoch, su.CheckpointEvery,
-		su.RunCkpt, su.ServeCapture, su.ServeEval, su.Resume,
+		plan.Sessions, plan.Shards, su.StartEpoch, su.CkptEvery,
+		su.ServeCapture, su.ServeEval, su.LayerB != nil,
 		su.Hyper.Options.Fingerprint())
 	return f.Sum64()
 }
 
 // shardSrcB is the root's numeric source-layer facade over the shard group:
 // the forward gathers every shard's per-session partials and folds them in
-// global session order (exactly the single-process sumInOrder), the backward
-// broadcasts the one gradient, and the serve forward folds the exact-integer
-// share partials before the single decode. The feature parts the Fed loops
-// pass in are ignored — the workers hold the label party's features.
+// global session order (the single-process layer's tensor.SumInOrder, over
+// the same terms), the backward broadcasts the one gradient, and the serve
+// forward folds the exact-integer share partials before the single decode.
+// The feature parts the Fed loops pass in are ignored — the workers hold the
+// label party's features.
 type shardSrcB struct {
 	sg *protocol.ShardGroup
 }
 
-func (s *shardSrcB) forward(_ data.Part) *tensor.Dense { return foldParts(s.sg.GatherParts()) }
+// seedEpoch is a no-op at the root: each worker re-seeds its own session
+// group at every epoch boundary of the shared schedule.
+func (s *shardSrcB) seedEpoch(int) {}
+
+func (s *shardSrcB) forward(data.Part) *tensor.Dense { return tensor.SumInOrder(s.sg.GatherParts()) }
 
 func (s *shardSrcB) backward(g *tensor.Dense) { s.sg.BroadcastGrad(g) }
 
@@ -100,42 +103,36 @@ func (s *shardSrcB) backward(g *tensor.Dense) { s.sg.BroadcastGrad(g) }
 // between the workers' B halves and the feature parties directly.
 func (s *shardSrcB) serveStart() {}
 
-func (s *shardSrcB) serveForward(_ *tensor.Dense) *tensor.Dense {
+func (s *shardSrcB) serveForward(*tensor.Dense) *tensor.Dense {
 	return s.sg.GatherShareSum().DecodeTranspose()
 }
 
-// foldParts folds per-session forward partials in global session order — the
-// fixed merge order that makes the sharded float sum bit-identical to the
-// single-process one (core's sumInOrder, applied to gathered partials).
-func foldParts(zs []*tensor.Dense) *tensor.Dense {
-	var z *tensor.Dense
-	for _, zi := range zs {
-		if zi == nil {
-			continue
-		}
-		if z == nil {
-			z = zi
-		} else {
-			z.AddInPlace(zi)
-		}
-	}
-	return z
+func (s *shardSrcB) layers(epoch int) ([][]byte, error) { return s.sg.GatherLayers(epoch), nil }
+
+// shardSide is the label party with its halves out in the shard workers.
+type shardSide struct{ sg *protocol.ShardGroup }
+
+// restore has nothing to decode at the root: the workers were handed the
+// checkpoint's halves in the setup document and restore their own slices.
+func (s shardSide) restore(*runPlan, int) error { return nil }
+
+func (s shardSide) open(*runPlan, core.Config) numSrcB { return &shardSrcB{sg: s.sg} }
+func (s shardSide) embPeer() *protocol.Peer            { return nil }
+func (s shardSide) lost() []bool                       { return nil }
+
+func (s shardSide) run(as []*protocol.Peer, fa func(i int), fb func()) error {
+	return protocol.RunShardRoot(as, s.sg,
+		func(i int) error { return as[i].Run(func() { fa(i) }) },
+		func() error { return protocol.Catch("PartyB", fb) })
 }
-
-// noopSeeder satisfies epochSeeder for the shard root, whose B-side peers
-// live in the workers: each worker re-seeds its own session group at every
-// epoch boundary (the same g.SeedEpoch call the single-process run makes).
-type noopSeeder struct{}
-
-func (noopSeeder) SeedEpoch(int) {}
 
 // TrainSharded runs federated training with the label party sharded across
 // the worker fleet and returns the training history — Trainer.Train's
 // k-party semantics, bit-identical for any shard count (a 1-shard run is the
-// single-process run over one control link). Numeric families only, like
-// trainMulti; checkpoints follow the same Serveable rule.
+// single-process run over one control link). Numeric families only;
+// checkpoints follow the same Serveable rule.
 func (t Trainer) TrainSharded(ds *data.Dataset, ss ShardSet) (*History, error) {
-	return t.trainSharded(ds, ss, nil)
+	return t.trainShards(ds, ss, nil)
 }
 
 // ResumeSharded restores the newest usable run checkpoint from CheckpointDir
@@ -146,65 +143,38 @@ func (t Trainer) TrainSharded(ds *data.Dataset, ss ShardSet) (*History, error) {
 // sessions across workers never moves a mask stream, and the checkpoint
 // stores per-session layer halves that re-slice cleanly.
 func (t Trainer) ResumeSharded(ds *data.Dataset, ss ShardSet) (*History, error) {
-	if t.CheckpointDir == "" {
-		return nil, fmt.Errorf("model: ResumeSharded needs CheckpointDir")
-	}
-	ck, err := latestRunCheckpoint(t.CheckpointDir)
+	ck, err := t.latestCheckpoint("ResumeSharded")
 	if err != nil {
 		return nil, err
 	}
-	return t.trainSharded(ds, ss, ck)
+	return t.trainShards(ds, ss, ck)
 }
 
-func (t Trainer) trainSharded(ds *data.Dataset, ss ShardSet, ck *runCheckpoint) (*History, error) {
-	kind, h, k := t.Kind, t.Hyper, len(ss.SKAs)
+// trainShards runs the body with the label party's halves in the fleet:
+// plan, ship every worker the setup document, dial the sessions, run.
+func (t Trainer) trainShards(ds *data.Dataset, ss ShardSet, ck *runCheckpoint) (*History, error) {
+	h, k := t.Hyper, len(ss.SKAs)
 	if k == 0 || ss.Dial == nil {
 		return nil, fmt.Errorf("model: TrainSharded needs feature-party keys and a shard dialer")
-	}
-	if kind.UsesEmbedding() {
-		return nil, fmt.Errorf("model: sharded training covers the numeric families lr|mlr|mlp; %s needs a multi-party Embed-MatMul layer", kind)
-	}
-	if cols := ds.TrainA.NumCols(); k > cols {
-		return nil, fmt.Errorf("model: cannot split %d feature columns across %d parties", cols, k)
-	}
-	if (t.Checkpoint != nil || t.CheckpointDir != "") && !Serveable(kind, ds) {
-		return nil, fmt.Errorf("model: checkpoints cover the dense numeric families (lr|mlr|mlp on dense data); %s is not serveable here", t.Kind)
 	}
 	plan := protocol.ShardPlan{Sessions: k, Shards: ss.Shards}
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	trainAs := data.SplitCols(ds.TrainA, k)
-	testAs := data.SplitCols(ds.TestA, k)
-	inAs := make([]int, k)
-	for i, p := range trainAs {
-		inAs[i] = p.NumCols()
+	pl, err := t.plan(ds, k, ck, true)
+	if err != nil {
+		return nil, err
 	}
-	start := 0
-	if ck != nil {
-		if err := t.resumeCompat(ck, k); err != nil {
-			return nil, err
-		}
-		for i, p := range trainAs {
-			if p.NumCols() != ck.InAs[i] {
-				return nil, fmt.Errorf("model: feature party %d has %d columns, checkpoint wants %d", i, p.NumCols(), ck.InAs[i])
-			}
-		}
-		start = ck.Epoch
-	}
-
 	su := &shardSetup{
-		Kind: kind, Classes: ds.Spec.Classes, Hyper: h,
-		InAs: inAs, InB: ds.TrainB.NumCols(),
+		Kind: t.Kind, Classes: ds.Spec.Classes, Hyper: h,
+		InAs: pl.inAs, InB: ds.TrainB.NumCols(),
 		TrainB: ds.TrainB, TestB: ds.TestB,
-		StartEpoch:      start,
-		CheckpointEvery: t.CheckpointEvery,
-		RunCkpt:         t.CheckpointDir != "",
-		ServeCapture:    t.Checkpoint != nil,
-		ServeEval:       Serveable(kind, ds),
+		StartEpoch:   pl.sched.start,
+		CkptEvery:    pl.sched.ckptEvery,
+		ServeCapture: t.Checkpoint != nil,
+		ServeEval:    Serveable(t.Kind, ds),
 	}
 	if ck != nil {
-		su.Resume = true
 		su.LayerB = ck.LayerB
 	}
 	fp := su.fingerprint(plan)
@@ -245,90 +215,8 @@ func (t Trainer) trainSharded(ds *data.Dataset, ss ShardSet, ck *runCheckpoint) 
 		sg.Close()
 		return nil, hsErr
 	}
-
-	hist := &History{MetricName: metricName(ds.Spec.Classes)}
-	if ck != nil {
-		hist.Losses = append([]float64(nil), ck.Losses...)
-	}
-	cc := newCkCapture(t, ds, inAs)
-	rc := newRunCkpt(t, ds, inAs)
-	if rc != nil {
-		rc.shards = plan.Shards
-	}
-
-	restoreErrA := make([]error, k)
-	var rootErr error
-	err = protocol.RunShardRoot(as, sg,
-		func(i int) error {
-			err := as[i].Run(func() {
-				var ma *FedA
-				if ck == nil {
-					ma = NewFedAMulti(as[i], kind, ds, h, inAs[i], k)
-				} else {
-					la, err := core.LoadMatMulA(bytes.NewReader(ck.LayerA[i]), as[i])
-					if err != nil {
-						restoreErrA[i] = err
-						return
-					}
-					la.ResumeExchange()
-					ma = &FedA{num: &numericSrcA{dense: la}}
-				}
-				trainLoopA(as[i], ma, trainAs[i], h, start, func(e int) { rc.depositA(e, i, ma) })
-				evalA(ma, kind, ds, testAs[i], h.Batch)
-				cc.captureA(i, ma)
-			})
-			if restoreErrA[i] != nil {
-				return restoreErrA[i]
-			}
-			return err
-		},
-		func() error {
-			err := protocol.Catch("PartyB", func() {
-				var mb *FedB
-				if ck == nil {
-					mb = &FedB{kind: kind, classes: ds.Spec.Classes, num: &shardSrcB{sg: sg}}
-					mb.finishTop(kind, ds.Spec.Classes, h)
-				} else {
-					m, err := restoredFedB(ck, &shardSrcB{sg: sg})
-					if err != nil {
-						rootErr = err
-						return
-					}
-					mb = m
-				}
-				trainLoopB(noopSeeder{}, mb, ds, h, hist, start, func(e int) {
-					if rc.due(e) {
-						rc.depositShardB(e, sg.GatherLayers(e), mb, hist.Losses)
-					}
-				})
-				hist.TestLogits = evalB(mb, ds, h)
-				if t.Checkpoint != nil {
-					cc.captureShardB(sg.GatherLayers(-1), mb)
-				}
-			})
-			if rootErr != nil {
-				return rootErr
-			}
-			return err
-		})
-	for i := 0; i < k; i++ {
-		if restoreErrA[i] != nil {
-			return nil, restoreErrA[i]
-		}
-	}
-	if rootErr != nil {
-		return nil, rootErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	sg.Close()
-	if err := rc.finish(); err != nil {
-		return nil, err
-	}
-	if err := cc.write(t.Checkpoint); err != nil {
-		return nil, err
-	}
-	finishHistory(hist, ds)
-	return hist, nil
+	// Whatever run returns, the fleet is done: a failed run has torn it down
+	// already, and Close is close-once.
+	defer sg.Close()
+	return t.run(pl, as, shardSide{sg: sg})
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"fmt"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -31,68 +30,6 @@ func shardKeys(t testing.TB, k int) ([]*paillier.PrivateKey, *paillier.PrivateKe
 	return skAs, skB
 }
 
-// runSharded drives one TrainSharded run over an in-process worker fleet and
-// fails the test on any error, root- or worker-side.
-func runSharded(t *testing.T, tr Trainer, ds *data.Dataset, k, shards int) *History {
-	t.Helper()
-	skAs, skB := shardKeys(t, k)
-	dial, wait, stop := StartShardWorkers(shards, skB, nil)
-	hist, err := tr.TrainSharded(ds, ShardSet{Shards: shards, SKAs: skAs, Dial: dial})
-	if err != nil {
-		stop()
-		wait()
-		t.Fatalf("%d-shard run: %v", shards, err)
-	}
-	if err := wait(); err != nil {
-		t.Fatalf("%d-shard workers: %v", shards, err)
-	}
-	return hist
-}
-
-// TestShardBitExactDense is the tentpole acceptance check: a sharded dense
-// run is bit-identical to the single-process k-party run — same losses, same
-// test metric, same test logits — for shard counts 1 (one control link, all
-// sessions in one worker) and 2 (an uneven 2+1 split of the 3 sessions). The
-// baseline group MUST be piped with the hyper seed: TrainSharded derives
-// every stream from h.Seed, and the per-session streams drive the weight
-// pieces, so a baseline over a different pipe seed would only agree in
-// distribution.
-func TestShardBitExactDense(t *testing.T) {
-	const k = 3
-	ds := data.Generate(tinySpec("t-shard", 16, 16, 2, false), 33)
-	h := tinyHyper()
-	h.Epochs = 3
-	as, g := fedGroup(t, k, h.Seed)
-	base, err := TrainFederatedMulti(LR, ds, h, as, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2} {
-		hist := runSharded(t, Trainer{Kind: LR, Hyper: h}, ds, k, shards)
-		requireBitIdentical(t, fmt.Sprintf("%d-shard dense", shards), hist, base)
-	}
-}
-
-// TestShardBitExactSparse repeats the bit-exactness over a sparse dataset:
-// the workers run the MultiSparseMatMulB shard constructor and the test-set
-// evaluation goes through the partials path (no serve forward for sparse
-// data), so this pins the second source-layer family end to end.
-func TestShardBitExactSparse(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sparse shard bit-exactness skipped in -short")
-	}
-	const k = 3
-	ds := data.Generate(tinySpec("t-shardsp", 60, 6, 2, false), 34)
-	h := tinyHyper()
-	as, g := fedGroup(t, k, h.Seed)
-	base, err := TrainFederatedMulti(LR, ds, h, as, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist := runSharded(t, Trainer{Kind: LR, Hyper: h}, ds, k, 2)
-	requireBitIdentical(t, "2-shard sparse", hist, base)
-}
-
 // TestShardServeCheckpointBitIdentity: a serve checkpoint captured from a
 // sharded run (worker layer blobs re-slotted in global session order)
 // restores onto fresh single-process sessions and serves the training-time
@@ -102,7 +39,10 @@ func TestShardServeCheckpointBitIdentity(t *testing.T) {
 	ds := data.Generate(tinySpec("t-shardck", 14, 14, 2, false), 36)
 	h := tinyHyper()
 	var buf bytes.Buffer
-	hist := runSharded(t, Trainer{Kind: LR, Hyper: h, Checkpoint: &buf}, ds, k, 2)
+	hist, err := runOn(t, Trainer{Kind: LR, Hyper: h, Checkpoint: &buf}, ds, k, 2, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	skAs, skB := shardKeys(t, k)
 	as, g, err := protocol.GroupPipe(skAs, skB, 711)
@@ -190,72 +130,6 @@ func TestChaosShardKillTyped(t *testing.T) {
 	}
 	stop()
 	wait() // drain the workers' cascade errors
-}
-
-// TestChaosShardKillResume is the crash-recovery acceptance check: a 2-shard
-// run with durable checkpoints is killed mid-epoch-2, then resumed onto a
-// DIFFERENT shard count (one worker) — and the stitched trajectory is
-// bit-identical to an uninterrupted run. Per-session layer halves and
-// global-session-index streams make a checkpoint shard-topology-free; out of
-// -short, the same checkpoint also resumes unsharded through Trainer.Resume.
-func TestChaosShardKillResume(t *testing.T) {
-	const k = 2
-	ds := data.Generate(tinySpec("t-shardres", 12, 12, 2, false), 35)
-	h := tinyHyper()
-	h.Epochs = 4
-	ref := runSharded(t, Trainer{Kind: LR, Hyper: h}, ds, k, 2)
-
-	dir := t.TempDir()
-	skAs, skB := shardKeys(t, k)
-	tr := Trainer{Kind: LR, Hyper: h, CheckpointDir: dir, CheckpointEvery: 1}
-	pair := func(shard, ord int) (transport.Conn, transport.Conn) {
-		root, worker := transport.Pair(4096)
-		if shard == 1 && ord == 0 {
-			// Sends on the control link: hello, setup, then one gradient per
-			// batch (5 per epoch) — send 15 is epoch 2's third gradient, so
-			// the epoch-1 and epoch-2 checkpoints are already durable.
-			return transport.NewFaultConn(root, 9, "chaos-shard-resume", transport.FaultPlan{KillAtMsg: 15}), worker
-		}
-		return root, worker
-	}
-	dial, wait, stop := StartShardWorkers(2, skB, pair)
-	done := make(chan error, 1)
-	go func() {
-		_, err := tr.TrainSharded(ds, ShardSet{Shards: 2, SKAs: skAs, Dial: dial})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, protocol.ErrShardLost) {
-			t.Fatalf("killed run error = %v, want ErrShardLost", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("killed run hung instead of failing typed")
-	}
-	stop()
-	wait()
-
-	dial2, wait2, stop2 := StartShardWorkers(1, skB, nil)
-	resumed, err := tr.ResumeSharded(ds, ShardSet{Shards: 1, SKAs: skAs, Dial: dial2})
-	if err != nil {
-		stop2()
-		wait2()
-		t.Fatalf("ResumeSharded onto 1 shard: %v", err)
-	}
-	if err := wait2(); err != nil {
-		t.Fatalf("resume worker: %v", err)
-	}
-	requireBitIdentical(t, "2-shard kill, 1-shard resume", resumed, ref)
-
-	if testing.Short() {
-		return
-	}
-	as, g := fedGroup(t, k, h.Seed)
-	unsharded, err := tr.Resume(ds, PartySet{As: as, B: g})
-	if err != nil {
-		t.Fatalf("unsharded Resume of a sharded checkpoint: %v", err)
-	}
-	requireBitIdentical(t, "sharded checkpoint, unsharded resume", unsharded, ref)
 }
 
 // TestShardMultiProcessSmoke runs the real thing: two blindfl-shard worker

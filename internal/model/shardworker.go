@@ -12,7 +12,6 @@ import (
 	"blindfl/internal/data"
 	"blindfl/internal/paillier"
 	"blindfl/internal/protocol"
-	"blindfl/internal/rng"
 	"blindfl/internal/transport"
 )
 
@@ -55,7 +54,7 @@ func RunShardWorker(ctl transport.Conn, accept func() (transport.Conn, error), s
 	if len(su.InAs) != plan.Sessions {
 		return fmt.Errorf("%w: setup names %d sessions, hello %d", protocol.ErrShardMismatch, len(su.InAs), plan.Sessions)
 	}
-	if su.Resume && len(su.LayerB) != plan.Sessions {
+	if su.LayerB != nil && len(su.LayerB) != plan.Sessions {
 		return fmt.Errorf("%w: resume setup carries %d layer halves for %d sessions", protocol.ErrShardMismatch, len(su.LayerB), plan.Sessions)
 	}
 	su.Hyper.Options.Apply()
@@ -100,114 +99,60 @@ func RunShardWorker(ctl transport.Conn, accept func() (transport.Conn, error), s
 	return runErr
 }
 
-// shardWorkerLoop drives the worker's session slice through the full
-// deterministic schedule. Protocol failures panic protocol-style (the caller
-// runs it under Catch); local failures (layer serialization) return an
-// error. The loop mirrors trainLoopB exactly — same batch-order stream, same
-// per-epoch re-seeding, same checkpoint-epoch formula — with the head's
-// forward/backward replaced by the partials/gradient exchange with the root.
+// shardWorkerLoop drives the worker's session slice through the run: the
+// label party's closure of Trainer.run with the head's forward/backward
+// replaced by the partials/gradient exchange with the root. It opens its
+// slice of the numeric source layer the way the unsharded label party opens
+// the whole of it (built, or restored from the setup document's halves) and
+// iterates the same schedule — batch order, per-epoch re-seeding, checkpoint
+// epochs — so the root and every worker stay in lockstep with no scheduling
+// traffic. Protocol failures panic protocol-style (the caller runs it under
+// Catch); a half that does not restore returns a typed error.
 func shardWorkerLoop(link *protocol.ShardLink, g *protocol.Group, su *shardSetup, plan protocol.ShardPlan, shard int) error {
 	h := su.Hyper
 	lo, hi := plan.Range(shard)
 	inAs := su.InAs[lo:hi]
-	dense := su.TrainB.Dense != nil
 	cfg := coreCfg(su.Kind, su.Classes, h)
-	var md *core.MultiMatMulB
-	var ms *core.MultiSparseMatMulB
-	if su.Resume {
-		if !dense {
-			return fmt.Errorf("model: resume covers dense numeric source layers only")
+	cfg.GroupParties = plan.Sessions // the W_B pieces and ∇Z/k scale by the run's k, not the slice's
+	var subs []*core.MatMulB
+	if su.LayerB != nil {
+		var err error
+		if subs, err = loadLayers(core.LoadMatMulB, su.LayerB[lo:hi], g.Peers, inAs, su.InB, cfg.Out); err != nil {
+			return err
 		}
-		subs := make([]*core.MatMulB, hi-lo)
-		loadErrs := make([]error, hi-lo)
-		g.ForEach(func(j int, peer *protocol.Peer) {
-			sub, err := core.LoadMatMulB(bytes.NewReader(su.LayerB[lo+j]), peer)
-			if err != nil {
-				loadErrs[j] = err
-				return
-			}
-			subs[j] = sub
-		})
-		for _, err := range loadErrs {
-			if err != nil {
-				return err
-			}
+	}
+	md := openGroupLayer(g, subs, cfg, inAs, su.InB, su.TrainB.Sparse != nil)
+	// sendLayers ships the slice's halves in shard-local session order (the
+	// root re-slots them by plan range).
+	sendLayers := func(epoch int) {
+		blobs, err := saveLayersB(md)
+		if err != nil {
+			g.Peers[0].Fail("shard %d: layer halves for epoch %d: %w", shard, epoch, err)
 		}
-		md = core.NewMultiMatMulBFrom(g, subs)
-		md.ResumeExchange()
-	} else if dense {
-		md = core.NewMultiMatMulBShard(g, cfg, inAs, su.InB, plan.Sessions)
-	} else {
-		ms = core.NewMultiSparseMatMulBShard(g, cfg, inAs, su.InB, plan.Sessions)
+		link.SendLayers(epoch, blobs)
 	}
 
-	rows := su.TrainB.Rows()
-	order := rng.New(h.Seed, "batch-order")
-	for e := 0; e < su.StartEpoch; e++ {
-		data.Shuffle(order, rows)
-	}
-	for e := su.StartEpoch; e < h.Epochs; e++ {
-		g.SeedEpoch(e)
-		perm := data.Shuffle(order, rows)
-		for _, idx := range batchesOf(perm, h.Batch) {
-			p := su.TrainB.Batch(idx)
-			if md != nil {
-				link.SendParts(md.ForwardParts(core.DenseFeatures{M: p.Dense}))
-				md.BackwardTotal(link.RecvGrad(), plan.Sessions)
-			} else {
-				link.SendParts(ms.ForwardParts(p.Sparse))
-				ms.BackwardTotal(link.RecvGrad(), plan.Sessions)
-			}
-		}
-		if su.RunCkpt && ckptDue(e, su.CheckpointEvery, h.Epochs) {
-			blobs, err := saveShardLayers(md)
-			if err != nil {
-				return err
-			}
-			link.SendLayers(e, blobs)
-		}
-	}
+	schedule{h: h, rows: su.TrainB.Rows(), start: su.StartEpoch, ckptEvery: su.CkptEvery}.each(g.SeedEpoch,
+		func(idx []int) {
+			link.SendParts(md.ForwardParts(numeric(su.TrainB.Batch(idx))))
+			md.Backward(link.RecvGrad())
+		},
+		sendLayers)
 
-	if su.ServeEval && md != nil {
+	if su.ServeEval {
 		md.ServeStart()
-		for _, idx := range data.BatchIndices(su.TestB.Rows(), h.Batch) {
-			link.SendShare(md.ServeShareSum(su.TestB.Batch(idx).Dense))
-		}
-	} else {
-		for _, idx := range data.BatchIndices(su.TestB.Rows(), h.Batch) {
-			p := su.TestB.Batch(idx)
-			if md != nil {
-				link.SendParts(md.ForwardParts(core.DenseFeatures{M: p.Dense}))
-			} else {
-				link.SendParts(ms.ForwardParts(p.Sparse))
-			}
+	}
+	for _, idx := range data.BatchIndices(su.TestB.Rows(), h.Batch) {
+		if p := su.TestB.Batch(idx); su.ServeEval {
+			link.SendShare(md.ServeShareSum(p.Dense))
+		} else {
+			link.SendParts(md.ForwardParts(numeric(p)))
 		}
 	}
 	if su.ServeCapture {
-		blobs, err := saveShardLayers(md)
-		if err != nil {
-			return err
-		}
-		link.SendLayers(-1, blobs)
+		sendLayers(-1)
 	}
 	return nil
-}
-
-// saveShardLayers serializes the worker's per-session B halves, in
-// shard-local session order (the root re-slots them by plan range).
-func saveShardLayers(md *core.MultiMatMulB) ([][]byte, error) {
-	if md == nil {
-		return nil, fmt.Errorf("model: checkpoint covers dense numeric source layers only")
-	}
-	out := make([][]byte, md.K())
-	for j := range out {
-		var buf bytes.Buffer
-		if err := md.Sub(j).Save(&buf); err != nil {
-			return nil, err
-		}
-		out[j] = buf.Bytes()
-	}
-	return out, nil
 }
 
 // ListenAndServeShard runs one shard worker over TCP: listen on addr,

@@ -21,7 +21,7 @@ func TestFederatedLRStreamedMatchesMonolithic(t *testing.T) {
 		hh := h
 		hh.Stream, hh.ChunkRows = stream, 3
 		pa, pb := fedPipe(t, 530)
-		hist, err := TrainFederated(LR, ds, hh, pa, pb)
+		hist, err := trainOn(LR, ds, hh, Pair(pa, pb))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestFederatedPackedStreamedWDL(t *testing.T) {
 		hh.Packed = true
 		hh.Stream, hh.ChunkRows = stream, 2
 		pa, pb := fedPipe(t, 531)
-		hist, err := TrainFederated(WDL, ds, hh, pa, pb)
+		hist, err := trainOn(WDL, ds, hh, Pair(pa, pb))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -218,6 +218,11 @@ func crossTermHE(rng *rand.Rand, owner *paillier.PrivateKey, a, b *Ring) (*Ring,
 	n, d, m := a.Rows, a.Cols, b.Cols
 	mask := NewRing(n, m)
 	ownerShare := NewRing(n, m)
+	// The masks are drawn up front, in cell order: rng is one stream, and the
+	// row workers below must not share it.
+	for c := range mask.V {
+		mask.V[c] = rng.Uint64()
+	}
 	parallel.For(n, func(i int) {
 		for j := 0; j < m; j++ {
 			acc := &paillier.Ciphertext{C: big.NewInt(1)} // ⟦0⟧
@@ -228,8 +233,7 @@ func crossTermHE(rng *rand.Rand, owner *paillier.PrivateKey, a, b *Ring) (*Ring,
 				}
 				acc = pk.AddCipher(acc, pk.MulPlain(encB[k*m+j], new(big.Int).SetUint64(aik)))
 			}
-			r := rng.Uint64()
-			mask.V[i*m+j] = r
+			r := mask.V[i*m+j]
 			// ⟦A·B − r + 2¹⁹²⟧: the 2¹⁹² offset (a multiple of 2⁶⁴, far
 			// above any attainable |A·B − r|) keeps the plaintext positive
 			// in Z_N so that reducing the decryption mod 2⁶⁴ yields exactly

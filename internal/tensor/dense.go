@@ -335,3 +335,39 @@ func (d *Dense) GatherRows(idx []int) *Dense {
 	}
 	return out
 }
+
+// SumInOrder folds the non-nil matrices of parts left to right, in place
+// into the first of them, and returns it (nil if there is none). Float
+// addition is not associative, so a sum that must come out bit-identical
+// however its terms were computed — concurrently, or in other processes —
+// is folded by this one function in index order.
+func SumInOrder(parts []*Dense) *Dense {
+	var sum *Dense
+	for _, p := range parts {
+		if p == nil {
+			continue
+		}
+		if sum == nil {
+			sum = p
+		} else {
+			sum.AddInPlace(p)
+		}
+	}
+	return sum
+}
+
+// WellFormed reports whether d is a rows×cols matrix of finite values whose
+// backing slice has exactly rows·cols elements — the check for a matrix
+// decoded from outside the program (a checkpoint file) before anything
+// indexes it or fixed-point-encodes it. A nil d is not well formed.
+func (d *Dense) WellFormed(rows, cols int) bool {
+	if d == nil || d.Rows != rows || d.Cols != cols || rows < 0 || cols < 0 || len(d.Data) != rows*cols {
+		return false
+	}
+	for _, v := range d.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
