@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-cpu test-full test-chaos bench bench-smoke bench-json profile-dot serve-smoke shard-smoke examples fmt fmt-check vet lint lint-tools
+.PHONY: build test test-cpu test-full test-chaos bench bench-smoke bench-json profile-dot profile-embed serve-smoke shard-smoke examples fmt fmt-check vet lint lint-tools
 
 build:
 	$(GO) build ./...
@@ -72,6 +72,13 @@ bench-smoke:
 # directory; read with `go tool pprof -top hetensor.test dot.prof`.
 profile-dot:
 	$(GO) test ./internal/hetensor -run '^$$' -bench 'DotGrid/2048' -benchtime 20x -benchmem -cpuprofile dot.prof
+
+# The same for one whole Embed-MatMul step (BenchmarkEmbedStep: forward +
+# backward at the embed_cat workload's geometry and 1024-bit keys, under the
+# benchmark's deployment options). Leaves embed.prof and core.test; read with
+# `go tool pprof -top core.test embed.prof`.
+profile-embed:
+	$(GO) test ./internal/core -run '^$$' -bench 'EmbedStep/1024' -benchtime 20x -benchmem -cpuprofile embed.prof
 
 # Benchmarks as data: the exponentiation-engine and amortized-precompute
 # perf suites at a production key size, the end-to-end fed-step, fed-epoch,

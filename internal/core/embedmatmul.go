@@ -36,9 +36,11 @@ type EmbedMatMulA struct {
 	UA *tensor.Dense // A's piece of W_A (FieldsA·Dim×Out)
 	VB *tensor.Dense // A's piece of W_B (FieldsB·Dim×Out)
 
-	encTA hetensor.Matrix        // ⟦T_A⟧ under B's key, packed if B packs
-	encVA *hetensor.CipherMatrix // ⟦V_A⟧ under B's key
-	encUB *hetensor.CipherMatrix // ⟦U_B⟧ under B's key
+	// The mirrors under B's key, each in the lane format B chose (the wire
+	// layouts are listed under "Wire layouts" below).
+	encTA         hetensor.Matrix // ⟦T_A⟧
+	encVA, encVAT hetensor.Matrix // ⟦V_A⟧ and ⟦V_Aᵀ⟧
+	encUB         hetensor.Matrix // ⟦U_B⟧
 
 	momSA, momTB, momUA, momVB momentum
 
@@ -58,9 +60,10 @@ type EmbedMatMulB struct {
 	UB *tensor.Dense // B's piece of W_B
 	VA *tensor.Dense // B's piece of W_A
 
-	encTB hetensor.Matrix        // ⟦T_B⟧ under A's key, packed if A packs
-	encVB *hetensor.CipherMatrix // ⟦V_B⟧ under A's key
-	encUA *hetensor.CipherMatrix // ⟦U_A⟧ under A's key
+	// The mirrors under A's key, each in the lane format A chose.
+	encTB         hetensor.Matrix // ⟦T_B⟧
+	encVB, encVBT hetensor.Matrix // ⟦V_B⟧ and ⟦V_Bᵀ⟧
+	encUA         hetensor.Matrix // ⟦U_A⟧
 
 	momSB, momTA, momUB, momVA momentum
 
@@ -84,12 +87,8 @@ func NewEmbedMatMulA(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulA {
 		momSA: momentum{mu: cfg.Momentum}, momTB: momentum{mu: cfg.Momentum},
 		momUA: momentum{mu: cfg.Momentum}, momVB: momentum{mu: cfg.Momentum},
 	}
-	cfg.sendEncrypted(p, l.TB)
-	p.EncryptAndSend(l.UA, 1, false)
-	p.EncryptAndSend(l.VB, 1, false)
-	l.encTA = p.RecvMatrix()
-	l.encUB = recvCipher(p)
-	l.encVA = recvCipher(p)
+	l.exchangeTables()
+	l.exchangeWeights()
 	return l
 }
 
@@ -106,13 +105,72 @@ func NewEmbedMatMulB(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulB {
 		momSB: momentum{mu: cfg.Momentum}, momTA: momentum{mu: cfg.Momentum},
 		momUB: momentum{mu: cfg.Momentum}, momVA: momentum{mu: cfg.Momentum},
 	}
-	l.encTB = p.RecvMatrix()
-	l.encUA = recvCipher(p)
-	l.encVB = recvCipher(p)
-	cfg.sendEncrypted(p, l.TA)
-	p.EncryptAndSend(l.UB, 1, false)
-	p.EncryptAndSend(l.VA, 1, false)
+	l.exchangeTables()
+	l.exchangeWeights()
 	return l
+}
+
+// Wire layouts. Every ciphertext matrix of the layer travels in the lane
+// format its encryptor's options choose, blocked by the layer's geometry so
+// that each homomorphic product lands in the layout its sum needs:
+//
+//   - tables ⟦T⟧ (vocab×dim): one block per row, so a lookup result and the
+//     table gradient are dim-blocked (Block = Dim);
+//   - weight mirrors ⟦U⟧, ⟦V⟧ (fields·dim×out): one block per row, lanes
+//     along out — the forward products x·⟦V⟧ take their lanes from them, and
+//     both factors of those are mask-sized, so the lanes are wide
+//     (hetensor.Layout.Wide);
+//   - ⟦Vᵀ⟧ (out×fields·dim, Block = Dim) beside every ⟦V⟧: lanes cannot be
+//     transposed under encryption, and the backward's ∇Z·⟦V⟧ᵀ is then the
+//     plain left product ∇Z·⟦Vᵀ⟧, dim-blocked like the rest of ⟦∇E⟧;
+//   - ⟦∇Z⟧ twice: lanes along out for the two Xᵀ·⟦∇Z⟧ products, and one
+//     value per ciphertext (Block = 1) for the cross term ⟦∇Z⟧·Uᵀ — there
+//     the ciphertext is the left factor, a lane of it would multiply every
+//     lane of the result, so the products are taken per cell and packed
+//     afterwards (hetensor.MulRightTransposeAdd);
+//   - the plaintext-computed terms of ⟦∇E⟧ (∇Z·V_Aᵀ, ∇Z·U_Bᵀ …): Block = Dim.
+
+// sendMirror ships a weight piece for the peer's forward product, in wide
+// lanes: that product multiplies the piece by a mask-sized share.
+func (c EmbedConfig) sendMirror(p *protocol.Peer, w *tensor.Dense) {
+	l := c.layout(0)
+	l.Wide = true
+	p.EncryptAndSend(w, 1, l)
+}
+
+// sendV ships a V piece both ways up: ⟦V⟧ and ⟦Vᵀ⟧.
+func (c EmbedConfig) sendV(p *protocol.Peer, v *tensor.Dense) {
+	c.sendMirror(p, v)
+	c.sendEncrypted(p, v.Transpose(), 1, c.Dim)
+}
+
+// exchangeTables refreshes the encrypted table mirrors: T_B changed at A,
+// T_A at B.
+func (l *EmbedMatMulA) exchangeTables() {
+	l.cfg.sendEncrypted(l.peer, l.TB, 1, 0)
+	l.encTA = l.peer.RecvMatrix()
+}
+
+func (l *EmbedMatMulB) exchangeTables() {
+	l.encTB = l.peer.RecvMatrix()
+	l.cfg.sendEncrypted(l.peer, l.TA, 1, 0)
+}
+
+// exchangeWeights refreshes the encrypted weight mirrors after an update.
+func (l *EmbedMatMulA) exchangeWeights() {
+	p := l.peer
+	l.cfg.sendMirror(p, l.UA)
+	l.cfg.sendV(p, l.VB)
+	l.encVA, l.encVAT = p.RecvMatrix(), p.RecvMatrix()
+	l.encUB = p.RecvMatrix()
+}
+
+func (l *EmbedMatMulB) exchangeWeights() {
+	p := l.peer
+	l.encUA = p.RecvMatrix()
+	l.encVB, l.encVBT = p.RecvMatrix(), p.RecvMatrix()
+	l.cfg.sendV(p, l.VA)
+	l.cfg.sendMirror(p, l.UB)
 }
 
 // embedStage runs Fig. 7 lines 5–7 for one party: lookup over the encrypted
@@ -161,32 +219,42 @@ func (l *EmbedMatMulB) Forward(x *tensor.IntMatrix) *tensor.Dense {
 // Backward runs Party A's backward pass (Fig. 7 lines 12–26).
 func (l *EmbedMatMulA) Backward() {
 	p := l.peer
-	// Line 12: receive ⟦∇Z⟧ and ⟦∇Z·V_Aᵀ⟧ under B's key.
-	encGradZ := recvCipher(p)
-	encGradZVAT := recvCipher(p)
+	// Line 12: ⟦∇Z⟧ in B's lanes and per value, and ⟦∇Z·V_Aᵀ⟧, under B's key.
+	// The first copy is folded as it arrives into both gradient products of
+	// lines 13–20 at once, ψ_Aᵀ∇Z stacked on (E_B−ψ_B)ᵀ∇Z: they share their
+	// bases, so one pass builds one set of window tables for the two.
+	encGradW := recvGradAcc(p, DenseFeatures{tensor.HStack(l.psiA, l.ebmPsi)})
+	gradZCells := p.RecvMatrix()
+	encGradZVAT := p.RecvMatrix()
 
-	// Line 21, first term: ⟦∇Z⟧·U_Aᵀ must use the forward-pass U_A, so it
-	// is computed before the MatMul-part update below touches U_A.
-	encGradEA := hetensor.MulPlainRightTranspose(encGradZ, l.UA).AddCipher(encGradZVAT)
+	// Line 21: ⟦∇E_A⟧ = ⟦∇Z⟧·U_Aᵀ + ⟦∇Z·V_Aᵀ⟧ must use the forward-pass U_A,
+	// so it is computed before the MatMul-part update below touches U_A.
+	encGradEA := hetensor.MulRightTransposeAdd(encGradZVAT, gradZCells, l.UA)
 
 	// --- Backward of the MatMul part (lines 13–20) ---
-	// ∇W_A = ψ_Aᵀ∇Z + (E_A−ψ_A)ᵀ∇Z; A computes the first term encrypted.
-	phi := p.HE2SSSend(hetensor.TransposeMulLeft(l.psiA, encGradZ))
+	// ∇W_A = ψ_Aᵀ∇Z + (E_A−ψ_A)ᵀ∇Z and ∇W_B = ψ_Bᵀ∇Z + (E_B−ψ_B)ᵀ∇Z; A
+	// computed the first term of the one and the second of the other encrypted.
+	phi, xi := convertHalves(p, encGradW, l.psiA.Cols)
 	l.momUA.step(l.UA, phi, l.cfg.LR)
-
-	// ∇W_B = ψ_Bᵀ∇Z + (E_B−ψ_B)ᵀ∇Z; A computes the second term encrypted.
-	xi := p.HE2SSSend(hetensor.TransposeMulLeft(l.ebmPsi, encGradZ))
 	l.momVB.step(l.VB, xi, l.cfg.LR)
 
-	// Refresh the encrypted weight copies (U_A changed here; V_A at B).
-	p.EncryptAndSend(l.UA, 1, false)
-	p.EncryptAndSend(l.VB, 1, false)
-	l.encVA = recvCipher(p)
-	l.encUB = recvCipher(p)
+	l.exchangeWeights() // U_A changed here; V_A at B
+	l.backwardEmbed(encGradEA)
+}
 
-	// --- Backward of the Embed part (lines 21–26) ---
-	// ⟦∇E_A⟧ = ⟦∇Z⟧·U_Aᵀ + ⟦∇Z·V_Aᵀ⟧ (computed above with forward weights).
-	encGradQA := hetensor.LookupBackward(encGradEA, l.x, l.cfg.VocabA, l.cfg.Dim)
+// convertHalves converts the top rows of a stacked product and the rest to
+// shares, in that order: two conversions with a mask each, as if the halves
+// had been computed apart.
+func convertHalves(p *protocol.Peer, m hetensor.Matrix, top int) (*tensor.Dense, *tensor.Dense) {
+	rows, _ := m.Dims()
+	first := p.HE2SSSend(m.RowSlice(0, top))
+	return first, p.HE2SSSend(m.RowSlice(top, rows))
+}
+
+// backwardEmbed is the Embed part of A's backward (Fig. 7 lines 22–26).
+func (l *EmbedMatMulA) backwardEmbed(encGradEA hetensor.Matrix) {
+	p := l.peer
+	encGradQA := hetensor.LookupBackwardRows(encGradEA, l.x, l.cfg.VocabA, l.cfg.Dim)
 	rhoA := p.HE2SSSend(encGradQA) // B receives ∇Q_A − ρ_A
 	l.momSA.step(l.SA, rhoA, l.cfg.LR)
 
@@ -194,28 +262,27 @@ func (l *EmbedMatMulA) Backward() {
 	gradTBshare := p.HE2SSRecv() // ∇Q_B − ρ_B
 	l.momTB.step(l.TB, gradTBshare, l.cfg.LR)
 
-	// Refresh encrypted table copies: T_B changed here, T_A at B.
-	l.cfg.sendEncrypted(p, l.TB)
-	l.encTA = p.RecvMatrix()
-
+	l.exchangeTables()
 	l.x, l.psiA, l.ebmPsi = nil, nil, nil
 }
 
 // Backward runs Party B's backward pass given the top model's ∇Z.
 func (l *EmbedMatMulB) Backward(gradZ *tensor.Dense) {
 	p := l.peer
-	// Line 12: encrypt and ship ∇Z and ∇Z·V_Aᵀ under B's own key. The
-	// product is computed in plaintext (B holds both operands) and
-	// encrypted at scale 2 so A can add it to its scale-2 ⟦∇Z⟧·U_Aᵀ term.
-	p.EncryptAndSend(gradZ, 1, false)
-	gradZVAT := gradZ.MatMulTranspose(l.VA)
-	p.EncryptAndSend(gradZVAT, 2, false)
+	// Line 12: encrypt and ship ∇Z (in lanes and per value) and ∇Z·V_Aᵀ under
+	// B's own key. The product is computed in plaintext (B holds both
+	// operands) and encrypted at scale 2 so A can add it to its scale-2
+	// ⟦∇Z⟧·U_Aᵀ term.
+	l.cfg.sendEncrypted(p, gradZ, 1, 0)
+	l.cfg.sendEncrypted(p, gradZ, 1, 1)
+	l.cfg.sendEncrypted(p, gradZ.MatMulTranspose(l.VA), 2, l.cfg.Dim)
 
-	// The Embed-part derivative ⟦∇E_B⟧ = Enc_A(∇Z·U_Bᵀ) + ∇Z·⟦V_B⟧ᵀ must
-	// use the forward-pass U_B and ⟦V_B⟧, so both terms are computed before
-	// the MatMul-part update and refresh below replace them.
-	encGradEB := hetensor.Encrypt(p.PeerPK, gradZ.MatMulTranspose(l.UB), 2).
-		AddCipher(hetensor.MulPlainLeftTransposeRight(gradZ, l.encVB))
+	// The Embed-part derivative ⟦∇E_B⟧ = ∇Z·⟦V_Bᵀ⟧ + ∇Z·U_Bᵀ must use the
+	// forward-pass U_B and ⟦V_B⟧, so both terms are computed before the
+	// MatMul-part update and refresh below replace them. The plaintext term
+	// is added without fresh randomness: the sum stays at B until the table
+	// gradient's conversion re-randomizes every ciphertext of it.
+	encGradEB := hetensor.MulLeft(gradZ, l.encVBT).AddPlain(gradZ.MatMulTranspose(l.UB))
 
 	// --- Backward of the MatMul part ---
 	// ∇W_A − φ = (E_A−ψ_A)ᵀ∇Z + (ψ_Aᵀ∇Z − φ).
@@ -226,25 +293,22 @@ func (l *EmbedMatMulB) Backward(gradZ *tensor.Dense) {
 	gradWBshare := l.psiB.TransposeMatMul(gradZ).Add(p.HE2SSRecv())
 	l.momUB.step(l.UB, gradWBshare, l.cfg.LR)
 
-	// Refresh encrypted weight copies.
-	l.encUA = recvCipher(p)
-	l.encVB = recvCipher(p)
-	p.EncryptAndSend(l.VA, 1, false)
-	p.EncryptAndSend(l.UB, 1, false)
+	l.exchangeWeights()
+	l.backwardEmbed(encGradEB)
+}
 
-	// --- Backward of the Embed part ---
+// backwardEmbed is the Embed part of B's backward.
+func (l *EmbedMatMulB) backwardEmbed(encGradEB hetensor.Matrix) {
+	p := l.peer
 	// B's share of ∇Q_A arrives masked from A.
 	gradTAshare := p.HE2SSRecv() // ∇Q_A − ρ_A
 	l.momTA.step(l.TA, gradTAshare, l.cfg.LR)
 
-	encGradQB := hetensor.LookupBackward(encGradEB, l.x, l.cfg.VocabB, l.cfg.Dim)
+	encGradQB := hetensor.LookupBackwardRows(encGradEB, l.x, l.cfg.VocabB, l.cfg.Dim)
 	rhoB := p.HE2SSSend(encGradQB) // A receives ∇Q_B − ρ_B
 	l.momSB.step(l.SB, rhoB, l.cfg.LR)
 
-	// Refresh encrypted table copies.
-	l.encTB = p.RecvMatrix()
-	l.cfg.sendEncrypted(p, l.TA)
-
+	l.exchangeTables()
 	l.x, l.psiB, l.eamPsi = nil, nil, nil
 }
 

@@ -88,7 +88,7 @@ func NewMatMulB(p *protocol.Peer, cfg Config, inA, inB int) *MatMulB {
 // concurrently with ResumeExchange on the other side.
 func (l *MatMulA) ResumeExchange() {
 	l.cfg.apply(l.peer)
-	l.cfg.sendEncrypted(l.peer, l.VB)
+	l.cfg.sendEncrypted(l.peer, l.VB, 1, 0)
 	l.encVA = l.peer.RecvMatrix()
 }
 
@@ -97,7 +97,7 @@ func (l *MatMulA) ResumeExchange() {
 func (l *MatMulB) ResumeExchange() {
 	l.cfg.apply(l.peer)
 	l.encVB = l.peer.RecvMatrix()
-	l.cfg.sendEncrypted(l.peer, l.VA)
+	l.cfg.sendEncrypted(l.peer, l.VA, 1, 0)
 }
 
 // forwardHalf runs lines 5–7 of Fig. 6 for one party: given the local
@@ -174,10 +174,10 @@ func (l *MatMulB) backwardMulti(gradFull, gradLocal *tensor.Dense) {
 	gradWB := l.x.TransposeMatMul(gradLocal)
 	l.momUB.step(l.UB, gradWB, l.cfg.LR)
 
-	l.cfg.sendEncrypted(l.peer, gradFull)
+	l.cfg.sendEncrypted(l.peer, gradFull, 1, 0)
 	gradVAshare := l.peer.HE2SSRecv() // ∇W_A − φ
 	l.momVA.step(l.VA, gradVAshare, l.cfg.LR)
-	l.cfg.sendEncrypted(l.peer, l.VA) // refresh ⟦V_A⟧ at A
+	l.cfg.sendEncrypted(l.peer, l.VA, 1, 0) // refresh ⟦V_A⟧ at A
 	l.x = nil
 }
 

@@ -213,7 +213,7 @@ func (l *SparseMatMulB) backwardMulti(gradFull, gradLocal *tensor.Dense) {
 	l.momUB.stepRows(l.UB, gradUB.GatherRows(touchedB), touchedB, l.cfg.LR)
 
 	defer p.Unchunked()()
-	p.EncryptAndSend(gradFull, 1, false)
+	p.EncryptAndSend(gradFull, 1, hetensor.Layout{})
 	touchedA := p.RecvInts()
 	gradVAshare := p.HE2SSRecv() // len(touchedA)×Out: ∇W_A[touched] − φ
 	l.momVA.stepRows(l.VA, gradVAshare, touchedA, l.cfg.LR)

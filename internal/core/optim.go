@@ -90,15 +90,21 @@ func (c Config) apply(p *protocol.Peer) {
 	p.ApplyOptions(c.Options)
 }
 
-// sendEncrypted ships d (a weight piece or a derivative, at scale 1) under
-// this party's key in the lane format its options choose — the one place
+// layout is the lane format this party's options choose for a matrix it
+// encrypts, in column blocks of block (0: the whole row) — the one place
 // Packed is read: every later holder takes the matrix as it comes.
-func (c Config) sendEncrypted(p *protocol.Peer, d *tensor.Dense) {
-	p.EncryptAndSend(d, 1, c.Packed)
+func (c Config) layout(block int) hetensor.Layout {
+	return hetensor.Layout{Packed: c.Packed, Block: block}
 }
 
-// recvCipher receives a matrix the protocol fixes as unpacked (the
-// Embed-MatMul weight mirrors and derivatives, the sparse layer's rows).
+// sendEncrypted ships d (a weight piece or a derivative) under this party's
+// key in layout(block).
+func (c Config) sendEncrypted(p *protocol.Peer, d *tensor.Dense, scale uint, block int) {
+	p.EncryptAndSend(d, scale, c.layout(block))
+}
+
+// recvCipher receives a matrix the protocol fixes as one value per
+// ciphertext: the sparse layer's rows and the serve path's weight pieces.
 func recvCipher(p *protocol.Peer) *hetensor.CipherMatrix {
 	c, ok := p.RecvMatrix().(*hetensor.CipherMatrix)
 	if !ok {

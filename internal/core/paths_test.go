@@ -18,9 +18,10 @@ import (
 // what is computed. These tests drive each layer over every path — packed or
 // not × span (whole, 1, 2, 3, taller than the batch) × by pointer
 // (transport.Pair) or through gob (NewGobConn over net.Pipe) — from identical
-// seeds, and hold every path to the plaintext reference, to the whole-span
-// run of its packing (1e-6: framing only) and to the unpacked run (1e-4:
-// fixed-point lane rounding).
+// seeds, and hold every path to the plaintext reference and, exactly, to the
+// whole-span unpacked run: framing moves no value, and a lane holds the very
+// integer its ciphertext would have held alone, so every decoded float is
+// the same float.
 
 type path struct {
 	packed bool
@@ -36,7 +37,7 @@ func (p path) options() engine.Options {
 	return engine.Options{Packed: p.packed, Stream: p.span > 0, ChunkRows: p.span}
 }
 
-// paths lists the whole-span Pair run of each packing first: the references.
+// paths lists the whole-span unpacked Pair run first: the reference.
 func paths() []path {
 	var ps []path
 	for _, packed := range []bool{false, true} {
@@ -68,19 +69,16 @@ func pathPeers(t *testing.T, p path, seed int64) (*protocol.Peer, *protocol.Peer
 // onEveryPath runs the trajectory on every path and compares what it returns
 // — named matrices — across paths as the header comment says.
 func onEveryPath(t *testing.T, run func(t *testing.T, p path) map[string]*tensor.Dense) {
-	whole := map[bool]map[string]*tensor.Dense{}
+	var whole map[string]*tensor.Dense
 	for _, p := range paths() {
 		t.Run(p.String(), func(t *testing.T) {
 			got := run(t, p)
-			if p.span == 0 && !p.gob {
-				whole[p.packed] = got
+			if whole == nil {
+				whole = got
 			}
 			for name, m := range got {
-				if ref := whole[p.packed][name]; !m.Equal(ref, 1e-6) {
-					t.Errorf("%s diverges from the whole-span run by %g", name, m.Sub(ref).MaxAbs())
-				}
-				if ref := whole[false][name]; !m.Equal(ref, 1e-4) {
-					t.Errorf("%s diverges from the unpacked run by %g", name, m.Sub(ref).MaxAbs())
+				if ref := whole[name]; !m.Equal(ref, 0) {
+					t.Errorf("%s diverges from the whole-span unpacked run by %g", name, m.Sub(ref).MaxAbs())
 				}
 			}
 		})
@@ -166,8 +164,51 @@ func TestMatMulPartiesMayPackAndChunkDifferently(t *testing.T) {
 	}
 	same := run(engine.Options{}, engine.Options{})
 	mixed := run(engine.Options{Packed: true, Stream: true, ChunkRows: 2}, engine.Options{})
-	if !mixed.Equal(same, 1e-4) {
+	if !mixed.Equal(same, 0) {
 		t.Fatalf("mixed-option W_A diverges by %g", mixed.Sub(same).MaxAbs())
+	}
+}
+
+// TestEmbedPartiesMayPackDifferently: in the Embed-MatMul layer too a matrix
+// is packed because its encryptor chose so — everything under A's key follows
+// A's options, everything under B's key B's, and each party's kernels take
+// what arrives, under either top model.
+func TestEmbedPartiesMayPackDifferently(t *testing.T) {
+	run := func(a, b engine.Options, ssTop bool) []*tensor.Dense {
+		pa, pb := pipe(t, 812)
+		cfgA, cfgB := embedTestCfg(), embedTestCfg()
+		cfgA.Options, cfgB.Options = a, b
+		var la *EmbedMatMulA
+		var lb *EmbedMatMulB
+		if err := protocol.RunParties(pa, pb,
+			func() { la = NewEmbedMatMulA(pa, cfgA) },
+			func() { lb = NewEmbedMatMulB(pb, cfgB) },
+		); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(9))
+		xA := randIdx(rng, 3, cfgA.FieldsA, cfgA.VocabA)
+		xB := randIdx(rng, 3, cfgA.FieldsB, cfgA.VocabB)
+		gradZ, eps := tensor.RandDense(rng, 3, cfgA.Out, 0.5), tensor.RandDense(rng, 3, cfgA.Out, 1000)
+		fa, fb := func() { la.Forward(xA); la.Backward() }, func() { lb.Forward(xB); lb.Backward(gradZ) }
+		if ssTop {
+			fa, fb = func() { la.ForwardSS(xA); la.BackwardSS(eps) }, func() { lb.ForwardSS(xB); lb.BackwardSS(gradZ.Sub(eps)) }
+		}
+		if err := protocol.RunParties(pa, pb, fa, fb); err != nil {
+			t.Fatal(err)
+		}
+		return []*tensor.Dense{DebugTableA(la, lb), DebugTableB(la, lb), DebugEmbedWeightsA(la, lb), DebugEmbedWeightsB(la, lb)}
+	}
+	packs := engine.Options{Packed: true, Stream: true, ChunkRows: 2}
+	for _, ssTop := range []bool{false, true} {
+		same := run(engine.Options{}, engine.Options{}, ssTop)
+		for name, mixed := range map[string][]*tensor.Dense{"A packs": run(packs, engine.Options{}, ssTop), "B packs": run(engine.Options{}, packs, ssTop)} {
+			for i := range same {
+				if !mixed[i].Equal(same[i], 0) {
+					t.Errorf("ssTop=%v, %s: matrix %d diverges by %g", ssTop, name, i, mixed[i].Sub(same[i]).MaxAbs())
+				}
+			}
+		}
 	}
 }
 
@@ -196,7 +237,40 @@ func TestEmbedMatMulOnEveryPath(t *testing.T) {
 				t.Fatalf("step %d: federated Z diverges from plaintext by %g", step, z.Sub(wantZ).MaxAbs())
 			}
 		}
-		return map[string]*tensor.Dense{"Q_A": DebugTableA(la, lb), "W_A": DebugEmbedWeightsA(la, lb), "Z": z}
+		return map[string]*tensor.Dense{"Q_A": DebugTableA(la, lb), "Q_B": DebugTableB(la, lb),
+			"W_A": DebugEmbedWeightsA(la, lb), "W_B": DebugEmbedWeightsB(la, lb), "Z": z}
+	})
+}
+
+// TestEmbedFedTopOnEveryPath covers the Embed-MatMul layer under a federated
+// top model (Fig. 14): SS2HE in lanes and per value, both parties' cross
+// terms, and all four weight pieces updating.
+func TestEmbedFedTopOnEveryPath(t *testing.T) {
+	onEveryPath(t, func(t *testing.T, p path) map[string]*tensor.Dense {
+		pa, pb := pathPeers(t, p, 806)
+		cfg := embedTestCfg()
+		cfg.Options = p.options()
+		la, lb := newEmbedPair(t, pa, pb, cfg)
+		rng := rand.New(rand.NewSource(8))
+		var zA, zB *tensor.Dense
+		for step := 0; step < 2; step++ {
+			xA := randIdx(rng, 3, cfg.FieldsA, cfg.VocabA)
+			xB := randIdx(rng, 3, cfg.FieldsB, cfg.VocabB)
+			gradZ := tensor.RandDense(rng, 3, cfg.Out, 0.5)
+			eps := tensor.RandDense(rng, 3, cfg.Out, 1000)
+			wantZ := plaintextZ(la, lb, xA, xB)
+			if err := protocol.RunParties(pa, pb,
+				func() { zA = la.ForwardSS(xA); la.BackwardSS(eps) },
+				func() { zB = lb.ForwardSS(xB); lb.BackwardSS(gradZ.Sub(eps)) },
+			); err != nil {
+				t.Fatal(err)
+			}
+			if z := zA.Add(zB); !z.Equal(wantZ, 1e-4) {
+				t.Fatalf("step %d: the shares reconstruct a Z that diverges from plaintext by %g", step, z.Sub(wantZ).MaxAbs())
+			}
+		}
+		return map[string]*tensor.Dense{"Q_A": DebugTableA(la, lb), "Q_B": DebugTableB(la, lb),
+			"W_A": DebugEmbedWeightsA(la, lb), "W_B": DebugEmbedWeightsB(la, lb), "Z'_A": zA, "Z'_B": zB}
 	})
 }
 

@@ -30,7 +30,7 @@ import (
 func (l *MatMulA) ServeStart() {
 	l.cfg.apply(l.peer)
 	defer l.peer.Unchunked()()
-	l.peer.EncryptAndSend(l.VB, 1, false)
+	l.peer.EncryptAndSend(l.VB, 1, hetensor.Layout{})
 	l.encVA = recvCipher(l.peer)
 }
 
@@ -39,7 +39,7 @@ func (l *MatMulB) ServeStart() {
 	l.cfg.apply(l.peer)
 	defer l.peer.Unchunked()()
 	l.encVB = recvCipher(l.peer)
-	l.peer.EncryptAndSend(l.VA, 1, false)
+	l.peer.EncryptAndSend(l.VA, 1, hetensor.Layout{})
 }
 
 // serveHalf runs one party's half of the batched serve forward: homomorphic

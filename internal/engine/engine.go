@@ -25,9 +25,10 @@ type Options struct {
 	// Packed makes this party encrypt the weight pieces and derivatives it
 	// ships packed (K fixed-point lanes per Paillier plaintext). The matrix
 	// carries its kind, so the peer computes on whatever arrives and need
-	// not set the same flag; results match the unpacked protocol to
-	// fixed-point tolerance. The sparse MatMul layer ignores it (its
-	// on-demand row-cache protocol is bandwidth-bound, not blinding-bound).
+	// not set the same flag; a lane holds the integer its own ciphertext
+	// would have, so results equal the unpacked protocol's bit for bit. The
+	// sparse MatMul layer ignores it (its on-demand row-cache protocol is
+	// bandwidth-bound, not blinding-bound).
 	Packed bool
 
 	// Stream makes this party send ciphertext matrices in bounded

@@ -120,17 +120,6 @@ func TestEngineMulPlainRightTranspose(t *testing.T) {
 	requireIdentical(t, "MulPlainRightTranspose", got, want)
 }
 
-func TestEngineMulPlainLeftTransposeRight(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	x := mixedDense(rng, 5, 3)
-	w := mixedDense(rng, 4, 3)
-	encW := Encrypt(&testKey.PublicKey, w, 1)
-	got := Decrypt(testKey, MulPlainLeftTransposeRight(x, encW))
-	var want *tensor.Dense
-	withTextbook(func() { want = Decrypt(testKey, MulPlainLeftTransposeRight(x, encW)) })
-	requireIdentical(t, "MulPlainLeftTransposeRight", got, want)
-}
-
 func TestEngineScaleUp(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	v := mixedDense(rng, 3, 3)

@@ -132,7 +132,7 @@ func (m *CipherMatrix) AddCipher(o *CipherMatrix) *CipherMatrix {
 
 // AddPlain returns ⟦m + d⟧ with d encoded at m's scale (no fresh
 // randomness; use Mask for sends).
-func (m *CipherMatrix) AddPlain(d *tensor.Dense) *CipherMatrix {
+func (m *CipherMatrix) AddPlain(d *tensor.Dense) Matrix {
 	if m.Rows != d.Rows || m.Cols != d.Cols {
 		panic("hetensor: AddPlain shape mismatch")
 	}
@@ -349,40 +349,6 @@ func MulPlainRightTranspose(g *CipherMatrix, w *tensor.Dense) *CipherMatrix {
 	dotProducts(g.PK, tableSource{g.id, orientRow}, func(k, i int) *paillier.Ciphertext { return g.Row(i)[k] },
 		g.Cols, g.Rows, exps, maxBits,
 		func(j, i int, c *paillier.Ciphertext) { out.Row(i)[j] = c })
-	return out
-}
-
-// MulPlainLeftTransposeRight computes ⟦X·Wᵀ⟧ from plaintext X (m×n) and
-// encrypted W (p×n); the result is m×p at scale W.Scale+1. This is the
-// derivative shape ∇Z·⟦V⟧ᵀ used by the Embed-MatMul backward pass when the
-// derivative is plaintext but the weight piece is encrypted.
-func MulPlainLeftTransposeRight(x *tensor.Dense, w *CipherMatrix) *CipherMatrix {
-	if x.Cols != w.Cols {
-		panic(fmt.Sprintf("hetensor: MulPlainLeftTransposeRight inner dim mismatch %d×%d · %d×%dᵀ", x.Rows, x.Cols, w.Rows, w.Cols))
-	}
-	out := NewCipherMatrix(w.PK, x.Rows, w.Rows, w.Scale+1)
-	if TextbookExp() {
-		parallel.For(x.Rows, func(i int) {
-			xrow := x.Row(i)
-			orow := out.Row(i)
-			for j := 0; j < w.Rows; j++ {
-				wrow := w.Row(j)
-				acc := orow[j]
-				for k, a := range xrow {
-					if a == 0 {
-						continue
-					}
-					acc = w.PK.AddCipher(acc, w.PK.MulPlain(wrow[k], Codec.Encode(a, 1)))
-				}
-				orow[j] = acc
-			}
-		})
-		return out
-	}
-	exps, maxBits := denseRowExps(x)
-	dotProducts(w.PK, tableSource{w.id, orientRow}, func(k, j int) *paillier.Ciphertext { return w.Row(j)[k] },
-		w.Cols, w.Rows, exps, maxBits,
-		func(i, j int, c *paillier.Ciphertext) { out.Row(i)[j] = c })
 	return out
 }
 

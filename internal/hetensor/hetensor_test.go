@@ -45,7 +45,7 @@ func TestAddPlainAndSubPlainFresh(t *testing.T) {
 	a := tensor.RandDense(rng, 2, 5, 10)
 	b := tensor.RandDense(rng, 2, 5, 10)
 	ca := Encrypt(&testKey.PublicKey, a, 1)
-	if got := Decrypt(testKey, ca.AddPlain(b)); !got.Equal(a.Add(b), 1e-6) {
+	if got := ca.AddPlain(b).Decrypt(testKey); !got.Equal(a.Add(b), 1e-6) {
 		t.Fatal("AddPlain mismatch")
 	}
 	if got := ca.SubPlainFresh(b).Decrypt(testKey); !got.Equal(a.Sub(b), 1e-6) {

@@ -22,6 +22,8 @@ import (
 type Matrix interface {
 	// Dims returns the logical shape in values, not ciphertexts.
 	Dims() (rows, cols int)
+	// AtScale returns the fixed-point scale of the plaintexts.
+	AtScale() uint
 	// Key returns the public key the matrix claims to be under.
 	Key() *paillier.PublicKey
 	// RowSlice returns an identity-less view of rows [lo, hi): the chunk
@@ -38,6 +40,9 @@ type Matrix interface {
 	// SubPlainFresh returns ⟦m − d⟧ through fresh encryptions of −d, which
 	// re-randomizes every ciphertext: the send half of HE2SS.
 	SubPlainFresh(d *tensor.Dense) Matrix
+	// AddPlain returns ⟦m + d⟧ with d encoded at m's scale, without fresh
+	// randomness: the receive half of SS2HE.
+	AddPlain(d *tensor.Dense) Matrix
 	// Decrypt returns the plaintext at the matrix's scale.
 	Decrypt(sk *paillier.PrivateKey) *tensor.Dense
 	// VerifyRow re-decrypts row i through the exact-integer path and reports
@@ -64,13 +69,26 @@ type Matrix interface {
 // decrypts to.
 const spotSlackBits = 64
 
-// EncryptAs encrypts d packed or one value per ciphertext: the one place a
-// caller's packing choice becomes a matrix kind.
-func EncryptAs(pk *paillier.PublicKey, d *tensor.Dense, scale uint, packed bool) Matrix {
-	if packed {
-		return PackEncrypt(pk, d, scale)
+// Layout is an encryptor's choice of how a matrix's values lie in
+// ciphertexts; the zero value is one value per ciphertext. The matrix carries
+// it from then on: every product, mask and decryption follows the operand.
+type Layout struct {
+	Packed bool // K values per ciphertext
+	Block  int  // columns per independently packed block; ≤ 0 is the whole row, 1 one value per ciphertext
+	Wide   bool // double-width lanes: for a factor of products that outgrow PackHeadroom (widePackingFor)
+}
+
+// EncryptAs encrypts d in the given layout: the one place a caller's packing
+// choice becomes a matrix kind.
+func EncryptAs(pk *paillier.PublicKey, d *tensor.Dense, scale uint, l Layout) Matrix {
+	if !l.Packed {
+		return Encrypt(pk, d, scale)
 	}
-	return Encrypt(pk, d, scale)
+	lc := packingFor(pk)
+	if l.Wide {
+		lc = widePackingFor(pk)
+	}
+	return packEncryptInto(newPacked(pk, lc, d.Rows, d.Cols, l.Block, scale), d)
 }
 
 // vetCells checks that a received matrix has the want ciphertexts its shape
@@ -106,6 +124,7 @@ func cellCount(rows, per int) int {
 }
 
 func (m *CipherMatrix) Dims() (int, int)         { return m.Rows, m.Cols }
+func (m *CipherMatrix) AtScale() uint            { return m.Scale }
 func (m *CipherMatrix) Key() *paillier.PublicKey { return m.PK }
 
 func (m *CipherMatrix) Decrypt(sk *paillier.PrivateKey) *tensor.Dense { return Decrypt(sk, m) }
@@ -142,6 +161,7 @@ func (m *CipherMatrix) NewAcc(rows int) Matrix {
 }
 
 func (m *PackedMatrix) Dims() (int, int)         { return m.Rows, m.Cols }
+func (m *PackedMatrix) AtScale() uint            { return m.Scale }
 func (m *PackedMatrix) Key() *paillier.PublicKey { return m.PK }
 
 func (m *PackedMatrix) Decrypt(sk *paillier.PrivateKey) *tensor.Dense { return DecryptPacked(sk, m) }
@@ -167,11 +187,13 @@ func (m *PackedMatrix) VerifyRow(sk *paillier.PrivateKey, i int, want []float64)
 	return true
 }
 
-// Trust also pins the lane layout to the key's own: every honest encryptor
-// derives it from the modulus size, and a decryption allocates by it.
+// Trust also pins the lane layout to one of the key's own two (default or
+// wide): every honest encryptor derives it from the modulus size, and a
+// decryption allocates by it.
 func (m *PackedMatrix) Trust(pk *paillier.PublicKey) error {
 	m.PK = pk
-	if lc := packingFor(pk); m.W != lc.W || m.K != lc.K || m.Block <= 0 || m.Cols < 0 || m.Cols%m.Block != 0 {
+	lc, wide := packingFor(pk), widePackingFor(pk)
+	if (m.W != lc.W || m.K != lc.K) && (m.W != wide.W || m.K != wide.K) || m.Block <= 0 || m.Cols < 0 || m.Cols%m.Block != 0 {
 		return fmt.Errorf("packed layout %d cols / block %d, lanes %d×%d is not the key's", m.Cols, m.Block, m.K, m.W)
 	}
 	return vetCells(m.C, cellCount(m.Rows, m.GroupsPerRow()), pk)
@@ -189,7 +211,7 @@ func (m *PackedMatrix) Append(o Matrix) {
 }
 
 func (m *PackedMatrix) NewAcc(rows int) Matrix {
-	return NewPackedMatrix(m.PK, rows, m.Cols, m.Block, m.Scale+1)
+	return m.like(rows, m.Cols, m.Block, m.Scale+1)
 }
 
 // MulLeft computes ⟦X·W⟧ for dense plaintext X in W's lane format.
@@ -233,4 +255,51 @@ func LookupRows(q Matrix, x *tensor.IntMatrix) Matrix {
 		return LookupPacked(p, x)
 	}
 	return Lookup(q.(*CipherMatrix), x)
+}
+
+// LookupBackwardRows scatter-adds the encrypted derivative ∇E (dim-blocked
+// when packed) into the vocab×dim table gradient in ∇E's lane format.
+func LookupBackwardRows(gradE Matrix, x *tensor.IntMatrix, vocab, dim int) Matrix {
+	if p, ok := gradE.(*PackedMatrix); ok {
+		return LookupBackwardPacked(p, x, vocab, dim)
+	}
+	return LookupBackward(gradE.(*CipherMatrix), x, vocab, dim)
+}
+
+// Add returns the homomorphic sum a + b of two matrices of one layout.
+func Add(a, b Matrix) Matrix {
+	if !a.SameLayout(b) {
+		panic(fmt.Sprintf("hetensor: Add of a %T and a %T of another layout", a, b))
+	}
+	if p, ok := a.(*PackedMatrix); ok {
+		return p.AddCipher(b.(*PackedMatrix))
+	}
+	return a.(*CipherMatrix).AddCipher(b.(*CipherMatrix))
+}
+
+// MulRightTransposeAdd returns sum + ⟦G·Wᵀ⟧ for plaintext W in sum's lane
+// format. The ciphertext is the left factor, so G must hold one value per
+// ciphertext — an unpacked matrix, or a packed one of Block 1 — and a packed
+// sum takes the products packed cell by cell (PackCellsLike).
+func MulRightTransposeAdd(sum, g Matrix, w *tensor.Dense) Matrix {
+	prod := MulPlainRightTranspose(cellsOf(g), w)
+	if p, ok := sum.(*PackedMatrix); ok {
+		return p.AddCipher(PackCellsLike(prod, p))
+	}
+	return sum.(*CipherMatrix).AddCipher(prod)
+}
+
+// cellsOf views a matrix with one value per ciphertext as a CipherMatrix,
+// keeping its table-cache identity.
+func cellsOf(m Matrix) *CipherMatrix {
+	switch m := m.(type) {
+	case *CipherMatrix:
+		return m
+	case *PackedMatrix:
+		if m.GroupsPerRow() == m.Cols {
+			return &CipherMatrix{Rows: m.Rows, Cols: m.Cols, Scale: m.Scale, PK: m.PK, C: m.C, id: m.id}
+		}
+	}
+	rows, cols := m.Dims()
+	panic(fmt.Sprintf("hetensor: %d×%d %T does not hold one value per ciphertext", rows, cols, m))
 }

@@ -8,13 +8,13 @@ import (
 	"blindfl/internal/tensor"
 )
 
-// The Matrix contract, over both kinds: what the protocol layer relies on
+// The Matrix contract, over both kinds and every layout: what the protocol layer relies on
 // without knowing which one it holds.
 func TestMatrixContract(t *testing.T) {
 	pk := &testKey.PublicKey
 	v := tensor.RandDense(mrandNew(51), 5, 3, 4)
-	for _, packed := range []bool{false, true} {
-		m := EncryptAs(pk, v, 1, packed)
+	for _, l := range []Layout{{}, {Packed: true}, {Packed: true, Wide: true}, {Packed: true, Block: 1}} {
+		m := EncryptAs(pk, v, 1, l)
 
 		// Views and copies are identity-less and leave the original alone;
 		// appending to a view must not write into the matrix it views.
@@ -23,27 +23,41 @@ func TestMatrixContract(t *testing.T) {
 		whole.Append(top)
 		whole.Append(rest)
 		if got := whole.Decrypt(testKey); !got.Equal(v, 1e-9) {
-			t.Fatalf("packed=%v: reassembled rows decrypt to %v", packed, got.Data)
+			t.Fatalf("%+v: reassembled rows decrypt to %v", l, got.Data)
 		}
 		top.Append(top)
 		if got := m.Decrypt(testKey); !got.Equal(v, 1e-9) {
-			t.Fatalf("packed=%v: appending to a view clobbered the matrix it views", packed)
+			t.Fatalf("%+v: appending to a view clobbered the matrix it views", l)
 		}
-		if !m.SameLayout(rest) || m.SameLayout(EncryptAs(pk, v, 2, packed)) || m.SameLayout(EncryptAs(pk, v, 1, !packed)) {
-			t.Fatalf("packed=%v: SameLayout must hold across heights and fail across scales and kinds", packed)
+		if !m.SameLayout(rest) || m.SameLayout(EncryptAs(pk, v, 2, l)) || m.SameLayout(EncryptAs(pk, v, 1, Layout{Packed: !l.Packed})) ||
+			l.Packed && m.SameLayout(EncryptAs(pk, v, 1, Layout{Packed: true, Block: l.Block, Wide: !l.Wide})) {
+			t.Fatalf("%+v: SameLayout must hold across heights and fail across scales, kinds and lane widths", l)
 		}
 
 		// The spot-check's exact-integer path agrees with the bulk decryption
 		// and notices a row that decrypts to something else.
 		d := m.Decrypt(testKey)
 		if !m.VerifyRow(testKey, 3, d.Row(3)) || m.VerifyRow(testKey, 3, d.Row(4)) {
-			t.Fatalf("packed=%v: VerifyRow", packed)
+			t.Fatalf("%+v: VerifyRow", l)
 		}
 
 		// An accumulator takes products with the matrix: one scale up, same
 		// lane format.
 		if rows, cols := m.NewAcc(7).Dims(); rows != 7 || cols != 3 || !m.NewAcc(1).SameLayout(MulLeft(tensor.NewDense(1, 5), m)) {
-			t.Fatalf("packed=%v: NewAcc is not the layout of a product", packed)
+			t.Fatalf("%+v: NewAcc is not the layout of a product", l)
+		}
+
+		// Masking, plain addition and products keep the matrix's lanes and
+		// its values, whatever the layout: the conversions' two halves.
+		x := tensor.RandDense(mrandNew(52), 2, 5, 3)
+		want := Decrypt(testKey, MulPlainLeft(x, Encrypt(pk, v, 1)))
+		prod := MulLeft(x, m)
+		if got := prod.Decrypt(testKey); !got.Equal(want, 0) {
+			t.Fatalf("%+v: product differs from the unpacked one by %g", l, got.Sub(want).MaxAbs())
+		}
+		mask := tensor.RandDense(mrandNew(53), 2, 3, 1<<20)
+		if masked := prod.SubPlainFresh(mask); !masked.SameLayout(prod) || !masked.AddPlain(mask).Decrypt(testKey).Equal(want, 1e-9) {
+			t.Fatalf("%+v: SubPlainFresh then AddPlain does not return the product in its lanes", l)
 		}
 	}
 }
@@ -69,20 +83,21 @@ func TestMatrixTrustRejects(t *testing.T) {
 			m.C[1] = &paillier.Ciphertext{C: new(big.Int).Set(pk.N)}
 			return m
 		},
-		"packed: zero lanes":                 func() Matrix { m := PackEncrypt(pk, v, 1); m.K = 0; return m },
-		"packed: lanes not the key's":        func() Matrix { m := PackEncrypt(pk, v, 1); m.K, m.Block, m.Cols = 1<<30, 1<<30, 1<<30; return m },
-		"packed: block does not divide":      func() Matrix { m := PackEncrypt(pk, v, 1); m.Block = 2; return m },
-		"packed: zero block":                 func() Matrix { m := PackEncrypt(pk, v, 1); m.Block = 0; return m },
-		"packed: fewer cells than the shape": func() Matrix { m := PackEncrypt(pk, v, 1); m.Rows = 9; return m },
+		"packed: lanes between the key's two": func() Matrix { m := PackEncrypt(pk, v, 1); m.W, m.K = m.W*3/2, 2; return m },
+		"packed: zero lanes":                  func() Matrix { m := PackEncrypt(pk, v, 1); m.K = 0; return m },
+		"packed: lanes not the key's":         func() Matrix { m := PackEncrypt(pk, v, 1); m.K, m.Block, m.Cols = 1<<30, 1<<30, 1<<30; return m },
+		"packed: block does not divide":       func() Matrix { m := PackEncrypt(pk, v, 1); m.Block = 2; return m },
+		"packed: zero block":                  func() Matrix { m := PackEncrypt(pk, v, 1); m.Block = 0; return m },
+		"packed: fewer cells than the shape":  func() Matrix { m := PackEncrypt(pk, v, 1); m.Rows = 9; return m },
 	}
 	for name, hostile := range cases {
 		if err := hostile().Trust(pk); err == nil {
 			t.Errorf("%s: trusted", name)
 		}
 	}
-	for _, packed := range []bool{false, true} {
-		if err := EncryptAs(pk, v, 1, packed).Anonymous().Trust(pk); err != nil {
-			t.Errorf("packed=%v: an honest matrix was refused: %v", packed, err)
+	for _, l := range []Layout{{}, {Packed: true}, {Packed: true, Wide: true}, {Packed: true, Block: 1}} {
+		if err := EncryptAs(pk, v, 1, l).Anonymous().Trust(pk); err != nil {
+			t.Errorf("%+v: an honest matrix was refused: %v", l, err)
 		}
 	}
 }

@@ -33,6 +33,21 @@ func packingFor(pk *paillier.PublicKey) fixedpoint.LaneCodec {
 	return lc
 }
 
+// widePackingFor is the key's layout with every other lane left empty: half
+// the lanes at twice the width. PackHeadroom covers a product of a mask-sized
+// factor with a unit-sized one; where both factors are mask-sized — the
+// Embed-MatMul forward multiplies a share ψ = ε + … by a weight piece that
+// has itself drifted by the masks folded into every update — a scale-2 sum
+// passes 2^43 within tens of steps, and a lane that overflows corrupts its
+// neighbour silently. A matrix encrypted wide hands its lanes to everything
+// computed from it. Keys too small for two such lanes keep one.
+func widePackingFor(pk *paillier.PublicKey) fixedpoint.LaneCodec {
+	lc := packingFor(pk)
+	lc.W *= 2
+	lc.K = max(1, (pk.N.BitLen()-1)/int(lc.W))
+	return lc
+}
+
 // PackedMatrix is a rows×cols matrix of fixed-point values packed K-per-
 // ciphertext under PK. Columns are partitioned into blocks of Block columns;
 // each block is packed independently into ⌈Block/K⌉ ciphertexts, so
@@ -104,19 +119,29 @@ func (m *PackedMatrix) groupCol(g int) int {
 // NewPackedMatrix allocates a packed matrix of unrandomized encryptions of
 // zero, the accumulator identity, with the key's default lane layout.
 func NewPackedMatrix(pk *paillier.PublicKey, rows, cols, block int, scale uint) *PackedMatrix {
+	return newPacked(pk, packingFor(pk), rows, cols, block, scale)
+}
+
+func newPacked(pk *paillier.PublicKey, lc fixedpoint.LaneCodec, rows, cols, block int, scale uint) *PackedMatrix {
 	if block <= 0 {
 		block = cols
 	}
 	if cols%block != 0 {
 		panic(fmt.Sprintf("hetensor: packed block %d does not divide cols %d", block, cols))
 	}
-	lc := packingFor(pk)
 	m := &PackedMatrix{Rows: rows, Cols: cols, Block: block, Scale: scale, W: lc.W, K: lc.K, PK: pk}
 	m.C = make([]*paillier.Ciphertext, rows*m.GroupsPerRow())
 	for i := range m.C {
 		m.C[i] = &paillier.Ciphertext{C: big.NewInt(1)}
 	}
 	return m
+}
+
+// like allocates the accumulator identity in m's lanes under m's key: what a
+// kernel's result over m is built in, so a layout chosen at encryption
+// carries through every product.
+func (m *PackedMatrix) like(rows, cols, block int, scale uint) *PackedMatrix {
+	return newPacked(m.PK, m.codec(), rows, cols, block, scale)
 }
 
 // PackEncrypt encrypts a dense matrix with K values per ciphertext
@@ -129,15 +154,20 @@ func PackEncrypt(pk *paillier.PublicKey, d *tensor.Dense, scale uint) *PackedMat
 // packed per block so the layout matches block-structured matrices such as
 // per-field embedding lookups).
 func PackEncryptBlocks(pk *paillier.PublicKey, d *tensor.Dense, scale uint, block int) *PackedMatrix {
-	out := NewPackedMatrix(pk, d.Rows, d.Cols, block, scale)
+	return packEncryptInto(NewPackedMatrix(pk, d.Rows, d.Cols, block, scale), d)
+}
+
+// packEncryptInto fills out, an accumulator of d's shape, with fresh
+// encryptions of d in out's lanes.
+func packEncryptInto(out *PackedMatrix, d *tensor.Dense) *PackedMatrix {
 	lc := out.codec()
 	gpr := out.GroupsPerRow()
 	parallel.For(d.Rows*gpr, func(t int) {
 		i, g := t/gpr, t%gpr
 		col := out.groupCol(g)
 		lanes := out.laneCount(g)
-		m := lc.PackRing(d.Row(i)[col:col+lanes], scale, pk.N)
-		c, err := paillier.EncryptPooled(pk, m)
+		m := lc.PackRing(d.Row(i)[col:col+lanes], out.Scale, out.PK.N)
+		c, err := paillier.EncryptPooled(out.PK, m)
 		if err != nil {
 			panic(fmt.Sprintf("hetensor: pack encrypt: %v", err))
 		}
@@ -177,6 +207,24 @@ func (m *PackedMatrix) AddCipher(o *PackedMatrix) *PackedMatrix {
 	return out
 }
 
+// AddPlain returns ⟦m + d⟧ with d packed at m's scale in m's lanes (no fresh
+// randomness).
+func (m *PackedMatrix) AddPlain(d *tensor.Dense) Matrix {
+	if m.Rows != d.Rows || m.Cols != d.Cols {
+		panic("hetensor: packed AddPlain shape mismatch")
+	}
+	out := &PackedMatrix{Rows: m.Rows, Cols: m.Cols, Block: m.Block, Scale: m.Scale, W: m.W, K: m.K, PK: m.PK,
+		C: make([]*paillier.Ciphertext, len(m.C))}
+	lc := m.codec()
+	gpr := m.GroupsPerRow()
+	parallel.For(len(m.C), func(t int) {
+		i, g := t/gpr, t%gpr
+		col := m.groupCol(g)
+		out.C[t] = m.PK.AddPlain(m.C[t], lc.PackRing(d.Row(i)[col:col+m.laneCount(g)], m.Scale, m.PK.N))
+	})
+	return out
+}
+
 // SubPlainFresh packs the fresh encryptions of −d too, so the conversion
 // costs 1/K of the unpacked blinding exponentiations.
 func (m *PackedMatrix) SubPlainFresh(d *tensor.Dense) Matrix {
@@ -187,7 +235,7 @@ func (m *PackedMatrix) SubPlainFresh(d *tensor.Dense) Matrix {
 	for i, v := range d.Data {
 		neg.Data[i] = -v
 	}
-	return m.AddCipher(PackEncryptBlocks(m.PK, neg, m.Scale, m.Block))
+	return m.AddCipher(packEncryptInto(m.like(m.Rows, m.Cols, m.Block, m.Scale), neg))
 }
 
 // MulPlainLeftPacked computes ⟦X·W⟧ from plaintext X and packed encrypted W.
@@ -197,7 +245,7 @@ func MulPlainLeftPacked(x *tensor.Dense, w *PackedMatrix) *PackedMatrix {
 	if x.Cols != w.Rows {
 		panic(fmt.Sprintf("hetensor: MulPlainLeftPacked inner dim mismatch %d×%d · %d×%d", x.Rows, x.Cols, w.Rows, w.Cols))
 	}
-	out := NewPackedMatrix(w.PK, x.Rows, w.Cols, w.Block, w.Scale+1)
+	out := w.like(x.Rows, w.Cols, w.Block, w.Scale+1)
 	if TextbookExp() {
 		parallel.For(x.Rows, func(i int) {
 			orow := out.Row(i)
@@ -227,7 +275,7 @@ func MulPlainLeftCSRPacked(x *tensor.CSR, w *PackedMatrix) *PackedMatrix {
 	if x.Cols != w.Rows {
 		panic(fmt.Sprintf("hetensor: MulPlainLeftCSRPacked inner dim mismatch %d×%d · %d×%d", x.Rows, x.Cols, w.Rows, w.Cols))
 	}
-	out := NewPackedMatrix(w.PK, x.Rows, w.Cols, w.Block, w.Scale+1)
+	out := w.like(x.Rows, w.Cols, w.Block, w.Scale+1)
 	if TextbookExp() {
 		parallel.For(x.Rows, func(i int) {
 			orow := out.Row(i)
@@ -249,7 +297,7 @@ func MulPlainLeftCSRPacked(x *tensor.CSR, w *PackedMatrix) *PackedMatrix {
 // TransposeMulLeftPacked computes ⟦Xᵀ·G⟧ from plaintext X and packed
 // encrypted G — the gradient shape ∇W = Xᵀ⟦∇Z⟧ with packed ∇Z.
 func TransposeMulLeftPacked(x *tensor.Dense, g *PackedMatrix) *PackedMatrix {
-	out := NewPackedMatrix(g.PK, x.Cols, g.Cols, g.Block, g.Scale+1)
+	out := g.like(x.Cols, g.Cols, g.Block, g.Scale+1)
 	TransposeMulLeftPackedAcc(out, x, g)
 	return out
 }
@@ -296,7 +344,7 @@ func TransposeMulLeftCSRPacked(x *tensor.CSR, g *PackedMatrix) *PackedMatrix {
 	if x.Rows != g.Rows {
 		panic(fmt.Sprintf("hetensor: TransposeMulLeftCSRPacked outer dim mismatch %d×%d ᵀ· %d×%d", x.Rows, x.Cols, g.Rows, g.Cols))
 	}
-	out := NewPackedMatrix(g.PK, x.Cols, g.Cols, g.Block, g.Scale+1)
+	out := g.like(x.Cols, g.Cols, g.Block, g.Scale+1)
 	TransposeMulLeftCSRPackedAcc(out, x, 0, g)
 	return out
 }
@@ -362,25 +410,61 @@ func LookupPacked(q *PackedMatrix, x *tensor.IntMatrix) *PackedMatrix {
 }
 
 // LookupBackwardPacked scatter-adds packed encrypted derivatives into a
-// packed table gradient: the packed analogue of LookupBackward. The embed
-// layer's backward pass does not use it yet — its ∇E input is assembled from
-// an unpacked MulPlainRightTranspose term — so today it completes the
-// PackedMatrix op set for the eventual packed embed gradient path.
+// packed table gradient: the packed analogue of LookupBackward. The
+// (instance, field) pairs are bucketed by table row and the rows summed in
+// parallel; products mod N² commute, so the ciphertexts are those of the
+// instance-order scatter.
 func LookupBackwardPacked(gradE *PackedMatrix, x *tensor.IntMatrix, vocab, dim int) *PackedMatrix {
 	if gradE.Rows != x.Rows || gradE.Cols != x.Cols*dim || gradE.Block != dim {
 		panic("hetensor: LookupBackwardPacked shape mismatch")
 	}
-	out := NewPackedMatrix(gradE.PK, vocab, dim, dim, gradE.Scale)
+	out := gradE.like(vocab, dim, dim, gradE.Scale)
 	gpb := out.GroupsPerRow()
-	// Serial scatter: rows of the output may collide across instances.
+	buckets := make([][]int, vocab) // table row → first group of each ∇E block scattered into it
 	for i := 0; i < x.Rows; i++ {
-		src := gradE.Row(i)
 		for f, idx := range x.Row(i) {
-			dst := out.Row(idx)
-			for k := 0; k < gpb; k++ {
-				dst[k] = gradE.PK.AddCipher(dst[k], src[f*gpb+k])
-			}
+			buckets[idx] = append(buckets[idx], (i*x.Cols+f)*gpb)
 		}
 	}
+	parallel.For(vocab, func(v int) {
+		dst := out.Row(v)
+		for _, src := range buckets[v] {
+			for k := range dst {
+				dst[k] = gradE.PK.AddCipher(dst[k], gradE.C[src+k])
+			}
+		}
+	})
+	return out
+}
+
+// PackCellsLike packs an encrypted matrix with one value per ciphertext into
+// like's lanes and blocks, homomorphically: lane l of a group is its cell
+// raised to 2^(l·W), accumulated by Horner's rule from the top lane down, so
+// a group of L cells costs (L−1)·W squarings. It is how a product gets packed
+// when its lanes cannot come from an operand: where the ciphertext is the left
+// factor (MulRightTransposeAdd) every base holds one value, and the products
+// are computed per cell first. Slower than leaving them unpacked, and K× fewer
+// ciphertexts to add, scatter, blind and decrypt downstream. Measured against
+// packing the plaintext factor into K·W-bit exponents instead (ServeProducts'
+// mechanism): 89 ms against 100 ms at the embed_cat shape (docs/PERF.md).
+func PackCellsLike(cells *CipherMatrix, like *PackedMatrix) *PackedMatrix {
+	if cells.Cols != like.Cols {
+		panic(fmt.Sprintf("hetensor: PackCellsLike of %d columns into %d", cells.Cols, like.Cols))
+	}
+	out := like.like(cells.Rows, cells.Cols, like.Block, cells.Scale)
+	shift := new(big.Int).Lsh(big.NewInt(1), out.W)
+	gpr := out.GroupsPerRow()
+	parallel.For(len(out.C), func(t int) {
+		i, g := t/gpr, t%gpr
+		col := out.groupCol(g)
+		row := cells.Row(i)[col : col+out.laneCount(g)]
+		acc := new(big.Int).Set(row[len(row)-1].C)
+		for l := len(row) - 2; l >= 0; l-- {
+			acc.Exp(acc, shift, cells.PK.N2)
+			acc.Mul(acc, row[l].C)
+			acc.Mod(acc, cells.PK.N2)
+		}
+		out.C[t] = &paillier.Ciphertext{C: acc}
+	})
 	return out
 }

@@ -127,6 +127,40 @@ func TestLookupPackedMatchesUnpacked(t *testing.T) {
 	}
 }
 
+// TestMulRightTransposeAddMatchesUnpacked: the cross term of the Embed-MatMul
+// backward — ciphertext on the left, products packed cell by cell — holds the
+// same integers as the unpacked kernel in every lane, for a block below, at
+// and above the lane count (K = 4 on the test key), a block whose last group
+// is ragged, signed values, an all-zero row of G, wide lanes, and G arriving
+// as a Block-1 packed matrix.
+func TestMulRightTransposeAddMatchesUnpacked(t *testing.T) {
+	pk := &testKey.PublicKey
+	if k := Lanes(pk); k != 4 {
+		t.Fatalf("test key packs %d lanes, the cases below assume 4", k)
+	}
+	rng := mrandNew(36)
+	for _, dim := range []int{3, 4, 6, 8} {
+		for _, wide := range []bool{false, true} {
+			g := tensor.RandDense(rng, 5, 3, 1)
+			for j := range g.Row(2) {
+				g.Row(2)[j] = 0
+			}
+			w := tensor.RandDense(rng, 2*dim, 3, 1<<20) // two fields of drifted weight rows
+			sum := tensor.RandDense(rng, 5, 2*dim, 1<<10)
+			want := Decrypt(testKey, Encrypt(pk, sum, 2).AddCipher(MulPlainRightTranspose(Encrypt(pk, g, 1), w)))
+			for _, cells := range []Layout{{}, {Packed: true, Block: 1}} {
+				got := MulRightTransposeAdd(EncryptAs(pk, sum, 2, Layout{Packed: true, Block: dim, Wide: wide}), EncryptAs(pk, g, 1, cells), w)
+				if p := got.(*PackedMatrix); p.Block != dim || len(p.C) != 5*2*p.GroupsPerBlock() {
+					t.Fatalf("dim %d wide %v: result is not dim-blocked: %d ciphertexts, block %d", dim, wide, len(p.C), p.Block)
+				}
+				if d := got.Decrypt(testKey); !d.Equal(want, 0) {
+					t.Fatalf("dim %d wide %v cells %+v: differs from the unpacked cross term by %g", dim, wide, cells, d.Sub(want).MaxAbs())
+				}
+			}
+		}
+	}
+}
+
 func TestLookupBackwardPackedMatchesUnpacked(t *testing.T) {
 	rng := mrandNew(38)
 	vocab, dim, fields, batch := 5, 6, 2, 4
@@ -139,7 +173,7 @@ func TestLookupBackwardPackedMatchesUnpacked(t *testing.T) {
 	packed := PackEncryptBlocks(pk, gradE, 1, dim)
 	got := DecryptPacked(testKey, LookupBackwardPacked(packed, x, vocab, dim))
 	want := Decrypt(testKey, LookupBackward(Encrypt(pk, gradE, 1), x, vocab, dim))
-	if !got.Equal(want, 1e-6) {
+	if !got.Equal(want, 0) {
 		t.Fatal("LookupBackwardPacked differs from LookupBackward")
 	}
 }

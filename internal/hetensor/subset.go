@@ -53,7 +53,8 @@ func TransposeMulLeftCSRSubset(x *tensor.CSR, g *CipherMatrix, touched []int) *C
 }
 
 // EncryptRows encrypts the given rows of a plaintext matrix as a
-// len(rows)×d.Cols cipher matrix (row i of the result is row rows[i] of d).
+// len(rows)×d.Cols cipher matrix (row i of the result is row rows[i] of d),
+// through the registered blinding pool like every other encryption site.
 func EncryptRows(pk *paillier.PublicKey, d *tensor.Dense, rows []int, scale uint) *CipherMatrix {
 	out := &CipherMatrix{Rows: len(rows), Cols: d.Cols, Scale: scale, PK: pk, C: make([]*paillier.Ciphertext, len(rows)*d.Cols)}
 	parallel.For(len(rows), func(i int) {
@@ -61,7 +62,7 @@ func EncryptRows(pk *paillier.PublicKey, d *tensor.Dense, rows []int, scale uint
 		dst := out.Row(i)
 		for j, v := range src {
 			m := Codec.EncodeRing(v, scale, pk.N)
-			c, err := pk.Encrypt(paillier.Rand, m)
+			c, err := paillier.EncryptPooled(pk, m)
 			if err != nil {
 				panic(fmt.Sprintf("hetensor: EncryptRows: %v", err))
 			}

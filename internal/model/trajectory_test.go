@@ -116,7 +116,14 @@ func TestRecordedTrajectories(t *testing.T) {
 	for _, tc := range trajectoryCases() {
 		for _, engine := range []string{"engine-off", "engine-on"} {
 			t.Run(tc.name+"/"+engine, func(t *testing.T) {
-				if testing.Short() && (engine == "engine-on" || tc.kind == WDL || tc.k > 1 && tc.kind == MLP) {
+				// -short keeps the engine-off run of the cheap cases, and of WDL
+				// the engine-on run: the packed Embed-MatMul layer, ~5 s under
+				// -race where the unpacked one takes ~11.
+				long := engine == "engine-on" || tc.k > 1 && tc.kind == MLP
+				if tc.kind == WDL {
+					long = engine == "engine-off"
+				}
+				if testing.Short() && long {
 					t.Skip("recorded trajectory skipped in -short")
 				}
 				h := tinyHyper()

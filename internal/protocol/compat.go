@@ -15,6 +15,11 @@ func (p *Peer) HE2SSRecvStream() *tensor.Dense                               { r
 func (p *Peer) HE2SSSendPackedStream(c *hetensor.PackedMatrix) *tensor.Dense { return p.HE2SSSend(c) }
 func (p *Peer) HE2SSRecvPackedStream() *tensor.Dense                         { return p.HE2SSRecv() }
 
-func (p *Peer) SS2HEStream(piece *tensor.Dense, scale uint) *hetensor.CipherMatrix {
+// SS2HE and SS2HEStream are SS2HEAs with both pieces one value per ciphertext.
+func (p *Peer) SS2HE(piece *tensor.Dense, scale uint) hetensor.Matrix {
+	return p.SS2HEAs(piece, scale, hetensor.Layout{})
+}
+
+func (p *Peer) SS2HEStream(piece *tensor.Dense, scale uint) hetensor.Matrix {
 	return p.SS2HE(piece, scale)
 }

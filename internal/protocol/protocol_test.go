@@ -98,10 +98,10 @@ func TestSS2HEValue(t *testing.T) {
 	err := RunParties(a, b, func() {
 		// A obtains ⟦v⟧ under B's key, then ships it straight back for B
 		// to decrypt (test-only; real protocols mask first).
-		c := a.SS2HE(pieceA, 1)
+		c := a.SS2HEAs(pieceA, 1, hetensor.Layout{})
 		a.SendMatrix(c)
 	}, func() {
-		_ = b.SS2HE(pieceB, 1)
+		_ = b.SS2HEAs(pieceB, 1, hetensor.Layout{})
 		rec = b.RecvMatrix().Decrypt(b.SK)
 	})
 	if err != nil {

@@ -183,12 +183,13 @@ func (p *Peer) SendMatrix(m hetensor.Matrix) {
 	p.sendStream(rows, cols, func(lo, hi int) any { return m.RowSlice(lo, hi) })
 }
 
-// EncryptAndSend encrypts d under this party's own key, packed or not as
-// the caller's engine options say, chunk by chunk: the encryption of chunk
-// i+1 overlaps the wire (and the peer's handling) of chunk i.
-func (p *Peer) EncryptAndSend(d *tensor.Dense, scale uint, packed bool) {
+// EncryptAndSend encrypts d under this party's own key in the layout the
+// caller's engine options and the consumer's kernels call for, chunk by
+// chunk: the encryption of chunk i+1 overlaps the wire (and the peer's
+// handling) of chunk i.
+func (p *Peer) EncryptAndSend(d *tensor.Dense, scale uint, l hetensor.Layout) {
 	p.sendStream(d.Rows, d.Cols, func(lo, hi int) any {
-		return hetensor.EncryptAs(&p.SK.PublicKey, d.RowSlice(lo, hi), scale, packed)
+		return hetensor.EncryptAs(&p.SK.PublicKey, d.RowSlice(lo, hi), scale, l)
 	})
 }
 
@@ -262,20 +263,21 @@ func (p *Peer) HE2SSRecv() *tensor.Dense {
 	return out
 }
 
-// SS2HE is Algorithm 2: both parties hold one additive piece of v; each
-// sends the encryption of its piece under its own key and returns ⟦v⟧ under
-// the *peer's* key by homomorphically adding its own plaintext piece to the
-// peer's chunks as they arrive. Party A sends first.
-func (p *Peer) SS2HE(piece *tensor.Dense, scale uint) *hetensor.CipherMatrix {
-	recv := func() *hetensor.CipherMatrix {
-		var out *hetensor.CipherMatrix
+// SS2HEAs is Algorithm 2: both parties hold one additive piece of v; each
+// sends the encryption of its piece under its own key, in the layout it
+// chooses as for EncryptAndSend, and returns ⟦v⟧ under the *peer's* key, in
+// the layout the peer chose, by homomorphically adding its own plaintext
+// piece to the peer's chunks as they arrive. Party A sends first.
+func (p *Peer) SS2HEAs(piece *tensor.Dense, scale uint, l hetensor.Layout) hetensor.Matrix {
+	recv := func() hetensor.Matrix {
+		var out hetensor.Matrix
 		p.recvStream(func(h *transport.StreamHeader, lo int, c hetensor.Matrix) {
-			chunk, ok := c.(*hetensor.CipherMatrix)
-			if !ok || chunk.Scale != scale || h.Rows != piece.Rows || h.Cols != piece.Cols {
-				p.Fail("SS2HE: %w: peer's piece is not an unpacked %d×%d matrix at scale %d",
+			if c.AtScale() != scale || h.Rows != piece.Rows || h.Cols != piece.Cols {
+				p.Fail("SS2HE: %w: peer's piece is not a %d×%d matrix at scale %d",
 					transport.ErrCorrupt, piece.Rows, piece.Cols, scale)
 			}
-			sum := chunk.AddPlain(piece.RowSlice(lo, lo+chunk.Rows))
+			rows, _ := c.Dims()
+			sum := c.AddPlain(piece.RowSlice(lo, lo+rows))
 			if out == nil {
 				out = sum
 			} else {
@@ -285,10 +287,10 @@ func (p *Peer) SS2HE(piece *tensor.Dense, scale uint) *hetensor.CipherMatrix {
 		return out
 	}
 	if p.Role == PartyA {
-		p.EncryptAndSend(piece, scale, false)
+		p.EncryptAndSend(piece, scale, l)
 		return recv()
 	}
 	out := recv()
-	p.EncryptAndSend(piece, scale, false)
+	p.EncryptAndSend(piece, scale, l)
 	return out
 }

@@ -70,7 +70,7 @@ func TestStreamHE2SSReconstructs(t *testing.T) {
 		b.SpotCheck = true
 		var shareA, shareB *tensor.Dense
 		err := RunParties(a, b, func() {
-			shareA = a.HE2SSSend(hetensor.EncryptAs(a.PeerPK, streamed, 1, packed))
+			shareA = a.HE2SSSend(hetensor.EncryptAs(a.PeerPK, streamed, 1, hetensor.Layout{Packed: packed}))
 		}, func() {
 			shareB = b.HE2SSRecv()
 		})
@@ -89,14 +89,15 @@ func TestStreamHE2SSReconstructs(t *testing.T) {
 func TestStreamSS2HEMatchesPieces(t *testing.T) {
 	pieceB := streamed.Scale(-0.5)
 	want := streamed.Add(pieceB)
-	eachPath(t, 42, func(t *testing.T, a, b *Peer, _ bool) {
+	eachPath(t, 42, func(t *testing.T, a, b *Peer, packed bool) {
 		b.ChunkRows = a.ChunkRows // SS2HE sends both ways
 		var atA, atB *tensor.Dense
 		err := RunParties(a, b, func() {
-			a.SendMatrix(a.SS2HE(streamed, 1)) // ⟦v⟧ under B's key, back to its owner
+			// Each side encrypts in its own layout and adds to the other's.
+			a.SendMatrix(a.SS2HEAs(streamed, 1, hetensor.Layout{Packed: packed})) // ⟦v⟧ under B's key, back to its owner
 			atA = a.RecvMatrix().Decrypt(a.SK)
 		}, func() {
-			enc := b.SS2HE(pieceB, 1)
+			enc := b.SS2HEAs(pieceB, 1, hetensor.Layout{Packed: packed, Block: 1})
 			atB = b.RecvMatrix().Decrypt(b.SK)
 			b.SendMatrix(enc)
 		})
@@ -119,7 +120,7 @@ func TestStreamRefreshRoundTrip(t *testing.T) {
 			var got *tensor.Dense
 			err := RunParties(a, b,
 				func() {
-					a.EncryptAndSend(v, 1, packed)
+					a.EncryptAndSend(v, 1, hetensor.Layout{Packed: packed})
 					got = a.RecvMatrix().Decrypt(a.SK)
 				},
 				func() { defer b.Unchunked()(); b.SendMatrix(b.RecvMatrix()) })
@@ -150,7 +151,9 @@ func TestStreamRecvRejectsOwnKeyViolation(t *testing.T) {
 		// the sender's writer, which the receiver has stopped reading.
 		sent := make(chan error, 1)
 		go func() {
-			sent <- a.Run(func() { a.HE2SSSend(hetensor.EncryptAs(&a.SK.PublicKey, tensor.NewDense(3, 1), 1, packed)) })
+			sent <- a.Run(func() {
+				a.HE2SSSend(hetensor.EncryptAs(&a.SK.PublicKey, tensor.NewDense(3, 1), 1, hetensor.Layout{Packed: packed}))
+			})
 		}()
 		err := b.Run(func() { b.HE2SSRecv() })
 		if err == nil || !strings.Contains(err.Error(), "not under this party's key") {
@@ -317,7 +320,7 @@ func TestStreamHostileHeaders(t *testing.T) {
 	consumers := map[string]func(*Peer){
 		"RecvMatrix": func(b *Peer) { b.RecvMatrix() },
 		"HE2SSRecv":  func(b *Peer) { b.HE2SSRecv() },
-		"SS2HE":      func(b *Peer) { b.SS2HE(tensor.NewDense(2, 2), 1) },
+		"SS2HE":      func(b *Peer) { b.SS2HEAs(tensor.NewDense(2, 2), 1, hetensor.Layout{}) },
 	}
 	for _, h := range hostileStreams() {
 		for name, consume := range consumers {
