@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-cpu test-full test-chaos bench bench-smoke bench-json profile-dot profile-embed serve-smoke shard-smoke examples fmt fmt-check vet lint lint-tools
+.PHONY: build test test-cpu test-full test-chaos bench bench-smoke bench-json profile-dot profile-embed profile-serve serve-smoke shard-smoke examples fmt fmt-check vet lint lint-tools
 
 build:
 	$(GO) build ./...
@@ -17,13 +17,17 @@ test:
 # Parallelism lane: the process-wide table cache, pool condition-variable
 # wait and SecretOps/pool registries re-run under the race detector at 1 and
 # 4 CPUs, so single-core schedules and real parallelism are both exercised.
-# The dot kernel rides along: its differential fuzz target for ten seconds
-# from the seeded corpus, and its allocation guard — without -race, under
-# which sync.Pool drops items at random and the guard skips itself.
+# The dot kernel and the square-modulus multiplier under it ride along: their
+# differential fuzz targets for ten seconds each from the seeded corpora (the
+# multiplier's minimizer capped, as in test-chaos: its inputs are whole
+# operands and shrinking one would eat the run), and their allocation guards —
+# without -race, under which sync.Pool drops items at random and the guards
+# skip themselves.
 test-cpu:
 	$(GO) test -short -race -timeout 10m -cpu 1,4 ./internal/paillier/ ./internal/hetensor/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzDotSigned$$' -fuzztime=10s ./internal/paillier/
-	$(GO) test -run '^TestDotAllocsConstant$$' -cpu 1,4 ./internal/paillier/
+	$(GO) test -race -run '^$$' -fuzz '^FuzzSqMod$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/paillier/
+	$(GO) test -run '^Test(Dot|SqMod)AllocsConstant$$' -cpu 1,4 ./internal/paillier/
 
 # Full lane: everything, including the ~4 min federated model suite.
 test-full:
@@ -79,6 +83,13 @@ profile-dot:
 # `go tool pprof -top core.test embed.prof`.
 profile-embed:
 	$(GO) test ./internal/core -run '^$$' -bench 'EmbedStep/1024' -benchtime 20x -benchmem -cpuprofile embed.prof
+
+# The same for serve_batched's homomorphic half (BenchmarkServeProducts: 32
+# requests × 14 features against a cached 2048-bit weight column). Leaves
+# serve.prof and hetensor.test; read with
+# `go tool pprof -top hetensor.test serve.prof`.
+profile-serve:
+	$(GO) test ./internal/hetensor -run '^$$' -bench 'ServeProducts/2048' -benchtime 50x -benchmem -cpuprofile serve.prof
 
 # Benchmarks as data: the exponentiation-engine and amortized-precompute
 # perf suites at a production key size, the end-to-end fed-step, fed-epoch,

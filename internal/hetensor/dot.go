@@ -30,7 +30,8 @@ func SetTextbook(v bool) bool { return textbookExp.Swap(v) }
 func TextbookExp() bool { return textbookExp.Load() }
 
 // maxDotTableEntries caps the total number of precomputed window-table
-// residues one kernel invocation may hold (~32 MiB at a 1024-bit modulus).
+// residues one kernel invocation may hold (40 MiB at a 1024-bit N: a residue
+// is a digit pair, 2·16 words and two big.Int headers — 320 bytes).
 // Beyond it the kernels fall back to per-cell DotRow, which builds tables
 // per evaluation but only for the live bases, and only the side each needs.
 const maxDotTableEntries = 1 << 17

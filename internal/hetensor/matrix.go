@@ -95,20 +95,27 @@ func EncryptAs(pk *paillier.PublicKey, d *tensor.Dense, scale uint, l Layout) Ma
 // needs (negative when the shape itself is inconsistent) and that each is
 // present, 0 < C < N², and invertible mod N² — gcd(C, N) = 1; a
 // non-invertible C would reveal a factor of N and cannot come from an honest
-// encryptor.
+// encryptor. Invertibility is one GCD for the whole matrix (AllUnits); only a
+// failure is traced cell by cell, to name the one at fault.
 func vetCells(cells []*paillier.Ciphertext, want int, pk *paillier.PublicKey) error {
 	if want < 0 || len(cells) != want {
 		return fmt.Errorf("%d ciphertexts do not fit the announced shape", len(cells))
 	}
-	one := big.NewInt(1)
-	gcd := new(big.Int)
 	for i, c := range cells {
 		switch {
 		case c == nil || c.C == nil:
 			return fmt.Errorf("ciphertext %d missing", i)
 		case c.C.Sign() <= 0 || c.C.Cmp(pk.N2) >= 0:
 			return fmt.Errorf("ciphertext %d outside Z_N²", i)
-		case gcd.GCD(nil, nil, c.C, pk.N).Cmp(one) != 0:
+		}
+	}
+	if pk.AllUnits(cells) {
+		return nil
+	}
+	one := big.NewInt(1)
+	gcd := new(big.Int)
+	for i, c := range cells {
+		if gcd.GCD(nil, nil, c.C, pk.N).Cmp(one) != 0 {
 			return fmt.Errorf("ciphertext %d not invertible", i)
 		}
 	}

@@ -452,19 +452,11 @@ func PackCellsLike(cells *CipherMatrix, like *PackedMatrix) *PackedMatrix {
 		panic(fmt.Sprintf("hetensor: PackCellsLike of %d columns into %d", cells.Cols, like.Cols))
 	}
 	out := like.like(cells.Rows, cells.Cols, like.Block, cells.Scale)
-	shift := new(big.Int).Lsh(big.NewInt(1), out.W)
 	gpr := out.GroupsPerRow()
 	parallel.For(len(out.C), func(t int) {
 		i, g := t/gpr, t%gpr
 		col := out.groupCol(g)
-		row := cells.Row(i)[col : col+out.laneCount(g)]
-		acc := new(big.Int).Set(row[len(row)-1].C)
-		for l := len(row) - 2; l >= 0; l-- {
-			acc.Exp(acc, shift, cells.PK.N2)
-			acc.Mul(acc, row[l].C)
-			acc.Mod(acc, cells.PK.N2)
-		}
-		out.C[t] = &paillier.Ciphertext{C: acc}
+		out.C[t] = cells.PK.PackLanes(cells.Row(i)[col:col+out.laneCount(g)], out.W)
 	})
 	return out
 }

@@ -327,13 +327,20 @@ func BenchmarkMulPlainLeftUncached(b *testing.B) {
 	}
 }
 
+// fakeKey is a random odd modulus of the given width, not a key: the kernel
+// benchmarks below never decrypt.
+func fakeKey(rng *rand.Rand, bits int) *paillier.PublicKey {
+	n := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits-1)))
+	n.SetBit(n, bits-1, 1).SetBit(n, 0, 1)
+	return &paillier.PublicKey{N: n, N2: new(big.Int).Mul(n, n)}
+}
+
 // BenchmarkDotGrid is the dense fed step's forward kernel — a 32×14 plaintext
 // batch times a packed 14×16 encrypted weight piece — under the deployment's
 // cache budget, with the weights minted a fresh identity every iteration as a
 // re-encrypted ⟦V⟧ is: always a first sighting, so the per-call table build
 // and the single-chain evaluation are both in the loop. `make profile-dot`
 // profiles the 2048-bit row; -short (bench-smoke) keeps only the 512-bit one.
-// The modulus is a random odd number, not a key: nothing here decrypts.
 func BenchmarkDotGrid(b *testing.B) {
 	for _, bits := range []int{512, 2048} {
 		b.Run(strconv.Itoa(bits), func(b *testing.B) {
@@ -341,9 +348,7 @@ func BenchmarkDotGrid(b *testing.B) {
 				b.Skip("2048-bit row skipped in -short mode")
 			}
 			rng := rand.New(rand.NewSource(29))
-			n := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits-1)))
-			n.SetBit(n, bits-1, 1).SetBit(n, 0, 1)
-			pk := &paillier.PublicKey{N: n, N2: new(big.Int).Mul(n, n)}
+			pk := fakeKey(rng, bits)
 			x := tensor.RandDense(rng, 32, 14, 2)
 			w := PackEncrypt(pk, tensor.RandDense(rng, 14, 16, 2), 1)
 			prev := SetTableCacheBudget(64 << 20)
@@ -357,6 +362,38 @@ func BenchmarkDotGrid(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				w.MintID()
 				MulPlainLeftPacked(x, w)
+			}
+		})
+	}
+}
+
+// BenchmarkServeProducts is serve_batched's homomorphic half at its geometry —
+// 32 requests × 14 features against a 14×1 encrypted weight column — with the
+// table cache warm, as it is for the whole life of a serve session: what is
+// timed is the lane-packed (~K·W-bit) chains over cached tables, nothing else.
+// `make profile-serve` profiles the 2048-bit row; -short keeps the 512-bit one.
+func BenchmarkServeProducts(b *testing.B) {
+	for _, bits := range []int{512, 2048} {
+		b.Run(strconv.Itoa(bits), func(b *testing.B) {
+			if bits > 512 && testing.Short() {
+				b.Skip("2048-bit row skipped in -short mode")
+			}
+			rng := rand.New(rand.NewSource(31))
+			pk := fakeKey(rng, bits)
+			x := tensor.RandDense(rng, 32, 14, 2)
+			v := Encrypt(pk, tensor.RandDense(rng, 14, 1, 2), 1)
+			prev := SetTableCacheBudget(64 << 20)
+			ResetTableCache()
+			defer func() {
+				SetTableCacheBudget(prev)
+				ResetTableCache()
+			}()
+			ServeProducts(x, v) // first sighting
+			ServeProducts(x, v) // admitted: the tables are built here
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ServeProducts(x, v)
 			}
 		})
 	}

@@ -125,7 +125,7 @@ func (so *SecretOps) blinding() *big.Int {
 		h := new(big.Int).Mul(y, y)
 		h.Neg(h).Mod(h, pk.N)
 		hn := so.ExpCRT(h, pk.N)
-		so.blindFB = NewFixedBase(hn, pk.N2, DefaultShortExpBits, 0)
+		so.blindFB = NewFixedBase(hn, pk.N, DefaultShortExpBits, 0)
 		so.blindMax = new(big.Int).Lsh(one, DefaultShortExpBits)
 	})
 	so.blindMu.Lock()

@@ -20,34 +20,29 @@ import (
 // budget, so callers trade memory for speed with one knob.
 
 // DefaultFixedBaseBudget caps one FixedBase table at 16 MiB — enough for
-// w = 8 over a 400-bit exponent at a 2048-bit modulus (~6.5 MiB) while
-// keeping a handful of tables affordable in one process.
+// w = 8 over a 400-bit exponent at a 2048-bit N (~7.0 MiB of digit pairs)
+// while keeping a handful of tables affordable in one process.
 const DefaultFixedBaseBudget = 16 << 20
 
-// FixedBase holds comb tables for one constant base modulo one modulus.
-// It is immutable after construction and safe for concurrent Exp calls.
+// FixedBase holds comb tables for one constant base modulo one square B², as
+// base-B digit pairs (sqmod.go). It is immutable after construction and safe
+// for concurrent Exp calls.
 type FixedBase struct {
-	m    *big.Int
+	m    *sqMod
 	w    uint
-	bits int          // max exponent bit length the table covers
-	tabs [][]*big.Int // tabs[i][d] = base^(d·2^(i·w)) mod m, d = 1..2^w−1
-}
-
-// fixedBaseEntryBytes estimates the memory of one table residue mod m:
-// the limb storage plus big.Int bookkeeping overhead.
-func fixedBaseEntryBytes(m *big.Int) int64 {
-	return int64(m.BitLen()/8 + 48)
+	bits int        // max exponent bit length the table covers
+	tabs [][]sqPair // tabs[i][d−1] = base^(d·2^(i·w)) mod B², d = 1..2^w−1
 }
 
 // fixedBaseWindow picks the widest window whose comb table for maxBits-bit
 // exponents fits the byte budget, clamped to [1, 8]. Wider windows shrink
 // the per-Exp multiplication count (~maxBits/w) but grow the table
-// exponentially (⌈maxBits/w⌉·(2^w−1) residues).
-func fixedBaseWindow(maxBits int, m *big.Int, budget int64) uint {
+// exponentially (⌈maxBits/w⌉·(2^w−1) digit pairs).
+func fixedBaseWindow(maxBits int, root *big.Int, budget int64) uint {
 	if budget <= 0 {
 		budget = DefaultFixedBaseBudget
 	}
-	eb := fixedBaseEntryBytes(m)
+	eb := pairBytes(root)
 	for w := uint(8); w > 1; w-- {
 		wins := int64((maxBits + int(w) - 1) / int(w))
 		if wins*int64((1<<w)-1)*eb <= budget {
@@ -57,34 +52,36 @@ func fixedBaseWindow(maxBits int, m *big.Int, budget int64) uint {
 	return 1
 }
 
-// NewFixedBase precomputes comb tables for base mod m covering exponents up
-// to maxBits bits. budget caps the table memory in bytes (<= 0 selects
-// DefaultFixedBaseBudget); the window width adapts to it. Construction costs
-// ~maxBits squarings plus ⌈maxBits/w⌉·(2^w−2) multiplications mod m — a
+// NewFixedBase precomputes comb tables for base modulo root² — every modulus
+// here is a square, and the multiplier works from its root — covering
+// exponents up to maxBits bits. budget caps the table memory in bytes (<= 0
+// selects DefaultFixedBaseBudget); the window width adapts to it. Construction
+// costs ~maxBits squarings plus ⌈maxBits/w⌉·(2^w−2) multiplications — a
 // one-time cost amortized across every later Exp.
-func NewFixedBase(base, m *big.Int, maxBits int, budget int64) *FixedBase {
+func NewFixedBase(base, root *big.Int, maxBits int, budget int64) *FixedBase {
 	if maxBits < 1 {
 		panic(fmt.Sprintf("paillier: NewFixedBase maxBits %d < 1", maxBits))
 	}
-	if m.Sign() <= 0 {
-		panic("paillier: NewFixedBase modulus must be positive")
+	if root.Cmp(one) <= 0 {
+		panic("paillier: NewFixedBase modulus root must exceed 1")
 	}
-	w := fixedBaseWindow(maxBits, m, budget)
+	w := fixedBaseWindow(maxBits, root, budget)
 	wins := (maxBits + int(w) - 1) / int(w)
-	f := &FixedBase{m: m, w: w, bits: maxBits, tabs: make([][]*big.Int, wins)}
-	size := 1 << w
-	cur := new(big.Int).Mod(base, m) // base^(2^(i·w)), advanced per window
-	for i := 0; i < wins; i++ {
-		tab := make([]*big.Int, size)
-		tab[1] = new(big.Int).Set(cur)
-		for d := 2; d < size; d++ {
-			tab[d] = new(big.Int).Mul(tab[d-1], tab[1])
-			tab[d].Mod(tab[d], m)
+	m := newSqMod(root)
+	f := &FixedBase{m: m, w: w, bits: maxBits, tabs: make([][]sqPair, wins)}
+	s := m.newScratch()
+	cur := &s.acc // base^(2^(i·w)), advanced per window
+	m.split(cur, base, s)
+	for i := range f.tabs {
+		tab := m.newRow(1<<w - 1)
+		tab[0].set(cur)
+		for d := 1; d < len(tab); d++ {
+			m.mul(&tab[d], &tab[d-1], &tab[0], s)
 		}
 		f.tabs[i] = tab
 		if i+1 < wins {
-			for s := uint(0); s < w; s++ {
-				cur.Mul(cur, cur).Mod(cur, m)
+			for k := uint(0); k < w; k++ {
+				m.sqr(cur, cur, s)
 			}
 		}
 	}
@@ -97,40 +94,38 @@ func (f *FixedBase) Window() uint { return f.w }
 // Bits reports the largest exponent bit length the table covers.
 func (f *FixedBase) Bits() int { return f.bits }
 
-// Bytes estimates the table's memory footprint.
+// Bytes is the table's memory footprint: the digit pairs stored.
 func (f *FixedBase) Bytes() int64 {
-	n := 0
-	for _, tab := range f.tabs {
-		n += len(tab) - 1
-	}
-	return int64(n) * fixedBaseEntryBytes(f.m)
+	return int64(len(f.tabs)) * int64(len(f.tabs[0])) * pairBytes(f.m.b)
 }
 
-// Exp returns base^e mod m using the comb tables: one table lookup and
-// multiplication per non-zero w-bit digit of e, no squarings. e must be
-// non-negative; exponents wider than the table's coverage fall back to
-// big.Int.Exp so the result is always exact.
+// Exp returns base^e mod B² using the comb tables: one table lookup and
+// multiplication per non-zero w-bit digit of e, no squarings, the digits
+// joined once at the end. e must be non-negative; exponents wider than the
+// table's coverage fall back to big.Int.Exp so the result is always exact.
 func (f *FixedBase) Exp(e *big.Int) *big.Int {
 	if e.Sign() < 0 {
 		panic("paillier: FixedBase.Exp negative exponent")
 	}
 	if e.BitLen() > f.bits {
-		return new(big.Int).Exp(f.tabs[0][1], e, f.m)
+		return new(big.Int).Exp(f.m.join(&f.tabs[0][0]), e, f.m.b2)
 	}
-	var acc *big.Int
+	s := f.m.newScratch()
+	var acc *sqPair
 	for i := range f.tabs {
 		d := windowDigit(e, i*int(f.w), f.w)
 		if d == 0 {
 			continue
 		}
-		if acc == nil {
-			acc = new(big.Int).Set(f.tabs[i][d])
-			continue
+		if t := &f.tabs[i][d-1]; acc == nil {
+			acc = &s.acc
+			acc.set(t)
+		} else {
+			f.m.mul(acc, acc, t, s)
 		}
-		acc.Mul(acc, f.tabs[i][d]).Mod(acc, f.m)
 	}
 	if acc == nil {
 		return big.NewInt(1) // e == 0
 	}
-	return acc
+	return f.m.join(acc)
 }

@@ -13,7 +13,7 @@ func TestFixedBaseMatchesExp(t *testing.T) {
 	k := testKey
 	rng := mrand.New(mrand.NewSource(42))
 	base := new(big.Int).Rand(rng, k.N2)
-	fb := NewFixedBase(base, k.N2, 400, 0)
+	fb := NewFixedBase(base, k.N, 400, 0)
 
 	check := func(e *big.Int) {
 		t.Helper()
@@ -50,7 +50,7 @@ func TestFixedBaseExpAlphaRange(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(7))
 	base := new(big.Int).Rand(rng, k.N2)
 	const bits = 64
-	fb := NewFixedBase(base, k.N2, bits+1, 0)
+	fb := NewFixedBase(base, k.N, bits+1, 0)
 	for i := 0; i < 40; i++ {
 		alpha := new(big.Int).Rand(rng, new(big.Int).Lsh(one, bits))
 		alpha.Add(alpha, one)
@@ -66,11 +66,11 @@ func TestFixedBaseExpAlphaRange(t *testing.T) {
 func TestFixedBaseWindowAdaptsToBudget(t *testing.T) {
 	k := testKey
 	base := big.NewInt(12345)
-	wide := NewFixedBase(base, k.N2, 400, 0)
+	wide := NewFixedBase(base, k.N, 400, 0)
 	if wide.Window() < 6 {
 		t.Fatalf("default budget picked window %d, want >= 6", wide.Window())
 	}
-	tight := NewFixedBase(base, k.N2, 400, 128<<10)
+	tight := NewFixedBase(base, k.N, 400, 128<<10)
 	if tight.Window() >= wide.Window() {
 		t.Fatalf("128 KiB budget picked window %d, not narrower than default %d", tight.Window(), wide.Window())
 	}
@@ -87,7 +87,7 @@ func TestFixedBaseWindowAdaptsToBudget(t *testing.T) {
 // TestFixedBaseNegativeExpPanics pins the contract.
 func TestFixedBaseNegativeExpPanics(t *testing.T) {
 	k := testKey
-	fb := NewFixedBase(big.NewInt(3), k.N2, 16, 0)
+	fb := NewFixedBase(big.NewInt(3), k.N, 16, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on negative exponent")
@@ -104,7 +104,7 @@ func FuzzFixedBaseExp(f *testing.F) {
 	f.Add(new(big.Int).Lsh(one, 200).Bytes())
 	k := testKey
 	base := new(big.Int).Mod(big.NewInt(987654321987654321), k.N2)
-	fb := NewFixedBase(base, k.N2, 256, 0)
+	fb := NewFixedBase(base, k.N, 256, 0)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 64 {
 			raw = raw[:64] // cap at 512 bits: covered + fallback ranges
@@ -133,7 +133,7 @@ func BenchmarkShortExpBlindingFixedBase(b *testing.B) {
 	rng := mrand.New(mrand.NewSource(3))
 	hn := new(big.Int).Rand(rng, k.N2)
 	alpha := new(big.Int).Rand(rng, new(big.Int).Lsh(one, DefaultShortExpBits))
-	fb := NewFixedBase(hn, k.N2, DefaultShortExpBits+1, 0)
+	fb := NewFixedBase(hn, k.N, DefaultShortExpBits+1, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fb.Exp(alpha)

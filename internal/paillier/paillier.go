@@ -42,6 +42,11 @@
 //	  Straus tables in PrecomputeDot/DotRow. Obtain with sk.Ops();
 //	  RegisterSecretOps routes the public entry points through it for keys
 //	  this process holds — a single-trust-domain optimization (see crt.go).
+//
+// Every product of the chains, table builds and comb lookups above is taken in
+// the digit form of sqmod.go: the moduli N², p², q² are squares, so a residue
+// is two base-N (p, q) digits and a multiplication seven half-width products
+// and two Barrett steps — no long division; what leaves is the canonical residue.
 package paillier
 
 import (

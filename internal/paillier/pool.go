@@ -130,7 +130,7 @@ func NewPool(pk *PublicKey, capacity, workers int, random io.Reader, opts ...Poo
 		}
 		p.alphaMax = new(big.Int).Lsh(one, uint(p.shortBits))
 		if p.fixedBase {
-			p.fb = NewFixedBase(p.hn, pk.N2, p.shortBits+1, p.fbBudget)
+			p.fb = NewFixedBase(p.hn, pk.N, p.shortBits+1, p.fbBudget)
 		}
 	}
 	for i := 0; i < capacity; i++ {

@@ -1,6 +1,7 @@
 package paillier
 
 import (
+	"bytes"
 	"crypto/rand"
 	"math/big"
 	mrand "math/rand"
@@ -359,6 +360,44 @@ func BenchmarkPoolLookupFingerprint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if PoolFor(pk) == nil {
 			b.Fatal("lookup failed")
+		}
+	}
+}
+
+// TestPoolShortExpMatchesFormula pins what a short-exponent pool emits to the
+// formula, computed with nothing but big.Int.Exp: replaying the deterministic
+// reader's draws — y for h = −y² mod N, then one α per blinding in FIFO order
+// (workers = 1) — every ciphertext is (1 + mN)·(hⁿ)^α mod N², byte for byte.
+func TestPoolShortExpMatchesFormula(t *testing.T) {
+	k := testKey
+	pk := &k.PublicKey
+	const bits, n = 96, 9
+	p := NewPool(pk, 4, 1, mrand.New(mrand.NewSource(17)), WithShortExp(bits))
+	defer p.Close()
+
+	replay := mrand.New(mrand.NewSource(17))
+	y, err := randUnit(replay, pk.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := new(big.Int).Mul(y, y)
+	hn := h.Exp(h.Neg(h).Mod(h, pk.N), pk.N, pk.N2)
+	alphaMax := new(big.Int).Lsh(one, bits)
+	for i := 0; i < n; i++ {
+		p.WaitAvailable(1)
+		c, err := p.Enc(big.NewInt(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		alpha, err := rand.Int(replay, alphaMax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := new(big.Int).Exp(hn, alpha.Add(alpha, one), pk.N2)
+		gm := new(big.Int).Mul(big.NewInt(int64(i)), pk.N)
+		want.Mul(want, gm.Add(gm, one)).Mod(want, pk.N2)
+		if !bytes.Equal(c.C.Bytes(), want.Bytes()) {
+			t.Fatalf("ciphertext %d is not (1 + mN)·(hⁿ)^α mod N²", i)
 		}
 	}
 }

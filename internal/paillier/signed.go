@@ -3,6 +3,7 @@ package paillier
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"blindfl/internal/parallel"
 )
@@ -106,13 +107,19 @@ func DotWindow(bits, reuse int) uint {
 	return w
 }
 
-// windowDigit extracts bits [off, off+w) of x as an integer.
+// windowDigit extracts bits [off, off+w) of |x| as an integer, w ≤ MaxDotWindow:
+// at most two words of x, shifted and masked.
 func windowDigit(x *big.Int, off int, w uint) uint {
-	var d uint
-	for j := int(w) - 1; j >= 0; j-- {
-		d = d<<1 | x.Bit(off+j)
+	ws := x.Bits()
+	i, sh := off/bits.UintSize, uint(off%bits.UintSize)
+	if i >= len(ws) {
+		return 0
 	}
-	return d
+	d := uint(ws[i]) >> sh
+	if sh+w > bits.UintSize && i+1 < len(ws) {
+		d |= uint(ws[i+1]) << (bits.UintSize - sh)
+	}
+	return d & (1<<w - 1)
 }
 
 // MaxDotWindow bounds the Straus/cache window width: 2·(2^10−1) table entries
@@ -132,94 +139,110 @@ type DotTables struct {
 	pk    *PublicKey
 	w     uint
 	n     int        // bases
-	rows  int        // power rows built per half: 2n, or n for DotRow's one side each
 	so    *SecretOps // non-nil selects the CRT dual-chain mode
 	halfs []dotHalf  // one mod N², or two mod p² and q²
 }
 
-// dotHalf is the tables modulo one modulus: pow[2i+s][d] = cᵢ^{±d} mod m for
-// d = 1..2^w−1 (index 0 unused), s = 1 holding the powers of cᵢ⁻¹. A nil row
-// is a side DotRow did not need.
+// dotHalf is the tables modulo one square B², as base-B digit pairs (sqmod.go):
+// pow[2i+s][d−1] = cᵢ^{±d} mod B² for d = 1..2^w−1, s = 1 holding the powers
+// of cᵢ⁻¹. A nil row is a side DotRow did not need.
 type dotHalf struct {
-	m   *big.Int
-	pow [][]*big.Int
+	m   *sqMod
+	pow [][]sqPair
 }
 
 // Window reports the table's Straus window width.
 func (t *DotTables) Window() uint { return t.w }
 
-// DotTableBytes estimates the memory of width-w tables over the given number
-// of bases with both sides built (the CRT layout's two half-size residues
-// cost the same as one full-size one).
+// dotRoots lists the roots whose squares a table set for pk is built modulo:
+// N, or p and q when so is the key's registered SecretOps.
+func dotRoots(pk *PublicKey, so *SecretOps) []*big.Int {
+	if so != nil {
+		return []*big.Int{so.sk.p, so.sk.q}
+	}
+	return []*big.Int{pk.N}
+}
+
+// DotTableBytes is the memory of width-w tables over the given number of bases
+// with both sides built, in the mode PrecomputeDot would build them now: one
+// digit pair per power mod N², or one mod p² and one mod q².
 func (pk *PublicKey) DotTableBytes(bases int, w uint) int64 {
-	return 2 * int64(bases) * int64((1<<w)-1) * fixedBaseEntryBytes(pk.N2)
+	var entry int64
+	for _, root := range dotRoots(pk, SecretOpsFor(pk)) {
+		entry += pairBytes(root)
+	}
+	return 2 * int64(bases) * int64((1<<w)-1) * entry
 }
 
-// Bytes estimates the tables' memory footprint.
-func (t *DotTables) Bytes() int64 { return t.pk.DotTableBytes(t.rows, t.w) / 2 }
+// Bytes is the tables' memory footprint: the digit pairs stored.
+func (t *DotTables) Bytes() int64 {
+	var n int64
+	for i := range t.halfs {
+		for _, row := range t.halfs[i].pow {
+			n += int64(len(row)) * pairBytes(t.halfs[i].m.b)
+		}
+	}
+	return n
+}
 
-// batchInverse inverts every x mod m with Montgomery's trick — prefix
-// products, one ModInverse, unwind — so a table build pays one inversion,
-// not one per base. Panics like mustInverse if any x is not a unit.
-func batchInverse(xs []*big.Int, m *big.Int) []*big.Int {
-	inv := make([]*big.Int, len(xs))
+// batchInverse replaces every x by x⁻¹ mod B² with Montgomery's trick — prefix
+// products, one ModInverse, unwind — so a table build pays one inversion, not
+// one per base. Panics like mustInverse if any x is not a unit.
+func (m *sqMod) batchInverse(xs []*sqPair, s *sqScratch) {
 	if len(xs) == 0 {
-		return inv
+		return
 	}
-	acc := big.NewInt(1)
+	pre, acc := m.newRow(len(xs)), &s.acc // pre[i] = product of xs[:i], until the unwind below
+	acc.lo.SetUint64(1)
+	acc.hi.SetUint64(0)
 	for i, x := range xs {
-		inv[i] = acc // product of xs[:i], until the unwind below
-		acc = new(big.Int).Mul(acc, x)
-		acc.Mod(acc, m)
+		pre[i].set(acc)
+		m.mul(acc, acc, x, s)
 	}
-	acc = mustInverse(acc, m, "PrecomputeDot")
+	m.split(acc, mustInverse(m.join(acc), m.b2, "PrecomputeDot"), s)
 	for i := len(xs) - 1; i >= 0; i-- {
-		inv[i] = new(big.Int).Mul(acc, inv[i])
-		inv[i].Mod(inv[i], m)
-		acc.Mul(acc, xs[i]).Mod(acc, m)
+		m.mul(&pre[i], acc, &pre[i], s)
+		m.mul(acc, acc, xs[i], s)
+		xs[i].set(&pre[i])
 	}
-	return inv
 }
 
-// buildHalf builds the width-w tables mod m. A nil es builds both sides of
-// every base, the power rows in parallel; otherwise (DotRow, already inside a
-// parallel cell) base i gets only the side es[i]'s sign selects, serially.
-// The inversion runs on the calling goroutine either way, so a non-invertible
-// base panics where the caller can recover.
-func buildHalf(cs []*Ciphertext, es []SignedExp, w uint, m *big.Int) dotHalf {
-	roots := make([]*big.Int, 2*len(cs)) // roots[2i+s] generates row pow[2i+s]
-	var negIdx []int
-	var negs []*big.Int
+// buildHalf builds the width-w tables mod m's square. A nil es builds both
+// sides of every base, the power rows in parallel; otherwise (DotRow, already
+// inside a parallel cell) base i gets only the side es[i]'s sign selects,
+// serially. The inversion runs on the calling goroutine either way, so a
+// non-invertible base panics where the caller can recover.
+func buildHalf(cs []*Ciphertext, es []SignedExp, w uint, m *sqMod) dotHalf {
+	h := dotHalf{m: m, pow: make([][]sqPair, 2*len(cs))}
+	s := m.newScratch()
+	var negs []*sqPair
 	for i, c := range cs {
-		r := new(big.Int).Mod(c.C, m)
-		if es == nil || !es[i].Neg {
-			roots[2*i] = r
-		}
-		if es == nil || es[i].Neg {
-			negIdx, negs = append(negIdx, i), append(negs, r)
+		// Row 2i+s opens with its generator: cᵢ, which on the inverse side
+		// the batch inversion below turns into cᵢ⁻¹.
+		m.split(&s.acc, c.C, s)
+		for side := 0; side < 2; side++ {
+			if es != nil && es[i].Neg != (side == 1) {
+				continue
+			}
+			row := m.newRow(1<<w - 1)
+			row[0].set(&s.acc)
+			h.pow[2*i+side] = row
+			if side == 1 {
+				negs = append(negs, &row[0])
+			}
 		}
 	}
-	for t, inv := range batchInverse(negs, m) {
-		roots[2*negIdx[t]+1] = inv
-	}
-	h := dotHalf{m: m, pow: make([][]*big.Int, len(roots))}
-	fill := func(j int) {
-		if roots[j] == nil {
-			return
+	m.batchInverse(negs, s)
+	fill := func(row []sqPair, s *sqScratch) {
+		for d := 1; d < len(row); d++ {
+			m.mul(&row[d], &row[d-1], &row[0], s)
 		}
-		row := make([]*big.Int, 1<<w)
-		row[1] = roots[j]
-		for d := 2; d < len(row); d++ {
-			row[d] = new(big.Int).Mul(row[d-1], row[1])
-			row[d].Mod(row[d], m)
-		}
-		h.pow[j] = row
 	}
 	if es == nil {
-		parallel.For(len(h.pow), fill)
+		parallel.For(len(h.pow), func(j int) { fill(h.pow[j], m.newScratch()) })
 	} else {
-		for j := range h.pow {
-			fill(j)
+		for _, row := range h.pow {
+			fill(row, s)
 		}
 	}
 	return h
@@ -229,16 +252,9 @@ func (pk *PublicKey) precomputeDot(cs []*Ciphertext, es []SignedExp, w uint) *Do
 	if w < 1 || w > MaxDotWindow {
 		panic(fmt.Sprintf("paillier: PrecomputeDot window %d out of range [1,%d]", w, MaxDotWindow))
 	}
-	t := &DotTables{pk: pk, w: w, n: len(cs), rows: 2 * len(cs), so: SecretOpsFor(pk)}
-	if es != nil {
-		t.rows = len(cs)
-	}
-	mods := []*big.Int{pk.N2}
-	if t.so != nil {
-		mods = []*big.Int{t.so.sk.p2, t.so.sk.q2}
-	}
-	for _, m := range mods {
-		t.halfs = append(t.halfs, buildHalf(cs, es, w, m))
+	t := &DotTables{pk: pk, w: w, n: len(cs), so: SecretOpsFor(pk)}
+	for _, root := range dotRoots(pk, t.so) {
+		t.halfs = append(t.halfs, buildHalf(cs, es, w, newSqMod(root)))
 	}
 	return t
 }
@@ -287,36 +303,27 @@ func (t *DotTables) DotGroup(g int, es []SignedExp) *Ciphertext {
 	if maxBits == 0 {
 		return &Ciphertext{C: big.NewInt(1)}
 	}
-	var s dotScratch
-	x := t.halfs[0].chain(off, es, maxBits, t.w, &s)
+	x := t.halfs[0].chain(off, es, maxBits, t.w)
 	if t.so != nil {
 		// CRT dual chain: the chain runs twice at half width (≈¼ the
 		// per-multiplication cost each), recombined once.
-		x = t.so.combine(x, t.halfs[1].chain(off, es, maxBits, t.w, &s))
+		x = t.so.combine(x, t.halfs[1].chain(off, es, maxBits, t.w))
 	}
 	return &Ciphertext{C: x}
 }
 
-// dotScratch is the product and quotient storage one evaluation reuses for
-// every multiplication, so a chain allocates a constant number of limbs
-// however long the exponents are.
-type dotScratch struct{ prod, quo big.Int }
-
-// mulMod sets acc = acc·f mod m without allocating.
-func (s *dotScratch) mulMod(acc, f, m *big.Int) {
-	s.prod.Mul(acc, f)
-	s.quo.QuoRem(&s.prod, m, acc)
-}
-
-// chain runs the Straus interleaved chain over es against bases off… . The
-// accumulator starts at the first non-zero digit, so leading all-zero window
-// columns cost nothing; maxBits > 0 guarantees there is one.
-func (h *dotHalf) chain(off int, es []SignedExp, maxBits int, width uint, s *dotScratch) *big.Int {
+// chain runs the Straus interleaved chain over es against bases off… on one
+// scratch, so it allocates a constant number of words however long the
+// exponents are, and joins the digits once at the end. The accumulator starts
+// at the first non-zero digit, so leading all-zero window columns cost
+// nothing; maxBits > 0 guarantees there is one.
+func (h *dotHalf) chain(off int, es []SignedExp, maxBits int, width uint) *big.Int {
 	w := int(width)
-	var acc *big.Int
+	s := h.m.newScratch()
+	var acc *sqPair
 	for d := (maxBits+w-1)/w - 1; d >= 0; d-- {
 		for k := 0; k < w && acc != nil; k++ {
-			s.mulMod(acc, acc, h.m)
+			h.m.sqr(acc, acc, s)
 		}
 		for i := range es {
 			if es[i].IsZero() {
@@ -330,14 +337,15 @@ func (h *dotHalf) chain(off int, es []SignedExp, maxBits int, width uint, s *dot
 			if es[i].Neg {
 				row++
 			}
-			if f := h.pow[row][dig]; acc == nil {
-				acc = new(big.Int).Set(f)
+			if f := &h.pow[row][dig-1]; acc == nil {
+				acc = &s.acc
+				acc.set(f)
 			} else {
-				s.mulMod(acc, f, h.m)
+				h.m.mul(acc, acc, f, s)
 			}
 		}
 	}
-	return acc
+	return h.m.join(acc)
 }
 
 // DotRow computes the encrypted dot product ⟦Σ kᵢ·mᵢ⟧ = Π cᵢ^{kᵢ} for one
@@ -381,4 +389,41 @@ func (pk *PublicKey) DotRow(cs []*Ciphertext, es []SignedExp) *Ciphertext {
 		}
 	}
 	return pk.precomputeDot(liveC, liveE, DotWindow(maxBits, 1)).Dot(liveE)
+}
+
+// PackLanes returns ⟦Σ mₗ·2^(l·w)⟧ = Π cs[l]^(2^(l·w)) mod N²: one value per
+// ciphertext packed homomorphically into w-bit lanes of one, by Horner's rule
+// from the top lane down — (len(cs)−1)·w squarings on one scratch. cs must
+// not be empty.
+func (pk *PublicKey) PackLanes(cs []*Ciphertext, w uint) *Ciphertext {
+	m := newSqMod(pk.N)
+	s := m.newScratch()
+	var lane sqPair
+	acc := &s.acc
+	m.split(acc, cs[len(cs)-1].C, s)
+	for l := len(cs) - 2; l >= 0; l-- {
+		for k := uint(0); k < w; k++ {
+			m.sqr(acc, acc, s)
+		}
+		m.split(&lane, cs[l].C, s)
+		m.mul(acc, acc, &lane, s)
+	}
+	return &Ciphertext{C: m.join(acc)}
+}
+
+// AllUnits reports whether every ciphertext is invertible mod N² — shares no
+// factor with N — at the price of one GCD however many there are: a factor of
+// N in any cell is a factor of their product, which is folded mod N by
+// Barrett steps. Nil-valued or negative ciphertexts are the caller's to
+// reject first.
+func (pk *PublicKey) AllUnits(cs []*Ciphertext) bool {
+	m := newSqMod(pk.N)
+	s := m.newScratch()
+	prod := big.NewInt(1)
+	for _, c := range cs {
+		m.split(&s.acc, c.C, s) // only the low digit, c mod N, is used
+		s.t.Mul(prod, &s.acc.lo)
+		m.reduce(prod, &s.t, s)
+	}
+	return prod.GCD(nil, nil, prod, pk.N).Cmp(one) == 0
 }

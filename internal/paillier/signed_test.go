@@ -356,3 +356,47 @@ func BenchmarkPoolRefillShortExp(b *testing.B) {
 		}
 	}
 }
+
+// TestPackLanesMatchesExp: the Horner packing is Π cs[l]^(2^(l·w)) mod N²,
+// residue for residue, whatever the lane count and width.
+func TestPackLanesMatchesExp(t *testing.T) {
+	pk := &testKey.PublicKey
+	for _, c := range [][2]int{{1, 7}, {2, 1}, {3, 64}, {5, 97}} {
+		lanes, w := c[0], uint(c[1])
+		cs := make([]*Ciphertext, lanes)
+		want := big.NewInt(1)
+		for l := range cs {
+			cs[l] = encT(t, pk, big.NewInt(int64(1000+l)))
+			e := new(big.Int).Lsh(one, uint(l)*w)
+			want.Mul(want, e.Exp(cs[l].C, e, pk.N2)).Mod(want, pk.N2)
+		}
+		if got := pk.PackLanes(cs, w).C; got.Cmp(want) != 0 {
+			t.Fatalf("%d lanes of %d bits: PackLanes is not the reference residue", lanes, w)
+		}
+	}
+}
+
+// TestAllUnits: honest ciphertexts pass; a multiple of p, of q or of N at any
+// position — the whole point of folding before the one GCD — does not.
+func TestAllUnits(t *testing.T) {
+	k := testKey
+	pk := &k.PublicKey
+	cs := make([]*Ciphertext, 9)
+	for i := range cs {
+		cs[i] = encT(t, pk, big.NewInt(int64(i)))
+	}
+	if !pk.AllUnits(cs) || !pk.AllUnits(nil) {
+		t.Fatal("honest ciphertexts refused")
+	}
+	for _, f := range []*big.Int{k.p, k.q, k.N} {
+		for _, at := range []int{0, 4, len(cs) - 1} {
+			honest := cs[at]
+			bad := new(big.Int).Mul(f, big.NewInt(12345))
+			cs[at] = &Ciphertext{C: bad.Add(bad, new(big.Int).Mul(f, k.N))} // above N: exercises the reduction
+			if pk.AllUnits(cs) {
+				t.Fatalf("a multiple of %v at %d passed as a unit", f, at)
+			}
+			cs[at] = honest
+		}
+	}
+}
