@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-cpu test-full test-chaos bench bench-smoke bench-json profile-dot profile-embed profile-serve serve-smoke shard-smoke examples fmt fmt-check vet lint lint-tools
+.PHONY: build test test-cpu test-full test-chaos bench bench-smoke bench-json profile-dot profile-embed profile-sparse profile-serve serve-smoke shard-smoke examples fmt fmt-check vet lint lint-tools
 
 build:
 	$(GO) build ./...
@@ -83,6 +83,13 @@ profile-dot:
 # `go tool pprof -top core.test embed.prof`.
 profile-embed:
 	$(GO) test ./internal/core -run '^$$' -bench 'EmbedStep/1024' -benchtime 20x -benchmem -cpuprofile embed.prof
+
+# The same for one whole sparse MatMul step (BenchmarkSparseStep: forward +
+# backward at the sparse_wan workload's geometry and 1024-bit keys on a Pair —
+# the compute the workload's link hides). Leaves sparse.prof and core.test;
+# read with `go tool pprof -top core.test sparse.prof`.
+profile-sparse:
+	$(GO) test ./internal/core -run '^$$' -bench 'SparseStep/1024$$' -benchtime 20x -benchmem -cpuprofile sparse.prof
 
 # The same for serve_batched's homomorphic half (BenchmarkServeProducts: 32
 # requests × 14 features against a cached 2048-bit weight column). Leaves

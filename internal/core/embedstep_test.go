@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"strconv"
+	"sync"
 	"testing"
 
 	"blindfl/internal/engine"
@@ -41,6 +42,54 @@ func embedCatStep(tb testing.TB, rng *rand.Rand, pa, pb *protocol.Peer, la *Embe
 	}
 }
 
+// deployedPipe opens a Pair under the benchmark's deployment options (packed,
+// streamed, short-exponent pools, 64 MiB table cache; spot adds the decrypt
+// spot-check) on the 512-bit test keys or the 1024-bit pair, and undoes the
+// process-wide part of them when the benchmark ends.
+func deployedPipe(b *testing.B, bits int, seed int64, spot bool) (pa, pb *protocol.Peer, o engine.Options) {
+	skA, skB := protocol.TestKeys()
+	if bits != 512 {
+		skA, skB = testKeys1024(b)
+	}
+	o = engine.Options{Packed: true, Stream: true, Pool: 256, ShortExp: 400, TableCacheMB: 64, SpotCheck: spot}
+	o.SetupKeys(skA, skB)
+	b.Cleanup(func() {
+		for _, sk := range []*paillier.PrivateKey{skA, skB} {
+			if p := paillier.PoolFor(&sk.PublicKey); p != nil {
+				paillier.UnregisterPool(&sk.PublicKey)
+				p.Close()
+			}
+		}
+		hetensor.SetTableCacheBudget(0)
+		hetensor.ResetTableCache()
+	})
+	pa, pb, err := protocol.Pipe(skA, skB, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pa, pb, o
+}
+
+var (
+	keys1024Once sync.Once
+	keys1024     [2]*paillier.PrivateKey
+)
+
+// testKeys1024 is a process-wide pair at the embed_cat and sparse_wan key
+// size, where a ciphertext has K = 8 default lanes.
+func testKeys1024(tb testing.TB) (*paillier.PrivateKey, *paillier.PrivateKey) {
+	keys1024Once.Do(func() {
+		for i := range keys1024 {
+			sk, err := paillier.GenerateKey(paillier.Rand, 1024)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			keys1024[i] = sk
+		}
+	})
+	return keys1024[0], keys1024[1]
+}
+
 // BenchmarkEmbedStep is one Embed-MatMul forward + backward at embed_cat's
 // geometry under the benchmark's deployment options (packed, streamed,
 // short-exponent pools, 64 MiB table cache): the layer alone, without the
@@ -52,32 +101,7 @@ func BenchmarkEmbedStep(b *testing.B) {
 			if bits > 512 && testing.Short() {
 				b.Skip("1024-bit row skipped in -short mode")
 			}
-			skA, skB := protocol.TestKeys()
-			if bits != 512 {
-				var err error
-				if skA, err = paillier.GenerateKey(paillier.Rand, bits); err != nil {
-					b.Fatal(err)
-				}
-				if skB, err = paillier.GenerateKey(paillier.Rand, bits); err != nil {
-					b.Fatal(err)
-				}
-			}
-			o := engine.Options{Packed: true, Stream: true, Pool: 256, ShortExp: 400, TableCacheMB: 64}
-			o.SetupKeys(skA, skB)
-			defer func() {
-				for _, sk := range []*paillier.PrivateKey{skA, skB} {
-					if p := paillier.PoolFor(&sk.PublicKey); p != nil {
-						paillier.UnregisterPool(&sk.PublicKey)
-						p.Close()
-					}
-				}
-				hetensor.SetTableCacheBudget(0)
-				hetensor.ResetTableCache()
-			}()
-			pa, pb, err := protocol.Pipe(skA, skB, 818)
-			if err != nil {
-				b.Fatal(err)
-			}
+			pa, pb, o := deployedPipe(b, bits, 818, false)
 			la, lb := newEmbedPair(b, pa, pb, embedCatCfg(o))
 			rng := rand.New(rand.NewSource(18))
 			embedCatStep(b, rng, pa, pb, la, lb) // warm-up: pools primed, ghosts seen

@@ -7,6 +7,7 @@ import (
 	"blindfl/internal/paillier"
 	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
+	"blindfl/internal/transport"
 )
 
 // Sparse MatMul source layer.
@@ -19,10 +20,19 @@ import (
 // so
 //
 //   - encrypted weight rows ⟦V[k]⟧ are materialized on demand by the piece
-//     holder and cached by the consumer;
+//     holder and cached by the consumer: invalidate, fetch on touch. A row of
+//     ⟦V_A⟧ that a step updates is dropped from A's cache — a stale row is a
+//     missing row — and re-encrypted only if and when a later batch touches
+//     it; ⟦V_B⟧ never changes, and forward-only passes invalidate nothing;
 //   - the homomorphic gradient ⟦∇W[touched]⟧ and its HE2SS conversion cover
 //     only the touched rows;
-//   - only the updated rows of ⟦V_A⟧ are re-encrypted after the step.
+//   - both HE2SS conversions of the layer — the forward product ⟦X·V⟧ and
+//     the touched-row gradient — are always lane-packed across rows
+//     (hetensor.PackFlat): their rows are Out values wide, far narrower than
+//     a ciphertext, so the cells travel and decrypt K at a time as one row
+//     and the share is reshaped on arrival. Masks are drawn in the same
+//     row-major order either way, so the shares are those of the unpacked
+//     conversion bit for bit.
 //
 // The touched-coordinate sets cross the wire in the clear. This reveals
 // which of a party's (privately indexed) feature columns were active in the
@@ -64,14 +74,13 @@ type SparseMatMulB struct {
 
 // rowCache holds encrypted weight rows indexed by coordinate.
 type rowCache struct {
-	rows  int
 	cols  int
 	pk    *paillier.PublicKey
 	cache map[int][]*paillier.Ciphertext
 }
 
-func newRowCache(rows, cols int) *rowCache {
-	return &rowCache{rows: rows, cols: cols, cache: make(map[int][]*paillier.Ciphertext)}
+func newRowCache(cols int) *rowCache {
+	return &rowCache{cols: cols, cache: make(map[int][]*paillier.Ciphertext)}
 }
 
 // missing returns the touched coordinates not yet cached.
@@ -93,14 +102,21 @@ func (rc *rowCache) fill(idx []int, m *hetensor.CipherMatrix) {
 	}
 }
 
-// matrixFor assembles a full-height CipherMatrix view whose touched rows
-// point at cached ciphertexts; untouched rows stay nil and must not be
-// accessed (the sparse matmuls index only non-zero columns).
-func (rc *rowCache) matrixFor() *hetensor.CipherMatrix {
-	m := &hetensor.CipherMatrix{Rows: rc.rows, Cols: rc.cols, Scale: 1, PK: rc.pk,
-		C: make([]*paillier.Ciphertext, rc.rows*rc.cols)}
-	for k, row := range rc.cache {
-		copy(m.Row(k), row)
+// drop forgets the given rows: their holder is about to change them.
+func (rc *rowCache) drop(idx []int) {
+	for _, k := range idx {
+		delete(rc.cache, k)
+	}
+}
+
+// gather assembles the compact len(touched)×cols matrix whose row i is the
+// cached row touched[i] — the operand for a batch renumbered by compactCols,
+// sized by the batch and not by the feature space.
+func (rc *rowCache) gather(touched []int) *hetensor.CipherMatrix {
+	m := &hetensor.CipherMatrix{Rows: len(touched), Cols: rc.cols, Scale: 1, PK: rc.pk,
+		C: make([]*paillier.Ciphertext, 0, len(touched)*rc.cols)}
+	for _, k := range touched {
+		m.C = append(m.C, rc.cache[k]...)
 	}
 	return m
 }
@@ -119,6 +135,39 @@ func touchedCols(x *tensor.CSR) []int {
 	return out
 }
 
+// compactCols renumbers x's columns by their position in touched (sorted, so
+// rows keep their column order): the batch as a matrix over its touched
+// coordinates only, sharing x's row pointers and values.
+func compactCols(x *tensor.CSR, touched []int) *tensor.CSR {
+	pos := make(map[int]int, len(touched))
+	for i, k := range touched {
+		pos[k] = i
+	}
+	idx := make([]int, len(x.ColIdx))
+	for t, k := range x.ColIdx {
+		idx[t] = pos[k]
+	}
+	return &tensor.CSR{Rows: x.Rows, Cols: len(touched), RowPtr: x.RowPtr, ColIdx: idx, Val: x.Val}
+}
+
+// he2ssSendFlat is HE2SSSend over v's cells packed as one row; the kept mask
+// comes back in v's shape.
+func he2ssSendFlat(p *protocol.Peer, v *hetensor.CipherMatrix) *tensor.Dense {
+	phi := p.HE2SSSend(hetensor.PackFlat(v))
+	phi.Rows, phi.Cols = v.Rows, v.Cols
+	return phi
+}
+
+// he2ssRecvFlat is the other half: the decrypted row as the rows×cols share.
+func he2ssRecvFlat(p *protocol.Peer, rows, cols int) *tensor.Dense {
+	d := p.HE2SSRecv()
+	if len(d.Data) != rows*cols {
+		p.Fail("recv: %w: a conversion of %d values, want %d×%d", transport.ErrCorrupt, len(d.Data), rows, cols)
+	}
+	d.Rows, d.Cols = rows, cols
+	return d
+}
+
 // NewSparseMatMulA initializes Party A's half. Unlike the dense layer no
 // encrypted pieces are exchanged up front; rows are served on demand.
 func NewSparseMatMulA(p *protocol.Peer, cfg Config, inA, inB int) *SparseMatMulA {
@@ -128,7 +177,7 @@ func NewSparseMatMulA(p *protocol.Peer, cfg Config, inA, inB int) *SparseMatMulA
 		cfg: cfg, peer: p,
 		UA:      tensor.RandDense(p.Rng, inA, cfg.Out, s),
 		VB:      tensor.RandDense(p.Rng, inB, cfg.Out, s/cfg.groupPieceDiv()),
-		cacheVA: newRowCache(inA, cfg.Out),
+		cacheVA: newRowCache(cfg.Out),
 		momUA:   momentum{mu: cfg.Momentum},
 	}
 }
@@ -141,7 +190,7 @@ func NewSparseMatMulB(p *protocol.Peer, cfg Config, inA, inB int) *SparseMatMulB
 		cfg: cfg, peer: p,
 		UB:      tensor.RandDense(p.Rng, inB, cfg.Out, s/cfg.groupPieceDiv()),
 		VA:      tensor.RandDense(p.Rng, inA, cfg.Out, s),
-		cacheVB: newRowCache(inB, cfg.Out),
+		cacheVB: newRowCache(cfg.Out),
 		momUB:   momentum{mu: cfg.Momentum},
 		momVA:   momentum{mu: cfg.Momentum},
 	}
@@ -149,9 +198,9 @@ func NewSparseMatMulB(p *protocol.Peer, cfg Config, inA, inB int) *SparseMatMulB
 
 // sparseForwardHalf is forwardHalf over on-demand cipher rows: request the
 // missing ⟦V⟧ rows, serve the peer's request against the piece this party
-// holds for the peer, then run the masked-product exchange on the cached
-// rows. Every transfer of this layer is a handful of touched rows, so all of
-// them go unchunked.
+// holds for the peer, then run the masked-product exchange on the batch's
+// cached rows. Every transfer of this layer is a handful of touched rows or
+// lane groups, so all of them go unchunked.
 func sparseForwardHalf(p *protocol.Peer, x *tensor.CSR, touched []int, u, servePiece *tensor.Dense, cache *rowCache) *tensor.Dense {
 	defer p.Unchunked()()
 	missing := cache.missing(touched)
@@ -159,7 +208,13 @@ func sparseForwardHalf(p *protocol.Peer, x *tensor.CSR, touched []int, u, serveP
 	peerMissing := p.RecvInts()
 	p.SendMatrix(hetensor.EncryptRows(&p.SK.PublicKey, servePiece, peerMissing, 1))
 	cache.fill(missing, recvCipher(p))
-	return forwardHalf(p, SparseFeatures{x}, u, cache.matrixFor())
+	prod := hetensor.MulPlainLeftCSR(compactCols(x, touched), cache.gather(touched)) // ⟦x·V⟧, scale 2
+	eps := he2ssSendFlat(p, prod)
+	other := he2ssRecvFlat(p, x.Rows, u.Cols)
+	z := x.MatMul(u)
+	z.AddInPlace(eps)
+	z.AddInPlace(other)
+	return z
 }
 
 // Forward runs Party A's sparse forward pass.
@@ -179,20 +234,24 @@ func (l *SparseMatMulB) Forward(x *tensor.CSR) *tensor.Dense {
 }
 
 // Backward runs Party A's sparse backward pass: the gradient, its masking,
-// the update of U_A, and the cache refresh all touch only the batch's
-// active coordinates.
+// the update of U_A, and the cache invalidation all touch only the batch's
+// active coordinates. It ends on a receive — the ack of the masked gradient,
+// A's last send of the step — never on the send itself: a NACK for that
+// stream must find A still listening, or B would be left with a V_A update
+// it can neither repair nor report.
 func (l *SparseMatMulA) Backward() {
 	p := l.peer
 	defer p.Unchunked()()
 	encGradSub := hetensor.TransposeMulLeftCSRSubset(l.x, recvCipher(p), l.touched)
 	p.Send(l.touched)
-	phi := p.HE2SSSend(encGradSub) // len(touched)×Out share
+	phi := he2ssSendFlat(p, encGradSub) // len(touched)×Out share
 
 	// Sparse momentum update of the touched rows of U_A.
 	l.momUA.stepRows(l.UA, phi, l.touched, l.cfg.LR)
 
-	// Refresh the cache for the rows B just updated.
-	l.cacheVA.fill(l.touched, recvCipher(p))
+	// B is about to update these rows of V_A: fetch them again on touch.
+	l.cacheVA.drop(l.touched)
+	p.Flush()
 
 	l.x, l.touched = nil, nil
 }
@@ -215,11 +274,8 @@ func (l *SparseMatMulB) backwardMulti(gradFull, gradLocal *tensor.Dense) {
 	defer p.Unchunked()()
 	p.EncryptAndSend(gradFull, 1, hetensor.Layout{})
 	touchedA := p.RecvInts()
-	gradVAshare := p.HE2SSRecv() // len(touchedA)×Out: ∇W_A[touched] − φ
+	gradVAshare := he2ssRecvFlat(p, len(touchedA), l.cfg.Out) // ∇W_A[touched] − φ
 	l.momVA.stepRows(l.VA, gradVAshare, touchedA, l.cfg.LR)
-
-	// Re-encrypt only the updated rows of V_A for A's cache.
-	p.SendMatrix(hetensor.EncryptRows(&p.SK.PublicKey, l.VA, touchedA, 1))
 	l.x = nil
 }
 

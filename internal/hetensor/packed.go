@@ -460,3 +460,18 @@ func PackCellsLike(cells *CipherMatrix, like *PackedMatrix) *PackedMatrix {
 	})
 	return out
 }
+
+// PackFlat packs every cell of an encrypted matrix with one value per
+// ciphertext, row-major, into one 1×(Rows·Cols) row in the key's default
+// lanes: how a conversion whose rows are narrower than a ciphertext (the
+// sparse layer's, Out values a row) still ships and decrypts K values at a
+// time. The receiver reshapes the decrypted row. A matrix without cells has
+// no lanes to fill and comes back as the empty row it is.
+func PackFlat(cells *CipherMatrix) Matrix {
+	n := len(cells.C)
+	flat := &CipherMatrix{Rows: 1, Cols: n, Scale: cells.Scale, PK: cells.PK, C: cells.C}
+	if n == 0 {
+		return flat
+	}
+	return PackCellsLike(flat, NewPackedMatrix(cells.PK, 0, n, n, cells.Scale))
+}

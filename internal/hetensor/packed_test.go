@@ -161,6 +161,36 @@ func TestMulRightTransposeAddMatchesUnpacked(t *testing.T) {
 	}
 }
 
+// TestPackFlatMatchesUnpacked: a conversion packed across rows decrypts, in
+// row-major order, to exactly the values its cells held — signed, mask-sized,
+// at scale 2 — in ⌈n/K⌉ ciphertexts, for cell counts below, at and above the
+// lane count; a matrix without cells stays the empty row.
+func TestPackFlatMatchesUnpacked(t *testing.T) {
+	pk := &testKey.PublicKey
+	k := Lanes(pk)
+	rng := mrandNew(37)
+	for _, shape := range [][2]int{{1, 1}, {3, 1}, {4, 1}, {5, 2}, {0, 1}} {
+		cells := Encrypt(pk, tensor.RandDense(rng, shape[0], shape[1], 1<<20), 2)
+		n := shape[0] * shape[1]
+		flat := PackFlat(cells)
+		if rows, cols := flat.Dims(); rows != 1 || cols != n {
+			t.Fatalf("%v: PackFlat is %d×%d, want 1×%d", shape, rows, cols, n)
+		}
+		if p, ok := flat.(*PackedMatrix); n > 0 && (!ok || len(p.C) != (n+k-1)/k) {
+			t.Fatalf("%v: PackFlat is a %T, want %d packed ciphertexts", shape, flat, (n+k-1)/k)
+		}
+		if err := flat.Anonymous().Trust(pk); err != nil {
+			t.Fatalf("%v: a receiver would refuse it: %v", shape, err)
+		}
+		got, want := flat.Decrypt(testKey), Decrypt(testKey, cells)
+		for i, v := range want.Data {
+			if got.Data[i] != v {
+				t.Fatalf("%v: value %d is %v, want %v", shape, i, got.Data[i], v)
+			}
+		}
+	}
+}
+
 func TestLookupBackwardPackedMatchesUnpacked(t *testing.T) {
 	rng := mrandNew(38)
 	vocab, dim, fields, batch := 5, 6, 2, 4

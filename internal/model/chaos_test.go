@@ -315,6 +315,134 @@ func TestChaosLossyRunRefusesCheckpoint(t *testing.T) {
 	}
 }
 
+// lateFaultConn is Party A's endpoint with a fault plan that wakes up at A's
+// from-th stream chunk: sends before it go out clean, that chunk and
+// everything after it through the FaultConn on the same endpoint.
+type lateFaultConn struct {
+	transport.Conn
+	faulty *transport.FaultConn
+	from   int
+	chunks int
+}
+
+func (c *lateFaultConn) Send(v any) error {
+	if _, ok := v.(*transport.StreamChunk); ok {
+		c.chunks++
+	}
+	if c.chunks >= c.from {
+		return c.faulty.Send(v)
+	}
+	return c.Conn.Send(v)
+}
+
+// TestChaosSparseFinalGradientNack corrupts the last thing a sparse run's
+// feature party sends: the masked touched-row gradient of the final step,
+// after which A has nothing left to receive. A's Backward ends on that
+// stream's ack and not on the send, so with one corruption the NACK finds A
+// still listening, the resend repairs the transfer and the run — losses, and
+// the logits of a forward pass over the weights the final update produced —
+// is the clean run bit for bit; with the resend corrupted too, both parties
+// end in the typed ErrCorrupt. Had A returned on send, B would wait for a
+// resend nobody is left to make.
+func TestChaosSparseFinalGradientNack(t *testing.T) {
+	const steps = 3
+	ds := data.Generate(tinySpec("t-chaos-lastgrad", 60, 6, 2, false), 3)
+	h := tinyHyper()
+	batch := func(step int) []int {
+		idx := make([]int, h.Batch)
+		for i := range idx {
+			idx[i] = step*h.Batch + i
+		}
+		return idx
+	}
+	// run trains steps batches with A's endpoint corrupting faults chunks from
+	// the final gradient on, and returns the losses and final test logits, or
+	// each party's error.
+	run := func(t *testing.T, faults int64) (out []float64, errA, errB error) {
+		skA, skB := protocol.TestKeys()
+		ca, cb := transport.Pair(4096)
+		var connA transport.Conn = ca
+		if faults > 0 {
+			// A ships three one-chunk streams a step: rows, product, gradient.
+			fc := transport.NewFaultConn(ca, 606, "chaos-lastgrad", transport.FaultPlan{FlipProb: 1, MaxFaults: faults})
+			connA = &lateFaultConn{Conn: ca, faulty: fc, from: 3 * steps}
+			defer func() {
+				if got := fc.Injected().Flips; got != faults {
+					t.Errorf("%d chunks corrupted, want %d", got, faults)
+				}
+			}()
+		}
+		pa, pb, err := protocol.PipeOn(connA, cb, skA, skB, 606)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ma *FedA
+		var mb *FedB
+		if err := protocol.RunParties(pa, pb,
+			func() { ma = NewFedA(pa, LR, ds, h) },
+			func() { mb = NewFedB(pb, LR, ds, h) },
+		); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 2)
+		go func() {
+			done <- pa.Run(func() {
+				for s := 0; s < steps; s++ {
+					ma.StepA(ds.TrainA.Batch(batch(s)))
+				}
+			})
+		}()
+		go func() {
+			errB = pb.Run(func() {
+				for s := 0; s < steps; s++ {
+					out = append(out, mb.StepB(ds.TrainB.Batch(batch(s)), gather(ds.TrainY, batch(s))))
+				}
+			})
+			done <- nil
+		}()
+		for i := 0; i < 2; i++ {
+			select {
+			case err := <-done:
+				if err != nil {
+					errA = err
+				}
+			case <-time.After(30 * time.Second):
+				pa.Conn.Close()
+				pb.Conn.Close()
+				t.Fatal("a party hung on the corrupted final gradient")
+			}
+		}
+		if errA != nil || errB != nil {
+			return nil, errA, errB
+		}
+		if err := protocol.RunParties(pa, pb,
+			func() { ma.ForwardA(ds.TestA) },
+			func() { out = append(out, mb.ForwardB(ds.TestB).Data...) },
+		); err != nil {
+			t.Fatal(err)
+		}
+		return out, nil, nil
+	}
+
+	clean, errA, errB := run(t, 0)
+	if errA != nil || errB != nil {
+		t.Fatalf("clean run failed: %v / %v", errA, errB)
+	}
+	got, errA, errB := run(t, 1)
+	if errA != nil || errB != nil {
+		t.Fatalf("one corrupted chunk was not repaired: %v / %v", errA, errB)
+	}
+	for i := range clean {
+		if got[i] != clean[i] {
+			t.Fatalf("value %d diverges after the resend: %v vs clean %v", i, got[i], clean[i])
+		}
+	}
+	_, errA, errB = run(t, 2)
+	if !errors.Is(errA, transport.ErrCorrupt) || !errors.Is(errB, transport.ErrCorrupt) {
+		t.Fatalf("a twice-corrupted final gradient must end both parties in ErrCorrupt: A %v, B %v", errA, errB)
+	}
+}
+
 type discardWriter struct{}
 
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }

@@ -21,6 +21,9 @@ import (
 // training bodies (a63ec6d, `go test ./internal/model -run
 // TestRecordedTrajectories -update-trajectories`), so it pins the trajectories
 // across the collapse into one body — not only across the paths of one tree.
+// lr-sparse-20/k1 (20 momentum steps of the sparse layer) was added to it at
+// 2e20928, the last commit whose sparse layer refreshed ⟦V_A⟧ after every step
+// and converted one value per ciphertext, the same way.
 // Every value is independent of the Paillier keys (fresh per process) and of
 // the engine configuration, so one record serves both engine settings: the
 // engine-off run writes it and the engine-on run must already equal it.
@@ -40,6 +43,7 @@ func trajectoryCases() []trajectoryCase {
 	return []trajectoryCase{
 		{"lr-dense/k1", LR, tinySpec("t-traj-lr", 16, 16, 2, false), 1, 2},
 		{"lr-sparse/k1", LR, tinySpec("t-traj-sp", 60, 6, 2, false), 1, 2},
+		{"lr-sparse-20/k1", LR, tinySpec("t-traj-sp20", 120, 6, 2, false), 1, 4},
 		{"mlp/k1", MLP, tinySpec("t-traj-mlp", 16, 16, 2, false), 1, 2},
 		{"wdl/k1", WDL, tinySpec("t-traj-wdl", 8, 8, 2, true), 1, 1},
 		{"lr-dense/k3", LR, tinySpec("t-traj-lr3", 16, 16, 2, false), 3, 2},

@@ -69,6 +69,18 @@ func (p *Peer) Unchunked() (restore func()) {
 	return func() { p.ChunkRows = span }
 }
 
+// Flush blocks until the peer has acknowledged every stream this party sent
+// (transport.StreamConn.Flush). A party whose round ends on a send calls it
+// last, so that a NACK for that send still finds its sender and a transfer
+// that cannot be repaired fails on both sides.
+func (p *Peer) Flush() {
+	if sc, ok := p.Conn.(*transport.StreamConn); ok {
+		if err := sc.Flush(); err != nil {
+			p.Fail("flush: %w", err)
+		}
+	}
+}
+
 // sendStream ships one logical rows×cols matrix as lazily produced
 // row-chunks of the peer's span, recording per-chunk accounting.
 // produce(lo, hi) is called only after the previous chunk was handed to the

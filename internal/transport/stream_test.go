@@ -299,6 +299,60 @@ func TestStreamConnSenderPoisonedAfterFailedResend(t *testing.T) {
 	}
 }
 
+// TestStreamConnFlush: a sender that has nothing left to receive waits out
+// its last stream's ack in Flush. A NACK is serviced there; a message that
+// raced ahead of the ack is kept for the next Recv; a resend that fails again
+// is the same typed verdict on both sides; and with nothing outstanding Flush
+// returns at once.
+func TestStreamConnFlush(t *testing.T) {
+	src := tensor.FromSlice(4, 1, []float64{1, 2, 3, 4})
+	for name, tc := range map[string]struct {
+		plan    FaultPlan
+		corrupt bool
+	}{
+		"clean":   {},
+		"nack":    {plan: FaultPlan{FlipProb: 1, MaxFaults: 1}},
+		"corrupt": {plan: FaultPlan{FlipProb: 1}, corrupt: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a, b := streamPair(64, func(c Conn) Conn { return NewFaultConn(c, 5, "flush-"+name, tc.plan) })
+			if err := a.Flush(); err != nil {
+				t.Fatalf("Flush with nothing outstanding: %v", err)
+			}
+			recv := make(chan error, 1)
+			got := tensor.NewDense(src.Rows, src.Cols)
+			go func() {
+				b.Send("early")
+				_, err := RecvStream(b, 0, func(h *StreamHeader, i int, v any) error {
+					copy(got.Data[i*2:], v.(*tensor.Dense).Data)
+					return nil
+				})
+				recv <- err
+			}()
+			err := SendStream(a, 0, src.Rows, src.Cols, 2, func(i int) (any, error) { return src.RowSlice(2*i, 2*i+2), nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			ferr, rerr := a.Flush(), <-recv
+			if tc.corrupt {
+				if !errors.Is(ferr, ErrCorrupt) || !errors.Is(rerr, ErrCorrupt) {
+					t.Fatalf("Flush = %v, RecvStream = %v; want ErrCorrupt from both", ferr, rerr)
+				}
+				return
+			}
+			if ferr != nil || rerr != nil {
+				t.Fatalf("Flush = %v, RecvStream = %v", ferr, rerr)
+			}
+			if !got.Equal(src, 0) || len(a.out) != 0 {
+				t.Fatalf("after Flush the receiver holds %v and %d streams await an ack", got.Data, len(a.out))
+			}
+			if v, err := a.Recv(); err != nil || v != "early" {
+				t.Fatalf("Recv after Flush = %v, %v; want the message that raced the ack", v, err)
+			}
+		})
+	}
+}
+
 // TestFaultConnDeterministicSchedule: the same (seed, label) plan injects
 // exactly the same faults — the Calvin-style replayability the chaos suite
 // builds on.

@@ -4,7 +4,8 @@
 //
 //   - Sender side: SendStream registers each outgoing stream's produced chunk
 //     payloads; when the receiver's StreamAck arrives (consumed transparently
-//     by any later receive on this conn), NACKed chunks are retransmitted
+//     by any later receive on this conn, or waited for by Flush where no
+//     receive follows), NACKed chunks are retransmitted
 //     once from the retained pristine copies. Payload references are dropped
 //     as soon as the clean ack arrives.
 //
@@ -82,26 +83,48 @@ func (s *StreamConn) recvWire() (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch m := v.(type) {
-		case *StreamAck:
-			if err := s.handleAck(m); err != nil {
-				return nil, err
-			}
-			continue
-		// A faulty link can deliver a copy of a chunk, or the end marker
-		// of a resend round, after its stream was received in full; it is
-		// nobody's message any more.
-		case *StreamChunk:
-			if m.Seq < s.done {
-				continue
-			}
-		case *StreamEnd:
-			if m.Seq < s.done {
-				continue
-			}
+		if keep, err := s.intake(v); err != nil {
+			return nil, err
+		} else if keep {
+			return v, nil
 		}
-		return v, nil
 	}
+}
+
+// intake is the session layer's look at one wire message: a stream ack is
+// acted on, and a message that is nobody's any more is dropped; keep reports
+// whether v is for a receiver.
+func (s *StreamConn) intake(v any) (keep bool, err error) {
+	switch m := v.(type) {
+	case *StreamAck:
+		return false, s.handleAck(m)
+	// A faulty link can deliver a copy of a chunk, or the end marker of a
+	// resend round, after its stream was received in full.
+	case *StreamChunk:
+		return m.Seq >= s.done, nil
+	case *StreamEnd:
+		return m.Seq >= s.done, nil
+	}
+	return true, nil
+}
+
+// Flush blocks until every outgoing stream has had its final ack, servicing a
+// NACK's retransmission on the way; whatever else arrives meanwhile is pushed
+// back for later receives. For a sender whose turn ends on a send: returning
+// there would leave its last stream's NACK with nobody to answer it.
+func (s *StreamConn) Flush() error {
+	for len(s.out) > 0 && s.err == nil {
+		v, err := s.inner.Recv()
+		if err != nil {
+			return err
+		}
+		if keep, err := s.intake(v); err != nil {
+			return err
+		} else if keep {
+			s.pushback(v)
+		}
+	}
+	return s.err
 }
 
 // pushback buffers a message that arrived during a recovery wait for a later
