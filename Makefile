@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-cpu test-full test-chaos bench bench-smoke bench-json profile-dot profile-embed profile-sparse profile-serve serve-smoke shard-smoke examples fmt fmt-check vet lint lint-tools
+.PHONY: build test test-cpu test-full test-chaos bench bench-smoke profile-dot profile-embed profile-sparse profile-serve serve-smoke shard-smoke examples fmt fmt-check vet lint lint-tools
 
 build:
 	$(GO) build ./...
@@ -15,7 +15,7 @@ test:
 	$(GO) test -short -race -timeout 10m ./...
 
 # Parallelism lane: the process-wide table cache, pool condition-variable
-# wait and SecretOps/pool registries re-run under the race detector at 1 and
+# wait and pool registry re-run under the race detector at 1 and
 # 4 CPUs, so single-core schedules and real parallelism are both exercised.
 # The dot kernel and the square-modulus multiplier under it ride along: their
 # differential fuzz targets for ten seconds each from the seeded corpora (the
@@ -43,7 +43,9 @@ test-full:
 # hostile-header table): no panic, allocation bounded by the input. The
 # minimizer is capped: left at its one-minute default it spends the whole run
 # shrinking the first gob stream that reaches a new branch. Then the same for
-# the other attacker-sized input, a checkpoint file (FuzzCheckpoint: both
+# the handshake's public key (FuzzHandshake, seeded from the hostile-key
+# table: a value or a typed error, never a panic) and for the other
+# attacker-sized input, a checkpoint file (FuzzCheckpoint: both
 # readers, raw and behind a valid envelope, seeded from real checkpoints and
 # lying headers).
 test-chaos:
@@ -51,6 +53,7 @@ test-chaos:
 		-run 'TestChaos|TestFault|TestStream|TestDeadline|TestRunGroupFaultConn|TestGroupAllSessionsLost|TestRetry|TestTrainHonoursEngineOptions' \
 		./internal/transport/ ./internal/protocol/ ./internal/model/ ./internal/serve/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzRecvMatrix$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/protocol/
+	$(GO) test -race -run '^$$' -fuzz '^FuzzHandshake$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/protocol/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/model/
 
 # Examples lane: compile every example, smoke-run the quickstart and the
@@ -60,13 +63,13 @@ examples:
 	$(GO) run ./examples/quickstart -short
 	$(GO) run ./examples/multiparty -short
 
-# Throughput-engine benchmarks: packed/pooled encryption and fed-step.
+# Throughput-engine benchmarks: packed/pooled encryption and the dot kernels.
 bench:
-	$(GO) test -run XXX -bench 'FedStep|Encrypt|MulPlainLeft|PoolEnc|DotRow|MulPlainNeg' -benchtime 10x ./ ./internal/hetensor/ ./internal/paillier/
+	$(GO) test -run XXX -bench 'Encrypt|MulPlainLeft|PoolEnc|DotRow|MulPlainNeg' -benchtime 10x ./internal/hetensor/ ./internal/paillier/
 
 # Bench smoke lane: every benchmark compiles and runs one iteration so
 # benchmark code cannot rot. -short skips the multi-minute paper tables;
-# the engine/kernel/fed-step benchmarks all execute.
+# the engine/kernel/layer-step benchmarks all execute.
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x -short -timeout 15m ./...
 
@@ -97,18 +100,6 @@ profile-sparse:
 # `go tool pprof -top hetensor.test serve.prof`.
 profile-serve:
 	$(GO) test ./internal/hetensor -run '^$$' -bench 'ServeProducts/2048' -benchtime 50x -benchmem -cpuprofile serve.prof
-
-# Benchmarks as data: the exponentiation-engine and amortized-precompute
-# perf suites at a production key size, the end-to-end fed-step, fed-epoch,
-# multi-party, sharded-label-party and serve rows, written to
-# BENCH_PR10.json (format: internal/bench/README.md). Since PR 8 every row
-# with a baseline config also carries a ratio column, and the file opens
-# with a fixed-operand calibration op — absolute ns on a shared host swing
-# 2× run to run, so the trajectory is judged on ratios, with the calibration
-# row bounding how much of a cross-file delta is machine. Earlier points of
-# the trajectory (BENCH_PR3.json..BENCH_PR8.json) are kept, not rewritten.
-bench-json:
-	$(GO) run ./cmd/blindfl-bench -perf BENCH_PR10.json -keybits 2048
 
 # Shard smoke lane: two real blindfl-shard worker processes on loopback TCP
 # plus a 2-shard blindfl-train run against them — the multi-process wiring

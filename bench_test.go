@@ -20,13 +20,10 @@ package blindfl_test
 import (
 	"io"
 	"testing"
-	"time"
 
 	"blindfl/internal/bench"
 	"blindfl/internal/data"
-	"blindfl/internal/engine"
 	"blindfl/internal/model"
-	"blindfl/internal/paillier"
 	"blindfl/internal/protocol"
 	"blindfl/internal/secureml"
 	"blindfl/internal/splitlearn"
@@ -35,9 +32,9 @@ import (
 const benchBatch = 32 // paper uses 128; reduced to keep -bench=. tractable
 
 // skipInShort guards the paper-table benchmarks in the CI bench-smoke lane
-// (`-bench . -benchtime 1x -short`): the throughput-engine benchmarks below
-// still run, so kernel and fed-step benchmark code cannot rot, while the
-// multi-minute table reproductions stay out of the per-push lane.
+// (`-bench . -benchtime 1x -short`): the kernel and layer-step benchmarks of
+// the internal packages still run there, while the multi-minute table
+// reproductions stay out of the per-push lane.
 func skipInShort(b *testing.B) {
 	if testing.Short() {
 		b.Skip("paper-table benchmark skipped in -short")
@@ -62,119 +59,6 @@ func benchSecureML(b *testing.B, dataset string, out int, mode secureml.Mode) {
 	for i := 0; i < b.N; i++ {
 		step()
 	}
-}
-
-// --- Throughput engine: packed + pooled fed source-layer step vs the
-// --- unpacked path, on the same key size (the PR's acceptance benchmark).
-
-func benchFedStep(b *testing.B, opts bench.StepperOpts) {
-	skA, skB := protocol.TestKeys()
-	pools := func() []*paillier.Pool {
-		var out []*paillier.Pool
-		for _, sk := range []*paillier.PrivateKey{skA, skB} {
-			if p := paillier.PoolFor(&sk.PublicKey); p != nil {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-	defer func() {
-		for _, sk := range []*paillier.PrivateKey{skA, skB} {
-			if p := paillier.PoolFor(&sk.PublicKey); p != nil {
-				paillier.UnregisterPool(&sk.PublicKey)
-				p.Close()
-			}
-		}
-	}()
-	spec := data.Spec{Name: "bench-dense", Feats: 32, AvgNNZ: 32, Classes: 2, Train: 256, Test: 64}
-	step := bench.NewBlindFLStepperOpts(spec, benchBatch, 4, opts)
-	step() // warm-up (and pool prefill time) outside the timer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if opts.Pool > 0 {
-			// Blinding precompute is designed to run between protocol
-			// rounds (data loading, network waits); refill outside the
-			// timer so the measurement reflects the critical path.
-			b.StopTimer()
-			for _, p := range pools() {
-				p.WaitAvailable(opts.Pool)
-			}
-			b.StartTimer()
-		}
-		step()
-	}
-}
-
-func BenchmarkFedStepUnpacked(b *testing.B) { benchFedStep(b, bench.StepperOpts{}) }
-func BenchmarkFedStepPacked(b *testing.B) {
-	benchFedStep(b, bench.StepperOpts{Options: engine.Options{Packed: true}})
-}
-func BenchmarkFedStepPackedPooled(b *testing.B) {
-	benchFedStep(b, bench.StepperOpts{Options: engine.Options{Packed: true, Pool: 4096}})
-}
-
-// Textbook variants disable the signed/Straus exponentiation engine: the
-// pre-PR-3 baselines the ≥2× acceptance criterion is measured against.
-func BenchmarkFedStepTextbook(b *testing.B) {
-	benchFedStep(b, bench.StepperOpts{Options: engine.Options{Textbook: true}})
-}
-func BenchmarkFedStepPackedTextbook(b *testing.B) {
-	benchFedStep(b, bench.StepperOpts{Options: engine.Options{Packed: true, Textbook: true}})
-}
-
-// Short-exponent blinding on top of packing and pooling: pool refills cost a
-// ~400-bit exponentiation instead of a full-width one, so the same refill
-// budget sustains ~5× the encryption throughput at production key sizes.
-func BenchmarkFedStepPackedPooledShortExp(b *testing.B) {
-	benchFedStep(b, bench.StepperOpts{Options: engine.Options{Packed: true, Pool: 4096, ShortExp: 400}})
-}
-
-// Streamed variants: chunked transfers pipeline one party's encryption
-// against the other's decryption/accumulation, so the step's serial
-// encrypt→ship→decrypt phases overlap (the PR's acceptance benchmark is
-// PackedStreamed vs Packed, and the WAN pair below for the
-// compute/communication overlap on a modeled link).
-func BenchmarkFedStepStreamed(b *testing.B) {
-	benchFedStep(b, bench.StepperOpts{Options: engine.Options{Stream: true}})
-}
-func BenchmarkFedStepPackedStreamed(b *testing.B) {
-	benchFedStep(b, bench.StepperOpts{Options: engine.Options{Packed: true, Stream: true}})
-}
-
-// Multi-party pair: the k=3 dense MatMul group vs the degenerate k=1 group
-// over the same total feature width — the per-session overhead of the group
-// runtime (extra piece traffic, per-session conversions) with the sessions
-// scheduled concurrently across cores.
-func benchFedStepMulti(b *testing.B, k int) {
-	spec := data.Spec{Name: "bench-multi", Feats: 32, AvgNNZ: 32, Classes: 2, Train: 256, Test: 64}
-	step := bench.NewBlindFLMultiStepper(spec, benchBatch, 4, k, bench.StepperOpts{Options: engine.Options{Packed: true}})
-	step() // warm-up outside the timer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
-}
-
-func BenchmarkFedStepMultipartyK1(b *testing.B) { benchFedStepMulti(b, 1) }
-func BenchmarkFedStepMultipartyK3(b *testing.B) { benchFedStepMulti(b, 3) }
-
-// WAN pair: 5 ms one-way latency, 2 Mbit/s per direction over
-// transport.SimPair (wire time releases the CPU, as on a real link).
-// Monolithic sends pay encrypt→transfer→decrypt serially; streamed chunks
-// hide the transfer behind the production of the next chunk. The bandwidth
-// is chosen so wire time is comparable to this benchmark's (deliberately
-// small) crypto time — the regime any deployment with faster crypto or
-// bigger batches lands in at ordinary WAN bandwidths.
-const (
-	wanLatency   = 5 * time.Millisecond
-	wanBandwidth = 250e3 // bytes/sec
-)
-
-func BenchmarkFedStepPackedWAN(b *testing.B) {
-	benchFedStep(b, bench.StepperOpts{Options: engine.Options{Packed: true}, SimLatency: wanLatency, SimBandwidth: wanBandwidth})
-}
-func BenchmarkFedStepPackedStreamedWAN(b *testing.B) {
-	benchFedStep(b, bench.StepperOpts{Options: engine.Options{Packed: true, Stream: true}, SimLatency: wanLatency, SimBandwidth: wanBandwidth})
 }
 
 // --- Table 5: per-batch training time, BlindFL vs SecureML variants ---

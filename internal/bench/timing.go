@@ -6,60 +6,25 @@ import (
 
 	"blindfl/internal/core"
 	"blindfl/internal/data"
-	"blindfl/internal/engine"
-	"blindfl/internal/paillier"
 	"blindfl/internal/protocol"
 	"blindfl/internal/secureml"
 	"blindfl/internal/tensor"
-	"blindfl/internal/transport"
 )
-
-// StepperOpts selects the throughput-engine features a stepper exercises.
-// The engine knobs (Packed, Stream, Textbook, Pool, …) live on the embedded
-// engine.Options — the single declaration shared with core.Config and
-// model.Hyper; the stepper applies pool/secret-ops setup via
-// Options.SetupKeys at construction, and the installed state stays
-// registered for the process (benchmarks that care unregister via
-// paillier.PoolFor).
-type StepperOpts struct {
-	engine.Options
-
-	// SimLatency/SimBandwidth, when either is set, run the parties over a
-	// transport.SimPair link with that one-way propagation delay and
-	// bytes/sec bandwidth instead of the zero-cost channel pair: the
-	// configuration under which streaming's compute/communication overlap
-	// is visible on any machine (wire time releases the CPU).
-	SimLatency   time.Duration
-	SimBandwidth float64
-}
 
 // NewBlindFLStepper builds a federated MatMul source layer for a dataset
 // spec and returns a closure that runs one forward+backward mini-batch
-// (both parties, in process). Setup cost is paid here, not in the step.
-// Used by both TimeBlindFLBatch and the testing.B benchmark suite.
+// (both parties, in process, default engine options). Setup cost is paid
+// here, not in the step. Used by both TimeBlindFLBatch and the testing.B
+// benchmark suite.
 func NewBlindFLStepper(spec data.Spec, batch, out int) func() {
-	return NewBlindFLStepperOpts(spec, batch, out, StepperOpts{})
-}
-
-// NewBlindFLStepperOpts is NewBlindFLStepper with the packing and
-// randomness-pool features configurable.
-func NewBlindFLStepperOpts(spec data.Spec, batch, out int, opts StepperOpts) func() {
 	skA, skB := protocol.TestKeys()
-	var pa, pb *protocol.Peer
-	var err error
-	if opts.SimLatency > 0 || opts.SimBandwidth > 0 {
-		ca, cb := transport.SimPair(4096, opts.SimLatency, opts.SimBandwidth)
-		pa, pb, err = protocol.PipeOn(ca, cb, skA, skB, 7)
-	} else {
-		pa, pb, err = protocol.Pipe(skA, skB, 7)
-	}
+	pa, pb, err := protocol.Pipe(skA, skB, 7)
 	if err != nil {
 		panic(err)
 	}
-	opts.SetupKeys(skA, skB)
 	rng := rand.New(rand.NewSource(11))
 	half := spec.Feats / 2
-	cfg := core.Config{Out: out, LR: 0.05, Options: opts.Options}
+	cfg := core.Config{Out: out, LR: 0.05}
 
 	runStep := func(fa, fb func()) {
 		if err := protocol.RunParties(pa, pb, fa, fb); err != nil {
@@ -93,62 +58,6 @@ func NewBlindFLStepperOpts(spec data.Spec, batch, out int, opts StepperOpts) fun
 		runStep(
 			func() { la.Forward(xA); la.Backward() },
 			func() { lb.Forward(xB); lb.Backward(g) },
-		)
-	}
-}
-
-// NewBlindFLMultiStepper builds a k-party dense MatMul group for a dataset
-// spec — Party A's half of the columns split across k feature parties, one
-// session each — and returns a closure that runs one forward+backward
-// mini-batch across all parties in process. k=1 is the degenerate group that
-// matches the two-party stepper's work, so a k=3-vs-k=1 pair isolates the
-// per-session overhead of the group runtime.
-func NewBlindFLMultiStepper(spec data.Spec, batch, out, k int, opts StepperOpts) func() {
-	skA, skB := protocol.TestKeys()
-	skAs := make([]*paillier.PrivateKey, k)
-	for i := range skAs {
-		skAs[i] = skA
-	}
-	as, g, err := protocol.GroupPipe(skAs, skB, 7)
-	if err != nil {
-		panic(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	half := spec.Feats / 2
-	inB := spec.Feats - half
-	base, rem := half/k, half%k
-	inAs := make([]int, k)
-	for i := range inAs {
-		inAs[i] = base
-		if i < rem {
-			inAs[i]++
-		}
-	}
-	cfg := core.Config{Out: out, LR: 0.05, Options: opts.Options}
-	acfg := cfg
-	acfg.GroupParties = k
-
-	las := make([]*core.MatMulA, k)
-	var lb *core.MultiMatMulB
-	runStep := func(fa func(i int), fb func()) {
-		if err := protocol.RunGroup(as, g, fa, fb); err != nil {
-			panic(err)
-		}
-	}
-	runStep(
-		func(i int) { las[i] = core.NewMatMulA(as[i], acfg, inAs[i], inB) },
-		func() { lb = core.NewMultiMatMulB(g, cfg, inAs, inB, false) },
-	)
-	xAs := make([]*tensor.Dense, k)
-	for i := range xAs {
-		xAs[i] = tensor.RandDense(rng, batch, inAs[i], 1)
-	}
-	xB := tensor.RandDense(rng, batch, inB, 1)
-	grad := tensor.RandDense(rng, batch, out, 0.01)
-	return func() {
-		runStep(
-			func(i int) { las[i].Forward(core.DenseFeatures{M: xAs[i]}); las[i].Backward() },
-			func() { lb.Forward(core.DenseFeatures{M: xB}); lb.Backward(grad) },
 		)
 	}
 }

@@ -57,9 +57,9 @@ func (m *momentum) stepRows(w, gradRows *tensor.Dense, idx []int, lr float64) {
 // Config carries the hyper-parameters shared by both halves of a source
 // layer. Both parties must construct their halves with identical values for
 // everything that shapes the model. The engine knobs live on the embedded
-// engine.Options — the single declaration shared with model.Hyper and
-// bench.StepperOpts — and are sender-local: a party packs and chunks what it
-// encrypts, and takes what arrives as it comes.
+// engine.Options — the single declaration shared with model.Hyper — and are
+// sender-local: a party packs and chunks what it encrypts, and takes what
+// arrives as it comes.
 type Config struct {
 	Out       int     // output dimensionality of the source layer
 	LR        float64 // learning rate η
@@ -83,8 +83,8 @@ type Config struct {
 
 // apply installs the engine options wherever a Config enters the system —
 // the layer constructors, ResumeExchange and ServeStart call it: the
-// process-wide toggles (the Textbook ablation, the dot-table cache budget)
-// and the per-Peer ones (send span, integrity probes).
+// process-wide one (the dot-table cache budget) and the per-Peer ones (send
+// span, integrity probes).
 func (c Config) apply(p *protocol.Peer) {
 	c.Options.Apply()
 	p.ApplyOptions(c.Options)

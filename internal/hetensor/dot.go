@@ -14,8 +14,8 @@ import (
 // multi-exponentiation kernels (signed-magnitude scalars, shared squaring
 // chains, window tables reused across batch rows) instead of one full-width
 // MulPlain per term. Results decrypt identically to the textbook paths; the
-// toggle exists so ablation benchmarks can measure the engine against the
-// classic implementation in the same binary.
+// toggle keeps the classic implementation in the binary as the reference the
+// equivalence tests compare the engine against. No run option sets it.
 
 // textbookExp selects the pre-engine full-width MulPlain paths when true.
 // Process-wide: in-process federated parties share one setting.

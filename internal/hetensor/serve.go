@@ -25,9 +25,10 @@ import (
 // until the end: masks are drawn as integer lane values and cancel exactly in
 // ℤ when the two parties' shares are summed, so the reconstructed activation
 // is a deterministic function of the weights and the request — independent of
-// mask draws, batch composition, lane position and the Textbook toggle. That
-// is what lets a served prediction be re-verified bit-for-bit against a
-// plaintext forward pass (the integrity spot check).
+// mask draws, batch composition, lane position and the kernel family (engine
+// or textbook reference, SetTextbook). That is what lets a served prediction
+// be re-verified bit-for-bit against a plaintext forward pass (the integrity
+// spot check).
 
 // ServeMaskBits is the bit magnitude of serve-time integer lane masks:
 // 2·Codec.F bits cover a scale-2 product lane plus the usual ~2^20
@@ -95,7 +96,7 @@ func (m *BigMatrix) DecodeTranspose() *tensor.Dense {
 // V.Scale+1 whose lane l of group g is request (g·K+l)'s product.
 //
 // The kernel always runs the signed-exponent engine: packed exponents are the
-// mechanism, not an optimization, so the Textbook toggle does not apply. The
+// mechanism, not an optimization, so SetTextbook does not apply. The
 // base columns and orientation match MulPlainLeft on the same V, so serve
 // queries resolve through the identical persistent dot-table cache entries.
 func ServeProducts(x *tensor.Dense, v *CipherMatrix) *PackedMatrix {

@@ -68,7 +68,6 @@ const (
 // source, over one live-base set.
 type tableKey struct {
 	src  tableSource
-	crt  bool   // built in SecretOps dual-chain mode
 	live uint64 // FNV-1a hash of the live base indices
 }
 
@@ -264,7 +263,7 @@ func cachedTables(pk *paillier.PublicKey, src tableSource, live []int, gpr, maxB
 	if w == 0 {
 		return nil
 	}
-	key := tableKey{src: src, crt: paillier.SecretOpsFor(pk) != nil, live: liveHash(live)}
+	key := tableKey{src: src, live: liveHash(live)}
 	tabs, admit := tableCacheGet(key)
 	if admit {
 		tabs = buildTables(pk, live, gpr, w, base)

@@ -210,27 +210,6 @@ func TestTableCacheConcurrent(t *testing.T) {
 	})
 }
 
-// TestTableCacheCRTMode: cached tables built while SecretOps is registered
-// evaluate through the dual-chain path and stay bit-identical.
-func TestTableCacheCRTMode(t *testing.T) {
-	k := testKey
-	pk := &k.PublicKey
-	rng := rand.New(rand.NewSource(17))
-	x := tensor.RandDense(rng, 4, 8, 2)
-	w := Encrypt(pk, tensor.RandDense(rng, 8, 2, 2), 1)
-	cold := MulPlainLeft(x, w)
-	paillier.RegisterSecretOps(k)
-	defer paillier.UnregisterSecretOps(pk)
-	withCacheBudget(t, 32<<20, func() {
-		denseEq(t, cold, MulPlainLeft(x, w), "CRT first sighting")
-		denseEq(t, cold, MulPlainLeft(x, w), "CRT cached build")
-		denseEq(t, cold, MulPlainLeft(x, w), "CRT cached hit")
-		if s := TableCacheStatsNow(); s.Hits == 0 {
-			t.Fatalf("stats %+v: CRT-mode reuse should hit", s)
-		}
-	})
-}
-
 // TestTableCacheAdmission is the budget-honesty contract over a mixed serve
 // + train sequence: fixed serve weights hit from their third invocation,
 // single-use training matrices only ever pass through the ghost set (a miss

@@ -45,9 +45,8 @@ func (k Kind) UsesEmbedding() bool { return k == WDL || k == DLRM }
 
 // Hyper carries the training hyper-parameters. The paper's protocol
 // (Sec. 7.1) uses LR 0.05, batch 128, embedding dim 8, momentum 0.9. The
-// engine knobs (Packed, Stream, Textbook, TableCacheMB, …) live on the
-// embedded engine.Options — the single declaration shared with core.Config
-// and bench.StepperOpts.
+// engine knobs (Packed, Stream, TableCacheMB, …) live on the embedded
+// engine.Options — the single declaration shared with core.Config.
 type Hyper struct {
 	LR       float64
 	Momentum float64

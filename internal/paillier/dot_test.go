@@ -82,37 +82,30 @@ func dotCase(pk *PublicKey, seed int64, n, bits, pattern int) ([]*Ciphertext, []
 	return cs, es
 }
 
-// checkDotCase evaluates one case through DotTables.Dot, DotGroup and DotRow,
-// in public and in SecretOps mode, against the reference.
-func checkDotCase(t *testing.T, k *PrivateKey, seed int64, n, w, bits, pattern int) {
+// checkDotCase evaluates one case through DotTables.Dot, DotGroup and DotRow
+// against the reference.
+func checkDotCase(t *testing.T, pk *PublicKey, seed int64, n, w, bits, pattern int) {
 	t.Helper()
-	pk := &k.PublicKey
 	cs, es := dotCase(pk, seed, n, bits, pattern)
 	want := dotReference(pk, cs, es)
-	for _, mode := range []string{"public", "secretops"} {
-		if mode == "secretops" {
-			RegisterSecretOps(k)
-			defer UnregisterSecretOps(pk)
-		}
-		tabs := pk.PrecomputeDot(cs, uint(w))
-		if got := tabs.Dot(es).C; got.Cmp(want) != 0 {
-			t.Fatalf("%s Dot(seed %d n %d w %d bits %d pattern %d) is not the reference residue", mode, seed, n, w, bits, pattern)
-		}
-		if got := pk.DotRow(cs, es).C; got.Cmp(want) != 0 {
-			t.Fatalf("%s DotRow(seed %d n %d bits %d pattern %d) is not the reference residue", mode, seed, n, bits, pattern)
-		}
-		if n%2 == 0 { // two base vectors laid end to end
-			h := n / 2
-			for g := 0; g < 2; g++ {
-				wantG := dotReference(pk, cs[g*h:(g+1)*h], es[g*h:(g+1)*h])
-				if got := tabs.DotGroup(g, es[g*h:(g+1)*h]).C; got.Cmp(wantG) != 0 {
-					t.Fatalf("%s DotGroup %d (seed %d n %d w %d bits %d pattern %d) is not the reference residue", mode, g, seed, n, w, bits, pattern)
-				}
+	tabs := pk.PrecomputeDot(cs, uint(w))
+	if got := tabs.Dot(es).C; got.Cmp(want) != 0 {
+		t.Fatalf("Dot(seed %d n %d w %d bits %d pattern %d) is not the reference residue", seed, n, w, bits, pattern)
+	}
+	if got := pk.DotRow(cs, es).C; got.Cmp(want) != 0 {
+		t.Fatalf("DotRow(seed %d n %d bits %d pattern %d) is not the reference residue", seed, n, bits, pattern)
+	}
+	if n%2 == 0 { // two base vectors laid end to end
+		h := n / 2
+		for g := 0; g < 2; g++ {
+			wantG := dotReference(pk, cs[g*h:(g+1)*h], es[g*h:(g+1)*h])
+			if got := tabs.DotGroup(g, es[g*h:(g+1)*h]).C; got.Cmp(wantG) != 0 {
+				t.Fatalf("DotGroup %d (seed %d n %d w %d bits %d pattern %d) is not the reference residue", g, seed, n, w, bits, pattern)
 			}
 		}
-		if want, got := pk.DotTableBytes(n, uint(w)), tabs.Bytes(); got != want {
-			t.Fatalf("%s tables account %d bytes, DotTableBytes says %d", mode, got, want)
-		}
+	}
+	if want, got := pk.DotTableBytes(n, uint(w)), tabs.Bytes(); got != want {
+		t.Fatalf("tables account %d bytes, DotTableBytes says %d", got, want)
 	}
 }
 
@@ -131,7 +124,7 @@ func dotSeedCases() [][5]int { // seed, n, w, bits, pattern
 
 func TestDotDifferential(t *testing.T) {
 	for _, c := range dotSeedCases() {
-		checkDotCase(t, testKey, int64(c[0]), c[1], c[2], c[3], c[4])
+		checkDotCase(t, &testKey.PublicKey, int64(c[0]), c[1], c[2], c[3], c[4])
 	}
 	rng := mrand.New(mrand.NewSource(41))
 	trials := 60
@@ -139,7 +132,7 @@ func TestDotDifferential(t *testing.T) {
 		trials = 20
 	}
 	for i := 0; i < trials; i++ {
-		checkDotCase(t, testKey, rng.Int63(), 1+rng.Intn(10), 1+rng.Intn(MaxDotWindow), 1+rng.Intn(2100), rng.Intn(numPatterns))
+		checkDotCase(t, &testKey.PublicKey, rng.Int63(), 1+rng.Intn(10), 1+rng.Intn(MaxDotWindow), 1+rng.Intn(2100), rng.Intn(numPatterns))
 	}
 }
 
@@ -150,13 +143,12 @@ func FuzzDotSigned(f *testing.F) {
 		f.Add(int64(c[0]), uint8(c[1]), uint8(c[2]), uint16(c[3]), uint8(c[4]))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n, w uint8, bits uint16, pattern uint8) {
-		checkDotCase(t, testKey, seed, 1+int(n)%10, 1+int(w)%MaxDotWindow, 1+int(bits)%2100, int(pattern)%numPatterns)
+		checkDotCase(t, &testKey.PublicKey, seed, 1+int(n)%10, 1+int(w)%MaxDotWindow, 1+int(bits)%2100, int(pattern)%numPatterns)
 	})
 }
 
 // TestPrecomputeDotRejectsNonUnit: a base sharing a factor with N cannot be
-// inverted; the table build must fail loudly, in public and SecretOps mode,
-// and so must a DotRow that needs that base's inverse.
+// inverted; the table build must fail loudly, and so must a DotRow that needs that base's inverse.
 func TestPrecomputeDotRejectsNonUnit(t *testing.T) {
 	k := testKey
 	pk := &k.PublicKey
@@ -176,9 +168,6 @@ func TestPrecomputeDotRejectsNonUnit(t *testing.T) {
 	wantPanic("DotRow", func() {
 		pk.DotRow([]*Ciphertext{good, bad}, []SignedExp{{Mag: big.NewInt(3)}, {Mag: big.NewInt(5), Neg: true}})
 	})
-	RegisterSecretOps(k)
-	defer UnregisterSecretOps(pk)
-	wantPanic("SecretOps PrecomputeDot", func() { pk.PrecomputeDot([]*Ciphertext{bad, good}, 3) })
 }
 
 // fakeKey2048 is a 2048-bit odd modulus of unknown factorization: the dot

@@ -28,25 +28,18 @@
 //	  Damgård–Jurik–Nielsen, replacing the full n-bit refill
 //	  exponentiation with a ~400-bit one.
 //
-// and an amortized precomputation runtime (fixedbase.go, crt.go) that turns
-// one-time work into per-op savings:
+// and an amortized precomputation (fixedbase.go) that turns one-time work
+// into per-op savings:
 //
 //	FixedBase — Lim–Lee comb tables for a constant base (the pool's hⁿ):
 //	  after a one-time table build, base^e costs ~bits/8 multiplications
 //	  with no squarings. Short-exp pool refills use it by default
 //	  (WithFixedBase ablates it).
-//	SecretOps — the key holder's CRT fast paths: ExpCRT (exponentiate mod
-//	  p² and q² separately, exponents reduced modulo the subgroup orders,
-//	  recombine), an adaptive MulPlain (CRT-split for short scalars,
-//	  decrypt–scale–re-blind for full-width ring images), and dual-chain
-//	  Straus tables in PrecomputeDot/DotRow. Obtain with sk.Ops();
-//	  RegisterSecretOps routes the public entry points through it for keys
-//	  this process holds — a single-trust-domain optimization (see crt.go).
 //
 // Every product of the chains, table builds and comb lookups above is taken in
-// the digit form of sqmod.go: the moduli N², p², q² are squares, so a residue
-// is two base-N (p, q) digits and a multiplication seven half-width products
-// and two Barrett steps — no long division; what leaves is the canonical residue.
+// the digit form of sqmod.go: the modulus N² is a square, so a residue is two
+// base-N digits and a multiplication seven half-width products and two
+// Barrett steps — no long division; what leaves is the canonical residue.
 package paillier
 
 import (
@@ -54,7 +47,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 )
 
 var one = big.NewInt(1)
@@ -67,7 +59,7 @@ type PublicKey struct {
 }
 
 // fingerprint returns a cheap 64-bit identity for the modulus, used to key
-// the process-wide pool and SecretOps registries. Mixing the lowest and
+// the process-wide pool registry. Mixing the lowest and
 // highest limbs with the bit length is O(1) — unlike the previous
 // N.String() key, which performed an O(n²) binary→decimal conversion of a
 // 2048-bit modulus on every registry lookup. Lookups confirm the full
@@ -94,9 +86,6 @@ type PrivateKey struct {
 
 	lambda *big.Int // lcm(p−1, q−1), cached for DecryptTextbook
 	mu     *big.Int // L(g^λ mod N²)⁻¹ mod N, cached for DecryptTextbook
-
-	opsOnce sync.Once
-	ops     *SecretOps // CRT fast-path handle, built once by Ops()
 }
 
 // Ciphertext is an element of Z_{N²} encrypting one plaintext.
@@ -189,13 +178,7 @@ func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) 
 	gm := new(big.Int).Mul(m, pk.N)
 	gm.Add(gm, one)
 	gm.Mod(gm, pk.N2)
-	var rn *big.Int
-	if so := SecretOpsFor(pk); so != nil {
-		rn = so.ExpCRT(r, pk.N) // own-key encryption: CRT-split blinding
-	} else {
-		rn = new(big.Int).Exp(r, pk.N, pk.N2)
-	}
-	c := gm.Mul(gm, rn)
+	c := gm.Mul(gm, new(big.Int).Exp(r, pk.N, pk.N2))
 	c.Mod(c, pk.N2)
 	return &Ciphertext{C: c}, nil
 }
@@ -274,14 +257,8 @@ func (pk *PublicKey) AddPlain(a *Ciphertext, m *big.Int) *Ciphertext {
 }
 
 // MulPlain returns ⟦k·a⟧ given ⟦a⟧ and a plaintext scalar k (may be
-// negative; it is reduced into Z_N). When a SecretOps is registered for pk
-// (the caller's process holds the key) the CRT fast path is taken; its
-// result decrypts identically but is a different group element for
-// full-width scalars (see SecretOps.MulPlain).
+// negative; it is reduced into Z_N).
 func (pk *PublicKey) MulPlain(a *Ciphertext, k *big.Int) *Ciphertext {
-	if so := SecretOpsFor(pk); so != nil {
-		return so.MulPlain(a, k)
-	}
 	kk := new(big.Int).Mod(k, pk.N)
 	return &Ciphertext{C: new(big.Int).Exp(a.C, kk, pk.N2)}
 }

@@ -114,20 +114,15 @@ func NewPool(pk *PublicKey, capacity, workers int, random io.Reader, opts ...Poo
 		o(p)
 	}
 	if p.shortBits > 0 {
-		// One-time per-key setup: h = −y² mod N for random y, hⁿ = h^N mod N²
-		// (CRT-split when the process holds the key), and the comb tables
-		// that turn every later (hⁿ)^α refill into ~bits/8 multiplications.
+		// One-time per-key setup: h = −y² mod N for random y, hⁿ = h^N mod N²,
+		// and the comb tables that turn every later (hⁿ)^α refill into ~bits/8 multiplications.
 		y, err := randUnit(random, pk.N)
 		if err != nil {
 			panic(fmt.Sprintf("paillier: pool short-exp setup: %v", err))
 		}
 		h := new(big.Int).Mul(y, y)
 		h.Neg(h).Mod(h, pk.N)
-		if so := SecretOpsFor(pk); so != nil {
-			p.hn = so.ExpCRT(h, pk.N)
-		} else {
-			p.hn = h.Exp(h, pk.N, pk.N2)
-		}
+		p.hn = h.Exp(h, pk.N, pk.N2)
 		p.alphaMax = new(big.Int).Lsh(one, uint(p.shortBits))
 		if p.fixedBase {
 			p.fb = NewFixedBase(p.hn, pk.N, p.shortBits+1, p.fbBudget)
@@ -153,9 +148,6 @@ func (p *Pool) blindingFactor() (*big.Int, error) {
 		if p.fb != nil {
 			return p.fb.Exp(alpha), nil
 		}
-		if so := SecretOpsFor(p.pk); so != nil {
-			return so.ExpCRT(p.hn, alpha), nil
-		}
 		return new(big.Int).Exp(p.hn, alpha, p.pk.N2), nil
 	}
 	p.rmu.Lock()
@@ -163,9 +155,6 @@ func (p *Pool) blindingFactor() (*big.Int, error) {
 	p.rmu.Unlock()
 	if err != nil {
 		return nil, err
-	}
-	if so := SecretOpsFor(p.pk); so != nil {
-		return so.ExpCRT(r, p.pk.N), nil
 	}
 	return new(big.Int).Exp(r, p.pk.N, p.pk.N2), nil
 }

@@ -68,12 +68,7 @@ func (pk *PublicKey) MulPlainSigned(a *Ciphertext, mag *big.Int, neg bool) *Ciph
 	if a == nil || a.C == nil {
 		panic("paillier: MulPlainSigned on corrupted ciphertext (nil value)")
 	}
-	var c *big.Int
-	if so := SecretOpsFor(pk); so != nil {
-		c = so.ExpCRT(a.C, mag) // secret-key side: two half-width chains
-	} else {
-		c = new(big.Int).Exp(a.C, mag, pk.N2)
-	}
+	c := new(big.Int).Exp(a.C, mag, pk.N2)
 	if neg {
 		c = mustInverse(c, pk.N2, "MulPlainSigned")
 	}
@@ -130,57 +125,30 @@ const MaxDotWindow = 10
 // over a fixed slice of ciphertext bases (the columns of a weight matrix,
 // say). Build once with PrecomputeDot, evaluate with Dot or DotGroup for
 // each exponent vector.
-//
-// When a SecretOps is registered for the key at build time, the tables are
-// built modulo p² and q² instead of N² and every evaluation runs two
-// half-width chains recombined once — the CRT split for decrypt-adjacent
-// matmuls. The recombined result is bit-identical to the public-path one.
 type DotTables struct {
-	pk    *PublicKey
-	w     uint
-	n     int        // bases
-	so    *SecretOps // non-nil selects the CRT dual-chain mode
-	halfs []dotHalf  // one mod N², or two mod p² and q²
-}
-
-// dotHalf is the tables modulo one square B², as base-B digit pairs (sqmod.go):
-// pow[2i+s][d−1] = cᵢ^{±d} mod B² for d = 1..2^w−1, s = 1 holding the powers
-// of cᵢ⁻¹. A nil row is a side DotRow did not need.
-type dotHalf struct {
-	m   *sqMod
+	w uint
+	n int // bases
+	m *sqMod
+	// pow holds the tables mod N² as base-N digit pairs (sqmod.go):
+	// pow[2i+s][d−1] = cᵢ^{±d} mod N² for d = 1..2^w−1, s = 1 holding the
+	// powers of cᵢ⁻¹. A nil row is a side DotRow did not need.
 	pow [][]sqPair
 }
 
 // Window reports the table's Straus window width.
 func (t *DotTables) Window() uint { return t.w }
 
-// dotRoots lists the roots whose squares a table set for pk is built modulo:
-// N, or p and q when so is the key's registered SecretOps.
-func dotRoots(pk *PublicKey, so *SecretOps) []*big.Int {
-	if so != nil {
-		return []*big.Int{so.sk.p, so.sk.q}
-	}
-	return []*big.Int{pk.N}
-}
-
 // DotTableBytes is the memory of width-w tables over the given number of bases
-// with both sides built, in the mode PrecomputeDot would build them now: one
-// digit pair per power mod N², or one mod p² and one mod q².
+// with both sides built: one digit pair per power mod N².
 func (pk *PublicKey) DotTableBytes(bases int, w uint) int64 {
-	var entry int64
-	for _, root := range dotRoots(pk, SecretOpsFor(pk)) {
-		entry += pairBytes(root)
-	}
-	return 2 * int64(bases) * int64((1<<w)-1) * entry
+	return 2 * int64(bases) * int64((1<<w)-1) * pairBytes(pk.N)
 }
 
 // Bytes is the tables' memory footprint: the digit pairs stored.
 func (t *DotTables) Bytes() int64 {
 	var n int64
-	for i := range t.halfs {
-		for _, row := range t.halfs[i].pow {
-			n += int64(len(row)) * pairBytes(t.halfs[i].m.b)
-		}
+	for _, row := range t.pow {
+		n += int64(len(row)) * pairBytes(t.m.b)
 	}
 	return n
 }
@@ -207,13 +175,17 @@ func (m *sqMod) batchInverse(xs []*sqPair, s *sqScratch) {
 	}
 }
 
-// buildHalf builds the width-w tables mod m's square. A nil es builds both
-// sides of every base, the power rows in parallel; otherwise (DotRow, already
-// inside a parallel cell) base i gets only the side es[i]'s sign selects,
-// serially. The inversion runs on the calling goroutine either way, so a
-// non-invertible base panics where the caller can recover.
-func buildHalf(cs []*Ciphertext, es []SignedExp, w uint, m *sqMod) dotHalf {
-	h := dotHalf{m: m, pow: make([][]sqPair, 2*len(cs))}
+// precomputeDot builds the width-w tables mod N². A nil es builds both sides
+// of every base, the power rows in parallel; otherwise (DotRow, already inside
+// a parallel cell) base i gets only the side es[i]'s sign selects, serially.
+// The inversion runs on the calling goroutine either way, so a non-invertible
+// base panics where the caller can recover.
+func (pk *PublicKey) precomputeDot(cs []*Ciphertext, es []SignedExp, w uint) *DotTables {
+	if w < 1 || w > MaxDotWindow {
+		panic(fmt.Sprintf("paillier: PrecomputeDot window %d out of range [1,%d]", w, MaxDotWindow))
+	}
+	m := newSqMod(pk.N)
+	t := &DotTables{w: w, n: len(cs), m: m, pow: make([][]sqPair, 2*len(cs))}
 	s := m.newScratch()
 	var negs []*sqPair
 	for i, c := range cs {
@@ -226,7 +198,7 @@ func buildHalf(cs []*Ciphertext, es []SignedExp, w uint, m *sqMod) dotHalf {
 			}
 			row := m.newRow(1<<w - 1)
 			row[0].set(&s.acc)
-			h.pow[2*i+side] = row
+			t.pow[2*i+side] = row
 			if side == 1 {
 				negs = append(negs, &row[0])
 			}
@@ -239,22 +211,11 @@ func buildHalf(cs []*Ciphertext, es []SignedExp, w uint, m *sqMod) dotHalf {
 		}
 	}
 	if es == nil {
-		parallel.For(len(h.pow), func(j int) { fill(h.pow[j], m.newScratch()) })
+		parallel.For(len(t.pow), func(j int) { fill(t.pow[j], m.newScratch()) })
 	} else {
-		for _, row := range h.pow {
+		for _, row := range t.pow {
 			fill(row, s)
 		}
-	}
-	return h
-}
-
-func (pk *PublicKey) precomputeDot(cs []*Ciphertext, es []SignedExp, w uint) *DotTables {
-	if w < 1 || w > MaxDotWindow {
-		panic(fmt.Sprintf("paillier: PrecomputeDot window %d out of range [1,%d]", w, MaxDotWindow))
-	}
-	t := &DotTables{pk: pk, w: w, n: len(cs), so: SecretOpsFor(pk)}
-	for _, root := range dotRoots(pk, t.so) {
-		t.halfs = append(t.halfs, buildHalf(cs, es, w, newSqMod(root)))
 	}
 	return t
 }
@@ -282,7 +243,7 @@ func (t *DotTables) Dot(es []SignedExp) *Ciphertext {
 // of them separately. One shared squaring chain, one accumulator: a negative
 // exponent multiplies in the inverse base's power. Zero exponents contribute
 // nothing (so sparse exponent vectors are cheap). The result is the canonical
-// residue of Π⁺·(Π⁻)⁻¹ mod N², whatever the window or mode.
+// residue of Π⁺·(Π⁻)⁻¹ mod N², whatever the window.
 func (t *DotTables) DotGroup(g int, es []SignedExp) *Ciphertext {
 	off := g * len(es)
 	if g < 0 || off+len(es) > t.n {
@@ -303,13 +264,7 @@ func (t *DotTables) DotGroup(g int, es []SignedExp) *Ciphertext {
 	if maxBits == 0 {
 		return &Ciphertext{C: big.NewInt(1)}
 	}
-	x := t.halfs[0].chain(off, es, maxBits, t.w)
-	if t.so != nil {
-		// CRT dual chain: the chain runs twice at half width (≈¼ the
-		// per-multiplication cost each), recombined once.
-		x = t.so.combine(x, t.halfs[1].chain(off, es, maxBits, t.w))
-	}
-	return &Ciphertext{C: x}
+	return &Ciphertext{C: t.chain(off, es, maxBits)}
 }
 
 // chain runs the Straus interleaved chain over es against bases off… on one
@@ -317,19 +272,19 @@ func (t *DotTables) DotGroup(g int, es []SignedExp) *Ciphertext {
 // exponents are, and joins the digits once at the end. The accumulator starts
 // at the first non-zero digit, so leading all-zero window columns cost
 // nothing; maxBits > 0 guarantees there is one.
-func (h *dotHalf) chain(off int, es []SignedExp, maxBits int, width uint) *big.Int {
-	w := int(width)
-	s := h.m.newScratch()
+func (t *DotTables) chain(off int, es []SignedExp, maxBits int) *big.Int {
+	w := int(t.w)
+	s := t.m.newScratch()
 	var acc *sqPair
 	for d := (maxBits+w-1)/w - 1; d >= 0; d-- {
 		for k := 0; k < w && acc != nil; k++ {
-			h.m.sqr(acc, acc, s)
+			t.m.sqr(acc, acc, s)
 		}
 		for i := range es {
 			if es[i].IsZero() {
 				continue
 			}
-			dig := windowDigit(es[i].Mag, d*w, width)
+			dig := windowDigit(es[i].Mag, d*w, t.w)
 			if dig == 0 {
 				continue
 			}
@@ -337,15 +292,15 @@ func (h *dotHalf) chain(off int, es []SignedExp, maxBits int, width uint) *big.I
 			if es[i].Neg {
 				row++
 			}
-			if f := &h.pow[row][dig-1]; acc == nil {
+			if f := &t.pow[row][dig-1]; acc == nil {
 				acc = &s.acc
 				acc.set(f)
 			} else {
-				h.m.mul(acc, acc, f, s)
+				t.m.mul(acc, acc, f, s)
 			}
 		}
 	}
-	return h.m.join(acc)
+	return t.m.join(acc)
 }
 
 // DotRow computes the encrypted dot product ⟦Σ kᵢ·mᵢ⟧ = Π cᵢ^{kᵢ} for one

@@ -6,8 +6,8 @@ import (
 	"unsafe"
 )
 
-// Square-modulus multiplier. Every modulus this engine reduces by — N², and
-// p², q² under SecretOps — is a perfect square whose root B the caller holds.
+// Square-modulus multiplier. The modulus this engine reduces by, N², is a
+// perfect square whose root B = N the caller holds.
 // A residue mod B² is held as two base-B digits, x = lo + hi·B, and a product
 // needs only
 //

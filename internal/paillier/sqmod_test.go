@@ -15,8 +15,8 @@ import (
 // sqModRoots are the roots the suite runs over: one word, widths that are not
 // word-aligned, word-aligned widths with the top word full (so the cross sum
 // h + x.lo·y.hi + x.hi·y.lo passes β^{2k} and Barrett's estimate falls short
-// by more than two), and the roots the engine really uses — N in public mode,
-// p and q under SecretOps.
+// by more than two), the engine's root N, and the key's half-width primes p
+// and q.
 func sqModRoots(rng *mrand.Rand) []*big.Int {
 	roots := []*big.Int{big.NewInt(3), new(big.Int).SetUint64(1<<64 - 59), testKey.N, testKey.p, testKey.q}
 	for _, w := range []int{bits.UintSize, 511, 1000, 1023, 1024, 2048} {

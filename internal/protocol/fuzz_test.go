@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/big"
 	"net"
+	"strings"
 	"testing"
 
 	"blindfl/internal/hetensor"
+	"blindfl/internal/paillier"
 	"blindfl/internal/tensor"
 	"blindfl/internal/transport"
 )
@@ -92,4 +95,74 @@ func TestStreamHostileBytesTyped(t *testing.T) {
 		}
 		hangUp()
 	}
+}
+
+// hostileKeys are handshake public keys a peer could send that no kernel here
+// can use, each with the reason vetPeerKey must give.
+func hostileKeys() []struct {
+	name, why string
+	pk        *paillier.PublicKey
+} {
+	skA, _ := TestKeys()
+	n := skA.N
+	sq := func(x *big.Int) *big.Int { return new(big.Int).Mul(x, x) }
+	even := new(big.Int).Add(n, big.NewInt(1))
+	tiny := big.NewInt(1<<61 - 1)
+	huge := new(big.Int).Lsh(big.NewInt(1), 8<<20-1) // a 1 MB modulus
+	huge.SetBit(huge, 0, 1)
+	return []struct {
+		name, why string
+		pk        *paillier.PublicKey
+	}{
+		{"nil N", "nil modulus", &paillier.PublicKey{N2: sq(n)}},
+		{"nil N2", "N2 is not N·N", &paillier.PublicKey{N: n}},
+		{"even N", "not positive and odd", &paillier.PublicKey{N: even, N2: sq(even)}},
+		{"negative N", "not positive and odd", &paillier.PublicKey{N: new(big.Int).Neg(n), N2: sq(n)}},
+		{"mismatched N2", "N2 is not N·N", &paillier.PublicKey{N: n, N2: new(big.Int).Add(sq(n), big.NewInt(2))}},
+		{"tiny N", "outside", &paillier.PublicKey{N: tiny, N2: sq(tiny)}},
+		{"1 MB N", "outside", &paillier.PublicKey{N: huge, N2: huge}},
+	}
+}
+
+// TestHandshakeRejectsHostileKeys: every hostile key, as bytes on a gob link,
+// ends the handshake in a typed ErrCorrupt naming what is wrong with it — not
+// in a panic at the first matrix received under it.
+func TestHandshakeRejectsHostileKeys(t *testing.T) {
+	for _, h := range hostileKeys() {
+		data := wireBytes(t, func(c transport.Conn) error { return c.Send(transport.NewHandshake(h.pk)) })
+		b, hangUp := feed(data)
+		err := b.Handshake()
+		hangUp()
+		if !errors.Is(err, transport.ErrCorrupt) || !strings.Contains(err.Error(), h.why) {
+			t.Fatalf("%s: err = %v, want transport.ErrCorrupt (%s)", h.name, err, h.why)
+		}
+	}
+}
+
+// FuzzHandshake feeds arbitrary bytes to the handshake's key receive. Whatever
+// a peer sends, the handshake returns an error or a key the kernels can use —
+// it never panics — and allocates no more than a fixed multiple of what it
+// was sent.
+func FuzzHandshake(f *testing.F) {
+	skA, _ := TestKeys()
+	f.Add(wireBytes(f, func(c transport.Conn) error { return c.Send(transport.NewHandshake(&skA.PublicKey)) }))
+	for _, h := range hostileKeys() {
+		f.Add(wireBytes(f, func(c transport.Conn) error { return c.Send(transport.NewHandshake(h.pk)) }))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, hangUp := feed(data)
+		defer hangUp()
+		var err error
+		if n := allocated(func() { err = b.Handshake() }); n > 16<<20+4096*uint64(len(data)) {
+			t.Fatalf("allocated %d bytes receiving %d", n, len(data))
+		}
+		if err != nil {
+			return
+		}
+		pk := b.PeerPK
+		if pk.N.Bit(0) == 0 || pk.N.BitLen() < minPeerKeyBits || pk.N.BitLen() > maxPeerKeyBits ||
+			pk.N2.Cmp(new(big.Int).Mul(pk.N, pk.N)) != 0 {
+			t.Fatalf("handshake accepted a malformed %d-bit key", pk.N.BitLen())
+		}
+	})
 }

@@ -34,26 +34,3 @@ func TestKeys() (*paillier.PrivateKey, *paillier.PrivateKey) {
 	})
 	return testKeyA, testKeyB
 }
-
-// EnableSecretOps registers the paillier CRT fast paths for each key, so
-// every homomorphic op on ciphertexts under these keys — pool and inline
-// encryption blinding, MulPlain and the Straus dot kernels — exploits the
-// known factorization (paillier.SecretOps). Register only keys this process
-// legitimately holds: in a real deployment each party calls it with its own
-// key, and the label party's decrypt-adjacent ops get the speedup. In an
-// in-process two-party simulation registering both keys accelerates both
-// parties — more than a real deployment would see — so benchmarks and
-// ablations gate it explicitly (blindfl-train -secretops). Results decrypt
-// identically with or without the fast paths.
-func EnableSecretOps(sks ...*paillier.PrivateKey) {
-	for _, sk := range sks {
-		paillier.RegisterSecretOps(sk)
-	}
-}
-
-// DisableSecretOps removes the registrations made by EnableSecretOps.
-func DisableSecretOps(sks ...*paillier.PrivateKey) {
-	for _, sk := range sks {
-		paillier.UnregisterSecretOps(&sk.PublicKey)
-	}
-}

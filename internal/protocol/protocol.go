@@ -11,6 +11,7 @@ package protocol
 
 import (
 	"fmt"
+	"math/big"
 	"math/rand"
 	"time"
 
@@ -179,7 +180,36 @@ func (p *Peer) HandshakeWithin(d time.Duration) error {
 	}, p.Handshake)
 }
 
-// recvHandshakePK receives and verifies one sealed public-key handshake.
+// The moduli a handshake accepts: from the smallest key any peer here runs
+// with (TestKeys) to the largest a deployment would plausibly choose.
+const (
+	minPeerKeyBits = 512
+	maxPeerKeyBits = 8192
+)
+
+// vetPeerKey rejects a received public key the kernels could not use: a nil,
+// non-positive or even modulus, one outside [minPeerKeyBits, maxPeerKeyBits],
+// or an N2 that is not N·N (the size is checked first, so a huge N is never
+// squared). A well-formedness check, not authentication: a peer can still send
+// a valid key of its choosing.
+func vetPeerKey(pk *paillier.PublicKey) error {
+	var why string
+	switch {
+	case pk == nil || pk.N == nil:
+		why = "nil modulus"
+	case pk.N.Sign() <= 0 || pk.N.Bit(0) == 0:
+		why = "modulus not positive and odd"
+	case pk.N.BitLen() < minPeerKeyBits || pk.N.BitLen() > maxPeerKeyBits:
+		why = fmt.Sprintf("%d-bit modulus outside [%d, %d] bits", pk.N.BitLen(), minPeerKeyBits, maxPeerKeyBits)
+	case pk.N2 == nil || pk.N2.Cmp(new(big.Int).Mul(pk.N, pk.N)) != 0:
+		why = "N2 is not N·N"
+	default:
+		return nil
+	}
+	return fmt.Errorf("protocol: handshake: %w: peer key: %s", transport.ErrCorrupt, why)
+}
+
+// recvHandshakePK receives, verifies and vets one sealed public-key handshake.
 func (p *Peer) recvHandshakePK() (*paillier.PublicKey, error) {
 	v, err := p.Conn.Recv()
 	if err != nil {
@@ -195,6 +225,9 @@ func (p *Peer) recvHandshakePK() (*paillier.PublicKey, error) {
 	pk, ok := hs.V.(*paillier.PublicKey)
 	if !ok {
 		return nil, fmt.Errorf("protocol: handshake: %w: want public key, got %T", transport.ErrCorrupt, hs.V)
+	}
+	if err := vetPeerKey(pk); err != nil {
+		return nil, err
 	}
 	return pk, nil
 }

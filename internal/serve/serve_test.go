@@ -8,6 +8,7 @@ import (
 
 	"blindfl/internal/data"
 	"blindfl/internal/engine"
+	"blindfl/internal/hetensor"
 	"blindfl/internal/model"
 	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
@@ -103,6 +104,45 @@ func TestServeConcurrentRequests(t *testing.T) {
 	}
 	if st.Batches >= int64(n) {
 		t.Fatalf("no cross-request batching: %d batches for %d concurrent requests", st.Batches, n)
+	}
+}
+
+// TestServeBatchingAmortizes: under 2K closed-loop clients the batcher runs
+// full lane groups, so N requests cost at most ⌈N/2⌉ protocol batches — the
+// per-group mask encryption, transfer and decryption paid once for several
+// requests; after warm-up the encrypted weights' dot tables are served from
+// the cache (hits, no new misses); and the latency percentiles are ordered.
+// Counts, not wall time: the flush interval is long enough that a lane group
+// only launches full, except when a scheduling stall outlasts it.
+func TestServeBatchingAmortizes(t *testing.T) {
+	p, ds := newTestPredictor(t, 740)
+	k := p.Lanes()
+	if k < 2 {
+		t.Fatalf("%d lanes: nothing to batch", k)
+	}
+	prev := hetensor.SetTableCacheBudget(64 << 20)
+	defer hetensor.SetTableCacheBudget(prev)
+	s := NewServer(p, Config{FlushInterval: time.Second})
+	defer s.Close()
+	req := func(i int) Request { return testRequest(ds, i%ds.TestB.Dense.Rows) }
+
+	RunLoad(s, req, 2*k, 4*k) // warm-up: the weight tables are admitted and built
+	b0, c0 := s.Stats().Batches, hetensor.TableCacheStatsNow()
+	const n = 32
+	res := RunLoad(s, req, 2*k, n)
+	b1, c1 := s.Stats().Batches, hetensor.TableCacheStatsNow()
+
+	if res.OK != n {
+		t.Fatalf("served %d of %d (shed %d, failed %d)", res.OK, n, res.Shed, res.Failed)
+	}
+	if batches := b1 - b0; batches > (n+1)/2 {
+		t.Fatalf("%d requests took %d protocol batches at %d lanes, want at most %d", n, batches, k, (n+1)/2)
+	}
+	if c1.Hits == c0.Hits || c1.Misses != c0.Misses {
+		t.Fatalf("steady state: %d cache hits, %d new misses; want hits and no misses", c1.Hits-c0.Hits, c1.Misses-c0.Misses)
+	}
+	if res.P50 <= 0 || res.P95 < res.P50 || res.P99 < res.P95 {
+		t.Fatalf("unordered percentiles p50=%v p95=%v p99=%v", res.P50, res.P95, res.P99)
 	}
 }
 
