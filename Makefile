@@ -45,9 +45,9 @@ test-full:
 # shrinking the first gob stream that reaches a new branch. Then the same for
 # the handshake's public key (FuzzHandshake, seeded from the hostile-key
 # table: a value or a typed error, never a panic) and for the other
-# attacker-sized input, a checkpoint file (FuzzCheckpoint: both
-# readers, raw and behind a valid envelope, seeded from real checkpoints and
-# lying headers).
+# attacker-sized input, a checkpoint file (FuzzCheckpoint: the one reader
+# and both restore halves behind it, raw and behind a valid envelope, seeded
+# from a final and a mid-run checkpoint and lying headers).
 test-chaos:
 	$(GO) test -short -race -timeout 10m \
 		-run 'TestChaos|TestFault|TestStream|TestDeadline|TestRunGroupFaultConn|TestGroupAllSessionsLost|TestRetry|TestTrainHonoursEngineOptions' \

@@ -238,7 +238,9 @@ func loadOrTrain(kind model.Kind, ds *data.Dataset, h model.Hyper,
 	}
 	fmt.Printf("trained: test %s %.4f; checkpoint %d bytes\n", hist.MetricName, hist.TestMetric, buf.Len())
 	if ckPath != "" {
-		if err := os.WriteFile(ckPath, buf.Bytes(), 0o644); err != nil {
+		// Published atomically: a crash mid-write must not leave a truncated
+		// file for the next start to reuse.
+		if err := model.WriteFileAtomic(ckPath, buf.Bytes()); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", ckPath)

@@ -6,15 +6,16 @@ import (
 	"io"
 	"math"
 
-	"blindfl/internal/hetensor"
 	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
 )
 
 // Checkpointing. Long-running cross-enterprise training must survive
-// restarts, so each layer half serializes its complete state — weight
-// pieces, momentum buffers, and the encrypted copies of the peer's pieces —
-// with encoding/gob. Each party saves only its own half: a checkpoint
+// restarts, so each layer half serializes its plaintext state — config,
+// weight pieces and momentum buffers — with encoding/gob. The encrypted copy
+// of the peer's piece is not saved: it is under a per-session key, so every
+// restore redoes the exchange that mints it (ResumeExchange for training,
+// ServeStart for serving). Each party saves only its own half: a checkpoint
 // never contains more information than the running process already held,
 // so persistence does not weaken the privacy analysis (protect checkpoint
 // files like process memory).
@@ -24,15 +25,13 @@ type matMulAState struct {
 	Cfg   Config
 	UA    *tensor.Dense
 	VB    *tensor.Dense
-	EncVA hetensor.Matrix
 	MomUA *tensor.Dense
 	MomVB *tensor.Dense
 }
 
 // Save writes Party A's half of the layer.
 func (l *MatMulA) Save(w io.Writer) error {
-	st := matMulAState{Cfg: l.cfg, UA: l.UA, VB: l.VB, EncVA: l.encVA,
-		MomUA: l.momUA.buf, MomVB: l.momVB.buf}
+	st := matMulAState{Cfg: l.cfg, UA: l.UA, VB: l.VB, MomUA: l.momUA.buf, MomVB: l.momVB.buf}
 	if err := gob.NewEncoder(w).Encode(&st); err != nil {
 		return fmt.Errorf("core: save MatMulA: %w", err)
 	}
@@ -42,7 +41,8 @@ func (l *MatMulA) Save(w io.Writer) error {
 // LoadMatMulA restores Party A's half onto a live peer session. inA, inB and
 // out are the shape the enclosing checkpoint declares for this session; a
 // decoded half that disagrees with it is refused here rather than handed back
-// to fail on its first Forward.
+// to fail on its first Forward. The half has no encrypted copy of the peer's
+// piece until ResumeExchange or ServeStart runs.
 func LoadMatMulA(r io.Reader, p *protocol.Peer, inA, inB, out int) (*MatMulA, error) {
 	var st matMulAState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
@@ -53,7 +53,7 @@ func LoadMatMulA(r io.Reader, p *protocol.Peer, inA, inB, out int) (*MatMulA, er
 	}
 	return &MatMulA{
 		cfg: st.Cfg, peer: p,
-		UA: st.UA, VB: st.VB, encVA: st.EncVA,
+		UA: st.UA, VB: st.VB,
 		momUA: momentum{mu: st.Cfg.Momentum, buf: st.MomUA},
 		momVB: momentum{mu: st.Cfg.Momentum, buf: st.MomVB},
 	}, nil
@@ -63,9 +63,7 @@ func LoadMatMulA(r io.Reader, p *protocol.Peer, inA, inB, out int) (*MatMulA, er
 // W_A piece is inA×out, the W_B piece inB×out, each momentum buffer absent
 // or shaped like its piece, every value finite (a NaN weight would panic the
 // fixed-point encoder at the first exchange), and the options within
-// engine.Options' range. The encrypted copy of the peer's piece is not
-// checked — both restore paths (ResumeExchange, ServeStart) replace it
-// before anything reads it.
+// engine.Options' range.
 func checkHalf(cfg Config, out int, pieceA, momA *tensor.Dense, inA int, pieceB, momB *tensor.Dense, inB int) error {
 	if cfg.Out != out || out < 1 || inA < 1 || inB < 1 {
 		return fmt.Errorf("layer is %d wide, checkpoint declares %d+%d features by %d", cfg.Out, inA, inB, out)
@@ -90,15 +88,13 @@ type matMulBState struct {
 	Cfg   Config
 	UB    *tensor.Dense
 	VA    *tensor.Dense
-	EncVB hetensor.Matrix
 	MomUB *tensor.Dense
 	MomVA *tensor.Dense
 }
 
 // Save writes Party B's half of the layer.
 func (l *MatMulB) Save(w io.Writer) error {
-	st := matMulBState{Cfg: l.cfg, UB: l.UB, VA: l.VA, EncVB: l.encVB,
-		MomUB: l.momUB.buf, MomVA: l.momVA.buf}
+	st := matMulBState{Cfg: l.cfg, UB: l.UB, VA: l.VA, MomUB: l.momUB.buf, MomVA: l.momVA.buf}
 	if err := gob.NewEncoder(w).Encode(&st); err != nil {
 		return fmt.Errorf("core: save MatMulB: %w", err)
 	}
@@ -117,7 +113,7 @@ func LoadMatMulB(r io.Reader, p *protocol.Peer, inA, inB, out int) (*MatMulB, er
 	}
 	return &MatMulB{
 		cfg: st.Cfg, peer: p,
-		UB: st.UB, VA: st.VA, encVB: st.EncVB,
+		UB: st.UB, VA: st.VA,
 		momUB: momentum{mu: st.Cfg.Momentum, buf: st.MomUB},
 		momVA: momentum{mu: st.Cfg.Momentum, buf: st.MomVA},
 	}, nil

@@ -6,6 +6,8 @@ import (
 	"math"
 	"testing"
 
+	"blindfl/internal/paillier"
+	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
 )
 
@@ -59,5 +61,33 @@ func TestLoadMatMulRejectsUnsoundHalves(t *testing.T) {
 	}
 	if _, err := LoadMatMulB(&buf, pb, 4, 3, 2); err == nil {
 		t.Error("B half without its V_A piece accepted")
+	}
+}
+
+// TestCheckpointHalfIsKeyIndependent: a saved half is plaintext pieces,
+// momentum and config only. The same model under 512-bit and 1024-bit keys
+// (the weight draws come from the session seed, not the key) saves to the
+// same number of bytes; a half that carried the encrypted copy of the peer's
+// piece would grow with the key.
+func TestCheckpointHalfIsKeyIndependent(t *testing.T) {
+	save := func(skA, skB *paillier.PrivateKey) (a, b int) {
+		pa, pb, err := protocol.Pipe(skA, skB, 803)
+		if err != nil {
+			t.Fatal(err)
+		}
+		la, lb := newMatMulPair(t, pa, pb, Config{Out: 2, LR: 0.1, Momentum: 0.9}, 4, 3)
+		var bufA, bufB bytes.Buffer
+		if err := la.Save(&bufA); err != nil {
+			t.Fatal(err)
+		}
+		if err := lb.Save(&bufB); err != nil {
+			t.Fatal(err)
+		}
+		return bufA.Len(), bufB.Len()
+	}
+	a512, b512 := save(protocol.TestKeys())
+	a1024, b1024 := save(testKeys1024(t))
+	if a512 != a1024 || b512 != b1024 {
+		t.Fatalf("saved halves are A %d / B %d bytes at 512 bits but %d / %d at 1024", a512, b512, a1024, b1024)
 	}
 }

@@ -81,11 +81,11 @@ func NewMatMulB(p *protocol.Peer, cfg Config, inA, inB int) *MatMulB {
 // ResumeExchange runs the initialization exchange of encrypted weight pieces
 // from the plaintext V pieces — at construction, and again after a
 // checkpoint restore: A ships a fresh ⟦V_B⟧ under its own key and receives
-// ⟦V_A⟧ under B's key, overwriting whatever stale ciphertexts the checkpoint
-// carried (Paillier keys are per-process, so checkpointed ciphertexts cannot
-// decrypt across a restart). Fresh encryption randomness does not change the
-// decrypted values, so a resumed trajectory stays bit-identical. Must run
-// concurrently with ResumeExchange on the other side.
+// ⟦V_A⟧ under B's key (a checkpoint holds no ciphertexts: Paillier keys are
+// per-session, so a saved copy could not decrypt after a restart). Fresh
+// encryption randomness does not change the decrypted values, so a resumed
+// trajectory stays bit-identical. Must run concurrently with ResumeExchange
+// on the other side.
 func (l *MatMulA) ResumeExchange() {
 	l.cfg.apply(l.peer)
 	l.cfg.sendEncrypted(l.peer, l.VB, 1, 0)

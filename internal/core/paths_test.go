@@ -346,8 +346,9 @@ func TestMultiPartyHonoursOptions(t *testing.T) {
 }
 
 // TestMatMulCheckpointOnEveryKind saves and restores a layer pair
-// mid-training: weights, momentum and the encrypted ⟦V⟧ copies — packed or
-// not — must survive the gob state.
+// mid-training, packed or not: weights and momentum survive the gob state,
+// and after the resume exchange the restored pair trains on exactly as the
+// original does.
 func TestMatMulCheckpointOnEveryKind(t *testing.T) {
 	for _, packed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("packed=%v", packed), func(t *testing.T) {
@@ -382,6 +383,11 @@ func TestMatMulCheckpointOnEveryKind(t *testing.T) {
 			}
 			lb2, err := LoadMatMulB(&bufB, pb, 3, 3, 2)
 			if err != nil {
+				t.Fatal(err)
+			}
+			// A checkpoint holds no ciphertexts: the restored pair redoes the
+			// weight exchange, as every production restore does.
+			if err := protocol.RunParties(pa, pb, la2.ResumeExchange, lb2.ResumeExchange); err != nil {
 				t.Fatal(err)
 			}
 

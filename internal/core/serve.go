@@ -25,8 +25,8 @@ import (
 // A ships a fresh ⟦V_B⟧ under its own key and receives ⟦V_A⟧ under B's key.
 // Call once per serve session after construction or checkpoint restore (the
 // received matrix is minted a fresh table-cache identity); training-time
-// copies — possibly packed, possibly unminted after a restore — are not used
-// by the serve path. Must run concurrently with MatMulB.ServeStart.
+// copies — possibly packed, absent after a restore — are not used by the
+// serve path. Must run concurrently with MatMulB.ServeStart.
 func (l *MatMulA) ServeStart() {
 	l.cfg.apply(l.peer)
 	defer l.peer.Unchunked()()

@@ -239,7 +239,7 @@ func TestChaosResumeBothSessionsCorrupt(t *testing.T) {
 	if len(files) != 1 {
 		t.Fatalf("2-epoch run left %d checkpoints, want 1", len(files))
 	}
-	ck, err := readRunCheckpoint(files[0])
+	ck, err := latestRunCheckpoint(tr.CheckpointDir)
 	if err != nil {
 		t.Fatal(err)
 	}

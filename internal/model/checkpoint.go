@@ -8,91 +8,69 @@ import (
 	"io"
 
 	"blindfl/internal/core"
-	"blindfl/internal/data"
 	"blindfl/internal/nn"
 	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
 )
 
-// Serve checkpoint format. Trainer writes it after a successful run over a
-// serveable model; Predictor (predictor.go) restores a forward-only model
-// from it onto fresh protocol sessions. The format bundles every party's
-// dense source-layer half (the core-layer gob, including the encrypted
-// copies of the peer's weight pieces) with the label party's plaintext head
-// parameters — exactly the joint state the single-binary runtime held. The
-// gob payload is sealed in the versioned checksum envelope (envelope.go), so
-// a truncated or bit-flipped checkpoint file fails with the typed
-// ErrBadCheckpoint instead of decoding into garbage.
+// Checkpoint format. There is one gob root, runCheckpoint, sealed in the
+// versioned checksum envelope (envelope.go): a run writes it every
+// CheckpointEvery epochs into CheckpointDir (runckpt.go) and, for
+// Trainer.Checkpoint, after the last epoch — the stream NewPredictor serves
+// from. It holds plaintext only: each layer half's pieces, momentum and
+// config (core checkpoint.go), the head and its momentum, the loss prefix and
+// the engine fingerprint. The encrypted copies of the peer's pieces are under
+// per-session keys, so every restore redoes the exchange that mints them.
 
-// fedCheckpoint is the gob root of a serve checkpoint.
-type fedCheckpoint struct {
-	Kind    Kind
-	Classes int
-	Hyper   Hyper
-	InAs    []int // feature party i's column width, len = number of sessions
-	InB     int
-	LayerA  [][]byte        // feature party i's MatMulA half (core gob)
-	LayerB  [][]byte        // label party's session-i MatMulB half (core gob)
-	Head    []*tensor.Dense // head parameters in params() order
+// runCheckpoint is the gob root of every checkpoint. Nothing in it says how
+// the label party was sharded when it was written: the layer halves are
+// stored per *session*, and every per-session stream is a pure function of
+// the global session index, so a checkpoint resumes onto any shard count
+// (including unsharded) bit-exactly.
+type runCheckpoint struct {
+	Kind        Kind
+	Classes     int
+	Hyper       Hyper
+	InAs        []int // feature party i's column width, len = number of sessions
+	InB         int
+	Epoch       int       // completed epochs at capture time
+	Losses      []float64 // per-iteration loss prefix through Epoch
+	LayerA      [][]byte  // feature party i's MatMulA half (core gob)
+	LayerB      [][]byte  // label party's session-i MatMulB half (core gob)
+	Head        []*tensor.Dense
+	HeadMom     []*tensor.Dense // head optimizer momentum, params() order
+	Fingerprint uint64          // engine.Options.Fingerprint() of the run
 }
 
-// ckCapture accumulates the per-party checkpoint pieces from inside the
-// training closures. captureA(i, ·) is called once per feature party on
-// distinct indices and captureB once, so the slices need no locking; write
-// assembles and encodes after the run succeeds. A zero/nil-disabled capture
-// is a no-op throughout.
-type ckCapture struct {
-	ck   *fedCheckpoint
-	errA []error
-	errB error
-}
-
-func newCkCapture(t Trainer, ds *data.Dataset, inAs []int) *ckCapture {
-	if t.Checkpoint == nil {
-		return &ckCapture{}
-	}
-	return &ckCapture{
-		ck: &fedCheckpoint{
-			Kind: t.Kind, Classes: ds.Spec.Classes, Hyper: t.Hyper,
-			InAs: inAs, InB: ds.TrainB.NumCols(),
-			LayerA: make([][]byte, len(inAs)),
-		},
-		errA: make([]error, len(inAs)),
-	}
-}
-
-func (c *ckCapture) captureA(i int, ma *FedA) {
-	if c.ck == nil {
-		return
-	}
-	c.ck.LayerA[i], c.errA[i] = saveLayerA(ma)
-}
-
-func (c *ckCapture) captureB(mb *FedB) {
-	if c.ck == nil {
-		return
-	}
-	c.ck.LayerB, c.errB = mb.num.layers(-1)
-	c.ck.Head = headParams(mb.head)
-}
-
-func (c *ckCapture) write(w io.Writer) error {
-	if c.ck == nil {
-		return nil
-	}
-	for _, err := range c.errA {
-		if err != nil {
-			return err
-		}
-	}
-	if c.errB != nil {
-		return c.errB
-	}
+// writeCheckpoint gob-encodes ck and seals it onto w.
+func writeCheckpoint(w io.Writer, ck *runCheckpoint) error {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c.ck); err != nil {
-		return fmt.Errorf("model: write checkpoint: %w", err)
+	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
+		return fmt.Errorf("model: encode checkpoint: %w", err)
 	}
 	return sealEnvelope(w, buf.Bytes())
+}
+
+// readCheckpoint is the one checkpoint decoder, behind NewPredictor and the
+// resume scan alike: open the envelope, decode the gob root, and vet that it
+// spans a non-empty party set with one layer half per session on each side.
+// Every refusal is a typed ErrBadCheckpoint; the halves and the head are
+// vetted where they are restored (loadLayers, restoreHead).
+func readCheckpoint(r io.Reader) (*runCheckpoint, error) {
+	payload, err := openEnvelope(r)
+	if err != nil {
+		return nil, err
+	}
+	var ck runCheckpoint
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
+		return nil, fmt.Errorf("%w: decode: %v", ErrBadCheckpoint, err)
+	}
+	k := len(ck.InAs)
+	if k == 0 || len(ck.LayerA) != k || len(ck.LayerB) != k || ck.Epoch < 1 {
+		return nil, fmt.Errorf("%w: malformed (%d parties, %d A layers, %d B layers, epoch %d)",
+			ErrBadCheckpoint, k, len(ck.LayerA), len(ck.LayerB), ck.Epoch)
+	}
+	return &ck, nil
 }
 
 // errDenseOnly refuses to checkpoint a sparse source layer (Trainer.plan
@@ -104,11 +82,7 @@ func saveLayerA(ma *FedA) ([]byte, error) {
 	if ma.num.dense == nil {
 		return nil, errDenseOnly
 	}
-	var buf bytes.Buffer
-	if err := ma.num.dense.Save(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return saveHalf(ma.num.dense)
 }
 
 // saveLayersB serializes the label party's dense per-session halves, in the
@@ -120,13 +94,19 @@ func saveLayersB(l *core.MultiMatMulB) ([][]byte, error) {
 		if sub == nil {
 			return nil, errDenseOnly
 		}
-		var buf bytes.Buffer
-		if err := sub.Save(&buf); err != nil {
+		var err error
+		if out[i], err = saveHalf(sub); err != nil {
 			return nil, err
 		}
-		out[i] = buf.Bytes()
 	}
 	return out, nil
+}
+
+// saveHalf serializes one core layer half.
+func saveHalf(l interface{ Save(io.Writer) error }) ([]byte, error) {
+	var buf bytes.Buffer
+	err := l.Save(&buf)
+	return buf.Bytes(), err
 }
 
 // loadLayers decodes per-session layer halves blobs[i] onto peers[i] with

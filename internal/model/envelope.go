@@ -7,15 +7,17 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"os"
+	"path/filepath"
 )
 
-// Checkpoint envelope: every checkpoint blindfl writes — serve checkpoints
-// and mid-run training checkpoints alike — is sealed in a small versioned
-// header (magic, format version, payload length, FNV-1a sum over the
-// payload) so a truncated file, a bit-flipped blob, or a stream from a
-// different format version is rejected up front with the typed
-// ErrBadCheckpoint instead of surfacing as a confusing gob decode error —
-// or worse, decoding into plausible garbage. The seal is an integrity
+// Checkpoint envelope: every checkpoint blindfl writes — the final one a
+// Trainer hands its Checkpoint writer and the mid-run ones alike — is sealed
+// in a small versioned header (magic, format version, payload length, FNV-1a
+// sum over the payload) so a truncated file, a bit-flipped blob, or a stream
+// from a different format version is rejected up front with the typed
+// ErrBadCheckpoint instead of surfacing as a confusing gob decode error — or
+// worse, decoding into plausible garbage. The seal is an integrity
 // check against accidental corruption, not an authenticity mechanism:
 // checkpoint files must be protected like process memory regardless.
 
@@ -28,10 +30,11 @@ var ErrBadCheckpoint = errors.New("model: bad checkpoint")
 // ckMagic identifies a sealed blindfl checkpoint stream.
 var ckMagic = [4]byte{'B', 'F', 'C', 'K'}
 
-// ckVersion is the current envelope format version. 2: a layer half holds
-// its encrypted copy of the peer's piece as one hetensor.Matrix field,
-// where version 1 had a cipher and a packed field.
-const ckVersion = 2
+// ckVersion is the current envelope format version. 3: one gob root for
+// every checkpoint (runCheckpoint), and a layer half holds plaintext pieces,
+// momentum and config only — version 2 had a separate serve-checkpoint root
+// and kept each half's encrypted copy of the peer's piece.
+const ckVersion = 3
 
 // maxCkPayload is the ceiling on a declared payload length. It is a sanity
 // bound, not the allocation bound: openEnvelope's buffer grows with the
@@ -87,4 +90,30 @@ func openEnvelope(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: payload checksum mismatch", ErrBadCheckpoint)
 	}
 	return payload.Bytes(), nil
+}
+
+// WriteFileAtomic publishes b as the file at path: written to a dot-prefixed
+// temp file in the same directory, synced, and renamed over path. A crash
+// mid-write leaves at worst the temp file, never a truncated file at path —
+// the step every checkpoint file goes through, mid-run ones and the one
+// blindfl-serve -checkpoint keeps.
+func WriteFileAtomic(path string, b []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*.tmp")
+	if err != nil {
+		return fmt.Errorf("model: write %s: %w", path, err)
+	}
+	if _, err = f.Write(b); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("model: write %s: %w", path, err)
+	}
+	return nil
 }

@@ -55,7 +55,7 @@ type numSrcB interface {
 	serveStart()
 	serveForward(x *tensor.Dense) *tensor.Dense
 	// layers serializes the per-session dense halves, in session order, at
-	// the epoch-e checkpoint boundary (−1: the end-of-run serve checkpoint).
+	// the epoch-e checkpoint boundary.
 	layers(epoch int) ([][]byte, error)
 }
 

@@ -49,24 +49,28 @@ func TestEnvelopeLyingLengthAllocatesWhatArrives(t *testing.T) {
 	}
 }
 
-// FuzzCheckpoint feeds arbitrary bytes to both checkpoint readers, as a raw
-// stream (the envelope's own decoder) and sealed in a valid envelope (so the
-// gob and layer decoders behind the checksum are reached): NewPredictor over
-// a live pair, and readRunCheckpoint plus the restore half of the training
-// body. The property is FuzzRecvMatrix's: a value or a typed error — the
-// bytes are bad (ErrBadCheckpoint) or sound but some other run's
-// (errCkMismatch) — never a panic, never a hang, and allocation bounded by
-// the input's length.
+// FuzzCheckpoint feeds arbitrary bytes to the one checkpoint decoder
+// (readCheckpoint), as a raw stream (the envelope's own checks) and sealed in
+// a valid envelope (so the gob root and the vetting behind the checksum are
+// reached), and through it to both restore halves: NewPredictor's over a live
+// pair, and the training body's behind the resume scan. It is seeded from
+// the two files a run writes, both of the one format — the final epoch's
+// (Trainer.Checkpoint) and a mid-run one (CheckpointDir). The property is
+// FuzzRecvMatrix's: a value or a typed error — the bytes are bad
+// (ErrBadCheckpoint) or sound but some other run's (errCkMismatch) — never a
+// panic, never a hang, and allocation bounded by the input's length.
 func FuzzCheckpoint(f *testing.F) {
 	ds := data.Generate(tinySpec("t-fuzz-ck", 12, 12, 2, false), 3)
 	h := tinyHyper()
-	var serve bytes.Buffer
-	tr := Trainer{Kind: LR, Hyper: h, Checkpoint: &serve, CheckpointDir: f.TempDir()}
+	var final bytes.Buffer
+	tr := Trainer{Kind: LR, Hyper: h, Checkpoint: &final, CheckpointDir: f.TempDir()}
 	as, g := fedGroup(f, 1, 690)
 	if _, err := tr.Train(ds, PartySet{As: as, B: g}); err != nil {
 		f.Fatal(err)
 	}
+	// Both seeds resume under a raised epoch count, the final one included.
 	tr.Checkpoint = nil
+	tr.Hyper.Epochs++
 	unsealed := func(sealed []byte) []byte {
 		payload, err := openEnvelope(bytes.NewReader(sealed))
 		if err != nil {
@@ -78,9 +82,9 @@ func FuzzCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(unsealed(serve.Bytes()))
+	f.Add(unsealed(final.Bytes()))
 	f.Add(unsealed(runFile))
-	f.Add(serve.Bytes()[:16])
+	f.Add(final.Bytes()[:16])
 	f.Add(append(lyingHeader(maxCkPayload), make([]byte, 10)...))
 	f.Add(lyingHeader(maxCkPayload + 1))
 	f.Add([]byte("not a checkpoint"))
@@ -109,21 +113,21 @@ func FuzzCheckpoint(f *testing.F) {
 			}
 			return err == nil
 		}
-		as, g := fedGroup(t, 1, 691)
-		check("NewPredictor, raw stream", func() error {
-			_, err := NewPredictor(bytes.NewReader(in), PartySet{As: as, B: g})
+		check("decoder, raw stream", func() error {
+			_, err := readCheckpoint(bytes.NewReader(in))
 			return err
 		})
+		as, g := fedGroup(t, 1, 691)
 		if check("NewPredictor, sealed", func() error {
 			_, err := NewPredictor(bytes.NewReader(sealed.Bytes()), PartySet{As: as, B: g})
 			return err
 		}) {
 			// The serve-session exchange ran on these sessions: restore the
-			// run checkpoint onto fresh ones, as a deployment would.
+			// checkpoint for training onto fresh ones, as a deployment would.
 			as, g = fedGroup(t, 1, 691)
 		}
-		check("run checkpoint restore", func() error {
-			ck, err := readRunCheckpoint(path)
+		check("resume scan and restore", func() error {
+			ck, err := latestRunCheckpoint(scratch)
 			if err != nil {
 				return err
 			}

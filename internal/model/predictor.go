@@ -1,8 +1,6 @@
 package model
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -30,7 +28,6 @@ import (
 type Predictor struct {
 	kind    Kind
 	classes int
-	hyper   Hyper
 	inAs    []int
 	inB     int
 
@@ -47,36 +44,27 @@ type Predictor struct {
 	mu sync.Mutex
 }
 
-// NewPredictor restores a Predictor from a serve checkpoint onto the party
-// set's live sessions and runs the serve-session weight exchange. The party
-// set must span exactly the checkpoint's feature-party count. The stream
-// must carry a sealed checkpoint envelope; a truncated, corrupted or
-// foreign stream — or one whose contents do not add up to a model — fails
-// with the typed (and permanent) ErrBadCheckpoint before any session is
-// touched.
+// NewPredictor restores a Predictor from a checkpoint — the one
+// Trainer.Checkpoint receives, or any run checkpoint — onto the party set's
+// live sessions and runs the serve-session weight exchange. The party set
+// must span exactly the checkpoint's feature-party count. The stream must
+// carry a sealed checkpoint envelope; a truncated, corrupted or foreign
+// stream — or one whose contents do not add up to a model — fails with the
+// typed (and permanent) ErrBadCheckpoint before any session is touched.
 func NewPredictor(r io.Reader, ps PartySet) (*Predictor, error) {
-	payload, err := openEnvelope(r)
+	ck, err := readCheckpoint(r)
 	if err != nil {
 		return nil, err
-	}
-	var ck fedCheckpoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("%w: decode serve checkpoint: %v", ErrBadCheckpoint, err)
-	}
-	k := len(ck.InAs)
-	if k == 0 || len(ck.LayerA) != k || len(ck.LayerB) != k {
-		return nil, fmt.Errorf("%w: malformed (%d parties, %d A layers, %d B layers)",
-			ErrBadCheckpoint, k, len(ck.LayerA), len(ck.LayerB))
 	}
 	if err := ps.check("NewPredictor"); err != nil {
 		return nil, err
 	}
-	if ps.K() != k {
+	if k := len(ck.InAs); ps.K() != k {
 		return nil, fmt.Errorf("%w: it spans %d feature parties, party set has %d", errCkMismatch, k, ps.K())
 	}
 
 	p := &Predictor{
-		kind: ck.Kind, classes: ck.Classes, hyper: ck.Hyper,
+		kind: ck.Kind, classes: ck.Classes,
 		inAs: ck.InAs, inB: ck.InB,
 		as: ps.As, g: ps.B,
 	}

@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -48,6 +49,69 @@ func corruptFile(t *testing.T, path string) {
 	b[len(b)-1] ^= 0x01
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLatestCheckpointOrdersByEpoch: the resume scan picks the file of the
+// highest epoch, parsed from its name — not the lexically greatest name,
+// which past epoch 99 999 (ckpt-99999 against ckpt-100000) is an older one —
+// and looks at no file whose name is not ckpt-<epoch>.
+func TestLatestCheckpointOrdersByEpoch(t *testing.T) {
+	for name, tc := range map[string]struct {
+		epochs []int
+		want   int
+	}{
+		"one file":           {[]int{3}, 3},
+		"padded":             {[]int{1, 2, 10, 9}, 10},
+		"past five digits":   {[]int{99999, 100000}, 100000},
+		"six and five mixed": {[]int{100001, 2, 99998, 100000}, 100001},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, e := range tc.epochs {
+				var buf bytes.Buffer
+				ck := &runCheckpoint{InAs: []int{1}, LayerA: [][]byte{{0}}, LayerB: [][]byte{{0}}, Epoch: e}
+				if err := writeCheckpoint(&buf, ck); err != nil {
+					t.Fatal(err)
+				}
+				if err := WriteFileAtomic(filepath.Join(dir, fmt.Sprintf("ckpt-%05d", e)), buf.Bytes()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, stray := range []string{"ckpt-latest", "ckpt-", "ckpt--1", ".ckpt-99999999-1.tmp"} {
+				if err := os.WriteFile(filepath.Join(dir, stray), []byte("not a checkpoint"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ck, err := latestRunCheckpoint(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.Epoch != tc.want {
+				t.Fatalf("scan over epochs %v picked epoch %d, want %d", tc.epochs, ck.Epoch, tc.want)
+			}
+		})
+	}
+}
+
+// TestWriteFileAtomic: the publish step replaces a file whole and leaves no
+// temp file behind; a write that cannot happen leaves nothing at all.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.ck")
+	for _, content := range []string{"first, longer version", "second"} {
+		if err := WriteFileAtomic(path, []byte(content)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != content {
+			t.Fatalf("read back %q, %v; want %q", got, err, content)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after two publishes, want 1", len(entries))
+	}
+	if err := WriteFileAtomic(filepath.Join(dir, "missing", "model.ck"), []byte("x")); err == nil {
+		t.Fatal("publish into a missing directory succeeded")
 	}
 }
 

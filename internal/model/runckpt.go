@@ -2,77 +2,52 @@ package model
 
 import (
 	"bytes"
-	"encoding/gob"
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
 	"blindfl/internal/data"
 	"blindfl/internal/protocol"
-	"blindfl/internal/tensor"
 )
 
-// Run checkpoints: durable mid-training snapshots a crashed run resumes
-// from, bit-exactly. A run checkpoint extends the serve-checkpoint bundle
-// with the training-only state — the completed-epoch counter, the loss
-// history prefix, the head optimizer's momentum buffers, and the engine
-// options fingerprint (a resume under a different engine configuration is
-// refused up front). The encrypted weight-piece copies inside the layer
-// gobs are stale after a restart — Paillier keys are per-process — so
-// Resume re-runs the initialization exchange from the restored plaintext
-// pieces (core ResumeExchange); fresh encryption randomness does not change
-// the decrypted values, and the mask streams are re-derived per epoch
-// (protocol.Peer.SeedEpoch), so the resumed trajectory is the uninterrupted
-// run's, bit for bit.
-
-// runCheckpoint is the gob root of a run checkpoint file. Nothing in it says
-// how the label party was sharded when it was written: the layer halves are
-// stored per *session*, and every per-session stream is a pure function of
-// the global session index, so a checkpoint resumes onto any shard count
-// (including unsharded) bit-exactly.
-type runCheckpoint struct {
-	Kind        Kind
-	Classes     int
-	Hyper       Hyper
-	InAs        []int
-	InB         int
-	Epoch       int       // completed epochs at capture time
-	Losses      []float64 // per-iteration loss prefix through Epoch
-	LayerA      [][]byte  // feature party i's MatMulA half (core gob)
-	LayerB      [][]byte  // label party's session-i MatMulB half (core gob)
-	Head        []*tensor.Dense
-	HeadMom     []*tensor.Dense // head optimizer momentum, params() order
-	Fingerprint uint64          // engine.Options.Fingerprint() of the run
-}
+// Run checkpoints: durable mid-training snapshots a crashed run resumes from
+// bit-exactly. Resume redoes the weight exchange from the restored plaintext
+// pieces (core ResumeExchange) — fresh encryption randomness does not change
+// the decrypted values — and the mask streams are re-derived per epoch
+// (protocol.Peer.SeedEpoch).
 
 // runCkpt collects the per-party deposits for each checkpointed epoch and
-// writes the assembled file once all k+1 arrive. Which epochs deposit is the
-// schedule's decision (schedule.each), made identically by every party. The
-// training closures run concurrently (one goroutine per party), so the
-// collector locks. Write errors are recorded and surfaced once by finish — a
-// failing checkpoint disk should not tear down an otherwise healthy training
-// run mid-epoch.
+// publishes the assembled checkpoint once all k+1 arrive: a mid-run epoch's
+// to CheckpointDir at once, the last epoch's to Trainer.Checkpoint once the
+// run has succeeded (finish). Which epochs deposit is the schedule's decision
+// (schedule.each), made identically by every party. The training closures
+// run concurrently (one goroutine per party), so the collector locks. Write
+// errors are recorded and surfaced once by finish — a failing checkpoint
+// disk should not tear down an otherwise healthy training run mid-epoch.
 type runCkpt struct {
 	t    Trainer
 	ds   *data.Dataset
 	inAs []int
 
-	mu   sync.Mutex
-	pend map[int]*runCheckpoint
-	n    map[int]int
-	err  error
+	mu    sync.Mutex
+	pend  map[int]*runCheckpoint
+	n     map[int]int
+	final *runCheckpoint // the last epoch's, awaiting finish
+	err   error
 }
 
-// newRunCkpt returns nil without a CheckpointDir; the schedule then never
+// newRunCkpt returns nil without a destination; the schedule then never
 // calls a deposit, and finish on nil reports no error.
 func newRunCkpt(t Trainer, ds *data.Dataset, inAs []int) *runCkpt {
-	if t.CheckpointDir == "" {
+	if t.CheckpointDir == "" && t.Checkpoint == nil {
 		return nil
 	}
 	return &runCkpt{t: t, ds: ds, inAs: inAs,
@@ -120,116 +95,91 @@ func (c *runCkpt) add(e int, err error, fill func(*runCheckpoint)) {
 	}
 	fill(ck)
 	c.n[e]++
-	if c.n[e] == len(c.inAs)+1 {
-		delete(c.pend, e)
-		delete(c.n, e)
-		if err := c.writeFile(ck); err != nil && c.err == nil {
-			c.err = err
-		}
+	if c.n[e] < len(c.inAs)+1 {
+		return
+	}
+	delete(c.pend, e)
+	delete(c.n, e)
+	if ck.Epoch == c.t.Hyper.Epochs {
+		c.final = ck
+	} else if err := c.writeFile(ck); err != nil && c.err == nil {
+		c.err = err
 	}
 }
 
-// writeFile seals the checkpoint into CheckpointDir/ckpt-<epoch> through a
-// temp file and an atomic rename: a crash mid-write leaves at worst a
-// dot-prefixed temp file that the resume scan ignores, never a truncated
-// ckpt- file (and even one of those would fail the envelope check).
+// writeFile publishes the checkpoint as CheckpointDir/ckpt-<epoch>.
+// WriteFileAtomic's temp file is dot-prefixed, so the resume scan never sees
+// it, and a crash mid-write never leaves a truncated ckpt- file (even one of
+// those would fail the envelope check).
 func (c *runCkpt) writeFile(ck *runCheckpoint) error {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-		return fmt.Errorf("model: encode run checkpoint: %w", err)
-	}
-	f, err := os.CreateTemp(c.t.CheckpointDir, ".ckpt-*.tmp")
-	if err != nil {
-		return fmt.Errorf("model: write run checkpoint: %w", err)
-	}
-	cleanup := func(err error) error {
-		f.Close()
-		os.Remove(f.Name())
+	if err := writeCheckpoint(&buf, ck); err != nil {
 		return err
 	}
-	if err := sealEnvelope(f, buf.Bytes()); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(fmt.Errorf("model: sync run checkpoint: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("model: close run checkpoint: %w", err)
-	}
-	final := filepath.Join(c.t.CheckpointDir, fmt.Sprintf("ckpt-%05d", ck.Epoch))
-	if err := os.Rename(f.Name(), final); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("model: publish run checkpoint: %w", err)
-	}
-	return nil
+	return WriteFileAtomic(filepath.Join(c.t.CheckpointDir, fmt.Sprintf("ckpt-%05d", ck.Epoch)), buf.Bytes())
 }
 
-// finish surfaces the first recorded deposit/write error after the run.
+// finish surfaces the first recorded deposit/write error after the run, then
+// writes the last epoch's checkpoint to Trainer.Checkpoint when one is set.
 func (c *runCkpt) finish() error {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.err
+	if c.err != nil || c.t.Checkpoint == nil {
+		return c.err
+	}
+	if c.final == nil {
+		return fmt.Errorf("model: no completed epoch to checkpoint")
+	}
+	return writeCheckpoint(c.t.Checkpoint, c.final)
 }
 
-// latestRunCheckpoint scans dir for the newest usable run checkpoint.
-// Files failing the envelope or shape checks (a crash can leave the newest
-// file unreadable only if the filesystem lied about the rename, but a disk
-// can rot any of them) are skipped in favor of the next-oldest; only when
-// no file is usable does the scan fail, with the last typed error.
+// ckptEpoch parses a published checkpoint name, ckpt-<epoch>; ok is false for
+// any other name.
+func ckptEpoch(name string) (epoch int, ok bool) {
+	digits, found := strings.CutPrefix(name, "ckpt-")
+	epoch, err := strconv.Atoi(digits)
+	return epoch, found && err == nil && epoch >= 0
+}
+
+// latestRunCheckpoint scans dir for the newest usable checkpoint, newest by
+// the epoch in its name (not by the name's bytes: ckpt-99999 sorts after
+// ckpt-100000). Files failing the envelope or shape checks (a crash can leave
+// the newest file unreadable only if the filesystem lied about the rename,
+// but a disk can rot any of them) are skipped in favor of the next-oldest;
+// only when no file is usable does the scan fail, with the last typed error.
 func latestRunCheckpoint(dir string) (*runCheckpoint, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("model: scan checkpoint dir: %w", err)
 	}
-	var names []string
+	epochs := make(map[string]int)
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasPrefix(e.Name(), "ckpt-") {
-			names = append(names, e.Name())
+		if epoch, ok := ckptEpoch(e.Name()); ok && !e.IsDir() {
+			epochs[e.Name()] = epoch
 		}
 	}
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
+	newestFirst := slices.SortedFunc(maps.Keys(epochs), func(a, b string) int { return cmp.Compare(epochs[b], epochs[a]) })
 	var lastErr error
-	for _, name := range names {
-		ck, err := readRunCheckpoint(filepath.Join(dir, name))
+	for _, name := range newestFirst {
+		path := filepath.Join(dir, name)
+		f, err := os.Open(path)
 		if err != nil {
-			if errors.Is(err, ErrBadCheckpoint) {
-				lastErr = err
-				continue
-			}
-			return nil, err
+			return nil, fmt.Errorf("model: open run checkpoint: %w", err)
 		}
-		return ck, nil
+		ck, err := readCheckpoint(f)
+		f.Close()
+		if err == nil {
+			return ck, nil
+		}
+		lastErr = fmt.Errorf("%s: %w", path, err) // every readCheckpoint error is an ErrBadCheckpoint
 	}
 	if lastErr != nil {
 		return nil, fmt.Errorf("model: no usable run checkpoint in %s (last: %w)", dir, lastErr)
 	}
 	return nil, fmt.Errorf("model: no run checkpoint in %s", dir)
-}
-
-func readRunCheckpoint(path string) (*runCheckpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("model: open run checkpoint: %w", err)
-	}
-	defer f.Close()
-	payload, err := openEnvelope(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	var ck runCheckpoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("%s: %w: decode: %v", path, ErrBadCheckpoint, err)
-	}
-	k := len(ck.InAs)
-	if k == 0 || len(ck.LayerA) != k || len(ck.LayerB) != k || ck.Epoch < 1 {
-		return nil, fmt.Errorf("%s: %w: malformed (%d parties, %d A layers, %d B layers, epoch %d)",
-			path, ErrBadCheckpoint, k, len(ck.LayerA), len(ck.LayerB), ck.Epoch)
-	}
-	return &ck, nil
 }
 
 // Resume restores the newest usable run checkpoint from CheckpointDir onto

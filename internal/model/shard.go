@@ -54,10 +54,10 @@ type shardSetup struct {
 	TrainB  data.Part
 	TestB   data.Part
 
-	StartEpoch   int  // completed epochs to replay through (resume)
-	CkptEvery    int  // run-checkpoint stride (schedule.ckptEvery); 0: none
-	ServeCapture bool // workers send final layer blobs for the serve checkpoint
-	ServeEval    bool // evaluation runs the exact-integer serve path
+	StartEpoch int  // completed epochs to replay through (resume)
+	CkptEvery  int  // run-checkpoint stride (schedule.ckptEvery); 0: none
+	CkptFinal  bool // the final epoch deposits too (schedule.ckptFinal)
+	ServeEval  bool // evaluation runs the exact-integer serve path
 
 	LayerB [][]byte // resume only: every session's B half to restore
 }
@@ -75,7 +75,7 @@ func (su *shardSetup) fingerprint(plan protocol.ShardPlan) uint64 {
 	fmt.Fprintf(f, "%s|%d|%+v|%v|%d|%d/%d|%d|%d|%v|%v|%v|%016x",
 		su.Kind, su.Classes, su.Hyper, su.InAs, su.InB,
 		plan.Sessions, plan.Shards, su.StartEpoch, su.CkptEvery,
-		su.ServeCapture, su.ServeEval, su.LayerB != nil,
+		su.CkptFinal, su.ServeEval, su.LayerB != nil,
 		su.Hyper.Options.Fingerprint())
 	return f.Sum64()
 }
@@ -169,10 +169,10 @@ func (t Trainer) trainShards(ds *data.Dataset, ss ShardSet, ck *runCheckpoint) (
 		Kind: t.Kind, Classes: ds.Spec.Classes, Hyper: h,
 		InAs: pl.inAs, InB: ds.TrainB.NumCols(),
 		TrainB: ds.TrainB, TestB: ds.TestB,
-		StartEpoch:   pl.sched.start,
-		CkptEvery:    pl.sched.ckptEvery,
-		ServeCapture: t.Checkpoint != nil,
-		ServeEval:    Serveable(t.Kind, ds),
+		StartEpoch: pl.sched.start,
+		CkptEvery:  pl.sched.ckptEvery,
+		CkptFinal:  pl.sched.ckptFinal,
+		ServeEval:  Serveable(t.Kind, ds),
 	}
 	if ck != nil {
 		su.LayerB = ck.LayerB

@@ -122,22 +122,21 @@ func shardWorkerLoop(link *protocol.ShardLink, g *protocol.Group, su *shardSetup
 		}
 	}
 	md := openGroupLayer(g, subs, cfg, inAs, su.InB, su.TrainB.Sparse != nil)
-	// sendLayers ships the slice's halves in shard-local session order (the
-	// root re-slots them by plan range).
-	sendLayers := func(epoch int) {
-		blobs, err := saveLayersB(md)
-		if err != nil {
-			g.Peers[0].Fail("shard %d: layer halves for epoch %d: %w", shard, epoch, err)
-		}
-		link.SendLayers(epoch, blobs)
-	}
 
-	schedule{h: h, rows: su.TrainB.Rows(), start: su.StartEpoch, ckptEvery: su.CkptEvery}.each(g.SeedEpoch,
+	schedule{h: h, rows: su.TrainB.Rows(), start: su.StartEpoch, ckptEvery: su.CkptEvery, ckptFinal: su.CkptFinal}.each(g.SeedEpoch,
 		func(idx []int) {
 			link.SendParts(md.ForwardParts(numeric(su.TrainB.Batch(idx))))
 			md.Backward(link.RecvGrad())
 		},
-		sendLayers)
+		// A checkpoint epoch ships the slice's halves in shard-local session
+		// order (the root re-slots them by plan range).
+		func(e int) {
+			blobs, err := saveLayersB(md)
+			if err != nil {
+				g.Peers[0].Fail("shard %d: layer halves for epoch %d: %w", shard, e, err)
+			}
+			link.SendLayers(e, blobs)
+		})
 
 	if su.ServeEval {
 		md.ServeStart()
@@ -148,9 +147,6 @@ func shardWorkerLoop(link *protocol.ShardLink, g *protocol.Group, su *shardSetup
 		} else {
 			link.SendParts(md.ForwardParts(numeric(p)))
 		}
-	}
-	if su.ServeCapture {
-		sendLayers(-1)
 	}
 	return nil
 }

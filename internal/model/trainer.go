@@ -23,10 +23,9 @@ type Trainer struct {
 	Kind  Kind
 	Hyper Hyper
 
-	// Checkpoint, when set, receives the trained model in the serve
-	// checkpoint format (every party's dense source-layer half plus the
-	// label party's head) after a successful run — the file blindfl-serve
-	// loads through NewPredictor. Serveable families only. A real
+	// Checkpoint, when set, receives the checkpoint of the final epoch after
+	// a successful run — CheckpointDir's format, and the stream blindfl-serve
+	// restores through NewPredictor. Serveable families only. A real
 	// deployment would have each party persist its own half; the combined
 	// stream matches the single-binary simulation runtime, and still
 	// contains no more than the parties' processes jointly held.
@@ -40,7 +39,8 @@ type Trainer struct {
 	// temp file and an atomic rename, so a crash mid-write never leaves a
 	// half-written file a later Resume could trip over. Resume restores the
 	// newest usable checkpoint onto fresh sessions and continues the run
-	// bit-exactly. Serveable families only, like Checkpoint.
+	// bit-exactly. The final epoch is Checkpoint's, not the directory's.
+	// Serveable families only, like Checkpoint.
 	CheckpointDir string
 
 	// CheckpointEvery is the epoch stride between run checkpoints; values
@@ -149,6 +149,7 @@ func (t Trainer) plan(ds *data.Dataset, k int, ck *runCheckpoint, sharded bool) 
 	if t.CheckpointDir != "" {
 		pl.sched.ckptEvery = max(1, t.CheckpointEvery)
 	}
+	pl.sched.ckptFinal = t.Checkpoint != nil
 	if ck != nil {
 		if err := t.resumeCompat(ck, ds, pl.inAs); err != nil {
 			return nil, err
@@ -166,18 +167,21 @@ func (t Trainer) plan(ds *data.Dataset, k int, ck *runCheckpoint, sharded bool) 
 // discipline): there is one copy of it, here.
 type schedule struct {
 	h         Hyper
-	rows      int // training instances
-	start     int // completed epochs to replay through (nonzero on resume)
-	ckptEvery int // run-checkpoint stride in epochs; 0: no run checkpoints
+	rows      int  // training instances
+	start     int  // completed epochs to replay through (nonzero on resume)
+	ckptEvery int  // run-checkpoint stride in epochs; 0: no run checkpoints
+	ckptFinal bool // the final epoch deposits too (Trainer.Checkpoint is set)
 }
 
 // each iterates the plan. The batch-order stream is advanced through the
 // start completed epochs, so the remaining ones see exactly the permutations
 // the uninterrupted run would have; seedEpoch (the party's mask-stream
 // re-derivation, nil for none) fires at every epoch boundary, step for every
-// mini-batch, and ckpt after each epoch that deposits a run checkpoint —
-// every ckptEvery epochs, excluding the final one (the run's end state is
-// the serve checkpoint's job; a run checkpoint there could never be resumed).
+// mini-batch, and ckpt after each epoch that deposits a checkpoint: every
+// ckptEvery-th epoch before the last (for CheckpointDir), and the last one
+// when ckptFinal is set (for Trainer.Checkpoint). Every party — feature
+// parties, the label party or shard root, and every shard worker — makes the
+// same decision, so the deposits of one epoch always assemble.
 func (s schedule) each(seedEpoch func(e int), step func(idx []int), ckpt func(e int)) {
 	order := rng.New(s.h.Seed, "batch-order")
 	for e := 0; e < s.h.Epochs; e++ {
@@ -192,7 +196,8 @@ func (s schedule) each(seedEpoch func(e int), step func(idx []int), ckpt func(e 
 		for lo := 0; lo < len(perm); lo += s.h.Batch {
 			step(perm[lo:min(lo+s.h.Batch, len(perm))])
 		}
-		if s.ckptEvery > 0 && (e+1)%s.ckptEvery == 0 && e+1 < s.h.Epochs {
+		last := e+1 == s.h.Epochs
+		if last && s.ckptFinal || !last && s.ckptEvery > 0 && (e+1)%s.ckptEvery == 0 {
 			ckpt(e)
 		}
 	}
@@ -296,7 +301,6 @@ func (t Trainer) run(pl *runPlan, as []*protocol.Peer, lb labelSide) (*History, 
 	}
 	hist := &History{MetricName: metricName(ds.Spec.Classes), Losses: st.losses}
 
-	cc := newCkCapture(t, ds, pl.inAs)
 	rc := newRunCkpt(t, ds, pl.inAs)
 	err = lb.run(as,
 		func(i int) {
@@ -311,7 +315,6 @@ func (t Trainer) run(pl *runPlan, as []*protocol.Peer, lb labelSide) (*History, 
 				func(idx []int) { ma.StepA(pl.trainAs[i].Batch(idx)) },
 				func(e int) { rc.depositA(e, i, ma) })
 			evalA(ma, kind, ds, pl.testAs[i], h.Batch)
-			cc.captureA(i, ma)
 		},
 		func() {
 			mb := newFedB(kind, ds, h, lb.open(pl, coreCfg(kind, ds.Spec.Classes, h)), lb.embPeer(), st.head, st.opt)
@@ -321,24 +324,20 @@ func (t Trainer) run(pl *runPlan, as []*protocol.Peer, lb labelSide) (*History, 
 				},
 				func(e int) { rc.depositB(e, mb, hist.Losses) })
 			hist.TestLogits = evalB(mb, ds, h)
-			cc.captureB(mb)
 		})
 	if err != nil {
 		return nil, err
 	}
-	if err := rc.finish(); err != nil {
-		return nil, err
-	}
 	if lost := lb.lost(); lost != nil {
 		hist.LostSessions = lost
-		// A lost session's layer half was never captured; a checkpoint with a
+		// A lost session's layer half was never deposited; a checkpoint with a
 		// hole would load as garbage, so a lossy run refuses to write one.
 		if t.Checkpoint != nil {
 			return nil, fmt.Errorf("model: %w: sessions lost mid-run (%v), refusing to write a partial checkpoint",
 				protocol.ErrSessionLost, lost)
 		}
 	}
-	if err := cc.write(t.Checkpoint); err != nil {
+	if err := rc.finish(); err != nil {
 		return nil, err
 	}
 	finishHistory(hist, ds)

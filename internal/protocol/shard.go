@@ -228,7 +228,7 @@ func (l *ShardLink) RecvShare() *hetensor.BigMatrix {
 }
 
 // SendLayers ships the worker's serialized per-session layer halves for a
-// checkpoint boundary (epoch < 0 marks the final serve checkpoint).
+// checkpoint boundary.
 func (l *ShardLink) SendLayers(epoch int, blobs [][]byte) {
 	l.Send(&transport.ShardLayers{Epoch: epoch, Blobs: blobs})
 }

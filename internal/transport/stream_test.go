@@ -299,6 +299,56 @@ func TestStreamConnSenderPoisonedAfterFailedResend(t *testing.T) {
 	}
 }
 
+// TestStreamConnRejectsHostileNack: an ack may name only what an honest
+// receiver's gap scan can — at most maxNack chunk indices, strictly
+// increasing and in range. Any other list poisons the sender with ErrCorrupt
+// before a single chunk goes out again: a list of duplicates must not resend
+// one chunk over and over, and a bad index late in a list must not leave the
+// chunks before it resent.
+func TestStreamConnRejectsHostileNack(t *testing.T) {
+	const chunks = maxNack + 8
+	long := make([]int, maxNack+1)
+	for i := range long {
+		long[i] = i
+	}
+	for name, tc := range map[string]struct {
+		bad  []int
+		sent int64 // messages the sender puts on the wire; -1: poisoned
+	}{
+		"honest":            {[]int{1, 3, chunks - 1}, 4},
+		"honest, full list": {long[:maxNack], maxNack + 1},
+		"duplicates":        {[]int{2, 2, 2, 2}, -1},
+		"decreasing":        {[]int{5, 3}, -1},
+		"out of range late": {[]int{0, 1, chunks}, -1},
+		"negative":          {[]int{-1}, -1},
+		"too long":          {long, -1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a, b := Pair(2 * chunks)
+			defer b.Close()
+			sc := NewStreamConn(a)
+			sc.trackOutgoing(7, make([]any, chunks))
+			err := sc.handleAck((&StreamAck{Seq: 7, Bad: tc.bad}).seal())
+			sent, _ := sc.Stats()
+			if tc.sent >= 0 {
+				if err != nil || sent != tc.sent {
+					t.Fatalf("honest NACK: err = %v, %d messages sent, want nil and %d", err, sent, tc.sent)
+				}
+				return
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+			if sent != 0 {
+				t.Fatalf("a refused NACK still resent %d messages", sent)
+			}
+			if err := sc.Send(1); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Send after a refused NACK = %v, want the sticky ErrCorrupt", err)
+			}
+		})
+	}
+}
+
 // TestStreamConnFlush: a sender that has nothing left to receive waits out
 // its last stream's ack in Flush. A NACK is serviced there; a message that
 // raced ahead of the ack is kept for the next Recv; a resend that fails again

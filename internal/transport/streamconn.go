@@ -141,6 +141,8 @@ func (s *StreamConn) trackOutgoing(seq uint64, chunks []any) {
 // handleAck processes a receiver's stream ack: clean acks release the
 // retained payloads; NACKs trigger exactly one retransmission of the named
 // chunks; a NACK after the retransmission poisons the conn with ErrCorrupt.
+// So does a NACK list no honest receiver sends (see vetNack), before any
+// chunk of it is resent.
 func (s *StreamConn) handleAck(ack *StreamAck) error {
 	if ack.Sum != ack.sum() {
 		// A corrupted ack cannot be attributed to a stream: acting on it
@@ -156,6 +158,11 @@ func (s *StreamConn) handleAck(ack *StreamAck) error {
 		delete(s.out, ack.Seq)
 		return nil
 	}
+	if err := vetNack(ack.Bad, len(o.chunks)); err != nil {
+		delete(s.out, ack.Seq)
+		s.err = fmt.Errorf("%w: stream %d ack: %v", ErrCorrupt, ack.Seq, err)
+		return s.err
+	}
 	if o.resent {
 		delete(s.out, ack.Seq)
 		s.err = fmt.Errorf("%w: stream %d chunks %v rejected after retransmission", ErrCorrupt, ack.Seq, ack.Bad)
@@ -163,17 +170,32 @@ func (s *StreamConn) handleAck(ack *StreamAck) error {
 	}
 	o.resent = true
 	for _, idx := range ack.Bad {
-		if idx < 0 || idx >= len(o.chunks) {
-			delete(s.out, ack.Seq)
-			s.err = fmt.Errorf("%w: stream %d ack names chunk %d of %d", ErrCorrupt, ack.Seq, idx, len(o.chunks))
-			return s.err
-		}
 		v := o.chunks[idx]
 		if err := s.inner.Send(&StreamChunk{Seq: ack.Seq, Index: idx, V: v, Sum: Checksum(v)}); err != nil {
 			return err
 		}
 	}
 	return s.inner.Send(&StreamEnd{Seq: ack.Seq})
+}
+
+// vetNack checks a NACK list against what an honest receiver's gap scan
+// (recvStreamRecover's missing) can produce: at most maxNack indices,
+// strictly increasing, each naming one of the stream's chunks. Anything else
+// would have the sender resend one chunk without bound, or part of a list
+// before finding it bad.
+func vetNack(bad []int, chunks int) error {
+	if len(bad) > maxNack {
+		return fmt.Errorf("names %d chunks, more than %d", len(bad), maxNack)
+	}
+	for i, idx := range bad {
+		if idx < 0 || idx >= chunks {
+			return fmt.Errorf("names chunk %d of %d", idx, chunks)
+		}
+		if i > 0 && idx <= bad[i-1] {
+			return fmt.Errorf("names chunk %d after chunk %d", idx, bad[i-1])
+		}
+	}
+	return nil
 }
 
 func (s *StreamConn) Stats() (int64, int64) { return s.inner.Stats() }
