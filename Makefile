@@ -22,10 +22,13 @@ test:
 # multiplier's minimizer capped, as in test-chaos: its inputs are whole
 # operands and shrinking one would eat the run), and their allocation guards —
 # without -race, under which sync.Pool drops items at random and the guards
-# skip themselves.
+# skip themselves. So do the hetensor kernels built on them: FuzzKernels runs
+# every kernel on random shapes, lane formats and signed values, the engine
+# path against the textbook one and the plaintext, for ten seconds.
 test-cpu:
 	$(GO) test -short -race -timeout 10m -cpu 1,4 ./internal/paillier/ ./internal/hetensor/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzDotSigned$$' -fuzztime=10s ./internal/paillier/
+	$(GO) test -race -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime=10s ./internal/hetensor/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzSqMod$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/paillier/
 	$(GO) test -run '^Test(Dot|SqMod)AllocsConstant$$' -cpu 1,4 ./internal/paillier/
 

@@ -83,13 +83,13 @@ func AblationCipherCache(quick bool) *Table {
 	// Cached: the forward is one plain·cipher matmul.
 	enc := hetensor.Encrypt(pk, v, 1)
 	start := time.Now()
-	hetensor.MulPlainLeft(x, enc)
+	hetensor.MulLeft(x, enc)
 	cached := time.Since(start).Seconds()
 
 	// Naive: re-encrypt V, then multiply.
 	start = time.Now()
 	enc2 := hetensor.Encrypt(pk, v, 1)
-	hetensor.MulPlainLeft(x, enc2)
+	hetensor.MulLeft(x, enc2)
 	naive := time.Since(start).Seconds()
 
 	t := &Table{
@@ -119,14 +119,14 @@ func AblationSparseCipherMatMul(quick bool) *Table {
 	}
 	dense := tensor.RandDense(rng, batch, dim, 1)
 	start := time.Now()
-	hetensor.MulPlainLeft(dense, enc)
+	hetensor.MulLeft(dense, enc)
 	denseSec := time.Since(start).Seconds()
 	t.Add(fmt.Sprintf("%d", dim), "0%", fmt.Sprintf("%.3f", denseSec), "1.0×")
 
 	for _, nnz := range []int{64, 16, 4} {
 		x := tensor.RandCSR(rng, batch, dim, nnz)
 		start := time.Now()
-		hetensor.MulPlainLeftCSR(x, enc)
+		hetensor.MulLeftCSR(x, enc)
 		sec := time.Since(start).Seconds()
 		t.Add(fmt.Sprintf("%d", nnz), fmt.Sprintf("%.1f%%", x.Sparsity()*100),
 			fmt.Sprintf("%.3f", sec), fmt.Sprintf("%.1f×", denseSec/sec))

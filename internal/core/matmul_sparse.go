@@ -110,8 +110,8 @@ func (rc *rowCache) drop(idx []int) {
 }
 
 // gather assembles the compact len(touched)×cols matrix whose row i is the
-// cached row touched[i] — the operand for a batch renumbered by compactCols,
-// sized by the batch and not by the feature space.
+// cached row touched[i] — the operand for a batch renumbered by
+// tensor.CSR.CompactCols, sized by the batch and not by the feature space.
 func (rc *rowCache) gather(touched []int) *hetensor.CipherMatrix {
 	m := &hetensor.CipherMatrix{Rows: len(touched), Cols: rc.cols, Scale: 1, PK: rc.pk,
 		C: make([]*paillier.Ciphertext, 0, len(touched)*rc.cols)}
@@ -135,26 +135,11 @@ func touchedCols(x *tensor.CSR) []int {
 	return out
 }
 
-// compactCols renumbers x's columns by their position in touched (sorted, so
-// rows keep their column order): the batch as a matrix over its touched
-// coordinates only, sharing x's row pointers and values.
-func compactCols(x *tensor.CSR, touched []int) *tensor.CSR {
-	pos := make(map[int]int, len(touched))
-	for i, k := range touched {
-		pos[k] = i
-	}
-	idx := make([]int, len(x.ColIdx))
-	for t, k := range x.ColIdx {
-		idx[t] = pos[k]
-	}
-	return &tensor.CSR{Rows: x.Rows, Cols: len(touched), RowPtr: x.RowPtr, ColIdx: idx, Val: x.Val}
-}
-
-// he2ssSendFlat is HE2SSSend over v's cells packed as one row; the kept mask
-// comes back in v's shape.
-func he2ssSendFlat(p *protocol.Peer, v *hetensor.CipherMatrix) *tensor.Dense {
-	phi := p.HE2SSSend(hetensor.PackFlat(v))
-	phi.Rows, phi.Cols = v.Rows, v.Cols
+// he2ssSendFlat is HE2SSSend over v's cells (one value per ciphertext)
+// packed as one row; the kept mask comes back in v's shape.
+func he2ssSendFlat(p *protocol.Peer, v hetensor.Matrix) *tensor.Dense {
+	phi := p.HE2SSSend(hetensor.PackFlat(v.(*hetensor.CipherMatrix)))
+	phi.Rows, phi.Cols = v.Dims()
 	return phi
 }
 
@@ -208,7 +193,7 @@ func sparseForwardHalf(p *protocol.Peer, x *tensor.CSR, touched []int, u, serveP
 	peerMissing := p.RecvInts()
 	p.SendMatrix(hetensor.EncryptRows(&p.SK.PublicKey, servePiece, peerMissing, 1))
 	cache.fill(missing, recvCipher(p))
-	prod := hetensor.MulPlainLeftCSR(compactCols(x, touched), cache.gather(touched)) // ⟦x·V⟧, scale 2
+	prod := hetensor.MulLeftCSR(x.CompactCols(touched), cache.gather(touched)) // ⟦x·V⟧, scale 2
 	eps := he2ssSendFlat(p, prod)
 	other := he2ssRecvFlat(p, x.Rows, u.Cols)
 	z := x.MatMul(u)
@@ -242,7 +227,10 @@ func (l *SparseMatMulB) Forward(x *tensor.CSR) *tensor.Dense {
 func (l *SparseMatMulA) Backward() {
 	p := l.peer
 	defer p.Unchunked()()
-	encGradSub := hetensor.TransposeMulLeftCSRSubset(l.x, recvCipher(p), l.touched)
+	// ⟦∇W_A[touched]⟧: the transpose product over the batch renumbered to
+	// its touched columns, one row per touched coordinate.
+	encGradZ := recvCipher(p)
+	encGradSub := hetensor.TransposeMulCSRAcc(encGradZ.NewAcc(len(l.touched)), l.x.CompactCols(l.touched), 0, encGradZ)
 	p.Send(l.touched)
 	phi := he2ssSendFlat(p, encGradSub) // len(touched)×Out share
 

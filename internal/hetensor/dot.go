@@ -174,12 +174,10 @@ func denseColExps(x *tensor.Dense) ([][]paillier.SignedExp, int) {
 	return exps, maxBits
 }
 
-// dotCSRMul computes out[i] = Π over the stored non-zeros of x's row i for
-// each ciphertext group: the sparse engine path shared by the packed and
-// unpacked MulPlainLeftCSR. Rows with no non-zeros keep out's identity cells.
-func dotCSRMul(pk *paillier.PublicKey, x *tensor.CSR,
-	wRow func(int) []*paillier.Ciphertext, gpr int,
-	outRow func(int) []*paillier.Ciphertext) {
+// dotCSRMul sets out[i][g] to the product over the stored non-zeros of x's
+// row i of w[k][g]^x[i][k]: MulLeftCSR's engine path. Rows with no non-zeros
+// keep out's identity cells.
+func dotCSRMul(x *tensor.CSR, w, out grid) {
 	parallel.For(x.Rows, func(i int) {
 		cols, vals := x.RowNNZ(i)
 		if len(cols) == 0 {
@@ -187,50 +185,54 @@ func dotCSRMul(pk *paillier.PublicKey, x *tensor.CSR,
 		}
 		exps, _ := encodeSignedVec(vals)
 		bases := make([]*paillier.Ciphertext, len(cols))
-		orow := outRow(i)
-		for g := 0; g < gpr; g++ {
+		orow := out.row(i)
+		for g := range orow {
 			for t, k := range cols {
-				bases[t] = wRow(k)[g]
+				bases[t] = w.at(k, g)
 			}
-			orow[g] = pk.DotRow(bases, exps)
+			orow[g] = w.pk.DotRow(bases, exps)
 		}
 	})
 }
 
-// dotCSRTransposeAcc accumulates the sparse transpose product
-// acc[k] ·= Π_i g[i]^{x[lo+i][k]} per ciphertext group, bucketing non-zeros
-// by feature column so each output row is owned by one goroutine: the engine
-// path shared by the packed and unpacked TransposeMulLeftCSRAcc.
-func dotCSRTransposeAcc(pk *paillier.PublicKey, x *tensor.CSR, lo, gRows int,
-	gRow func(int) []*paillier.Ciphertext, gpr int,
-	accRow func(int) []*paillier.Ciphertext) {
-	type nz struct {
-		row int
-		val float64
-	}
-	buckets := make([][]nz, x.Cols)
-	for i := 0; i < gRows; i++ {
-		cols, vals := x.RowNNZ(lo + i)
-		for t, k := range cols {
-			buckets[k] = append(buckets[k], nz{i, vals[t]})
+// csrColumn is one feature column's non-zeros in a row range of a CSR
+// matrix: the rows (relative to the range) and their values, in row order.
+type csrColumn struct {
+	rows []int
+	vals []float64
+}
+
+// csrColumns buckets the non-zeros of x's rows [lo, lo+n) by feature column,
+// so that each row of a transpose product is owned by one goroutine.
+func csrColumns(x *tensor.CSR, lo, n int) []csrColumn {
+	cols := make([]csrColumn, x.Cols)
+	for i := 0; i < n; i++ {
+		ks, vals := x.RowNNZ(lo + i)
+		for t, k := range ks {
+			cols[k].rows = append(cols[k].rows, i)
+			cols[k].vals = append(cols[k].vals, vals[t])
 		}
 	}
-	parallel.For(x.Cols, func(k int) {
-		if len(buckets[k]) == 0 {
+	return cols
+}
+
+// dotCSRTransposeAcc accumulates acc[k][g] ·= Π_i g[i][g]^x[i][k] over the
+// bucketed non-zeros of each feature column k: TransposeMulCSRAcc's engine
+// path.
+func dotCSRTransposeAcc(cols []csrColumn, g, acc grid) {
+	parallel.For(len(cols), func(k int) {
+		col := cols[k]
+		if len(col.rows) == 0 {
 			return
 		}
-		vals := make([]float64, len(buckets[k]))
-		for t, e := range buckets[k] {
-			vals[t] = e.val
-		}
-		exps, _ := encodeSignedVec(vals)
-		bases := make([]*paillier.Ciphertext, len(buckets[k]))
-		orow := accRow(k)
-		for g := 0; g < gpr; g++ {
-			for t, e := range buckets[k] {
-				bases[t] = gRow(e.row)[g]
+		exps, _ := encodeSignedVec(col.vals)
+		bases := make([]*paillier.Ciphertext, len(col.rows))
+		orow := acc.row(k)
+		for j := range orow {
+			for t, i := range col.rows {
+				bases[t] = g.at(i, j)
 			}
-			orow[g] = pk.AddCipher(orow[g], pk.DotRow(bases, exps))
+			orow[j] = g.pk.AddCipher(orow[j], g.pk.DotRow(bases, exps))
 		}
 	})
 }

@@ -103,10 +103,11 @@ func TestEngineTransposeMulLeftCSR(t *testing.T) {
 	x := tensor.RandCSR(rng, 6, 8, 2)
 	g := mixedDense(rng, 6, 3)
 	encG := Encrypt(&testKey.PublicKey, g, 1)
-	got := Decrypt(testKey, TransposeMulLeftCSR(x, encG))
+	run := func() *tensor.Dense { return TransposeMulCSRAcc(encG.NewAcc(x.Cols), x, 0, encG).Decrypt(testKey) }
+	got := run()
 	var want *tensor.Dense
-	withTextbook(func() { want = Decrypt(testKey, TransposeMulLeftCSR(x, encG)) })
-	requireIdentical(t, "TransposeMulLeftCSR", got, want)
+	withTextbook(func() { want = run() })
+	requireIdentical(t, "TransposeMulCSRAcc", got, want)
 }
 
 func TestEngineMulPlainRightTranspose(t *testing.T) {
@@ -118,18 +119,6 @@ func TestEngineMulPlainRightTranspose(t *testing.T) {
 	var want *tensor.Dense
 	withTextbook(func() { want = Decrypt(testKey, MulPlainRightTranspose(encG, w)) })
 	requireIdentical(t, "MulPlainRightTranspose", got, want)
-}
-
-func TestEngineScaleUp(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	v := mixedDense(rng, 3, 3)
-	enc := Encrypt(&testKey.PublicKey, v, 1)
-	for _, s := range []float64{2.5, -1.75, 0} {
-		got := Decrypt(testKey, enc.ScaleUp(s))
-		var want *tensor.Dense
-		withTextbook(func() { want = Decrypt(testKey, enc.ScaleUp(s)) })
-		requireIdentical(t, "ScaleUp", got, want)
-	}
 }
 
 func TestEnginePackedOps(t *testing.T) {
@@ -145,9 +134,9 @@ func TestEnginePackedOps(t *testing.T) {
 	requireIdentical(t, "MulPlainLeftPacked", got, want)
 
 	xs := tensor.RandCSR(rng, 5, 6, 2)
-	got = DecryptPacked(testKey, MulPlainLeftCSRPacked(xs, packW))
-	withTextbook(func() { want = DecryptPacked(testKey, MulPlainLeftCSRPacked(xs, packW)) })
-	requireIdentical(t, "MulPlainLeftCSRPacked", got, want)
+	got = MulLeftCSR(xs, packW).Decrypt(testKey)
+	withTextbook(func() { want = MulLeftCSR(xs, packW).Decrypt(testKey) })
+	requireIdentical(t, "packed MulLeftCSR", got, want)
 
 	g := mixedDense(rng, 5, 4)
 	packG := PackEncrypt(pk, g, 1)
@@ -157,12 +146,15 @@ func TestEnginePackedOps(t *testing.T) {
 	requireIdentical(t, "TransposeMulLeftPacked", got, want)
 
 	xts := tensor.RandCSR(rng, 5, 7, 2)
-	got = DecryptPacked(testKey, TransposeMulLeftCSRPacked(xts, packG))
-	withTextbook(func() { want = DecryptPacked(testKey, TransposeMulLeftCSRPacked(xts, packG)) })
-	requireIdentical(t, "TransposeMulLeftCSRPacked", got, want)
+	csrT := func() *tensor.Dense {
+		return TransposeMulCSRAcc(packG.NewAcc(xts.Cols), xts, 0, packG).Decrypt(testKey)
+	}
+	got = csrT()
+	withTextbook(func() { want = csrT() })
+	requireIdentical(t, "packed TransposeMulCSRAcc", got, want)
 }
 
-// TestEngineAccumulates checks the Acc variants against a pre-loaded
+// TestEngineAccumulates checks TransposeMulAcc against a pre-loaded
 // accumulator: engine results must fold into existing partial sums exactly
 // like the textbook path (the streamed backward-pass pattern).
 func TestEngineAccumulates(t *testing.T) {
@@ -173,14 +165,14 @@ func TestEngineAccumulates(t *testing.T) {
 
 	run := func() *tensor.Dense {
 		acc := NewCipherMatrix(&testKey.PublicKey, x.Cols, g.Cols, 2)
-		TransposeMulLeftAcc(acc, x, encG) // chunk 1
-		TransposeMulLeftAcc(acc, x, encG) // chunk 2: same product again
+		TransposeMulAcc(acc, x, encG) // chunk 1
+		TransposeMulAcc(acc, x, encG) // chunk 2: same product again
 		return Decrypt(testKey, acc)
 	}
 	got := run()
 	var want *tensor.Dense
 	withTextbook(func() { want = run() })
-	requireIdentical(t, "TransposeMulLeftAcc×2", got, want)
+	requireIdentical(t, "TransposeMulAcc×2", got, want)
 }
 
 func BenchmarkMulPlainLeftTextbook(b *testing.B) {

@@ -34,9 +34,9 @@ func TestAddCipher(t *testing.T) {
 	b := tensor.RandDense(rng, 3, 3, 10)
 	ca := Encrypt(&testKey.PublicKey, a, 1)
 	cb := Encrypt(&testKey.PublicKey, b, 1)
-	got := Decrypt(testKey, ca.AddCipher(cb))
+	got := Add(ca, cb).Decrypt(testKey)
 	if !got.Equal(a.Add(b), 1e-6) {
-		t.Fatal("AddCipher mismatch")
+		t.Fatal("Add mismatch")
 	}
 }
 
@@ -118,10 +118,10 @@ func TestTransposeMulLeftCSRMatchesDense(t *testing.T) {
 	xs := tensor.RandCSR(rng, 6, 15, 2)
 	g := tensor.RandDense(rng, 6, 3, 3)
 	cg := Encrypt(&testKey.PublicKey, g, 1)
-	got := Decrypt(testKey, TransposeMulLeftCSR(xs, cg))
+	got := TransposeMulCSRAcc(cg.NewAcc(xs.Cols), xs, 0, cg).Decrypt(testKey)
 	want := xs.ToDense().Transpose().MatMul(g)
 	if !got.Equal(want, 1e-5) {
-		t.Fatal("TransposeMulLeftCSR mismatch")
+		t.Fatal("TransposeMulCSRAcc mismatch")
 	}
 }
 
@@ -136,18 +136,6 @@ func TestMulPlainRightTranspose(t *testing.T) {
 	}
 }
 
-func TestScaleUp(t *testing.T) {
-	a := tensor.FromSlice(1, 2, []float64{2, -3})
-	ca := Encrypt(&testKey.PublicKey, a, 1)
-	up := ca.ScaleUp(0.5)
-	if up.Scale != 2 {
-		t.Fatalf("scale = %d", up.Scale)
-	}
-	if got := Decrypt(testKey, up); !got.Equal(tensor.FromSlice(1, 2, []float64{1, -1.5}), 1e-6) {
-		t.Fatalf("ScaleUp values = %v", got.Data)
-	}
-}
-
 func TestEncryptedLookup(t *testing.T) {
 	rng := mrandNew(9)
 	q := tensor.RandDense(rng, 5, 3, 2)
@@ -156,7 +144,7 @@ func TestEncryptedLookup(t *testing.T) {
 		x.Data[i] = rng.Intn(5)
 	}
 	cq := Encrypt(&testKey.PublicKey, q, 1)
-	got := Decrypt(testKey, Lookup(cq, x))
+	got := LookupRows(cq, x).Decrypt(testKey)
 	if !got.Equal(tensor.Lookup(q, x), 1e-6) {
 		t.Fatal("encrypted Lookup mismatch")
 	}
@@ -186,7 +174,7 @@ func TestAddCipherScaleMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on scale mismatch")
 		}
 	}()
-	a.AddCipher(b)
+	Add(a, b)
 }
 
 func TestZeroAccumulatorDecryptsToZero(t *testing.T) {

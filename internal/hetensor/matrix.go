@@ -13,12 +13,11 @@ import (
 // Matrix is an encrypted matrix whose lane format — one value per ciphertext
 // (*CipherMatrix) or K per ciphertext (*PackedMatrix) — travels with the
 // data. The protocol layer moves, masks, decrypts and vets matrices through
-// it and the source layers hold their encrypted weight pieces as it, so
-// neither has a packed and an unpacked body: a matrix is packed because the
-// party that encrypted it chose so, and every later holder takes it as it
-// comes. The two kernel families stay concrete (lane arithmetic differs);
-// the dispatchers below pick between them. Sealed: exactly the two
-// implementations in this package.
+// it, the source layers hold their encrypted weight pieces as it, and the
+// kernels (kernels.go) compute on it, so none of them has a packed and an
+// unpacked body: a matrix is packed because the party that encrypted it
+// chose so, and every later holder takes it as it comes. Sealed: exactly the
+// two implementations in this package.
 type Matrix interface {
 	// Dims returns the logical shape in values, not ciphertexts.
 	Dims() (rows, cols int)
@@ -61,6 +60,14 @@ type Matrix interface {
 	// NewAcc returns the rows-tall accumulator for products with m: zero
 	// encryptions in m's layout at one scale up.
 	NewAcc(rows int) Matrix
+
+	// grid returns the ciphertexts the kernels multiply: rows of per
+	// ciphertexts, however many values each holds.
+	grid() grid
+	// like returns rows×cols of zero encryptions in m's lanes under m's key,
+	// in blocks of block columns (≤ 0: m's own block) at the given scale:
+	// what a kernel's result over m is built in.
+	like(rows, cols, block int, scale uint) Matrix
 }
 
 // spotSlackBits is the integer headroom a legitimate plaintext may occupy
@@ -163,8 +170,12 @@ func (m *CipherMatrix) Append(o Matrix) {
 	m.Rows += c.Rows
 }
 
-func (m *CipherMatrix) NewAcc(rows int) Matrix {
-	return NewCipherMatrix(m.PK, rows, m.Cols, m.Scale+1)
+func (m *CipherMatrix) NewAcc(rows int) Matrix { return m.like(rows, m.Cols, 0, m.Scale+1) }
+
+func (m *CipherMatrix) grid() grid { return grid{m.PK, m.Rows, m.Cols, m.C, m.id} }
+
+func (m *CipherMatrix) like(rows, cols, _ int, scale uint) Matrix {
+	return NewCipherMatrix(m.PK, rows, cols, scale)
 }
 
 func (m *PackedMatrix) Dims() (int, int)         { return m.Rows, m.Cols }
@@ -217,72 +228,9 @@ func (m *PackedMatrix) Append(o Matrix) {
 	m.Rows += c.Rows
 }
 
-func (m *PackedMatrix) NewAcc(rows int) Matrix {
-	return m.like(rows, m.Cols, m.Block, m.Scale+1)
-}
+func (m *PackedMatrix) NewAcc(rows int) Matrix { return m.like(rows, m.Cols, 0, m.Scale+1) }
 
-// MulLeft computes ⟦X·W⟧ for dense plaintext X in W's lane format.
-func MulLeft(x *tensor.Dense, w Matrix) Matrix {
-	if p, ok := w.(*PackedMatrix); ok {
-		return MulPlainLeftPacked(x, p)
-	}
-	return MulPlainLeft(x, w.(*CipherMatrix))
-}
-
-// MulLeftCSR is MulLeft for sparse plaintext X.
-func MulLeftCSR(x *tensor.CSR, w Matrix) Matrix {
-	if p, ok := w.(*PackedMatrix); ok {
-		return MulPlainLeftCSRPacked(x, p)
-	}
-	return MulPlainLeftCSR(x, w.(*CipherMatrix))
-}
-
-// TransposeMulAcc accumulates ⟦Xᵀ·G⟧ into acc (from G.NewAcc) for a
-// row-chunk pair (x, g).
-func TransposeMulAcc(acc Matrix, x *tensor.Dense, g Matrix) {
-	if p, ok := g.(*PackedMatrix); ok {
-		TransposeMulLeftPackedAcc(acc.(*PackedMatrix), x, p)
-		return
-	}
-	TransposeMulLeftAcc(acc.(*CipherMatrix), x, g.(*CipherMatrix))
-}
-
-// TransposeMulCSRAcc accumulates ⟦X[lo:lo+g.Rows]ᵀ·G⟧ into acc for sparse X.
-func TransposeMulCSRAcc(acc Matrix, x *tensor.CSR, lo int, g Matrix) {
-	if p, ok := g.(*PackedMatrix); ok {
-		TransposeMulLeftCSRPackedAcc(acc.(*PackedMatrix), x, lo, p)
-		return
-	}
-	TransposeMulLeftCSRAcc(acc.(*CipherMatrix), x, lo, g.(*CipherMatrix))
-}
-
-// LookupRows gathers rows of an encrypted embedding table in its lane format.
-func LookupRows(q Matrix, x *tensor.IntMatrix) Matrix {
-	if p, ok := q.(*PackedMatrix); ok {
-		return LookupPacked(p, x)
-	}
-	return Lookup(q.(*CipherMatrix), x)
-}
-
-// LookupBackwardRows scatter-adds the encrypted derivative ∇E (dim-blocked
-// when packed) into the vocab×dim table gradient in ∇E's lane format.
-func LookupBackwardRows(gradE Matrix, x *tensor.IntMatrix, vocab, dim int) Matrix {
-	if p, ok := gradE.(*PackedMatrix); ok {
-		return LookupBackwardPacked(p, x, vocab, dim)
-	}
-	return LookupBackward(gradE.(*CipherMatrix), x, vocab, dim)
-}
-
-// Add returns the homomorphic sum a + b of two matrices of one layout.
-func Add(a, b Matrix) Matrix {
-	if !a.SameLayout(b) {
-		panic(fmt.Sprintf("hetensor: Add of a %T and a %T of another layout", a, b))
-	}
-	if p, ok := a.(*PackedMatrix); ok {
-		return p.AddCipher(b.(*PackedMatrix))
-	}
-	return a.(*CipherMatrix).AddCipher(b.(*CipherMatrix))
-}
+func (m *PackedMatrix) grid() grid { return grid{m.PK, m.Rows, m.GroupsPerRow(), m.C, m.id} }
 
 // MulRightTransposeAdd returns sum + ⟦G·Wᵀ⟧ for plaintext W in sum's lane
 // format. The ciphertext is the left factor, so G must hold one value per
@@ -291,9 +239,9 @@ func Add(a, b Matrix) Matrix {
 func MulRightTransposeAdd(sum, g Matrix, w *tensor.Dense) Matrix {
 	prod := MulPlainRightTranspose(cellsOf(g), w)
 	if p, ok := sum.(*PackedMatrix); ok {
-		return p.AddCipher(PackCellsLike(prod, p))
+		return Add(sum, PackCellsLike(prod, p))
 	}
-	return sum.(*CipherMatrix).AddCipher(prod)
+	return Add(sum, prod)
 }
 
 // cellsOf views a matrix with one value per ciphertext as a CipherMatrix,

@@ -137,10 +137,14 @@ func newPacked(pk *paillier.PublicKey, lc fixedpoint.LaneCodec, rows, cols, bloc
 	return m
 }
 
-// like allocates the accumulator identity in m's lanes under m's key: what a
-// kernel's result over m is built in, so a layout chosen at encryption
-// carries through every product.
-func (m *PackedMatrix) like(rows, cols, block int, scale uint) *PackedMatrix {
+// like allocates the accumulator identity in m's lanes under m's key,
+// rows×cols in blocks of block columns (≤ 0: m's own block): what a kernel's
+// result over m is built in, so a layout chosen at encryption carries through
+// every product.
+func (m *PackedMatrix) like(rows, cols, block int, scale uint) Matrix {
+	if block <= 0 {
+		block = m.Block
+	}
 	return newPacked(m.PK, m.codec(), rows, cols, block, scale)
 }
 
@@ -192,21 +196,6 @@ func DecryptPacked(sk *paillier.PrivateKey, m *PackedMatrix) *tensor.Dense {
 	return out
 }
 
-// AddCipher returns the elementwise homomorphic sum m + o for identical
-// layouts and scales.
-func (m *PackedMatrix) AddCipher(o *PackedMatrix) *PackedMatrix {
-	if m.Rows != o.Rows || !m.SameLayout(o) {
-		panic(fmt.Sprintf("hetensor: packed AddCipher mismatch: %d×%d/%d@%d lanes %d×%d vs %d×%d/%d@%d lanes %d×%d",
-			m.Rows, m.Cols, m.Block, m.Scale, m.K, m.W, o.Rows, o.Cols, o.Block, o.Scale, o.K, o.W))
-	}
-	out := &PackedMatrix{Rows: m.Rows, Cols: m.Cols, Block: m.Block, Scale: m.Scale, W: m.W, K: m.K, PK: m.PK,
-		C: make([]*paillier.Ciphertext, len(m.C))}
-	parallel.For(len(m.C), func(i int) {
-		out.C[i] = m.PK.AddCipher(m.C[i], o.C[i])
-	})
-	return out
-}
-
 // AddPlain returns ⟦m + d⟧ with d packed at m's scale in m's lanes (no fresh
 // randomness).
 func (m *PackedMatrix) AddPlain(d *tensor.Dense) Matrix {
@@ -235,206 +224,7 @@ func (m *PackedMatrix) SubPlainFresh(d *tensor.Dense) Matrix {
 	for i, v := range d.Data {
 		neg.Data[i] = -v
 	}
-	return m.AddCipher(packEncryptInto(m.like(m.Rows, m.Cols, m.Block, m.Scale), neg))
-}
-
-// MulPlainLeftPacked computes ⟦X·W⟧ from plaintext X and packed encrypted W.
-// The result keeps W's block layout at scale W.Scale+1; the homomorphic work
-// is 1/K of the unpacked MulPlainLeft.
-func MulPlainLeftPacked(x *tensor.Dense, w *PackedMatrix) *PackedMatrix {
-	if x.Cols != w.Rows {
-		panic(fmt.Sprintf("hetensor: MulPlainLeftPacked inner dim mismatch %d×%d · %d×%d", x.Rows, x.Cols, w.Rows, w.Cols))
-	}
-	out := w.like(x.Rows, w.Cols, w.Block, w.Scale+1)
-	if TextbookExp() {
-		parallel.For(x.Rows, func(i int) {
-			orow := out.Row(i)
-			xrow := x.Row(i)
-			for k, a := range xrow {
-				if a == 0 {
-					continue
-				}
-				ea := Codec.Encode(a, 1)
-				wrow := w.Row(k)
-				for g := range orow {
-					orow[g] = w.PK.AddCipher(orow[g], w.PK.MulPlain(wrow[g], ea))
-				}
-			}
-		})
-		return out
-	}
-	exps, maxBits := denseRowExps(x)
-	dotProducts(w.PK, tableSource{w.id, orientCol}, func(k, g int) *paillier.Ciphertext { return w.Row(k)[g] },
-		x.Cols, w.GroupsPerRow(), exps, maxBits,
-		func(i, g int, c *paillier.Ciphertext) { out.Row(i)[g] = c })
-	return out
-}
-
-// MulPlainLeftCSRPacked is MulPlainLeftPacked for sparse plaintext X.
-func MulPlainLeftCSRPacked(x *tensor.CSR, w *PackedMatrix) *PackedMatrix {
-	if x.Cols != w.Rows {
-		panic(fmt.Sprintf("hetensor: MulPlainLeftCSRPacked inner dim mismatch %d×%d · %d×%d", x.Rows, x.Cols, w.Rows, w.Cols))
-	}
-	out := w.like(x.Rows, w.Cols, w.Block, w.Scale+1)
-	if TextbookExp() {
-		parallel.For(x.Rows, func(i int) {
-			orow := out.Row(i)
-			cols, vals := x.RowNNZ(i)
-			for t, k := range cols {
-				ea := Codec.Encode(vals[t], 1)
-				wrow := w.Row(k)
-				for g := range orow {
-					orow[g] = w.PK.AddCipher(orow[g], w.PK.MulPlain(wrow[g], ea))
-				}
-			}
-		})
-		return out
-	}
-	dotCSRMul(w.PK, x, w.Row, w.GroupsPerRow(), out.Row)
-	return out
-}
-
-// TransposeMulLeftPacked computes ⟦Xᵀ·G⟧ from plaintext X and packed
-// encrypted G — the gradient shape ∇W = Xᵀ⟦∇Z⟧ with packed ∇Z.
-func TransposeMulLeftPacked(x *tensor.Dense, g *PackedMatrix) *PackedMatrix {
-	out := g.like(x.Cols, g.Cols, g.Block, g.Scale+1)
-	TransposeMulLeftPackedAcc(out, x, g)
-	return out
-}
-
-// TransposeMulLeftPackedAcc accumulates ⟦Xᵀ·G⟧ into acc for a row-chunk pair
-// (x, g): the packed analogue of TransposeMulLeftAcc, called once per
-// received packed derivative chunk on the streamed backward path.
-func TransposeMulLeftPackedAcc(acc *PackedMatrix, x *tensor.Dense, g *PackedMatrix) {
-	if x.Rows != g.Rows {
-		panic(fmt.Sprintf("hetensor: TransposeMulLeftPacked outer dim mismatch %d×%d ᵀ· %d×%d", x.Rows, x.Cols, g.Rows, g.Cols))
-	}
-	if acc.Rows != x.Cols || acc.Cols != g.Cols || acc.Scale != g.Scale+1 || acc.Block != g.Block {
-		panic(fmt.Sprintf("hetensor: TransposeMulLeftPackedAcc accumulator %d×%d/%d@%d, want %d×%d/%d@%d",
-			acc.Rows, acc.Cols, acc.Block, acc.Scale, x.Cols, g.Cols, g.Block, g.Scale+1))
-	}
-	if TextbookExp() {
-		parallel.For(x.Cols, func(k int) {
-			orow := acc.Row(k)
-			for i := 0; i < x.Rows; i++ {
-				a := x.At(i, k)
-				if a == 0 {
-					continue
-				}
-				ea := Codec.Encode(a, 1)
-				grow := g.Row(i)
-				for j := range orow {
-					orow[j] = g.PK.AddCipher(orow[j], g.PK.MulPlain(grow[j], ea))
-				}
-			}
-		})
-		return
-	}
-	exps, maxBits := denseColExps(x)
-	dotProducts(g.PK, tableSource{g.id, orientCol}, func(i, t int) *paillier.Ciphertext { return g.Row(i)[t] },
-		x.Rows, g.GroupsPerRow(), exps, maxBits,
-		func(k, t int, c *paillier.Ciphertext) {
-			orow := acc.Row(k)
-			orow[t] = g.PK.AddCipher(orow[t], c)
-		})
-}
-
-// TransposeMulLeftCSRPacked computes ⟦Xᵀ·G⟧ for sparse X and packed G.
-func TransposeMulLeftCSRPacked(x *tensor.CSR, g *PackedMatrix) *PackedMatrix {
-	if x.Rows != g.Rows {
-		panic(fmt.Sprintf("hetensor: TransposeMulLeftCSRPacked outer dim mismatch %d×%d ᵀ· %d×%d", x.Rows, x.Cols, g.Rows, g.Cols))
-	}
-	out := g.like(x.Cols, g.Cols, g.Block, g.Scale+1)
-	TransposeMulLeftCSRPackedAcc(out, x, 0, g)
-	return out
-}
-
-// TransposeMulLeftCSRPackedAcc accumulates ⟦X[lo:lo+g.Rows]ᵀ·G⟧ into acc for
-// a packed derivative row-chunk G: the sparse packed accumulator.
-func TransposeMulLeftCSRPackedAcc(acc *PackedMatrix, x *tensor.CSR, lo int, g *PackedMatrix) {
-	if lo < 0 || lo+g.Rows > x.Rows {
-		panic(fmt.Sprintf("hetensor: TransposeMulLeftCSRPackedAcc chunk [%d,%d) of %d rows", lo, lo+g.Rows, x.Rows))
-	}
-	if acc.Rows != x.Cols || acc.Cols != g.Cols || acc.Scale != g.Scale+1 || acc.Block != g.Block {
-		panic(fmt.Sprintf("hetensor: TransposeMulLeftCSRPackedAcc accumulator %d×%d/%d@%d, want %d×%d/%d@%d",
-			acc.Rows, acc.Cols, acc.Block, acc.Scale, x.Cols, g.Cols, g.Block, g.Scale+1))
-	}
-	if TextbookExp() {
-		type nz struct {
-			row int
-			val float64
-		}
-		buckets := make([][]nz, x.Cols)
-		for i := 0; i < g.Rows; i++ {
-			cols, vals := x.RowNNZ(lo + i)
-			for t, k := range cols {
-				buckets[k] = append(buckets[k], nz{i, vals[t]})
-			}
-		}
-		parallel.For(x.Cols, func(k int) {
-			orow := acc.Row(k)
-			for _, e := range buckets[k] {
-				ea := Codec.Encode(e.val, 1)
-				grow := g.Row(e.row)
-				for j := range orow {
-					orow[j] = g.PK.AddCipher(orow[j], g.PK.MulPlain(grow[j], ea))
-				}
-			}
-		})
-		return
-	}
-	dotCSRTransposeAcc(g.PK, x, lo, g.Rows, g.Row, g.GroupsPerRow(), acc.Row)
-}
-
-// LookupPacked gathers rows of a packed encrypted embedding table. The
-// result is batch×(fields·dim) with Block = dim, so the per-field lane
-// alignment of the table is preserved.
-func LookupPacked(q *PackedMatrix, x *tensor.IntMatrix) *PackedMatrix {
-	if q.Block != q.Cols {
-		panic("hetensor: LookupPacked table must be packed with Block == Cols")
-	}
-	dim := q.Cols
-	gpr := q.GroupsPerRow()
-	out := &PackedMatrix{Rows: x.Rows, Cols: x.Cols * dim, Block: dim, Scale: q.Scale, W: q.W, K: q.K, PK: q.PK,
-		C: make([]*paillier.Ciphertext, x.Rows*x.Cols*gpr)}
-	parallel.For(x.Rows, func(i int) {
-		dst := out.Row(i)
-		for f, idx := range x.Row(i) {
-			if idx < 0 || idx >= q.Rows {
-				panic(fmt.Sprintf("hetensor: LookupPacked index %d out of vocab %d", idx, q.Rows))
-			}
-			copy(dst[f*gpr:(f+1)*gpr], q.Row(idx))
-		}
-	})
-	return out
-}
-
-// LookupBackwardPacked scatter-adds packed encrypted derivatives into a
-// packed table gradient: the packed analogue of LookupBackward. The
-// (instance, field) pairs are bucketed by table row and the rows summed in
-// parallel; products mod N² commute, so the ciphertexts are those of the
-// instance-order scatter.
-func LookupBackwardPacked(gradE *PackedMatrix, x *tensor.IntMatrix, vocab, dim int) *PackedMatrix {
-	if gradE.Rows != x.Rows || gradE.Cols != x.Cols*dim || gradE.Block != dim {
-		panic("hetensor: LookupBackwardPacked shape mismatch")
-	}
-	out := gradE.like(vocab, dim, dim, gradE.Scale)
-	gpb := out.GroupsPerRow()
-	buckets := make([][]int, vocab) // table row → first group of each ∇E block scattered into it
-	for i := 0; i < x.Rows; i++ {
-		for f, idx := range x.Row(i) {
-			buckets[idx] = append(buckets[idx], (i*x.Cols+f)*gpb)
-		}
-	}
-	parallel.For(vocab, func(v int) {
-		dst := out.Row(v)
-		for _, src := range buckets[v] {
-			for k := range dst {
-				dst[k] = gradE.PK.AddCipher(dst[k], gradE.C[src+k])
-			}
-		}
-	})
-	return out
+	return Add(m, packEncryptInto(m.like(m.Rows, m.Cols, 0, m.Scale).(*PackedMatrix), neg))
 }
 
 // PackCellsLike packs an encrypted matrix with one value per ciphertext into
@@ -451,7 +241,7 @@ func PackCellsLike(cells *CipherMatrix, like *PackedMatrix) *PackedMatrix {
 	if cells.Cols != like.Cols {
 		panic(fmt.Sprintf("hetensor: PackCellsLike of %d columns into %d", cells.Cols, like.Cols))
 	}
-	out := like.like(cells.Rows, cells.Cols, like.Block, cells.Scale)
+	out := like.like(cells.Rows, cells.Cols, 0, cells.Scale).(*PackedMatrix)
 	gpr := out.GroupsPerRow()
 	parallel.For(len(out.C), func(t int) {
 		i, g := t/gpr, t%gpr

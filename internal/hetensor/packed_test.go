@@ -37,10 +37,10 @@ func TestPackedAddCipherMatchesUnpacked(t *testing.T) {
 	a := tensor.RandDense(rng, 3, 6, 50)
 	b := tensor.RandDense(rng, 3, 6, 50)
 	pk := &testKey.PublicKey
-	got := DecryptPacked(testKey, PackEncrypt(pk, a, 1).AddCipher(PackEncrypt(pk, b, 1)))
-	want := Decrypt(testKey, Encrypt(pk, a, 1).AddCipher(Encrypt(pk, b, 1)))
+	got := Add(PackEncrypt(pk, a, 1), PackEncrypt(pk, b, 1)).Decrypt(testKey)
+	want := Add(Encrypt(pk, a, 1), Encrypt(pk, b, 1)).Decrypt(testKey)
 	if !got.Equal(want, 1e-6) {
-		t.Fatal("packed AddCipher differs from unpacked")
+		t.Fatal("packed Add differs from unpacked")
 	}
 }
 
@@ -82,9 +82,9 @@ func TestMulPlainLeftCSRPackedMatchesDense(t *testing.T) {
 	xd := tensor.RandCSR(rng, 4, 9, 3)
 	w := tensor.RandDense(rng, 9, 5, 2)
 	pk := &testKey.PublicKey
-	got := DecryptPacked(testKey, MulPlainLeftCSRPacked(xd, PackEncrypt(pk, w, 1)))
+	got := MulLeftCSR(xd, PackEncrypt(pk, w, 1)).Decrypt(testKey)
 	if !got.Equal(xd.MatMul(w), 1e-5) {
-		t.Fatal("MulPlainLeftCSRPacked differs from plaintext sparse matmul")
+		t.Fatal("packed MulLeftCSR differs from plaintext sparse matmul")
 	}
 }
 
@@ -105,9 +105,10 @@ func TestTransposeMulLeftCSRPackedMatchesDense(t *testing.T) {
 	x := tensor.RandCSR(rng, 6, 8, 2)
 	g := tensor.RandDense(rng, 6, 5, 2)
 	pk := &testKey.PublicKey
-	got := DecryptPacked(testKey, TransposeMulLeftCSRPacked(x, PackEncrypt(pk, g, 1)))
+	pg := PackEncrypt(pk, g, 1)
+	got := TransposeMulCSRAcc(pg.NewAcc(x.Cols), x, 0, pg).Decrypt(testKey)
 	if !got.Equal(x.TransposeMatMul(g), 1e-5) {
-		t.Fatal("TransposeMulLeftCSRPacked differs from plaintext")
+		t.Fatal("packed TransposeMulCSRAcc differs from plaintext")
 	}
 }
 
@@ -121,9 +122,9 @@ func TestLookupPackedMatchesUnpacked(t *testing.T) {
 	}
 	pk := &testKey.PublicKey
 	got := DecryptPacked(testKey, LookupPacked(PackEncrypt(pk, q, 1), x))
-	want := Decrypt(testKey, Lookup(Encrypt(pk, q, 1), x))
+	want := LookupRows(Encrypt(pk, q, 1), x).Decrypt(testKey)
 	if !got.Equal(want, 1e-6) {
-		t.Fatal("LookupPacked differs from Lookup")
+		t.Fatal("LookupPacked differs from the unpacked LookupRows")
 	}
 }
 
@@ -147,7 +148,7 @@ func TestMulRightTransposeAddMatchesUnpacked(t *testing.T) {
 			}
 			w := tensor.RandDense(rng, 2*dim, 3, 1<<20) // two fields of drifted weight rows
 			sum := tensor.RandDense(rng, 5, 2*dim, 1<<10)
-			want := Decrypt(testKey, Encrypt(pk, sum, 2).AddCipher(MulPlainRightTranspose(Encrypt(pk, g, 1), w)))
+			want := Add(Encrypt(pk, sum, 2), MulPlainRightTranspose(Encrypt(pk, g, 1), w)).Decrypt(testKey)
 			for _, cells := range []Layout{{}, {Packed: true, Block: 1}} {
 				got := MulRightTransposeAdd(EncryptAs(pk, sum, 2, Layout{Packed: true, Block: dim, Wide: wide}), EncryptAs(pk, g, 1, cells), w)
 				if p := got.(*PackedMatrix); p.Block != dim || len(p.C) != 5*2*p.GroupsPerBlock() {
@@ -201,10 +202,10 @@ func TestLookupBackwardPackedMatchesUnpacked(t *testing.T) {
 	}
 	pk := &testKey.PublicKey
 	packed := PackEncryptBlocks(pk, gradE, 1, dim)
-	got := DecryptPacked(testKey, LookupBackwardPacked(packed, x, vocab, dim))
-	want := Decrypt(testKey, LookupBackward(Encrypt(pk, gradE, 1), x, vocab, dim))
+	got := LookupBackwardRows(packed, x, vocab, dim).Decrypt(testKey)
+	want := LookupBackwardRows(Encrypt(pk, gradE, 1), x, vocab, dim).Decrypt(testKey)
 	if !got.Equal(want, 0) {
-		t.Fatal("LookupBackwardPacked differs from LookupBackward")
+		t.Fatal("packed LookupBackwardRows differs from the unpacked one")
 	}
 }
 
@@ -213,10 +214,10 @@ func TestPackedLayoutMismatchPanics(t *testing.T) {
 	b := PackEncryptBlocks(&testKey.PublicKey, tensor.NewDense(2, 6), 1, 3)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AddCipher accepted mismatched block layouts")
+			t.Fatal("Add accepted mismatched block layouts")
 		}
 	}()
-	a.AddCipher(b)
+	Add(a, b)
 }
 
 // --- Throughput benchmarks: the unpacked serial baseline vs the pooled and

@@ -32,7 +32,7 @@ func TestPropAddHomomorphism(t *testing.T) {
 		b := tensor.FromSlice(1, 2, bv)
 		ca := Encrypt(&testKey.PublicKey, a, 1)
 		cb := Encrypt(&testKey.PublicKey, b, 1)
-		got := Decrypt(testKey, ca.AddCipher(cb))
+		got := Add(ca, cb).Decrypt(testKey)
 		return got.Equal(a.Add(b), 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
@@ -67,7 +67,7 @@ func TestPropMatMulDistributesOverCipherAdd(t *testing.T) {
 		x := tensor.FromSlice(1, 2, []float64{1.5, -2.25})
 		cw := Encrypt(&testKey.PublicKey, w, 1)
 		cv := Encrypt(&testKey.PublicKey, v, 1)
-		got := Decrypt(testKey, MulPlainLeft(x, cw.AddCipher(cv)))
+		got := MulLeft(x, Add(cw, cv)).Decrypt(testKey)
 		want := x.MatMul(w.Add(v))
 		return got.Equal(want, 1e-5)
 	}
@@ -99,7 +99,7 @@ func TestPropLookupCommutesWithEncryption(t *testing.T) {
 		x.Set(0, 1, int(i2)%4)
 		x.Set(0, 2, int(i3)%4)
 		cq := Encrypt(&testKey.PublicKey, q, 1)
-		got := Decrypt(testKey, Lookup(cq, x))
+		got := LookupRows(cq, x).Decrypt(testKey)
 		return got.Equal(tensor.Lookup(q, x), 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -107,20 +107,24 @@ func TestPropLookupCommutesWithEncryption(t *testing.T) {
 	}
 }
 
-// TransposeMulLeftCSRSubset rows equal the corresponding rows of the full
-// dense gradient.
+// The sparse layer's touched-row gradient is the full transpose product
+// restricted to the touched rows, residue for residue: the same kernel over
+// the same non-zeros in the same order, signed features included (a negative
+// feature is a signed exponent, not a full-width N−|x| one).
 func TestPropSubsetGradientMatchesFull(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := mrandNew(seed)
 		x := tensor.RandCSR(rng, 4, 12, 2)
+		x.Val[0] = -math.Abs(x.Val[0]) - 0.25 // at least one negative feature
 		g := tensor.RandDense(rng, 4, 2, 1)
 		cg := Encrypt(&testKey.PublicKey, g, 1)
 		touched := touchedOf(x)
-		sub := Decrypt(testKey, TransposeMulLeftCSRSubset(x, cg, touched))
-		full := x.ToDense().Transpose().MatMul(g)
+		sub := TransposeMulLeftCSRSubset(x, cg, touched)
+		full := NewCipherMatrix(&testKey.PublicKey, x.Cols, g.Cols, 2)
+		TransposeMulCSRAcc(full, x, 0, cg)
 		for i, k := range touched {
 			for j := 0; j < g.Cols; j++ {
-				if math.Abs(sub.At(i, j)-full.At(k, j)) > 1e-5 {
+				if sub.Row(i)[j].C.Cmp(full.Row(k)[j].C) != 0 {
 					return false
 				}
 			}

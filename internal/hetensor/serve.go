@@ -18,7 +18,7 @@ import (
 // homomorphic product ⟦(X·V)ᵀ⟧ costs one dot-product grid of v.Cols×⌈batch/K⌉
 // ciphertexts — the request batcher fills lanes across concurrent queries.
 // The base set is the *unpacked* ⟦V⟧ column, the identical tableSource the
-// training-time MulPlainLeft uses, so a long-lived serve session's queries
+// training-time MulLeft uses, so a long-lived serve session's queries
 // warm and reuse the same persistent dot-table cache entries.
 //
 // Unlike training's float shares, serve shares stay exact integers at scale 2
@@ -97,7 +97,7 @@ func (m *BigMatrix) DecodeTranspose() *tensor.Dense {
 //
 // The kernel always runs the signed-exponent engine: packed exponents are the
 // mechanism, not an optimization, so SetTextbook does not apply. The
-// base columns and orientation match MulPlainLeft on the same V, so serve
+// base columns and orientation match MulLeft on the same V, so serve
 // queries resolve through the identical persistent dot-table cache entries.
 func ServeProducts(x *tensor.Dense, v *CipherMatrix) *PackedMatrix {
 	if x.Cols != v.Rows {

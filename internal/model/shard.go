@@ -88,14 +88,17 @@ func (su *shardSetup) fingerprint(plan protocol.ShardPlan) uint64 {
 // The feature parts the Fed loops pass in are ignored — the workers hold the
 // label party's features.
 type shardSrcB struct {
-	sg *protocol.ShardGroup
+	sg  *protocol.ShardGroup
+	out int // the layer's output width: what every partial and share is vetted against
 }
 
 // seedEpoch is a no-op at the root: each worker re-seeds its own session
 // group at every epoch boundary of the shared schedule.
 func (s *shardSrcB) seedEpoch(int) {}
 
-func (s *shardSrcB) forward(data.Part) *tensor.Dense { return tensor.SumInOrder(s.sg.GatherParts()) }
+func (s *shardSrcB) forward(p data.Part) *tensor.Dense {
+	return tensor.SumInOrder(s.sg.GatherParts(p.Rows(), s.out))
+}
 
 func (s *shardSrcB) backward(g *tensor.Dense) { s.sg.BroadcastGrad(g) }
 
@@ -103,8 +106,10 @@ func (s *shardSrcB) backward(g *tensor.Dense) { s.sg.BroadcastGrad(g) }
 // between the workers' B halves and the feature parties directly.
 func (s *shardSrcB) serveStart() {}
 
-func (s *shardSrcB) serveForward(*tensor.Dense) *tensor.Dense {
-	return s.sg.GatherShareSum().DecodeTranspose()
+// serveForward folds the out×batch share partials, each at scale 2: the
+// serve forward's integer product of scale-1 weights and features.
+func (s *shardSrcB) serveForward(x *tensor.Dense) *tensor.Dense {
+	return s.sg.GatherShareSum(s.out, x.Rows, 2).DecodeTranspose()
 }
 
 func (s *shardSrcB) layers(epoch int) ([][]byte, error) { return s.sg.GatherLayers(epoch), nil }
@@ -116,9 +121,11 @@ type shardSide struct{ sg *protocol.ShardGroup }
 // checkpoint's halves in the setup document and restore their own slices.
 func (s shardSide) restore(*runPlan, int) error { return nil }
 
-func (s shardSide) open(*runPlan, core.Config) numSrcB { return &shardSrcB{sg: s.sg} }
-func (s shardSide) embPeer() *protocol.Peer            { return nil }
-func (s shardSide) lost() []bool                       { return nil }
+func (s shardSide) open(_ *runPlan, cfg core.Config) numSrcB {
+	return &shardSrcB{sg: s.sg, out: cfg.Out}
+}
+func (s shardSide) embPeer() *protocol.Peer { return nil }
+func (s shardSide) lost() []bool            { return nil }
 
 func (s shardSide) run(as []*protocol.Peer, fa func(i int), fb func()) error {
 	return protocol.RunShardRoot(as, s.sg,

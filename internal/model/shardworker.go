@@ -126,7 +126,7 @@ func shardWorkerLoop(link *protocol.ShardLink, g *protocol.Group, su *shardSetup
 	schedule{h: h, rows: su.TrainB.Rows(), start: su.StartEpoch, ckptEvery: su.CkptEvery, ckptFinal: su.CkptFinal}.each(g.SeedEpoch,
 		func(idx []int) {
 			link.SendParts(md.ForwardParts(numeric(su.TrainB.Batch(idx))))
-			md.Backward(link.RecvGrad())
+			md.Backward(link.RecvGrad(len(idx), cfg.Out))
 		},
 		// A checkpoint epoch ships the slice's halves in shard-local session
 		// order (the root re-slots them by plan range).

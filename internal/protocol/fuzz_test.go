@@ -58,7 +58,7 @@ func FuzzRecvMatrix(f *testing.F) {
 	for _, packed := range []bool{false, true} {
 		f.Add(wireBytes(f, func(c transport.Conn) error {
 			m := hetensor.EncryptAs(&skB.PublicKey, tensor.NewDense(3, 2), 1, hetensor.Layout{Packed: packed})
-			return transport.SendStream(c, 0, 3, 2, 1, func(int) (any, error) { return m, nil })
+			return transport.SendStream(transport.NewStreamConn(c), 0, 3, 2, 1, func(int) (any, error) { return m, nil })
 		}))
 	}
 	for _, h := range hostileStreams() {

@@ -130,6 +130,10 @@ func NewPeer(role Role, conn transport.Conn, sk *paillier.PrivateKey, rng *rand.
 	return &Peer{Role: role, Conn: transport.NewStreamConn(conn), SK: sk, Rng: rng, MaskMag: DefaultMaskMag}
 }
 
+// link is the peer's connection as the StreamConn NewPeer made it: what the
+// stream sends, receives and flushes run on.
+func (p *Peer) link() *transport.StreamConn { return p.Conn.(*transport.StreamConn) }
+
 // ApplyOptions is the one place engine options reach a Peer; the source-layer
 // constructors call it wherever a Config enters the system. A set option wins
 // over what the caller put on the Peer and an unset one leaves it alone:

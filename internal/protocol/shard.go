@@ -138,6 +138,44 @@ func (l *ShardLink) failLink(op string, err error) {
 	panic(protoErr{fmt.Errorf("%w: shard %d %s: %v", ErrShardLost, l.Shard, op, err)})
 }
 
+// failPayload reports a data-plane message whose payload does not fit the
+// batch it claims to be for: a typed transport.ErrCorrupt naming the shard
+// and the message's ordinal, where summing it would have dropped a session
+// or panicked the process.
+func (l *ShardLink) failPayload(op string, seq uint64, err error) {
+	panic(protoErr{fmt.Errorf("shard %d %s seq %d: %w: %v", l.Shard, op, seq, transport.ErrCorrupt, err)})
+}
+
+// vetDense checks a partial or gradient against the batch shape: present,
+// rows×cols, and backed by exactly rows·cols values. Values stay unchecked —
+// a non-finite one is the unsharded path's business too.
+func vetDense(d *tensor.Dense, rows, cols int) error {
+	if d == nil {
+		return errors.New("matrix missing")
+	}
+	if d.Rows != rows || d.Cols != cols || len(d.Data) != rows*cols {
+		return fmt.Errorf("%d×%d matrix of %d values, want %d×%d", d.Rows, d.Cols, len(d.Data), rows, cols)
+	}
+	return nil
+}
+
+// vetShare checks a serve share partial against the batch shape and scale,
+// every entry present.
+func vetShare(m *hetensor.BigMatrix, rows, cols int, scale uint) error {
+	if m == nil {
+		return errors.New("share missing")
+	}
+	if m.Rows != rows || m.Cols != cols || m.Scale != scale || len(m.V) != rows*cols {
+		return fmt.Errorf("%d×%d@%d share of %d entries, want %d×%d@%d", m.Rows, m.Cols, m.Scale, len(m.V), rows, cols, scale)
+	}
+	for i, v := range m.V {
+		if v == nil {
+			return fmt.Errorf("share entry %d missing", i)
+		}
+	}
+	return nil
+}
+
 // failDesync reports a sequence-counter disagreement.
 func (l *ShardLink) failDesync(op string, got, want uint64) {
 	panic(protoErr{fmt.Errorf("%w: shard %d %s seq %d, want %d", ErrShardMismatch, l.Shard, op, got, want)})
@@ -170,8 +208,9 @@ func (l *ShardLink) SendParts(zs []*tensor.Dense) {
 }
 
 // RecvParts receives one mini-batch's partials (root side), checking the
-// ordinal and the session count against the plan.
-func (l *ShardLink) RecvParts(want int) []*tensor.Dense {
+// ordinal, the session count against the plan, and every partial against the
+// rows×cols batch shape.
+func (l *ShardLink) RecvParts(want, rows, cols int) []*tensor.Dense {
 	m, ok := l.recvTyped("recv parts").(*transport.ShardParts)
 	if !ok {
 		l.failLink("recv parts", fmt.Errorf("%w: unexpected message", transport.ErrCorrupt))
@@ -183,6 +222,11 @@ func (l *ShardLink) RecvParts(want int) []*tensor.Dense {
 	if len(m.Zs) != want {
 		panic(protoErr{fmt.Errorf("%w: shard %d sent %d partials, plan says %d", ErrShardMismatch, l.Shard, len(m.Zs), want)})
 	}
+	for i, z := range m.Zs {
+		if err := vetDense(z, rows, cols); err != nil {
+			l.failPayload("parts", m.Seq, fmt.Errorf("partial %d: %w", i, err))
+		}
+	}
 	return m.Zs
 }
 
@@ -193,8 +237,9 @@ func (l *ShardLink) SendGrad(g *tensor.Dense) {
 	l.Send(&transport.ShardGrad{Seq: seq, G: g})
 }
 
-// RecvGrad receives the gradient broadcast (worker side).
-func (l *ShardLink) RecvGrad() *tensor.Dense {
+// RecvGrad receives the gradient broadcast (worker side) for a rows×cols
+// batch.
+func (l *ShardLink) RecvGrad(rows, cols int) *tensor.Dense {
 	m, ok := l.recvTyped("recv grad").(*transport.ShardGrad)
 	if !ok {
 		l.failLink("recv grad", fmt.Errorf("%w: unexpected message", transport.ErrCorrupt))
@@ -203,6 +248,9 @@ func (l *ShardLink) RecvGrad() *tensor.Dense {
 		l.failDesync("grad", m.Seq, l.seqIn)
 	}
 	l.seqIn++
+	if err := vetDense(m.G, rows, cols); err != nil {
+		l.failPayload("grad", m.Seq, err)
+	}
 	return m.G
 }
 
@@ -214,8 +262,9 @@ func (l *ShardLink) SendShare(s *hetensor.BigMatrix) {
 	l.Send(&transport.ShardShare{Seq: seq, S: s})
 }
 
-// RecvShare receives one shard's share partial (root side).
-func (l *ShardLink) RecvShare() *hetensor.BigMatrix {
+// RecvShare receives one shard's share partial (root side): rows×cols at
+// the given scale.
+func (l *ShardLink) RecvShare(rows, cols int, scale uint) *hetensor.BigMatrix {
 	m, ok := l.recvTyped("recv share").(*transport.ShardShare)
 	if !ok {
 		l.failLink("recv share", fmt.Errorf("%w: unexpected message", transport.ErrCorrupt))
@@ -224,6 +273,9 @@ func (l *ShardLink) RecvShare() *hetensor.BigMatrix {
 		l.failDesync("share", m.Seq, l.seqIn)
 	}
 	l.seqIn++
+	if err := vetShare(m.S, rows, cols, scale); err != nil {
+		l.failPayload("share", m.Seq, err)
+	}
 	return m.S
 }
 
@@ -355,14 +407,15 @@ func (sg *ShardGroup) DialSessions(fp uint64, dial func(shard int) (transport.Co
 	return conns, nil
 }
 
-// GatherParts receives one mini-batch's forward partials from every shard
-// and lays them out in global session order — the fixed merge order the
-// bit-exactness contract depends on. Panics protocol-style on failure.
-func (sg *ShardGroup) GatherParts() []*tensor.Dense {
+// GatherParts receives one mini-batch's rows×cols forward partials from
+// every shard and lays them out in global session order — the fixed merge
+// order the bit-exactness contract depends on. Panics protocol-style on
+// failure.
+func (sg *ShardGroup) GatherParts(rows, cols int) []*tensor.Dense {
 	zs := make([]*tensor.Dense, sg.Plan.Sessions)
 	for s, l := range sg.links {
 		lo, hi := sg.Plan.Range(s)
-		copy(zs[lo:hi], l.RecvParts(hi-lo))
+		copy(zs[lo:hi], l.RecvParts(hi-lo, rows, cols))
 	}
 	return zs
 }
@@ -379,11 +432,11 @@ func (sg *ShardGroup) BroadcastGrad(g *tensor.Dense) {
 // shard-order fold plus each worker's session-order pre-sum equals the
 // all-sessions session-order fold bit for bit — the associativity the float
 // training partials do not have, which is why GatherParts ships per-session
-// matrices instead.
-func (sg *ShardGroup) GatherShareSum() *hetensor.BigMatrix {
+// matrices instead. Each partial must be rows×cols at the given scale.
+func (sg *ShardGroup) GatherShareSum(rows, cols int, scale uint) *hetensor.BigMatrix {
 	var sum *hetensor.BigMatrix
 	for _, l := range sg.links {
-		sh := l.RecvShare()
+		sh := l.RecvShare(rows, cols, scale)
 		if sum == nil {
 			sum = sh
 		} else {

@@ -3,8 +3,10 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"blindfl/internal/hetensor"
 	"blindfl/internal/tensor"
 	"blindfl/internal/transport"
 )
@@ -128,7 +130,7 @@ func TestShardLinkSeqDesync(t *testing.T) {
 	z := tensor.NewDense(1, 1)
 	err := Catch("root", func() {
 		worker.Send(&transport.ShardParts{Seq: 5, Zs: []*tensor.Dense{z}})
-		root.RecvParts(1)
+		root.RecvParts(1, 1, 1)
 	})
 	if !errors.Is(err, ErrShardMismatch) {
 		t.Fatalf("desynced parts error = %v, want ErrShardMismatch", err)
@@ -142,7 +144,7 @@ func TestShardLinkLostTyped(t *testing.T) {
 	rc, wc := transport.Pair(64)
 	wc.Close()
 	root := &ShardLink{Shard: 0, Conn: rc}
-	err := Catch("root", func() { root.RecvParts(1) })
+	err := Catch("root", func() { root.RecvParts(1, 1, 1) })
 	if !errors.Is(err, ErrShardLost) {
 		t.Fatalf("lost link error = %v, want ErrShardLost", err)
 	}
@@ -236,6 +238,73 @@ func TestAcceptSessionsValidates(t *testing.T) {
 			}, plan, 1, 7, w)
 			if !errors.Is(err, ErrShardMismatch) {
 				t.Fatalf("AcceptSessions error = %v, want ErrShardMismatch", err)
+			}
+		})
+	}
+}
+
+// TestChaosShardPayloadVetted sends data-plane messages whose payloads do not
+// fit the batch — a missing partial, gradient or share entry, a mis-shaped
+// matrix, a backing slice of the wrong length, a share at the wrong scale —
+// and requires each receive to fail typed ErrCorrupt naming the shard and the
+// ordinal, where summing the payload would have dropped a session silently or
+// panicked the process. The honest payload of each kind passes.
+func TestChaosShardPayloadVetted(t *testing.T) {
+	const rows, cols = 2, 3
+	dense := func(r, c, n int) *tensor.Dense { return &tensor.Dense{Rows: r, Cols: c, Data: make([]float64, n)} }
+	share := func(r, c int, scale uint, nilAt int) *hetensor.BigMatrix {
+		m := hetensor.NewBigMatrix(r, c, scale)
+		if nilAt >= 0 {
+			m.V[nilAt] = nil
+		}
+		return m
+	}
+	ok := dense(rows, cols, rows*cols)
+	parts := func(l *ShardLink) { l.RecvParts(2, rows, cols) }
+	grad := func(l *ShardLink) { l.RecvGrad(rows, cols) }
+	shares := func(l *ShardLink) { l.RecvShare(cols, rows, 2) }
+	cases := []struct {
+		name string
+		msg  any
+		recv func(l *ShardLink)
+		bad  bool
+	}{
+		{"parts honest", &transport.ShardParts{Zs: []*tensor.Dense{ok, ok}}, parts, false},
+		{"parts nil partial", &transport.ShardParts{Zs: []*tensor.Dense{ok, nil}}, parts, true},
+		{"parts wrong rows", &transport.ShardParts{Zs: []*tensor.Dense{ok, dense(rows+1, cols, (rows+1)*cols)}}, parts, true},
+		{"parts wrong cols", &transport.ShardParts{Zs: []*tensor.Dense{dense(rows, 1, rows), ok}}, parts, true},
+		{"parts short backing", &transport.ShardParts{Zs: []*tensor.Dense{ok, dense(rows, cols, 1)}}, parts, true},
+		{"parts long backing", &transport.ShardParts{Zs: []*tensor.Dense{dense(rows, cols, 99), ok}}, parts, true},
+		{"grad honest", &transport.ShardGrad{G: ok}, grad, false},
+		{"grad missing", &transport.ShardGrad{}, grad, true},
+		{"grad mis-shaped", &transport.ShardGrad{G: dense(cols, rows, rows*cols)}, grad, true},
+		{"grad short backing", &transport.ShardGrad{G: dense(rows, cols, 0)}, grad, true},
+		{"share honest", &transport.ShardShare{S: share(cols, rows, 2, -1)}, shares, false},
+		{"share missing", &transport.ShardShare{}, shares, true},
+		{"share wrong scale", &transport.ShardShare{S: share(cols, rows, 1, -1)}, shares, true},
+		{"share mis-shaped", &transport.ShardShare{S: share(rows, cols, 2, -1)}, shares, true},
+		{"share nil entry", &transport.ShardShare{S: share(cols, rows, 2, 4)}, shares, true},
+		{"share short entries", &transport.ShardShare{S: &hetensor.BigMatrix{Rows: cols, Cols: rows, Scale: 2}}, shares, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rc, wc := transport.Pair(4)
+			defer rc.Close()
+			defer wc.Close()
+			root := &ShardLink{Shard: 3, Conn: rc}
+			(&ShardLink{Conn: wc}).Send(c.msg)
+			err := Catch("root", func() { c.recv(root) })
+			if !c.bad {
+				if err != nil {
+					t.Fatalf("honest payload refused: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, transport.ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "shard 3") || !strings.Contains(msg, "seq 0") {
+				t.Fatalf("err = %q does not name shard 3 and seq 0", msg)
 			}
 		})
 	}

@@ -74,10 +74,8 @@ func (p *Peer) Unchunked() (restore func()) {
 // last, so that a NACK for that send still finds its sender and a transfer
 // that cannot be repaired fails on both sides.
 func (p *Peer) Flush() {
-	if sc, ok := p.Conn.(*transport.StreamConn); ok {
-		if err := sc.Flush(); err != nil {
-			p.Fail("flush: %w", err)
-		}
+	if err := p.link().Flush(); err != nil {
+		p.Fail("flush: %w", err)
 	}
 }
 
@@ -101,7 +99,7 @@ func (p *Peer) sendStream(rows, cols int, produce func(lo, hi int) any) {
 	seq := p.sendSeq
 	p.sendSeq++
 	p.Stream.BytesSent += int64(transport.WireSize(&transport.StreamHeader{}))
-	err := transport.SendStream(p.Conn, seq, rows, cols, chunks, func(i int) (any, error) {
+	err := transport.SendStream(p.link(), seq, rows, cols, chunks, func(i int) (any, error) {
 		v := produce(i*span, min(i*span+span, rows))
 		p.Stream.BytesSent += int64(transport.WireSize(&transport.StreamChunk{V: v}))
 		return v, nil
@@ -130,7 +128,7 @@ func (p *Peer) recvStream(consume func(h *transport.StreamHeader, lo int, c hete
 	wait := time.Duration(0)
 	off := 0
 	var first hetensor.Matrix
-	h, err := transport.RecvStream(p.Conn, seq, func(h *transport.StreamHeader, i int, v any) error {
+	h, err := transport.RecvStream(p.link(), seq, func(h *transport.StreamHeader, i int, v any) error {
 		wait += time.Since(start)
 		c := p.trusted(v)
 		if first == nil {

@@ -282,7 +282,7 @@ func hostileStreams() []hostileStream {
 func (h hostileStream) send(c transport.Conn, pk *paillier.PublicKey) error {
 	payloads := h.payloads(pk)
 	errSent := errors.New("payloads sent")
-	err := transport.SendStream(c, 0, h.rows, h.cols, h.chunks, func(i int) (any, error) {
+	err := transport.SendStream(transport.NewStreamConn(c), 0, h.rows, h.cols, h.chunks, func(i int) (any, error) {
 		if i == len(payloads) {
 			return nil, errSent
 		}

@@ -180,6 +180,22 @@ func (c *CSR) SliceCols(lo, hi int) *CSR {
 	return out
 }
 
+// CompactCols renumbers c's columns by their position in cols, which must be
+// sorted and hold every column c stores a non-zero in: the matrix over those
+// columns only, sharing c's row pointers and values (rows keep their column
+// order). A stored column missing from cols panics.
+func (c *CSR) CompactCols(cols []int) *CSR {
+	idx := make([]int, len(c.ColIdx))
+	for t, k := range c.ColIdx {
+		j := sort.SearchInts(cols, k)
+		if j == len(cols) || cols[j] != k {
+			panic(fmt.Sprintf("tensor: CSR column %d not in the compacted set", k))
+		}
+		idx[t] = j
+	}
+	return &CSR{Rows: c.Rows, Cols: len(cols), RowPtr: c.RowPtr, ColIdx: idx, Val: c.Val}
+}
+
 // Sparsity returns the fraction of zero entries.
 func (c *CSR) Sparsity() float64 {
 	total := c.Rows * c.Cols

@@ -131,9 +131,9 @@ func TestFaultCtrlFlipHeaderFailsTyped(t *testing.T) {
 	fc := NewFaultConn(ca, 701, "ctrl-flip-header", FaultPlan{CtrlFlipProb: 1, MaxFaults: 1})
 	go func() {
 		src := tensor.FromSlice(2, 1, []float64{1, 2})
-		SendStream(fc, 0, 2, 1, 1, func(int) (any, error) { return src, nil })
+		SendStream(NewStreamConn(fc), 0, 2, 1, 1, func(int) (any, error) { return src, nil })
 	}()
-	_, err := RecvStream(cb, 0, func(*StreamHeader, int, any) error { return nil })
+	_, err := RecvStream(NewStreamConn(cb), 0, func(*StreamHeader, int, any) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
@@ -155,7 +155,7 @@ func TestFaultCtrlDropHeaderTimesOutUnderDeadline(t *testing.T) {
 		t.Fatal(err) // dropped on the wire; the sender now waits for a reply
 	}
 	start := time.Now()
-	_, err := RecvStream(dc, 0, func(*StreamHeader, int, any) error { return nil })
+	_, err := RecvStream(NewStreamConn(dc), 0, func(*StreamHeader, int, any) error { return nil })
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -177,9 +177,9 @@ func TestFaultCtrlDropMidStreamFailsTyped(t *testing.T) {
 	fc := NewFaultConn(ca, 705, "ctrl-drop-midstream", FaultPlan{CtrlDropProb: 1, MaxFaults: 1})
 	go func() {
 		src := tensor.FromSlice(2, 1, []float64{1, 2})
-		SendStream(fc, 0, 2, 1, 1, func(int) (any, error) { return src, nil })
+		SendStream(NewStreamConn(fc), 0, 2, 1, 1, func(int) (any, error) { return src, nil })
 	}()
-	_, err := RecvStream(cb, 0, func(*StreamHeader, int, any) error { return nil })
+	_, err := RecvStream(NewStreamConn(cb), 0, func(*StreamHeader, int, any) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
@@ -190,7 +190,7 @@ func TestFaultCtrlDropMidStreamFailsTyped(t *testing.T) {
 
 // streamPayload runs one 2x1 stream from sender to receiver and returns the
 // received value and both ends' errors.
-func streamPayload(sender, receiver Conn, seq uint64) (*tensor.Dense, error, error) {
+func streamPayload(sender, receiver *StreamConn, seq uint64) (*tensor.Dense, error, error) {
 	src := tensor.FromSlice(2, 1, []float64{float64(seq) + 1, float64(seq) + 2})
 	done := make(chan error, 1)
 	go func() {

@@ -12,13 +12,13 @@
 // increasing, so crossed streams surface as errors instead of silently
 // corrupting a matrix.
 //
-// Recovery: over a plain Conn a checksum failure is fatal (a typed
-// ErrCorrupt). Over a StreamConn the endpoints run a NACK/resend round: the
-// receiver tolerates corrupt, dropped, duplicated and reordered chunks during
-// the first pass, acknowledges every stream with the list of missing/corrupt
-// indices, and the sender retransmits exactly those chunks once from its
-// retained pristine payloads. A chunk that fails again aborts the stream with
-// ErrCorrupt — corruption is never silent and never retried unboundedly.
+// Recovery: streams run between StreamConn endpoints, which run a NACK/resend
+// round: the receiver tolerates corrupt, dropped, duplicated and reordered
+// chunks during the first pass, acknowledges every stream with the list of
+// missing/corrupt indices, and the sender retransmits exactly those chunks
+// once from its retained pristine payloads. A chunk that fails again aborts
+// the stream with ErrCorrupt — corruption is never silent and never retried
+// unboundedly.
 package transport
 
 import (
@@ -117,52 +117,40 @@ func (a *StreamAck) sum() uint64 {
 // so chunk production overlaps the wire (and, through it, the receiver's
 // consumption). seq is the sender's per-direction stream sequence number.
 //
-// Over a StreamConn the produced payloads are retained until the receiver's
-// ack arrives, so a NACKed chunk can be retransmitted from the pristine copy
-// without re-running produce.
-func SendStream(c Conn, seq uint64, rows, cols, chunks int, produce func(i int) (any, error)) error {
-	if err := c.Send((&StreamHeader{Seq: seq, Rows: rows, Cols: cols, Chunks: chunks}).seal()); err != nil {
+// The produced payloads are retained until the receiver's ack arrives, so a
+// NACKed chunk can be retransmitted from the pristine copy without re-running
+// produce.
+func SendStream(sc *StreamConn, seq uint64, rows, cols, chunks int, produce func(i int) (any, error)) error {
+	if err := sc.Send((&StreamHeader{Seq: seq, Rows: rows, Cols: cols, Chunks: chunks}).seal()); err != nil {
 		return err
 	}
-	sc, _ := c.(*StreamConn)
-	var sent []any
-	if sc != nil {
-		sent = make([]any, chunks)
-	}
-	for i := 0; i < chunks; i++ {
+	sent := make([]any, chunks)
+	for i := range sent {
 		v, err := produce(i)
 		if err != nil {
 			return err
 		}
-		if sent != nil {
-			sent[i] = v
-		}
-		if err := c.Send(&StreamChunk{Seq: seq, Index: i, V: v, Sum: Checksum(v)}); err != nil {
+		sent[i] = v
+		if err := sc.Send(&StreamChunk{Seq: seq, Index: i, V: v, Sum: Checksum(v)}); err != nil {
 			return err
 		}
 	}
-	if err := c.Send(&StreamEnd{Seq: seq}); err != nil {
+	if err := sc.Send(&StreamEnd{Seq: seq}); err != nil {
 		return err
 	}
-	if sc != nil {
-		sc.trackOutgoing(seq, sent)
-	}
+	sc.trackOutgoing(seq, sent)
 	return nil
 }
 
 // RecvStream receives one chunked transfer, invoking consume for every chunk
 // in index order. seq is the receiver's expectation for this direction's next
 // stream sequence; a mismatched stream sequence is always an error, as is a
-// checksum failure on the header.
-//
-// Over a plain Conn the receive is strict: chunks must arrive exactly in
-// order and intact, and any corruption (ErrCorrupt), reordering or short read
-// fails the stream immediately. Over a StreamConn the receive is tolerant:
-// corrupt, dropped, duplicated and reordered chunks are collected into a NACK
+// checksum failure on the header. The receive is tolerant of corrupt,
+// dropped, duplicated and reordered chunks, which are collected into a NACK
 // and re-requested from the sender once (see the package comment); consume
 // still observes chunks strictly in index order.
-func RecvStream(c Conn, seq uint64, consume func(h *StreamHeader, i int, v any) error) (*StreamHeader, error) {
-	v, err := c.Recv()
+func RecvStream(sc *StreamConn, seq uint64, consume func(h *StreamHeader, i int, v any) error) (*StreamHeader, error) {
+	v, err := sc.Recv()
 	if err != nil {
 		return nil, err
 	}
@@ -183,54 +171,17 @@ func RecvStream(c Conn, seq uint64, consume func(h *StreamHeader, i int, v any) 
 	if h.Chunks <= 0 || h.Rows < 0 || h.Cols < 0 || h.Chunks > max(h.Rows, 1) || (h.Cols > 0 && h.Rows > math.MaxInt/h.Cols) {
 		return nil, fmt.Errorf("%w: stream header announces %d chunks of a %d×%d matrix", ErrCorrupt, h.Chunks, h.Rows, h.Cols)
 	}
-	if sc, ok := c.(*StreamConn); ok {
-		err := recvStreamRecover(sc, h, consume)
-		if err == nil {
-			sc.done = h.Seq + 1
-		}
-		return h, err
+	err = recvStreamRecover(sc, h, consume)
+	if err == nil {
+		sc.done = h.Seq + 1
 	}
-	return h, recvStreamStrict(c, h, consume)
-}
-
-// recvStreamStrict is the plain-Conn receive path: in-order, intact, or fail.
-func recvStreamStrict(c Conn, h *StreamHeader, consume func(h *StreamHeader, i int, v any) error) error {
-	for i := 0; i < h.Chunks; i++ {
-		v, err := c.Recv()
-		if err != nil {
-			return fmt.Errorf("transport: stream: chunk %d/%d: %w", i, h.Chunks, err)
-		}
-		chunk, ok := v.(*StreamChunk)
-		if !ok {
-			return fmt.Errorf("%w: stream chunk %d: want chunk, got %T", ErrCorrupt, i, v)
-		}
-		if chunk.Seq != h.Seq {
-			return fmt.Errorf("%w: stream chunk %d: sequence %d does not match header %d", ErrCorrupt, i, chunk.Seq, h.Seq)
-		}
-		if chunk.Index != i {
-			return fmt.Errorf("%w: stream chunk out of order: got index %d want %d", ErrCorrupt, chunk.Index, i)
-		}
-		if Checksum(chunk.V) != chunk.Sum {
-			return fmt.Errorf("%w: stream chunk %d/%d checksum mismatch", ErrCorrupt, i, h.Chunks)
-		}
-		if err := consume(h, i, chunk.V); err != nil {
-			return err
-		}
-	}
-	v, err := c.Recv()
-	if err != nil {
-		return fmt.Errorf("transport: stream: end marker: %w", err)
-	}
-	if end, ok := v.(*StreamEnd); !ok || end.Seq != h.Seq {
-		return fmt.Errorf("%w: stream: want end marker for seq %d, got %T", ErrCorrupt, h.Seq, v)
-	}
-	return nil
+	return h, err
 }
 
 // maxNack bounds the gap list of one StreamAck.
 const maxNack = 1 << 10
 
-// recvStreamRecover is the StreamConn receive path: a first pass that
+// recvStreamRecover is RecvStream after the header: a first pass that
 // tolerates corrupt/dropped/duplicated/reordered chunks, an ack naming the
 // gaps, and at most one retransmission round before the stream aborts.
 func recvStreamRecover(sc *StreamConn, h *StreamHeader, consume func(h *StreamHeader, i int, v any) error) error {
