@@ -24,7 +24,9 @@ test:
 # without -race, under which sync.Pool drops items at random and the guards
 # skip themselves. So do the hetensor kernels built on them: FuzzKernels runs
 # every kernel on random shapes, lane formats and signed values, the engine
-# path against the textbook one and the plaintext, for ten seconds.
+# path against the textbook one and the plaintext — and ServeProducts, at
+# fills of 1…3K requests, uncached or cached with some or all comb rows,
+# against the packed-exponent reference residue for residue — for ten seconds.
 test-cpu:
 	$(GO) test -short -race -timeout 10m -cpu 1,4 ./internal/paillier/ ./internal/hetensor/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzDotSigned$$' -fuzztime=10s ./internal/paillier/
@@ -98,7 +100,8 @@ profile-sparse:
 	$(GO) test ./internal/core -run '^$$' -bench 'SparseStep/1024$$' -benchtime 20x -benchmem -cpuprofile sparse.prof
 
 # The same for serve_batched's homomorphic half (BenchmarkServeProducts: 32
-# requests × 14 features against a cached 2048-bit weight column). Leaves
+# requests × 14 features against a cached 2048-bit weight column, its comb
+# rows built; the admit rows, which time the build, are not profiled). Leaves
 # serve.prof and hetensor.test; read with
 # `go tool pprof -top hetensor.test serve.prof`.
 profile-serve:

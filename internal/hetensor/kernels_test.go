@@ -125,16 +125,27 @@ func TestKernelsDifferential(t *testing.T) {
 }
 
 // FuzzKernels draws a kernel, a lane format, a shape and signed operands,
-// and checks the engine path against the textbook one and the plaintext.
+// and checks the engine path against the textbook one and the plaintext. The
+// last kernel index is ServeProducts, which has no textbook path: a fill of
+// 1…3K requests, uncached or under a budget that affords some or all comb
+// rows, residue for residue against the packed-exponent reference.
 func FuzzKernels(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(3), uint8(4), uint8(1))
 	f.Add(int64(2), uint8(3), uint8(2), uint8(1), uint8(1), uint8(2))
 	f.Add(int64(3), uint8(5), uint8(3), uint8(5), uint8(2), uint8(3))
+	f.Add(int64(4), uint8(7), uint8(0), uint8(8), uint8(5), uint8(1))
+	f.Add(int64(5), uint8(7), uint8(2), uint8(11), uint8(3), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, kernel, layout, rows, inner, blocks uint8) {
 		r, n, c := 2+int(rows%5), 1+int(inner%6), 3*(1+int(blocks%3))
 		cases := kernelCases(r, n, c)
-		k := cases[int(kernel)%len(cases)]
-		lay := kernelLayouts[int(layout)%len(kernelLayouts)]
-		runKernel(t, fmt.Sprintf("%s/%s %d×%d×%d", k.name, lay.name, r, n, c), k.run, seed, lay.l)
+		if i := int(kernel) % (len(cases) + 1); i < len(cases) {
+			k := cases[i]
+			lay := kernelLayouts[int(layout)%len(kernelLayouts)]
+			runKernel(t, fmt.Sprintf("%s/%s %d×%d×%d", k.name, lay.name, r, n, c), k.run, seed, lay.l)
+			return
+		}
+		budgets := []int64{0, 256 << 10, 64 << 20}
+		fill := 1 + int(rows)%(3*Lanes(&testKey.PublicKey))
+		checkServeCase(t, seed, fill, n, 1+int(blocks%3), budgets[int(layout)%len(budgets)])
 	})
 }

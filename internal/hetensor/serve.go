@@ -21,6 +21,15 @@ import (
 // training-time MulLeft uses, so a long-lived serve session's queries
 // warm and reuse the same persistent dot-table cache entries.
 //
+// A packed exponent is K·W bits long (≈1 984 at 2048-bit keys), and its
+// squaring chain was most of a served batch. The weights a session serves
+// never change, so their cached entry also keeps comb rows at the lane
+// stride — every base c raised to 2^(r·W), squared once per session — and
+// a full lane group becomes one chain over each lane's own ≈42-bit value:
+// Π_{k,r} c_{k,r}^(x_{r,k}) is the group element Π_k c_k^(P_k), the same
+// residue. Rows are built only for lanes a batch has filled, as many as the
+// table-cache budget affords (combTables).
+//
 // Unlike training's float shares, serve shares stay exact integers at scale 2
 // until the end: masks are drawn as integer lane values and cancel exactly in
 // ℤ when the two parties' shares are summed, so the reconstructed activation
@@ -33,6 +42,7 @@ import (
 // ServeMaskBits is the bit magnitude of serve-time integer lane masks:
 // 2·Codec.F bits cover a scale-2 product lane plus the usual ~2^20
 // statistical blind on top, comfortably inside the PackHeadroom margin.
+// ServeMask draws exactly this many bits.
 const ServeMaskBits = 100
 
 // Lanes returns the number of packing lanes K one ciphertext holds under the
@@ -95,6 +105,13 @@ func (m *BigMatrix) DecodeTranspose() *tensor.Dense {
 // instead of batch×v.Cols. The result is a packed out×batch matrix at scale
 // V.Scale+1 whose lane l of group g is request (g·K+l)'s product.
 //
+// Each product Π_k c_k^(P_k), P_k = Σ_l x_{gK+l,k}·2^(l·W), is evaluated as
+// Π_{k,r} c_{k,r}^(e_{k,r}) over R comb rows c_{k,r} = c_k^(2^(r·W)): row r < R−1
+// carries lane r's own ≈42-bit value, the top row the pack of lanes R−1….
+// The same group element, so the same residue, for every R; R = 1 is the
+// packed exponent against c_k itself. R comes from the cache (combTables),
+// and is 1 whenever the tables are per call.
+//
 // The kernel always runs the signed-exponent engine: packed exponents are the
 // mechanism, not an optimization, so SetTextbook does not apply. The
 // base columns and orientation match MulLeft on the same V, so serve
@@ -108,38 +125,143 @@ func ServeProducts(x *tensor.Dense, v *CipherMatrix) *PackedMatrix {
 	}
 	lc := packingFor(v.PK)
 	out := NewPackedMatrix(v.PK, v.Cols, x.Rows, x.Rows, v.Scale+1)
-	groups := out.GroupsPerRow()
+	groups, inner := out.GroupsPerRow(), x.Cols
+	lanes := make([][][]*big.Int, groups) // lanes[g][k][l]: request gK+l's feature k at scale 1
+	laneBits := 0
+	for g := range lanes {
+		lanes[g] = make([][]*big.Int, inner)
+		for k := range lanes[g] {
+			ls := make([]*big.Int, out.laneCount(g))
+			for l := range ls {
+				ls[l] = Codec.Encode(x.At(g*lc.K+l, k), 1)
+				laneBits = max(laneBits, ls[l].BitLen())
+			}
+			lanes[g][k] = ls
+		}
+	}
+	if laneBits == 0 {
+		return out // an all-zero batch: every product is the identity
+	}
+	base := func(k, j int) *paillier.Ciphertext { return v.Row(k)[j] }
+	tabs, rows := combTables(v.PK, lc.W, tableSource{v.id, orientCol}, inner, v.Cols, out.laneCount(0), laneBits, base)
 	exps := make([][]paillier.SignedExp, groups)
 	maxBits := 0
-	for g := 0; g < groups; g++ {
-		lo := g * lc.K
-		hi := lo + out.laneCount(g)
-		es := make([]paillier.SignedExp, x.Cols)
-		lanes := make([]*big.Int, hi-lo)
-		for k := 0; k < x.Cols; k++ {
-			zero := true
-			for i := lo; i < hi; i++ {
-				lanes[i-lo] = Codec.Encode(x.At(i, k), 1)
-				if lanes[i-lo].Sign() != 0 {
-					zero = false
+	for g := range exps {
+		es := make([]paillier.SignedExp, rows*inner)
+		for k, ls := range lanes[g] {
+			for r := 0; r < rows && r < len(ls); r++ {
+				hi := r + 1
+				if r == rows-1 {
+					hi = len(ls)
 				}
-			}
-			if zero {
-				continue
-			}
-			p := lc.PackEncoded(lanes)
-			neg := p.Sign() < 0
-			es[k] = paillier.SignedExp{Mag: p.Abs(p), Neg: neg}
-			if bl := es[k].Mag.BitLen(); bl > maxBits {
-				maxBits = bl
+				p := lc.PackEncoded(ls[r:hi])
+				if p.Sign() == 0 {
+					continue
+				}
+				neg := p.Sign() < 0
+				es[r*inner+k] = paillier.SignedExp{Mag: p.Abs(p), Neg: neg}
+				maxBits = max(maxBits, p.BitLen())
 			}
 		}
 		exps[g] = es
 	}
-	dotProducts(v.PK, tableSource{v.id, orientCol}, func(k, j int) *paillier.Ciphertext { return v.Row(k)[j] },
-		x.Cols, v.Cols, exps, maxBits,
-		func(g, j int, c *paillier.Ciphertext) { out.Row(j)[g] = c })
+	emit := func(g, j int, c *paillier.Ciphertext) { out.Row(j)[g] = c }
+	if tabs == nil {
+		// Per-call tables, one row: the source is passed anonymous because
+		// combTables has already counted this call's sighting.
+		dotProducts(v.PK, tableSource{}, base, inner, v.Cols, exps, maxBits, emit)
+		return out
+	}
+	// Column j's base for row r, feature k sits at (r·out + j)·in + k: rows
+	// are laid end to end as they were appended (combTables).
+	idx := make([][]int, v.Cols)
+	for j := range idx {
+		idx[j] = make([]int, rows*inner)
+		for t := range idx[j] {
+			r, k := t/inner, t%inner
+			idx[j][t] = (r*v.Cols+j)*inner + k
+		}
+	}
+	parallel.For(groups, func(g int) {
+		for j := range idx {
+			emit(g, j, tabs.DotAt(idx[j], exps[g]))
+		}
+	})
 	return out
+}
+
+// combTables resolves a serve call's tables through the cache. A cached
+// entry over all in·out bases of the source holds R comb rows, row r being
+// every base raised to 2^(r·W), laid out row after row; it returns the tables
+// and how many rows this call uses — its fill (lanes of the fullest group) or
+// the entry's rows, whichever is fewer. An entry gains rows the first time a
+// call's fill reaches past them, up to the most rows whose tables fit
+// cacheWindow's half-budget rule; rows a fill never used are never built, so
+// one-lane traffic builds exactly the one row the packed kernel always did.
+// The rule's floor is the window a per-call build would use for the rows'
+// exponents: a lane's when R ≥ 2, the whole pack's when R = 1. It returns
+// (nil, 1) when the tables are per call: cache off, anonymous source, first
+// sighting, or no row that fits.
+func combTables(pk *paillier.PublicKey, w uint, src tableSource, inner, gpr, fill, laneBits int,
+	base func(k, g int) *paillier.Ciphertext) (*paillier.DotTables, int) {
+	budget := TableCacheBudget()
+	if src.id == 0 || budget <= 0 {
+		return nil, 1
+	}
+	window := func(r int) uint {
+		bits := laneBits
+		if r == 1 {
+			bits += (fill - 1) * int(w)
+		}
+		return cacheWindow(inner*r, gpr, bits, pk, budget)
+	}
+	rows := fill
+	for rows > 0 && window(rows) == 0 {
+		rows--
+	}
+	if rows == 0 {
+		return nil, 1
+	}
+	all := make([]int, inner)
+	for k := range all {
+		all[k] = k
+	}
+	key := tableKey{src: src, live: liveHash(all)}
+	tabs, admit := tableCacheGet(key)
+	if tabs == nil && !admit {
+		return nil, 1
+	}
+	have, row := 0, inner*gpr
+	if tabs != nil {
+		if have = tabs.Bases() / row; have >= rows {
+			return tabs, min(have, fill)
+		}
+	}
+	// Rows have… are squared up from row have−1, or from the matrix itself.
+	fresh := make([]*paillier.Ciphertext, (rows-have)*row)
+	parallel.For(row, func(t int) {
+		c, skip := base(t%inner, t/inner), 0
+		if have > 0 {
+			c, skip = tabs.Base((have-1)*row+t), 1
+		}
+		for i, p := range pk.LanePowers(c, w, rows-have+skip)[skip:] {
+			fresh[i*row+t] = p
+		}
+	})
+	win := window(rows)
+	var grown *paillier.DotTables
+	if tabs != nil && tabs.Window() == win {
+		grown = tabs.Extend(fresh)
+	} else {
+		// A new entry, or more rows than fit at the old window: build all.
+		old := make([]*paillier.Ciphertext, have*row)
+		for i := range old {
+			old[i] = tabs.Base(i)
+		}
+		grown = pk.PrecomputeDot(append(old, fresh...), win)
+	}
+	tableCachePut(key, grown)
+	return grown, rows
 }
 
 // ServeMask draws a fresh ServeMaskBits-bit signed integer mask for every
@@ -150,9 +272,10 @@ func ServeProducts(x *tensor.Dense, v *CipherMatrix) *PackedMatrix {
 // reproducible from the session seed.
 func ServeMask(rng *rand.Rand, prod *PackedMatrix) (*BigMatrix, *PackedMatrix) {
 	s := &BigMatrix{Rows: prod.Rows, Cols: prod.Cols, Scale: prod.Scale, V: make([]*big.Int, prod.Rows*prod.Cols)}
-	buf := make([]byte, ServeMaskBits/8)
+	buf := make([]byte, (ServeMaskBits+7)/8)
 	for i := range s.V {
 		rng.Read(buf)
+		buf[0] &= 0xff >> (8*len(buf) - ServeMaskBits) // exactly ServeMaskBits bits
 		v := new(big.Int).SetBytes(buf)
 		if rng.Intn(2) == 1 {
 			v.Neg(v)

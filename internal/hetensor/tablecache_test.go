@@ -222,7 +222,7 @@ func TestTableCacheAdmission(t *testing.T) {
 	v := Encrypt(pk, tensor.RandDense(rng, 8, 2, 1), 1) // fixed serve weights
 	req := tensor.RandDense(rng, 3, 8, 1)
 	x := tensor.RandDense(rng, 4, 8, 2)
-	const budget = 4 << 20 // half of it holds the serve tables at the full cache window
+	const budget = 4 << 20 // half of it holds the serve tables: three comb rows at window 6
 	withCacheBudget(t, budget, func() {
 		under := func(when string) TableCacheStats {
 			s := TableCacheStatsNow()
@@ -249,9 +249,10 @@ func TestTableCacheAdmission(t *testing.T) {
 				t.Fatalf("step %d: single-use matrices moved the cache: %+v -> %+v", step, before, after)
 			}
 		}
-		if s := under("end"); s.Hits != 4 || s.Entries != 1 || s.Bytes != pk.DotTableBytes(8*2, 8) {
+		// Three requests fill three of the key's lanes: one comb row each.
+		if s := under("end"); s.Hits != 4 || s.Entries != 1 || s.Bytes != pk.DotTableBytes(3*8*2, 6) {
 			t.Fatalf("stats %+v: want serve hits from the third invocation on one %d-byte entry",
-				s, pk.DotTableBytes(8*2, 8))
+				s, pk.DotTableBytes(3*8*2, 6))
 		}
 		// More first sightings than the ghost set holds: an ID it has
 		// forgotten is a first sighting again, not an admission.
@@ -349,11 +350,13 @@ func BenchmarkDotGrid(b *testing.B) {
 // BenchmarkServeProducts is serve_batched's homomorphic half at its geometry —
 // 32 requests × 14 features against a 14×1 encrypted weight column — with the
 // table cache warm, as it is for the whole life of a serve session: what is
-// timed is the lane-packed (~K·W-bit) chains over cached tables, nothing else.
-// `make profile-serve` profiles the 2048-bit row; -short keeps the 512-bit one.
+// timed is the chains over the cached comb rows, nothing else. The admit rows
+// time what a session pays once: a fresh weight column's first sighting and
+// its second, which builds every row a full group uses.
+// `make profile-serve` profiles the 2048-bit row; -short keeps the 512-bit ones.
 func BenchmarkServeProducts(b *testing.B) {
 	for _, bits := range []int{512, 2048} {
-		b.Run(strconv.Itoa(bits), func(b *testing.B) {
+		setup := func(b *testing.B) (*tensor.Dense, *CipherMatrix) {
 			if bits > 512 && testing.Short() {
 				b.Skip("2048-bit row skipped in -short mode")
 			}
@@ -363,15 +366,29 @@ func BenchmarkServeProducts(b *testing.B) {
 			v := Encrypt(pk, tensor.RandDense(rng, 14, 1, 2), 1)
 			prev := SetTableCacheBudget(64 << 20)
 			ResetTableCache()
-			defer func() {
+			b.Cleanup(func() {
 				SetTableCacheBudget(prev)
 				ResetTableCache()
-			}()
+			})
+			return x, v
+		}
+		b.Run(strconv.Itoa(bits), func(b *testing.B) {
+			x, v := setup(b)
 			ServeProducts(x, v) // first sighting
 			ServeProducts(x, v) // admitted: the tables are built here
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				ServeProducts(x, v)
+			}
+		})
+		b.Run("admit/"+strconv.Itoa(bits), func(b *testing.B) {
+			x, v := setup(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.MintID()
+				ServeProducts(x, v)
 				ServeProducts(x, v)
 			}
 		})

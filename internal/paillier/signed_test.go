@@ -376,6 +376,33 @@ func TestPackLanesMatchesExp(t *testing.T) {
 	}
 }
 
+// TestLanePowersSplitAPack: LanePowers(c, w, n)[l] is c^(2^(l·w)) mod N², and
+// the lanes of a signed pack raised to their own bases multiply to c^pack —
+// the identity the serve kernel's comb rows rest on.
+func TestLanePowersSplitAPack(t *testing.T) {
+	pk := &testKey.PublicKey
+	c := encT(t, pk, big.NewInt(4242))
+	for _, tc := range [][2]int{{1, 7}, {2, 1}, {4, 97}, {5, 124}} {
+		n, w := tc[0], uint(tc[1])
+		pows := pk.LanePowers(c, w, n)
+		pack := new(big.Int)
+		es := make([]SignedExp, n)
+		for l := n - 1; l >= 0; l-- {
+			e := new(big.Int).Lsh(one, uint(l)*w)
+			if want := e.Exp(c.C, e, pk.N2); pows[l].C.Cmp(want) != 0 {
+				t.Fatalf("%d powers of stride %d: power %d is not c^(2^(l·w))", n, w, l)
+			}
+			x := int64(l*37 - 50) // signed lane values
+			pack.Lsh(pack, w).Add(pack, big.NewInt(x))
+			es[l] = SignedExp{Mag: big.NewInt(x).Abs(big.NewInt(x)), Neg: x < 0}
+		}
+		want := pk.DotRow([]*Ciphertext{c}, []SignedExp{{Mag: new(big.Int).Abs(pack), Neg: pack.Sign() < 0}})
+		if got := pk.DotRow(pows, es); got.C.Cmp(want.C) != 0 {
+			t.Fatalf("%d lanes of %d bits: the split pack is not c^pack", n, w)
+		}
+	}
+}
+
 // TestAllUnits: honest ciphertexts pass; a multiple of p, of q or of N at any
 // position — the whole point of folding before the one GCD — does not.
 func TestAllUnits(t *testing.T) {
