@@ -20,8 +20,7 @@ import (
 //     (hetensor's tableCacheGet/cachedTables/combTables). Cached
 //     *paillier.DotTables are shared across every kernel invocation of the
 //     process and must stay read-only; the only methods callable on a cache
-//     result are the read-only ones (Dot, DotGroup, DotAt, Window, Bytes,
-//     Bases, Base, and Extend, which returns new tables).
+//     result are the read-only ones (Dot, DotGroup, Window, Bytes, Bases).
 var Bigval = &analysis.Analyzer{
 	Name: "bigval",
 	Doc: "flags big.Int/paillier.Ciphertext value copies and mutation of shared dot-table cache results\n\n" +
@@ -42,12 +41,9 @@ var cacheAccessors = map[string]bool{
 var tableReadOnlyMethods = map[string]bool{
 	"Dot":      true,
 	"DotGroup": true,
-	"DotAt":    true,
 	"Window":   true,
 	"Bytes":    true,
 	"Bases":    true,
-	"Base":     true,
-	"Extend":   true,
 }
 
 func runBigval(pass *analysis.Pass) (interface{}, error) {
@@ -260,7 +256,7 @@ func checkCacheMutation(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 			if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
 				if acc, ok := cached[obj]; ok {
-					pass.Reportf(n.Pos(), "calls non-read-only method %s on the result of %s; cached DotTables are shared and read-only (allowed: Dot, DotGroup, DotAt, Window, Bytes, Bases, Base, Extend)", sel.Sel.Name, acc)
+					pass.Reportf(n.Pos(), "calls non-read-only method %s on the result of %s; cached DotTables are shared and read-only (allowed: Dot, DotGroup, Window, Bytes, Bases)", sel.Sel.Name, acc)
 				}
 			}
 		}

@@ -17,15 +17,15 @@ import (
 // group of requests becomes one signed packed exponent per feature, so the
 // homomorphic product ⟦(X·V)ᵀ⟧ costs one dot-product grid of v.Cols×⌈batch/K⌉
 // ciphertexts — the request batcher fills lanes across concurrent queries.
-// The base set is the *unpacked* ⟦V⟧ column, the identical tableSource the
-// training-time MulLeft uses, so a long-lived serve session's queries
-// warm and reuse the same persistent dot-table cache entries.
+// The base set is the *unpacked* ⟦V⟧ column, so a long-lived serve
+// session's queries warm and reuse one persistent dot-table cache entry per
+// weight matrix.
 //
 // A packed exponent is K·W bits long (≈1 984 at 2048-bit keys), and its
 // squaring chain was most of a served batch. The weights a session serves
-// never change, so their cached entry also keeps comb rows at the lane
-// stride — every base c raised to 2^(r·W), squared once per session — and
-// a full lane group becomes one chain over each lane's own ≈42-bit value:
+// never change, so their cached entry keeps comb rows at the lane stride —
+// every base c raised to 2^(r·W), squared once per session — and a full
+// lane group becomes one chain over each lane's own ≈42-bit value:
 // Π_{k,r} c_{k,r}^(x_{r,k}) is the group element Π_k c_k^(P_k), the same
 // residue. Rows are built only for lanes a batch has filled, as many as the
 // table-cache budget affords (combTables).
@@ -113,9 +113,7 @@ func (m *BigMatrix) DecodeTranspose() *tensor.Dense {
 // and is 1 whenever the tables are per call.
 //
 // The kernel always runs the signed-exponent engine: packed exponents are the
-// mechanism, not an optimization, so SetTextbook does not apply. The
-// base columns and orientation match MulLeft on the same V, so serve
-// queries resolve through the identical persistent dot-table cache entries.
+// mechanism, not an optimization, so SetTextbook does not apply.
 func ServeProducts(x *tensor.Dense, v *CipherMatrix) *PackedMatrix {
 	if x.Cols != v.Rows {
 		panic(fmt.Sprintf("hetensor: ServeProducts inner dim mismatch %d×%d · %d×%d", x.Rows, x.Cols, v.Rows, v.Cols))
@@ -143,11 +141,11 @@ func ServeProducts(x *tensor.Dense, v *CipherMatrix) *PackedMatrix {
 		return out // an all-zero batch: every product is the identity
 	}
 	base := func(k, j int) *paillier.Ciphertext { return v.Row(k)[j] }
-	tabs, rows := combTables(v.PK, lc.W, tableSource{v.id, orientCol}, inner, v.Cols, out.laneCount(0), laneBits, base)
+	tabs, rows := combTables(v.PK, lc.W, v.id, inner, v.Cols, out.laneCount(0), laneBits, base)
 	exps := make([][]paillier.SignedExp, groups)
 	maxBits := 0
 	for g := range exps {
-		es := make([]paillier.SignedExp, rows*inner)
+		es := make([]paillier.SignedExp, rows*inner) // zero past this group's lanes
 		for k, ls := range lanes[g] {
 			for r := 0; r < rows && r < len(ls); r++ {
 				hi := r + 1
@@ -172,40 +170,34 @@ func ServeProducts(x *tensor.Dense, v *CipherMatrix) *PackedMatrix {
 		dotProducts(v.PK, tableSource{}, base, inner, v.Cols, exps, maxBits, emit)
 		return out
 	}
-	// Column j's base for row r, feature k sits at (r·out + j)·in + k: rows
-	// are laid end to end as they were appended (combTables).
-	idx := make([][]int, v.Cols)
-	for j := range idx {
-		idx[j] = make([]int, rows*inner)
-		for t := range idx[j] {
-			r, k := t/inner, t%inner
-			idx[j][t] = (r*v.Cols+j)*inner + k
-		}
-	}
 	parallel.For(groups, func(g int) {
-		for j := range idx {
-			emit(g, j, tabs.DotAt(idx[j], exps[g]))
+		for j := 0; j < v.Cols; j++ {
+			emit(g, j, tabs.DotGroup(j, exps[g]))
 		}
 	})
 	return out
 }
 
-// combTables resolves a serve call's tables through the cache. A cached
-// entry over all in·out bases of the source holds R comb rows, row r being
-// every base raised to 2^(r·W), laid out row after row; it returns the tables
-// and how many rows this call uses — its fill (lanes of the fullest group) or
-// the entry's rows, whichever is fewer. An entry gains rows the first time a
-// call's fill reaches past them, up to the most rows whose tables fit
-// cacheWindow's half-budget rule; rows a fill never used are never built, so
-// one-lane traffic builds exactly the one row the packed kernel always did.
-// The rule's floor is the window a per-call build would use for the rows'
-// exponents: a lane's when R ≥ 2, the whole pack's when R = 1. It returns
-// (nil, 1) when the tables are per call: cache off, anonymous source, first
-// sighting, or no row that fits.
-func combTables(pk *paillier.PublicKey, w uint, src tableSource, inner, gpr, fill, laneBits int,
-	base func(k, g int) *paillier.Ciphertext) (*paillier.DotTables, int) {
+// combTables resolves a serve call's tables through the cache and returns
+// them with their comb row count R. A cached entry holds R rows over every
+// in·out base of the source, row r being each base raised to 2^(r·W), laid
+// out column by column — column j's R·in bases at (j·R + r)·in + k — so
+// DotGroup(j, ·) evaluates column j; it is keyed under orientComb, which no
+// one-row entry of cachedTables can match. A call whose fill (lanes of its
+// fullest group) reaches past the entry's rows rebuilds the entry whole, with
+// as many rows as the fill uses up to the most whose tables fit cacheWindow's
+// half-budget rule; rows no fill used are never built, so one-lane traffic
+// builds exactly the one row the packed kernel always did. The rule's floor
+// is the window a per-call build would use for the rows' exponents: a lane's
+// when R ≥ 2, the whole pack's when R = 1. Taking the most rows that fit,
+// even at a narrower window, won or tied against fewer rows at a wider one
+// at every budget measured (4 to 64 MiB at 2048 bits, docs/PERF.md). It
+// returns (nil, 1) when the tables are per call: cache off, anonymous
+// source, first sighting, or no row that fits.
+func combTables(pk *paillier.PublicKey, w uint, id uint64, inner, gpr, fill, laneBits int,
+	base func(k, j int) *paillier.Ciphertext) (*paillier.DotTables, int) {
 	budget := TableCacheBudget()
-	if src.id == 0 || budget <= 0 {
+	if id == 0 || budget <= 0 {
 		return nil, 1
 	}
 	window := func(r int) uint {
@@ -222,46 +214,26 @@ func combTables(pk *paillier.PublicKey, w uint, src tableSource, inner, gpr, fil
 	if rows == 0 {
 		return nil, 1
 	}
-	all := make([]int, inner)
-	for k := range all {
-		all[k] = k
-	}
-	key := tableKey{src: src, live: liveHash(all)}
+	key := tableKey{src: tableSource{id, orientComb}}
 	tabs, admit := tableCacheGet(key)
 	if tabs == nil && !admit {
 		return nil, 1
 	}
-	have, row := 0, inner*gpr
 	if tabs != nil {
-		if have = tabs.Bases() / row; have >= rows {
-			return tabs, min(have, fill)
+		if have := tabs.Bases() / (gpr * inner); have >= rows {
+			return tabs, have
 		}
 	}
-	// Rows have… are squared up from row have−1, or from the matrix itself.
-	fresh := make([]*paillier.Ciphertext, (rows-have)*row)
-	parallel.For(row, func(t int) {
-		c, skip := base(t%inner, t/inner), 0
-		if have > 0 {
-			c, skip = tabs.Base((have-1)*row+t), 1
-		}
-		for i, p := range pk.LanePowers(c, w, rows-have+skip)[skip:] {
-			fresh[i*row+t] = p
+	cs := make([]*paillier.Ciphertext, gpr*rows*inner)
+	parallel.For(gpr*inner, func(t int) {
+		j, k := t/inner, t%inner
+		for r, p := range pk.LanePowers(base(k, j), w, rows) {
+			cs[(j*rows+r)*inner+k] = p
 		}
 	})
-	win := window(rows)
-	var grown *paillier.DotTables
-	if tabs != nil && tabs.Window() == win {
-		grown = tabs.Extend(fresh)
-	} else {
-		// A new entry, or more rows than fit at the old window: build all.
-		old := make([]*paillier.Ciphertext, have*row)
-		for i := range old {
-			old[i] = tabs.Base(i)
-		}
-		grown = pk.PrecomputeDot(append(old, fresh...), win)
-	}
-	tableCachePut(key, grown)
-	return grown, rows
+	tabs = pk.PrecomputeDot(cs, window(rows))
+	tableCachePut(key, tabs)
+	return tabs, rows
 }
 
 // ServeMask draws a fresh ServeMaskBits-bit signed integer mask for every

@@ -74,7 +74,7 @@ func TestServeProductsCombRows(t *testing.T) {
 		cachedRows bool
 	}{
 		{"off", 0, 0, 0, 0, false},
-		{"small", small, 2, 5, 4, true}, // one row fits at window 5: growing to two rebuilds
+		{"small", small, 2, 5, 4, true}, // one row fits at window 5, two only at window 4
 		{"64MiB", 64 << 20, K, 8, 8, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -28,9 +28,9 @@ import (
 // are built at a wider window than per-call tables (up to width 8: 6 digits
 // for a 45-bit fixed-point scalar instead of 12 at width 4). Each base costs
 // 2·(2^w−1) residues — its powers and its inverse's — all charged to the
-// budget. A serve weight matrix's entry (combTables) is keyed by all its
-// bases and grows comb rows over them: a larger entry replaces the smaller
-// one under the same key, never beside it.
+// budget. A serve weight matrix's entry (combTables) holds comb rows over
+// all its bases and grows by a whole rebuild: the larger entry replaces the
+// smaller one under the same key, never beside it.
 //
 // The cache is process-wide and byte-budgeted: entries are evicted LRU-first
 // the moment the budget is exceeded. A budget of 0 (the default) disables
@@ -62,8 +62,9 @@ type tableSource struct {
 }
 
 const (
-	orientCol uint8 = iota // base vector g = column/group g of the matrix
-	orientRow              // base vector g = row g of the matrix
+	orientCol  uint8 = iota // base vector g = column/group g of the matrix
+	orientRow               // base vector g = row g of the matrix
+	orientComb              // column g's comb rows over every base (combTables)
 )
 
 // tableKey identifies one cached DotTables build: all base vectors of one

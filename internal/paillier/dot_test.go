@@ -107,20 +107,6 @@ func checkDotCase(t *testing.T, pk *PublicKey, seed int64, n, w, bits, pattern i
 	if want, got := pk.DotTableBytes(n, uint(w)), tabs.Bytes(); got != want {
 		t.Fatalf("tables account %d bytes, DotTableBytes says %d", got, want)
 	}
-	// The same bases in two builds, the second appended by Extend, walked
-	// back to front: one chain over scattered bases is still the residue.
-	h := n / 2
-	grown := pk.PrecomputeDot(cs[:h], uint(w)).Extend(cs[h:])
-	idx, rev := make([]int, n), make([]SignedExp, n)
-	for i := range idx {
-		idx[i], rev[i] = n-1-i, es[n-1-i]
-	}
-	if got := grown.DotAt(idx, rev).C; got.Cmp(want) != 0 {
-		t.Fatalf("DotAt over Extend (seed %d n %d w %d bits %d pattern %d) is not the reference residue", seed, n, w, bits, pattern)
-	}
-	if grown.Bases() != n || grown.Bytes() != tabs.Bytes() || grown.Base(n-1).C.Cmp(cs[n-1].C) != 0 {
-		t.Fatalf("Extend: %d bases, %d bytes, want %d and %d, and the last base back", grown.Bases(), grown.Bytes(), n, tabs.Bytes())
-	}
 }
 
 // dotSeedCases are the hand-picked corners: every pattern at every window

@@ -123,8 +123,8 @@ const MaxDotWindow = 10
 
 // DotTables holds per-base window tables for Straus multi-exponentiation
 // over a fixed slice of ciphertext bases (the columns of a weight matrix,
-// say). Build once with PrecomputeDot (grow with Extend), evaluate with Dot,
-// DotGroup or DotAt for each exponent vector.
+// say). Build once with PrecomputeDot, evaluate with Dot or DotGroup for
+// each exponent vector.
 type DotTables struct {
 	w uint
 	n int // bases
@@ -181,14 +181,10 @@ func (m *sqMod) batchInverse(xs []*sqPair, s *sqScratch) {
 // The inversion runs on the calling goroutine either way, so a non-invertible
 // base panics where the caller can recover.
 func (pk *PublicKey) precomputeDot(cs []*Ciphertext, es []SignedExp, w uint) *DotTables {
-	return buildDot(newSqMod(pk.N), cs, es, w)
-}
-
-// buildDot is precomputeDot under an existing multiplier.
-func buildDot(m *sqMod, cs []*Ciphertext, es []SignedExp, w uint) *DotTables {
 	if w < 1 || w > MaxDotWindow {
 		panic(fmt.Sprintf("paillier: PrecomputeDot window %d out of range [1,%d]", w, MaxDotWindow))
 	}
+	m := newSqMod(pk.N)
 	t := &DotTables{w: w, n: len(cs), m: m, pow: make([][]sqPair, 2*len(cs))}
 	s := m.newScratch()
 	var negs []*sqPair
@@ -233,22 +229,8 @@ func (pk *PublicKey) PrecomputeDot(cs []*Ciphertext, w uint) *DotTables {
 	return pk.precomputeDot(cs, nil, w)
 }
 
-// Extend returns tables over t's bases followed by cs, at t's window: only
-// the new bases' rows are built (a parallel build, both sides), t's are
-// shared, and t itself is left as it was — so a cached table set grows
-// without disturbing a reader of the old one. Panics like PrecomputeDot.
-func (t *DotTables) Extend(cs []*Ciphertext) *DotTables {
-	more := buildDot(t.m, cs, nil, t.w)
-	pow := make([][]sqPair, 0, len(t.pow)+len(more.pow))
-	return &DotTables{w: t.w, n: t.n + more.n, m: t.m, pow: append(append(pow, t.pow...), more.pow...)}
-}
-
 // Bases reports how many bases the tables cover.
 func (t *DotTables) Bases() int { return t.n }
-
-// Base returns base i as a fresh ciphertext: the first power of its table
-// row. Tables from PrecomputeDot or Extend hold every base's row.
-func (t *DotTables) Base(i int) *Ciphertext { return &Ciphertext{C: t.m.join(&t.pow[2*i][0])} }
 
 // Dot computes ⟦Σ kᵢ·mᵢ⟧ = Π cᵢ^{kᵢ} over all the precomputed bases; es
 // must align with the bases passed to PrecomputeDot.
@@ -270,26 +252,6 @@ func (t *DotTables) DotGroup(g int, es []SignedExp) *Ciphertext {
 	if g < 0 || off+len(es) > t.n {
 		panic(fmt.Sprintf("paillier: DotGroup %d of %d exponents over %d bases", g, len(es), t.n))
 	}
-	return t.eval(es, func(i int) int { return off + i })
-}
-
-// DotAt computes Π c_{idx[i]}^{es[i]} in one shared chain: the bases of one
-// product need not be adjacent (a table grown by Extend appends its new bases
-// after every old one). Otherwise DotGroup.
-func (t *DotTables) DotAt(idx []int, es []SignedExp) *Ciphertext {
-	if len(idx) != len(es) {
-		panic(fmt.Sprintf("paillier: DotAt over %d bases, %d exponents", len(idx), len(es)))
-	}
-	for _, i := range idx {
-		if i < 0 || i >= t.n {
-			panic(fmt.Sprintf("paillier: DotAt base %d of %d", i, t.n))
-		}
-	}
-	return t.eval(es, func(i int) int { return idx[i] })
-}
-
-// eval vets es and runs the chain over the bases at(i).
-func (t *DotTables) eval(es []SignedExp, at func(i int) int) *Ciphertext {
 	maxBits := 0
 	for i := range es {
 		if es[i].IsZero() {
@@ -305,15 +267,15 @@ func (t *DotTables) eval(es []SignedExp, at func(i int) int) *Ciphertext {
 	if maxBits == 0 {
 		return &Ciphertext{C: big.NewInt(1)}
 	}
-	return &Ciphertext{C: t.chain(es, maxBits, at)}
+	return &Ciphertext{C: t.chain(off, es, maxBits)}
 }
 
-// chain runs the Straus interleaved chain over es against bases at(i) on one
+// chain runs the Straus interleaved chain over es against bases off… on one
 // scratch, so it allocates a constant number of words however long the
 // exponents are, and joins the digits once at the end. The accumulator starts
 // at the first non-zero digit, so leading all-zero window columns cost
 // nothing; maxBits > 0 guarantees there is one.
-func (t *DotTables) chain(es []SignedExp, maxBits int, at func(i int) int) *big.Int {
+func (t *DotTables) chain(off int, es []SignedExp, maxBits int) *big.Int {
 	w := int(t.w)
 	s := t.m.newScratch()
 	var acc *sqPair
@@ -329,7 +291,7 @@ func (t *DotTables) chain(es []SignedExp, maxBits int, at func(i int) int) *big.
 			if dig == 0 {
 				continue
 			}
-			row := 2 * at(i)
+			row := 2 * (off + i)
 			if es[i].Neg {
 				row++
 			}
