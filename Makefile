@@ -43,7 +43,11 @@ test-full:
 # the stream transport, the k-session group runtime and full federated
 # training, asserting bit-exact recovery or a typed loud failure, never
 # silent garbage. Race detector on: fault handling exercises the teardown
-# paths where latent races live. Then ten seconds of arbitrary link bytes
+# paths where latent races live. The hostile-peer suites of the sparse and
+# serve planes ride along (TestSparseHostilePeer, TestServeHostilePeer): a
+# peer's row lists, row matrices, masked products and integer shares of the
+# wrong range, order, shape, scale or lanes end in a typed ErrCorrupt, never
+# a panic. Then ten seconds of arbitrary link bytes
 # against the one matrix receive path (FuzzRecvMatrix, seeded from the
 # hostile-header table): no panic, allocation bounded by the input. The
 # minimizer is capped: left at its one-minute default it spends the whole run
@@ -55,8 +59,8 @@ test-full:
 # from a final and a mid-run checkpoint and lying headers).
 test-chaos:
 	$(GO) test -short -race -timeout 10m \
-		-run 'TestChaos|TestFault|TestStream|TestDeadline|TestRunGroupFaultConn|TestGroupAllSessionsLost|TestRetry|TestTrainHonoursEngineOptions' \
-		./internal/transport/ ./internal/protocol/ ./internal/model/ ./internal/serve/
+		-run 'TestChaos|TestFault|TestStream|TestDeadline|TestRunGroupFaultConn|TestGroupAllSessionsLost|TestRetry|TestTrainHonoursEngineOptions|TestSparseHostilePeer|TestServeHostilePeer' \
+		./internal/transport/ ./internal/protocol/ ./internal/model/ ./internal/serve/ ./internal/core/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzRecvMatrix$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/protocol/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzHandshake$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/protocol/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/model/

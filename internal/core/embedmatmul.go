@@ -38,9 +38,9 @@ type EmbedMatMulA struct {
 
 	// The mirrors under B's key, each in the lane format B chose (the wire
 	// layouts are listed under "Wire layouts" below).
-	encTA         hetensor.Matrix // ⟦T_A⟧
-	encVA, encVAT hetensor.Matrix // ⟦V_A⟧ and ⟦V_Aᵀ⟧
-	encUB         hetensor.Matrix // ⟦U_B⟧
+	encTA         *hetensor.Matrix // ⟦T_A⟧
+	encVA, encVAT *hetensor.Matrix // ⟦V_A⟧ and ⟦V_Aᵀ⟧
+	encUB         *hetensor.Matrix // ⟦U_B⟧
 
 	momSA, momTB, momUA, momVB momentum
 
@@ -61,9 +61,9 @@ type EmbedMatMulB struct {
 	VA *tensor.Dense // B's piece of W_A
 
 	// The mirrors under A's key, each in the lane format A chose.
-	encTB         hetensor.Matrix // ⟦T_B⟧
-	encVB, encVBT hetensor.Matrix // ⟦V_B⟧ and ⟦V_Bᵀ⟧
-	encUA         hetensor.Matrix // ⟦U_A⟧
+	encTB         *hetensor.Matrix // ⟦T_B⟧
+	encVB, encVBT *hetensor.Matrix // ⟦V_B⟧ and ⟦V_Bᵀ⟧
+	encUA         *hetensor.Matrix // ⟦U_A⟧
 
 	momSB, momTA, momUB, momVA momentum
 
@@ -180,7 +180,7 @@ func (l *EmbedMatMulB) exchangeWeights() {
 // packed table's per-row lane layout carries through the batch×(fields·dim)
 // lookup result (Block = dim), so its conversion masks K lanes per blinding
 // exponentiation.
-func embedStage(p *protocol.Peer, encT hetensor.Matrix, s *tensor.Dense, x *tensor.IntMatrix) (psi, otherShare *tensor.Dense) {
+func embedStage(p *protocol.Peer, encT *hetensor.Matrix, s *tensor.Dense, x *tensor.IntMatrix) (psi, otherShare *tensor.Dense) {
 	encLk := hetensor.LookupRows(encT, x) // ⟦lkup(T, X)⟧ under the peer's key
 	eps := p.HE2SSSend(encLk)             // peer receives lkup(T, X) − ε
 	otherShare = p.HE2SSRecv()            // this party's share of the peer's E
@@ -245,14 +245,13 @@ func (l *EmbedMatMulA) Backward() {
 // convertHalves converts the top rows of a stacked product and the rest to
 // shares, in that order: two conversions with a mask each, as if the halves
 // had been computed apart.
-func convertHalves(p *protocol.Peer, m hetensor.Matrix, top int) (*tensor.Dense, *tensor.Dense) {
-	rows, _ := m.Dims()
+func convertHalves(p *protocol.Peer, m *hetensor.Matrix, top int) (*tensor.Dense, *tensor.Dense) {
 	first := p.HE2SSSend(m.RowSlice(0, top))
-	return first, p.HE2SSSend(m.RowSlice(top, rows))
+	return first, p.HE2SSSend(m.RowSlice(top, m.Rows))
 }
 
 // backwardEmbed is the Embed part of A's backward (Fig. 7 lines 22–26).
-func (l *EmbedMatMulA) backwardEmbed(encGradEA hetensor.Matrix) {
+func (l *EmbedMatMulA) backwardEmbed(encGradEA *hetensor.Matrix) {
 	p := l.peer
 	encGradQA := hetensor.LookupBackwardRows(encGradEA, l.x, l.cfg.VocabA, l.cfg.Dim)
 	rhoA := p.HE2SSSend(encGradQA) // B receives ∇Q_A − ρ_A
@@ -298,7 +297,7 @@ func (l *EmbedMatMulB) Backward(gradZ *tensor.Dense) {
 }
 
 // backwardEmbed is the Embed part of B's backward.
-func (l *EmbedMatMulB) backwardEmbed(encGradEB hetensor.Matrix) {
+func (l *EmbedMatMulB) backwardEmbed(encGradEB *hetensor.Matrix) {
 	p := l.peer
 	// B's share of ∇Q_A arrives masked from A.
 	gradTAshare := p.HE2SSRecv() // ∇Q_A − ρ_A

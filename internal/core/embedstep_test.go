@@ -117,12 +117,12 @@ func BenchmarkEmbedStep(b *testing.B) {
 // spyConn hands every ciphertext matrix this end ships to see.
 type spyConn struct {
 	transport.Conn
-	see func(hetensor.Matrix)
+	see func(*hetensor.Matrix)
 }
 
 func (c spyConn) Send(v any) error {
 	if ch, ok := v.(*transport.StreamChunk); ok {
-		if m, ok := ch.V.(hetensor.Matrix); ok {
+		if m, ok := ch.V.(*hetensor.Matrix); ok {
 			c.see(m)
 		}
 	}
@@ -131,7 +131,7 @@ func (c spyConn) Send(v any) error {
 
 // spiedEmbedPair opens an embed_cat-shaped layer pair on the test keys whose
 // two directions report what they ship to seeA and seeB.
-func spiedEmbedPair(t *testing.T, o engine.Options, seeA, seeB func(hetensor.Matrix)) (pa, pb *protocol.Peer, la *EmbedMatMulA, lb *EmbedMatMulB) {
+func spiedEmbedPair(t *testing.T, o engine.Options, seeA, seeB func(*hetensor.Matrix)) (pa, pb *protocol.Peer, la *EmbedMatMulA, lb *EmbedMatMulB) {
 	t.Helper()
 	skA, skB := protocol.TestKeys()
 	ca, cb := transport.Pair(4096)
@@ -163,15 +163,8 @@ func spiedEmbedPair(t *testing.T, o engine.Options, seeA, seeB func(hetensor.Mat
 // throughout it was 2 304 shipped, 2 560 encrypted and 1 344 decrypted.
 func TestEmbedStepCiphertextBudget(t *testing.T) {
 	var fromA, fromB int // each written by its own party's goroutine
-	count := func(n *int) func(hetensor.Matrix) {
-		return func(m hetensor.Matrix) {
-			switch m := m.(type) {
-			case *hetensor.CipherMatrix:
-				*n += len(m.C)
-			case *hetensor.PackedMatrix:
-				*n += len(m.C)
-			}
-		}
+	count := func(n *int) func(*hetensor.Matrix) {
+		return func(m *hetensor.Matrix) { *n += len(m.C) }
 	}
 	pa, pb, la, lb := spiedEmbedPair(t, engine.Options{Packed: true, Stream: true}, count(&fromA), count(&fromB))
 	cfg := la.cfg
@@ -198,10 +191,9 @@ func TestEmbedStepCiphertextBudget(t *testing.T) {
 type laneBits map[uint]int
 
 // see decrypts m — the test holds both keys — and records its widest lane.
-func (lb laneBits) see(m hetensor.Matrix) {
-	p, ok := m.(*hetensor.PackedMatrix)
-	if !ok {
-		return
+func (lb laneBits) see(p *hetensor.Matrix) {
+	if int(p.W) >= p.PK.N.BitLen() {
+		return // one whole-width lane: not packed
 	}
 	skA, skB := protocol.TestKeys()
 	sk := skA
@@ -229,8 +221,8 @@ func TestEmbedStepLaneOccupancy(t *testing.T) {
 	}
 	fromA, fromB := laneBits{}, laneBits{}
 	spying := false // set between steps only: decrypting every step would triple the run
-	spy := func(lb laneBits) func(hetensor.Matrix) {
-		return func(m hetensor.Matrix) {
+	spy := func(lb laneBits) func(*hetensor.Matrix) {
+		return func(m *hetensor.Matrix) {
 			if spying {
 				lb.see(m)
 			}

@@ -36,15 +36,15 @@ type Numeric interface {
 	// TransposeMatMul returns Xᵀ·G for plaintext G.
 	TransposeMatMul(g *tensor.Dense) *tensor.Dense
 	// MulCipher returns ⟦X·W⟧ for encrypted W.
-	MulCipher(w hetensor.Matrix) hetensor.Matrix
+	MulCipher(w *hetensor.Matrix) *hetensor.Matrix
 	// TransposeMulCipherAcc accumulates ⟦X[lo:lo+g.Rows]ᵀ·G⟧ into acc (from
 	// g.NewAcc) for a row-chunk G of the derivative arriving at row lo: the
 	// unit of the backward pass, which folds each chunk in as it arrives.
-	TransposeMulCipherAcc(acc hetensor.Matrix, lo int, g hetensor.Matrix)
+	TransposeMulCipherAcc(acc *hetensor.Matrix, lo int, g *hetensor.Matrix)
 }
 
 // transposeMul returns ⟦Xᵀ·G⟧ for a derivative held in full.
-func transposeMul(x Numeric, g hetensor.Matrix) hetensor.Matrix {
+func transposeMul(x Numeric, g *hetensor.Matrix) *hetensor.Matrix {
 	acc := g.NewAcc(x.NumCols())
 	x.TransposeMulCipherAcc(acc, 0, g)
 	return acc
@@ -65,14 +65,13 @@ func (f DenseFeatures) TransposeMatMul(g *tensor.Dense) *tensor.Dense {
 }
 
 // MulCipher returns ⟦X·W⟧.
-func (f DenseFeatures) MulCipher(w hetensor.Matrix) hetensor.Matrix {
+func (f DenseFeatures) MulCipher(w *hetensor.Matrix) *hetensor.Matrix {
 	return hetensor.MulLeft(f.M, w)
 }
 
 // TransposeMulCipherAcc accumulates a derivative row-chunk into acc.
-func (f DenseFeatures) TransposeMulCipherAcc(acc hetensor.Matrix, lo int, g hetensor.Matrix) {
-	rows, _ := g.Dims()
-	hetensor.TransposeMulAcc(acc, f.M.RowSlice(lo, lo+rows), g)
+func (f DenseFeatures) TransposeMulCipherAcc(acc *hetensor.Matrix, lo int, g *hetensor.Matrix) {
+	hetensor.TransposeMulAcc(acc, f.M.RowSlice(lo, lo+g.Rows), g)
 }
 
 // SparseFeatures adapts a CSR matrix to the Numeric interface.
@@ -90,12 +89,12 @@ func (f SparseFeatures) TransposeMatMul(g *tensor.Dense) *tensor.Dense {
 }
 
 // MulCipher returns ⟦X·W⟧ visiting only non-zeros.
-func (f SparseFeatures) MulCipher(w hetensor.Matrix) hetensor.Matrix {
+func (f SparseFeatures) MulCipher(w *hetensor.Matrix) *hetensor.Matrix {
 	return hetensor.MulLeftCSR(f.M, w)
 }
 
 // TransposeMulCipherAcc accumulates a derivative row-chunk into acc,
 // visiting only the chunk's non-zeros.
-func (f SparseFeatures) TransposeMulCipherAcc(acc hetensor.Matrix, lo int, g hetensor.Matrix) {
+func (f SparseFeatures) TransposeMulCipherAcc(acc *hetensor.Matrix, lo int, g *hetensor.Matrix) {
 	hetensor.TransposeMulCSRAcc(acc, f.M, lo, g)
 }

@@ -24,7 +24,7 @@ type MatMulA struct {
 	UA *tensor.Dense // A's piece of W_A (InA×Out)
 	VB *tensor.Dense // A's piece of W_B (InB×Out)
 
-	encVA hetensor.Matrix // ⟦V_A⟧ under B's key, refreshed per step
+	encVA *hetensor.Matrix // ⟦V_A⟧ under B's key, refreshed per step
 
 	momUA momentum
 	momVB momentum
@@ -40,7 +40,7 @@ type MatMulB struct {
 	UB *tensor.Dense // B's piece of W_B (InB×Out)
 	VA *tensor.Dense // B's piece of W_A (InA×Out)
 
-	encVB hetensor.Matrix // ⟦V_B⟧ under A's key, refreshed per step
+	encVB *hetensor.Matrix // ⟦V_B⟧ under A's key, refreshed per step
 
 	momUB momentum
 	momVA momentum
@@ -106,7 +106,7 @@ func (l *MatMulB) ResumeExchange() {
 // The masked send and the peer's decryption run chunk-pipelined at the
 // sender's span; over a packed ⟦v⟧ the product, the send and the decryption
 // all touch ~K× fewer ciphertexts.
-func forwardHalf(p *protocol.Peer, x Numeric, u *tensor.Dense, encV hetensor.Matrix) *tensor.Dense {
+func forwardHalf(p *protocol.Peer, x Numeric, u *tensor.Dense, encV *hetensor.Matrix) *tensor.Dense {
 	prod := x.MulCipher(encV) // ⟦x·V⟧ under the peer's key, scale 2
 	eps := p.HE2SSSend(prod)  // keep ε, send ⟦x·V − ε⟧
 	other := p.HE2SSRecv()    // peer's x̄·V̄ − ε̄, decrypted locally
@@ -120,9 +120,9 @@ func forwardHalf(p *protocol.Peer, x Numeric, u *tensor.Dense, encV hetensor.Mat
 // folding each derivative chunk into the accumulator while the peer encrypts
 // the next one — the receiver-side half of the compute/communication
 // overlap.
-func recvGradAcc(p *protocol.Peer, x Numeric) hetensor.Matrix {
-	var acc hetensor.Matrix
-	p.RecvMatrixEach(func(lo int, chunk hetensor.Matrix) {
+func recvGradAcc(p *protocol.Peer, x Numeric) *hetensor.Matrix {
+	var acc *hetensor.Matrix
+	p.RecvMatrixEach(func(lo int, chunk *hetensor.Matrix) {
 		if acc == nil {
 			acc = chunk.NewAcc(x.NumCols())
 		}

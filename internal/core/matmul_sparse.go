@@ -72,10 +72,11 @@ type SparseMatMulB struct {
 	x *tensor.CSR
 }
 
-// rowCache holds encrypted weight rows indexed by coordinate.
+// rowCache holds encrypted weight rows indexed by coordinate, and an empty
+// view of the last fill that gathered rows take their key and lanes from.
 type rowCache struct {
 	cols  int
-	pk    *paillier.PublicKey
+	empty *hetensor.Matrix
 	cache map[int][]*paillier.Ciphertext
 }
 
@@ -95,8 +96,8 @@ func (rc *rowCache) missing(touched []int) []int {
 }
 
 // fill stores the received cipher rows for the given coordinates.
-func (rc *rowCache) fill(idx []int, m *hetensor.CipherMatrix) {
-	rc.pk = m.PK
+func (rc *rowCache) fill(idx []int, m *hetensor.Matrix) {
+	rc.empty = m.RowSlice(0, 0)
 	for i, k := range idx {
 		rc.cache[k] = m.Row(i)
 	}
@@ -112,9 +113,9 @@ func (rc *rowCache) drop(idx []int) {
 // gather assembles the compact len(touched)×cols matrix whose row i is the
 // cached row touched[i] — the operand for a batch renumbered by
 // tensor.CSR.CompactCols, sized by the batch and not by the feature space.
-func (rc *rowCache) gather(touched []int) *hetensor.CipherMatrix {
-	m := &hetensor.CipherMatrix{Rows: len(touched), Cols: rc.cols, Scale: 1, PK: rc.pk,
-		C: make([]*paillier.Ciphertext, 0, len(touched)*rc.cols)}
+func (rc *rowCache) gather(touched []int) *hetensor.Matrix {
+	m := rc.empty.RowSlice(0, 0)
+	m.Rows, m.C = len(touched), make([]*paillier.Ciphertext, 0, len(touched)*rc.cols)
 	for _, k := range touched {
 		m.C = append(m.C, rc.cache[k]...)
 	}
@@ -137,9 +138,9 @@ func touchedCols(x *tensor.CSR) []int {
 
 // he2ssSendFlat is HE2SSSend over v's cells (one value per ciphertext)
 // packed as one row; the kept mask comes back in v's shape.
-func he2ssSendFlat(p *protocol.Peer, v hetensor.Matrix) *tensor.Dense {
-	phi := p.HE2SSSend(hetensor.PackFlat(v.(*hetensor.CipherMatrix)))
-	phi.Rows, phi.Cols = v.Dims()
+func he2ssSendFlat(p *protocol.Peer, v *hetensor.Matrix) *tensor.Dense {
+	phi := p.HE2SSSend(hetensor.PackFlat(v))
+	phi.Rows, phi.Cols = v.Rows, v.Cols
 	return phi
 }
 
@@ -190,9 +191,9 @@ func sparseForwardHalf(p *protocol.Peer, x *tensor.CSR, touched []int, u, serveP
 	defer p.Unchunked()()
 	missing := cache.missing(touched)
 	p.Send(missing)
-	peerMissing := p.RecvInts()
+	peerMissing := recvIndices(p, servePiece.Rows)
 	p.SendMatrix(hetensor.EncryptRows(&p.SK.PublicKey, servePiece, peerMissing, 1))
-	cache.fill(missing, recvCipher(p))
+	cache.fill(missing, recvCipher(p, len(missing), cache.cols))
 	prod := hetensor.MulLeftCSR(x.CompactCols(touched), cache.gather(touched)) // ⟦x·V⟧, scale 2
 	eps := he2ssSendFlat(p, prod)
 	other := he2ssRecvFlat(p, x.Rows, u.Cols)
@@ -229,7 +230,7 @@ func (l *SparseMatMulA) Backward() {
 	defer p.Unchunked()()
 	// ⟦∇W_A[touched]⟧: the transpose product over the batch renumbered to
 	// its touched columns, one row per touched coordinate.
-	encGradZ := recvCipher(p)
+	encGradZ := recvCipher(p, l.x.Rows, l.cfg.Out)
 	encGradSub := hetensor.TransposeMulCSRAcc(encGradZ.NewAcc(len(l.touched)), l.x.CompactCols(l.touched), 0, encGradZ)
 	p.Send(l.touched)
 	phi := he2ssSendFlat(p, encGradSub) // len(touched)×Out share
@@ -261,7 +262,7 @@ func (l *SparseMatMulB) backwardMulti(gradFull, gradLocal *tensor.Dense) {
 
 	defer p.Unchunked()()
 	p.EncryptAndSend(gradFull, 1, hetensor.Layout{})
-	touchedA := p.RecvInts()
+	touchedA := recvIndices(p, l.VA.Rows)
 	gradVAshare := he2ssRecvFlat(p, len(touchedA), l.cfg.Out) // ∇W_A[touched] − φ
 	l.momVA.stepRows(l.VA, gradVAshare, touchedA, l.cfg.LR)
 	l.x = nil

@@ -103,14 +103,29 @@ func (c Config) sendEncrypted(p *protocol.Peer, d *tensor.Dense, scale uint, blo
 	p.EncryptAndSend(d, scale, c.layout(block))
 }
 
-// recvCipher receives a matrix the protocol fixes as one value per
-// ciphertext: the sparse layer's rows and the serve path's weight pieces.
-func recvCipher(p *protocol.Peer) *hetensor.CipherMatrix {
-	c, ok := p.RecvMatrix().(*hetensor.CipherMatrix)
-	if !ok {
-		p.Fail("recv: %w: want an unpacked cipher matrix", transport.ErrCorrupt)
+// recvCipher receives a rows×cols matrix at scale 1 that the protocol fixes
+// as one value per ciphertext: the sparse layer's rows and derivative, and
+// the serve path's weight pieces.
+func recvCipher(p *protocol.Peer, rows, cols int) *hetensor.Matrix {
+	c := p.RecvMatrix()
+	if c.Rows != rows || c.Cols != cols || c.Scale != 1 || c.GroupsPerRow() != c.Cols {
+		p.Fail("recv: %w: a %d×%d matrix at scale %d in %d ciphertexts a row, want %d×%d at scale 1, one value each",
+			transport.ErrCorrupt, c.Rows, c.Cols, c.Scale, c.GroupsPerRow(), rows, cols)
 	}
 	return c
+}
+
+// recvIndices receives a coordinate list and vets it: strictly increasing
+// and inside [0, n). Each index later addresses a row of an n-row piece;
+// out of range, it would panic outside Fail and take the process down.
+func recvIndices(p *protocol.Peer, n int) []int {
+	idx := p.RecvInts()
+	for i, k := range idx {
+		if k < 0 || k >= n || i > 0 && k <= idx[i-1] {
+			p.Fail("recv: %w: index %d at %d is out of order or outside %d rows", transport.ErrCorrupt, k, i, n)
+		}
+	}
+	return idx
 }
 
 func (c Config) initScale() float64 {

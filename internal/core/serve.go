@@ -31,14 +31,14 @@ func (l *MatMulA) ServeStart() {
 	l.cfg.apply(l.peer)
 	defer l.peer.Unchunked()()
 	l.peer.EncryptAndSend(l.VB, 1, hetensor.Layout{})
-	l.encVA = recvCipher(l.peer)
+	l.encVA = recvCipher(l.peer, l.UA.Rows, l.UA.Cols)
 }
 
 // ServeStart is Party B's half of the serve-session weight exchange.
 func (l *MatMulB) ServeStart() {
 	l.cfg.apply(l.peer)
 	defer l.peer.Unchunked()()
-	l.encVB = recvCipher(l.peer)
+	l.encVB = recvCipher(l.peer, l.UB.Rows, l.UB.Cols)
 	l.peer.EncryptAndSend(l.VA, 1, hetensor.Layout{})
 }
 
@@ -52,18 +52,20 @@ func (l *MatMulB) ServeStart() {
 // mod a small prime and verified before the share joins the decrypted
 // homomorphic half — the HE2SS boundary is exactly where a silently corrupt
 // share would poison the reconstruction.
-func serveHalf(p *protocol.Peer, x, u *tensor.Dense, encV hetensor.Matrix) *hetensor.BigMatrix {
-	v, ok := encV.(*hetensor.CipherMatrix)
-	if !ok {
+func serveHalf(p *protocol.Peer, x, u *tensor.Dense, encV *hetensor.Matrix) *hetensor.BigMatrix {
+	if encV == nil || encV.GroupsPerRow() != encV.Cols {
 		panic("core: serve forward before ServeStart (no unpacked encrypted weight piece)")
 	}
 	defer p.Unchunked()()                          // a few lane groups: nothing to pipeline
-	prod := hetensor.ServeProducts(x, v)           // ⟦(x·V)ᵀ⟧ under the peer's key, scale 2
+	prod := hetensor.ServeProducts(x, encV)        // ⟦(x·V)ᵀ⟧ under the peer's key, scale 2
 	eps, masked := hetensor.ServeMask(p.Rng, prod) // keep integer S, send ⟦(x·V)ᵀ − S⟧
 	p.SendMatrix(masked)
-	got, ok := p.RecvMatrix().(*hetensor.PackedMatrix)
-	if !ok || got.Key() != &p.SK.PublicKey {
-		p.Fail("serve: %w: peer's masked product is not a packed matrix under this party's key", transport.ErrCorrupt)
+	// The peer's product has prod's shape and scale, in this party's lanes.
+	got := p.RecvMatrix()
+	if want := hetensor.NewPackedMatrix(&p.SK.PublicKey, 0, prod.Cols, prod.Cols, prod.Scale); got.PK != &p.SK.PublicKey ||
+		got.Rows != prod.Rows || !got.SameLayout(want) {
+		p.Fail("serve: %w: peer's masked product is not a %d×%d packed matrix at scale %d under this party's key",
+			transport.ErrCorrupt, prod.Rows, prod.Cols, prod.Scale)
 	}
 	other := hetensor.DecryptPackedInts(p.SK, got) // peer's (x̄·V̄)ᵀ − S̄
 	var share *hetensor.BigMatrix
@@ -95,7 +97,7 @@ func (l *MatMulA) ServeForward(x *tensor.Dense) {
 // aggregation unit (shares from k sessions sum in ℤ before one decode).
 func (l *MatMulB) ServeShare(x *tensor.Dense) *hetensor.BigMatrix {
 	share := serveHalf(l.peer, x, l.UB, l.encVB)
-	share.AddInPlace(l.peer.RecvBig())
+	share.AddInPlace(l.peer.RecvBig(share.Rows, share.Cols, share.Scale))
 	return share
 }
 

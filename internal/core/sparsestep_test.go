@@ -117,16 +117,9 @@ type shipped struct {
 func TestSparseStepWireBudget(t *testing.T) {
 	skA, skB := testKeys1024(t)
 	var fromA, fromB []shipped // each written by its own party's goroutine
-	spy := func(log *[]shipped, own *paillier.PrivateKey) func(hetensor.Matrix) {
-		return func(m hetensor.Matrix) {
-			s := shipped{own: m.Key().N.Cmp(own.N) == 0}
-			s.rows, s.cols = m.Dims()
-			switch m := m.(type) {
-			case *hetensor.CipherMatrix:
-				s.cells = len(m.C)
-			case *hetensor.PackedMatrix:
-				s.packed, s.cells = true, len(m.C)
-			}
+	spy := func(log *[]shipped, own *paillier.PrivateKey) func(*hetensor.Matrix) {
+		return func(m *hetensor.Matrix) {
+			s := shipped{own: m.PK.N.Cmp(own.N) == 0, rows: m.Rows, cols: m.Cols, packed: m.K > 1, cells: len(m.C)}
 			*log = append(*log, s)
 		}
 	}
@@ -194,8 +187,8 @@ func TestSparseStepLaneOccupancy(t *testing.T) {
 	}
 	fromA, fromB := laneBits{}, laneBits{}
 	spying := false // set between steps only
-	spy := func(lb laneBits) func(hetensor.Matrix) {
-		return func(m hetensor.Matrix) {
+	spy := func(lb laneBits) func(*hetensor.Matrix) {
+		return func(m *hetensor.Matrix) {
 			if spying {
 				lb.see(m)
 			}

@@ -177,7 +177,7 @@ func denseColExps(x *tensor.Dense) ([][]paillier.SignedExp, int) {
 // dotCSRMul sets out[i][g] to the product over the stored non-zeros of x's
 // row i of w[k][g]^x[i][k]: MulLeftCSR's engine path. Rows with no non-zeros
 // keep out's identity cells.
-func dotCSRMul(x *tensor.CSR, w, out grid) {
+func dotCSRMul(x *tensor.CSR, w, out *Matrix) {
 	parallel.For(x.Rows, func(i int) {
 		cols, vals := x.RowNNZ(i)
 		if len(cols) == 0 {
@@ -185,12 +185,12 @@ func dotCSRMul(x *tensor.CSR, w, out grid) {
 		}
 		exps, _ := encodeSignedVec(vals)
 		bases := make([]*paillier.Ciphertext, len(cols))
-		orow := out.row(i)
+		orow := out.Row(i)
 		for g := range orow {
 			for t, k := range cols {
 				bases[t] = w.at(k, g)
 			}
-			orow[g] = w.pk.DotRow(bases, exps)
+			orow[g] = w.PK.DotRow(bases, exps)
 		}
 	})
 }
@@ -219,7 +219,7 @@ func csrColumns(x *tensor.CSR, lo, n int) []csrColumn {
 // dotCSRTransposeAcc accumulates acc[k][g] ·= Π_i g[i][g]^x[i][k] over the
 // bucketed non-zeros of each feature column k: TransposeMulCSRAcc's engine
 // path.
-func dotCSRTransposeAcc(cols []csrColumn, g, acc grid) {
+func dotCSRTransposeAcc(cols []csrColumn, g, acc *Matrix) {
 	parallel.For(len(cols), func(k int) {
 		col := cols[k]
 		if len(col.rows) == 0 {
@@ -227,12 +227,12 @@ func dotCSRTransposeAcc(cols []csrColumn, g, acc grid) {
 		}
 		exps, _ := encodeSignedVec(col.vals)
 		bases := make([]*paillier.Ciphertext, len(col.rows))
-		orow := acc.row(k)
+		orow := acc.Row(k)
 		for j := range orow {
 			for t, i := range col.rows {
 				bases[t] = g.at(i, j)
 			}
-			orow[j] = g.pk.AddCipher(orow[j], g.pk.DotRow(bases, exps))
+			orow[j] = g.PK.AddCipher(orow[j], g.PK.DotRow(bases, exps))
 		}
 	})
 }

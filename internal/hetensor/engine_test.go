@@ -81,9 +81,9 @@ func TestEngineMulPlainLeftCSR(t *testing.T) {
 	x := tensor.RandCSR(rng, 6, 10, 3)
 	w := mixedDense(rng, 10, 3)
 	encW := Encrypt(&testKey.PublicKey, w, 1)
-	got := Decrypt(testKey, MulPlainLeftCSR(x, encW))
+	got := Decrypt(testKey, MulLeftCSR(x, encW))
 	var want *tensor.Dense
-	withTextbook(func() { want = Decrypt(testKey, MulPlainLeftCSR(x, encW)) })
+	withTextbook(func() { want = Decrypt(testKey, MulLeftCSR(x, encW)) })
 	requireIdentical(t, "MulPlainLeftCSR", got, want)
 }
 
@@ -164,7 +164,7 @@ func TestEngineAccumulates(t *testing.T) {
 	encG := Encrypt(&testKey.PublicKey, g, 1)
 
 	run := func() *tensor.Dense {
-		acc := NewCipherMatrix(&testKey.PublicKey, x.Cols, g.Cols, 2)
+		acc := newMatrix(&testKey.PublicKey, wholeFor(&testKey.PublicKey), x.Cols, g.Cols, 1, 2)
 		TransposeMulAcc(acc, x, encG) // chunk 1
 		TransposeMulAcc(acc, x, encG) // chunk 2: same product again
 		return Decrypt(testKey, acc)

@@ -4,11 +4,14 @@
 // encrypted embedding lookup and scatter-add, and fixed-point scale
 // bookkeeping.
 //
-// One kernel family: an encrypted matrix holds one value per ciphertext
-// (CipherMatrix) or K (PackedMatrix), and every product is written once over
-// its grid of ciphertexts (kernels.go), so the lane format changes the width
-// of the grid and the lanes of the result, never the kernel. The typed names
-// in compat.go forward to it.
+// One encrypted matrix type: a Matrix holds its values in the lanes of its
+// ciphertexts, K lanes of W bits each, and the key offers three lane layouts
+// (packed.go). An unpacked matrix is the one-lane layout whose lane is as
+// wide as the plaintext, where packing and unpacking a value are exactly
+// EncodeRing and DecodeRing. Every product is written once over the
+// matrix's grid of ciphertexts (kernels.go), so the lane format changes the
+// width of the grid and the lanes of the result, never the kernel. The
+// names in compat.go forward to it.
 //
 // Scale discipline: an encrypted matrix carries the fixed-point scale of its
 // plaintexts. Multiplying by a plaintext matrix (always encoded at scale 1)
@@ -31,7 +34,6 @@ package hetensor
 
 import (
 	"fmt"
-	"math/big"
 
 	"blindfl/internal/fixedpoint"
 	"blindfl/internal/paillier"
@@ -46,156 +48,138 @@ import (
 // Paillier plaintext.
 var Codec = fixedpoint.Codec{F: 40}
 
-// CipherMatrix is a rows×cols matrix of Paillier ciphertexts under PK.
+// Matrix is a rows×cols matrix of fixed-point values packed K per
+// ciphertext in lanes of W bits under PK. Columns are partitioned into
+// blocks of Block columns; each block is packed independently into
+// ⌈Block/K⌉ ciphertexts, so concatenations of equally-blocked rows
+// (embedding lookups) keep their lane alignment. A one-lane matrix has
+// Block = 1.
+//
+// The lane format travels with the data: the protocol layer moves, masks,
+// decrypts and vets matrices, the source layers hold their encrypted weight
+// pieces, and the kernels compute on them, none of them with a packed and an
+// unpacked body — a matrix is packed because the party that encrypted it
+// chose so, and every later holder takes it as it comes.
 //
 // id is the matrix's table-cache identity (tablecache.go): non-zero only for
 // matrices whose cells are never replaced after construction — encryption
 // results and received matrices. Accumulators and row-slice views stay 0 and
 // bypass the cache. The field is unexported, so gob transfers drop it and
 // the receiver mints its own.
-type CipherMatrix struct {
+type Matrix struct {
 	Rows, Cols int
+	Block      int
 	Scale      uint
+	W          uint // lane width in bits
+	K          int  // lanes per ciphertext
 	PK         *paillier.PublicKey
 	C          []*paillier.Ciphertext
 
 	id uint64
 }
 
-// NewCipherMatrix allocates a matrix of unrandomized encryptions of zero
-// (the multiplicative identity of the ciphertext group), suitable as an
-// accumulator for homomorphic sums.
-func NewCipherMatrix(pk *paillier.PublicKey, rows, cols int, scale uint) *CipherMatrix {
-	m := &CipherMatrix{Rows: rows, Cols: cols, Scale: scale, PK: pk, C: make([]*paillier.Ciphertext, rows*cols)}
-	for i := range m.C {
-		m.C[i] = &paillier.Ciphertext{C: big.NewInt(1)}
+// Layout is an encryptor's choice of how a matrix's values lie in
+// ciphertexts; the zero value is one value per ciphertext. The matrix carries
+// it from then on: every product, mask and decryption follows the operand.
+type Layout struct {
+	Packed bool // K values per ciphertext; else one whole-width lane
+	Block  int  // columns per independently packed block; ≤ 0 is the whole row (one lane: always 1)
+	Wide   bool // double-width lanes: for a factor of products that outgrow PackHeadroom (widePackingFor)
+}
+
+// EncryptAs encrypts d in the given layout: the one place a caller's packing
+// choice becomes a lane format.
+func EncryptAs(pk *paillier.PublicKey, d *tensor.Dense, scale uint, l Layout) *Matrix {
+	lc := wholeFor(pk)
+	if l.Packed && l.Wide {
+		lc = widePackingFor(pk)
+	} else if l.Packed {
+		lc = packingFor(pk)
 	}
-	return m
+	return encryptInto(newMatrix(pk, lc, d.Rows, d.Cols, l.Block, scale), d)
 }
 
-// Row returns a view of row i.
-func (m *CipherMatrix) Row(i int) []*paillier.Ciphertext { return m.C[i*m.Cols : (i+1)*m.Cols] }
-
-// RowSlice returns a view of rows [lo, hi) sharing m's ciphertexts, its
-// capacity clipped so that appending to the view never writes into m.
-func (m *CipherMatrix) RowSlice(lo, hi int) Matrix {
-	if lo < 0 || hi < lo || hi > m.Rows {
-		panic(fmt.Sprintf("hetensor: RowSlice [%d,%d) of %d rows", lo, hi, m.Rows))
-	}
-	return &CipherMatrix{Rows: hi - lo, Cols: m.Cols, Scale: m.Scale, PK: m.PK, C: m.C[lo*m.Cols : hi*m.Cols : hi*m.Cols]}
+// Encrypt encrypts a dense matrix one value per ciphertext at the given
+// scale. When a paillier blinding pool is registered for pk, encryption takes
+// the precomputed-randomness fast path.
+func Encrypt(pk *paillier.PublicKey, d *tensor.Dense, scale uint) *Matrix {
+	return EncryptAs(pk, d, scale, Layout{})
 }
 
-func (m *CipherMatrix) Anonymous() Matrix {
-	cp := *m
-	cp.id = 0
-	return &cp
+// EncryptRows encrypts the given rows of a plaintext matrix one value per
+// ciphertext (row i of the result is row rows[i] of d).
+func EncryptRows(pk *paillier.PublicKey, d *tensor.Dense, rows []int, scale uint) *Matrix {
+	return Encrypt(pk, d.GatherRows(rows), scale)
 }
 
-// Encrypt encrypts a dense matrix elementwise at the given scale. When a
-// paillier blinding pool is registered for pk, encryption takes the
-// precomputed-randomness fast path.
-func Encrypt(pk *paillier.PublicKey, d *tensor.Dense, scale uint) *CipherMatrix {
-	out := &CipherMatrix{Rows: d.Rows, Cols: d.Cols, Scale: scale, PK: pk, C: make([]*paillier.Ciphertext, len(d.Data))}
-	parallel.For(len(d.Data), func(i int) {
-		m := Codec.EncodeRing(d.Data[i], scale, pk.N)
-		c, err := paillier.EncryptPooled(pk, m)
+// PackEncrypt encrypts a dense matrix with the key's default K values per
+// ciphertext (Block = Cols).
+func PackEncrypt(pk *paillier.PublicKey, d *tensor.Dense, scale uint) *Matrix {
+	return EncryptAs(pk, d, scale, Layout{Packed: true})
+}
+
+// encryptInto fills out, an accumulator of d's shape, with fresh encryptions
+// of d in out's lanes.
+func encryptInto(out *Matrix, d *tensor.Dense) *Matrix {
+	lc := out.codec()
+	gpr := out.GroupsPerRow()
+	parallel.For(len(out.C), func(t int) {
+		i, g := t/gpr, t%gpr
+		col := out.groupCol(g)
+		c, err := paillier.EncryptPooled(out.PK, lc.PackRing(d.Row(i)[col:col+out.laneCount(g)], out.Scale, out.PK.N))
 		if err != nil {
 			panic(fmt.Sprintf("hetensor: encrypt: %v", err))
 		}
-		out.C[i] = c
+		out.C[t] = c
 	})
 	out.MintID()
 	return out
 }
 
-// EncryptRows encrypts the given rows of a plaintext matrix as a
-// len(rows)×d.Cols cipher matrix (row i of the result is row rows[i] of d),
-// through the registered blinding pool like every other encryption site.
-func EncryptRows(pk *paillier.PublicKey, d *tensor.Dense, rows []int, scale uint) *CipherMatrix {
-	out := &CipherMatrix{Rows: len(rows), Cols: d.Cols, Scale: scale, PK: pk, C: make([]*paillier.Ciphertext, len(rows)*d.Cols)}
-	parallel.For(len(rows), func(i int) {
-		src := d.Row(rows[i])
-		dst := out.Row(i)
-		for j, v := range src {
-			m := Codec.EncodeRing(v, scale, pk.N)
-			c, err := paillier.EncryptPooled(pk, m)
-			if err != nil {
-				panic(fmt.Sprintf("hetensor: EncryptRows: %v", err))
-			}
-			dst[j] = c
-		}
-	})
-	return out
-}
-
-// Decrypt decrypts a cipher matrix back to float64 at its scale.
-func Decrypt(sk *paillier.PrivateKey, m *CipherMatrix) *tensor.Dense {
+// Decrypt decrypts a matrix back to float64 at its scale.
+func Decrypt(sk *paillier.PrivateKey, m *Matrix) *tensor.Dense {
 	out := tensor.NewDense(m.Rows, m.Cols)
-	parallel.For(len(m.C), func(i int) {
-		out.Data[i] = Codec.DecodeRing(sk.Decrypt(m.C[i]), m.Scale, sk.N)
+	lc := m.codec()
+	gpr := m.GroupsPerRow()
+	parallel.For(len(m.C), func(t int) {
+		i, g := t/gpr, t%gpr
+		col, lanes := m.groupCol(g), m.laneCount(g)
+		copy(out.Row(i)[col:col+lanes], lc.UnpackRing(sk.Decrypt(m.C[t]), lanes, m.Scale, sk.N))
 	})
 	return out
 }
 
-// AddPlain returns ⟦m + d⟧ with d encoded at m's scale (no fresh
-// randomness; use Mask for sends).
-func (m *CipherMatrix) AddPlain(d *tensor.Dense) Matrix {
+// Decrypt is Decrypt(sk, m).
+func (m *Matrix) Decrypt(sk *paillier.PrivateKey) *tensor.Dense { return Decrypt(sk, m) }
+
+// AddPlain returns ⟦m + d⟧ with d packed at m's scale in m's lanes, without
+// fresh randomness: the receive half of SS2HE.
+func (m *Matrix) AddPlain(d *tensor.Dense) *Matrix {
 	if m.Rows != d.Rows || m.Cols != d.Cols {
 		panic("hetensor: AddPlain shape mismatch")
 	}
-	out := &CipherMatrix{Rows: m.Rows, Cols: m.Cols, Scale: m.Scale, PK: m.PK, C: make([]*paillier.Ciphertext, len(m.C))}
-	parallel.For(len(m.C), func(i int) {
-		out.C[i] = m.PK.AddPlain(m.C[i], Codec.EncodeRing(d.Data[i], m.Scale, m.PK.N))
+	out := m.Anonymous()
+	out.C = make([]*paillier.Ciphertext, len(m.C))
+	lc := m.codec()
+	gpr := m.GroupsPerRow()
+	parallel.For(len(m.C), func(t int) {
+		i, g := t/gpr, t%gpr
+		col := m.groupCol(g)
+		out.C[t] = m.PK.AddPlain(m.C[t], lc.PackRing(d.Row(i)[col:col+m.laneCount(g)], m.Scale, m.PK.N))
 	})
 	return out
 }
 
-func (m *CipherMatrix) SubPlainFresh(d *tensor.Dense) Matrix {
+// SubPlainFresh returns ⟦m − d⟧ through fresh encryptions of −d in m's
+// lanes, which re-randomizes every ciphertext: the send half of HE2SS. A
+// packed matrix pays 1/K of the unpacked blinding exponentiations.
+func (m *Matrix) SubPlainFresh(d *tensor.Dense) *Matrix {
 	if m.Rows != d.Rows || m.Cols != d.Cols {
 		panic("hetensor: SubPlainFresh shape mismatch")
 	}
-	out := &CipherMatrix{Rows: m.Rows, Cols: m.Cols, Scale: m.Scale, PK: m.PK, C: make([]*paillier.Ciphertext, len(m.C))}
-	parallel.For(len(m.C), func(i int) {
-		neg, err := paillier.EncryptPooled(m.PK, Codec.EncodeRing(-d.Data[i], m.Scale, m.PK.N))
-		if err != nil {
-			panic(fmt.Sprintf("hetensor: SubPlainFresh: %v", err))
-		}
-		out.C[i] = m.PK.AddCipher(m.C[i], neg)
-	})
-	return out
-}
-
-// MulPlainRightTranspose computes ⟦G·Wᵀ⟧ from encrypted G (m×n) and
-// plaintext W (p×n); the result is m×p at scale G.Scale+1. This is the
-// derivative shape ∇E = ⟦∇Z⟧·Wᵀ.
-func MulPlainRightTranspose(g *CipherMatrix, w *tensor.Dense) *CipherMatrix {
-	if g.Cols != w.Cols {
-		panic(fmt.Sprintf("hetensor: MulPlainRightTranspose inner dim mismatch %d×%d · %d×%dᵀ", g.Rows, g.Cols, w.Rows, w.Cols))
+	neg := tensor.NewDense(d.Rows, d.Cols)
+	for i, v := range d.Data {
+		neg.Data[i] = -v
 	}
-	out := NewCipherMatrix(g.PK, g.Rows, w.Rows, g.Scale+1)
-	if TextbookExp() {
-		parallel.For(g.Rows, func(i int) {
-			grow := g.Row(i)
-			orow := out.Row(i)
-			for j := 0; j < w.Rows; j++ {
-				wrow := w.Row(j)
-				acc := orow[j]
-				for k, b := range wrow {
-					if b == 0 {
-						continue
-					}
-					acc = g.PK.AddCipher(acc, g.PK.MulPlain(grow[k], Codec.Encode(b, 1)))
-				}
-				orow[j] = acc
-			}
-		})
-		return out
-	}
-	// Rows of W are the exponent vectors; each row i of G is one fixed base
-	// set, so its window tables are shared across all w.Rows outputs.
-	exps, maxBits := denseRowExps(w)
-	dotProducts(g.PK, tableSource{g.id, orientRow}, func(k, i int) *paillier.Ciphertext { return g.Row(i)[k] },
-		g.Cols, g.Rows, exps, maxBits,
-		func(j, i int, c *paillier.Ciphertext) { out.Row(i)[j] = c })
-	return out
+	return Add(m, encryptInto(m.like(m.Rows, m.Cols, 0, m.Scale), neg))
 }

@@ -57,7 +57,7 @@ func TestSubPlainFreshReRandomizes(t *testing.T) {
 	a := tensor.FromSlice(1, 1, []float64{5})
 	zero := tensor.NewDense(1, 1)
 	ca := Encrypt(&testKey.PublicKey, a, 1)
-	cb := ca.SubPlainFresh(zero).(*CipherMatrix)
+	cb := ca.SubPlainFresh(zero)
 	if ca.C[0].C.Cmp(cb.C[0].C) == 0 {
 		t.Fatal("SubPlainFresh(0) did not re-randomize the ciphertext")
 	}
@@ -95,7 +95,9 @@ func TestMulPlainLeftCSRMatchesDense(t *testing.T) {
 	xs := tensor.RandCSR(rng, 5, 20, 3)
 	w := tensor.RandDense(rng, 20, 2, 5)
 	cw := Encrypt(&testKey.PublicKey, w, 1)
-	got := Decrypt(testKey, MulPlainLeftCSR(xs, cw))
+	// The benchmark's literal: the same cells, read as one-lane rows.
+	lit := &CipherMatrix{Rows: cw.Rows, Cols: cw.Cols, Scale: cw.Scale, PK: cw.PK, C: cw.C}
+	got := Decrypt(testKey, MulPlainLeftCSR(xs, lit))
 	want := xs.ToDense().MatMul(w)
 	if !got.Equal(want, 1e-5) {
 		t.Fatal("MulPlainLeftCSR mismatch")
@@ -178,7 +180,7 @@ func TestAddCipherScaleMismatchPanics(t *testing.T) {
 }
 
 func TestZeroAccumulatorDecryptsToZero(t *testing.T) {
-	z := NewCipherMatrix(&testKey.PublicKey, 2, 2, 1)
+	z := newMatrix(&testKey.PublicKey, wholeFor(&testKey.PublicKey), 2, 2, 1, 1)
 	if got := Decrypt(testKey, z); !got.Equal(tensor.NewDense(2, 2), 0) {
 		t.Fatalf("zero accumulator = %v", got.Data)
 	}

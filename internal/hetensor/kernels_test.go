@@ -24,7 +24,7 @@ var kernelLayouts = []struct {
 
 // kernelCase runs one kernel on operands drawn from rng in layout l and
 // returns its encrypted result with the plaintext result it must decrypt to.
-type kernelCase func(rng *rand.Rand, l Layout) (Matrix, *tensor.Dense)
+type kernelCase func(rng *rand.Rand, l Layout) (*Matrix, *tensor.Dense)
 
 type namedKernel struct {
 	name string
@@ -50,38 +50,38 @@ func kernelCases(rows, inner, cols int) []namedKernel {
 		return x
 	}
 	return []namedKernel{
-		{"MulLeft", func(rng *rand.Rand, l Layout) (Matrix, *tensor.Dense) {
+		{"MulLeft", func(rng *rand.Rand, l Layout) (*Matrix, *tensor.Dense) {
 			x, w := mixedDense(rng, rows, inner), mixedDense(rng, inner, cols)
 			return MulLeft(x, EncryptAs(pk, w, 1, l)), x.MatMul(w)
 		}},
-		{"MulLeftCSR", func(rng *rand.Rand, l Layout) (Matrix, *tensor.Dense) {
+		{"MulLeftCSR", func(rng *rand.Rand, l Layout) (*Matrix, *tensor.Dense) {
 			x, w := tensor.RandCSR(rng, rows, inner, 2), mixedDense(rng, inner, cols)
 			return MulLeftCSR(x, EncryptAs(pk, w, 1, l)), x.MatMul(w)
 		}},
 		// Two row-chunks into one accumulator: the streamed backward pass.
-		{"TransposeMulAcc", func(rng *rand.Rand, l Layout) (Matrix, *tensor.Dense) {
+		{"TransposeMulAcc", func(rng *rand.Rand, l Layout) (*Matrix, *tensor.Dense) {
 			x, g := mixedDense(rng, rows, inner), mixedDense(rng, rows, cols)
 			eg := EncryptAs(pk, g, 1, l)
 			acc, h := eg.NewAcc(inner), rows/2
 			TransposeMulAcc(acc, x.RowSlice(0, h), eg.RowSlice(0, h))
 			return TransposeMulAcc(acc, x.RowSlice(h, rows), eg.RowSlice(h, rows)), x.TransposeMatMul(g)
 		}},
-		{"TransposeMulCSRAcc", func(rng *rand.Rand, l Layout) (Matrix, *tensor.Dense) {
+		{"TransposeMulCSRAcc", func(rng *rand.Rand, l Layout) (*Matrix, *tensor.Dense) {
 			x, g := tensor.RandCSR(rng, rows, inner, 2), mixedDense(rng, rows, cols)
 			eg := EncryptAs(pk, g, 1, l)
 			acc, h := eg.NewAcc(inner), rows/2
 			TransposeMulCSRAcc(acc, x, 0, eg.RowSlice(0, h))
 			return TransposeMulCSRAcc(acc, x, h, eg.RowSlice(h, rows)), x.TransposeMatMul(g)
 		}},
-		{"LookupRows", func(rng *rand.Rand, l Layout) (Matrix, *tensor.Dense) {
+		{"LookupRows", func(rng *rand.Rand, l Layout) (*Matrix, *tensor.Dense) {
 			q, x := mixedDense(rng, vocab, dim), indices(rng, rows, cols/dim)
 			return LookupRows(EncryptAs(pk, q, 1, l), x), tensor.Lookup(q, x)
 		}},
-		{"LookupBackwardRows", func(rng *rand.Rand, l Layout) (Matrix, *tensor.Dense) {
+		{"LookupBackwardRows", func(rng *rand.Rand, l Layout) (*Matrix, *tensor.Dense) {
 			g, x := mixedDense(rng, rows, cols), indices(rng, rows, cols/dim)
 			return LookupBackwardRows(EncryptAs(pk, g, 1, blocks(l)), x, vocab, dim), tensor.LookupBackward(g, x, vocab, dim)
 		}},
-		{"Add", func(rng *rand.Rand, l Layout) (Matrix, *tensor.Dense) {
+		{"Add", func(rng *rand.Rand, l Layout) (*Matrix, *tensor.Dense) {
 			a, b := mixedDense(rng, rows, cols), mixedDense(rng, rows, cols)
 			return Add(EncryptAs(pk, a, 1, l), EncryptAs(pk, b, 1, l)), a.Add(b)
 		}},

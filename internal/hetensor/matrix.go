@@ -7,68 +7,7 @@ import (
 
 	"blindfl/internal/fixedpoint"
 	"blindfl/internal/paillier"
-	"blindfl/internal/tensor"
 )
-
-// Matrix is an encrypted matrix whose lane format — one value per ciphertext
-// (*CipherMatrix) or K per ciphertext (*PackedMatrix) — travels with the
-// data. The protocol layer moves, masks, decrypts and vets matrices through
-// it, the source layers hold their encrypted weight pieces as it, and the
-// kernels (kernels.go) compute on it, so none of them has a packed and an
-// unpacked body: a matrix is packed because the party that encrypted it
-// chose so, and every later holder takes it as it comes. Sealed: exactly the
-// two implementations in this package.
-type Matrix interface {
-	// Dims returns the logical shape in values, not ciphertexts.
-	Dims() (rows, cols int)
-	// AtScale returns the fixed-point scale of the plaintexts.
-	AtScale() uint
-	// Key returns the public key the matrix claims to be under.
-	Key() *paillier.PublicKey
-	// RowSlice returns an identity-less view of rows [lo, hi): the chunk
-	// unit of a transfer.
-	RowSlice(lo, hi int) Matrix
-	// Anonymous returns a shallow copy without a table-cache identity: what
-	// a receiver works on, so that a chunk delivered by pointer (in-process
-	// transports) looks like one that went through gob, and attaching the
-	// trusted key does not write to the sender's object.
-	Anonymous() Matrix
-	// MintID gives a matrix whose cells will not change a fresh table-cache
-	// identity.
-	MintID()
-	// SubPlainFresh returns ⟦m − d⟧ through fresh encryptions of −d, which
-	// re-randomizes every ciphertext: the send half of HE2SS.
-	SubPlainFresh(d *tensor.Dense) Matrix
-	// AddPlain returns ⟦m + d⟧ with d encoded at m's scale, without fresh
-	// randomness: the receive half of SS2HE.
-	AddPlain(d *tensor.Dense) Matrix
-	// Decrypt returns the plaintext at the matrix's scale.
-	Decrypt(sk *paillier.PrivateKey) *tensor.Dense
-	// VerifyRow re-decrypts row i through the exact-integer path and reports
-	// whether it is in fixed-point range and decodes to exactly want.
-	VerifyRow(sk *paillier.PrivateKey, i int, want []float64) bool
-	// Trust attaches the locally trusted key and vets what a peer sent
-	// against it: a consistent shape, the key's own lane layout, and every
-	// ciphertext present, in Z_N² and invertible. Nothing else about a
-	// received matrix may be relied on before it returns nil.
-	Trust(pk *paillier.PublicKey) error
-	// SameLayout reports whether o has m's kind, width, scale and lanes, so
-	// that rows of one can follow rows of the other.
-	SameLayout(o Matrix) bool
-	// Append grows m by o's rows. o must be SameLayout.
-	Append(o Matrix)
-	// NewAcc returns the rows-tall accumulator for products with m: zero
-	// encryptions in m's layout at one scale up.
-	NewAcc(rows int) Matrix
-
-	// grid returns the ciphertexts the kernels multiply: rows of per
-	// ciphertexts, however many values each holds.
-	grid() grid
-	// like returns rows×cols of zero encryptions in m's lanes under m's key,
-	// in blocks of block columns (≤ 0: m's own block) at the given scale:
-	// what a kernel's result over m is built in.
-	like(rows, cols, block int, scale uint) Matrix
-}
 
 // spotSlackBits is the integer headroom a legitimate plaintext may occupy
 // beyond its F·scale fractional bits: masks (≤ 2^20), dot-product
@@ -76,26 +15,158 @@ type Matrix interface {
 // decrypts to.
 const spotSlackBits = 64
 
-// Layout is an encryptor's choice of how a matrix's values lie in
-// ciphertexts; the zero value is one value per ciphertext. The matrix carries
-// it from then on: every product, mask and decryption follows the operand.
-type Layout struct {
-	Packed bool // K values per ciphertext
-	Block  int  // columns per independently packed block; ≤ 0 is the whole row, 1 one value per ciphertext
-	Wide   bool // double-width lanes: for a factor of products that outgrow PackHeadroom (widePackingFor)
+// NewPackedMatrix allocates a packed matrix of unrandomized encryptions of
+// zero, the accumulator identity, with the key's default lane layout.
+func NewPackedMatrix(pk *paillier.PublicKey, rows, cols, block int, scale uint) *Matrix {
+	return newMatrix(pk, packingFor(pk), rows, cols, block, scale)
 }
 
-// EncryptAs encrypts d in the given layout: the one place a caller's packing
-// choice becomes a matrix kind.
-func EncryptAs(pk *paillier.PublicKey, d *tensor.Dense, scale uint, l Layout) Matrix {
-	if !l.Packed {
-		return Encrypt(pk, d, scale)
+// newMatrix allocates rows×cols of zero encryptions (the multiplicative
+// identity of the ciphertext group) in lc's lanes, in blocks of block
+// columns: ≤ 0 is the whole row, and a one-lane matrix always has Block = 1,
+// so that layouts compare equal whatever block a caller asked for.
+func newMatrix(pk *paillier.PublicKey, lc fixedpoint.LaneCodec, rows, cols, block int, scale uint) *Matrix {
+	if block <= 0 {
+		block = cols
 	}
-	lc := packingFor(pk)
-	if l.Wide {
-		lc = widePackingFor(pk)
+	if lc.K == 1 {
+		block = 1
 	}
-	return packEncryptInto(newPacked(pk, lc, d.Rows, d.Cols, l.Block, scale), d)
+	if cols%block != 0 {
+		panic(fmt.Sprintf("hetensor: packed block %d does not divide cols %d", block, cols))
+	}
+	m := &Matrix{Rows: rows, Cols: cols, Block: block, Scale: scale, W: lc.W, K: lc.K, PK: pk}
+	m.C = make([]*paillier.Ciphertext, rows*m.GroupsPerRow())
+	for i := range m.C {
+		m.C[i] = &paillier.Ciphertext{C: big.NewInt(1)}
+	}
+	return m
+}
+
+// like allocates the accumulator identity in m's lanes under m's key,
+// rows×cols in blocks of block columns (≤ 0: m's own block): what a kernel's
+// result over m is built in, so a layout chosen at encryption carries through
+// every product.
+func (m *Matrix) like(rows, cols, block int, scale uint) *Matrix {
+	if block <= 0 {
+		block = m.Block
+	}
+	return newMatrix(m.PK, m.codec(), rows, cols, block, scale)
+}
+
+// NewAcc returns the rows-tall accumulator for products with m: zero
+// encryptions in m's layout at one scale up.
+func (m *Matrix) NewAcc(rows int) *Matrix { return m.like(rows, m.Cols, 0, m.Scale+1) }
+
+func (m *Matrix) codec() fixedpoint.LaneCodec {
+	return fixedpoint.LaneCodec{Codec: Codec, W: m.W, K: m.K}
+}
+
+// GroupsPerBlock returns the ciphertexts spanning one block.
+func (m *Matrix) GroupsPerBlock() int { return (m.Block + m.K - 1) / m.K }
+
+// GroupsPerRow returns the ciphertexts spanning one row: Cols exactly when
+// every ciphertext holds one value.
+func (m *Matrix) GroupsPerRow() int { return (m.Cols / m.Block) * m.GroupsPerBlock() }
+
+// Row returns the ciphertexts of row i.
+func (m *Matrix) Row(i int) []*paillier.Ciphertext {
+	g := m.GroupsPerRow()
+	return m.C[i*g : (i+1)*g]
+}
+
+func (m *Matrix) at(i, j int) *paillier.Ciphertext     { return m.Row(i)[j] }
+func (m *Matrix) set(i, j int, c *paillier.Ciphertext) { m.Row(i)[j] = c }
+
+// laneCount returns how many lanes group g (indexed within a row) holds.
+func (m *Matrix) laneCount(g int) int {
+	return min(m.K, m.Block-(g%m.GroupsPerBlock())*m.K)
+}
+
+// groupCol returns the first logical column covered by group g of a row.
+func (m *Matrix) groupCol(g int) int {
+	gpb := m.GroupsPerBlock()
+	return (g/gpb)*m.Block + (g%gpb)*m.K
+}
+
+// RowSlice returns an identity-less view of rows [lo, hi) sharing m's
+// ciphertexts and lane layout — the chunk unit of a transfer — its capacity
+// clipped so that appending to the view never writes into m.
+func (m *Matrix) RowSlice(lo, hi int) *Matrix {
+	if lo < 0 || hi < lo || hi > m.Rows {
+		panic(fmt.Sprintf("hetensor: RowSlice [%d,%d) of %d rows", lo, hi, m.Rows))
+	}
+	g := m.GroupsPerRow()
+	out := m.Anonymous()
+	out.Rows, out.C = hi-lo, m.C[lo*g:hi*g:hi*g]
+	return out
+}
+
+// Anonymous returns a shallow copy without a table-cache identity: what a
+// receiver works on, so that a chunk delivered by pointer (in-process
+// transports) looks like one that went through gob, and attaching the
+// trusted key does not write to the sender's object.
+func (m *Matrix) Anonymous() *Matrix {
+	cp := *m
+	cp.id = 0
+	return &cp
+}
+
+// SameLayout reports whether o has m's width, blocks, lanes and scale, so
+// that rows of one can follow rows of the other.
+func (m *Matrix) SameLayout(o *Matrix) bool {
+	return o.Cols == m.Cols && o.Block == m.Block && o.W == m.W && o.K == m.K && o.Scale == m.Scale
+}
+
+// Append grows m by o's rows. o must be SameLayout.
+func (m *Matrix) Append(o *Matrix) {
+	m.C = append(m.C, o.C...)
+	m.Rows += o.Rows
+}
+
+// VerifyRow re-decrypts row i through the exact-integer path and reports
+// whether each ciphertext is in range and its lanes decode to exactly want.
+// In range: a packed value is a lane polynomial of lanes·W bits, a corrupted
+// one ring-wide; a whole-width lane holds one value, which must fit its
+// F·scale fractional bits — lanes·W would be the whole ring and check
+// nothing. Both with spotSlackBits of integer headroom.
+func (m *Matrix) VerifyRow(sk *paillier.PrivateKey, i int, want []float64) bool {
+	lc := m.codec()
+	for g, c := range m.Row(i) {
+		col, lanes := m.groupCol(g), m.laneCount(g)
+		limit := lanes*int(m.W) + 1
+		if int(m.W) >= sk.N.BitLen() {
+			limit = int(Codec.F * m.Scale)
+		}
+		v := sk.Decrypt(c)
+		if fixedpoint.FromRing(v, sk.N).BitLen() > limit+spotSlackBits {
+			return false
+		}
+		for l, val := range lc.UnpackRing(v, lanes, m.Scale, sk.N) {
+			if val != want[col+l] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Trust attaches the locally trusted key and vets what a peer sent against
+// it: a consistent shape, one of the key's own three lane layouts (every
+// honest encryptor derives it from the modulus size, and a decryption
+// allocates by it) with Block = 1 for one lane, and every ciphertext
+// present, in Z_N² and invertible. Nothing else about a received matrix may
+// be relied on before it returns nil.
+func (m *Matrix) Trust(pk *paillier.PublicKey) error {
+	m.PK = pk
+	known := false
+	for _, lc := range []fixedpoint.LaneCodec{packingFor(pk), widePackingFor(pk), wholeFor(pk)} {
+		known = known || m.W == lc.W && m.K == lc.K
+	}
+	if !known || m.Block <= 0 || m.Cols < 0 || m.Cols%m.Block != 0 || m.K == 1 && m.Block != 1 {
+		return fmt.Errorf("layout %d cols / block %d, lanes %d×%d is not the key's", m.Cols, m.Block, m.K, m.W)
+	}
+	return vetCells(m.C, cellCount(m.Rows, m.GroupsPerRow()), pk)
 }
 
 // vetCells checks that a received matrix has the want ciphertexts its shape
@@ -135,126 +206,4 @@ func cellCount(rows, per int) int {
 		return -1
 	}
 	return rows * per
-}
-
-func (m *CipherMatrix) Dims() (int, int)         { return m.Rows, m.Cols }
-func (m *CipherMatrix) AtScale() uint            { return m.Scale }
-func (m *CipherMatrix) Key() *paillier.PublicKey { return m.PK }
-
-func (m *CipherMatrix) Decrypt(sk *paillier.PrivateKey) *tensor.Dense { return Decrypt(sk, m) }
-
-func (m *CipherMatrix) VerifyRow(sk *paillier.PrivateKey, i int, want []float64) bool {
-	limit := int(Codec.F)*int(m.Scale) + spotSlackBits
-	for j, c := range m.Row(i) {
-		v := sk.Decrypt(c)
-		if fixedpoint.FromRing(v, sk.N).BitLen() > limit || Codec.DecodeRing(v, m.Scale, sk.N) != want[j] {
-			return false
-		}
-	}
-	return true
-}
-
-func (m *CipherMatrix) Trust(pk *paillier.PublicKey) error {
-	m.PK = pk
-	return vetCells(m.C, cellCount(m.Rows, m.Cols), pk)
-}
-
-func (m *CipherMatrix) SameLayout(o Matrix) bool {
-	c, ok := o.(*CipherMatrix)
-	return ok && c.Cols == m.Cols && c.Scale == m.Scale
-}
-
-func (m *CipherMatrix) Append(o Matrix) {
-	c := o.(*CipherMatrix)
-	m.C = append(m.C, c.C...)
-	m.Rows += c.Rows
-}
-
-func (m *CipherMatrix) NewAcc(rows int) Matrix { return m.like(rows, m.Cols, 0, m.Scale+1) }
-
-func (m *CipherMatrix) grid() grid { return grid{m.PK, m.Rows, m.Cols, m.C, m.id} }
-
-func (m *CipherMatrix) like(rows, cols, _ int, scale uint) Matrix {
-	return NewCipherMatrix(m.PK, rows, cols, scale)
-}
-
-func (m *PackedMatrix) Dims() (int, int)         { return m.Rows, m.Cols }
-func (m *PackedMatrix) AtScale() uint            { return m.Scale }
-func (m *PackedMatrix) Key() *paillier.PublicKey { return m.PK }
-
-func (m *PackedMatrix) Decrypt(sk *paillier.PrivateKey) *tensor.Dense { return DecryptPacked(sk, m) }
-
-// VerifyRow checks each ciphertext group of the row: its signed plaintext
-// must fit its lanes·W bits (a legitimate packed value is a lane polynomial;
-// a corrupted one is ring-wide), and the exact-integer lane extraction must
-// reproduce want.
-func (m *PackedMatrix) VerifyRow(sk *paillier.PrivateKey, i int, want []float64) bool {
-	lc := m.codec()
-	for g, c := range m.Row(i) {
-		col, lanes := m.groupCol(g), m.laneCount(g)
-		v := sk.Decrypt(c)
-		if fixedpoint.FromRing(v, sk.N).BitLen() > lanes*int(m.W)+1+spotSlackBits {
-			return false
-		}
-		for l, val := range lc.UnpackRing(v, lanes, m.Scale, sk.N) {
-			if val != want[col+l] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Trust also pins the lane layout to one of the key's own two (default or
-// wide): every honest encryptor derives it from the modulus size, and a
-// decryption allocates by it.
-func (m *PackedMatrix) Trust(pk *paillier.PublicKey) error {
-	m.PK = pk
-	lc, wide := packingFor(pk), widePackingFor(pk)
-	if (m.W != lc.W || m.K != lc.K) && (m.W != wide.W || m.K != wide.K) || m.Block <= 0 || m.Cols < 0 || m.Cols%m.Block != 0 {
-		return fmt.Errorf("packed layout %d cols / block %d, lanes %d×%d is not the key's", m.Cols, m.Block, m.K, m.W)
-	}
-	return vetCells(m.C, cellCount(m.Rows, m.GroupsPerRow()), pk)
-}
-
-func (m *PackedMatrix) SameLayout(o Matrix) bool {
-	c, ok := o.(*PackedMatrix)
-	return ok && c.Cols == m.Cols && c.Block == m.Block && c.W == m.W && c.K == m.K && c.Scale == m.Scale
-}
-
-func (m *PackedMatrix) Append(o Matrix) {
-	c := o.(*PackedMatrix)
-	m.C = append(m.C, c.C...)
-	m.Rows += c.Rows
-}
-
-func (m *PackedMatrix) NewAcc(rows int) Matrix { return m.like(rows, m.Cols, 0, m.Scale+1) }
-
-func (m *PackedMatrix) grid() grid { return grid{m.PK, m.Rows, m.GroupsPerRow(), m.C, m.id} }
-
-// MulRightTransposeAdd returns sum + ⟦G·Wᵀ⟧ for plaintext W in sum's lane
-// format. The ciphertext is the left factor, so G must hold one value per
-// ciphertext — an unpacked matrix, or a packed one of Block 1 — and a packed
-// sum takes the products packed cell by cell (PackCellsLike).
-func MulRightTransposeAdd(sum, g Matrix, w *tensor.Dense) Matrix {
-	prod := MulPlainRightTranspose(cellsOf(g), w)
-	if p, ok := sum.(*PackedMatrix); ok {
-		return Add(sum, PackCellsLike(prod, p))
-	}
-	return Add(sum, prod)
-}
-
-// cellsOf views a matrix with one value per ciphertext as a CipherMatrix,
-// keeping its table-cache identity.
-func cellsOf(m Matrix) *CipherMatrix {
-	switch m := m.(type) {
-	case *CipherMatrix:
-		return m
-	case *PackedMatrix:
-		if m.GroupsPerRow() == m.Cols {
-			return &CipherMatrix{Rows: m.Rows, Cols: m.Cols, Scale: m.Scale, PK: m.PK, C: m.C, id: m.id}
-		}
-	}
-	rows, cols := m.Dims()
-	panic(fmt.Sprintf("hetensor: %d×%d %T does not hold one value per ciphertext", rows, cols, m))
 }

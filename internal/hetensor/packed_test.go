@@ -50,7 +50,7 @@ func TestPackedSubPlainFreshMatchesUnpackedAndReRandomizes(t *testing.T) {
 	mask := tensor.RandDense(rng, 2, 5, 1<<20)
 	pk := &testKey.PublicKey
 	enc := PackEncrypt(pk, a, 2)
-	fresh := enc.SubPlainFresh(mask).(*PackedMatrix)
+	fresh := enc.SubPlainFresh(mask)
 	got := DecryptPacked(testKey, fresh)
 	if !got.Equal(a.Sub(mask), 2e-5) {
 		t.Fatal("packed SubPlainFresh wrong value")
@@ -151,8 +151,8 @@ func TestMulRightTransposeAddMatchesUnpacked(t *testing.T) {
 			want := Add(Encrypt(pk, sum, 2), MulPlainRightTranspose(Encrypt(pk, g, 1), w)).Decrypt(testKey)
 			for _, cells := range []Layout{{}, {Packed: true, Block: 1}} {
 				got := MulRightTransposeAdd(EncryptAs(pk, sum, 2, Layout{Packed: true, Block: dim, Wide: wide}), EncryptAs(pk, g, 1, cells), w)
-				if p := got.(*PackedMatrix); p.Block != dim || len(p.C) != 5*2*p.GroupsPerBlock() {
-					t.Fatalf("dim %d wide %v: result is not dim-blocked: %d ciphertexts, block %d", dim, wide, len(p.C), p.Block)
+				if got.Block != dim || len(got.C) != 5*2*got.GroupsPerBlock() {
+					t.Fatalf("dim %d wide %v: result is not dim-blocked: %d ciphertexts, block %d", dim, wide, len(got.C), got.Block)
 				}
 				if d := got.Decrypt(testKey); !d.Equal(want, 0) {
 					t.Fatalf("dim %d wide %v cells %+v: differs from the unpacked cross term by %g", dim, wide, cells, d.Sub(want).MaxAbs())
@@ -174,11 +174,11 @@ func TestPackFlatMatchesUnpacked(t *testing.T) {
 		cells := Encrypt(pk, tensor.RandDense(rng, shape[0], shape[1], 1<<20), 2)
 		n := shape[0] * shape[1]
 		flat := PackFlat(cells)
-		if rows, cols := flat.Dims(); rows != 1 || cols != n {
-			t.Fatalf("%v: PackFlat is %d×%d, want 1×%d", shape, rows, cols, n)
+		if flat.Rows != 1 || flat.Cols != n {
+			t.Fatalf("%v: PackFlat is %d×%d, want 1×%d", shape, flat.Rows, flat.Cols, n)
 		}
-		if p, ok := flat.(*PackedMatrix); n > 0 && (!ok || len(p.C) != (n+k-1)/k) {
-			t.Fatalf("%v: PackFlat is a %T, want %d packed ciphertexts", shape, flat, (n+k-1)/k)
+		if n > 0 && (flat.K != k || len(flat.C) != (n+k-1)/k) {
+			t.Fatalf("%v: PackFlat is %d ciphertexts of %d lanes, want %d packed ciphertexts", shape, len(flat.C), flat.K, (n+k-1)/k)
 		}
 		if err := flat.Anonymous().Trust(pk); err != nil {
 			t.Fatalf("%v: a receiver would refuse it: %v", shape, err)
@@ -201,7 +201,7 @@ func TestLookupBackwardPackedMatchesUnpacked(t *testing.T) {
 		x.Data[i] = rng.Intn(vocab)
 	}
 	pk := &testKey.PublicKey
-	packed := PackEncryptBlocks(pk, gradE, 1, dim)
+	packed := EncryptAs(pk, gradE, 1, Layout{Packed: true, Block: dim})
 	got := LookupBackwardRows(packed, x, vocab, dim).Decrypt(testKey)
 	want := LookupBackwardRows(Encrypt(pk, gradE, 1), x, vocab, dim).Decrypt(testKey)
 	if !got.Equal(want, 0) {
@@ -211,7 +211,7 @@ func TestLookupBackwardPackedMatchesUnpacked(t *testing.T) {
 
 func TestPackedLayoutMismatchPanics(t *testing.T) {
 	a := PackEncrypt(&testKey.PublicKey, tensor.NewDense(2, 6), 1)
-	b := PackEncryptBlocks(&testKey.PublicKey, tensor.NewDense(2, 6), 1, 3)
+	b := EncryptAs(&testKey.PublicKey, tensor.NewDense(2, 6), 1, Layout{Packed: true, Block: 3})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Add accepted mismatched block layouts")

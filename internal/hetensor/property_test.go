@@ -120,7 +120,7 @@ func TestPropSubsetGradientMatchesFull(t *testing.T) {
 		cg := Encrypt(&testKey.PublicKey, g, 1)
 		touched := touchedOf(x)
 		sub := TransposeMulLeftCSRSubset(x, cg, touched)
-		full := NewCipherMatrix(&testKey.PublicKey, x.Cols, g.Cols, 2)
+		full := newMatrix(&testKey.PublicKey, wholeFor(&testKey.PublicKey), x.Cols, g.Cols, 1, 2)
 		TransposeMulCSRAcc(full, x, 0, cg)
 		for i, k := range touched {
 			for j := 0; j < g.Cols; j++ {

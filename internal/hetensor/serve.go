@@ -114,9 +114,10 @@ func (m *BigMatrix) DecodeTranspose() *tensor.Dense {
 //
 // The kernel always runs the signed-exponent engine: packed exponents are the
 // mechanism, not an optimization, so SetTextbook does not apply.
-func ServeProducts(x *tensor.Dense, v *CipherMatrix) *PackedMatrix {
-	if x.Cols != v.Rows {
-		panic(fmt.Sprintf("hetensor: ServeProducts inner dim mismatch %d×%d · %d×%d", x.Rows, x.Cols, v.Rows, v.Cols))
+func ServeProducts(x *tensor.Dense, v *Matrix) *Matrix {
+	if x.Cols != v.Rows || v.GroupsPerRow() != v.Cols {
+		panic(fmt.Sprintf("hetensor: ServeProducts of %d×%d requests · %d×%d weights in %d ciphertexts a row",
+			x.Rows, x.Cols, v.Rows, v.Cols, v.GroupsPerRow()))
 	}
 	if x.Rows == 0 {
 		panic("hetensor: ServeProducts of an empty batch")
@@ -140,7 +141,7 @@ func ServeProducts(x *tensor.Dense, v *CipherMatrix) *PackedMatrix {
 	if laneBits == 0 {
 		return out // an all-zero batch: every product is the identity
 	}
-	base := func(k, j int) *paillier.Ciphertext { return v.Row(k)[j] }
+	base := v.at
 	tabs, rows := combTables(v.PK, lc.W, v.id, inner, v.Cols, out.laneCount(0), laneBits, base)
 	exps := make([][]paillier.SignedExp, groups)
 	maxBits := 0
@@ -163,7 +164,7 @@ func ServeProducts(x *tensor.Dense, v *CipherMatrix) *PackedMatrix {
 		}
 		exps[g] = es
 	}
-	emit := func(g, j int, c *paillier.Ciphertext) { out.Row(j)[g] = c }
+	emit := func(g, j int, c *paillier.Ciphertext) { out.set(j, g, c) }
 	if tabs == nil {
 		// Per-call tables, one row: the source is passed anonymous because
 		// combTables has already counted this call's sighting.
@@ -242,7 +243,7 @@ func combTables(pk *paillier.PublicKey, w uint, id uint64, inner, gpr, fill, lan
 // negated masks — the serve-side HE2SS send half, in the integer domain.
 // Masks are drawn serially from rng (the peer's session RNG), keeping runs
 // reproducible from the session seed.
-func ServeMask(rng *rand.Rand, prod *PackedMatrix) (*BigMatrix, *PackedMatrix) {
+func ServeMask(rng *rand.Rand, prod *Matrix) (*BigMatrix, *Matrix) {
 	s := &BigMatrix{Rows: prod.Rows, Cols: prod.Cols, Scale: prod.Scale, V: make([]*big.Int, prod.Rows*prod.Cols)}
 	buf := make([]byte, (ServeMaskBits+7)/8)
 	for i := range s.V {
@@ -254,8 +255,8 @@ func ServeMask(rng *rand.Rand, prod *PackedMatrix) (*BigMatrix, *PackedMatrix) {
 		}
 		s.V[i] = v
 	}
-	masked := &PackedMatrix{Rows: prod.Rows, Cols: prod.Cols, Block: prod.Block, Scale: prod.Scale,
-		W: prod.W, K: prod.K, PK: prod.PK, C: make([]*paillier.Ciphertext, len(prod.C))}
+	masked := prod.Anonymous()
+	masked.C = make([]*paillier.Ciphertext, len(prod.C))
 	lc := prod.codec()
 	gpr := prod.GroupsPerRow()
 	parallel.For(len(prod.C), func(t int) {
@@ -279,7 +280,7 @@ func ServeMask(rng *rand.Rand, prod *PackedMatrix) (*BigMatrix, *PackedMatrix) {
 // DecryptPackedInts decrypts a packed matrix to its exact signed lane
 // integers — the serve-side HE2SS receive half, which must not round through
 // float64 because the mask cancellation happens later, in ℤ.
-func DecryptPackedInts(sk *paillier.PrivateKey, m *PackedMatrix) *BigMatrix {
+func DecryptPackedInts(sk *paillier.PrivateKey, m *Matrix) *BigMatrix {
 	out := &BigMatrix{Rows: m.Rows, Cols: m.Cols, Scale: m.Scale, V: make([]*big.Int, m.Rows*m.Cols)}
 	lc := m.codec()
 	gpr := m.GroupsPerRow()

@@ -13,7 +13,7 @@ import (
 // serveReference is the R = 1 kernel spelled out: for every lane group and
 // weight column, one DotRow over the column's bases with each feature's
 // lanes packed into one signed exponent. Residues in the result's cell order.
-func serveReference(x *tensor.Dense, v *CipherMatrix) []*big.Int {
+func serveReference(x *tensor.Dense, v *Matrix) []*big.Int {
 	lc := packingFor(v.PK)
 	groups := (x.Rows + lc.K - 1) / lc.K
 	res := make([]*big.Int, v.Cols*groups)
@@ -38,7 +38,7 @@ func serveReference(x *tensor.Dense, v *CipherMatrix) []*big.Int {
 
 // requireServeResidues fails unless ServeProducts(x, v) is the reference
 // residue for residue.
-func requireServeResidues(t *testing.T, what string, x *tensor.Dense, v *CipherMatrix, want []*big.Int) {
+func requireServeResidues(t *testing.T, what string, x *tensor.Dense, v *Matrix, want []*big.Int) {
 	t.Helper()
 	got := ServeProducts(x, v)
 	if len(got.C) != len(want) {
@@ -154,7 +154,7 @@ func TestServeCombBudget(t *testing.T) {
 			t.Fatalf("stats %+v: fill-1 traffic must build the packed kernel's %d bytes", s, packed)
 		}
 		xK := nonzero(K)
-		for _, v := range []*CipherMatrix{vA, vB, vB, vB} {
+		for _, v := range []*Matrix{vA, vB, vB, vB} {
 			requireServeResidues(t, "warm-up", xK, v, serveReference(xK, v))
 		}
 		warm := TableCacheStatsNow()

@@ -14,9 +14,9 @@ import (
 // (inference-time weight copies, encrypted tables between refreshes) while
 // most are used by exactly one kernel invocation (re-encrypted weight pieces,
 // every streamed ⟦∇Z⟧ chunk). The cache keys tables by *ciphertext-matrix
-// identity*: every CipherMatrix/PackedMatrix is minted a process-unique ID
-// when it is created by encryption or received from the peer, and a table set
-// is identified by (matrix ID, orientation, live-base set). IDs are never
+// identity*: every Matrix is minted a process-unique ID when it is created
+// by encryption or received from the peer, and a table set is identified by
+// (matrix ID, orientation, live-base set). IDs are never
 // reused and accumulator matrices (whose cells mutate) carry ID 0, so a
 // cached table can never go stale — refreshed weights arrive as a new matrix
 // with a new ID and the old entries age out of the LRU.
@@ -49,10 +49,7 @@ func nextMatrixID() uint64 { return matrixIDs.Add(1) }
 // as a stable base set for the dot-table cache. Called by the encryption
 // constructors and the protocol receive paths; call it manually only for a
 // matrix whose cells will never be replaced afterwards.
-func (m *CipherMatrix) MintID() { m.id = nextMatrixID() }
-
-// MintID is the packed-matrix analogue of CipherMatrix.MintID.
-func (m *PackedMatrix) MintID() { m.id = nextMatrixID() }
+func (m *Matrix) MintID() { m.id = nextMatrixID() }
 
 // tableSource names the base-set family a kernel draws from: which matrix,
 // and whether base vectors run along its columns or its rows.

@@ -24,7 +24,7 @@ func withCacheBudget(t *testing.T, budget int64, f func()) {
 	f()
 }
 
-func denseEq(t *testing.T, a, b *CipherMatrix, what string) {
+func denseEq(t *testing.T, a, b *Matrix, what string) {
 	t.Helper()
 	if len(a.C) != len(b.C) {
 		t.Fatalf("%s: %d vs %d cells", what, len(a.C), len(b.C))
@@ -105,8 +105,8 @@ func TestTableCacheEviction(t *testing.T) {
 	pk := &k.PublicKey
 	rng := rand.New(rand.NewSource(7))
 	x := tensor.RandDense(rng, 3, 8, 2)
-	ws := make([]*CipherMatrix, 6)
-	cold := make([]*CipherMatrix, len(ws))
+	ws := make([]*Matrix, 6)
+	cold := make([]*Matrix, len(ws))
 	for i := range ws {
 		ws[i] = Encrypt(pk, tensor.RandDense(rng, 8, 2, 2), 1)
 		cold[i] = MulPlainLeft(x, ws[i])
@@ -167,7 +167,7 @@ func TestTableCacheAnonymousSourcesBypass(t *testing.T) {
 		if s := TableCacheStatsNow(); s.Entries != 0 {
 			t.Fatalf("stats %+v: row-slice view must bypass the cache", s)
 		}
-		acc := NewCipherMatrix(pk, 8, 2, 1) // mutable accumulator
+		acc := newMatrix(pk, wholeFor(pk), 8, 2, 1, 1) // mutable accumulator
 		MulPlainLeft(x, acc)
 		if s := TableCacheStatsNow(); s.Entries != 0 {
 			t.Fatalf("stats %+v: accumulator must bypass the cache", s)
@@ -231,7 +231,7 @@ func TestTableCacheAdmission(t *testing.T) {
 			}
 			return s
 		}
-		want := ServeProducts(req, v.Anonymous().(*CipherMatrix)) // anonymous: uncached
+		want := ServeProducts(req, v.Anonymous()) // anonymous: uncached
 		for step := 0; step < 6; step++ {
 			got := ServeProducts(req, v)
 			for i := range want.C {
@@ -356,7 +356,7 @@ func BenchmarkDotGrid(b *testing.B) {
 // `make profile-serve` profiles the 2048-bit row; -short keeps the 512-bit ones.
 func BenchmarkServeProducts(b *testing.B) {
 	for _, bits := range []int{512, 2048} {
-		setup := func(b *testing.B) (*tensor.Dense, *CipherMatrix) {
+		setup := func(b *testing.B) (*tensor.Dense, *Matrix) {
 			if bits > 512 && testing.Short() {
 				b.Skip("2048-bit row skipped in -short mode")
 			}

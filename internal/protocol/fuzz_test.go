@@ -67,7 +67,7 @@ func FuzzRecvMatrix(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, hangUp := feed(data)
 		defer hangUp()
-		var got hetensor.Matrix
+		var got *hetensor.Matrix
 		var err error
 		if n := allocated(func() { err = b.Run(func() { got = b.RecvMatrix() }) }); n > 16<<20+4096*uint64(len(data)) {
 			t.Fatalf("allocated %d bytes receiving %d", n, len(data))
@@ -76,7 +76,7 @@ func FuzzRecvMatrix(f *testing.F) {
 			return
 		}
 		// A returned matrix is vetted: it decrypts without panicking.
-		if got.Key() == &skB.PublicKey {
+		if got.PK == &skB.PublicKey {
 			got.Decrypt(skB)
 		}
 	})

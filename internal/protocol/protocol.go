@@ -10,6 +10,7 @@
 package protocol
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -308,8 +309,32 @@ func recvAs[T any](p *Peer) T {
 // RecvDense receives a *tensor.Dense.
 func (p *Peer) RecvDense() *tensor.Dense { return recvAs[*tensor.Dense](p) }
 
-// RecvBig receives a *hetensor.BigMatrix (an integer serve share).
-func (p *Peer) RecvBig() *hetensor.BigMatrix { return recvAs[*hetensor.BigMatrix](p) }
+// RecvBig receives a *hetensor.BigMatrix (an integer serve share) and vets
+// it against the rows×cols shape and scale it must have (vetShare).
+func (p *Peer) RecvBig(rows, cols int, scale uint) *hetensor.BigMatrix {
+	m := recvAs[*hetensor.BigMatrix](p)
+	if err := vetShare(m, rows, cols, scale); err != nil {
+		p.Fail("recv: %w: %v", transport.ErrCorrupt, err)
+	}
+	return m
+}
+
+// vetShare checks a serve share against the batch shape and scale, every
+// entry present.
+func vetShare(m *hetensor.BigMatrix, rows, cols int, scale uint) error {
+	if m == nil {
+		return errors.New("share missing")
+	}
+	if m.Rows != rows || m.Cols != cols || m.Scale != scale || len(m.V) != rows*cols {
+		return fmt.Errorf("%d×%d@%d share of %d entries, want %d×%d@%d", m.Rows, m.Cols, m.Scale, len(m.V), rows, cols, scale)
+	}
+	for i, v := range m.V {
+		if v == nil {
+			return fmt.Errorf("share entry %d missing", i)
+		}
+	}
+	return nil
+}
 
 // RecvInts receives a []int (e.g. a touched-coordinate set).
 func (p *Peer) RecvInts() []int { return recvAs[[]int](p) }

@@ -159,23 +159,6 @@ func vetDense(d *tensor.Dense, rows, cols int) error {
 	return nil
 }
 
-// vetShare checks a serve share partial against the batch shape and scale,
-// every entry present.
-func vetShare(m *hetensor.BigMatrix, rows, cols int, scale uint) error {
-	if m == nil {
-		return errors.New("share missing")
-	}
-	if m.Rows != rows || m.Cols != cols || m.Scale != scale || len(m.V) != rows*cols {
-		return fmt.Errorf("%d×%d@%d share of %d entries, want %d×%d@%d", m.Rows, m.Cols, m.Scale, len(m.V), rows, cols, scale)
-	}
-	for i, v := range m.V {
-		if v == nil {
-			return fmt.Errorf("share entry %d missing", i)
-		}
-	}
-	return nil
-}
-
 // failDesync reports a sequence-counter disagreement.
 func (l *ShardLink) failDesync(op string, got, want uint64) {
 	panic(protoErr{fmt.Errorf("%w: shard %d %s seq %d, want %d", ErrShardMismatch, l.Shard, op, got, want)})

@@ -121,13 +121,13 @@ func (p *Peer) sendStream(rows, cols int, produce func(lo, hi int) any) {
 // transport.ErrCorrupt. What a consumer builds therefore grows with chunks
 // that really arrived, never with what the header (whose dimensions the
 // transport has bounded) merely announced.
-func (p *Peer) recvStream(consume func(h *transport.StreamHeader, lo int, c hetensor.Matrix)) {
+func (p *Peer) recvStream(consume func(h *transport.StreamHeader, lo int, c *hetensor.Matrix)) {
 	seq := p.recvSeq
 	p.recvSeq++
 	start := time.Now()
 	wait := time.Duration(0)
 	off := 0
-	var first hetensor.Matrix
+	var first *hetensor.Matrix
 	h, err := transport.RecvStream(p.link(), seq, func(h *transport.StreamHeader, i int, v any) error {
 		wait += time.Since(start)
 		c := p.trusted(v)
@@ -136,13 +136,12 @@ func (p *Peer) recvStream(consume func(h *transport.StreamHeader, lo int, c hete
 		}
 		// A zero-row chunk is valid only as the sole chunk of an empty
 		// stream (the sender always ships at least one chunk).
-		rows, cols := c.Dims()
-		if !first.SameLayout(c) || cols != h.Cols || rows > h.Rows-off || (rows == 0 && h.Rows > 0) {
+		if !first.SameLayout(c) || c.Cols != h.Cols || c.Rows > h.Rows-off || (c.Rows == 0 && h.Rows > 0) {
 			p.Fail("stream recv: %w: chunk of %d×%d at row %d does not continue a %d×%d stream",
-				transport.ErrCorrupt, rows, cols, off, h.Rows, h.Cols)
+				transport.ErrCorrupt, c.Rows, c.Cols, off, h.Rows, h.Cols)
 		}
 		consume(h, off, c)
-		off += rows
+		off += c.Rows
 		start = time.Now()
 		return nil
 	})
@@ -169,14 +168,14 @@ func (p *Peer) recvStream(consume func(h *transport.StreamHeader, lo int, c hete
 // homomorphic kernel. Chunks stay identity-less: a chunk is a single-use view
 // that never recurs, and minting one per chunk would fill the persistent
 // table cache with unreachable entries; RecvMatrix mints the assembled whole.
-func (p *Peer) trusted(v any) hetensor.Matrix {
-	c, ok := v.(hetensor.Matrix)
-	if !ok {
+func (p *Peer) trusted(v any) *hetensor.Matrix {
+	c, ok := v.(*hetensor.Matrix)
+	if !ok || c == nil {
 		p.Fail("stream recv: %w: want an encrypted matrix chunk, got %T", transport.ErrCorrupt, v)
 	}
 	c = c.Anonymous()
 	pk := p.PeerPK
-	if k := c.Key(); k == nil || k.N == nil {
+	if k := c.PK; k == nil || k.N == nil {
 		p.Fail("stream recv: %w: matrix carries no public key", transport.ErrCorrupt)
 	} else if k.N.Cmp(p.SK.N) == 0 {
 		pk = &p.SK.PublicKey
@@ -188,9 +187,8 @@ func (p *Peer) trusted(v any) hetensor.Matrix {
 }
 
 // SendMatrix ships an already-assembled matrix as row-chunk views.
-func (p *Peer) SendMatrix(m hetensor.Matrix) {
-	rows, cols := m.Dims()
-	p.sendStream(rows, cols, func(lo, hi int) any { return m.RowSlice(lo, hi) })
+func (p *Peer) SendMatrix(m *hetensor.Matrix) {
+	p.sendStream(m.Rows, m.Cols, func(lo, hi int) any { return m.RowSlice(lo, hi) })
 }
 
 // EncryptAndSend encrypts d under this party's own key in the layout the
@@ -203,14 +201,14 @@ func (p *Peer) EncryptAndSend(d *tensor.Dense, scale uint, l hetensor.Layout) {
 	})
 }
 
-// RecvMatrix assembles a transfer into one matrix of whichever kind arrived
+// RecvMatrix assembles a transfer into one matrix in whichever lanes arrived
 // and mints it a receiver-local table-cache identity: its cells are never
 // replaced locally, so the persistent dot-table cache may key tables to it.
 // For the paths (weight exchange and refresh) where the receiver stores the
 // matrix.
-func (p *Peer) RecvMatrix() hetensor.Matrix {
-	var out hetensor.Matrix
-	p.RecvMatrixEach(func(_ int, c hetensor.Matrix) {
+func (p *Peer) RecvMatrix() *hetensor.Matrix {
+	var out *hetensor.Matrix
+	p.RecvMatrixEach(func(_ int, c *hetensor.Matrix) {
 		if out == nil {
 			out = c.RowSlice(0, 0)
 		}
@@ -223,18 +221,17 @@ func (p *Peer) RecvMatrix() hetensor.Matrix {
 // RecvMatrixEach receives a transfer without assembling it: each chunk is
 // handed to fn with its starting row, so the consumer can decrypt or
 // accumulate chunk i while the sender produces chunk i+1.
-func (p *Peer) RecvMatrixEach(fn func(lo int, chunk hetensor.Matrix)) {
-	p.recvStream(func(_ *transport.StreamHeader, lo int, c hetensor.Matrix) { fn(lo, c) })
+func (p *Peer) RecvMatrixEach(fn func(lo int, chunk *hetensor.Matrix)) {
+	p.recvStream(func(_ *transport.StreamHeader, lo int, c *hetensor.Matrix) { fn(lo, c) })
 }
 
 // HE2SSSend is the masking half of Algorithm 1, run by the party that holds
 // ⟦v⟧ under the *peer's* key: draw the mask φ up front, send ⟦v−φ⟧ freshly
 // re-randomized chunk by chunk, and keep φ as this party's share of v. The
 // key owner decrypts chunk i while this party blinds chunk i+1.
-func (p *Peer) HE2SSSend(c hetensor.Matrix) *tensor.Dense {
-	rows, cols := c.Dims()
-	phi := p.Mask(rows, cols)
-	p.sendStream(rows, cols, func(lo, hi int) any {
+func (p *Peer) HE2SSSend(c *hetensor.Matrix) *tensor.Dense {
+	phi := p.Mask(c.Rows, c.Cols)
+	p.sendStream(c.Rows, c.Cols, func(lo, hi int) any {
 		return c.RowSlice(lo, hi).SubPlainFresh(phi.RowSlice(lo, hi))
 	})
 	return phi
@@ -249,8 +246,8 @@ func (p *Peer) HE2SSSend(c hetensor.Matrix) *tensor.Dense {
 func (p *Peer) HE2SSRecv() *tensor.Dense {
 	var out *tensor.Dense
 	spot := -1
-	p.recvStream(func(h *transport.StreamHeader, lo int, c hetensor.Matrix) {
-		if c.Key() != &p.SK.PublicKey { // trusted attaches this very object, or the peer's
+	p.recvStream(func(h *transport.StreamHeader, lo int, c *hetensor.Matrix) {
+		if c.PK != &p.SK.PublicKey { // trusted attaches this very object, or the peer's
 			p.Fail("HE2SSRecv: ciphertext is not under this party's key")
 		}
 		d := c.Decrypt(p.SK)
@@ -278,16 +275,15 @@ func (p *Peer) HE2SSRecv() *tensor.Dense {
 // chooses as for EncryptAndSend, and returns ⟦v⟧ under the *peer's* key, in
 // the layout the peer chose, by homomorphically adding its own plaintext
 // piece to the peer's chunks as they arrive. Party A sends first.
-func (p *Peer) SS2HEAs(piece *tensor.Dense, scale uint, l hetensor.Layout) hetensor.Matrix {
-	recv := func() hetensor.Matrix {
-		var out hetensor.Matrix
-		p.recvStream(func(h *transport.StreamHeader, lo int, c hetensor.Matrix) {
-			if c.AtScale() != scale || h.Rows != piece.Rows || h.Cols != piece.Cols {
+func (p *Peer) SS2HEAs(piece *tensor.Dense, scale uint, l hetensor.Layout) *hetensor.Matrix {
+	recv := func() *hetensor.Matrix {
+		var out *hetensor.Matrix
+		p.recvStream(func(h *transport.StreamHeader, lo int, c *hetensor.Matrix) {
+			if c.Scale != scale || h.Rows != piece.Rows || h.Cols != piece.Cols {
 				p.Fail("SS2HE: %w: peer's piece is not a %d×%d matrix at scale %d",
 					transport.ErrCorrupt, piece.Rows, piece.Cols, scale)
 			}
-			rows, _ := c.Dims()
-			sum := c.AddPlain(piece.RowSlice(lo, lo+rows))
+			sum := c.AddPlain(piece.RowSlice(lo, lo+c.Rows))
 			if out == nil {
 				out = sum
 			} else {

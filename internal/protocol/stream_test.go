@@ -16,12 +16,12 @@ import (
 	"blindfl/internal/transport"
 )
 
-// The one transfer path, over everything it may be asked to carry: both
-// matrix kinds, every relation of the sender's span to the matrix height
-// (whole, one row, dividing, not dividing, taller than the matrix), by
-// pointer (transport.Pair) and through gob (NewGobConn over net.Pipe). The
-// receiver's own ChunkRows is always set to something else: the span is the
-// sender's business.
+// The one transfer path, over everything it may be asked to carry: one
+// value per ciphertext and packed lanes, every relation of the sender's span
+// to the matrix height (whole, one row, dividing, not dividing, taller than
+// the matrix), by pointer (transport.Pair) and through gob (NewGobConn over
+// net.Pipe). The receiver's own ChunkRows is always set to something else:
+// the span is the sender's business.
 
 var spans = []int{0, 1, 2, 3, 99}
 
@@ -192,8 +192,8 @@ func TestStreamChunksAnonymousOnEveryTransport(t *testing.T) {
 		// A key object of the sender's own, so a receiver that reattaches
 		// its trusted copy in place is caught.
 		pkA := &paillier.PublicKey{N: skA.N, N2: skA.N2}
-		var sent []*hetensor.PackedMatrix
-		var acc hetensor.Matrix
+		var sent []*hetensor.Matrix
+		var acc *hetensor.Matrix
 		err = RunParties(a, b, func() {
 			a.sendStream(gz.Rows, gz.Cols, func(lo, hi int) any {
 				c := hetensor.PackEncrypt(pkA, gz.RowSlice(lo, hi), 1)
@@ -201,13 +201,13 @@ func TestStreamChunksAnonymousOnEveryTransport(t *testing.T) {
 				return c
 			})
 		}, func() {
-			b.RecvMatrixEach(func(lo int, chunk hetensor.Matrix) {
+			b.RecvMatrixEach(func(lo int, chunk *hetensor.Matrix) {
 				if acc == nil {
 					acc = chunk.NewAcc(x.Cols)
 				}
 				// Twice: a chunk that kept an identity would be admitted here.
-				rows, _ := chunk.Dims()
-				hetensor.TransposeMulLeftPacked(x.RowSlice(lo, lo+rows), chunk.(*hetensor.PackedMatrix))
+				rows := chunk.Rows
+				hetensor.TransposeMulLeftPacked(x.RowSlice(lo, lo+rows), chunk)
 				hetensor.TransposeMulAcc(acc, x.RowSlice(lo, lo+rows), chunk)
 			})
 		})
@@ -272,6 +272,20 @@ func hostileStreams() []hostileStream {
 			c := hetensor.PackEncrypt(pk, tensor.NewDense(1, 2), 1)
 			c.K, c.Block, c.Cols = 1<<30, 1<<30, 1<<30
 			return []any{c}
+		}},
+		{"one lane at a width none of the key's layouts use", 1, 2, 1, func(pk *paillier.PublicKey) []any {
+			c := hetensor.Encrypt(pk, tensor.NewDense(1, 2), 1)
+			c.W--
+			return []any{c}
+		}},
+		{"whole lanes in blocks", 1, 2, 1, func(pk *paillier.PublicKey) []any {
+			c := hetensor.Encrypt(pk, tensor.NewDense(1, 2), 1)
+			c.Block = 2
+			return []any{c}
+		}},
+		{"whole lanes then default lanes, one value each", 2, 2, 2, func(pk *paillier.PublicKey) []any {
+			return []any{hetensor.Encrypt(pk, tensor.NewDense(1, 2), 1),
+				hetensor.EncryptAs(pk, tensor.NewDense(1, 2), 1, hetensor.Layout{Packed: true, Block: 1})}
 		}},
 		{"not a matrix", 1, 1, 1, func(*paillier.PublicKey) []any { return []any{tensor.NewDense(1, 1)} }},
 	}

@@ -118,14 +118,6 @@ func (f *fnvWriter) writeValue(v any) {
 	case *paillier.Ciphertext:
 		f.writeUint64(7)
 		f.writeCipher(m)
-	case *hetensor.CipherMatrix:
-		f.writeUint64(8)
-		f.writeUint64(uint64(int64(m.Rows)))
-		f.writeUint64(uint64(int64(m.Cols)))
-		f.writeUint64(uint64(m.Scale))
-		for _, c := range m.C {
-			f.writeCipher(c)
-		}
 	case *hetensor.BigMatrix:
 		f.writeUint64(11)
 		f.writeUint64(uint64(int64(m.Rows)))
@@ -135,7 +127,7 @@ func (f *fnvWriter) writeValue(v any) {
 		for _, x := range m.V {
 			f.writeBig(x)
 		}
-	case *hetensor.PackedMatrix:
+	case *hetensor.Matrix:
 		f.writeUint64(9)
 		f.writeUint64(uint64(int64(m.Rows)))
 		f.writeUint64(uint64(int64(m.Cols)))

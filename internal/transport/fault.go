@@ -211,15 +211,7 @@ func flipPayload(v any, r *rand.Rand) (any, bool) {
 		i := r.Intn(len(cp.Data))
 		cp.Data[i] = flipFloatBit(cp.Data[i], r)
 		return &cp, true
-	case *hetensor.CipherMatrix:
-		cs, ok := flipOneCipher(m.C, r)
-		if !ok {
-			return nil, false
-		}
-		cp := *m
-		cp.C = cs
-		return &cp, true
-	case *hetensor.PackedMatrix:
+	case *hetensor.Matrix:
 		cs, ok := flipOneCipher(m.C, r)
 		if !ok {
 			return nil, false

@@ -134,13 +134,7 @@ func WireSize(v any) int {
 		return frame + bigSize(m.N) + bigSize(m.N2)
 	case *paillier.Ciphertext:
 		return frame + cipherSize(m)
-	case *hetensor.CipherMatrix:
-		n := frame + 32 + WireSize(m.PK)
-		for _, c := range m.C {
-			n += cipherSize(c)
-		}
-		return n
-	case *hetensor.PackedMatrix:
+	case *hetensor.Matrix:
 		n := frame + 56 + WireSize(m.PK)
 		for _, c := range m.C {
 			n += cipherSize(c)

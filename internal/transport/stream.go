@@ -1,5 +1,5 @@
 // Chunked streaming: one logical matrix message split into bounded,
-// sequence-numbered, checksummed chunks. Large CipherMatrix/PackedMatrix
+// sequence-numbered, checksummed chunks. Large hetensor.Matrix
 // transfers ship as a StreamHeader followed by StreamChunk envelopes and a
 // closing StreamEnd, so the sender can produce chunk i+1 (encrypt, mask,
 // matmul) while chunk i is on the wire and the receiver consumes chunk i−1

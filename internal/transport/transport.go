@@ -28,8 +28,7 @@ func init() {
 	gob.Register(&tensor.Dense{})
 	gob.Register(&tensor.CSR{})
 	gob.Register(&tensor.IntMatrix{})
-	gob.Register(&hetensor.CipherMatrix{})
-	gob.Register(&hetensor.PackedMatrix{})
+	gob.Register(&hetensor.Matrix{})
 	gob.Register(&hetensor.BigMatrix{})
 	gob.Register(&paillier.PublicKey{})
 	gob.Register(&paillier.Ciphertext{})

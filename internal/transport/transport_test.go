@@ -363,7 +363,7 @@ func TestGobConnPackedMatrixRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := v.(*hetensor.PackedMatrix)
+	got, ok := v.(*hetensor.Matrix)
 	if !ok {
 		t.Fatalf("got %T", v)
 	}
