@@ -123,11 +123,15 @@ shard-smoke: build
 
 # Serve smoke lane: train a toy checkpoint, bring up the blindfl-serve
 # request batcher on fresh sessions, and fire the closed-loop load generator
-# through it with the integrity spot-check on. The command exits non-zero on
-# an empty, non-finite or integrity-mismatched response.
+# through it with the integrity spot-check on — once with 2 × lanes clients
+# (full lane groups), once with a single client (the lone-caller path, where
+# each batch closes as soon as it holds the only caller). The command exits
+# non-zero on an empty, non-finite or integrity-mismatched response.
 serve-smoke:
 	$(GO) run ./cmd/blindfl-serve -dataset higgs -train 96 -test 48 -epochs 1 \
 		-requests 48 -spotcheck -packed -tablecache 64
+	$(GO) run ./cmd/blindfl-serve -dataset higgs -train 96 -test 48 -epochs 1 \
+		-workers 1 -requests 16 -spotcheck -packed -tablecache 64
 
 fmt:
 	gofmt -w .

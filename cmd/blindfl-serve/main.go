@@ -40,9 +40,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "data/model seed")
 	parties := flag.Int("parties", 1, "feature parties; >1 serves over a k-session protocol.Group")
 	ckPath := flag.String("checkpoint", "", "serve checkpoint path: reused when it exists, written after training otherwise")
-	lanes := flag.Int("lanes", 0, "serve batch width (0 = ciphertext packing lane width)")
-	maxBatch := flag.Int("maxbatch", 0, "max requests per protocol batch (0 = batch width)")
-	flush := flag.Duration("flush", 2*time.Millisecond, "max wait for a lane group to fill")
+	maxBatch := flag.Int("maxbatch", 0, "max requests per protocol batch (0 = ciphertext packing lane width)")
+	flush := flag.Duration("flush", 2*time.Millisecond, "max wait for a partial batch to fill; a batch holding every waiting caller runs at once")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 4x max batch)")
 	minPool := flag.Int("minpool", 0, "shed requests while the label party's blinding pool is below this depth (needs -pool)")
 	workers := flag.Int("workers", 0, "closed-loop load-generator clients (0 = 2x max batch)")
@@ -145,7 +144,7 @@ func main() {
 		time.Since(t0).Round(time.Millisecond), p.K(), p.Lanes())
 
 	s := serve.NewServer(p, serve.Config{
-		Lanes: *lanes, MaxBatch: *maxBatch, FlushInterval: *flush,
+		MaxBatch: *maxBatch, FlushInterval: *flush,
 		MaxQueue: *queue, MinPool: *minPool, SpotCheck: eng.SpotCheck,
 	})
 	defer s.Close()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -86,12 +87,13 @@ func RunLoad(s *Server, newReq func(i int) Request, workers, total int) LoadResu
 	return res
 }
 
-// percentile returns the q-quantile of sorted latencies (nearest-rank).
+// percentile returns the q-quantile of sorted latencies (nearest-rank: the
+// ⌈q·n⌉-th smallest).
 func percentile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(q*float64(len(sorted))+0.5) - 1
+	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if rank < 0 {
 		rank = 0
 	}

@@ -4,16 +4,20 @@
 // cross-request lane batching, so a full lane group costs the same
 // homomorphic work as one request — and executed over the Predictor's
 // persistent serve sessions, whose long-lived encrypted weight pieces keep
-// the dot-table cache warm on every query. Admission control sheds load when
-// the queue is full or the label party's blinding pool runs dry, and an
-// AHEAD-style opt-in integrity spot-check re-verifies one random request per
-// batch against the plaintext forward path.
+// the dot-table cache warm on every query. A batch closes when it is full,
+// when the flush interval runs out, or as soon as every caller inside
+// Predict has joined it, so a lone caller never waits for company that
+// cannot come. Admission control sheds load when the queue is full or the
+// label party's blinding pool runs dry, and an AHEAD-style opt-in integrity
+// spot-check re-verifies one random request per batch against the plaintext
+// forward path.
 package serve
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,18 +37,16 @@ var ErrClosed = errors.New("serve: server closed")
 // serves with lane-width batches, a short flush interval, a queue of a few
 // batches, no pool-depth shedding and no spot-checks.
 type Config struct {
-	// Lanes is the target batch width. 0 means the Predictor's lane width —
-	// the packing-optimal choice: every batch of this size costs the same
-	// homomorphic work as a single request.
-	Lanes int
-
-	// MaxBatch caps the requests per protocol batch. 0 means Lanes (one
-	// lane group). Raising it trades per-request latency for throughput by
-	// running several lane groups per protocol round trip.
+	// MaxBatch caps the requests per protocol batch. 0 means the
+	// Predictor's lane width — the packing-optimal choice: a batch of one
+	// lane group costs the same homomorphic work as a single request.
+	// Raising it trades per-request latency for throughput by running
+	// several lane groups per protocol round trip.
 	MaxBatch int
 
-	// FlushInterval bounds how long the batcher waits for a lane group to
-	// fill before running a partial batch. 0 means 2ms.
+	// FlushInterval bounds how long a partial batch waits for more
+	// requests. A batch that already holds every caller inside Predict
+	// runs at once, since no one else can join it. 0 means 2ms.
 	FlushInterval time.Duration
 
 	// MaxQueue is the pending-request queue depth; requests arriving when
@@ -103,9 +105,16 @@ type Server struct {
 	p   *model.Predictor
 	cfg Config
 
-	reqs chan *pending
-	quit chan struct{}
-	done chan struct{}
+	reqs      chan *pending
+	quit      chan struct{}
+	done      chan struct{}
+	closeOnce sync.Once
+
+	// inflight counts the callers inside Predict from the moment they
+	// commit to the queue until they return; left nudges a collecting
+	// batcher when one of them returns.
+	inflight atomic.Int64
+	left     chan struct{}
 
 	served     atomic.Int64
 	batches    atomic.Int64
@@ -117,11 +126,8 @@ type Server struct {
 
 // NewServer starts the batcher over a restored Predictor. Close releases it.
 func NewServer(p *model.Predictor, cfg Config) *Server {
-	if cfg.Lanes <= 0 {
-		cfg.Lanes = p.Lanes()
-	}
 	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = cfg.Lanes
+		cfg.MaxBatch = p.Lanes()
 	}
 	if cfg.FlushInterval <= 0 {
 		cfg.FlushInterval = 2 * time.Millisecond
@@ -134,6 +140,7 @@ func NewServer(p *model.Predictor, cfg Config) *Server {
 		reqs: make(chan *pending, cfg.MaxQueue),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
+		left: make(chan struct{}, 1),
 	}
 	go s.batcher()
 	return s
@@ -152,6 +159,8 @@ func (s *Server) Predict(req Request) Response {
 			return Response{Err: ErrOverloaded}
 		}
 	}
+	s.inflight.Add(1)
+	defer s.leave()
 	p := &pending{req: req, resp: make(chan Response, 1)}
 	select {
 	case s.reqs <- p:
@@ -174,6 +183,16 @@ func (s *Server) Predict(req Request) Response {
 	}
 }
 
+// leave un-counts a caller on its way out of Predict and nudges the batcher,
+// whose open batch may now hold everyone still inside.
+func (s *Server) leave() {
+	s.inflight.Add(-1)
+	select {
+	case s.left <- struct{}{}:
+	default:
+	}
+}
+
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
 	return Stats{
@@ -184,14 +203,19 @@ func (s *Server) Stats() Stats {
 }
 
 // Close stops the batcher; requests still queued are answered ErrClosed.
+// Closing twice is a no-op.
 func (s *Server) Close() {
-	close(s.quit)
+	s.closeOnce.Do(func() { close(s.quit) })
 	<-s.done
 }
 
 // batcher is the single goroutine that fills lane groups across concurrent
-// requests: it blocks for the first request, then collects up to MaxBatch−1
-// more until FlushInterval elapses, and runs them as one protocol batch.
+// requests: it blocks for the first request, then collects more until the
+// batch holds MaxBatch requests, or holds every caller inside Predict (no
+// one else can join), or FlushInterval elapses, and runs them as one
+// protocol batch. A caller the last batch answered counts until its Predict
+// returns, so a closed-loop client that re-enters at once still joins the
+// next batch.
 func (s *Server) batcher() {
 	defer close(s.done)
 	spotSeed := s.cfg.SpotSeed
@@ -208,10 +232,11 @@ func (s *Server) batcher() {
 			batch := []*pending{first}
 			timer := time.NewTimer(s.cfg.FlushInterval)
 		collect:
-			for len(batch) < s.cfg.MaxBatch {
+			for len(batch) < s.cfg.MaxBatch && int64(len(batch)) < s.inflight.Load() {
 				select {
 				case p := <-s.reqs:
 					batch = append(batch, p)
+				case <-s.left:
 				case <-timer.C:
 					break collect
 				case <-s.quit:

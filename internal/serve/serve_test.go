@@ -199,3 +199,78 @@ func TestServeRejectsMalformedRequest(t *testing.T) {
 		t.Fatal("malformed request accepted")
 	}
 }
+
+// TestServeLoneCallerRunsAtOnce: a batch that holds every caller inside
+// Predict closes at once, so one closed-loop caller never waits out the
+// flush interval — eight sequential requests under a one-second interval
+// finish in well under a second, one protocol batch each, every logit exact.
+func TestServeLoneCallerRunsAtOnce(t *testing.T) {
+	p, ds := newTestPredictor(t, 750)
+	want, err := p.PlainLogits([]*tensor.Dense{ds.TestA.Dense}, ds.TestB.Dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(p, Config{FlushInterval: time.Second})
+	defer s.Close()
+
+	const n = 8
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		resp := s.Predict(testRequest(ds, i))
+		if resp.Err != nil {
+			t.Fatalf("request %d: %v", i, resp.Err)
+		}
+		for c := 0; c < want.Cols; c++ {
+			if resp.Logits.At(0, c) != want.At(i, c) {
+				t.Fatalf("request %d: logit[%d] = %v, want exactly %v", i, c, resp.Logits.At(0, c), want.At(i, c))
+			}
+		}
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Fatalf("%d sequential requests took %v: a lone caller waited for the flush interval", n, d)
+	}
+	if st := s.Stats(); st.Batches != n {
+		t.Fatalf("%d sequential requests ran as %d protocol batches, want %d", n, st.Batches, n)
+	}
+}
+
+// TestServeFewCallersRunAtOnce: K−1 closed-loop clients can never fill a
+// lane group, yet no batch waits out the one-second flush interval: a batch
+// closes once it holds every caller inside Predict, and a caller that has
+// left is no longer waited for. One request more than a multiple of the
+// client count makes the last batch hold a caller whose peers have left.
+func TestServeFewCallersRunAtOnce(t *testing.T) {
+	p, ds := newTestPredictor(t, 760)
+	k := p.Lanes()
+	if k < 3 {
+		t.Fatalf("%d lanes: too few to leave a lane group partial with several callers", k)
+	}
+	const interval = time.Second
+	s := NewServer(p, Config{FlushInterval: interval})
+	defer s.Close()
+	req := func(i int) Request { return testRequest(ds, i%ds.TestB.Dense.Rows) }
+
+	n := 3*(k-1) + 1
+	for round := 0; round < 5; round++ {
+		res := RunLoad(s, req, k-1, n)
+		if res.OK != n {
+			t.Fatalf("round %d: served %d of %d (shed %d, failed %d)", round, res.OK, n, res.Shed, res.Failed)
+		}
+		if res.Duration >= interval {
+			t.Fatalf("round %d: %d requests from %d callers took %v: a batch waited for the flush interval",
+				round, n, k-1, res.Duration)
+		}
+	}
+}
+
+// TestServeCloseTwice: Close is idempotent, and a request after it gets
+// ErrClosed.
+func TestServeCloseTwice(t *testing.T) {
+	p, ds := newTestPredictor(t, 770)
+	s := NewServer(p, Config{})
+	s.Close()
+	s.Close()
+	if resp := s.Predict(testRequest(ds, 0)); resp.Err != ErrClosed {
+		t.Fatalf("Predict after Close: got %v, want ErrClosed", resp.Err)
+	}
+}
