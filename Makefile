@@ -129,9 +129,9 @@ shard-smoke: build
 # non-zero on an empty, non-finite or integrity-mismatched response.
 serve-smoke:
 	$(GO) run ./cmd/blindfl-serve -dataset higgs -train 96 -test 48 -epochs 1 \
-		-requests 48 -spotcheck -packed -tablecache 64
+		-requests 48 -spotcheck -tablecache 64
 	$(GO) run ./cmd/blindfl-serve -dataset higgs -train 96 -test 48 -epochs 1 \
-		-workers 1 -requests 16 -spotcheck -packed -tablecache 64
+		-workers 1 -requests 16 -spotcheck -tablecache 64
 
 fmt:
 	gofmt -w .

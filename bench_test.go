@@ -3,7 +3,7 @@
 // sizes so `go test -bench=.` completes in minutes on one core; the
 // blindfl-bench command runs the paper-scale versions.
 //
-// Mapping (see DESIGN.md §4 and EXPERIMENTS.md for the full index):
+// Mapping (internal/bench holds the experiment entry points):
 //
 //	Table 5  -> BenchmarkTable5_*
 //	Table 6  -> BenchmarkTable6Fmnist*

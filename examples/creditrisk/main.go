@@ -53,8 +53,8 @@ func main() {
 	h.Hidden = []int{8}
 	h.LR = 0.1
 	// Plain SGD for the demo: with momentum enabled the sparse wide part
-	// uses lazy momentum (see DESIGN.md), which needs a longer schedule to
-	// match the dense baseline.
+	// uses lazy momentum (untouched rows keep a stale buffer), which needs a
+	// longer schedule to match the dense baseline.
 	h.Momentum = 0
 
 	skA, skB := protocol.TestKeys()

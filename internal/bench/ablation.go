@@ -13,9 +13,10 @@ import (
 	"blindfl/internal/tensor"
 )
 
-// Ablations runs the design-choice studies called out in DESIGN.md §5.
-// They quantify the individual decisions behind BlindFL's numbers rather
-// than reproduce a specific paper table.
+// Ablations runs the design-choice studies: mask width, the encrypted-weight
+// cache, sparse ciphertext products, decryption, key size and traffic. They
+// quantify the individual decisions behind BlindFL's numbers rather than
+// reproduce a specific paper table.
 func Ablations(quick bool) []*Table {
 	return []*Table{
 		AblationMaskWidth(),

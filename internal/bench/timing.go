@@ -13,7 +13,8 @@ import (
 
 // NewBlindFLStepper builds a federated MatMul source layer for a dataset
 // spec and returns a closure that runs one forward+backward mini-batch
-// (both parties, in process, default engine options). Setup cost is paid
+// (both parties, in process, on the packed and streamed engine with no pools
+// and no table cache). Setup cost is paid
 // here, not in the step. Used by both TimeBlindFLBatch and the testing.B
 // benchmark suite.
 func NewBlindFLStepper(spec data.Spec, batch, out int) func() {

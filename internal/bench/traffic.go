@@ -6,7 +6,6 @@ import (
 	"net"
 
 	"blindfl/internal/core"
-	"blindfl/internal/engine"
 	"blindfl/internal/paillier"
 	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
@@ -25,42 +24,14 @@ func Traffic() *Table {
 	}
 	const batch, out = 16, 2
 
-	// Dense 64-dim layer.
+	// Dense 64-dim layer: the chunk envelopes are among the messages; the
+	// per-chunk byte and receive-latency columns come from the protocol
+	// layer's StreamStats accounting.
 	{
 		pa, pb, cleanup := tcpPeerPair(71)
 		var la *core.MatMulA
 		var lb *core.MatMulB
 		cfg := core.Config{Out: out, LR: 0.1}
-		if err := protocol.RunParties(pa, pb,
-			func() { la = core.NewMatMulA(pa, cfg, 32, 32) },
-			func() { lb = core.NewMatMulB(pb, cfg, 32, 32) },
-		); err != nil {
-			panic(err)
-		}
-		m0, b0 := pa.Conn.Stats()
-		rng := rand.New(rand.NewSource(1))
-		xA := tensor.RandDense(rng, batch, 32, 1)
-		xB := tensor.RandDense(rng, batch, 32, 1)
-		g := tensor.RandDense(rng, batch, out, 0.1)
-		if err := protocol.RunParties(pa, pb,
-			func() { la.Forward(core.DenseFeatures{M: xA}); la.Backward() },
-			func() { lb.Forward(core.DenseFeatures{M: xB}); lb.Backward(g) },
-		); err != nil {
-			panic(err)
-		}
-		m1, b1 := pa.Conn.Stats()
-		t.Add("MatMul dense", "64", fmt.Sprintf("%d", m1-m0), fmt.Sprintf("%.2f", float64(b1-b0)/(1<<20)), "—", "—", "—")
-		cleanup()
-	}
-
-	// The same dense layer chunk-streamed: the extra messages are the chunk
-	// envelopes; the per-chunk byte and receive-latency columns come from the
-	// protocol layer's StreamStats accounting.
-	{
-		pa, pb, cleanup := tcpPeerPair(73)
-		var la *core.MatMulA
-		var lb *core.MatMulB
-		cfg := core.Config{Out: out, LR: 0.1, Options: engine.Options{Stream: true}}
 		if err := protocol.RunParties(pa, pb,
 			func() { la = core.NewMatMulA(pa, cfg, 32, 32) },
 			func() { lb = core.NewMatMulB(pb, cfg, 32, 32) },
@@ -89,19 +60,20 @@ func Traffic() *Table {
 		if s.ChunksRecv > 0 {
 			msPerChunk = fmt.Sprintf("%.2f", s.RecvWait.Seconds()*1000/float64(s.ChunksRecv))
 		}
-		t.Add("MatMul dense (streamed)", "64", fmt.Sprintf("%d", m1-m0), fmt.Sprintf("%.2f", float64(b1-b0)/(1<<20)),
+		t.Add("MatMul dense", "64", fmt.Sprintf("%d", m1-m0), fmt.Sprintf("%.2f", float64(b1-b0)/(1<<20)),
 			fmt.Sprintf("%d", s.ChunksSent), kibPerChunk, msPerChunk)
 		cleanup()
 	}
 
-	// The streamed layer with the label party's decrypt spot-check on: the
+	// The same layer with the label party's decrypt spot-check on: the
 	// wire columns are unchanged (the probe is local re-decryption, not a
 	// protocol message) and the integrity counters surface in the note.
 	{
 		pa, pb, cleanup := tcpPeerPair(76)
+		pb.SpotCheck = true
 		var la *core.MatMulA
 		var lb *core.MatMulB
-		cfg := core.Config{Out: out, LR: 0.1, Options: engine.Options{Stream: true, SpotCheck: true}}
+		cfg := core.Config{Out: out, LR: 0.1}
 		if err := protocol.RunParties(pa, pb,
 			func() { la = core.NewMatMulA(pa, cfg, 32, 32) },
 			func() { lb = core.NewMatMulB(pb, cfg, 32, 32) },
@@ -122,7 +94,7 @@ func Traffic() *Table {
 		}
 		m1, b1 := pa.Conn.Stats()
 		s := pb.Stream
-		t.Add("MatMul dense (streamed+spotcheck)", "64", fmt.Sprintf("%d", m1-m0),
+		t.Add("MatMul dense (spotcheck)", "64", fmt.Sprintf("%d", m1-m0),
 			fmt.Sprintf("%.2f", float64(b1-b0)/(1<<20)), fmt.Sprintf("%d", s.ChunksRecv), "—", "—")
 		t.Note("label-party decrypt spot-checks: %d rows re-verified, %d mismatches — a non-zero mismatch count on a healthy link means corrupted or mis-assembled ciphertext arithmetic", s.SpotChecks, s.SpotMismatches)
 		cleanup()
@@ -135,9 +107,10 @@ func Traffic() *Table {
 	// counters surface in the note.
 	{
 		pa, pb, cleanup := tcpPeerPair(77)
+		pa.ANCheck, pb.ANCheck = true, true
 		var la *core.MatMulA
 		var lb *core.MatMulB
-		cfg := core.Config{Out: out, LR: 0.1, Options: engine.Options{ANCheck: true}}
+		cfg := core.Config{Out: out, LR: 0.1}
 		if err := protocol.RunParties(pa, pb,
 			func() { la = core.NewMatMulA(pa, cfg, 32, 32) },
 			func() { lb = core.NewMatMulB(pb, cfg, 32, 32) },
@@ -284,7 +257,6 @@ func Traffic() *Table {
 	}
 	t.Note("dense traffic is dominated by the ⟦X·V⟧ and refresh ciphertexts (∝ dims·out); sparse traffic ∝ touched coordinates")
 	t.Note("multi rows: one TCP session per feature party of a k-party group — per-session bytes scale with that party's column count while the batch-sized transfers (⟦∇Z⟧, masked shares) repeat per session")
-	t.Note("streamed rows split ciphertext matrices into %d-row chunks: bytes stay ≈ equal (chunk envelopes are small) while encryption, wire and decryption overlap", protocol.DefaultChunkRows)
 	return t
 }
 

@@ -61,18 +61,14 @@ func LoadMatMulA(r io.Reader, p *protocol.Peer, inA, inB, out int) (*MatMulA, er
 
 // checkHalf validates a decoded layer half against the declared shape: the
 // W_A piece is inA×out, the W_B piece inB×out, each momentum buffer absent
-// or shaped like its piece, every value finite (a NaN weight would panic the
-// fixed-point encoder at the first exchange), and the options within
-// engine.Options' range.
+// or shaped like its piece, and every value finite (a NaN weight would panic
+// the fixed-point encoder at the first exchange).
 func checkHalf(cfg Config, out int, pieceA, momA *tensor.Dense, inA int, pieceB, momB *tensor.Dense, inB int) error {
 	if cfg.Out != out || out < 1 || inA < 1 || inB < 1 {
 		return fmt.Errorf("layer is %d wide, checkpoint declares %d+%d features by %d", cfg.Out, inA, inB, out)
 	}
 	if math.IsNaN(cfg.LR+cfg.Momentum) || math.IsInf(cfg.LR+cfg.Momentum, 0) {
 		return fmt.Errorf("non-finite learning rate or momentum")
-	}
-	if err := cfg.Options.Validate(); err != nil {
-		return err
 	}
 	if !pieceA.WellFormed(inA, out) || !pieceB.WellFormed(inB, out) {
 		return fmt.Errorf("weight piece missing or not %d×%d / %d×%d", inA, out, inB, out)

@@ -42,7 +42,6 @@ func TestLoadMatMulRejectsUnsoundHalves(t *testing.T) {
 		"NaN weight":       func(st *matMulAState) { st.VB.Data[0] = math.NaN() },
 		"stray momentum":   func(st *matMulAState) { st.MomVB = tensor.NewDense(4, 2) },
 		"width mismatch":   func(st *matMulAState) { st.Cfg.Out = 3 },
-		"negative chunk":   func(st *matMulAState) { st.Cfg.ChunkRows = -1 },
 		"NaN learningrate": func(st *matMulAState) { st.Cfg.LR = math.NaN() },
 	} {
 		st := sound()

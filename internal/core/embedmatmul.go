@@ -76,7 +76,6 @@ type EmbedMatMulB struct {
 // S_A, T_B, U_A, V_B, ships ⟦T_B⟧, ⟦U_A⟧, ⟦V_B⟧ under its own key, and
 // receives ⟦T_A⟧, ⟦U_B⟧, ⟦V_A⟧ under B's key.
 func NewEmbedMatMulA(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulA {
-	cfg.apply(p)
 	s := cfg.initScale()
 	l := &EmbedMatMulA{
 		cfg: cfg, peer: p,
@@ -94,7 +93,6 @@ func NewEmbedMatMulA(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulA {
 
 // NewEmbedMatMulB initializes Party B's half, symmetric to NewEmbedMatMulA.
 func NewEmbedMatMulB(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulB {
-	cfg.apply(p)
 	s := cfg.initScale()
 	l := &EmbedMatMulB{
 		cfg: cfg, peer: p,
@@ -132,34 +130,34 @@ func NewEmbedMatMulB(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulB {
 
 // sendMirror ships a weight piece for the peer's forward product, in wide
 // lanes: that product multiplies the piece by a mask-sized share.
-func (c EmbedConfig) sendMirror(p *protocol.Peer, w *tensor.Dense) {
-	l := c.layout(0)
+func sendMirror(p *protocol.Peer, w *tensor.Dense) {
+	l := lanes(0)
 	l.Wide = true
 	p.EncryptAndSend(w, 1, l)
 }
 
 // sendV ships a V piece both ways up: ⟦V⟧ and ⟦Vᵀ⟧.
 func (c EmbedConfig) sendV(p *protocol.Peer, v *tensor.Dense) {
-	c.sendMirror(p, v)
-	c.sendEncrypted(p, v.Transpose(), 1, c.Dim)
+	sendMirror(p, v)
+	sendPacked(p, v.Transpose(), 1, c.Dim)
 }
 
 // exchangeTables refreshes the encrypted table mirrors: T_B changed at A,
 // T_A at B.
 func (l *EmbedMatMulA) exchangeTables() {
-	l.cfg.sendEncrypted(l.peer, l.TB, 1, 0)
+	sendPacked(l.peer, l.TB, 1, 0)
 	l.encTA = l.peer.RecvMatrix()
 }
 
 func (l *EmbedMatMulB) exchangeTables() {
 	l.encTB = l.peer.RecvMatrix()
-	l.cfg.sendEncrypted(l.peer, l.TA, 1, 0)
+	sendPacked(l.peer, l.TA, 1, 0)
 }
 
 // exchangeWeights refreshes the encrypted weight mirrors after an update.
 func (l *EmbedMatMulA) exchangeWeights() {
 	p := l.peer
-	l.cfg.sendMirror(p, l.UA)
+	sendMirror(p, l.UA)
 	l.cfg.sendV(p, l.VB)
 	l.encVA, l.encVAT = p.RecvMatrix(), p.RecvMatrix()
 	l.encUB = p.RecvMatrix()
@@ -170,7 +168,7 @@ func (l *EmbedMatMulB) exchangeWeights() {
 	l.encUA = p.RecvMatrix()
 	l.encVB, l.encVBT = p.RecvMatrix(), p.RecvMatrix()
 	l.cfg.sendV(p, l.VA)
-	l.cfg.sendMirror(p, l.UB)
+	sendMirror(p, l.UB)
 }
 
 // embedStage runs Fig. 7 lines 5–7 for one party: lookup over the encrypted
@@ -272,9 +270,9 @@ func (l *EmbedMatMulB) Backward(gradZ *tensor.Dense) {
 	// B's own key. The product is computed in plaintext (B holds both
 	// operands) and encrypted at scale 2 so A can add it to its scale-2
 	// ⟦∇Z⟧·U_Aᵀ term.
-	l.cfg.sendEncrypted(p, gradZ, 1, 0)
-	l.cfg.sendEncrypted(p, gradZ, 1, 1)
-	l.cfg.sendEncrypted(p, gradZ.MatMulTranspose(l.VA), 2, l.cfg.Dim)
+	sendPacked(p, gradZ, 1, 0)
+	sendPacked(p, gradZ, 1, 1)
+	sendPacked(p, gradZ.MatMulTranspose(l.VA), 2, l.cfg.Dim)
 
 	// The Embed-part derivative ⟦∇E_B⟧ = ∇Z·⟦V_Bᵀ⟧ + ∇Z·U_Bᵀ must use the
 	// forward-pass U_B and ⟦V_B⟧, so both terms are computed before the

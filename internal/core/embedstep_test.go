@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"blindfl/internal/engine"
 	"blindfl/internal/fixedpoint"
 	"blindfl/internal/hetensor"
 	"blindfl/internal/paillier"
@@ -19,9 +18,9 @@ import (
 // (benchmark/workloads.go: WDL, 4 categorical fields split two a party,
 // vocabulary 32, embedding dimension 8, hidden 8, batch 16) under the
 // optimizer the trainer gives it.
-func embedCatCfg(o engine.Options) EmbedConfig {
+func embedCatCfg() EmbedConfig {
 	return EmbedConfig{
-		Config: Config{Out: 8, LR: 0.05, Momentum: 0.9, Options: o},
+		Config: Config{Out: 8, LR: 0.05, Momentum: 0.9},
 		VocabA: 32, VocabB: 32, FieldsA: 2, FieldsB: 2, Dim: 8,
 	}
 }
@@ -42,17 +41,19 @@ func embedCatStep(tb testing.TB, rng *rand.Rand, pa, pb *protocol.Peer, la *Embe
 	}
 }
 
-// deployedPipe opens a Pair under the benchmark's deployment options (packed,
-// streamed, short-exponent pools, 64 MiB table cache; spot adds the decrypt
+// deployedPipe opens a Pair under the benchmark's deployment options
+// (short-exponent pools of 256, a 64 MiB table cache; spot adds the decrypt
 // spot-check) on the 512-bit test keys or the 1024-bit pair, and undoes the
 // process-wide part of them when the benchmark ends.
-func deployedPipe(b *testing.B, bits int, seed int64, spot bool) (pa, pb *protocol.Peer, o engine.Options) {
+func deployedPipe(b *testing.B, bits int, seed int64, spot bool) (pa, pb *protocol.Peer) {
 	skA, skB := protocol.TestKeys()
 	if bits != 512 {
 		skA, skB = testKeys1024(b)
 	}
-	o = engine.Options{Packed: true, Stream: true, Pool: 256, ShortExp: 400, TableCacheMB: 64, SpotCheck: spot}
-	o.SetupKeys(skA, skB)
+	for _, sk := range []*paillier.PrivateKey{skA, skB} {
+		paillier.RegisterPool(paillier.NewPool(&sk.PublicKey, 256, 0, paillier.Rand, paillier.WithShortExp(400)))
+	}
+	hetensor.SetTableCacheBudget(64 << 20)
 	b.Cleanup(func() {
 		for _, sk := range []*paillier.PrivateKey{skA, skB} {
 			if p := paillier.PoolFor(&sk.PublicKey); p != nil {
@@ -67,7 +68,8 @@ func deployedPipe(b *testing.B, bits int, seed int64, spot bool) (pa, pb *protoc
 	if err != nil {
 		b.Fatal(err)
 	}
-	return pa, pb, o
+	pb.SpotCheck = spot
+	return pa, pb
 }
 
 var (
@@ -91,8 +93,8 @@ func testKeys1024(tb testing.TB) (*paillier.PrivateKey, *paillier.PrivateKey) {
 }
 
 // BenchmarkEmbedStep is one Embed-MatMul forward + backward at embed_cat's
-// geometry under the benchmark's deployment options (packed, streamed,
-// short-exponent pools, 64 MiB table cache): the layer alone, without the
+// geometry under the benchmark's deployment options (short-exponent pools,
+// 64 MiB table cache): the layer alone, without the
 // wide part and the head a WDL step carries. `make profile-embed` profiles
 // the 1024-bit row; -short (bench-smoke) keeps only the 512-bit one.
 func BenchmarkEmbedStep(b *testing.B) {
@@ -101,8 +103,8 @@ func BenchmarkEmbedStep(b *testing.B) {
 			if bits > 512 && testing.Short() {
 				b.Skip("1024-bit row skipped in -short mode")
 			}
-			pa, pb, o := deployedPipe(b, bits, 818, false)
-			la, lb := newEmbedPair(b, pa, pb, embedCatCfg(o))
+			pa, pb := deployedPipe(b, bits, 818, false)
+			la, lb := newEmbedPair(b, pa, pb, embedCatCfg())
 			rng := rand.New(rand.NewSource(18))
 			embedCatStep(b, rng, pa, pb, la, lb) // warm-up: pools primed, ghosts seen
 			b.ReportAllocs()
@@ -131,7 +133,7 @@ func (c spyConn) Send(v any) error {
 
 // spiedEmbedPair opens an embed_cat-shaped layer pair on the test keys whose
 // two directions report what they ship to seeA and seeB.
-func spiedEmbedPair(t *testing.T, o engine.Options, seeA, seeB func(*hetensor.Matrix)) (pa, pb *protocol.Peer, la *EmbedMatMulA, lb *EmbedMatMulB) {
+func spiedEmbedPair(t *testing.T, seeA, seeB func(*hetensor.Matrix)) (pa, pb *protocol.Peer, la *EmbedMatMulA, lb *EmbedMatMulB) {
 	t.Helper()
 	skA, skB := protocol.TestKeys()
 	ca, cb := transport.Pair(4096)
@@ -139,7 +141,7 @@ func spiedEmbedPair(t *testing.T, o engine.Options, seeA, seeB func(*hetensor.Ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	la, lb = newEmbedPair(t, pa, pb, embedCatCfg(o))
+	la, lb = newEmbedPair(t, pa, pb, embedCatCfg())
 	return pa, pb, la, lb
 }
 
@@ -166,7 +168,7 @@ func TestEmbedStepCiphertextBudget(t *testing.T) {
 	count := func(n *int) func(*hetensor.Matrix) {
 		return func(m *hetensor.Matrix) { *n += len(m.C) }
 	}
-	pa, pb, la, lb := spiedEmbedPair(t, engine.Options{Packed: true, Stream: true}, count(&fromA), count(&fromB))
+	pa, pb, la, lb := spiedEmbedPair(t, count(&fromA), count(&fromB))
 	cfg := la.cfg
 	k := hetensor.Lanes(pa.PeerPK)
 	g := func(n int) int { return (n + k - 1) / k }
@@ -228,7 +230,7 @@ func TestEmbedStepLaneOccupancy(t *testing.T) {
 			}
 		}
 	}
-	pa, pb, la, lb := spiedEmbedPair(t, engine.Options{Packed: true}, spy(fromA), spy(fromB))
+	pa, pb, la, lb := spiedEmbedPair(t, spy(fromA), spy(fromB))
 	rng := rand.New(rand.NewSource(20))
 	for step := 1; step <= 64; step++ {
 		spying = step == 1 || step > 60

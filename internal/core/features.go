@@ -13,8 +13,8 @@
 // in the paper's Figures 6 and 7. Every ciphertext matrix crosses the link
 // on the protocol package's one transfer path and is held as a
 // hetensor.Matrix, so each layer has one body: how a matrix is packed and
-// chunked is decided where it is encrypted (Config.sendEncrypted, the
-// sending Peer's span) and nowhere downstream.
+// chunked is decided where it is encrypted (lanes, the sending Peer's
+// producing send) and nowhere downstream.
 package core
 
 import (

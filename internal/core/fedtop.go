@@ -32,14 +32,14 @@ func (l *MatMulB) ForwardSS(x Numeric) *tensor.Dense {
 // (Fig. 13 lines 2–8). Both of A's held pieces (U_A and V_B) update.
 func (l *MatMulA) BackwardSS(eps *tensor.Dense) {
 	p := l.peer
-	encGradZ := p.SS2HEAs(eps, 1, l.cfg.layout(0)) // ⟦∇Z⟧ under B's key
+	encGradZ := p.SS2HEAs(eps, 1, lanes(0)) // ⟦∇Z⟧ under B's key
 	phiA := p.HE2SSSend(transposeMul(l.x, encGradZ))
 	l.momUA.step(l.UA, phiA, l.cfg.LR)
 
 	gradVBshare := p.HE2SSRecv() // ∇W_B − φ_B
 	l.momVB.step(l.VB, gradVBshare, l.cfg.LR)
 
-	l.cfg.sendEncrypted(p, l.VB, 1, 0) // refresh ⟦V_B⟧ at B (V_B now changes too)
+	sendPacked(p, l.VB, 1, 0) // refresh ⟦V_B⟧ at B (V_B now changes too)
 	l.encVA = p.RecvMatrix()
 	l.x = nil
 }
@@ -49,7 +49,7 @@ func (l *MatMulA) BackwardSS(eps *tensor.Dense) {
 // key, so B also only ever holds a masked share of its own gradient.
 func (l *MatMulB) BackwardSS(gradShare *tensor.Dense) {
 	p := l.peer
-	encGradZ := p.SS2HEAs(gradShare, 1, l.cfg.layout(0)) // ⟦∇Z⟧ under A's key
+	encGradZ := p.SS2HEAs(gradShare, 1, lanes(0)) // ⟦∇Z⟧ under A's key
 
 	gradVAshare := p.HE2SSRecv() // ∇W_A − φ_A
 	l.momVA.step(l.VA, gradVAshare, l.cfg.LR)
@@ -58,6 +58,6 @@ func (l *MatMulB) BackwardSS(gradShare *tensor.Dense) {
 	l.momUB.step(l.UB, phiB, l.cfg.LR)
 
 	l.encVB = p.RecvMatrix()
-	l.cfg.sendEncrypted(p, l.VA, 1, 0)
+	sendPacked(p, l.VA, 1, 0)
 	l.x = nil
 }

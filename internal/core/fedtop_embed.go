@@ -38,15 +38,15 @@ func (l *EmbedMatMulB) ForwardSS(x *tensor.IntMatrix) *tensor.Dense {
 func (l *EmbedMatMulA) BackwardSS(eps *tensor.Dense) {
 	p := l.peer
 	// ⟦∇Z⟧ under B's key, in B's lanes and per value ("Wire layouts", embedmatmul.go).
-	encGradZ := p.SS2HEAs(eps, 1, l.cfg.layout(0))
-	gradZCells := p.SS2HEAs(eps, 1, l.cfg.layout(1))
+	encGradZ := p.SS2HEAs(eps, 1, lanes(0))
+	gradZCells := p.SS2HEAs(eps, 1, lanes(1))
 
 	// --- Embed-part derivative pieces must use forward-pass weights ---
 	// ⟦∇E_A⟧_B = ⟦∇Z⟧_B·U_Aᵀ + ⟦(∇Z−ε)·V_Aᵀ⟧_B + ε·⟦V_Aᵀ⟧_B.
 	fromB := p.RecvMatrix() // ⟦(∇Z−ε)·V_Aᵀ⟧
 	encGradEA := hetensor.Add(hetensor.MulRightTransposeAdd(fromB, gradZCells, l.UA), hetensor.MulLeft(eps, l.encVAT))
 	// A's contribution to ∇E_B: ε·V_Bᵀ encrypted under A's own key.
-	l.cfg.sendEncrypted(p, eps.MatMulTranspose(l.VB), 2, l.cfg.Dim)
+	sendPacked(p, eps.MatMulTranspose(l.VB), 2, l.cfg.Dim)
 
 	// --- MatMul part (shares of ∇W_A and ∇W_B) ---
 	// A's pieces: ⟦ψ_Aᵀ∇Z⟧_B and ⟦(E_B−ψ_B)ᵀ∇Z⟧_B via HE2SS.
@@ -68,11 +68,11 @@ func (l *EmbedMatMulA) BackwardSS(eps *tensor.Dense) {
 func (l *EmbedMatMulB) BackwardSS(gradShare *tensor.Dense) {
 	p := l.peer
 	// ⟦∇Z⟧ under A's key, in A's lanes and per value.
-	encGradZ := p.SS2HEAs(gradShare, 1, l.cfg.layout(0))
-	gradZCells := p.SS2HEAs(gradShare, 1, l.cfg.layout(1))
+	encGradZ := p.SS2HEAs(gradShare, 1, lanes(0))
+	gradZCells := p.SS2HEAs(gradShare, 1, lanes(1))
 
 	// B's contribution to ∇E_A: (∇Z−ε)·V_Aᵀ encrypted under B's own key.
-	l.cfg.sendEncrypted(p, gradShare.MatMulTranspose(l.VA), 2, l.cfg.Dim)
+	sendPacked(p, gradShare.MatMulTranspose(l.VA), 2, l.cfg.Dim)
 	// ⟦∇E_B⟧_A = ⟦∇Z⟧_A·U_Bᵀ + ⟦ε·V_Bᵀ⟧_A + (∇Z−ε)·⟦V_Bᵀ⟧_A.
 	fromA := p.RecvMatrix() // ⟦ε·V_Bᵀ⟧
 	encGradEB := hetensor.Add(hetensor.MulRightTransposeAdd(fromA, gradZCells, l.UB), hetensor.MulLeft(gradShare, l.encVBT))

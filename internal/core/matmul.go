@@ -87,24 +87,22 @@ func NewMatMulB(p *protocol.Peer, cfg Config, inA, inB int) *MatMulB {
 // trajectory stays bit-identical. Must run concurrently with ResumeExchange
 // on the other side.
 func (l *MatMulA) ResumeExchange() {
-	l.cfg.apply(l.peer)
-	l.cfg.sendEncrypted(l.peer, l.VB, 1, 0)
+	sendPacked(l.peer, l.VB, 1, 0)
 	l.encVA = l.peer.RecvMatrix()
 }
 
 // ResumeExchange is Party B's half of the weight exchange: receive, then
 // send.
 func (l *MatMulB) ResumeExchange() {
-	l.cfg.apply(l.peer)
 	l.encVB = l.peer.RecvMatrix()
-	l.cfg.sendEncrypted(l.peer, l.VA, 1, 0)
+	sendPacked(l.peer, l.VA, 1, 0)
 }
 
 // forwardHalf runs lines 5–7 of Fig. 6 for one party: given the local
 // features x, the local weight piece u and the encrypted peer-held piece
 // ⟦v⟧, it returns this party's share Z' = x·u + ε + (peer's masked piece).
 // The masked send and the peer's decryption run chunk-pipelined at the
-// sender's span; over a packed ⟦v⟧ the product, the send and the decryption
+// default span; over a packed ⟦v⟧ the product, the send and the decryption
 // all touch ~K× fewer ciphertexts.
 func forwardHalf(p *protocol.Peer, x Numeric, u *tensor.Dense, encV *hetensor.Matrix) *tensor.Dense {
 	prod := x.MulCipher(encV) // ⟦x·V⟧ under the peer's key, scale 2
@@ -174,10 +172,10 @@ func (l *MatMulB) backwardMulti(gradFull, gradLocal *tensor.Dense) {
 	gradWB := l.x.TransposeMatMul(gradLocal)
 	l.momUB.step(l.UB, gradWB, l.cfg.LR)
 
-	l.cfg.sendEncrypted(l.peer, gradFull, 1, 0)
+	sendPacked(l.peer, gradFull, 1, 0)
 	gradVAshare := l.peer.HE2SSRecv() // ∇W_A − φ
 	l.momVA.step(l.VA, gradVAshare, l.cfg.LR)
-	l.cfg.sendEncrypted(l.peer, l.VA, 1, 0) // refresh ⟦V_A⟧ at A
+	sendPacked(l.peer, l.VA, 1, 0) // refresh ⟦V_A⟧ at A
 	l.x = nil
 }
 

@@ -157,7 +157,6 @@ func he2ssRecvFlat(p *protocol.Peer, rows, cols int) *tensor.Dense {
 // NewSparseMatMulA initializes Party A's half. Unlike the dense layer no
 // encrypted pieces are exchanged up front; rows are served on demand.
 func NewSparseMatMulA(p *protocol.Peer, cfg Config, inA, inB int) *SparseMatMulA {
-	cfg.apply(p)
 	s := cfg.initScale()
 	return &SparseMatMulA{
 		cfg: cfg, peer: p,
@@ -170,7 +169,6 @@ func NewSparseMatMulA(p *protocol.Peer, cfg Config, inA, inB int) *SparseMatMulA
 
 // NewSparseMatMulB initializes Party B's half.
 func NewSparseMatMulB(p *protocol.Peer, cfg Config, inA, inB int) *SparseMatMulB {
-	cfg.apply(p)
 	s := cfg.initScale()
 	return &SparseMatMulB{
 		cfg: cfg, peer: p,
@@ -185,10 +183,9 @@ func NewSparseMatMulB(p *protocol.Peer, cfg Config, inA, inB int) *SparseMatMulB
 // sparseForwardHalf is forwardHalf over on-demand cipher rows: request the
 // missing ⟦V⟧ rows, serve the peer's request against the piece this party
 // holds for the peer, then run the masked-product exchange on the batch's
-// cached rows. Every transfer of this layer is a handful of touched rows or
-// lane groups, so all of them go unchunked.
+// cached rows. The fetched rows are an assembled matrix and go in one chunk;
+// the conversions stream like every producing send.
 func sparseForwardHalf(p *protocol.Peer, x *tensor.CSR, touched []int, u, servePiece *tensor.Dense, cache *rowCache) *tensor.Dense {
-	defer p.Unchunked()()
 	missing := cache.missing(touched)
 	p.Send(missing)
 	peerMissing := recvIndices(p, servePiece.Rows)
@@ -227,7 +224,6 @@ func (l *SparseMatMulB) Forward(x *tensor.CSR) *tensor.Dense {
 // it can neither repair nor report.
 func (l *SparseMatMulA) Backward() {
 	p := l.peer
-	defer p.Unchunked()()
 	// ⟦∇W_A[touched]⟧: the transpose product over the batch renumbered to
 	// its touched columns, one row per touched coordinate.
 	encGradZ := recvCipher(p, l.x.Rows, l.cfg.Out)
@@ -260,7 +256,6 @@ func (l *SparseMatMulB) backwardMulti(gradFull, gradLocal *tensor.Dense) {
 	gradUB := l.x.TransposeMatMul(gradLocal) // rows outside touchedB are zero
 	l.momUB.stepRows(l.UB, gradUB.GatherRows(touchedB), touchedB, l.cfg.LR)
 
-	defer p.Unchunked()()
 	p.EncryptAndSend(gradFull, 1, hetensor.Layout{})
 	touchedA := recvIndices(p, l.VA.Rows)
 	gradVAshare := he2ssRecvFlat(p, len(touchedA), l.cfg.Out) // ∇W_A[touched] − φ

@@ -4,10 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"blindfl/internal/engine"
 	"blindfl/internal/paillier"
 	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
+	"blindfl/internal/transport"
+	"blindfl/internal/transport/transporttest"
 )
 
 // groupPipe builds a k-session group sharing the two test keys.
@@ -23,6 +24,32 @@ func groupPipe(t testing.TB, k int, seed int64) ([]*protocol.Peer, *protocol.Gro
 		t.Fatal(err)
 	}
 	return as, g
+}
+
+// framedGroupPipe is groupPipe — same streams, same stream identities — with
+// every session's sends reframed to f on both sides.
+func framedGroupPipe(t testing.TB, k int, seed int64, f transporttest.Framing) ([]*protocol.Peer, *protocol.Group) {
+	t.Helper()
+	skA, skB := protocol.TestKeys()
+	as := make([]*protocol.Peer, k)
+	bs := make([]*protocol.Peer, k)
+	errs := make(chan error, 2*k)
+	for i := 0; i < k; i++ {
+		ca, cb := transport.Pair(4096)
+		a := protocol.NewPeer(protocol.PartyA, transporttest.NewReframe(ca, f, skA, skB), skA, protocol.SessionRNG(seed, i, protocol.PartyA))
+		b := protocol.NewPeer(protocol.PartyB, transporttest.NewReframe(cb, f, skA, skB), skB, protocol.SessionRNG(seed, i, protocol.PartyB))
+		a.SetStreamIdentity(seed, i)
+		b.SetStreamIdentity(seed, i)
+		as[i], bs[i] = a, b
+		go func() { errs <- a.Handshake() }()
+		go func() { errs <- b.Handshake() }()
+	}
+	for i := 0; i < 2*k; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	return as, protocol.NewGroup(bs)
 }
 
 // newMultiMatMul constructs the k A-halves and B's multi half concurrently.
@@ -205,22 +232,31 @@ func TestMultiPartyK1BitExactTwoParty(t *testing.T) {
 	}
 }
 
-// TestMultiPartyPackedStreamMatchesPlaintext runs the k=3 dense group with
-// every combination of the packed and streamed hot paths: per-session
-// packing/streaming must compose with the group aggregation and stay on the
-// plaintext reference.
+// TestMultiPartyPackedStreamMatchesPlaintext runs the k=3 dense group on a
+// batch that fits one chunk, on one that streams in several, and with every
+// transfer reframed to one value per ciphertext in 2-row chunks: per-session
+// lanes and streaming must compose with the group aggregation and stay on
+// the plaintext reference.
 func TestMultiPartyPackedStreamMatchesPlaintext(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packed/stream multi-party variants skipped in -short")
 	}
 	for _, tc := range []struct {
-		name           string
-		packed, stream bool
-	}{{"packed", true, false}, {"streamed", false, true}, {"packed+streamed", true, true}} {
+		name    string
+		batch   int
+		framing *transporttest.Framing // nil: the engine's own
+	}{
+		{"packed", 6, nil},
+		{"streamed", 6, &transporttest.Framing{Span: 2}},
+		{"packed+streamed", 2*protocol.DefaultChunkRows + 3, nil},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const k = 3
 			peersA, g := groupPipe(t, k, 403)
-			cfg := Config{Out: 2, LR: 0.1, Options: engine.Options{Packed: tc.packed, Stream: tc.stream}}
+			if tc.framing != nil {
+				peersA, g = framedGroupPipe(t, k, 403, *tc.framing)
+			}
+			cfg := Config{Out: 2, LR: 0.1}
 			inAs := []int{4, 3, 5}
 			inB := 4
 			as, b := newMultiMatMul(t, peersA, g, cfg, inAs, inB)
@@ -228,10 +264,10 @@ func TestMultiPartyPackedStreamMatchesPlaintext(t *testing.T) {
 			rng := rand.New(rand.NewSource(4))
 			xAs := make([]*tensor.Dense, k)
 			for i := range xAs {
-				xAs[i] = tensor.RandDense(rng, 6, inAs[i], 1)
+				xAs[i] = tensor.RandDense(rng, tc.batch, inAs[i], 1)
 			}
-			xB := tensor.RandDense(rng, 6, inB, 1)
-			gradZ := tensor.RandDense(rng, 6, cfg.Out, 1)
+			xB := tensor.RandDense(rng, tc.batch, inB, 1)
+			gradZ := tensor.RandDense(rng, tc.batch, cfg.Out, 1)
 
 			want := xB.MatMul(DebugMultiWeightsB(b, vbs(as)))
 			for i := 0; i < k; i++ {

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"blindfl/internal/engine"
 	"blindfl/internal/hetensor"
 	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
@@ -56,10 +55,9 @@ func (m *momentum) stepRows(w, gradRows *tensor.Dense, idx []int, lr float64) {
 
 // Config carries the hyper-parameters shared by both halves of a source
 // layer. Both parties must construct their halves with identical values for
-// everything that shapes the model. The engine knobs live on the embedded
-// engine.Options — the single declaration shared with model.Hyper — and are
-// sender-local: a party packs and chunks what it encrypts, and takes what
-// arrives as it comes.
+// everything that shapes the model. The engine has nothing to configure here:
+// a party packs what it encrypts (lanes), its producing sends stream, and it
+// takes what arrives as it comes.
 type Config struct {
 	Out       int     // output dimensionality of the source layer
 	LR        float64 // learning rate η
@@ -77,30 +75,21 @@ type Config struct {
 	// ordinary two-party layer. Both parties of every session must agree on
 	// the value.
 	GroupParties int
-
-	engine.Options
 }
 
-// apply installs the engine options wherever a Config enters the system —
-// the layer constructors, ResumeExchange and ServeStart call it: the
-// process-wide one (the dot-table cache budget) and the per-Peer ones (send
-// span, integrity probes).
-func (c Config) apply(p *protocol.Peer) {
-	c.Options.Apply()
-	p.ApplyOptions(c.Options)
+// lanes is the lane format a party encrypts its weight pieces and
+// derivatives in, in column blocks of block (0: the whole row): packed, as
+// many fixed-point lanes per Paillier plaintext as the key holds. A lane
+// holds the integer its own ciphertext would have, so every result equals the
+// one-value-per-ciphertext protocol's bit for bit.
+func lanes(block int) hetensor.Layout {
+	return hetensor.Layout{Packed: true, Block: block}
 }
 
-// layout is the lane format this party's options choose for a matrix it
-// encrypts, in column blocks of block (0: the whole row) — the one place
-// Packed is read: every later holder takes the matrix as it comes.
-func (c Config) layout(block int) hetensor.Layout {
-	return hetensor.Layout{Packed: c.Packed, Block: block}
-}
-
-// sendEncrypted ships d (a weight piece or a derivative) under this party's
-// key in layout(block).
-func (c Config) sendEncrypted(p *protocol.Peer, d *tensor.Dense, scale uint, block int) {
-	p.EncryptAndSend(d, scale, c.layout(block))
+// sendPacked ships d (a weight piece or a derivative) under this party's key
+// in lanes(block).
+func sendPacked(p *protocol.Peer, d *tensor.Dense, scale uint, block int) {
+	p.EncryptAndSend(d, scale, lanes(block))
 }
 
 // recvCipher receives a rows×cols matrix at scale 1 that the protocol fixes

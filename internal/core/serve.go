@@ -24,20 +24,16 @@ import (
 // ServeStart re-exchanges the unpacked encrypted weight pieces for serving:
 // A ships a fresh ⟦V_B⟧ under its own key and receives ⟦V_A⟧ under B's key.
 // Call once per serve session after construction or checkpoint restore (the
-// received matrix is minted a fresh table-cache identity); training-time
-// copies — possibly packed, absent after a restore — are not used by the
-// serve path. Must run concurrently with MatMulB.ServeStart.
+// received matrix is minted a fresh table-cache identity); the packed
+// training-time copies, absent after a restore, are not used by the serve
+// path. Must run concurrently with MatMulB.ServeStart.
 func (l *MatMulA) ServeStart() {
-	l.cfg.apply(l.peer)
-	defer l.peer.Unchunked()()
 	l.peer.EncryptAndSend(l.VB, 1, hetensor.Layout{})
 	l.encVA = recvCipher(l.peer, l.UA.Rows, l.UA.Cols)
 }
 
 // ServeStart is Party B's half of the serve-session weight exchange.
 func (l *MatMulB) ServeStart() {
-	l.cfg.apply(l.peer)
-	defer l.peer.Unchunked()()
 	l.encVB = recvCipher(l.peer, l.UB.Rows, l.UB.Cols)
 	l.peer.EncryptAndSend(l.VA, 1, hetensor.Layout{})
 }
@@ -56,7 +52,6 @@ func serveHalf(p *protocol.Peer, x, u *tensor.Dense, encV *hetensor.Matrix) *het
 	if encV == nil || encV.GroupsPerRow() != encV.Cols {
 		panic("core: serve forward before ServeStart (no unpacked encrypted weight piece)")
 	}
-	defer p.Unchunked()()                          // a few lane groups: nothing to pipeline
 	prod := hetensor.ServeProducts(x, encV)        // ⟦(x·V)ᵀ⟧ under the peer's key, scale 2
 	eps, masked := hetensor.ServeMask(p.Rng, prod) // keep integer S, send ⟦(x·V)ᵀ − S⟧
 	p.SendMatrix(masked)

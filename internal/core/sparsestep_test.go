@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"blindfl/internal/engine"
 	"blindfl/internal/hetensor"
 	"blindfl/internal/paillier"
 	"blindfl/internal/protocol"
@@ -21,8 +20,8 @@ const (
 	sparseWanBatch = 16
 )
 
-func sparseWanCfg(o engine.Options) Config {
-	return Config{Out: 1, LR: 0.05, Momentum: 0.9, Options: o}
+func sparseWanCfg() Config {
+	return Config{Out: 1, LR: 0.05, Momentum: 0.9}
 }
 
 // indicatorCSR is a random batch of indicator features, which is what the
@@ -70,8 +69,8 @@ func BenchmarkSparseStep(b *testing.B) {
 			if row.bits > 512 && testing.Short() {
 				b.Skip("1024-bit rows skipped in -short mode")
 			}
-			pa, pb, o := deployedPipe(b, row.bits, 820, row.spot)
-			la, lb := newSparsePair(b, pa, pb, sparseWanCfg(o), sparseWanIn, sparseWanIn)
+			pa, pb := deployedPipe(b, row.bits, 820, row.spot)
+			la, lb := newSparsePair(b, pa, pb, sparseWanCfg(), sparseWanIn, sparseWanIn)
 			rng := rand.New(rand.NewSource(20))
 			sparseWanStep(b, rng, pa, pb, la, lb) // warm-up: pools primed
 			checks := pb.Stream.SpotChecks
@@ -106,7 +105,8 @@ type shipped struct {
 //	             ⟦X_A·V_A − ε⟧ as ⌈16/K⌉ = 2 ciphertexts
 //	          B: t rows of ⟦V_A⟧ — every step, because every row a step
 //	             fetched it also invalidated — then its product, 2 ciphertexts
-//	backward  B: ⟦∇Z⟧, 16 ciphertexts
+//	backward  B: ⟦∇Z⟧, 16 ciphertexts, streamed in chunks of
+//	             DefaultChunkRows rows (the spy sees each chunk)
 //	          A: the touched-row gradient as ⌈t/K⌉ ciphertexts
 //
 // and nothing after it: B encrypts exactly t rows of V_A, all of them in the
@@ -128,7 +128,7 @@ func TestSparseStepWireBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	la, lb := newSparsePair(t, pa, pb, sparseWanCfg(engine.Options{}), sparseWanIn, sparseWanIn)
+	la, lb := newSparsePair(t, pa, pb, sparseWanCfg(), sparseWanIn, sparseWanIn)
 	k := hetensor.Lanes(pa.PeerPK)
 	if k != 8 {
 		t.Fatalf("a 1024-bit key has %d default lanes, want 8", k)
@@ -153,7 +153,10 @@ func TestSparseStepWireBudget(t *testing.T) {
 		wantB := []shipped{
 			{own: true, rows: nt, cols: 1, cells: nt},
 			{packed: true, rows: 1, cols: sparseWanBatch, cells: g(sparseWanBatch)},
-			{own: true, rows: sparseWanBatch, cols: 1, cells: sparseWanBatch},
+		}
+		for lo := 0; lo < sparseWanBatch; lo += protocol.DefaultChunkRows {
+			n := min(protocol.DefaultChunkRows, sparseWanBatch-lo)
+			wantB = append(wantB, shipped{own: true, rows: n, cols: 1, cells: n})
 		}
 		for _, side := range []struct {
 			name      string
@@ -200,7 +203,7 @@ func TestSparseStepLaneOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	la, lb := newSparsePair(t, pa, pb, sparseWanCfg(engine.Options{}), sparseWanIn, sparseWanIn)
+	la, lb := newSparsePair(t, pa, pb, sparseWanCfg(), sparseWanIn, sparseWanIn)
 	rng := rand.New(rand.NewSource(22))
 	for step := 1; step <= 64; step++ {
 		spying = step == 1 || step > 60

@@ -1,9 +1,11 @@
-// Package engine is the single definition of the throughput-engine knobs
-// shared by training and serving: ciphertext packing, chunk-streamed
-// transfers, the persistent dot-table cache budget, the blinding-pool setup
-// and the run-integrity probes. core.Config and model.Hyper embed Options,
-// and the blindfl-train / blindfl-serve CLIs register their engine flags
-// through RegisterFlags, so there is exactly one declaration of each knob.
+// Package engine is the single definition of the run-level engine options
+// shared by training and serving: the persistent dot-table cache budget, the
+// blinding-pool setup and the run-integrity probes. Lane packing and
+// chunk-streamed transfers are not options: every source layer packs what it
+// encrypts and every producing send streams at protocol.DefaultChunkRows.
+// model.Hyper embeds Options, and the blindfl-train / blindfl-serve CLIs
+// register their engine flags through RegisterFlags, so there is exactly one
+// declaration of each knob.
 package engine
 
 import (
@@ -15,28 +17,14 @@ import (
 	"blindfl/internal/paillier"
 )
 
-// Options selects the throughput-engine features of a run. The zero value is
-// the baseline engine: unpacked, whole-matrix transfers, signed/Straus
-// exponentiation, no table cache, no pools.
+// Options selects the engine features of a run. The zero value is the
+// deployed engine without a table cache, pools or probes.
 type Options struct {
-	// Packed makes this party encrypt the weight pieces and derivatives it
-	// ships packed (K fixed-point lanes per Paillier plaintext). The matrix
-	// carries its kind, so the peer computes on whatever arrives and need
-	// not set the same flag; a lane holds the integer its own ciphertext
-	// would have, so results equal the unpacked protocol's bit for bit. The
-	// sparse MatMul layer ignores it (its on-demand row-cache protocol is
-	// bandwidth-bound, not blinding-bound).
-	Packed bool
-
-	// Stream makes this party send ciphertext matrices in bounded
-	// row-chunks instead of whole, so it encrypts chunk i+1 while chunk i is
-	// on the wire and the receiver decrypts chunk i−1. Sender-local like
-	// Packed, and orthogonal to it: receivers take chunk heights from the
-	// stream. Chunking changes message framing, not values.
-	Stream bool
-
-	// ChunkRows is the rows per chunk under Stream (0 = protocol default).
-	ChunkRows int
+	// Packed and Stream are ignored: packing and streaming are what the
+	// engine always does. They remain only because the frozen benchmark
+	// (benchmark/drive.go) still sets them, and go when it is re-recorded.
+	// Neither enters Fingerprint or Validate.
+	Packed, Stream bool
 
 	// TableCacheMB budgets the process-wide persistent Straus dot-table
 	// cache in MiB (hetensor.SetTableCacheBudget): window tables keyed by
@@ -89,9 +77,6 @@ type Options struct {
 // current values as defaults — the one flag surface shared by blindfl-train
 // and blindfl-serve.
 func (o *Options) RegisterFlags(fs *flag.FlagSet) {
-	fs.BoolVar(&o.Packed, "packed", o.Packed, "ciphertext packing on the source-layer hot paths")
-	fs.BoolVar(&o.Stream, "stream", o.Stream, "chunk-streamed ciphertext transfers (compute/comm overlap)")
-	fs.IntVar(&o.ChunkRows, "chunk", o.ChunkRows, "rows per streamed chunk (0 = protocol default)")
 	fs.IntVar(&o.TableCacheMB, "tablecache", o.TableCacheMB, "persistent dot-table cache budget in MiB (0 = off)")
 	fs.IntVar(&o.Pool, "pool", o.Pool, "blinding-randomness pool capacity per key (0 = off)")
 	fs.IntVar(&o.ShortExp, "shortexp", o.ShortExp, "short-exponent blinding bits on the pools (0 = full-width; needs -pool)")
@@ -99,12 +84,14 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&o.ANCheck, "ancheck", o.ANCheck, "AN-coded residue checks on the serve path's plaintext share arithmetic (run-integrity probe)")
 }
 
-// Fingerprint hashes the full option set (FNV-1a over the canonical %+v
-// rendering) into one word. Run checkpoints embed it so a resume under a
-// different engine configuration is refused up front: most knobs cannot
-// change a trajectory, but Packed does, and a fingerprint check is cheaper
-// and stricter than reasoning about which knobs are trajectory-neutral.
+// Fingerprint hashes the option set (FNV-1a over the canonical %+v
+// rendering, the ignored Packed and Stream cleared) into one word. Run
+// checkpoints and shard set-ups embed it so a resume or a worker under a
+// different engine configuration is refused up front: no knob changes a
+// trajectory, but a fingerprint check is cheaper and stricter than reasoning
+// about that knob by knob.
 func (o Options) Fingerprint() uint64 {
+	o.Packed, o.Stream = false, false
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", o)
 	return h.Sum64()
@@ -115,15 +102,16 @@ func (o Options) Validate() error {
 	if o.ShortExp > 0 && o.Pool <= 0 {
 		return fmt.Errorf("engine: -shortexp requires -pool (short exponents only exist as pool refills)")
 	}
-	if o.ChunkRows < 0 || o.TableCacheMB < 0 || o.Pool < 0 || o.ShortExp < 0 {
+	if o.TableCacheMB < 0 || o.Pool < 0 || o.ShortExp < 0 {
 		return fmt.Errorf("engine: negative option value")
 	}
 	return nil
 }
 
 // Apply installs the process-wide engine setting, the dot-table cache budget.
-// Layer constructors call it through core.Config, so the knob takes effect
-// wherever an Options enters the system; CLIs may also call it up front.
+// The model package calls it wherever a Hyper meets a party set, so the knob
+// takes effect wherever an Options enters the system; CLIs may also call it
+// up front.
 func (o Options) Apply() {
 	hetensor.SetTableCacheBudget(int64(o.TableCacheMB) << 20)
 }

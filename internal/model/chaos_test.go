@@ -23,14 +23,19 @@ import (
 // protocol.ErrSessionLost). A silently wrong result is the one outcome that
 // must never happen.
 
-// chaosHyper is a tiny streamed LR configuration: streaming on with small
-// chunks so every batch crosses the wire as multiple checksummed chunks the
-// injector can target.
+// chaosHyper is a tiny LR configuration whose 32-row batches cross the wire
+// as several checksummed chunks of the default span the injector can target.
 func chaosHyper() Hyper {
 	h := tinyHyper()
 	h.Epochs = 1
-	h.Stream = true
-	h.ChunkRows = 3
+	return h
+}
+
+// wholeHyper is chaosHyper on batches no taller than the span: with the
+// tiny specs' 6-column pieces, every transfer of a step is a single chunk.
+func wholeHyper() Hyper {
+	h := chaosHyper()
+	h.Batch = protocol.DefaultChunkRows
 	return h
 }
 
@@ -85,7 +90,8 @@ func totalFaults(s transport.FaultStats) int64 {
 }
 
 // TestChaosChunkFaultsRecoverBitExact runs each input once fault-free and once
-// per fault class: a streamed and a whole-span dense LR, a sparse LR (the
+// per fault class: a dense LR streamed in several chunks a transfer and one
+// whose every transfer is a single chunk, a sparse LR (the
 // SparseMatMul layer's on-demand rows), and one served request on a restored
 // Predictor (the serve path's weight exchange and masked products). Every
 // ciphertext matrix of every one of them crosses the wire as checksummed
@@ -104,9 +110,7 @@ func TestChaosChunkFaultsRecoverBitExact(t *testing.T) {
 		}
 	}
 	dense := data.Generate(tinySpec("t-chaos-rec", 12, 12, 2, false), 3)
-	streamed := chaosHyper()
-	whole := chaosHyper()
-	whole.Stream = false
+	streamed, whole := chaosHyper(), wholeHyper()
 
 	var ck bytes.Buffer
 	pa, pb := fedPipe(t, 599)
@@ -127,7 +131,7 @@ func TestChaosChunkFaultsRecoverBitExact(t *testing.T) {
 
 	inputs := []struct {
 		name string
-		// prob is the per-chunk fault probability — a whole-span input ships
+		// prob is the per-chunk fault probability — a single-chunk input ships
 		// far fewer chunks for the schedule to land on — and more the number
 		// of faults beyond the first: on a one-chunk stream the resend is the
 		// next chunk sent, so only a budget of one keeps it clean.
@@ -447,10 +451,11 @@ type discardWriter struct{}
 
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestChaosSpotCheckCleanRun runs the decrypt spot-check over a clean
-// streamed and a clean monolithic run: checks must fire, mismatches must be
-// zero, and the probe must not perturb the training trajectory (its
-// randomness comes from a dedicated derivation, not the mask streams).
+// TestChaosSpotCheckCleanRun runs the decrypt spot-check over a clean run of
+// multi-chunk transfers and one of single-chunk transfers: checks must fire,
+// mismatches must be zero, and the probe must not perturb the training
+// trajectory (its randomness comes from a dedicated derivation, not the mask
+// streams).
 func TestChaosSpotCheckCleanRun(t *testing.T) {
 	ds := data.Generate(tinySpec("t-chaos-spot", 12, 12, 2, false), 3)
 	for _, stream := range []bool{false, true} {
@@ -460,7 +465,9 @@ func TestChaosSpotCheckCleanRun(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			h := chaosHyper()
-			h.Stream = stream
+			if !stream {
+				h = wholeHyper()
+			}
 
 			run := func(spot bool) (*History, *protocol.Peer) {
 				pa, pb := fedPipe(t, 610)
@@ -499,7 +506,6 @@ func TestChaosSpotCheckCleanRun(t *testing.T) {
 func TestChaosRetryPredictorRecovers(t *testing.T) {
 	ds := data.Generate(tinySpec("t-chaos-retry", 12, 12, 2, false), 3)
 	h := chaosHyper()
-	h.Stream = false
 	skA, skB := protocol.TestKeys()
 	pa, pb := fedPipe(t, 619)
 	var buf bytes.Buffer

@@ -152,8 +152,9 @@ func (h *wdlHead) backward(g *tensor.Dense) (*tensor.Dense, *tensor.Dense) {
 }
 func (h *wdlHead) params() []*nn.Param { return h.deep.Params() }
 
-// dlrmHead: logits = MLP(ReLU(Z_num + Z_emb)) — the simplified DLRM
-// interaction documented in DESIGN.md.
+// dlrmHead: logits = MLP(ReLU(Z_num + Z_emb)) — a simplified DLRM: the
+// numeric and categorical towers interact by one sum rather than by DLRM's
+// pairwise dot products.
 type dlrmHead struct {
 	relu *nn.ReLU
 	seq  *nn.Sequential
@@ -211,12 +212,12 @@ func restHidden(h Hyper) []int {
 
 // coreCfg assembles the source-layer Config a Hyper implies for a family.
 func coreCfg(kind Kind, classes int, h Hyper) core.Config {
-	return core.Config{Out: sourceOut(kind, classes, h), LR: h.LR, Momentum: h.Momentum,
-		Options: h.Options}
+	return core.Config{Out: sourceOut(kind, classes, h), LR: h.LR, Momentum: h.Momentum}
 }
 
 // NewFedA builds Party A's model half. Must run concurrently with NewFedB.
 func NewFedA(p *protocol.Peer, kind Kind, ds *data.Dataset, h Hyper) *FedA {
+	applyOptions(h.Options, p)
 	return newFedA(p, kind, ds, h, ds.TrainA.NumCols(), 1)
 }
 
@@ -243,6 +244,7 @@ func newFedA(p *protocol.Peer, kind Kind, ds *data.Dataset, h Hyper, inA, k int)
 // NewFedB builds Party B's model half with the plaintext top model: the
 // label party of a one-session group.
 func NewFedB(p *protocol.Peer, kind Kind, ds *data.Dataset, h Hyper) *FedB {
+	applyOptions(h.Options, p)
 	g := protocol.NewGroup([]*protocol.Peer{p})
 	l := openGroupLayer(g, nil, coreCfg(kind, ds.Spec.Classes, h), []int{ds.TrainA.NumCols()}, ds.TrainB.NumCols(), !ds.Spec.Dense())
 	head := buildHead(kind, ds.Spec.Classes, h)
@@ -290,7 +292,7 @@ func embedCfg(kind Kind, ds *data.Dataset, h Hyper) core.EmbedConfig {
 		out = firstHidden(h)
 	}
 	return core.EmbedConfig{
-		Config:  core.Config{Out: out, LR: h.LR, Momentum: h.Momentum, Options: h.Options},
+		Config:  core.Config{Out: out, LR: h.LR, Momentum: h.Momentum},
 		VocabA:  ds.Spec.CatVocab,
 		VocabB:  ds.Spec.CatVocab,
 		FieldsA: ds.TrainA.Cat.Cols,

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"blindfl/internal/engine"
+	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
 )
 
@@ -45,8 +46,8 @@ func (k Kind) UsesEmbedding() bool { return k == WDL || k == DLRM }
 
 // Hyper carries the training hyper-parameters. The paper's protocol
 // (Sec. 7.1) uses LR 0.05, batch 128, embedding dim 8, momentum 0.9. The
-// engine knobs (Packed, Stream, TableCacheMB, …) live on the embedded
-// engine.Options — the single declaration shared with core.Config.
+// engine options (TableCacheMB, Pool, the integrity probes, …) live on the
+// embedded engine.Options; applyOptions carries them to a run.
 type Hyper struct {
 	LR       float64
 	Momentum float64
@@ -57,6 +58,18 @@ type Hyper struct {
 	Seed     int64
 
 	engine.Options
+}
+
+// applyOptions is the one place engine options reach a run, once per party
+// set: the dot-table cache budget process-wide, and the run-integrity probes
+// onto every feature-party and label-party peer (Peer.ApplyOptions gives
+// SpotCheck to the label party only). Pools belong to keys, and whoever makes
+// a key installs its pool (engine.Options.SetupKeys).
+func applyOptions(o engine.Options, peers ...*protocol.Peer) {
+	o.Apply()
+	for _, p := range peers {
+		p.ApplyOptions(o)
+	}
 }
 
 // DefaultHyper returns the paper's protocol settings.

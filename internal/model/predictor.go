@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -80,6 +81,7 @@ func NewPredictor(r io.Reader, ps PartySet) (*Predictor, error) {
 		return nil, err
 	}
 	p.lb = core.NewMultiMatMulBFrom(ps.B, subs)
+	applyOptions(ck.Hyper.Options, slices.Concat(ps.As, ps.B.Peers)...)
 	err = protocol.RunGroup(ps.As, ps.B,
 		func(i int) { p.las[i].ServeStart() },
 		func() { p.lb.ServeStart() })

@@ -219,7 +219,7 @@ func TestChaosResumeRefusesChangedConfig(t *testing.T) {
 	}
 
 	hEng := h
-	hEng.Options.Packed = !hEng.Options.Packed
+	hEng.SpotCheck = !hEng.SpotCheck
 	if err := try(Trainer{Kind: LR, Hyper: hEng, CheckpointDir: dir}); err == nil ||
 		!strings.Contains(err.Error(), "engine options") {
 		t.Fatalf("resume under changed engine options = %v, want a fingerprint refusal", err)
@@ -289,7 +289,6 @@ func TestChaosCtrlCorruptTrainingFailsTyped(t *testing.T) {
 func TestChaosBadServeCheckpointFailsTyped(t *testing.T) {
 	ds := data.Generate(tinySpec("t-chaos-badck", 12, 12, 2, false), 3)
 	h := chaosHyper()
-	h.Stream = false
 	pa, pb := fedPipe(t, 660)
 	var buf bytes.Buffer
 	if _, err := (Trainer{Kind: LR, Hyper: h, Checkpoint: &buf}).Train(ds, Pair(pa, pb)); err != nil {

@@ -225,5 +225,6 @@ func (t Trainer) trainShards(ds *data.Dataset, ss ShardSet, ck *runCheckpoint) (
 	// Whatever run returns, the fleet is done: a failed run has torn it down
 	// already, and Close is close-once.
 	defer sg.Close()
+	applyOptions(h.Options, as...)
 	return t.run(pl, as, shardSide{sg: sg})
 }

@@ -94,6 +94,49 @@ func TestShardValidation(t *testing.T) {
 	}
 }
 
+// TestShardWorkersInstallPools: the setup document's pool option reaches a
+// worker's own key. A label-party key freshly generated here, which nothing
+// has registered a pool for, has one after a 2-shard run with Pool set: the
+// first worker installs it and its sibling, sharing the key in this process,
+// keeps it. A second run's workers find that pool and keep it too.
+func TestShardWorkersInstallPools(t *testing.T) {
+	const k = 2
+	ds := data.Generate(tinySpec("t-shard-pool", 12, 12, 2, false), 41)
+	h := tinyHyper()
+	h.Epochs, h.Pool = 1, 8
+	skAs, _ := shardKeys(t, k)
+	skB, err := paillier.GenerateKey(paillier.Rand, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if paillier.PoolFor(&skB.PublicKey) != nil {
+		t.Fatal("a freshly generated key already has a pool")
+	}
+	t.Cleanup(func() {
+		if p := paillier.PoolFor(&skB.PublicKey); p != nil {
+			paillier.UnregisterPool(&skB.PublicKey)
+			p.Close()
+		}
+	})
+	run := func() *paillier.Pool {
+		dial, wait, _ := StartShardWorkers(2, skB, nil)
+		if _, err := (Trainer{Kind: LR, Hyper: h}).TrainSharded(ds, ShardSet{Shards: 2, SKAs: skAs, Dial: dial}); err != nil {
+			t.Fatal(err)
+		}
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+		return paillier.PoolFor(&skB.PublicKey)
+	}
+	first := run()
+	if first == nil {
+		t.Fatal("the shard workers ran with Pool set and left their key without a pool")
+	}
+	if again := run(); again != first {
+		t.Fatal("a later run's workers replaced the pool their key already had")
+	}
+}
+
 // TestChaosShardKillTyped kills shard 1's control link mid-epoch (FaultConn
 // closes it at the root's 5th send — a gradient broadcast) and requires the
 // run to fail with exactly ONE typed error: protocol.ErrShardLost, never the

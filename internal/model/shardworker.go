@@ -10,6 +10,7 @@ import (
 
 	"blindfl/internal/core"
 	"blindfl/internal/data"
+	"blindfl/internal/engine"
 	"blindfl/internal/paillier"
 	"blindfl/internal/protocol"
 	"blindfl/internal/transport"
@@ -57,7 +58,7 @@ func RunShardWorker(ctl transport.Conn, accept func() (transport.Conn, error), s
 	if su.LayerB != nil && len(su.LayerB) != plan.Sessions {
 		return fmt.Errorf("%w: resume setup carries %d layer halves for %d sessions", protocol.ErrShardMismatch, len(su.LayerB), plan.Sessions)
 	}
-	su.Hyper.Options.Apply()
+	installPool(su.Hyper.Options, skB)
 	fp := hello.Fingerprint
 	conns, err := protocol.AcceptSessions(accept, plan, hello.Shard, fp, w)
 	if err != nil {
@@ -88,6 +89,7 @@ func RunShardWorker(ctl transport.Conn, accept func() (transport.Conn, error), s
 		return hsErr
 	}
 	g := protocol.NewGroup(peers)
+	applyOptions(h.Options, peers...)
 
 	var runErr error
 	err = protocol.Catch(fmt.Sprintf("shard %d", hello.Shard), func() {
@@ -97,6 +99,21 @@ func RunShardWorker(ctl transport.Conn, accept func() (transport.Conn, error), s
 		return err
 	}
 	return runErr
+}
+
+// workerPools serializes installPool across the workers of one process.
+var workerPools sync.Mutex
+
+// installPool gives a worker's key the blinding pool its setup document asks
+// for. A worker process is the first to see its key, so nobody else installs
+// one; in-process siblings share the key, and the first to arrive installs
+// the pool the others then find — none replaces another's.
+func installPool(o engine.Options, skB *paillier.PrivateKey) {
+	workerPools.Lock()
+	defer workerPools.Unlock()
+	if paillier.PoolFor(&skB.PublicKey) == nil {
+		o.SetupKeys(skB)
+	}
 }
 
 // shardWorkerLoop drives the worker's session slice through the run: the

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"blindfl/internal/core"
 	"blindfl/internal/data"
@@ -112,6 +113,7 @@ func (t Trainer) trainGroup(ds *data.Dataset, ps PartySet, ck *runCheckpoint) (*
 		return nil, err
 	}
 	ps.B.ContinueOnLoss = t.ContinueOnLoss && ps.K() > 1
+	applyOptions(t.Hyper.Options, slices.Concat(ps.As, ps.B.Peers)...)
 	return t.run(pl, ps.As, &groupSide{g: ps.B})
 }
 

@@ -51,12 +51,12 @@ func trajectoryCases() []trajectoryCase {
 	}
 }
 
-// engineOn switches the whole throughput engine on for a test and returns
-// the hyper-parameters carrying it: packing, chunk streaming, the persistent
-// dot-table cache, and blinding pools for both test keys.
+// engineOn switches the rest of the deployed engine on for a test and
+// returns the hyper-parameters carrying it: the persistent dot-table cache
+// and blinding pools for both test keys.
 func engineOn(t *testing.T, h Hyper) Hyper {
 	t.Helper()
-	h.Packed, h.Stream, h.Pool, h.TableCacheMB = true, true, 64, 64
+	h.Pool, h.TableCacheMB = 64, 64
 	skA, skB := protocol.TestKeys()
 	h.Options.SetupKeys(skA, skB)
 	t.Cleanup(func() {
@@ -120,15 +120,11 @@ func TestRecordedTrajectories(t *testing.T) {
 	for _, tc := range trajectoryCases() {
 		for _, engine := range []string{"engine-off", "engine-on"} {
 			t.Run(tc.name+"/"+engine, func(t *testing.T) {
-				// -short keeps the engine-off run of the cheap cases, and of WDL
-				// the engine-on run: the packed Embed-MatMul layer, ~5 s under
-				// -race where the unpacked one takes ~11.
-				long := engine == "engine-on" || tc.k > 1 && tc.kind == MLP
-				if tc.kind == WDL {
-					long = engine == "engine-off"
-				}
-				if testing.Short() && long {
-					t.Skip("recorded trajectory skipped in -short")
+				// Both settings run the packed engine, so they cost alike: under
+				// -race every run takes 1–8 s but mlp/k3's two (7 and 10 s),
+				// which -short skips.
+				if testing.Short() && tc.k > 1 && tc.kind == MLP {
+					t.Skip("mlp/k3 skipped in -short")
 				}
 				h := tinyHyper()
 				h.Epochs = tc.epochs

@@ -57,10 +57,6 @@ type Peer struct {
 	Rng     *rand.Rand           // local randomness for masks and init
 	MaskMag float64
 
-	// ChunkRows is the span of this peer's matrix sends (stream.go): the
-	// rows per chunk, 0 meaning the whole matrix in one chunk. Sender-local:
-	// receivers take chunk heights from the stream itself.
-	ChunkRows int
 	// Stream accumulates per-chunk accounting across matrix sends and
 	// receives. Owned by this peer's protocol goroutine; read it between
 	// rounds.
@@ -81,6 +77,12 @@ type Peer struct {
 	// arithmetic itself — not the wire — corrupted, and is typed
 	// transport.ErrCorrupt.
 	ANCheck bool
+
+	// span is the rows per chunk of this peer's producing sends (stream.go):
+	// DefaultChunkRows from NewPeer, and nothing else in the engine. This
+	// package's tests set other spans (0: the whole matrix) to play senders
+	// of any framing, which a receiver must take as it comes.
+	span int
 
 	sendSeq, recvSeq uint64 // per-direction stream sequence numbers
 	spotSeq          uint64 // spot-check ordinal (row derivation)
@@ -128,25 +130,18 @@ func (p *Peer) SeedEpoch(epoch int) {
 // dropped, duplicated or reordered chunk is re-requested once from the
 // sender's retained copy before the session aborts with a typed error.
 func NewPeer(role Role, conn transport.Conn, sk *paillier.PrivateKey, rng *rand.Rand) *Peer {
-	return &Peer{Role: role, Conn: transport.NewStreamConn(conn), SK: sk, Rng: rng, MaskMag: DefaultMaskMag}
+	return &Peer{Role: role, Conn: transport.NewStreamConn(conn), SK: sk, Rng: rng, MaskMag: DefaultMaskMag, span: DefaultChunkRows}
 }
 
 // link is the peer's connection as the StreamConn NewPeer made it: what the
 // stream sends, receives and flushes run on.
 func (p *Peer) link() *transport.StreamConn { return p.Conn.(*transport.StreamConn) }
 
-// ApplyOptions is the one place engine options reach a Peer; the source-layer
-// constructors call it wherever a Config enters the system. A set option wins
-// over what the caller put on the Peer and an unset one leaves it alone:
-// Stream sets the send span to ChunkRows rows, or to DefaultChunkRows if
-// neither the option nor the caller chose one; SpotCheck is the label
-// party's probe and reaches Party B only.
+// ApplyOptions is the one place engine options reach a Peer: the run-integrity
+// probes. A set probe wins over what the caller put on the Peer and an unset
+// one leaves it alone; SpotCheck is the label party's probe and reaches
+// Party B only.
 func (p *Peer) ApplyOptions(o engine.Options) {
-	if o.Stream && o.ChunkRows > 0 {
-		p.ChunkRows = o.ChunkRows
-	} else if o.Stream && p.ChunkRows == 0 {
-		p.ChunkRows = DefaultChunkRows
-	}
 	p.SpotCheck = p.SpotCheck || (o.SpotCheck && p.Role == PartyB)
 	p.ANCheck = p.ANCheck || o.ANCheck
 }

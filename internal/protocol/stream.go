@@ -16,21 +16,21 @@ import (
 // received ciphertext vetted at this trust boundary. Two identities make one
 // path enough:
 //
-//   - A monolithic transfer is a one-chunk stream. How many rows go into a
-//     chunk is the sending Peer's ChunkRows, 0 meaning all of them; a span
-//     below the matrix height pipelines the per-chunk work, so the sender
-//     encrypts or masks chunk i+1 while chunk i is on the wire and the
-//     receiver decrypts or accumulates chunk i−1. Receivers take each
-//     chunk's height from the chunk itself, so the span is the sender's
-//     business alone.
+//   - A monolithic transfer is a one-chunk stream. A producing send —
+//     EncryptAndSend, HE2SSSend, SS2HEAs — streams at DefaultChunkRows rows a
+//     chunk, so the sender encrypts or masks chunk i+1 while chunk i is on
+//     the wire and the receiver decrypts or accumulates chunk i−1. SendMatrix
+//     has nothing left to produce and ships an assembled matrix as one
+//     chunk. Receivers take each chunk's height from the chunk itself, so
+//     the framing is the sender's business alone.
 //   - Packing travels with the data. A transfer carries a hetensor.Matrix of
 //     whichever lane format the encrypting party chose; the receiver
 //     decrypts, spot-checks and assembles what arrives.
 
-// DefaultChunkRows is the span engine.Options.Stream selects when nothing
-// names one. Small enough that a mini-batch (32–128 rows) splits into several
-// pipeline stages; large enough that per-chunk envelope overhead stays
-// negligible against ciphertext payloads.
+// DefaultChunkRows is the span of every producing send. Small enough that a
+// mini-batch (32–128 rows) splits into several pipeline stages; large enough
+// that per-chunk envelope overhead stays negligible against ciphertext
+// payloads.
 const DefaultChunkRows = 8
 
 // StreamStats aggregates per-chunk accounting for one peer's matrix traffic.
@@ -59,16 +59,6 @@ type StreamStats struct {
 	ANMismatches int64
 }
 
-// Unchunked makes this peer's sends go out whole, whatever its span, until
-// the returned restore runs (defer p.Unchunked()()): for the sparse MatMul
-// layer and the serve path, whose transfers are a handful of touched rows or
-// lane groups — a finer span would buy round trips and no overlap.
-func (p *Peer) Unchunked() (restore func()) {
-	span := p.ChunkRows
-	p.ChunkRows = 0
-	return func() { p.ChunkRows = span }
-}
-
 // Flush blocks until the peer has acknowledged every stream this party sent
 // (transport.StreamConn.Flush). A party whose round ends on a send calls it
 // last, so that a NACK for that send still finds its sender and a transfer
@@ -79,8 +69,8 @@ func (p *Peer) Flush() {
 	}
 }
 
-// sendStream ships one logical rows×cols matrix as lazily produced
-// row-chunks of the peer's span, recording per-chunk accounting.
+// sendStream ships one logical rows×cols matrix as lazily produced row-chunks
+// of span rows (0: one chunk), recording per-chunk accounting.
 // produce(lo, hi) is called only after the previous chunk was handed to the
 // transport. An empty matrix still ships one (empty) chunk.
 //
@@ -88,8 +78,8 @@ func (p *Peer) Flush() {
 // envelopes (sequence numbers and checksums included) and end marker, not
 // just the chunk payloads — so the bench traffic tables report what actually
 // crosses the link.
-func (p *Peer) sendStream(rows, cols int, produce func(lo, hi int) any) {
-	span, chunks := p.ChunkRows, 1
+func (p *Peer) sendStream(rows, cols, span int, produce func(lo, hi int) any) {
+	chunks := 1
 	if span <= 0 || span > rows {
 		span = rows
 	}
@@ -186,9 +176,10 @@ func (p *Peer) trusted(v any) *hetensor.Matrix {
 	return c
 }
 
-// SendMatrix ships an already-assembled matrix as row-chunk views.
+// SendMatrix ships an already-assembled matrix in one chunk: its rows exist
+// before the send starts, so there is no production to overlap with the wire.
 func (p *Peer) SendMatrix(m *hetensor.Matrix) {
-	p.sendStream(m.Rows, m.Cols, func(lo, hi int) any { return m.RowSlice(lo, hi) })
+	p.sendStream(m.Rows, m.Cols, 0, func(lo, hi int) any { return m.RowSlice(lo, hi) })
 }
 
 // EncryptAndSend encrypts d under this party's own key in the layout the
@@ -196,7 +187,7 @@ func (p *Peer) SendMatrix(m *hetensor.Matrix) {
 // chunk: the encryption of chunk i+1 overlaps the wire (and the peer's
 // handling) of chunk i.
 func (p *Peer) EncryptAndSend(d *tensor.Dense, scale uint, l hetensor.Layout) {
-	p.sendStream(d.Rows, d.Cols, func(lo, hi int) any {
+	p.sendStream(d.Rows, d.Cols, p.span, func(lo, hi int) any {
 		return hetensor.EncryptAs(&p.SK.PublicKey, d.RowSlice(lo, hi), scale, l)
 	})
 }
@@ -231,7 +222,7 @@ func (p *Peer) RecvMatrixEach(fn func(lo int, chunk *hetensor.Matrix)) {
 // key owner decrypts chunk i while this party blinds chunk i+1.
 func (p *Peer) HE2SSSend(c *hetensor.Matrix) *tensor.Dense {
 	phi := p.Mask(c.Rows, c.Cols)
-	p.sendStream(c.Rows, c.Cols, func(lo, hi int) any {
+	p.sendStream(c.Rows, c.Cols, p.span, func(lo, hi int) any {
 		return c.RowSlice(lo, hi).SubPlainFresh(phi.RowSlice(lo, hi))
 	})
 	return phi

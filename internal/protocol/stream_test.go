@@ -20,8 +20,9 @@ import (
 // value per ciphertext and packed lanes, every relation of the sender's span
 // to the matrix height (whole, one row, dividing, not dividing, taller than
 // the matrix), by pointer (transport.Pair) and through gob (NewGobConn over
-// net.Pipe). The receiver's own ChunkRows is always set to something else:
-// the span is the sender's business.
+// net.Pipe). The engine's own sends stream at DefaultChunkRows; here the
+// sender plays every other span, and the receiver's own span is always set
+// to something else: the span is the sender's business.
 
 var spans = []int{0, 1, 2, 3, 99}
 
@@ -46,7 +47,7 @@ func eachPath(t *testing.T, seed int64, f func(t *testing.T, a, b *Peer, packed 
 					if err != nil {
 						t.Fatal(err)
 					}
-					a.ChunkRows, b.ChunkRows = span, 5
+					a.span, b.span = span, 5
 					f(t, a, b, packed)
 				})
 			}
@@ -90,7 +91,7 @@ func TestStreamSS2HEMatchesPieces(t *testing.T) {
 	pieceB := streamed.Scale(-0.5)
 	want := streamed.Add(pieceB)
 	eachPath(t, 42, func(t *testing.T, a, b *Peer, packed bool) {
-		b.ChunkRows = a.ChunkRows // SS2HE sends both ways
+		b.span = a.span // SS2HE sends both ways
 		var atA, atB *tensor.Dense
 		err := RunParties(a, b, func() {
 			// Each side encrypts in its own layout and adds to the other's.
@@ -123,14 +124,14 @@ func TestStreamRefreshRoundTrip(t *testing.T) {
 					a.EncryptAndSend(v, 1, hetensor.Layout{Packed: packed})
 					got = a.RecvMatrix().Decrypt(a.SK)
 				},
-				func() { defer b.Unchunked()(); b.SendMatrix(b.RecvMatrix()) })
+				func() { b.SendMatrix(b.RecvMatrix()) })
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Rows != v.Rows || !got.Equal(v, 1e-9) {
 				t.Fatalf("refresh round trip decrypts to %v", got.Data)
 			}
-			n := wantChunks(v.Rows, a.ChunkRows)
+			n := wantChunks(v.Rows, a.span)
 			if a.Stream.StreamsSent != 1 || a.Stream.ChunksSent != n || b.Stream.StreamsRecv != 1 || b.Stream.ChunksRecv != n {
 				t.Fatalf("stats a=%+v b=%+v, want 1 stream of %d chunks", a.Stream, b.Stream, n)
 			}
@@ -188,14 +189,13 @@ func TestStreamChunksAnonymousOnEveryTransport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.ChunkRows = 2
 		// A key object of the sender's own, so a receiver that reattaches
 		// its trusted copy in place is caught.
 		pkA := &paillier.PublicKey{N: skA.N, N2: skA.N2}
 		var sent []*hetensor.Matrix
 		var acc *hetensor.Matrix
 		err = RunParties(a, b, func() {
-			a.sendStream(gz.Rows, gz.Cols, func(lo, hi int) any {
+			a.sendStream(gz.Rows, gz.Cols, 2, func(lo, hi int) any {
 				c := hetensor.PackEncrypt(pkA, gz.RowSlice(lo, hi), 1)
 				sent = append(sent, c)
 				return c

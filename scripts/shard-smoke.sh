@@ -3,7 +3,9 @@
 # processes on free loopback ports, then run a 2-shard blindfl-train root
 # against them — the multi-process wiring (SHARD_LISTEN announce, connect
 # exchange, fingerprint check, deterministic schedule, teardown) exercised
-# end to end on a toy job. Worker -timeout bounds a wedged run.
+# end to end on a toy job. The root's -pool and -shortexp travel in the setup
+# document, so each worker process installs a pool for its own key. Worker
+# -timeout bounds a wedged run.
 set -eu
 
 tmp=$(mktemp -d)
@@ -32,7 +34,7 @@ a1=$(addr "$tmp/w1.out")
 a2=$(addr "$tmp/w2.out")
 
 ./bin/blindfl-train -dataset a9a -model lr -train 96 -test 48 -epochs 1 -batch 32 \
-    -parties 2 -shards 2 -shard-connect "$a1,$a2"
+    -parties 2 -shards 2 -shard-connect "$a1,$a2" -pool 64 -shortexp 400
 
 wait "$w1"
 wait "$w2"
