@@ -47,7 +47,9 @@ test-full:
 # serve planes ride along (TestSparseHostilePeer, TestServeHostilePeer): a
 # peer's row lists, row matrices, masked products and integer shares of the
 # wrong range, order, shape, scale or lanes end in a typed ErrCorrupt, never
-# a panic. Then ten seconds of arbitrary link bytes
+# a panic. So does the handshake's (TestHandshakeHostilePeer): a refused peer
+# key fails the pipe typed, with every conn closed and no exchange left
+# blocked. Then ten seconds of arbitrary link bytes
 # against the one matrix receive path (FuzzRecvMatrix, seeded from the
 # hostile-header table): no panic, allocation bounded by the input. The
 # minimizer is capped: left at its one-minute default it spends the whole run
@@ -59,7 +61,7 @@ test-full:
 # from a final and a mid-run checkpoint and lying headers).
 test-chaos:
 	$(GO) test -short -race -timeout 10m \
-		-run 'TestChaos|TestFault|TestStream|TestDeadline|TestRunGroupFaultConn|TestGroupAllSessionsLost|TestRetry|TestTrainHonoursEngineOptions|TestSparseHostilePeer|TestServeHostilePeer' \
+		-run 'TestChaos|TestFault|TestStream|TestDeadline|TestRunGroupFaultConn|TestGroupAllSessionsLost|TestRetry|TestTrainHonoursEngineOptions|TestSparseHostilePeer|TestServeHostilePeer|TestHandshakeHostilePeer' \
 		./internal/transport/ ./internal/protocol/ ./internal/model/ ./internal/serve/ ./internal/core/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzRecvMatrix$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/protocol/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzHandshake$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/protocol/

@@ -14,7 +14,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 	"net"
 
 	"blindfl/internal/data"
@@ -53,14 +52,9 @@ func main() {
 	l.Close()
 
 	skA, skB := protocol.TestKeys()
-	pa := protocol.NewPeer(protocol.PartyA, connA, skA, rand.New(rand.NewSource(13)))
-	pb := protocol.NewPeer(protocol.PartyB, connB, skB, rand.New(rand.NewSource(14)))
-	done := make(chan error, 1)
-	go func() { done <- pa.Handshake() }()
-	if err := pb.Handshake(); err != nil {
-		log.Fatal(err)
-	}
-	if err := <-done; err != nil {
+	pa := protocol.NewPeer(protocol.PartyA, connA, skA, 13, 0, 0)
+	pb := protocol.NewPeer(protocol.PartyB, connB, skB, 13, 0, 0)
+	if err := protocol.HandshakeAll(pa, pb); err != nil {
 		log.Fatal(err)
 	}
 

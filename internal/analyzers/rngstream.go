@@ -14,13 +14,13 @@ import (
 // two peers of session i with seed+i and seed+i+1, so adjacent sessions of
 // a k-party group shared mask streams and the HE2SS obfuscation values
 // correlated across sessions. Seeds must route through a hash derivation
-// (protocol.SessionRNG / rng.Derive, SplitMix64 over every distinguishing
+// (rng.Session / rng.Derive, SplitMix64 over every distinguishing
 // input) so distinct (seed, purpose) pairs cannot collide by construction.
 var Rngstream = &analysis.Analyzer{
 	Name: "rngstream",
 	Doc: "flags rand seeds built by arithmetic on another seed instead of a hash derivation\n\n" +
 		"seed+1/seed*2+role seeding makes RNG streams alias across sessions and roles (the PR 5 " +
-		"mask-stream collision); derive seeds via protocol.SessionRNG or rng.Derive instead.",
+		"mask-stream collision); derive seeds via rng.Session or rng.Derive instead.",
 	Run: runRngstream,
 }
 
@@ -35,8 +35,8 @@ var seedCalls = map[string][]int{
 }
 
 // deriveCoords maps the sanctioned derivation entry points — package rng,
-// plus protocol's session wrappers — to the indices of their stream-
-// coordinate arguments, keyed by the defining package's last path segment.
+// plus protocol.NewPeer, which derives a peer's streams from the coordinates
+// it is born with — to the indices of their stream-coordinate arguments, keyed by the defining package's last path segment.
 // Arithmetic in a coordinate re-creates inside the derivation exactly the
 // aliasing it exists to prevent: rng.Session(seed, lo, j, role) equals
 // rng.Session(seed, 0, lo+j, role) BY DESIGN, because folding coordinates is
@@ -51,8 +51,7 @@ var deriveCoords = map[string]map[string][]int{
 		"SessionEpoch": {0, 1, 2, 4},
 	},
 	"protocol": {
-		"SessionRNG":      {0, 1},
-		"ShardSessionRNG": {0, 1, 2},
+		"NewPeer": {3, 4, 5}, // NewPeer(role, conn, sk, seed, shard, session)
 	},
 }
 
@@ -87,7 +86,7 @@ func runRngstream(pass *analysis.Pass) (interface{}, error) {
 				}
 				if bad := arithmeticSeed(pass, call.Args[i]); bad != nil {
 					pass.Reportf(bad.Pos(), "seed is derived arithmetically from another value; "+
-						"route it through a SplitMix64 derivation (protocol.SessionRNG / rng.Derive) "+
+						"route it through a SplitMix64 derivation (rng.Session / rng.Derive) "+
 						"so streams cannot alias (PR 5 mask-RNG bug class)")
 				}
 			}
@@ -156,7 +155,7 @@ func pathIsRand(path string) bool {
 // arithmeticSeed returns the offending sub-expression when the seed is an
 // arithmetic combination of non-constant values, descending through parens,
 // conversions and unary ops but never into real call arguments: a call
-// result (mix64(seed+k), SessionRNG(...).Int63()) is a hash-derived seed and
+// result (mix64(seed+k), rng.Session(...)) is a hash-derived seed and
 // is exactly what the invariant wants.
 func arithmeticSeed(pass *analysis.Pass, e ast.Expr) ast.Expr {
 	if tv, ok := pass.TypesInfo.Types[e]; ok && tv.Value != nil {

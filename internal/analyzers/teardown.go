@@ -30,19 +30,24 @@ var Teardown = &analysis.Analyzer{
 	Run: runTeardown,
 }
 
-// teardownOwners are function names allowed to close conns directly: the
-// party-runner helpers — RunParties/RunGroup and the shard-root runner
-// RunShardRoot, which owns every feature-party conn and shard link of a
-// sharded run and closes them all on the first error so one lost shard
-// surfaces as one typed failure instead of k cascades — any method literally
-// named Close (a lifecycle wrapper taking ownership of its conns, e.g.
-// protocol.Group.Close), and CloseSession (protocol.Group's sanctioned
-// retire-one-session path, which marks the session lost before closing so
-// the group's bookkeeping and the close cannot diverge).
+// teardownOwners are function names allowed to close conns directly:
+//   - the party runners RunParties, RunGroup and RunShardRoot (the shard-root
+//     runner owns every feature-party conn and shard link of a sharded run,
+//     so one lost shard surfaces as one typed failure instead of k
+//     cascades). Each hands the one runner, protocol.runAll, a teardown
+//     closure written in its own body; runAll itself closes nothing;
+//   - HandshakeAll, which closes every peer's conn on the first failed key
+//     exchange so no other exchange stays blocked on a refused peer;
+//   - any method literally named Close (a lifecycle wrapper taking ownership
+//     of its conns, e.g. protocol.Group.Close);
+//   - CloseSession (protocol.Group's sanctioned retire-one-session path,
+//     which marks the session lost before closing so the group's bookkeeping
+//     and the close cannot diverge).
 var teardownOwners = map[string]bool{
 	"RunParties":   true,
 	"RunGroup":     true,
 	"RunShardRoot": true,
+	"HandshakeAll": true,
 	"Close":        true,
 	"CloseSession": true,
 }

@@ -1,6 +1,6 @@
-// Package protocol is a fixture stand-in for internal/protocol's session
-// RNG wrappers, exercising the rngstream coordinate rule at the wrapper
-// call sites.
+// Package protocol is a fixture stand-in for internal/protocol's peer
+// constructor, exercising the rngstream coordinate rule at the NewPeer call
+// sites.
 package protocol
 
 import (
@@ -16,10 +16,8 @@ const (
 	PartyB Role = 2
 )
 
-func SessionRNG(seed int64, session int, role Role) *rand.Rand {
-	return rand.New(rand.NewSource(rng.Session(seed, 0, session, uint64(role))))
-}
+type Peer struct{ Rng *rand.Rand }
 
-func ShardSessionRNG(seed int64, shard, session int, role Role) *rand.Rand {
-	return rand.New(rand.NewSource(rng.Session(seed, shard, session, uint64(role))))
+func NewPeer(role Role, conn, sk any, seed int64, shard, session int) *Peer {
+	return &Peer{Rng: rand.New(rand.NewSource(rng.Session(seed, shard, session, uint64(role))))}
 }

@@ -74,10 +74,12 @@ func constCoords(seed int64) int64 {
 	return rng.SessionEpoch(seed, 0, 3+1, 1, 0) // constant folds are fine
 }
 
-func wrapperCoordFold(seed int64, lo, j int) *rand.Rand {
-	return protocol.SessionRNG(seed, lo+j, protocol.PartyB) // want `coordinate is built by arithmetic`
+// peerCoordFold is the shard worker's temptation at the peer constructor:
+// folding its session offset into the session coordinate by hand.
+func peerCoordFold(seed int64, lo, j int) *protocol.Peer {
+	return protocol.NewPeer(protocol.PartyB, nil, nil, seed, 0, lo+j) // want `coordinate is built by arithmetic`
 }
 
-func wrapperCoordsSeparate(seed int64, lo, j int) *rand.Rand {
-	return protocol.ShardSessionRNG(seed, lo, j, protocol.PartyB)
+func peerCoordsSeparate(seed int64, lo, j int) *protocol.Peer {
+	return protocol.NewPeer(protocol.PartyB, nil, nil, seed, lo, j)
 }

@@ -57,6 +57,14 @@ func RunShardRoot(as []transport.Conn, ctl transport.Conn) {
 	ctl.Close()
 }
 
+// HandshakeAll is the concurrent key exchange: a failed exchange closes
+// every conn so no other exchange stays blocked on a refused peer.
+func HandshakeAll(cs ...transport.Conn) {
+	for _, c := range cs {
+		c.Close()
+	}
+}
+
 // shardCleanup is not an owner: tearing down a shard link outside
 // RunShardRoot re-creates the cascade the single-owner rule prevents.
 func shardCleanup(ctl transport.Conn, err error) {

@@ -281,9 +281,8 @@ func tcpPeerPair(seed int64) (*protocol.Peer, *protocol.Peer, func()) {
 	return tcpPeerSession(seed, 0)
 }
 
-// tcpPeerSession is tcpPeerPair for session i of a group, with the peers'
-// RNG streams derived per (seed, session, role) exactly as Pipe/GroupPipe
-// derive them.
+// tcpPeerSession is tcpPeerPair for session i of a group: its peers carry
+// the stream coordinates Pipe/GroupPipe give session i.
 func tcpPeerSession(seed int64, session int) (*protocol.Peer, *protocol.Peer, func()) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -306,14 +305,9 @@ func tcpPeerSession(seed int64, session int) (*protocol.Peer, *protocol.Peer, fu
 	l.Close()
 
 	skA, skB := protocol.TestKeys()
-	pa := protocol.NewPeer(protocol.PartyA, connA, skA, protocol.SessionRNG(seed, session, protocol.PartyA))
-	pb := protocol.NewPeer(protocol.PartyB, connB, skB, protocol.SessionRNG(seed, session, protocol.PartyB))
-	done := make(chan error, 1)
-	go func() { done <- pa.Handshake() }()
-	if err := pb.Handshake(); err != nil {
-		panic(err)
-	}
-	if err := <-done; err != nil {
+	pa := protocol.NewPeer(protocol.PartyA, connA, skA, seed, 0, session)
+	pb := protocol.NewPeer(protocol.PartyB, connB, skB, seed, 0, session)
+	if err := protocol.HandshakeAll(pa, pb); err != nil {
 		panic(err)
 	}
 	//blindfl:allow teardown bench harness owns both ends; the returned closer is its RunParties

@@ -76,13 +76,12 @@ type EmbedMatMulB struct {
 // S_A, T_B, U_A, V_B, ships ⟦T_B⟧, ⟦U_A⟧, ⟦V_B⟧ under its own key, and
 // receives ⟦T_A⟧, ⟦U_B⟧, ⟦V_A⟧ under B's key.
 func NewEmbedMatMulA(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulA {
-	s := cfg.initScale()
 	l := &EmbedMatMulA{
 		cfg: cfg, peer: p,
-		SA:    tensor.RandDense(p.Rng, cfg.VocabA, cfg.Dim, s),
-		TB:    tensor.RandDense(p.Rng, cfg.VocabB, cfg.Dim, s),
-		UA:    tensor.RandDense(p.Rng, cfg.FieldsA*cfg.Dim, cfg.Out, s),
-		VB:    tensor.RandDense(p.Rng, cfg.FieldsB*cfg.Dim, cfg.Out, s),
+		SA:    tensor.RandDense(p.Rng, cfg.VocabA, cfg.Dim, initScale),
+		TB:    tensor.RandDense(p.Rng, cfg.VocabB, cfg.Dim, initScale),
+		UA:    tensor.RandDense(p.Rng, cfg.FieldsA*cfg.Dim, cfg.Out, initScale),
+		VB:    tensor.RandDense(p.Rng, cfg.FieldsB*cfg.Dim, cfg.Out, initScale),
 		momSA: momentum{mu: cfg.Momentum}, momTB: momentum{mu: cfg.Momentum},
 		momUA: momentum{mu: cfg.Momentum}, momVB: momentum{mu: cfg.Momentum},
 	}
@@ -93,13 +92,12 @@ func NewEmbedMatMulA(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulA {
 
 // NewEmbedMatMulB initializes Party B's half, symmetric to NewEmbedMatMulA.
 func NewEmbedMatMulB(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulB {
-	s := cfg.initScale()
 	l := &EmbedMatMulB{
 		cfg: cfg, peer: p,
-		SB:    tensor.RandDense(p.Rng, cfg.VocabB, cfg.Dim, s),
-		TA:    tensor.RandDense(p.Rng, cfg.VocabA, cfg.Dim, s),
-		UB:    tensor.RandDense(p.Rng, cfg.FieldsB*cfg.Dim, cfg.Out, s),
-		VA:    tensor.RandDense(p.Rng, cfg.FieldsA*cfg.Dim, cfg.Out, s),
+		SB:    tensor.RandDense(p.Rng, cfg.VocabB, cfg.Dim, initScale),
+		TA:    tensor.RandDense(p.Rng, cfg.VocabA, cfg.Dim, initScale),
+		UB:    tensor.RandDense(p.Rng, cfg.FieldsB*cfg.Dim, cfg.Out, initScale),
+		VA:    tensor.RandDense(p.Rng, cfg.FieldsA*cfg.Dim, cfg.Out, initScale),
 		momSB: momentum{mu: cfg.Momentum}, momTA: momentum{mu: cfg.Momentum},
 		momUB: momentum{mu: cfg.Momentum}, momVA: momentum{mu: cfg.Momentum},
 	}

@@ -24,8 +24,11 @@ import (
 
 // Numeric abstracts the mini-batch feature matrix of one party for the
 // MatMul source layer, so dense and sparse inputs share one protocol
-// implementation. Sparse inputs skip zero entries in both the plaintext and
-// the homomorphic matmuls — the source of BlindFL's Table 5 speedups. The
+// implementation; SparseFeatures skips zero entries in both the plaintext and
+// the homomorphic matmuls. Training runs and Table 5 take sparse data through
+// the sparse MatMul layer (SparseMatMulA/B) instead, which touches only the
+// weight rows a batch uses: there SparseFeatures only carries a batch to a
+// group's sparse sessions, and it meets MatMulA/B only in tests. The
 // encrypted operands are hetensor.Matrix values: whether they are packed is
 // theirs to know, not the layer's.
 type Numeric interface {

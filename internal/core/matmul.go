@@ -52,11 +52,10 @@ type MatMulB struct {
 // V_B, ships ⟦V_B⟧ under A's key to B, and receives ⟦V_A⟧ under B's key.
 // Must run concurrently with NewMatMulB on the other side.
 func NewMatMulA(p *protocol.Peer, cfg Config, inA, inB int) *MatMulA {
-	s := cfg.initScale()
 	l := &MatMulA{
 		cfg: cfg, peer: p,
-		UA:    tensor.RandDense(p.Rng, inA, cfg.Out, s),
-		VB:    tensor.RandDense(p.Rng, inB, cfg.Out, s/cfg.groupPieceDiv()),
+		UA:    tensor.RandDense(p.Rng, inA, cfg.Out, initScale),
+		VB:    tensor.RandDense(p.Rng, inB, cfg.Out, initScale/cfg.groupPieceDiv()),
 		momUA: momentum{mu: cfg.Momentum},
 		momVB: momentum{mu: cfg.Momentum},
 	}
@@ -66,11 +65,10 @@ func NewMatMulA(p *protocol.Peer, cfg Config, inA, inB int) *MatMulA {
 
 // NewMatMulB initializes Party B's half, symmetric to NewMatMulA.
 func NewMatMulB(p *protocol.Peer, cfg Config, inA, inB int) *MatMulB {
-	s := cfg.initScale()
 	l := &MatMulB{
 		cfg: cfg, peer: p,
-		UB:    tensor.RandDense(p.Rng, inB, cfg.Out, s/cfg.groupPieceDiv()),
-		VA:    tensor.RandDense(p.Rng, inA, cfg.Out, s),
+		UB:    tensor.RandDense(p.Rng, inB, cfg.Out, initScale/cfg.groupPieceDiv()),
+		VA:    tensor.RandDense(p.Rng, inA, cfg.Out, initScale),
 		momUB: momentum{mu: cfg.Momentum},
 		momVA: momentum{mu: cfg.Momentum},
 	}

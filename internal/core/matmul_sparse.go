@@ -157,11 +157,10 @@ func he2ssRecvFlat(p *protocol.Peer, rows, cols int) *tensor.Dense {
 // NewSparseMatMulA initializes Party A's half. Unlike the dense layer no
 // encrypted pieces are exchanged up front; rows are served on demand.
 func NewSparseMatMulA(p *protocol.Peer, cfg Config, inA, inB int) *SparseMatMulA {
-	s := cfg.initScale()
 	return &SparseMatMulA{
 		cfg: cfg, peer: p,
-		UA:      tensor.RandDense(p.Rng, inA, cfg.Out, s),
-		VB:      tensor.RandDense(p.Rng, inB, cfg.Out, s/cfg.groupPieceDiv()),
+		UA:      tensor.RandDense(p.Rng, inA, cfg.Out, initScale),
+		VB:      tensor.RandDense(p.Rng, inB, cfg.Out, initScale/cfg.groupPieceDiv()),
 		cacheVA: newRowCache(cfg.Out),
 		momUA:   momentum{mu: cfg.Momentum},
 	}
@@ -169,11 +168,10 @@ func NewSparseMatMulA(p *protocol.Peer, cfg Config, inA, inB int) *SparseMatMulA
 
 // NewSparseMatMulB initializes Party B's half.
 func NewSparseMatMulB(p *protocol.Peer, cfg Config, inA, inB int) *SparseMatMulB {
-	s := cfg.initScale()
 	return &SparseMatMulB{
 		cfg: cfg, peer: p,
-		UB:      tensor.RandDense(p.Rng, inB, cfg.Out, s/cfg.groupPieceDiv()),
-		VA:      tensor.RandDense(p.Rng, inA, cfg.Out, s),
+		UB:      tensor.RandDense(p.Rng, inB, cfg.Out, initScale/cfg.groupPieceDiv()),
+		VA:      tensor.RandDense(p.Rng, inA, cfg.Out, initScale),
 		cacheVB: newRowCache(cfg.Out),
 		momUB:   momentum{mu: cfg.Momentum},
 		momVA:   momentum{mu: cfg.Momentum},

@@ -33,21 +33,13 @@ func framedGroupPipe(t testing.TB, k int, seed int64, f transporttest.Framing) (
 	skA, skB := protocol.TestKeys()
 	as := make([]*protocol.Peer, k)
 	bs := make([]*protocol.Peer, k)
-	errs := make(chan error, 2*k)
 	for i := 0; i < k; i++ {
 		ca, cb := transport.Pair(4096)
-		a := protocol.NewPeer(protocol.PartyA, transporttest.NewReframe(ca, f, skA, skB), skA, protocol.SessionRNG(seed, i, protocol.PartyA))
-		b := protocol.NewPeer(protocol.PartyB, transporttest.NewReframe(cb, f, skA, skB), skB, protocol.SessionRNG(seed, i, protocol.PartyB))
-		a.SetStreamIdentity(seed, i)
-		b.SetStreamIdentity(seed, i)
-		as[i], bs[i] = a, b
-		go func() { errs <- a.Handshake() }()
-		go func() { errs <- b.Handshake() }()
+		as[i] = protocol.NewPeer(protocol.PartyA, transporttest.NewReframe(ca, f, skA, skB), skA, seed, 0, i)
+		bs[i] = protocol.NewPeer(protocol.PartyB, transporttest.NewReframe(cb, f, skA, skB), skB, seed, 0, i)
 	}
-	for i := 0; i < 2*k; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
+	if err := protocol.HandshakeAll(append(as, bs...)...); err != nil {
+		t.Fatal(err)
 	}
 	return as, protocol.NewGroup(bs)
 }

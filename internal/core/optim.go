@@ -59,16 +59,15 @@ func (m *momentum) stepRows(w, gradRows *tensor.Dense, idx []int, lr float64) {
 // a party packs what it encrypts (lanes), its producing sends stream, and it
 // takes what arrives as it comes.
 type Config struct {
-	Out       int     // output dimensionality of the source layer
-	LR        float64 // learning rate η
-	Momentum  float64 // momentum coefficient μ (0 disables)
-	InitScale float64 // uniform init range for weight pieces; 0 means 0.1
+	Out      int     // output dimensionality of the source layer
+	LR       float64 // learning rate η
+	Momentum float64 // momentum coefficient μ (0 disables)
 
 	// GroupParties marks the layer as one session of a k-party group
 	// (Appendix C, Algorithm 3) jointly representing Party B's weights:
 	// W_B = Σᵢ(U_B(i) + V_B(i)) over the k sessions. The W_B pieces each
 	// session draws — A's V_B and B's U_B — are initialized at
-	// InitScale/√k, so the variance of the 2k-piece sum matches the
+	// initScale/√k, so the variance of the 2k-piece sum matches the
 	// two-party W_B = U_B + V_B (2 pieces at the full scale); the
 	// per-session W_A pieces (U_A, V_A) keep the full scale (W_A is
 	// column-partitioned across sessions, not summed). 0 or 1 means the
@@ -117,12 +116,8 @@ func recvIndices(p *protocol.Peer, n int) []int {
 	return idx
 }
 
-func (c Config) initScale() float64 {
-	if c.InitScale == 0 {
-		return 0.1
-	}
-	return c.InitScale
-}
+// initScale is the uniform init range of every weight piece.
+const initScale = 0.1
 
 // groupPieceDiv returns the divisor for the W_B piece init draws: √k for a
 // k-session group, so the 2k independent uniform pieces sum to a W_B with

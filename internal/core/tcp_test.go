@@ -44,14 +44,9 @@ func tcpPeers(t *testing.T, seed int64) (*protocol.Peer, *protocol.Peer) {
 	})
 
 	skA, skB := protocol.TestKeys()
-	pa := protocol.NewPeer(protocol.PartyA, connA, skA, rand.New(rand.NewSource(seed)))
-	pb := protocol.NewPeer(protocol.PartyB, connB, skB, rand.New(rand.NewSource(seed+1)))
-	done := make(chan error, 1)
-	go func() { done <- pa.Handshake() }()
-	if err := pb.Handshake(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
+	pa := protocol.NewPeer(protocol.PartyA, connA, skA, seed, 0, 0)
+	pb := protocol.NewPeer(protocol.PartyB, connB, skB, seed, 0, 0)
+	if err := protocol.HandshakeAll(pa, pb); err != nil {
 		t.Fatal(err)
 	}
 	return pa, pb

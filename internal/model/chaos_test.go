@@ -61,7 +61,6 @@ func faultGroupPipe(t *testing.T, k int, seed int64, faultSession int, plan tran
 	as := make([]*protocol.Peer, k)
 	bs := make([]*protocol.Peer, k)
 	var fc *transport.FaultConn
-	errs := make(chan error, 2*k)
 	for i := 0; i < k; i++ {
 		ca, cb := transport.Pair(4096)
 		var connA transport.Conn = ca
@@ -69,18 +68,11 @@ func faultGroupPipe(t *testing.T, k int, seed int64, faultSession int, plan tran
 			fc = transport.NewFaultConn(ca, seed, "chaos-group", plan)
 			connA = fc
 		}
-		a := protocol.NewPeer(protocol.PartyA, connA, skA, protocol.SessionRNG(seed, i, protocol.PartyA))
-		b := protocol.NewPeer(protocol.PartyB, cb, skB, protocol.SessionRNG(seed, i, protocol.PartyB))
-		a.SetStreamIdentity(seed, i)
-		b.SetStreamIdentity(seed, i)
-		as[i], bs[i] = a, b
-		go func() { errs <- a.Handshake() }()
-		go func() { errs <- b.Handshake() }()
+		as[i] = protocol.NewPeer(protocol.PartyA, connA, skA, seed, 0, i)
+		bs[i] = protocol.NewPeer(protocol.PartyB, cb, skB, seed, 0, i)
 	}
-	for i := 0; i < 2*k; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
+	if err := protocol.HandshakeAll(append(as, bs...)...); err != nil {
+		t.Fatal(err)
 	}
 	return as, protocol.NewGroup(bs), fc
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"blindfl/internal/data"
+	"blindfl/internal/protocol"
 	"blindfl/internal/transport"
 )
 
@@ -189,6 +191,82 @@ func TestChaosResumeFallbackLadder(t *testing.T) {
 	if _, err = resume(); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("resume over all-corrupt checkpoints = %v, want ErrBadCheckpoint", err)
 	}
+}
+
+// tcpSession opens session 0 by hand, the way two processes would: Party B
+// listens, Party A dials, and each end builds its own peer with NewPeer at
+// the session's stream coordinates.
+func tcpSession(t *testing.T, seed int64) (*protocol.Peer, *protocol.Peer) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	type accepted struct {
+		c   transport.Conn
+		err error
+	}
+	acc := make(chan accepted, 1)
+	go func() {
+		c, err := transport.Listen(addr)
+		acc <- accepted{c, err}
+	}()
+	var ca transport.Conn
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if ca, err = transport.Dial(addr); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+	}
+	b := <-acc
+	if b.err != nil {
+		t.Fatal(b.err)
+	}
+	skA, skB := protocol.TestKeys()
+	pa := protocol.NewPeer(protocol.PartyA, ca, skA, seed, 0, 0)
+	pb := protocol.NewPeer(protocol.PartyB, b.c, skB, seed, 0, 0)
+	if err := protocol.HandshakeAll(pa, pb); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		pa.Conn.Close()
+		pb.Conn.Close()
+	})
+	return pa, pb
+}
+
+// TestResumeHandAssembledSession: a session opened by hand over TCP, NewPeer
+// on both ends, trains with checkpoints and resumes bit-exactly against the
+// uninterrupted run. Every peer is born with its stream coordinates, so a
+// hand-built session needs nothing a pipe's does not have — and it is the very
+// session Pipe opens at the same seed.
+func TestResumeHandAssembledSession(t *testing.T) {
+	const seed = 642
+	ds := data.Generate(tinySpec("t-resume-tcp", 12, 12, 2, false), 3)
+	h := chaosHyper()
+	h.Epochs = 2
+	tr := Trainer{Kind: LR, Hyper: h, CheckpointDir: t.TempDir()}
+	clean, err := tr.Train(ds, Pair(tcpSession(t, seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files := ckptFiles(t, tr.CheckpointDir); len(files) != 1 {
+		t.Fatalf("2-epoch run left %d checkpoints, want 1", len(files))
+	}
+	hist, err := tr.Resume(ds, Pair(tcpSession(t, seed)))
+	if err != nil {
+		t.Fatalf("resume of a hand-assembled session failed: %v", err)
+	}
+	assertBitExact(t, hist, clean)
+	piped, err := Trainer{Kind: LR, Hyper: h}.Train(ds, Pair(fedPipe(t, seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitExact(t, piped, clean)
 }
 
 // TestChaosResumeRefusesChangedConfig: a resume whose trainer disagrees with

@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"blindfl/internal/data"
-	"blindfl/internal/protocol"
 )
 
 // Run checkpoints: durable mid-training snapshots a crashed run resumes from
@@ -189,11 +188,11 @@ func latestRunCheckpoint(dir string) (*runCheckpoint, error) {
 // remaining epochs touch is re-derived, not continued — batch order from
 // the hyper seed (replayed through the completed epochs), mask streams from
 // the per-epoch RNG discipline, and the serve-path evaluation is
-// mask-independent to begin with. Sessions must carry a stream identity
-// (protocol pipes set one; hand-assembled peers must call
-// SetStreamIdentity), and the Trainer's hyper-parameters and engine options
-// must match the checkpointed run's (epoch count excepted — raising it
-// trains further). A checkpoint that cannot be restored fails typed
+// mask-independent to begin with. Every peer is born with its stream
+// coordinates (protocol.NewPeer), so hand-assembled sessions resume exactly
+// as piped ones do. The Trainer's hyper-parameters and engine options must
+// match the checkpointed run's (epoch count excepted — raising it trains
+// further). A checkpoint that cannot be restored fails typed
 // (ErrBadCheckpoint) before any session is touched.
 func (t Trainer) Resume(ds *data.Dataset, ps PartySet) (*History, error) {
 	ck, err := t.latestCheckpoint("Resume")
@@ -202,11 +201,6 @@ func (t Trainer) Resume(ds *data.Dataset, ps PartySet) (*History, error) {
 	}
 	if err := ps.check("Resume"); err != nil {
 		return nil, err
-	}
-	for _, p := range append(append([]*protocol.Peer{}, ps.As...), ps.B.Peers...) {
-		if !p.HasStreamIdentity() {
-			return nil, fmt.Errorf("model: Resume needs sessions with a stream identity (protocol pipes record one; set SetStreamIdentity on hand-assembled peers)")
-		}
 	}
 	return t.trainGroup(ds, ps, ck)
 }

@@ -205,22 +205,12 @@ func (t Trainer) trainShards(ds *data.Dataset, ss ShardSet, ck *runCheckpoint) (
 		return nil, err
 	}
 	as := make([]*protocol.Peer, k)
-	hsErrs := make(chan error, k)
 	for i, c := range conns {
-		a := protocol.NewPeer(protocol.PartyA, c, ss.SKAs[i], protocol.SessionRNG(h.Seed, i, protocol.PartyA))
-		a.SetStreamIdentity(h.Seed, i)
-		as[i] = a
-		go func(a *protocol.Peer) { hsErrs <- a.Handshake() }(a)
+		as[i] = protocol.NewPeer(protocol.PartyA, c, ss.SKAs[i], h.Seed, 0, i)
 	}
-	var hsErr error
-	for i := 0; i < k; i++ {
-		if err := <-hsErrs; err != nil && hsErr == nil {
-			hsErr = err
-		}
-	}
-	if hsErr != nil {
+	if err := protocol.HandshakeAll(as...); err != nil {
 		sg.Close()
-		return nil, hsErr
+		return nil, err
 	}
 	// Whatever run returns, the fleet is done: a failed run has torn it down
 	// already, and Close is close-once.

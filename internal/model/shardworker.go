@@ -68,25 +68,15 @@ func RunShardWorker(ctl transport.Conn, accept func() (transport.Conn, error), s
 	h := su.Hyper
 	lo, _ := plan.Range(hello.Shard)
 	peers := make([]*protocol.Peer, len(conns))
-	hsErrs := make(chan error, len(conns))
 	for j, c := range conns {
 		// The RNG coordinate is (seed, shard session offset, local index):
 		// rng.Session folds the offset and the local index into the global
 		// session index, so stream j of this worker is exactly stream lo+j of
 		// the single-process group, for any shard count.
-		p := protocol.NewPeer(protocol.PartyB, c, skB, protocol.ShardSessionRNG(h.Seed, lo, j, protocol.PartyB))
-		p.SetStreamIdentity(h.Seed, lo+j)
-		peers[j] = p
-		go func(p *protocol.Peer) { hsErrs <- p.Handshake() }(p)
+		peers[j] = protocol.NewPeer(protocol.PartyB, c, skB, h.Seed, lo, j)
 	}
-	var hsErr error
-	for range conns {
-		if err := <-hsErrs; err != nil && hsErr == nil {
-			hsErr = err
-		}
-	}
-	if hsErr != nil {
-		return hsErr
+	if err := protocol.HandshakeAll(peers...); err != nil {
+		return err
 	}
 	g := protocol.NewGroup(peers)
 	applyOptions(h.Options, peers...)

@@ -27,8 +27,8 @@ func faultedHandshakePair(t *testing.T, seed int64, label string, plan transport
 	if wrapB != nil {
 		connB = wrapB(cb)
 	}
-	a := NewPeer(PartyA, fc, skA, sessionRNG(seed, 0, PartyA))
-	b := NewPeer(PartyB, connB, skB, sessionRNG(seed, 0, PartyB))
+	a := NewPeer(PartyA, fc, skA, seed, 0, 0)
+	b := NewPeer(PartyB, connB, skB, seed, 0, 0)
 	aErr := make(chan error, 1)
 	go func() { aErr <- a.Handshake() }()
 	return a, b, aErr
@@ -83,7 +83,7 @@ func TestFaultHandshakeWithinBoundsSilentPeer(t *testing.T) {
 	const deadline = 150 * time.Millisecond
 	_, skB := TestKeys()
 	_, cb := transport.Pair(4)
-	b := NewPeer(PartyB, cb, skB, sessionRNG(713, 0, PartyB))
+	b := NewPeer(PartyB, cb, skB, 713, 0, 0)
 	start := time.Now()
 	err := b.HandshakeWithin(deadline)
 	elapsed := time.Since(start)

@@ -2,10 +2,12 @@ package protocol
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"blindfl/internal/paillier"
 	"blindfl/internal/tensor"
 	"blindfl/internal/transport"
 )
@@ -113,10 +115,48 @@ func TestPipeHandshakeAgainstHalfOpenPeer(t *testing.T) {
 	// deadlock.
 	skA, skB := TestKeys()
 	ca, cb := transport.Pair(1)
-	a := NewPeer(PartyA, ca, skA, nil)
-	_ = NewPeer(PartyB, cb, skB, nil)
+	a := NewPeer(PartyA, ca, skA, 0, 0, 0)
+	_ = NewPeer(PartyB, cb, skB, 0, 0, 0)
 	cb.Close()
 	if err := a.Handshake(); err == nil {
 		t.Fatal("handshake against closed peer succeeded")
 	}
+}
+
+// TestHandshakeHostilePeerTearsDown: a feature party offers a 256-bit key,
+// which the label party's handshake refuses. The pipe fails with the typed
+// refusal and leaves nothing behind: the refused party's exchange, blocked on
+// a reply that will never come, is unblocked by closing its conn and joined,
+// in a pair and in a group whose other sessions completed their handshakes.
+func TestHandshakeHostilePeerTearsDown(t *testing.T) {
+	weak, err := paillier.GenerateKey(paillier.Rand, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skA, skB := TestKeys()
+	settled := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > want; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after the failed handshake, want %d: an exchange was left behind",
+					runtime.NumGoroutine(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	before := runtime.NumGoroutine()
+	ca, cb := transport.Pair(16)
+	if _, _, err := PipeOn(ca, cb, weak, skB, 1); !errors.Is(err, transport.ErrCorrupt) {
+		t.Fatalf("PipeOn with a 256-bit key: err = %v, want transport.ErrCorrupt", err)
+	}
+	settled(before)
+	if err := ca.Send(tensor.NewDense(1, 1)); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("the refused party's conn still sends after the failed handshake: err = %v", err)
+	}
+
+	if _, _, err := GroupPipe([]*paillier.PrivateKey{skA, weak, skA}, skB, 1); !errors.Is(err, transport.ErrCorrupt) {
+		t.Fatalf("GroupPipe with a 256-bit key in session 1: err = %v, want transport.ErrCorrupt", err)
+	}
+	settled(before)
 }

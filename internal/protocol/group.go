@@ -3,11 +3,9 @@ package protocol
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"blindfl/internal/paillier"
 	"blindfl/internal/parallel"
-	"blindfl/internal/rng"
 	"blindfl/internal/transport"
 )
 
@@ -133,22 +131,9 @@ func (g *Group) CloseSession(i int) {
 func (g *Group) ForEach(f func(i int, p *Peer)) {
 	errs := make([]error, len(g.Peers))
 	parallel.For(len(g.Peers), func(i int) {
-		if !g.Live(i) {
-			return
+		if g.Live(i) {
+			errs[i] = Catch(fmt.Sprintf("session %d", i), func() { f(i, g.Peers[i]) })
 		}
-		defer func() {
-			if r := recover(); r != nil {
-				if pe, ok := r.(protoErr); ok {
-					errs[i] = fmt.Errorf("session %d: %w", i, pe.err)
-					return
-				}
-				// Programming errors propagate like everywhere else. (On a
-				// worker goroutine this crashes the process, exactly as a
-				// panic inside RunParties' party goroutines does.)
-				panic(r)
-			}
-		}()
-		f(i, g.Peers[i])
 	})
 	for i, err := range errs {
 		if err == nil {
@@ -168,19 +153,7 @@ func (g *Group) ForEach(f func(i int, p *Peer)) {
 // Run executes the label party's whole-group protocol function, converting
 // Peer/ForEach helper panics into an error — the k-session counterpart of
 // Peer.Run.
-func (g *Group) Run(f func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pe, ok := r.(protoErr); ok {
-				err = fmt.Errorf("PartyB: %w", pe.err)
-				return
-			}
-			panic(r)
-		}
-	}()
-	f()
-	return nil
-}
+func (g *Group) Run(f func()) error { return Catch("PartyB", f) }
 
 // Close closes every session's connection.
 func (g *Group) Close() {
@@ -205,39 +178,33 @@ func RunGroup(as []*Peer, g *Group, fa func(i int), fb func()) error {
 	if len(as) != g.K() {
 		return fmt.Errorf("protocol: RunGroup got %d feature parties for %d sessions", len(as), g.K())
 	}
-	errs := make(chan error, g.K()+1)
-	for i := range as {
-		i := i
-		go func() {
-			err := as[i].Run(func() { fa(i) })
+	var parties []func() error
+	for i, a := range as {
+		parties = append(parties, func() error {
+			err := a.Run(func() { fa(i) })
 			if err != nil && g.ContinueOnLoss && errors.Is(err, transport.ErrClosed) {
 				// The feature party lost its connection mid-run; the label
 				// party marks the session lost and finishes on the survivors,
 				// so the loss is not a whole-group failure.
-				err = nil
+				return nil
 			}
-			errs <- err
-		}()
+			return err
+		})
 	}
-	go func() { errs <- g.Run(fb) }()
-	var first error
-	for i := 0; i < g.K()+1; i++ {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-			for _, p := range as {
-				p.Conn.Close()
-			}
-			g.Close()
+	parties = append(parties, func() error { return g.Run(fb) })
+	return firstErr(runAll(func() {
+		for _, p := range as {
+			p.Conn.Close()
 		}
-	}
-	return first
+		g.Close()
+	}, parties...))
 }
 
 // GroupPipe wires k in-process sessions between feature parties holding
 // skAs[i] and a label party holding skB: per-session buffered channel
-// transports, per-(seed, session, role) mask/init RNG streams, and all
-// handshakes completed concurrently. It returns the A-side peers (one per
-// feature party) and the B-side group. Feature parties are separate trust
+// transports, peers born with the stream coordinates (seed, 0, i), and all
+// handshakes completed concurrently (pipes). It returns the A-side peers (one
+// per feature party) and the B-side group. Feature parties are separate trust
 // domains, so a real deployment gives each its own key; tests may pass the
 // same test key k times.
 func GroupPipe(skAs []*paillier.PrivateKey, skB *paillier.PrivateKey, seed int64) ([]*Peer, *Group, error) {
@@ -245,68 +212,14 @@ func GroupPipe(skAs []*paillier.PrivateKey, skB *paillier.PrivateKey, seed int64
 	if k == 0 {
 		return nil, nil, fmt.Errorf("protocol: GroupPipe needs at least one feature party")
 	}
-	as := make([]*Peer, k)
-	bs := make([]*Peer, k)
-	errs := make(chan error, 2*k)
-	for i := 0; i < k; i++ {
-		ca, cb := transport.Pair(4096)
-		a := NewPeer(PartyA, ca, skAs[i], sessionRNG(seed, i, PartyA))
-		b := NewPeer(PartyB, cb, skB, sessionRNG(seed, i, PartyB))
-		a.SetStreamIdentity(seed, i)
-		b.SetStreamIdentity(seed, i)
-		as[i], bs[i] = a, b
-		go func() { errs <- a.Handshake() }()
-		go func() { errs <- b.Handshake() }()
+	cas := make([]transport.Conn, k)
+	cbs := make([]transport.Conn, k)
+	for i := range cas {
+		cas[i], cbs[i] = transport.Pair(4096)
 	}
-	for i := 0; i < 2*k; i++ {
-		if err := <-errs; err != nil {
-			return nil, nil, err
-		}
+	as, bs, err := pipes(cas, cbs, skAs, skB, seed)
+	if err != nil {
+		return nil, nil, err
 	}
 	return as, NewGroup(bs), nil
-}
-
-// SessionRNG returns the mask/init RNG stream for (seed, session, role) —
-// the derivation Pipe and GroupPipe use — for callers assembling peers over
-// their own transports (TCP deployments, benchmarks): seeding every peer of
-// every session through it keeps the whole deployment reproducible from one
-// seed without any two streams coinciding.
-func SessionRNG(seed int64, session int, role Role) *rand.Rand {
-	return sessionRNG(seed, session, role)
-}
-
-// ShardSessionRNG is SessionRNG in the sharded coordinate system
-// (seed, shard, session, role): shard is the worker's session offset — the
-// global index of its first session — and session is shard-local, so the
-// stream is a pure function of the global session index and shard 0 of 1
-// reproduces SessionRNG exactly (rng.Session owns that identity). Shard
-// workers seed their peers through this so re-partitioning the sessions
-// across a different worker count never moves a mask stream.
-func ShardSessionRNG(seed int64, shard, session int, role Role) *rand.Rand {
-	return rand.New(rand.NewSource(rng.Session(seed, shard, session, uint64(role))))
-}
-
-// sessionRNG derives the mask/init RNG stream for one (seed, session, role)
-// triple via rng.Session, the SplitMix64-style finalizer over all inputs
-// (shard coordinate 0: the unsharded run is shard 0 of 1).
-//
-// The previous scheme seeded the two peers of session i with the raw values
-// seed+i and seed+i+1, so *adjacent sessions of a group shared mask
-// streams*: session i's Party B drew exactly the masks of session i+1's
-// Party A. Within one session that is harmless (the two parties' draws
-// interleave differently), but across sessions of a k-party group it
-// correlates the obfuscation values ε/φ that the HE2SS conversions rely on.
-// Hashing (seed, session, role) makes every stream of every session
-// statistically independent while keeping runs reproducible from one seed.
-func sessionRNG(seed int64, session int, role Role) *rand.Rand {
-	return rand.New(rand.NewSource(rng.Session(seed, 0, session, uint64(role))))
-}
-
-// epochRNG extends sessionRNG with an epoch coordinate: the mask stream a
-// peer uses during epoch e is a pure function of (seed, session, role, e),
-// so a crash-resumed run re-derives exactly the stream the uninterrupted run
-// had at that boundary. epoch+1 keeps epoch 0 distinct from the sessionRNG
-// init stream (rng.SessionEpoch owns the derivation).
-func epochRNG(seed int64, session int, role Role, epoch int) *rand.Rand {
-	return rand.New(rand.NewSource(rng.SessionEpoch(seed, 0, session, uint64(role), epoch)))
 }

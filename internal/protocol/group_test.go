@@ -206,23 +206,17 @@ func faultedGroup(t *testing.T, k int, seed int64, faultSession int, plan transp
 	skA, skB := TestKeys()
 	as := make([]*Peer, k)
 	bs := make([]*Peer, k)
-	errs := make(chan error, 2*k)
 	for i := 0; i < k; i++ {
 		ca, cb := transport.Pair(4096)
 		var connA transport.Conn = ca
 		if i == faultSession {
 			connA = transport.NewFaultConn(ca, seed, "group-kill", plan)
 		}
-		a := NewPeer(PartyA, connA, skA, sessionRNG(seed, i, PartyA))
-		b := NewPeer(PartyB, cb, skB, sessionRNG(seed, i, PartyB))
-		as[i], bs[i] = a, b
-		go func() { errs <- a.Handshake() }()
-		go func() { errs <- b.Handshake() }()
+		as[i] = NewPeer(PartyA, connA, skA, seed, 0, i)
+		bs[i] = NewPeer(PartyB, cb, skB, seed, 0, i)
 	}
-	for i := 0; i < 2*k; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
+	if err := HandshakeAll(append(as, bs...)...); err != nil {
+		t.Fatal(err)
 	}
 	return as, NewGroup(bs)
 }

@@ -19,6 +19,7 @@ import (
 	"blindfl/internal/engine"
 	"blindfl/internal/hetensor"
 	"blindfl/internal/paillier"
+	"blindfl/internal/rng"
 	"blindfl/internal/tensor"
 	"blindfl/internal/transport"
 )
@@ -87,50 +88,44 @@ type Peer struct {
 	sendSeq, recvSeq uint64 // per-direction stream sequence numbers
 	spotSeq          uint64 // spot-check ordinal (row derivation)
 
-	// Stream identity: the (seed, session) pair this peer's RNG streams are
-	// derived from, recorded by Pipe/PipeOn/GroupPipe (or SetStreamIdentity)
-	// so SeedEpoch can re-derive the mask stream at any epoch boundary.
-	idSeed      int64
-	idSession   int
-	hasIdentity bool
+	// The stream coordinates this peer was born with (NewPeer): every RNG
+	// stream it draws from is a pure function of them, its role and the epoch.
+	seed           int64
+	shard, session int
 }
-
-// SetStreamIdentity records the (seed, session) pair this peer's RNG streams
-// were derived from, enabling SeedEpoch. The protocol pipes set it
-// automatically; callers assembling peers over their own transports with
-// SessionRNG should set it with the same values.
-func (p *Peer) SetStreamIdentity(seed int64, session int) {
-	p.idSeed, p.idSession, p.hasIdentity = seed, session, true
-}
-
-// HasStreamIdentity reports whether a stream identity was recorded —
-// the precondition for epoch-seeded mask streams, and therefore for
-// bit-exact checkpoint resume.
-func (p *Peer) HasStreamIdentity() bool { return p.hasIdentity }
 
 // SeedEpoch re-derives this peer's mask RNG stream for the given epoch from
-// the recorded stream identity — the Calvin-style discipline that makes
-// mid-run recovery cheap: the trainer calls it at *every* epoch boundary, so
-// the mask stream at epoch e is a pure function of (seed, session, role, e)
-// and a resumed run rejoins the uninterrupted run's trajectory bit-exactly.
-// A peer without a recorded identity (hand-assembled benches) keeps its
-// continuous stream; SeedEpoch is then a no-op.
+// its stream coordinates — the Calvin-style discipline that makes mid-run
+// recovery cheap: the trainer calls it at *every* epoch boundary, so the mask
+// stream at epoch e is a pure function of (seed, session, role, e) and a
+// resumed run rejoins the uninterrupted run's trajectory bit-exactly.
 func (p *Peer) SeedEpoch(epoch int) {
-	if !p.hasIdentity {
-		return
-	}
-	p.Rng = epochRNG(p.idSeed, p.idSession, p.Role, epoch)
+	p.Rng = rand.New(rand.NewSource(rng.SessionEpoch(p.seed, p.shard, p.session, uint64(p.Role), epoch)))
 }
 
-// NewPeer assembles a Peer. Call Handshake before running any protocol to
-// exchange public keys (unless PeerPK is set by other means).
+// NewPeer assembles a Peer born with its stream coordinates: (seed, shard,
+// session) name the session exactly as rng.Session takes them — shard is the
+// session offset of a shard worker (0 outside sharding) and session the index
+// within it, passed separately so the derivation does the folding. The
+// mask/init stream is derived from them and the role; SeedEpoch re-derives it
+// per epoch. Call Handshake (or HandshakeAll) before running any protocol to
+// exchange public keys.
+//
+// Hashing (seed, session, role) keeps every stream of every session
+// independent; seeding by arithmetic (seed+i, seed+i+1) would let session i's
+// Party B draw session i+1's Party A masks, correlating the obfuscation values
+// ε/φ across a k-party group.
 //
 // The connection is wrapped in a transport.StreamConn (idempotently), so
 // every protocol session gets the stream NACK/resend recovery: a corrupt,
 // dropped, duplicated or reordered chunk is re-requested once from the
 // sender's retained copy before the session aborts with a typed error.
-func NewPeer(role Role, conn transport.Conn, sk *paillier.PrivateKey, rng *rand.Rand) *Peer {
-	return &Peer{Role: role, Conn: transport.NewStreamConn(conn), SK: sk, Rng: rng, MaskMag: DefaultMaskMag, span: DefaultChunkRows}
+func NewPeer(role Role, conn transport.Conn, sk *paillier.PrivateKey, seed int64, shard, session int) *Peer {
+	return &Peer{
+		Role: role, Conn: transport.NewStreamConn(conn), SK: sk, MaskMag: DefaultMaskMag, span: DefaultChunkRows,
+		Rng:  rand.New(rand.NewSource(rng.Session(seed, shard, session, uint64(role)))),
+		seed: seed, shard: shard, session: session,
+	}
 }
 
 // link is the peer's connection as the StreamConn NewPeer made it: what the
@@ -168,6 +163,23 @@ func (p *Peer) Handshake() error {
 	}
 	p.PeerPK = pk
 	return p.Conn.Send(transport.NewHandshake(&p.SK.PublicKey))
+}
+
+// HandshakeAll completes every peer's handshake concurrently — both ends of
+// in-process sessions, or one party's end of many — and waits for all of
+// them. The first failure closes every peer's conn, so an exchange still
+// blocked on a refused or silent peer unblocks instead of leaking, and is the
+// error returned.
+func HandshakeAll(peers ...*Peer) error {
+	exchanges := make([]func() error, len(peers))
+	for i, p := range peers {
+		exchanges[i] = p.Handshake
+	}
+	return firstErr(runAll(func() {
+		for _, p := range peers {
+			p.Conn.Close()
+		}
+	}, exchanges...))
 }
 
 // HandshakeWithin is Handshake under a bounded setup deadline: on expiry the
@@ -255,15 +267,19 @@ func Within(d time.Duration, abort func(), op func() error) error {
 	}
 }
 
-// protoErr carries a protocol failure through panic/recover inside Run.
+// protoErr carries a protocol failure through panic/recover inside Catch.
 type protoErr struct{ err error }
 
-// Run executes f, converting Peer helper panics into an error.
-func (p *Peer) Run(f func()) (err error) {
+// Catch executes f, converting protocol-helper panics into an error labelled
+// with who failed; any other panic propagates. It is the one recovery point:
+// Peer.Run, Group.Run and each session of Group.ForEach run under it, and so
+// do callers (the shard root and worker loops) that drive protocol layers
+// outside a party runner.
+func Catch(label string, f func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if pe, ok := r.(protoErr); ok {
-				err = fmt.Errorf("%s: %w", p.Role, pe.err)
+				err = fmt.Errorf("%s: %w", label, pe.err)
 				return
 			}
 			panic(r)
@@ -272,6 +288,10 @@ func (p *Peer) Run(f func()) (err error) {
 	f()
 	return nil
 }
+
+// Run executes f as this peer's party, converting Peer helper panics into an
+// error.
+func (p *Peer) Run(f func()) error { return Catch(p.Role.String(), f) }
 
 // Fail raises a protocol failure from code running under Run: the helpers
 // here, and layer checks (like core's AN-coded residue verification) that
@@ -340,57 +360,82 @@ func (p *Peer) Mask(rows, cols int) *tensor.Dense {
 	return tensor.RandDense(p.Rng, rows, cols, p.MaskMag)
 }
 
-// Pipe wires two in-process peers together: it generates (or reuses) key
-// pairs, connects them over a buffered channel transport, and completes the
-// handshake. Intended for tests, benchmarks and single-binary simulation.
+// Pipe wires two in-process peers together over a buffered channel
+// transport and completes the handshake. Intended for tests, benchmarks and
+// single-binary simulation.
 func Pipe(skA, skB *paillier.PrivateKey, seed int64) (*Peer, *Peer, error) {
 	ca, cb := transport.Pair(4096)
 	return PipeOn(ca, cb, skA, skB, seed)
 }
 
-// PipeOn is Pipe over caller-supplied connections (a counted pair, a
-// simulated-WAN pair, an established TCP session): it builds the two peers
-// and completes the handshake concurrently. Mask/init RNG streams are
-// derived per (seed, session 0, role) — see sessionRNG — so a two-party pipe
-// is exactly session 0 of a group, and pipes built from nearby seeds never
-// share streams (the old seed/seed+1 scheme made session i's Party B draw
-// session i+1's Party A masks when callers seeded adjacent sessions with
-// consecutive values).
+// PipeOn is Pipe over caller-supplied connections (a simulated-WAN pair, an
+// established TCP session): session 0 of a one-session group, so its streams
+// are exactly those of a group's session 0.
 func PipeOn(ca, cb transport.Conn, skA, skB *paillier.PrivateKey, seed int64) (*Peer, *Peer, error) {
-	a := NewPeer(PartyA, ca, skA, sessionRNG(seed, 0, PartyA))
-	b := NewPeer(PartyB, cb, skB, sessionRNG(seed, 0, PartyB))
-	a.SetStreamIdentity(seed, 0)
-	b.SetStreamIdentity(seed, 0)
-	errs := make(chan error, 2)
-	go func() { errs <- a.Handshake() }()
-	go func() { errs <- b.Handshake() }()
-	for i := 0; i < 2; i++ {
+	as, bs, err := pipes([]transport.Conn{ca}, []transport.Conn{cb}, []*paillier.PrivateKey{skA}, skB, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return as[0], bs[0], nil
+}
+
+// pipes opens one session per conn pair — the one constructor behind Pipe,
+// PipeOn and GroupPipe: session i joins the feature party holding skAs[i] on
+// cas[i] to the label party holding skB on cbs[i], both peers born with the
+// stream coordinates (seed, 0, i), and every handshake completes under
+// HandshakeAll.
+func pipes(cas, cbs []transport.Conn, skAs []*paillier.PrivateKey, skB *paillier.PrivateKey, seed int64) ([]*Peer, []*Peer, error) {
+	as := make([]*Peer, len(cas))
+	bs := make([]*Peer, len(cbs))
+	for i := range cas {
+		as[i] = NewPeer(PartyA, cas[i], skAs[i], seed, 0, i)
+		bs[i] = NewPeer(PartyB, cbs[i], skB, seed, 0, i)
+	}
+	if err := HandshakeAll(append(as, bs...)...); err != nil {
+		return nil, nil, err
+	}
+	return as, bs, nil
+}
+
+// runAll is the one party runner behind RunParties, RunGroup, RunShardRoot
+// and HandshakeAll: it runs every party concurrently and waits for all of
+// them. When one party fails, the others are usually blocked in Recv on a
+// message that will never come, so the first failure calls teardown (once)
+// and the survivors unblock with transport.ErrClosed instead of hanging
+// forever. It returns the failures in arrival order, the first being the one
+// that set off the teardown.
+func runAll(teardown func(), parties ...func() error) []error {
+	errs := make(chan error, len(parties))
+	for _, f := range parties {
+		go func() { errs <- f() }()
+	}
+	var failed []error
+	for range parties {
 		if err := <-errs; err != nil {
-			return nil, nil, err
+			if failed == nil {
+				teardown()
+			}
+			failed = append(failed, err)
 		}
 	}
-	return a, b, nil
+	return failed
+}
+
+// firstErr is the first of a runner's failures, or nil.
+func firstErr(errs []error) error {
+	if len(errs) == 0 {
+		return nil
+	}
+	return errs[0]
 }
 
 // RunParties executes both party functions concurrently and returns the
 // first error (or nil). It is the standard way to drive a whole protocol in
-// one process.
-//
-// When one party fails, the other is usually blocked in Recv waiting for a
-// message that will never come; RunParties closes both connections on the
-// first error so the survivor unblocks with transport.ErrClosed instead of
-// hanging forever. The session is not reusable after a failed run.
+// one process. The first error closes both connections (runAll), so the
+// session is not reusable after a failed run.
 func RunParties(a, b *Peer, fa, fb func()) error {
-	errs := make(chan error, 2)
-	go func() { errs <- a.Run(fa) }()
-	go func() { errs <- b.Run(fb) }()
-	var first error
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-			a.Conn.Close()
-			b.Conn.Close()
-		}
-	}
-	return first
+	return firstErr(runAll(func() {
+		a.Conn.Close()
+		b.Conn.Close()
+	}, func() error { return a.Run(fa) }, func() error { return b.Run(fb) }))
 }

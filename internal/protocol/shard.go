@@ -453,24 +453,6 @@ func (sg *ShardGroup) Close() error {
 	return nil
 }
 
-// Catch executes f, converting protocol-helper panics into an error — the
-// runner primitive behind Peer.Run and Group.Run, exported for callers (the
-// shard root and worker loops) that drive protocol layers outside a party
-// runner.
-func Catch(label string, f func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pe, ok := r.(protoErr); ok {
-				err = fmt.Errorf("%s: %w", label, pe.err)
-				return
-			}
-			panic(r)
-		}
-	}()
-	f()
-	return nil
-}
-
 // RunShardRoot runs the k in-process feature parties and the root label-party
 // loop concurrently, with the shard-mode teardown contract: the first error
 // closes every feature-party conn and the whole shard group, and the error
@@ -479,29 +461,17 @@ func Catch(label string, f func()) (err error) {
 // teardown provokes on the surviving parties (the Group.CloseSession /
 // markLost lesson, applied across processes).
 func RunShardRoot(as []*Peer, sg *ShardGroup, fa func(i int) error, fb func() error) error {
-	errs := make(chan error, len(as)+1)
+	parties := make([]func() error, 0, len(as)+1)
 	for i := range as {
-		i := i
-		go func() { errs <- fa(i) }()
+		parties = append(parties, func() error { return fa(i) })
 	}
-	go func() { errs <- fb() }()
-
-	var all []error
-	closed := false
-	for n := 0; n < len(as)+1; n++ {
-		err := <-errs
-		if err == nil {
-			continue
+	parties = append(parties, fb)
+	all := runAll(func() {
+		for _, p := range as {
+			p.Conn.Close()
 		}
-		if !closed {
-			closed = true
-			for _, p := range as {
-				p.Conn.Close()
-			}
-			sg.Close()
-		}
-		all = append(all, err)
-	}
+		sg.Close()
+	}, parties...)
 	if len(all) == 0 {
 		return nil
 	}

@@ -163,7 +163,7 @@ func TestRunShardRootSingleTypedLoss(t *testing.T) {
 	for i := range as {
 		a, b := transport.Pair(4)
 		defer b.Close()
-		as[i] = NewPeer(PartyA, a, skA, SessionRNG(1, i, PartyA))
+		as[i] = NewPeer(PartyA, a, skA, 1, 0, i)
 	}
 	sg := &ShardGroup{Plan: ShardPlan{Sessions: 2, Shards: 1}}
 	lost := fmt.Errorf("%w: shard 0 recv parts: conn broke", ErrShardLost)
@@ -185,7 +185,7 @@ func TestRunShardRootPrefersRealErrorOverCascade(t *testing.T) {
 	skA, _ := TestKeys()
 	a, b := transport.Pair(4)
 	defer b.Close()
-	as := []*Peer{NewPeer(PartyA, a, skA, SessionRNG(1, 0, PartyA))}
+	as := []*Peer{NewPeer(PartyA, a, skA, 1, 0, 0)}
 	sg := &ShardGroup{Plan: ShardPlan{Sessions: 1, Shards: 1}}
 	real := errors.New("restore failed: bad checkpoint blob")
 	err := RunShardRoot(as, sg,

@@ -312,7 +312,7 @@ func (h hostileStream) send(c transport.Conn, pk *paillier.PublicKey) error {
 // raw.
 func hostileReceiver(c transport.Conn) *Peer {
 	skA, skB := TestKeys()
-	b := NewPeer(PartyB, c, skB, sessionRNG(1, 0, PartyB))
+	b := NewPeer(PartyB, c, skB, 1, 0, 0)
 	b.PeerPK = &skA.PublicKey
 	return b
 }

@@ -17,7 +17,7 @@ import "math/rand"
 const golden = 0x9e3779b97f4a7c15
 
 // Mix64 is the SplitMix64 finalizer: a bijective avalanche over uint64.
-// protocol.SessionRNG builds on the same function, so the session streams
+// Session and SessionEpoch build on the same function, so the session streams
 // and the label streams live in one derivation family.
 func Mix64(x uint64) uint64 {
 	x ^= x >> 30

@@ -66,9 +66,6 @@ type Config struct {
 	// runs on the batch goroutine after responses are delivered, so it
 	// costs throughput headroom, not request latency.
 	SpotCheck bool
-
-	// SpotSeed seeds the spot-check request picks (0 = fixed default).
-	SpotSeed int64
 }
 
 // Request is one user's inference request: a single feature row per party.
@@ -218,11 +215,7 @@ func (s *Server) Close() {
 // next batch.
 func (s *Server) batcher() {
 	defer close(s.done)
-	spotSeed := s.cfg.SpotSeed
-	if spotSeed == 0 {
-		spotSeed = 4242
-	}
-	spotRng := rand.New(rand.NewSource(spotSeed))
+	spotRng := rand.New(rand.NewSource(4242)) // the spot-check request picks
 	for {
 		select {
 		case <-s.quit:

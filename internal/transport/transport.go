@@ -44,7 +44,7 @@ type Conn interface {
 	// Recv blocks for the next message.
 	Recv() (any, error)
 	// Stats returns cumulative message and byte counters. The in-process
-	// transport estimates bytes via gob sizing only when counting is enabled.
+	// Pair encodes nothing, so its byte counter stays at zero.
 	Stats() (msgs, bytes int64)
 	Close() error
 }
@@ -65,18 +65,13 @@ type chanConn struct {
 	in    <-chan any
 	out   chan<- any
 	state *pairState
-
-	mu    sync.Mutex
-	msgs  int64
-	bytes int64
-	sizer *gob.Encoder // non-nil when byte counting is enabled
-	size  *countWriter
+	msgs  atomic.Int64
 }
 
 // Pair returns two connected in-process endpoints with the given channel
 // capacity. Messages are passed by reference: the protocols never mutate a
-// value after sending it, so no copy is needed. Byte counters stay at zero;
-// use PairCounted when the gob-sized estimates matter.
+// value after sending it, so no copy is needed. Stats counts messages; its
+// byte counter stays at zero (nothing is encoded).
 func Pair(buffer int) (Conn, Conn) {
 	ab := make(chan any, buffer)
 	ba := make(chan any, buffer)
@@ -84,21 +79,6 @@ func Pair(buffer int) (Conn, Conn) {
 	a := &chanConn{in: ba, out: ab, state: st}
 	b := &chanConn{in: ab, out: ba, state: st}
 	return a, b
-}
-
-// PairCounted is Pair with byte counting enabled: each Send additionally runs
-// the message through a per-endpoint gob encoder to estimate its wire size,
-// so Stats reports the bytes a gob transport would have moved. The sizing
-// encoder is persistent per endpoint, so type descriptors are charged once —
-// exactly as on a real gob stream. Sizing costs one extra encode per message;
-// benchmarks that only need message counts should use Pair.
-func PairCounted(buffer int) (Conn, Conn) {
-	ca, cb := Pair(buffer)
-	for _, c := range []*chanConn{ca.(*chanConn), cb.(*chanConn)} {
-		c.size = &countWriter{w: io.Discard}
-		c.sizer = gob.NewEncoder(c.size)
-	}
-	return ca, cb
 }
 
 // ErrClosed is returned by operations on a closed Conn.
@@ -116,15 +96,7 @@ func (c *chanConn) Send(v any) error {
 	case <-c.state.closed:
 		return ErrClosed
 	case c.out <- v:
-		c.mu.Lock()
-		c.msgs++
-		if c.sizer != nil {
-			before := c.size.n.Load()
-			if err := c.sizer.Encode(envelope{V: v}); err == nil {
-				c.bytes += c.size.n.Load() - before
-			}
-		}
-		c.mu.Unlock()
+		c.msgs.Add(1)
 		return nil
 	}
 }
@@ -144,11 +116,7 @@ func (c *chanConn) Recv() (any, error) {
 	}
 }
 
-func (c *chanConn) Stats() (int64, int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.msgs, c.bytes
-}
+func (c *chanConn) Stats() (int64, int64) { return c.msgs.Load(), 0 }
 
 func (c *chanConn) Close() error {
 	c.state.close()

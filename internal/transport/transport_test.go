@@ -118,37 +118,6 @@ func TestPairBothEndsClose(t *testing.T) {
 	}
 }
 
-// TestPairCountedStats is the regression test for the always-zero byte
-// counter: the counted pair must report gob-sized byte estimates.
-func TestPairCountedStats(t *testing.T) {
-	a, _ := PairCounted(4)
-	vals := make([]float64, 64)
-	for i := range vals {
-		vals[i] = float64(i) + 0.5 // non-zero: gob packs zeros into ~1 byte
-	}
-	d := tensor.FromSlice(8, 8, vals)
-	if err := a.Send(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send(d); err != nil {
-		t.Fatal(err)
-	}
-	msgs, bytes := a.Stats()
-	if msgs != 2 {
-		t.Fatalf("msgs = %d", msgs)
-	}
-	// 128 float64s plus gob framing: anything at least the raw payload size
-	// is a plausible gob estimate; zero means counting is broken.
-	if bytes < 8*64 {
-		t.Fatalf("bytes = %d, want a gob-sized estimate ≥ %d", bytes, 8*64)
-	}
-	// The second identical send must be cheaper than the first (the type
-	// descriptor is charged once, as on a real gob stream).
-	if bytes >= 2*8*64+1024 {
-		t.Fatalf("bytes = %d: type descriptor seems to be charged per message", bytes)
-	}
-}
-
 // TestPlainPairStatsBytesZero pins the documented default: the uncounted
 // pair does not estimate bytes.
 func TestPlainPairStatsBytesZero(t *testing.T) {
