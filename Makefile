@@ -27,9 +27,12 @@ test:
 # path against the textbook one and the plaintext — and ServeProducts, at
 # fills of 1…3K requests, uncached or cached with some or all comb rows,
 # against the packed-exponent reference residue for residue — for ten seconds.
+# The decryption beside them too: FuzzDecryptBits decrypts a signed plaintext
+# under a random bound, one CRT half or both, against the full Decrypt.
 test-cpu:
 	$(GO) test -short -race -timeout 10m -cpu 1,4 ./internal/paillier/ ./internal/hetensor/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzDotSigned$$' -fuzztime=10s ./internal/paillier/
+	$(GO) test -race -run '^$$' -fuzz '^FuzzDecryptBits$$' -fuzztime=10s ./internal/paillier/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime=10s ./internal/hetensor/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzSqMod$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/paillier/
 	$(GO) test -run '^Test(Dot|SqMod)AllocsConstant$$' -cpu 1,4 ./internal/paillier/

@@ -25,6 +25,7 @@ import (
 	"blindfl/internal/model"
 	"blindfl/internal/paillier"
 	"blindfl/internal/protocol"
+	"blindfl/internal/rng"
 	"blindfl/internal/serve"
 	"blindfl/internal/tensor"
 )
@@ -109,7 +110,7 @@ func main() {
 	var liveAs []*protocol.Peer
 	var liveG *protocol.Group
 	p, err := model.RetryPredictor(3, 50*time.Millisecond, func(attempt int) (*model.Predictor, error) {
-		as, g, err := protocol.GroupPipe(skAs, skB, *seed+1+int64(attempt))
+		as, g, err := protocol.GroupPipe(skAs, skB, rng.Derive(*seed, fmt.Sprintf("serve-setup:%d", attempt)))
 		if err != nil {
 			return nil, err
 		}

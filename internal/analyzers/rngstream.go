@@ -36,7 +36,9 @@ var seedCalls = map[string][]int{
 
 // deriveCoords maps the sanctioned derivation entry points — package rng,
 // plus protocol.NewPeer, which derives a peer's streams from the coordinates
-// it is born with — to the indices of their stream-coordinate arguments, keyed by the defining package's last path segment.
+// it is born with, and the pipes that call it with their seed — to the
+// indices of their stream-coordinate arguments, keyed by the defining
+// package's last path segment.
 // Arithmetic in a coordinate re-creates inside the derivation exactly the
 // aliasing it exists to prevent: rng.Session(seed, lo, j, role) equals
 // rng.Session(seed, 0, lo+j, role) BY DESIGN, because folding coordinates is
@@ -51,7 +53,10 @@ var deriveCoords = map[string]map[string][]int{
 		"SessionEpoch": {0, 1, 2, 4},
 	},
 	"protocol": {
-		"NewPeer": {3, 4, 5}, // NewPeer(role, conn, sk, seed, shard, session)
+		"NewPeer":   {3, 4, 5}, // NewPeer(role, conn, sk, seed, shard, session)
+		"Pipe":      {2},       // Pipe(skA, skB, seed)
+		"PipeOn":    {4},       // PipeOn(ca, cb, skA, skB, seed)
+		"GroupPipe": {2},       // GroupPipe(skAs, skB, seed)
 	},
 }
 

@@ -4,6 +4,7 @@
 package rngstream
 
 import (
+	"fmt"
 	"math/rand"
 
 	"protocol"
@@ -82,4 +83,18 @@ func peerCoordFold(seed int64, lo, j int) *protocol.Peer {
 
 func peerCoordsSeparate(seed int64, lo, j int) *protocol.Peer {
 	return protocol.NewPeer(protocol.PartyB, nil, nil, seed, lo, j)
+}
+
+// retrySeedFold is the serve setup's former shape: attempt k at seed s pipes
+// with seed s+1+k, so it draws the mask streams of attempt k−1 at seed s+1.
+func retrySeedFold(seed int64, attempt int) {
+	protocol.Pipe(nil, nil, seed+1+int64(attempt))           // want `coordinate is built by arithmetic`
+	protocol.PipeOn(nil, nil, nil, nil, seed+int64(attempt)) // want `coordinate is built by arithmetic`
+	protocol.GroupPipe(nil, nil, seed+1+int64(attempt))      // want `coordinate is built by arithmetic`
+}
+
+// retrySeedDerived is the approved shape: the attempt is its own
+// coordinate of a derivation.
+func retrySeedDerived(seed int64, attempt int) {
+	protocol.GroupPipe(nil, nil, rng.Derive(seed, fmt.Sprintf("serve-setup:%d", attempt)))
 }

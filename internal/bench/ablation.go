@@ -10,6 +10,7 @@ import (
 	"blindfl/internal/hetensor"
 	"blindfl/internal/paillier"
 	"blindfl/internal/protocol"
+	"blindfl/internal/rng"
 	"blindfl/internal/tensor"
 )
 
@@ -42,7 +43,7 @@ func AblationMaskWidth() *Table {
 		0.25, -0.5, 1.5, -3, 0.75, 2.25, -1, 0.1,
 	})
 	for _, k := range []uint{8, 12, 16, 20, 24, 28} {
-		pa, pb, err := protocol.Pipe(skA, skB, int64(600+k))
+		pa, pb, err := protocol.Pipe(skA, skB, rng.Derive(600, fmt.Sprintf("mask-width:%d", k)))
 		if err != nil {
 			panic(err)
 		}

@@ -136,7 +136,9 @@ func encryptInto(out *Matrix, d *tensor.Dense) *Matrix {
 	return out
 }
 
-// Decrypt decrypts a matrix back to float64 at its scale.
+// Decrypt decrypts a matrix back to float64 at its scale. A ciphertext of L
+// lanes holds a plaintext below 2^(L·W) in magnitude, so it is decrypted at
+// that bound: one CRT half whenever L·W + 2 ≤ |p| (paillier.DecryptBits).
 func Decrypt(sk *paillier.PrivateKey, m *Matrix) *tensor.Dense {
 	out := tensor.NewDense(m.Rows, m.Cols)
 	lc := m.codec()
@@ -144,7 +146,7 @@ func Decrypt(sk *paillier.PrivateKey, m *Matrix) *tensor.Dense {
 	parallel.For(len(m.C), func(t int) {
 		i, g := t/gpr, t%gpr
 		col, lanes := m.groupCol(g), m.laneCount(g)
-		copy(out.Row(i)[col:col+lanes], lc.UnpackRing(sk.Decrypt(m.C[t]), lanes, m.Scale, sk.N))
+		copy(out.Row(i)[col:col+lanes], lc.UnpackRing(sk.DecryptBits(m.C[t], lanes*int(m.W)), lanes, m.Scale, sk.N))
 	})
 	return out
 }

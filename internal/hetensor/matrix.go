@@ -129,7 +129,9 @@ func (m *Matrix) Append(o *Matrix) {
 // In range: a packed value is a lane polynomial of lanes·W bits, a corrupted
 // one ring-wide; a whole-width lane holds one value, which must fit its
 // F·scale fractional bits — lanes·W would be the whole ring and check
-// nothing. Both with spotSlackBits of integer headroom.
+// nothing. Both with spotSlackBits of integer headroom. Unlike Decrypt it
+// decrypts both CRT halves: a corruption that leaves the residue mod p in
+// range is still ring-wide mod N, and only the full plaintext shows it.
 func (m *Matrix) VerifyRow(sk *paillier.PrivateKey, i int, want []float64) bool {
 	lc := m.codec()
 	for g, c := range m.Row(i) {

@@ -2,8 +2,12 @@ package hetensor
 
 import (
 	"crypto/rand"
+	"fmt"
+	"math/big"
+	mrand "math/rand"
 	"testing"
 
+	"blindfl/internal/fixedpoint"
 	"blindfl/internal/paillier"
 	"blindfl/internal/tensor"
 )
@@ -218,6 +222,75 @@ func TestPackedLayoutMismatchPanics(t *testing.T) {
 		}
 	}()
 	Add(a, b)
+}
+
+// requireBothHalves fails unless Decrypt and DecryptPackedInts read every
+// ciphertext of m as the both-halves decryption does, residue for residue.
+func requireBothHalves(t *testing.T, what string, m *Matrix) *BigMatrix {
+	t.Helper()
+	got, ints := Decrypt(testKey, m), DecryptPackedInts(testKey, m)
+	lc, gpr, n := m.codec(), m.GroupsPerRow(), testKey.N
+	for c, ct := range m.C {
+		i, g := c/gpr, c%gpr
+		col, lanes := m.groupCol(g), m.laneCount(g)
+		plain := testKey.Decrypt(ct)
+		wantF, wantI := lc.UnpackRing(plain, lanes, m.Scale, n), lc.UnpackInts(fixedpoint.FromRing(plain, n), lanes)
+		for l := 0; l < lanes; l++ {
+			if got.At(i, col+l) != wantF[l] || ints.At(i, col+l).Cmp(wantI[l]) != 0 {
+				t.Fatalf("%s: ciphertext %d lane %d decrypts to %v / %v, both halves give %v / %v",
+					what, c, l, got.At(i, col+l), ints.At(i, col+l), wantF[l], wantI[l])
+			}
+		}
+	}
+	return ints
+}
+
+// TestDecryptAtLaneBoundMatchesBothHalves: a ciphertext of L lanes is
+// decrypted at the bound 2^(L·W) — one CRT half where L·W + 2 ≤ |p| (the test
+// key's default lanes at fills 1–2, its wide lanes at fill 1), both above —
+// and reads what both halves read, for every layout at every fill, with
+// every lane at the edge of the lane invariant, ±(2^(W−1) − 1), and for
+// masked serve products at every fill.
+func TestDecryptAtLaneBoundMatchesBothHalves(t *testing.T) {
+	pk := &testKey.PublicKey
+	rng := mrandNew(62)
+	for _, lc := range []fixedpoint.LaneCodec{packingFor(pk), widePackingFor(pk), wholeFor(pk)} {
+		edge := new(big.Int).Lsh(big.NewInt(1), lc.W-1)
+		edge.Sub(edge, big.NewInt(1))
+		if half := new(big.Int).Rsh(pk.N, 1); edge.Cmp(half) > 0 { // one whole lane: the ring's signed range
+			edge = half
+		}
+		for fill := 1; fill <= lc.K; fill++ {
+			const rows = 4 // all +edge, all −edge, alternating, random signs
+			m := newMatrix(pk, lc, rows, fill, fill, 2)
+			want := make([]*big.Int, rows*fill)
+			for i := 0; i < rows; i++ {
+				for l := 0; l < fill; l++ {
+					v := new(big.Int).Set(edge)
+					if i == 1 || i == 2 && l%2 == 1 || i == 3 && rng.Intn(2) == 0 {
+						v.Neg(v)
+					}
+					want[i*fill+l] = v
+				}
+				c, err := pk.Encrypt(paillier.Rand, fixedpoint.ToRing(lc.PackEncoded(want[i*fill:(i+1)*fill]), pk.N))
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.C[i] = c
+			}
+			ints := requireBothHalves(t, fmt.Sprintf("%d×%d-bit lanes at fill %d", lc.K, lc.W, fill), m)
+			for c, v := range want {
+				if ints.V[c].Cmp(v) != 0 {
+					t.Fatalf("%d×%d-bit lanes at fill %d: lane %d decrypts to %v, encrypted %v", lc.K, lc.W, fill, c, ints.V[c], v)
+				}
+			}
+		}
+	}
+	v := Encrypt(pk, mixedDense(rng, 5, 3), 1)
+	for fill := 1; fill <= Lanes(pk); fill++ {
+		_, masked := ServeMask(mrand.New(mrand.NewSource(int64(fill))), ServeProducts(mixedDense(rng, fill, 5), v))
+		requireBothHalves(t, fmt.Sprintf("masked serve products at fill %d", fill), masked)
+	}
 }
 
 // --- Throughput benchmarks: the unpacked serial baseline vs the pooled and

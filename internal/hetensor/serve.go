@@ -279,7 +279,9 @@ func ServeMask(rng *rand.Rand, prod *Matrix) (*BigMatrix, *Matrix) {
 
 // DecryptPackedInts decrypts a packed matrix to its exact signed lane
 // integers — the serve-side HE2SS receive half, which must not round through
-// float64 because the mask cancellation happens later, in ℤ.
+// float64 because the mask cancellation happens later, in ℤ. Like Decrypt,
+// it decrypts each ciphertext at its lanes' bound, so a group of L lanes
+// with L·W + 2 ≤ |p| (a lone request's) pays one CRT half.
 func DecryptPackedInts(sk *paillier.PrivateKey, m *Matrix) *BigMatrix {
 	out := &BigMatrix{Rows: m.Rows, Cols: m.Cols, Scale: m.Scale, V: make([]*big.Int, m.Rows*m.Cols)}
 	lc := m.codec()
@@ -288,7 +290,7 @@ func DecryptPackedInts(sk *paillier.PrivateKey, m *Matrix) *BigMatrix {
 		i, g := t/gpr, t%gpr
 		col := m.groupCol(g)
 		lanes := m.laneCount(g)
-		vals := lc.UnpackInts(fixedpoint.FromRing(sk.Decrypt(m.C[t]), sk.N), lanes)
+		vals := lc.UnpackInts(fixedpoint.FromRing(sk.DecryptBits(m.C[t], lanes*int(m.W)), sk.N), lanes)
 		copy(out.V[i*m.Cols+col:i*m.Cols+col+lanes], vals)
 	})
 	return out

@@ -264,9 +264,9 @@ func newFedB(kind Kind, ds *data.Dataset, h Hyper, num numSrcB, embPeer *protoco
 }
 
 // buildHead constructs the plaintext head for a family, drawing its init
-// from the (h.Seed+77) stream. The Predictor rebuilds heads through the same
-// constructor before overwriting the parameters from a checkpoint, so the
-// module shapes always match the training-time head.
+// from the (h.Seed, "head-init") stream. The Predictor rebuilds heads through
+// the same constructor before overwriting the parameters from a checkpoint,
+// so the module shapes always match the training-time head.
 func buildHead(kind Kind, classes int, h Hyper) headB {
 	top := rng.New(h.Seed, "head-init")
 	out := outDim(classes)

@@ -158,6 +158,50 @@ func TestDecryptTextbookMatchesCRT(t *testing.T) {
 	}
 }
 
+// TestDecryptBitsMatchesDecrypt: a signed plaintext within the bound
+// decrypts to the element of Z_N that Decrypt returns, bit for bit, on the
+// one-half path (|p|−2) and on both sides of where it stops (|p|−1, |N|).
+// At |N| the magnitudes pass N/2 and only their image mod N is encrypted.
+func TestDecryptBitsMatchesDecrypt(t *testing.T) {
+	k := testKey
+	pb := k.p.BitLen()
+	for _, bits := range []int{pb - 2, pb - 1, k.N.BitLen()} {
+		top := new(big.Int).Lsh(one, uint(bits))
+		for _, mag := range []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Rsh(top, 1), new(big.Int).Sub(top, one)} {
+			for _, v := range []*big.Int{mag, new(big.Int).Neg(mag)} {
+				m := new(big.Int).Mod(v, k.N)
+				c := encT(t, &k.PublicKey, m)
+				got, want := k.DecryptBits(c, bits), k.Decrypt(c)
+				if got.Cmp(want) != 0 || want.Cmp(m) != 0 {
+					t.Fatalf("bits %d, m = %v: DecryptBits %v, Decrypt %v", bits, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDecryptBitsIsHalfWidth pins which path reads only the residue mod p:
+// Enc(v + k·p) decrypts to v under a bound below p/2 and to v + k·p under
+// Decrypt.
+func TestDecryptBitsIsHalfWidth(t *testing.T) {
+	k := testKey
+	rng := mrand.New(mrand.NewSource(7))
+	for _, v := range []int64{0, 5, -123456789} {
+		kp := new(big.Int).Rand(rng, k.q)
+		kp.Mul(kp, k.p)
+		m := new(big.Int).Add(kp, big.NewInt(v))
+		m.Mod(m, k.N)
+		c := encT(t, &k.PublicKey, m)
+		if got := k.Decrypt(c); got.Cmp(m) != 0 {
+			t.Fatalf("Decrypt(Enc(%d + k·p)) = %v, want %v", v, got, m)
+		}
+		wantV := new(big.Int).Mod(big.NewInt(v), k.N)
+		if got := k.DecryptBits(c, k.p.BitLen()-2); got.Cmp(wantV) != 0 {
+			t.Fatalf("DecryptBits(Enc(%d + k·p)) = %v, want %d", v, got, v)
+		}
+	}
+}
+
 func TestEncryptZero(t *testing.T) {
 	k := testKey
 	z, err := k.EncryptZero(rand.Reader)

@@ -76,16 +76,16 @@ func TestFaultHandshakeDropTimesOut(t *testing.T) {
 }
 
 // TestFaultHandshakeWithinBoundsSilentPeer pins the bounded-setup primitive
-// the serve CLI uses: a handshake against a peer that never speaks fails
-// with a typed ErrTimeout within 2x the deadline instead of blocking the
-// cold start forever.
+// the serve CLI uses: a handshake run under Within against a peer that never
+// speaks fails with a typed ErrTimeout within 2x the deadline instead of
+// blocking the cold start forever.
 func TestFaultHandshakeWithinBoundsSilentPeer(t *testing.T) {
 	const deadline = 150 * time.Millisecond
 	_, skB := TestKeys()
 	_, cb := transport.Pair(4)
 	b := NewPeer(PartyB, cb, skB, 713, 0, 0)
 	start := time.Now()
-	err := b.HandshakeWithin(deadline)
+	err := Within(deadline, func() { b.Conn.Close() }, b.Handshake)
 	elapsed := time.Since(start)
 	if !errors.Is(err, transport.ErrTimeout) {
 		t.Fatalf("err = %v, want transport.ErrTimeout", err)

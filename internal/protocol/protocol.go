@@ -182,16 +182,6 @@ func HandshakeAll(peers ...*Peer) error {
 	}, exchanges...))
 }
 
-// HandshakeWithin is Handshake under a bounded setup deadline: on expiry the
-// connection is closed (unblocking the exchange) and the result is a typed
-// transport.ErrTimeout. d ≤ 0 means no deadline.
-func (p *Peer) HandshakeWithin(d time.Duration) error {
-	return Within(d, func() {
-		//blindfl:allow teardown deadline expiry: closing unblocks the handshake goroutine
-		p.Conn.Close()
-	}, p.Handshake)
-}
-
 // The moduli a handshake accepts: from the smallest key any peer here runs
 // with (TestKeys) to the largest a deployment would plausibly choose.
 const (
@@ -246,9 +236,8 @@ func (p *Peer) recvHandshakePK() (*paillier.PublicKey, error) {
 
 // Within runs op under a setup deadline (0 = none). On expiry it calls abort
 // — which must unblock op, typically by closing the connection op waits on —
-// waits for op to return, and reports a typed transport.ErrTimeout. The
-// generic bounded-setup primitive behind HandshakeWithin and the serve CLI's
-// session-setup deadline.
+// waits for op to return, and reports a typed transport.ErrTimeout. It is
+// the bounded-setup primitive behind the serve CLI's session-setup deadline.
 func Within(d time.Duration, abort func(), op func() error) error {
 	if d <= 0 {
 		return op()
