@@ -58,10 +58,14 @@ test-full:
 # minimizer is capped: left at its one-minute default it spends the whole run
 # shrinking the first gob stream that reaches a new branch. Then the same for
 # the handshake's public key (FuzzHandshake, seeded from the hostile-key
-# table: a value or a typed error, never a panic) and for the other
+# table: a value or a typed error, never a panic), for the other
 # attacker-sized input, a checkpoint file (FuzzCheckpoint: the one reader
 # and both restore halves behind it, raw and behind a valid envelope, seeded
-# from a final and a mid-run checkpoint and lying headers).
+# from a final and a mid-run checkpoint and lying headers), and for the
+# stream ack a sender takes in its next receive — where a sparse step's
+# last NACK is answered (FuzzStreamAck: any Seq, NACK list and checksum
+# against retained streams gives the next message or a sticky ErrCorrupt,
+# never a panic, and at most one retransmission per retained chunk).
 test-chaos:
 	$(GO) test -short -race -timeout 10m \
 		-run 'TestChaos|TestFault|TestStream|TestDeadline|TestRunGroupFaultConn|TestGroupAllSessionsLost|TestRetry|TestTrainHonoursEngineOptions|TestSparseHostilePeer|TestServeHostilePeer|TestHandshakeHostilePeer' \
@@ -69,6 +73,7 @@ test-chaos:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzRecvMatrix$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/protocol/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzHandshake$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/protocol/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/model/
+	$(GO) test -race -run '^$$' -fuzz '^FuzzStreamAck$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/transport/
 
 # Examples lane: compile every example, smoke-run the quickstart and the
 # multi-party group runtime.

@@ -118,6 +118,9 @@ func fig9BlindFL(ds *data.Dataset, classes, epochs int, quick bool) []float64 {
 				panic(err)
 			}
 		}
+		if err := protocol.RunParties(pa, pb, la.Settle, lb.Settle); err != nil {
+			panic(err)
+		}
 		// Party A's attack: score the test set with its own piece U_A.
 		scores := ds.TestA.Sparse.MatMul(la.DebugUA())
 		if classes == 2 {
@@ -197,6 +200,9 @@ func Fig11(quick bool) []*Table {
 					panic(err)
 				}
 			}
+		}
+		if err := protocol.RunParties(pa, pb, la.Settle, lb.Settle); err != nil {
+			panic(err)
 		}
 		wA := core.DebugSparseWeightsA(la, lb)
 		out = append(out, fig11Table("Figure 11 (w8a, LR): W_A vs share U_A", wA, la.DebugUA()))

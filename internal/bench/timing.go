@@ -55,10 +55,12 @@ func NewBlindFLStepper(spec data.Spec, batch, out int) func() {
 	xA := tensor.RandCSR(rng, batch, half, spec.AvgNNZ/2)
 	xB := tensor.RandCSR(rng, batch, spec.Feats-half, spec.AvgNNZ-spec.AvgNNZ/2)
 	g := tensor.RandDense(rng, batch, out, 0.01)
+	// Each call settles, so it prices a whole step: the masked gradient a
+	// sparse step leaves owed is taken inside it.
 	return func() {
 		runStep(
-			func() { la.Forward(xA); la.Backward() },
-			func() { lb.Forward(xB); lb.Backward(g) },
+			func() { la.Forward(xA); la.Backward(); la.Settle() },
+			func() { lb.Forward(xB); lb.Backward(g); lb.Settle() },
 		)
 	}
 }

@@ -39,7 +39,8 @@ func requireCorrupt(t *testing.T, err error) {
 // lists a peer sends and caches the rows it returns. An index outside the
 // piece, a list out of order, or a row matrix of the wrong shape or lanes
 // must fail the step with ErrCorrupt before any kernel or parallel worker
-// touches it.
+// touches it. The touched list of A's gradient is taken after B's Backward,
+// so a hostile one is refused where B settles.
 func TestSparseHostilePeer(t *testing.T) {
 	const inA, inB, out = 12, 10, 2
 	cfg := Config{Out: out, LR: 0.1}
@@ -100,7 +101,7 @@ func TestSparseHostilePeer(t *testing.T) {
 			lb := NewSparseMatMulB(pb, cfg, inA, inB)
 			lb.x = xB
 			gradZ := tensor.RandDense(rng, xB.Rows, out, 1)
-			requireCorrupt(t, againstHostile(pb, pa, func() { lb.Backward(gradZ) }, backward(touched)))
+			requireCorrupt(t, againstHostile(pb, pa, func() { lb.Backward(gradZ); lb.Settle() }, backward(touched)))
 		})
 	}
 }

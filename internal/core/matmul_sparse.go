@@ -34,6 +34,16 @@ import (
 //     row-major order either way, so the shares are those of the unpacked
 //     conversion bit for bit.
 //
+// A step's last flight is A's masked touched-row gradient, and nobody waits
+// for it inside the step: A's Backward returns on sending it, B's Backward
+// on sending ⟦∇Z⟧, and B takes the gradient at the head of its next forward
+// — after sending its own fetch list, before reading A's, so every ⟦V_A⟧
+// row B serves carries the update. A step is then four one-way flights, not
+// six. Until B has taken it, U_A already holds the last φ while V_A lacks
+// ∇W_A − φ, so a layer's pieces sum to W only once it is settled: Settle
+// ends a run on both halves (A waits for the gradient's ack, answering a
+// NACK; B takes the gradient), and every reader of the pieces settles first.
+//
 // The touched-coordinate sets cross the wire in the clear. This reveals
 // which of a party's (privately indexed) feature columns were active in the
 // batch — the inherent cost of sparsity-exploiting VFL that the paper
@@ -70,6 +80,8 @@ type SparseMatMulB struct {
 	momVA momentum
 
 	x *tensor.CSR
+
+	owed bool // A's masked touched-row gradient of the last step is still to be taken
 }
 
 // rowCache holds encrypted weight rows indexed by coordinate, and an empty
@@ -181,11 +193,15 @@ func NewSparseMatMulB(p *protocol.Peer, cfg Config, inA, inB int) *SparseMatMulB
 // sparseForwardHalf is forwardHalf over on-demand cipher rows: request the
 // missing ⟦V⟧ rows, serve the peer's request against the piece this party
 // holds for the peer, then run the masked-product exchange on the batch's
-// cached rows. The fetched rows are an assembled matrix and go in one chunk;
-// the conversions stream like every producing send.
-func sparseForwardHalf(p *protocol.Peer, x *tensor.CSR, touched []int, u, servePiece *tensor.Dense, cache *rowCache) *tensor.Dense {
+// cached rows. settle runs between the request and the peer's: there B takes
+// the gradient A sent at the end of the last step, so the rows it serves are
+// already updated, while its request is on the wire. The fetched rows are an
+// assembled matrix and go in one chunk; the conversions stream like every
+// producing send.
+func sparseForwardHalf(p *protocol.Peer, x *tensor.CSR, touched []int, u, servePiece *tensor.Dense, cache *rowCache, settle func()) *tensor.Dense {
 	missing := cache.missing(touched)
 	p.Send(missing)
+	settle()
 	peerMissing := recvIndices(p, servePiece.Rows)
 	p.SendMatrix(hetensor.EncryptRows(&p.SK.PublicKey, servePiece, peerMissing, 1))
 	cache.fill(missing, recvCipher(p, len(missing), cache.cols))
@@ -202,24 +218,24 @@ func sparseForwardHalf(p *protocol.Peer, x *tensor.CSR, touched []int, u, serveP
 func (l *SparseMatMulA) Forward(x *tensor.CSR) {
 	l.x = x
 	l.touched = touchedCols(x)
-	zA := sparseForwardHalf(l.peer, x, l.touched, l.UA, l.VB, l.cacheVA)
+	zA := sparseForwardHalf(l.peer, x, l.touched, l.UA, l.VB, l.cacheVA, func() {})
 	l.peer.Send(zA)
 }
 
 // Forward runs Party B's sparse forward pass and returns Z.
 func (l *SparseMatMulB) Forward(x *tensor.CSR) *tensor.Dense {
 	l.x = x
-	zB := sparseForwardHalf(l.peer, x, touchedCols(x), l.UB, l.VA, l.cacheVB)
+	zB := sparseForwardHalf(l.peer, x, touchedCols(x), l.UB, l.VA, l.cacheVB, l.Settle)
 	zA := l.peer.RecvDense()
 	return zA.Add(zB)
 }
 
 // Backward runs Party A's sparse backward pass: the gradient, its masking,
 // the update of U_A, and the cache invalidation all touch only the batch's
-// active coordinates. It ends on a receive — the ack of the masked gradient,
-// A's last send of the step — never on the send itself: a NACK for that
-// stream must find A still listening, or B would be left with a V_A update
-// it can neither repair nor report.
+// active coordinates. It returns on sending the masked gradient. B takes
+// that stream at the head of its next forward, and a NACK for it finds A in
+// the receive its next step opens with; after the last step, Settle waits
+// for the ack, so the last NACK has a listener too.
 func (l *SparseMatMulA) Backward() {
 	p := l.peer
 	// ⟦∇W_A[touched]⟧: the transpose product over the batch renumbered to
@@ -234,10 +250,15 @@ func (l *SparseMatMulA) Backward() {
 
 	// B is about to update these rows of V_A: fetch them again on touch.
 	l.cacheVA.drop(l.touched)
-	p.Flush()
 
 	l.x, l.touched = nil, nil
 }
+
+// Settle ends a run on Party A's side: it blocks until B has acknowledged
+// the last masked gradient, retransmitting it once on a NACK, so a transfer
+// that cannot be repaired fails on both sides. Must run concurrently with
+// SparseMatMulB.Settle.
+func (l *SparseMatMulA) Settle() { l.peer.Flush() }
 
 // Backward runs Party B's sparse backward pass.
 func (l *SparseMatMulB) Backward(gradZ *tensor.Dense) { l.backwardMulti(gradZ, gradZ) }
@@ -255,18 +276,32 @@ func (l *SparseMatMulB) backwardMulti(gradFull, gradLocal *tensor.Dense) {
 	l.momUB.stepRows(l.UB, gradUB.GatherRows(touchedB), touchedB, l.cfg.LR)
 
 	p.EncryptAndSend(gradFull, 1, hetensor.Layout{})
+	l.owed = true // A's answer is taken by the next forward, or by Settle
+	l.x = nil
+}
+
+// Settle takes the masked touched-row gradient A sent at the end of the last
+// training step, if it has not been taken yet, and applies it to V_A. The
+// next Forward does this by itself; a run calls it where it ends, and a
+// reader of the pieces before reading them. Must run concurrently with
+// SparseMatMulA.Settle.
+func (l *SparseMatMulB) Settle() {
+	if !l.owed {
+		return
+	}
+	l.owed = false
+	p := l.peer
 	touchedA := recvIndices(p, l.VA.Rows)
 	gradVAshare := he2ssRecvFlat(p, len(touchedA), l.cfg.Out) // ∇W_A[touched] − φ
 	l.momVA.stepRows(l.VA, gradVAshare, touchedA, l.cfg.LR)
-	l.x = nil
 }
 
 // DebugUA exposes Party A's share of W_A for the Fig. 9/11 privacy
 // experiments (A predicting with X_A·U_A must be a random guess).
 func (l *SparseMatMulA) DebugUA() *tensor.Dense { return l.UA }
 
-// DebugSparseWeightsA reconstructs W_A. Test use only.
+// DebugSparseWeightsA reconstructs W_A of a settled layer. Test use only.
 func DebugSparseWeightsA(a *SparseMatMulA, b *SparseMatMulB) *tensor.Dense { return a.UA.Add(b.VA) }
 
-// DebugSparseWeightsB reconstructs W_B. Test use only.
+// DebugSparseWeightsB reconstructs W_B of a settled layer. Test use only.
 func DebugSparseWeightsB(a *SparseMatMulA, b *SparseMatMulB) *tensor.Dense { return b.UB.Add(a.VB) }

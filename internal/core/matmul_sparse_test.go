@@ -2,11 +2,15 @@ package core
 
 import (
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"blindfl/internal/hetensor"
 	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
+	"blindfl/internal/transport"
 )
 
 func newSparsePair(t testing.TB, pa, pb *protocol.Peer, cfg Config, inA, inB int) (*SparseMatMulA, *SparseMatMulB) {
@@ -14,6 +18,15 @@ func newSparsePair(t testing.TB, pa, pb *protocol.Peer, cfg Config, inA, inB int
 	la := NewSparseMatMulA(pa, cfg, inA, inB)
 	lb := NewSparseMatMulB(pb, cfg, inA, inB)
 	return la, lb
+}
+
+// settleSparse settles both halves of a sparse layer, so its pieces sum to
+// the weights.
+func settleSparse(t testing.TB, pa, pb *protocol.Peer, la *SparseMatMulA, lb *SparseMatMulB) {
+	t.Helper()
+	if err := protocol.RunParties(pa, pb, la.Settle, lb.Settle); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSparseMatMulForwardMatchesPlaintext(t *testing.T) {
@@ -59,11 +72,116 @@ func TestSparseMatMulBackwardMatchesSGD(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
+	settleSparse(t, pa, pb, la, lb)
 	if got := DebugSparseWeightsA(la, lb); !got.Equal(wantWA, 1e-4) {
 		t.Fatalf("sparse W_A update wrong (maxdiff %g)", got.Sub(wantWA).MaxAbs())
 	}
 	if got := DebugSparseWeightsB(la, lb); !got.Equal(wantWB, 1e-4) {
 		t.Fatalf("sparse W_B update wrong (maxdiff %g)", got.Sub(wantWB).MaxAbs())
+	}
+}
+
+// holdConn is an endpoint whose sends, once armed, wait until it is
+// released.
+type holdConn struct {
+	transport.Conn
+	armed   atomic.Bool
+	release chan struct{}
+	once    sync.Once
+}
+
+func (c *holdConn) Send(v any) error {
+	if c.armed.Load() {
+		<-c.release
+	}
+	return c.Conn.Send(v)
+}
+
+func (c *holdConn) open() { c.once.Do(func() { close(c.release) }) }
+
+// TestSparseStepEndsOnGradientSend pins the schedule of a sparse step: B's
+// Backward ends on its ⟦∇Z⟧ send and does not wait for A's masked gradient,
+// which B's next forward takes before it serves a row of ⟦V_A⟧. With A's
+// link held from the moment A has ⟦∇Z⟧ in hand, so that nothing A sends can
+// leave, B's Backward must still return. Released, the next forward must
+// multiply by B's updated rows, and after Settle the pieces must be those of
+// a run that never held its link and settled straight after the backward,
+// bit for bit, and sum to one SGD step.
+func TestSparseStepEndsOnGradientSend(t *testing.T) {
+	const inA, inB, batch = 25, 20, 5
+	cfg := Config{Out: 2, LR: 0.05, Momentum: 0.9}
+	rng := rand.New(rand.NewSource(6))
+	xA, xB := tensor.RandCSR(rng, batch, inA, 3), tensor.RandCSR(rng, batch, inB, 3)
+	gradZ := tensor.RandDense(rng, batch, cfg.Out, 1)
+	nextA, nextB := tensor.RandCSR(rng, batch, inA, 3), tensor.RandCSR(rng, batch, inB, 3)
+
+	run := func(t *testing.T, hold bool) []*tensor.Dense {
+		skA, skB := protocol.TestKeys()
+		ca, cb := transport.Pair(4096)
+		gate := &holdConn{Conn: ca, release: make(chan struct{})}
+		defer gate.open()
+		pa, pb, err := protocol.PipeOn(gate, cb, skA, skB, 305)
+		if err != nil {
+			t.Fatal(err)
+		}
+		la, lb := newSparsePair(t, pa, pb, cfg, inA, inB)
+		wantWA := DebugSparseWeightsA(la, lb).Sub(xA.ToDense().Transpose().MatMul(gradZ).Scale(cfg.LR))
+		wantWB := DebugSparseWeightsB(la, lb).Sub(xB.ToDense().Transpose().MatMul(gradZ).Scale(cfg.LR))
+		if err := protocol.RunParties(pa, pb, func() { la.Forward(xA) }, func() { lb.Forward(xB) }); err != nil {
+			t.Fatal(err)
+		}
+		if hold {
+			gate.armed.Store(true) // A's first send of the backward is its ack of ⟦∇Z⟧
+			doneA, doneB := make(chan error, 1), make(chan error, 1)
+			go func() { doneA <- pa.Run(la.Backward) }()
+			go func() { doneB <- pb.Run(func() { lb.Backward(gradZ) }) }()
+			select {
+			case err := <-doneB:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("B's Backward waits for the gradient A cannot send")
+			}
+			select {
+			case <-doneA:
+				t.Fatal("A's Backward returned through a held link")
+			default:
+			}
+			gate.open()
+			if err := <-doneA; err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			if err := protocol.RunParties(pa, pb,
+				func() { la.Backward(); la.Settle() },
+				func() { lb.Backward(gradZ); lb.Settle() },
+			); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := protocol.RunParties(pa, pb, func() { la.Forward(nextA) }, func() { lb.Forward(nextB) }); err != nil {
+			t.Fatal(err)
+		}
+		touched := touchedCols(nextA)
+		if used, cur := hetensor.Decrypt(pb.SK, la.cacheVA.gather(touched)), lb.VA.GatherRows(touched); !used.Equal(cur, 1e-9) {
+			t.Fatalf("the next forward multiplied by a stale row of ⟦V_A⟧ (maxdiff %g)", used.Sub(cur).MaxAbs())
+		}
+		settleSparse(t, pa, pb, la, lb)
+		if got := DebugSparseWeightsA(la, lb); !got.Equal(wantWA, 1e-4) {
+			t.Fatalf("W_A is not one SGD step (maxdiff %g)", got.Sub(wantWA).MaxAbs())
+		}
+		if got := DebugSparseWeightsB(la, lb); !got.Equal(wantWB, 1e-4) {
+			t.Fatalf("W_B is not one SGD step (maxdiff %g)", got.Sub(wantWB).MaxAbs())
+		}
+		return []*tensor.Dense{la.UA, la.VB, lb.UB, lb.VA}
+	}
+
+	held, settled := run(t, true), run(t, false)
+	for i, name := range []string{"U_A", "V_B", "U_B", "V_A"} {
+		if !held[i].Equal(settled[i], 0) {
+			t.Errorf("%s after a held link differs from the settled run by %g", name, held[i].Sub(settled[i]).MaxAbs())
+		}
 	}
 }
 
@@ -73,7 +191,9 @@ func TestSparseMatMulBackwardMatchesSGD(t *testing.T) {
 // could serve a stale row: a forward-only pass caches rows, a training step
 // updates some of them at B, a later pass touches them again. Every row A
 // multiplies by must decrypt (the test holds B's key) to B's current V_A row,
-// and every activation must match the plaintext one.
+// and every activation must match the plaintext one. A training round leaves
+// its masked gradient owed, so each round settles before it reads the
+// pieces.
 func TestSparseMatMulCacheNeverStale(t *testing.T) {
 	for _, seed := range []int64{3, 4, 5} {
 		pa, pb := pipe(t, 302)
@@ -88,6 +208,7 @@ func TestSparseMatMulCacheNeverStale(t *testing.T) {
 			gradZ := tensor.RandDense(rng, 3, 2, 1)
 			touched := touchedCols(xA)
 			reused += len(touched) - len(la.cacheVA.missing(touched))
+			settleSparse(t, pa, pb, la, lb)
 			want := xA.ToDense().MatMul(DebugSparseWeightsA(la, lb)).
 				Add(xB.ToDense().MatMul(DebugSparseWeightsB(la, lb)))
 			var z *tensor.Dense
@@ -178,6 +299,7 @@ func TestSparseMatMulMomentumMatchesLazySGD(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	settleSparse(t, pa, pb, la, lb)
 	if got := DebugSparseWeightsA(la, lb); !got.Equal(wA, 1e-3) {
 		t.Fatalf("lazy momentum diverged (maxdiff %g)", got.Sub(wA).MaxAbs())
 	}

@@ -31,15 +31,18 @@ import (
 type sessionB interface {
 	forwardPart(x Numeric) *tensor.Dense
 	backwardMulti(gradFull, gradLocal *tensor.Dense)
+	settle()
 	pieces() (ub, va *tensor.Dense)
 }
 
 func (l *MatMulB) forwardPart(x Numeric) *tensor.Dense { return l.Forward(x) }
+func (l *MatMulB) settle()                             {} // a dense step leaves nothing owed
 func (l *MatMulB) pieces() (ub, va *tensor.Dense)      { return l.UB, l.VA }
 
 func (l *SparseMatMulB) forwardPart(x Numeric) *tensor.Dense {
 	return l.Forward(x.(SparseFeatures).M)
 }
+func (l *SparseMatMulB) settle()                        { l.Settle() }
 func (l *SparseMatMulB) pieces() (ub, va *tensor.Dense) { return l.UB, l.VA }
 
 // MultiMatMulB is Party B's half of the k-session MatMul layer: one
@@ -130,6 +133,14 @@ func (m *MultiMatMulB) ForwardParts(x Numeric) []*tensor.Dense {
 func (m *MultiMatMulB) Backward(gradZ *tensor.Dense) {
 	scaled := gradZ.Scale(1 / float64(m.parties-m.g.LostCount()))
 	m.g.ForEach(func(i int, _ *protocol.Peer) { m.subs[i].backwardMulti(gradZ, scaled) })
+}
+
+// Settle ends a run on every live session: a sparse half takes the masked
+// gradient its feature party sent at the end of the last step (see
+// SparseMatMulB.Settle), a dense half has nothing owed. Must run
+// concurrently with Settle on every sparse A(i).
+func (m *MultiMatMulB) Settle() {
+	m.g.ForEach(func(i int, _ *protocol.Peer) { m.subs[i].settle() })
 }
 
 // Sub returns session i's dense two-party B-half, nil in a sparse layer.

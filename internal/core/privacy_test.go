@@ -53,6 +53,7 @@ func TestFigure9BlindFLActivationAttackIsChance(t *testing.T) {
 			}
 		}
 	}
+	settleSparse(t, pa, pb, la, lb)
 	// Full model metric (reconstructed for evaluation only).
 	wA := DebugSparseWeightsA(la, lb)
 	wB := DebugSparseWeightsB(la, lb)

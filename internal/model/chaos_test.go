@@ -333,13 +333,15 @@ func (c *lateFaultConn) Send(v any) error {
 
 // TestChaosSparseFinalGradientNack corrupts the last thing a sparse run's
 // feature party sends: the masked touched-row gradient of the final step,
-// after which A has nothing left to receive. A's Backward ends on that
-// stream's ack and not on the send, so with one corruption the NACK finds A
-// still listening, the resend repairs the transfer and the run — losses, and
-// the logits of a forward pass over the weights the final update produced —
-// is the clean run bit for bit; with the resend corrupted too, both parties
-// end in the typed ErrCorrupt. Had A returned on send, B would wait for a
-// resend nobody is left to make.
+// after which A has nothing left to receive. A's Backward returns on that
+// send and B's does not wait for it; both parties settle where the run ends,
+// B taking the gradient and A waiting for its ack. So with one corruption
+// the NACK finds A still listening in its settle, the resend repairs the
+// transfer and the run — losses, and the logits of a forward pass over the
+// weights the final update produced — is the clean run bit for bit; with the
+// resend corrupted too, both parties end in the typed ErrCorrupt. Without
+// the settle, B would never take the gradient, or wait for a resend nobody
+// is left to make.
 func TestChaosSparseFinalGradientNack(t *testing.T) {
 	const steps = 3
 	ds := data.Generate(tinySpec("t-chaos-lastgrad", 60, 6, 2, false), 3)
@@ -386,6 +388,7 @@ func TestChaosSparseFinalGradientNack(t *testing.T) {
 				for s := 0; s < steps; s++ {
 					ma.StepA(ds.TrainA.Batch(batch(s)))
 				}
+				ma.num.settle()
 			})
 		}()
 		go func() {
@@ -393,6 +396,7 @@ func TestChaosSparseFinalGradientNack(t *testing.T) {
 				for s := 0; s < steps; s++ {
 					out = append(out, mb.StepB(ds.TrainB.Batch(batch(s)), gather(ds.TrainY, batch(s))))
 				}
+				mb.num.settle()
 			})
 			done <- nil
 		}()

@@ -33,6 +33,14 @@ func (s *numericSrcA) backward() {
 	s.dense.Backward()
 }
 
+// settle ends a run on the layer: the sparse half waits for the ack of its
+// last masked gradient; a dense step leaves nothing owed.
+func (s *numericSrcA) settle() {
+	if s.sparse != nil {
+		s.sparse.Settle()
+	}
+}
+
 func (s *numericSrcA) serveStart() {
 	if s.sparse != nil {
 		panic("model: the serve path covers dense numeric source layers only")
@@ -52,6 +60,10 @@ type numSrcB interface {
 	seedEpoch(e int)
 	forward(p data.Part) *tensor.Dense
 	backward(g *tensor.Dense)
+	// settle takes what the last backward left owed (a sparse layer's
+	// masked gradient of V_A): at the end of a run, or before another layer
+	// receives on the same peer.
+	settle()
 	serveStart()
 	serveForward(x *tensor.Dense) *tensor.Dense
 	// layers serializes the per-session dense halves, in session order, at
@@ -91,6 +103,7 @@ func (s *groupSrcB) seedEpoch(e int) { s.g.SeedEpoch(e) }
 func (s *groupSrcB) forward(p data.Part) *tensor.Dense { return s.l.Forward(numeric(p)) }
 
 func (s *groupSrcB) backward(g *tensor.Dense) { s.l.Backward(g) }
+func (s *groupSrcB) settle()                  { s.l.Settle() }
 func (s *groupSrcB) serveStart()              { s.l.ServeStart() }
 
 func (s *groupSrcB) serveForward(x *tensor.Dense) *tensor.Dense { return s.l.ServeForward(x) }
@@ -340,6 +353,9 @@ func (m *FedB) StepB(p data.Part, y []int) float64 {
 	m.opt.Step()
 	m.num.backward(gNum)
 	if m.emb != nil {
+		// The embedding layer receives on the same peer: the numeric layer's
+		// owed gradient is ahead of its traffic.
+		m.num.settle()
 		m.emb.Backward(gEmb)
 	}
 	return loss

@@ -102,6 +102,10 @@ func (s *shardSrcB) forward(p data.Part) *tensor.Dense {
 
 func (s *shardSrcB) backward(g *tensor.Dense) { s.sg.BroadcastGrad(g) }
 
+// settle is a no-op at the root: each worker settles its own sessions where
+// the shared schedule ends.
+func (s *shardSrcB) settle() {}
+
 // serveStart is a no-op at the root: the serve-session weight exchange runs
 // between the workers' B halves and the feature parties directly.
 func (s *shardSrcB) serveStart() {}

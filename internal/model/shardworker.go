@@ -144,6 +144,7 @@ func shardWorkerLoop(link *protocol.ShardLink, g *protocol.Group, su *shardSetup
 			}
 			link.SendLayers(e, blobs)
 		})
+	md.Settle()
 
 	if su.ServeEval {
 		md.ServeStart()

@@ -316,6 +316,7 @@ func (t Trainer) run(pl *runPlan, as []*protocol.Peer, lb labelSide) (*History, 
 			pl.sched.each(as[i].SeedEpoch,
 				func(idx []int) { ma.StepA(pl.trainAs[i].Batch(idx)) },
 				func(e int) { rc.depositA(e, i, ma) })
+			ma.num.settle()
 			evalA(ma, kind, ds, pl.testAs[i], h.Batch)
 		},
 		func() {
@@ -325,6 +326,7 @@ func (t Trainer) run(pl *runPlan, as []*protocol.Peer, lb labelSide) (*History, 
 					hist.Losses = append(hist.Losses, mb.StepB(ds.TrainB.Batch(idx), gather(ds.TrainY, idx)))
 				},
 				func(e int) { rc.depositB(e, mb, hist.Losses) })
+			mb.num.settle()
 			hist.TestLogits = evalB(mb, ds, h)
 		})
 	if err != nil {

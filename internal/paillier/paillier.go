@@ -135,13 +135,9 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 			pOrder: pm1,
 			qOrder: qm1,
 		}
-		// hp = L_p(g^(p−1) mod p²)⁻¹ mod p with g = n+1:
-		// g^(p−1) mod p² = 1 + (p−1)·n mod p², so L_p of it is ((p−1)·n/p... )
-		// Compute directly for clarity.
-		gp := new(big.Int).Exp(new(big.Int).Add(n, one), pm1, priv.p2)
-		priv.hp = new(big.Int).ModInverse(lFunc(gp, p), p)
-		gq := new(big.Int).Exp(new(big.Int).Add(n, one), qm1, priv.q2)
-		priv.hq = new(big.Int).ModInverse(lFunc(gq, q), q)
+		// hp = L_p(g^(p−1) mod p²)⁻¹ mod p with g = n+1, and hq likewise.
+		priv.hp = new(big.Int).ModInverse(lFunc(gPow(n, pm1, priv.p2), p), p)
+		priv.hq = new(big.Int).ModInverse(lFunc(gPow(n, qm1, priv.q2), q), q)
 		if priv.hp == nil || priv.hq == nil {
 			continue
 		}
@@ -153,13 +149,21 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 		// DecryptTextbook measures only the decryption exponentiation.
 		priv.lambda = new(big.Int).Mul(pm1, qm1)
 		priv.lambda.Div(priv.lambda, new(big.Int).GCD(nil, nil, pm1, qm1))
-		gl := new(big.Int).Exp(new(big.Int).Add(n, one), priv.lambda, priv.N2)
-		priv.mu = new(big.Int).ModInverse(lFunc(gl, n), n)
+		priv.mu = new(big.Int).ModInverse(lFunc(gPow(n, priv.lambda, priv.N2), n), n)
 		if priv.mu == nil {
 			continue
 		}
 		return priv, nil
 	}
+}
+
+// gPow returns g^k mod m for the generator g = n+1 and a modulus m that
+// divides n² (p², q², N²): every term of the binomial expansion of (1+n)^k
+// past the linear one is a multiple of n², so g^k ≡ 1 + k·n (mod m).
+func gPow(n, k, m *big.Int) *big.Int {
+	r := new(big.Int).Mul(k, n)
+	r.Add(r, one)
+	return r.Mod(r, m)
 }
 
 // lFunc computes L(x) = (x−1)/d.

@@ -60,9 +60,11 @@ type StreamStats struct {
 }
 
 // Flush blocks until the peer has acknowledged every stream this party sent
-// (transport.StreamConn.Flush). A party whose round ends on a send calls it
-// last, so that a NACK for that send still finds its sender and a transfer
-// that cannot be repaired fails on both sides.
+// (transport.StreamConn.Flush). Inside a run no step needs it: a NACK is
+// answered by the sender's next receive. A run that ends on a send calls it
+// where the run ends (core's SparseMatMulA.Settle, after a sparse layer's
+// last masked gradient), so that a NACK for that send still finds its
+// sender and a transfer that cannot be repaired fails on both sides.
 func (p *Peer) Flush() {
 	if err := p.link().Flush(); err != nil {
 		p.Fail("flush: %w", err)
