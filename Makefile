@@ -61,11 +61,15 @@ test-full:
 # table: a value or a typed error, never a panic), for the other
 # attacker-sized input, a checkpoint file (FuzzCheckpoint: the one reader
 # and both restore halves behind it, raw and behind a valid envelope, seeded
-# from a final and a mid-run checkpoint and lying headers), and for the
-# stream ack a sender takes in its next receive — where a sparse step's
-# last NACK is answered (FuzzStreamAck: any Seq, NACK list and checksum
-# against retained streams gives the next message or a sticky ErrCorrupt,
-# never a panic, and at most one retransmission per retained chunk).
+# from a dense final and mid-run checkpoint, the checkpoints of sparse LR at
+# k = 1 and k = 3, WDL and DLRM, and lying headers), for the stream ack a
+# sender takes in its next receive — where a sparse step's last NACK is
+# answered (FuzzStreamAck: any Seq, NACK list and checksum against retained
+# streams gives the next message or a sticky ErrCorrupt, never a panic, and
+# at most one retransmission per retained chunk), and for every shard-plane
+# decoder (FuzzShard: the hello, ack and session-hello accepts, the setup
+# document and the sealed partials, gradient, serve share and layer blobs
+# give a value or a typed error, never a panic).
 test-chaos:
 	$(GO) test -short -race -timeout 10m \
 		-run 'TestChaos|TestFault|TestStream|TestDeadline|TestRunGroupFaultConn|TestGroupAllSessionsLost|TestRetry|TestTrainHonoursEngineOptions|TestSparseHostilePeer|TestServeHostilePeer|TestHandshakeHostilePeer' \
@@ -74,6 +78,7 @@ test-chaos:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzHandshake$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/protocol/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/model/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzStreamAck$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/transport/
+	$(GO) test -race -run '^$$' -fuzz '^FuzzShard$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/protocol/
 
 # Examples lane: compile every example, smoke-run the quickstart and the
 # multi-party group runtime.

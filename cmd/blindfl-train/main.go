@@ -42,7 +42,7 @@ func main() {
 	test := flag.Int("test", 0, "override test instances")
 	seed := flag.Int64("seed", 1, "data/model seed")
 	parties := flag.Int("parties", 1, "feature parties; >1 trains the numeric families over a k-session protocol.Group (Algorithm 3)")
-	ckDir := flag.String("checkpoint-dir", "", "directory for durable mid-run training checkpoints (crash recovery; serveable families only)")
+	ckDir := flag.String("checkpoint-dir", "", "directory for durable mid-run training checkpoints (crash recovery; every family and layout)")
 	ckEvery := flag.Int("checkpoint-every", 1, "epochs between mid-run checkpoints (needs -checkpoint-dir)")
 	resume := flag.Bool("resume", false, "resume the newest usable checkpoint in -checkpoint-dir instead of starting fresh")
 	shards := flag.Int("shards", 1, "shard the label party across this many worker processes (needs -parties >= -shards); workers are spawned from this binary unless -shard-connect names them")

@@ -99,9 +99,9 @@ func fig9BlindFL(ds *data.Dataset, classes, epochs int, quick bool) []float64 {
 			y := gatherInts(ds.TrainY, idx)
 			var gradZ *tensor.Dense
 			err := protocol.RunParties(pa, pb,
-				func() { la.Forward(xA); la.Backward() },
+				func() { la.Forward(core.SparseFeatures{M: xA}); la.Backward() },
 				func() {
-					z := lb.Forward(xB)
+					z := lb.Forward(core.SparseFeatures{M: xB})
 					logits := bias.Forward(z)
 					var grad *tensor.Dense
 					if classes == 2 {
@@ -190,9 +190,9 @@ func Fig11(quick bool) []*Table {
 			for _, idx := range data.BatchIndices(ds.TrainA.Rows(), 128) {
 				y := gatherInts(ds.TrainY, idx)
 				err := protocol.RunParties(pa, pb,
-					func() { la.Forward(ds.TrainA.Batch(idx).Sparse); la.Backward() },
+					func() { la.Forward(core.SparseFeatures{M: ds.TrainA.Batch(idx).Sparse}); la.Backward() },
 					func() {
-						z := lb.Forward(ds.TrainB.Batch(idx).Sparse)
+						z := lb.Forward(core.SparseFeatures{M: ds.TrainB.Batch(idx).Sparse})
 						_, grad := nn.BCEWithLogits(bias.Forward(z), y)
 						lb.Backward(bias.Backward(grad))
 					})
@@ -204,7 +204,10 @@ func Fig11(quick bool) []*Table {
 		if err := protocol.RunParties(pa, pb, la.Settle, lb.Settle); err != nil {
 			panic(err)
 		}
-		wA := core.DebugSparseWeightsA(la, lb)
+		wA, err := core.DebugSparseWeightsA(la, lb)
+		if err != nil {
+			panic(err)
+		}
 		out = append(out, fig11Table("Figure 11 (w8a, LR): W_A vs share U_A", wA, la.DebugUA()))
 	}
 

@@ -59,8 +59,8 @@ func NewBlindFLStepper(spec data.Spec, batch, out int) func() {
 	// sparse step leaves owed is taken inside it.
 	return func() {
 		runStep(
-			func() { la.Forward(xA); la.Backward(); la.Settle() },
-			func() { lb.Forward(xB); lb.Backward(g); lb.Settle() },
+			func() { la.Forward(core.SparseFeatures{M: xA}); la.Backward(); la.Settle() },
+			func() { lb.Forward(core.SparseFeatures{M: xB}); lb.Backward(g); lb.Settle() },
 		)
 	}
 }

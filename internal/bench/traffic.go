@@ -246,8 +246,8 @@ func Traffic() *Table {
 		xB := tensor.RandCSR(rng, batch, 2048, 4)
 		g := tensor.RandDense(rng, batch, out, 0.1)
 		if err := protocol.RunParties(pa, pb,
-			func() { la.Forward(xA); la.Backward(); la.Settle() },
-			func() { lb.Forward(xB); lb.Backward(g); lb.Settle() },
+			func() { la.Forward(core.SparseFeatures{M: xA}); la.Backward(); la.Settle() },
+			func() { lb.Forward(core.SparseFeatures{M: xB}); lb.Backward(g); lb.Settle() },
 		); err != nil {
 			panic(err)
 		}

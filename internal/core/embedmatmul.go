@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"io"
+
 	"blindfl/internal/hetensor"
 	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
@@ -85,8 +88,7 @@ func NewEmbedMatMulA(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulA {
 		momSA: momentum{mu: cfg.Momentum}, momTB: momentum{mu: cfg.Momentum},
 		momUA: momentum{mu: cfg.Momentum}, momVB: momentum{mu: cfg.Momentum},
 	}
-	l.exchangeTables()
-	l.exchangeWeights()
+	l.ResumeExchange()
 	return l
 }
 
@@ -101,9 +103,90 @@ func NewEmbedMatMulB(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulB {
 		momSB: momentum{mu: cfg.Momentum}, momTA: momentum{mu: cfg.Momentum},
 		momUB: momentum{mu: cfg.Momentum}, momVA: momentum{mu: cfg.Momentum},
 	}
+	l.ResumeExchange()
+	return l
+}
+
+// ResumeExchange mints every encrypted mirror from the plaintext pieces — at
+// construction, and again after a checkpoint restore: the tables, then the
+// weights. Must run concurrently with ResumeExchange on the other side.
+func (l *EmbedMatMulA) ResumeExchange() {
 	l.exchangeTables()
 	l.exchangeWeights()
-	return l
+}
+
+// ResumeExchange is Party B's half of the mirror exchange.
+func (l *EmbedMatMulB) ResumeExchange() {
+	l.exchangeTables()
+	l.exchangeWeights()
+}
+
+// Settle is a no-op: an embedding step leaves nothing owed.
+func (l *EmbedMatMulA) Settle() {}
+
+// Settle is a no-op: an embedding step leaves nothing owed.
+func (l *EmbedMatMulB) Settle() {}
+
+// embedState mirrors an Embed-MatMul half's persistent fields for gob: the
+// four pieces it holds — its own table and weight pieces (S, U) and its
+// pieces of the peer's (T, V) — and their momentum buffers.
+type embedState struct {
+	Cfg                    EmbedConfig
+	S, T, U, V             *tensor.Dense
+	MomS, MomT, MomU, MomV *tensor.Dense
+}
+
+// Save writes Party A's half: S_A, T_B, U_A, V_B and their momentum.
+func (l *EmbedMatMulA) Save(w io.Writer) error {
+	return save(w, "EmbedMatMulA", false, embedState{l.cfg, l.SA, l.TB, l.UA, l.VB,
+		l.momSA.buf, l.momTB.buf, l.momUA.buf, l.momVB.buf})
+}
+
+// Save writes Party B's half: S_B, T_A, U_B, V_A and their momentum.
+func (l *EmbedMatMulB) Save(w io.Writer) error {
+	return save(w, "EmbedMatMulB", false, embedState{l.cfg, l.SB, l.TA, l.UB, l.VA,
+		l.momSB.buf, l.momTA.buf, l.momUB.buf, l.momVA.buf})
+}
+
+// loadEmbed decodes a half's state and vets it against cfg, the geometry the
+// enclosing checkpoint declares; own and peer name the table vocabularies
+// and field counts of the half's own side and of its peer's.
+func loadEmbed(r io.Reader, what string, cfg EmbedConfig, ownVocab, ownFields, peerVocab, peerFields int) (*embedState, error) {
+	var st embedState
+	err := load(r, what, &st, func() error {
+		if st.Cfg != cfg {
+			return fmt.Errorf("layer geometry %+v, checkpoint declares %+v", st.Cfg, cfg)
+		}
+		return checkHalf(st.Cfg.Config, cfg.Out,
+			piece{st.S, st.MomS, ownVocab, cfg.Dim}, piece{st.T, st.MomT, peerVocab, cfg.Dim},
+			piece{st.U, st.MomU, ownFields * cfg.Dim, cfg.Out}, piece{st.V, st.MomV, peerFields * cfg.Dim, cfg.Out})
+	})
+	return &st, err
+}
+
+// LoadEmbedMatMulA restores Party A's half onto a live peer session. It has
+// no encrypted mirrors until ResumeExchange runs.
+func LoadEmbedMatMulA(r io.Reader, p *protocol.Peer, cfg EmbedConfig) (*EmbedMatMulA, error) {
+	st, err := loadEmbed(r, "EmbedMatMulA", cfg, cfg.VocabA, cfg.FieldsA, cfg.VocabB, cfg.FieldsB)
+	if err != nil {
+		return nil, err
+	}
+	mu := cfg.Momentum
+	return &EmbedMatMulA{cfg: cfg, peer: p, SA: st.S, TB: st.T, UA: st.U, VB: st.V,
+		momSA: momentum{mu, st.MomS}, momTB: momentum{mu, st.MomT},
+		momUA: momentum{mu, st.MomU}, momVB: momentum{mu, st.MomV}}, nil
+}
+
+// LoadEmbedMatMulB restores Party B's half onto a live peer session.
+func LoadEmbedMatMulB(r io.Reader, p *protocol.Peer, cfg EmbedConfig) (*EmbedMatMulB, error) {
+	st, err := loadEmbed(r, "EmbedMatMulB", cfg, cfg.VocabB, cfg.FieldsB, cfg.VocabA, cfg.FieldsA)
+	if err != nil {
+		return nil, err
+	}
+	mu := cfg.Momentum
+	return &EmbedMatMulB{cfg: cfg, peer: p, SB: st.S, TA: st.T, UB: st.U, VA: st.V,
+		momSB: momentum{mu, st.MomS}, momTA: momentum{mu, st.MomT},
+		momUB: momentum{mu, st.MomU}, momVA: momentum{mu, st.MomV}}, nil
 }
 
 // Wire layouts. Every ciphertext matrix of the layer travels in the lane

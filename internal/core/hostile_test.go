@@ -77,7 +77,7 @@ func TestSparseHostilePeer(t *testing.T) {
 		t.Run("forward/"+name, func(t *testing.T) {
 			pa, pb := pipe(t, 41)
 			la := NewSparseMatMulA(pa, cfg, inA, inB)
-			requireCorrupt(t, againstHostile(pa, pb, func() { la.Forward(xA) }, hostile))
+			requireCorrupt(t, againstHostile(pa, pb, func() { la.Forward(SparseFeatures{xA}) }, hostile))
 		})
 	}
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"io"
 	"sort"
 
 	"blindfl/internal/hetensor"
@@ -41,8 +43,10 @@ import (
 // row B serves carries the update. A step is then four one-way flights, not
 // six. Until B has taken it, U_A already holds the last φ while V_A lacks
 // ∇W_A − φ, so a layer's pieces sum to W only once it is settled: Settle
-// ends a run on both halves (A waits for the gradient's ack, answering a
-// NACK; B takes the gradient), and every reader of the pieces settles first.
+// ends a run and a checkpointed epoch on both halves (A waits for the
+// gradient's ack, answering a NACK; B takes the gradient). Owed is a checked
+// state: Save and the debug readers of an unsettled half fail with
+// ErrUnsettled.
 //
 // The touched-coordinate sets cross the wire in the clear. This reveals
 // which of a party's (privately indexed) feature columns were active in the
@@ -64,6 +68,8 @@ type SparseMatMulA struct {
 
 	x       *tensor.CSR
 	touched []int
+
+	owed bool // the last step's masked gradient is sent but not yet acknowledged
 }
 
 // SparseMatMulB is Party B's half of the sparse MatMul source layer.
@@ -214,16 +220,19 @@ func sparseForwardHalf(p *protocol.Peer, x *tensor.CSR, touched []int, u, serveP
 	return z
 }
 
-// Forward runs Party A's sparse forward pass.
-func (l *SparseMatMulA) Forward(x *tensor.CSR) {
+// Forward runs Party A's sparse forward pass over SparseFeatures.
+func (l *SparseMatMulA) Forward(in Numeric) {
+	x := in.(SparseFeatures).M
 	l.x = x
 	l.touched = touchedCols(x)
 	zA := sparseForwardHalf(l.peer, x, l.touched, l.UA, l.VB, l.cacheVA, func() {})
 	l.peer.Send(zA)
 }
 
-// Forward runs Party B's sparse forward pass and returns Z.
-func (l *SparseMatMulB) Forward(x *tensor.CSR) *tensor.Dense {
+// Forward runs Party B's sparse forward pass over SparseFeatures and returns
+// Z.
+func (l *SparseMatMulB) Forward(in Numeric) *tensor.Dense {
+	x := in.(SparseFeatures).M
 	l.x = x
 	zB := sparseForwardHalf(l.peer, x, touchedCols(x), l.UB, l.VA, l.cacheVB, l.Settle)
 	zA := l.peer.RecvDense()
@@ -251,14 +260,17 @@ func (l *SparseMatMulA) Backward() {
 	// B is about to update these rows of V_A: fetch them again on touch.
 	l.cacheVA.drop(l.touched)
 
-	l.x, l.touched = nil, nil
+	l.x, l.touched, l.owed = nil, nil, true
 }
 
 // Settle ends a run on Party A's side: it blocks until B has acknowledged
 // the last masked gradient, retransmitting it once on a NACK, so a transfer
 // that cannot be repaired fails on both sides. Must run concurrently with
 // SparseMatMulB.Settle.
-func (l *SparseMatMulA) Settle() { l.peer.Flush() }
+func (l *SparseMatMulA) Settle() {
+	l.peer.Flush()
+	l.owed = false
+}
 
 // Backward runs Party B's sparse backward pass.
 func (l *SparseMatMulB) Backward(gradZ *tensor.Dense) { l.backwardMulti(gradZ, gradZ) }
@@ -300,8 +312,40 @@ func (l *SparseMatMulB) Settle() {
 // experiments (A predicting with X_A·U_A must be a random guess).
 func (l *SparseMatMulA) DebugUA() *tensor.Dense { return l.UA }
 
-// DebugSparseWeightsA reconstructs W_A of a settled layer. Test use only.
-func DebugSparseWeightsA(a *SparseMatMulA, b *SparseMatMulB) *tensor.Dense { return a.UA.Add(b.VA) }
+// ResumeExchange is a no-op: a sparse half exchanges no encrypted pieces up
+// front, its row caches fill on touch.
+func (l *SparseMatMulA) ResumeExchange() {}
 
-// DebugSparseWeightsB reconstructs W_B of a settled layer. Test use only.
-func DebugSparseWeightsB(a *SparseMatMulA, b *SparseMatMulB) *tensor.Dense { return b.UB.Add(a.VB) }
+// ResumeExchange is a no-op, as for SparseMatMulA.
+func (l *SparseMatMulB) ResumeExchange() {}
+
+// Save writes Party A's half for LoadMatMulA: the pieces and U_A's lazy
+// momentum, never the row cache. It fails with ErrUnsettled until Settle has
+// run after the last Backward.
+func (l *SparseMatMulA) Save(w io.Writer) error {
+	return save(w, "SparseMatMulA", l.owed, matMulAState{Cfg: l.cfg, UA: l.UA, VB: l.VB, MomUA: l.momUA.buf})
+}
+
+// Save writes Party B's half: the pieces and their lazy momentum. It fails
+// with ErrUnsettled while A's last masked gradient is still to be taken.
+func (l *SparseMatMulB) Save(w io.Writer) error {
+	return save(w, "SparseMatMulB", l.owed, matMulBState{l.cfg, l.UB, l.VA, l.momUB.buf, l.momVA.buf})
+}
+
+// DebugSparseWeightsA reconstructs W_A of a settled layer, or fails with
+// ErrUnsettled. Test use only.
+func DebugSparseWeightsA(a *SparseMatMulA, b *SparseMatMulB) (*tensor.Dense, error) {
+	if a.owed || b.owed {
+		return nil, fmt.Errorf("core: W_A: %w", ErrUnsettled)
+	}
+	return a.UA.Add(b.VA), nil
+}
+
+// DebugSparseWeightsB reconstructs W_B of a settled layer, or fails with
+// ErrUnsettled. Test use only.
+func DebugSparseWeightsB(a *SparseMatMulA, b *SparseMatMulB) (*tensor.Dense, error) {
+	if a.owed || b.owed {
+		return nil, fmt.Errorf("core: W_B: %w", ErrUnsettled)
+	}
+	return b.UB.Add(a.VB), nil
+}

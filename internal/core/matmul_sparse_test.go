@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -29,6 +31,60 @@ func settleSparse(t testing.TB, pa, pb *protocol.Peer, la *SparseMatMulA, lb *Sp
 	}
 }
 
+// sparseW reconstructs W_A and W_B of a settled layer.
+func sparseW(t testing.TB, la *SparseMatMulA, lb *SparseMatMulB) (wA, wB *tensor.Dense) {
+	t.Helper()
+	wA, errA := DebugSparseWeightsA(la, lb)
+	wB, errB := DebugSparseWeightsB(la, lb)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	return wA, wB
+}
+
+// TestSparseUnsettledReadsFail: between a step and its Settle a sparse
+// layer owes A's masked gradient, so its pieces are off by a mask. Saving
+// either half or reconstructing the weights then fails with the typed
+// ErrUnsettled; after Settle both succeed, and the saved halves load back.
+func TestSparseUnsettledReadsFail(t *testing.T) {
+	pa, pb := pipe(t, 309)
+	cfg := Config{Out: 2, LR: 0.1, Momentum: 0.9}
+	la, lb := newSparsePair(t, pa, pb, cfg, 20, 10)
+	rng := rand.New(rand.NewSource(9))
+	xA, xB := tensor.RandCSR(rng, 4, 20, 3), tensor.RandCSR(rng, 4, 10, 3)
+	if err := protocol.RunParties(pa, pb,
+		func() { la.Forward(SparseFeatures{xA}); la.Backward() },
+		func() { lb.Forward(SparseFeatures{xB}); lb.Backward(tensor.RandDense(rng, 4, 2, 1)) },
+	); err != nil {
+		t.Fatal(err)
+	}
+	var bufA, bufB bytes.Buffer
+	for name, err := range map[string]error{"Save A": la.Save(&bufA), "Save B": lb.Save(&bufB)} {
+		if !errors.Is(err, ErrUnsettled) {
+			t.Errorf("%s on an unsettled layer: err = %v, want ErrUnsettled", name, err)
+		}
+	}
+	if _, err := DebugSparseWeightsA(la, lb); !errors.Is(err, ErrUnsettled) {
+		t.Errorf("DebugSparseWeightsA on an unsettled layer: err = %v, want ErrUnsettled", err)
+	}
+	settleSparse(t, pa, pb, la, lb)
+	if err := la.Save(&bufA); err != nil {
+		t.Fatal(err)
+	}
+	if err := lb.Save(&bufB); err != nil {
+		t.Fatal(err)
+	}
+	na, errA := LoadMatMulA(&bufA, pa, true, 20, 10, 2)
+	nb, errB := LoadMatMulB(&bufB, pb, true, 20, 10, 2)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	wA, _ := sparseW(t, la, lb)
+	if got, _ := sparseW(t, na.(*SparseMatMulA), nb.(*SparseMatMulB)); !got.Equal(wA, 0) {
+		t.Fatal("a saved and loaded sparse layer reconstructs different weights")
+	}
+}
+
 func TestSparseMatMulForwardMatchesPlaintext(t *testing.T) {
 	pa, pb := pipe(t, 300)
 	cfg := Config{Out: 2, LR: 0.1}
@@ -38,13 +94,13 @@ func TestSparseMatMulForwardMatchesPlaintext(t *testing.T) {
 	xA := tensor.RandCSR(rng, 6, 40, 4)
 	xB := tensor.RandCSR(rng, 6, 30, 3)
 
-	want := xA.ToDense().MatMul(DebugSparseWeightsA(la, lb)).
-		Add(xB.ToDense().MatMul(DebugSparseWeightsB(la, lb)))
+	wA, wB := sparseW(t, la, lb)
+	want := xA.ToDense().MatMul(wA).Add(xB.ToDense().MatMul(wB))
 
 	var z *tensor.Dense
 	if err := protocol.RunParties(pa, pb,
-		func() { la.Forward(xA) },
-		func() { z = lb.Forward(xB) },
+		func() { la.Forward(SparseFeatures{xA}) },
+		func() { z = lb.Forward(SparseFeatures{xB}) },
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -63,20 +119,22 @@ func TestSparseMatMulBackwardMatchesSGD(t *testing.T) {
 	xB := tensor.RandCSR(rng, 5, 20, 3)
 	gradZ := tensor.RandDense(rng, 5, 2, 1)
 
-	wantWA := DebugSparseWeightsA(la, lb).Sub(xA.ToDense().Transpose().MatMul(gradZ).Scale(cfg.LR))
-	wantWB := DebugSparseWeightsB(la, lb).Sub(xB.ToDense().Transpose().MatMul(gradZ).Scale(cfg.LR))
+	wA, wB := sparseW(t, la, lb)
+	wantWA := wA.Sub(xA.ToDense().Transpose().MatMul(gradZ).Scale(cfg.LR))
+	wantWB := wB.Sub(xB.ToDense().Transpose().MatMul(gradZ).Scale(cfg.LR))
 
 	if err := protocol.RunParties(pa, pb,
-		func() { la.Forward(xA); la.Backward() },
-		func() { lb.Forward(xB); lb.Backward(gradZ) },
+		func() { la.Forward(SparseFeatures{xA}); la.Backward() },
+		func() { lb.Forward(SparseFeatures{xB}); lb.Backward(gradZ) },
 	); err != nil {
 		t.Fatal(err)
 	}
 	settleSparse(t, pa, pb, la, lb)
-	if got := DebugSparseWeightsA(la, lb); !got.Equal(wantWA, 1e-4) {
+	gotA, gotB := sparseW(t, la, lb)
+	if got := gotA; !got.Equal(wantWA, 1e-4) {
 		t.Fatalf("sparse W_A update wrong (maxdiff %g)", got.Sub(wantWA).MaxAbs())
 	}
-	if got := DebugSparseWeightsB(la, lb); !got.Equal(wantWB, 1e-4) {
+	if got := gotB; !got.Equal(wantWB, 1e-4) {
 		t.Fatalf("sparse W_B update wrong (maxdiff %g)", got.Sub(wantWB).MaxAbs())
 	}
 }
@@ -125,9 +183,10 @@ func TestSparseStepEndsOnGradientSend(t *testing.T) {
 			t.Fatal(err)
 		}
 		la, lb := newSparsePair(t, pa, pb, cfg, inA, inB)
-		wantWA := DebugSparseWeightsA(la, lb).Sub(xA.ToDense().Transpose().MatMul(gradZ).Scale(cfg.LR))
-		wantWB := DebugSparseWeightsB(la, lb).Sub(xB.ToDense().Transpose().MatMul(gradZ).Scale(cfg.LR))
-		if err := protocol.RunParties(pa, pb, func() { la.Forward(xA) }, func() { lb.Forward(xB) }); err != nil {
+		wA, wB := sparseW(t, la, lb)
+		wantWA := wA.Sub(xA.ToDense().Transpose().MatMul(gradZ).Scale(cfg.LR))
+		wantWB := wB.Sub(xB.ToDense().Transpose().MatMul(gradZ).Scale(cfg.LR))
+		if err := protocol.RunParties(pa, pb, func() { la.Forward(SparseFeatures{xA}) }, func() { lb.Forward(SparseFeatures{xB}) }); err != nil {
 			t.Fatal(err)
 		}
 		if hold {
@@ -160,7 +219,7 @@ func TestSparseStepEndsOnGradientSend(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := protocol.RunParties(pa, pb, func() { la.Forward(nextA) }, func() { lb.Forward(nextB) }); err != nil {
+		if err := protocol.RunParties(pa, pb, func() { la.Forward(SparseFeatures{nextA}) }, func() { lb.Forward(SparseFeatures{nextB}) }); err != nil {
 			t.Fatal(err)
 		}
 		touched := touchedCols(nextA)
@@ -168,10 +227,11 @@ func TestSparseStepEndsOnGradientSend(t *testing.T) {
 			t.Fatalf("the next forward multiplied by a stale row of ⟦V_A⟧ (maxdiff %g)", used.Sub(cur).MaxAbs())
 		}
 		settleSparse(t, pa, pb, la, lb)
-		if got := DebugSparseWeightsA(la, lb); !got.Equal(wantWA, 1e-4) {
+		gotA, gotB := sparseW(t, la, lb)
+		if got := gotA; !got.Equal(wantWA, 1e-4) {
 			t.Fatalf("W_A is not one SGD step (maxdiff %g)", got.Sub(wantWA).MaxAbs())
 		}
-		if got := DebugSparseWeightsB(la, lb); !got.Equal(wantWB, 1e-4) {
+		if got := gotB; !got.Equal(wantWB, 1e-4) {
 			t.Fatalf("W_B is not one SGD step (maxdiff %g)", got.Sub(wantWB).MaxAbs())
 		}
 		return []*tensor.Dense{la.UA, la.VB, lb.UB, lb.VA}
@@ -209,10 +269,10 @@ func TestSparseMatMulCacheNeverStale(t *testing.T) {
 			touched := touchedCols(xA)
 			reused += len(touched) - len(la.cacheVA.missing(touched))
 			settleSparse(t, pa, pb, la, lb)
-			want := xA.ToDense().MatMul(DebugSparseWeightsA(la, lb)).
-				Add(xB.ToDense().MatMul(DebugSparseWeightsB(la, lb)))
+			wA, wB := sparseW(t, la, lb)
+			want := xA.ToDense().MatMul(wA).Add(xB.ToDense().MatMul(wB))
 			var z *tensor.Dense
-			if err := protocol.RunParties(pa, pb, func() { la.Forward(xA) }, func() { z = lb.Forward(xB) }); err != nil {
+			if err := protocol.RunParties(pa, pb, func() { la.Forward(SparseFeatures{xA}) }, func() { z = lb.Forward(SparseFeatures{xB}) }); err != nil {
 				t.Fatal(err)
 			}
 			if !z.Equal(want, 1e-4) {
@@ -251,15 +311,15 @@ func TestSparseMatMulCacheGrowsOnlyWithTouchedRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	xA := tensor.RandCSR(rng, 4, 1000, 2) // at most 8 touched of 1000
 	xB := tensor.RandCSR(rng, 4, 1000, 2)
-	if err := protocol.RunParties(pa, pb, func() { la.Forward(xA) }, func() { lb.Forward(xB) }); err != nil {
+	if err := protocol.RunParties(pa, pb, func() { la.Forward(SparseFeatures{xA}) }, func() { lb.Forward(SparseFeatures{xB}) }); err != nil {
 		t.Fatal(err)
 	}
 	if n, want := len(la.cacheVA.cache), len(touchedCols(xA)); n != want {
 		t.Fatalf("after a forward-only pass the cache holds %d rows; expected the %d touched", n, want)
 	}
 	if err := protocol.RunParties(pa, pb,
-		func() { la.Forward(xA); la.Backward() },
-		func() { lb.Forward(xB); lb.Backward(tensor.NewDense(4, 1)) },
+		func() { la.Forward(SparseFeatures{xA}); la.Backward() },
+		func() { lb.Forward(SparseFeatures{xB}); lb.Backward(tensor.NewDense(4, 1)) },
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +338,7 @@ func TestSparseMatMulMomentumMatchesLazySGD(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(5))
 	// Reference: lazy momentum on the reconstructed weights.
-	wA := DebugSparseWeightsA(la, lb)
+	wA, _ := sparseW(t, la, lb)
 	buf := tensor.NewDense(10, 1)
 
 	for step := 0; step < 3; step++ {
@@ -293,14 +353,14 @@ func TestSparseMatMulMomentumMatchesLazySGD(t *testing.T) {
 		}
 
 		if err := protocol.RunParties(pa, pb,
-			func() { la.Forward(xA); la.Backward() },
-			func() { lb.Forward(xB); lb.Backward(gradZ) },
+			func() { la.Forward(SparseFeatures{xA}); la.Backward() },
+			func() { lb.Forward(SparseFeatures{xB}); lb.Backward(gradZ) },
 		); err != nil {
 			t.Fatal(err)
 		}
 	}
 	settleSparse(t, pa, pb, la, lb)
-	if got := DebugSparseWeightsA(la, lb); !got.Equal(wA, 1e-3) {
+	if got, _ := sparseW(t, la, lb); !got.Equal(wA, 1e-3) {
 		t.Fatalf("lazy momentum diverged (maxdiff %g)", got.Sub(wA).MaxAbs())
 	}
 }

@@ -26,23 +26,8 @@ import (
 // scaled by 1/1 — so the two-party layer is this layer over a 1-session
 // group, bit for bit, and nothing above core needs a second path for it.
 
-// sessionB is what the group layer drives per session: the dense or the
-// sparse two-party B-half.
-type sessionB interface {
-	forwardPart(x Numeric) *tensor.Dense
-	backwardMulti(gradFull, gradLocal *tensor.Dense)
-	settle()
-	pieces() (ub, va *tensor.Dense)
-}
-
-func (l *MatMulB) forwardPart(x Numeric) *tensor.Dense { return l.Forward(x) }
-func (l *MatMulB) settle()                             {} // a dense step leaves nothing owed
-func (l *MatMulB) pieces() (ub, va *tensor.Dense)      { return l.UB, l.VA }
-
-func (l *SparseMatMulB) forwardPart(x Numeric) *tensor.Dense {
-	return l.Forward(x.(SparseFeatures).M)
-}
-func (l *SparseMatMulB) settle()                        { l.Settle() }
+// The group layer reads each session's pieces through NumericB.
+func (l *MatMulB) pieces() (ub, va *tensor.Dense)       { return l.UB, l.VA }
 func (l *SparseMatMulB) pieces() (ub, va *tensor.Dense) { return l.UB, l.VA }
 
 // MultiMatMulB is Party B's half of the k-session MatMul layer: one
@@ -50,7 +35,7 @@ func (l *SparseMatMulB) pieces() (ub, va *tensor.Dense) { return l.UB, l.VA }
 // concurrently.
 type MultiMatMulB struct {
 	g    *protocol.Group
-	subs []sessionB // session i's B-half, holding U_B(i) and V_A(i)
+	subs []NumericB // session i's B-half, holding U_B(i) and V_A(i)
 
 	// parties is the session count of the whole run. It exceeds g.K() in a
 	// shard worker, whose group holds a slice of the run's sessions: the W_B
@@ -73,7 +58,7 @@ func NewMultiMatMulB(g *protocol.Group, cfg Config, inAs []int, inB int, sparse 
 	if cfg.GroupParties == 0 {
 		cfg.GroupParties = g.K()
 	}
-	m := &MultiMatMulB{g: g, subs: make([]sessionB, g.K()), parties: cfg.GroupParties}
+	m := &MultiMatMulB{g: g, subs: make([]NumericB, g.K()), parties: cfg.GroupParties}
 	g.ForEach(func(i int, p *protocol.Peer) {
 		if sparse {
 			m.subs[i] = NewSparseMatMulB(p, cfg, inAs[i], inB)
@@ -84,22 +69,15 @@ func NewMultiMatMulB(g *protocol.Group, cfg Config, inAs []int, inB int, sparse 
 	return m
 }
 
-// NewMultiMatMulBFrom assembles the layer from per-session dense halves
-// restored by LoadMatMulB — the checkpoint-restore constructor. subs[i] must
-// be attached to the group's session-i peer. The run's global session count
-// is the one the halves were saved under, never less than the group's own.
-func NewMultiMatMulBFrom(g *protocol.Group, subs []*MatMulB) *MultiMatMulB {
+// NewMultiMatMulBFrom assembles the layer from per-session halves restored
+// by LoadMatMulB — the checkpoint-restore constructor. subs[i] must be
+// attached to the group's session-i peer; cfg.GroupParties is the run's
+// global session count, as for NewMultiMatMulB.
+func NewMultiMatMulBFrom(g *protocol.Group, cfg Config, subs []NumericB) *MultiMatMulB {
 	if len(subs) != g.K() {
 		panic(fmt.Sprintf("core: NewMultiMatMulBFrom got %d halves for %d sessions", len(subs), g.K()))
 	}
-	m := &MultiMatMulB{g: g, subs: make([]sessionB, len(subs)), parties: g.K()}
-	for i, sub := range subs {
-		m.subs[i] = sub
-		if sub.cfg.GroupParties > m.parties {
-			m.parties = sub.cfg.GroupParties
-		}
-	}
-	return m
+	return &MultiMatMulB{g: g, subs: subs, parties: max(cfg.GroupParties, g.K())}
 }
 
 // Forward runs the k sub-protocol forwards concurrently and aggregates
@@ -120,7 +98,7 @@ func (m *MultiMatMulB) Forward(x Numeric) *tensor.Dense {
 // same tensor.SumInOrder. Lost sessions leave nils.
 func (m *MultiMatMulB) ForwardParts(x Numeric) []*tensor.Dense {
 	zs := make([]*tensor.Dense, len(m.subs))
-	m.g.ForEach(func(i int, _ *protocol.Peer) { zs[i] = m.subs[i].forwardPart(x) })
+	m.g.ForEach(func(i int, _ *protocol.Peer) { zs[i] = m.subs[i].Forward(x) })
 	return zs
 }
 
@@ -135,29 +113,34 @@ func (m *MultiMatMulB) Backward(gradZ *tensor.Dense) {
 	m.g.ForEach(func(i int, _ *protocol.Peer) { m.subs[i].backwardMulti(gradZ, scaled) })
 }
 
-// Settle ends a run on every live session: a sparse half takes the masked
-// gradient its feature party sent at the end of the last step (see
-// SparseMatMulB.Settle), a dense half has nothing owed. Must run
-// concurrently with Settle on every sparse A(i).
+// Settle settles every live session's half (see SparseMatMulB.Settle; a
+// dense half has nothing owed). Must run concurrently with Settle on every
+// A(i).
 func (m *MultiMatMulB) Settle() {
-	m.g.ForEach(func(i int, _ *protocol.Peer) { m.subs[i].settle() })
+	m.g.ForEach(func(i int, _ *protocol.Peer) { m.subs[i].Settle() })
 }
 
-// Sub returns session i's dense two-party B-half, nil in a sparse layer.
-// Checkpointing and the serve runtime walk the per-session halves through it.
-func (m *MultiMatMulB) Sub(i int) *MatMulB {
-	sub, _ := m.subs[i].(*MatMulB)
+// Sub returns session i's two-party B-half. Checkpointing walks the
+// per-session halves through it.
+func (m *MultiMatMulB) Sub(i int) NumericB { return m.subs[i] }
+
+// dense returns session i's half for the serve path, which covers dense
+// layers only (model.Serveable guards every call site).
+func (m *MultiMatMulB) dense(i int) *MatMulB {
+	sub, ok := m.subs[i].(*MatMulB)
+	if !ok {
+		panic("core: the serve path covers dense MatMul layers only")
+	}
 	return sub
 }
 
 // K returns the number of sessions (feature parties) this layer drives.
 func (m *MultiMatMulB) K() int { return len(m.subs) }
 
-// ResumeExchange re-runs the initialization exchange of encrypted weight
-// pieces on every session after a checkpoint restore. Must run concurrently
-// with ResumeExchange on every A(i).
+// ResumeExchange re-runs every session's resume exchange after a checkpoint
+// restore. Must run concurrently with ResumeExchange on every A(i).
 func (m *MultiMatMulB) ResumeExchange() {
-	m.g.ForEach(func(i int, _ *protocol.Peer) { m.Sub(i).ResumeExchange() })
+	m.g.ForEach(func(i int, _ *protocol.Peer) { m.subs[i].ResumeExchange() })
 }
 
 // DebugMultiWeightsB reconstructs W_B = Σᵢ (U_B(i) + V_B(i)) given every

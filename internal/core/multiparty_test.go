@@ -164,7 +164,7 @@ func TestMultiPartySparseMatchesPlaintext(t *testing.T) {
 
 	var z *tensor.Dense
 	if err := protocol.RunGroup(peersA, g,
-		func(i int) { as[i].Forward(xAs[i]); as[i].Backward() },
+		func(i int) { as[i].Forward(SparseFeatures{xAs[i]}); as[i].Backward() },
 		func() { z = b.Forward(SparseFeatures{xB}); b.Backward(gradZ) },
 	); err != nil {
 		t.Fatal(err)

@@ -481,14 +481,15 @@ func TestMatMulCheckpointOnEveryKind(t *testing.T) {
 			if err := lb.Save(&bufB); err != nil {
 				t.Fatal(err)
 			}
-			la2, err := LoadMatMulA(&bufA, pa, 3, 3, 2)
+			na, err := LoadMatMulA(&bufA, pa, false, 3, 3, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lb2, err := LoadMatMulB(&bufB, pb, 3, 3, 2)
+			nb, err := LoadMatMulB(&bufB, pb, false, 3, 3, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
+			la2, lb2 := na.(*MatMulA), nb.(*MatMulB)
 			// Restored halves reconstruct the same weights...
 			if !DebugWeightsA(la2, lb2).Equal(DebugWeightsA(la, lb), 0) || !DebugWeightsB(la2, lb2).Equal(DebugWeightsB(la, lb), 0) {
 				t.Fatal("restored weights differ")

@@ -40,9 +40,9 @@ func TestFigure9BlindFLActivationAttackIsChance(t *testing.T) {
 		for _, idx := range data.BatchIndices(spec.Train, 64) {
 			y := gatherY(ds.TrainY, idx)
 			if err := protocol.RunParties(pa, pb,
-				func() { la.Forward(ds.TrainA.Batch(idx).Sparse); la.Backward() },
+				func() { la.Forward(SparseFeatures{ds.TrainA.Batch(idx).Sparse}); la.Backward() },
 				func() {
-					z := lb.Forward(ds.TrainB.Batch(idx).Sparse)
+					z := lb.Forward(SparseFeatures{ds.TrainB.Batch(idx).Sparse})
 					_, grad := nn.BCEWithLogits(bias.Forward(z), y)
 					opt.ZeroGrad()
 					gz := bias.Backward(grad)
@@ -55,8 +55,7 @@ func TestFigure9BlindFLActivationAttackIsChance(t *testing.T) {
 	}
 	settleSparse(t, pa, pb, la, lb)
 	// Full model metric (reconstructed for evaluation only).
-	wA := DebugSparseWeightsA(la, lb)
-	wB := DebugSparseWeightsB(la, lb)
+	wA, wB := sparseW(t, la, lb)
 	full := ds.TestA.Sparse.MatMul(wA).Add(ds.TestB.Sparse.MatMul(wB))
 	fullAUC = nn.AUC(nn.Scores(full), ds.TestY)
 	if fullAUC < 0.8 {

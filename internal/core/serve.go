@@ -104,10 +104,9 @@ func (l *MatMulB) ServeForward(x *tensor.Dense) *tensor.Dense {
 
 // ServeStart runs the serve-session weight exchange on every session of the
 // multi-party layer. Must run concurrently with ServeStart on every A(i).
-// Like every serve method, it is defined for dense halves only (a sparse
-// layer has no Sub to call it on; model.Serveable guards every call site).
+// Like every serve method, it is defined for dense halves only.
 func (m *MultiMatMulB) ServeStart() {
-	m.g.ForEach(func(i int, _ *protocol.Peer) { m.Sub(i).ServeStart() })
+	m.g.ForEach(func(i int, _ *protocol.Peer) { m.dense(i).ServeStart() })
 }
 
 // ServeForward runs the k serve sub-forwards concurrently and reconstructs
@@ -125,7 +124,7 @@ func (m *MultiMatMulB) ServeForward(x *tensor.Dense) *tensor.Dense {
 // training partials, which must ship per session).
 func (m *MultiMatMulB) ServeShareSum(x *tensor.Dense) *hetensor.BigMatrix {
 	shares := make([]*hetensor.BigMatrix, len(m.subs))
-	m.g.ForEach(func(i int, _ *protocol.Peer) { shares[i] = m.Sub(i).ServeShare(x) })
+	m.g.ForEach(func(i int, _ *protocol.Peer) { shares[i] = m.dense(i).ServeShare(x) })
 	var z *hetensor.BigMatrix
 	for _, s := range shares {
 		if s == nil {

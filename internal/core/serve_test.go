@@ -124,13 +124,13 @@ func TestServeForwardMulti(t *testing.T) {
 	xB := tensor.RandDense(rng, batch, 4, 1)
 
 	// Exact integer reference summed over all sessions' pieces.
-	want := hetensor.IntMatMulT(xB, lb.Sub(0).UB)
+	want := hetensor.IntMatMulT(xB, lb.dense(0).UB)
 	for i := 0; i < k; i++ {
 		want.AddInPlace(hetensor.IntMatMulT(xAs[i], las[i].UA))
-		want.AddInPlace(hetensor.IntMatMulT(xAs[i], lb.Sub(i).VA))
+		want.AddInPlace(hetensor.IntMatMulT(xAs[i], lb.dense(i).VA))
 		want.AddInPlace(hetensor.IntMatMulT(xB, las[i].VB))
 		if i > 0 {
-			want.AddInPlace(hetensor.IntMatMulT(xB, lb.Sub(i).UB))
+			want.AddInPlace(hetensor.IntMatMulT(xB, lb.dense(i).UB))
 		}
 	}
 	ref := want.DecodeTranspose()

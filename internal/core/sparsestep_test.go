@@ -44,8 +44,8 @@ func sparseWanStep(tb testing.TB, rng *rand.Rand, pa, pb *protocol.Peer, la *Spa
 	xB := indicatorCSR(rng, sparseWanBatch, sparseWanIn, sparseWanNNZ)
 	gradZ := tensor.RandDense(rng, sparseWanBatch, 1, 0.05)
 	if err := protocol.RunParties(pa, pb,
-		func() { la.Forward(xA); la.Backward() },
-		func() { lb.Forward(xB); lb.Backward(gradZ) },
+		func() { la.Forward(SparseFeatures{xA}); la.Backward() },
+		func() { lb.Forward(SparseFeatures{xB}); lb.Backward(gradZ) },
 	); err != nil {
 		tb.Fatal(err)
 	}

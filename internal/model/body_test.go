@@ -15,9 +15,10 @@ import (
 )
 
 // The one-body matrix. Trainer has a single training body, so every way of
-// reaching it must land on the same trajectory: {k = 1, k = 3} × {fresh,
-// killed mid-epoch-2 and resumed from the epoch-1 checkpoint} × {label party
-// unsharded, on 1 shard worker, on 2}. Every cell is asserted bit-identical
+// reaching it must land on the same trajectory: {k = 1, k = 3} × {dense,
+// sparse and embedding source layers} × {fresh, killed mid-epoch-2 and
+// resumed from the epoch-1 checkpoint} × {label party unsharded, on 1 shard
+// worker, on 2}. Every cell is asserted bit-identical
 // — losses, metric, test logits — to its row's fresh unsharded run, which
 // the recorded trajectories (trajectory_test.go) in turn pin to the last
 // commit that still had separate bodies.
@@ -93,43 +94,59 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
+// catSpec is tinySpec with categorical fields on one batch of rows: an
+// Embed-MatMul step costs several of a MatMul step's exchanges.
+func catSpec(name string, feats, nnz int) data.Spec {
+	s := tinySpec(name, feats, nnz, 2, true)
+	s.Train, s.Test = 32, 16
+	return s
+}
+
 func TestChaosOneBodyMatrix(t *testing.T) {
 	h := tinyHyper()
 	h.Epochs = 3
 	dense := data.Generate(tinySpec("t-body", 12, 12, 2, false), 3)
 	sparse := data.Generate(tinySpec("t-body-sp", 60, 6, 2, false), 4)
+	wdl := data.Generate(catSpec("t-body-wdl", 60, 6), 5)
+	dlrm := data.Generate(catSpec("t-body-dlrm", 12, 12), 6)
 	rows := []struct {
+		kind      Kind
 		k         int
 		ds        *data.Dataset
 		on        topology   // where the fresh and the killed run execute
 		resumeOn  []topology // where the killed run's checkpoint resumes; none: fresh only
 		shortLane bool
 	}{
-		{1, dense, 0, []topology{0, 1}, true},
-		{1, dense, 1, []topology{1}, false},
-		{3, dense, 0, []topology{0}, true},
-		{3, dense, 1, []topology{1}, false},
+		{LR, 1, dense, 0, []topology{0, 1}, true},
+		{LR, 1, dense, 1, []topology{1}, false},
+		{LR, 3, dense, 0, []topology{0}, true},
+		{LR, 3, dense, 1, []topology{1}, false},
 		// A checkpoint is shard-topology-free: killed on 2 shards, it resumes
 		// on 2, on 1, and unsharded.
-		{3, dense, 2, []topology{2, 1, 0}, true},
-		// The sparse layer has no checkpoint; its rows are the fresh ones.
-		{1, sparse, 1, nil, false},
-		{3, sparse, 2, nil, false},
+		{LR, 3, dense, 2, []topology{2, 1, 0}, true},
+		// Every source layer checkpoints through the one contract: the sparse
+		// layer's halves (on any topology too) and the Embed-MatMul layer's,
+		// beside a sparse numeric layer (WDL) and a dense one (DLRM).
+		{LR, 1, sparse, 1, []topology{0}, true},
+		{LR, 3, sparse, 2, []topology{2, 1, 0}, false},
+		{WDL, 1, wdl, 0, []topology{0}, true},
+		{DLRM, 1, dlrm, 0, []topology{0}, false},
 	}
 	type refKey struct {
-		k  int
-		ds *data.Dataset
+		kind Kind
+		k    int
+		ds   *data.Dataset
 	}
 	refs := map[refKey]*History{}
 	refMsgs := map[refKey]int64{}
 	for _, row := range rows {
-		name := fmt.Sprintf("k%d/%s/%v", row.k, row.ds.Spec.Name, row.on)
+		name := fmt.Sprintf("%s/k%d/%s/%v", row.kind, row.k, row.ds.Spec.Name, row.on)
 		t.Run(name, func(t *testing.T) {
 			if testing.Short() && !row.shortLane {
 				t.Skip("row skipped in -short")
 			}
-			tr := Trainer{Kind: LR, Hyper: h}
-			key := refKey{row.k, row.ds}
+			tr := Trainer{Kind: row.kind, Hyper: h}
+			key := refKey{row.kind, row.k, row.ds}
 			ref := refs[key]
 			if ref == nil {
 				as, g := fedGroup(t, row.k, h.Seed)
@@ -141,7 +158,10 @@ func TestChaosOneBodyMatrix(t *testing.T) {
 				refMsgs[key], _ = as[0].Conn.Stats()
 			}
 			if row.on != 0 {
-				fresh, err := runOn(t, tr, row.ds, row.k, row.on, false, 0)
+				// The fresh run checkpoints every epoch and is still the
+				// reference, which does not: a checkpointed epoch settles
+				// the sparse layer one flight early, never differently.
+				fresh, err := runOn(t, Trainer{Kind: row.kind, Hyper: h, CheckpointDir: t.TempDir()}, row.ds, row.k, row.on, false, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

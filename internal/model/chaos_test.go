@@ -388,7 +388,7 @@ func TestChaosSparseFinalGradientNack(t *testing.T) {
 				for s := 0; s < steps; s++ {
 					ma.StepA(ds.TrainA.Batch(batch(s)))
 				}
-				ma.num.settle()
+				ma.settle()
 			})
 		}()
 		go func() {
@@ -396,7 +396,7 @@ func TestChaosSparseFinalGradientNack(t *testing.T) {
 				for s := 0; s < steps; s++ {
 					out = append(out, mb.StepB(ds.TrainB.Batch(batch(s)), gather(ds.TrainY, batch(s))))
 				}
-				mb.num.settle()
+				mb.settle()
 			})
 			done <- nil
 		}()

@@ -3,11 +3,11 @@ package model
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 
 	"blindfl/internal/core"
+	"blindfl/internal/data"
 	"blindfl/internal/nn"
 	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
@@ -17,10 +17,11 @@ import (
 // versioned checksum envelope (envelope.go): a run writes it every
 // CheckpointEvery epochs into CheckpointDir (runckpt.go) and, for
 // Trainer.Checkpoint, after the last epoch — the stream NewPredictor serves
-// from. It holds plaintext only: each layer half's pieces, momentum and
-// config (core checkpoint.go), the head and its momentum, the loss prefix and
-// the engine fingerprint. The encrypted copies of the peer's pieces are under
-// per-session keys, so every restore redoes the exchange that mints them.
+// from. It holds plaintext only: each party's settled source-layer halves
+// (pieces, momentum and config, through core's Save), the head and its
+// momentum, the loss prefix, the source layout and the engine fingerprint.
+// The encrypted copies of the peer's pieces are under per-session keys, so
+// every restore redoes the exchange that mints them.
 
 // runCheckpoint is the gob root of every checkpoint. Nothing in it says how
 // the label party was sharded when it was written: the layer halves are
@@ -31,12 +32,13 @@ type runCheckpoint struct {
 	Kind        Kind
 	Classes     int
 	Hyper       Hyper
+	Layout      sourceLayout
 	InAs        []int // feature party i's column width, len = number of sessions
 	InB         int
 	Epoch       int       // completed epochs at capture time
 	Losses      []float64 // per-iteration loss prefix through Epoch
-	LayerA      [][]byte  // feature party i's MatMulA half (core gob)
-	LayerB      [][]byte  // label party's session-i MatMulB half (core gob)
+	LayerA      [][]byte  // feature party i's halves (saveHalves), numeric first
+	LayerB      [][]byte  // the label party's session-i halves, likewise
 	Head        []*tensor.Dense
 	HeadMom     []*tensor.Dense // head optimizer momentum, params() order
 	Fingerprint uint64          // engine.Options.Fingerprint() of the run
@@ -53,9 +55,10 @@ func writeCheckpoint(w io.Writer, ck *runCheckpoint) error {
 
 // readCheckpoint is the one checkpoint decoder, behind NewPredictor and the
 // resume scan alike: open the envelope, decode the gob root, and vet that it
-// spans a non-empty party set with one layer half per session on each side.
-// Every refusal is a typed ErrBadCheckpoint; the halves and the head are
-// vetted where they are restored (loadLayers, restoreHead).
+// names a family and spans a non-empty party set with one blob of halves per
+// session on each side. Every refusal is a typed ErrBadCheckpoint; the
+// halves and the head are vetted where they are restored (loadSide,
+// restoreHead).
 func readCheckpoint(r io.Reader) (*runCheckpoint, error) {
 	payload, err := openEnvelope(r)
 	if err != nil {
@@ -65,6 +68,9 @@ func readCheckpoint(r io.Reader) (*runCheckpoint, error) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
 		return nil, fmt.Errorf("%w: decode: %v", ErrBadCheckpoint, err)
 	}
+	if _, err := ParseKind(string(ck.Kind)); err != nil || ck.Classes < 2 {
+		return nil, fmt.Errorf("%w: family %q over %d classes", ErrBadCheckpoint, ck.Kind, ck.Classes)
+	}
 	k := len(ck.InAs)
 	if k == 0 || len(ck.LayerA) != k || len(ck.LayerB) != k || ck.Epoch < 1 {
 		return nil, fmt.Errorf("%w: malformed (%d parties, %d A layers, %d B layers, epoch %d)",
@@ -73,57 +79,81 @@ func readCheckpoint(r io.Reader) (*runCheckpoint, error) {
 	return &ck, nil
 }
 
-// errDenseOnly refuses to checkpoint a sparse source layer (Trainer.plan
-// turns the request down first; this is the layer-level backstop).
-var errDenseOnly = errors.New("model: checkpoint covers dense numeric source layers only")
-
-// saveLayerA serializes a feature party's dense source-layer half.
-func saveLayerA(ma *FedA) ([]byte, error) {
-	if ma.num.dense == nil {
-		return nil, errDenseOnly
-	}
-	return saveHalf(ma.num.dense)
+// sourceLayout says what a run's source-layer halves are: a dense or a
+// sparse MatMul layer and, for the embedding families, the Embed-MatMul
+// layer's vocabulary and field counts (zero without one). Every checkpoint
+// records it, so a resume onto data of another layout is refused even where
+// the feature widths agree.
+type sourceLayout struct {
+	Sparse           bool
+	Vocab            int
+	FieldsA, FieldsB int
 }
 
-// saveLayersB serializes the label party's dense per-session halves, in the
-// layer's session order.
-func saveLayersB(l *core.MultiMatMulB) ([][]byte, error) {
+// layoutOf is the layout a family has over ds.
+func layoutOf(kind Kind, ds *data.Dataset) sourceLayout {
+	lay := sourceLayout{Sparse: !ds.Spec.Dense()}
+	if kind.UsesEmbedding() {
+		lay.Vocab, lay.FieldsA, lay.FieldsB = ds.Spec.CatVocab, ds.TrainA.Cat.Cols, ds.TrainB.Cat.Cols
+	}
+	return lay
+}
+
+// plan is the shape the checkpoint declares for its halves.
+func (ck *runCheckpoint) plan() *runPlan {
+	pl := newPlan(ck.Kind, ck.Classes, ck.Hyper, ck.Layout, ck.InAs, ck.InB)
+	pl.ck = ck
+	return pl
+}
+
+// saveHalves serializes one session's settled halves into one blob: each
+// half's own gob stream, back to back, in the order loadSide reads them.
+func saveHalves(hs ...core.Half) ([]byte, error) {
+	var buf bytes.Buffer
+	for _, h := range hs {
+		if err := h.Save(&buf); err != nil {
+			return nil, err
+		}
+	}
+	return buf.Bytes(), nil
+}
+
+// saveGroup serializes a group layer's per-session halves, in session order.
+func saveGroup(l *core.MultiMatMulB) ([][]byte, error) {
 	out := make([][]byte, l.K())
 	for i := range out {
-		sub := l.Sub(i)
-		if sub == nil {
-			return nil, errDenseOnly
-		}
 		var err error
-		if out[i], err = saveHalf(sub); err != nil {
+		if out[i], err = saveHalves(l.Sub(i)); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// saveHalf serializes one core layer half.
-func saveHalf(l interface{ Save(io.Writer) error }) ([]byte, error) {
-	var buf bytes.Buffer
-	err := l.Save(&buf)
-	return buf.Bytes(), err
-}
-
-// loadLayers decodes per-session layer halves blobs[i] onto peers[i] with
-// load (core.LoadMatMulA or core.LoadMatMulB), each checked against the shape
-// the checkpoint declares. It runs sequentially, before any session traffic:
-// a rotted half is one typed ErrBadCheckpoint naming its session, and the
-// sessions are left untouched.
-func loadLayers[L any](load func(io.Reader, *protocol.Peer, int, int, int) (L, error),
-	blobs [][]byte, peers []*protocol.Peer, inAs []int, inB, out int) ([]L, error) {
-	halves := make([]L, len(blobs))
+// loadSide decodes one side's per-session blobs onto peers, in the order the
+// halves were saved: each session's MatMul half and, after session 0's, an
+// embedding family's Embed-MatMul half, each vetted against the plan's
+// shape. It runs sequentially, before any session traffic: a rotted half —
+// or bytes past a session's halves — is one typed ErrBadCheckpoint naming
+// its session, and the sessions are left untouched.
+func loadSide[N, E any](pl *runPlan, blobs [][]byte, peers []*protocol.Peer,
+	loadNum func(io.Reader, *protocol.Peer, bool, int, int, int) (N, error),
+	loadEmb func(io.Reader, *protocol.Peer, core.EmbedConfig) (E, error)) (nums []N, emb E, err error) {
+	nums = make([]N, len(blobs))
 	for i, blob := range blobs {
-		var err error
-		if halves[i], err = load(bytes.NewReader(blob), peers[i], inAs[i], inB, out); err != nil {
-			return nil, fmt.Errorf("%w: session %d: %v", ErrBadCheckpoint, i, err)
+		r := bytes.NewReader(blob)
+		nums[i], err = loadNum(r, peers[i], pl.lay.Sparse, pl.inAs[i], pl.inB, pl.cfg.Out)
+		if err == nil && i == 0 && pl.kind.UsesEmbedding() {
+			emb, err = loadEmb(r, peers[0], pl.emb)
+		}
+		if err == nil && r.Len() > 0 {
+			err = fmt.Errorf("%d bytes past its halves", r.Len())
+		}
+		if err != nil {
+			return nil, emb, fmt.Errorf("%w: session %d: %v", ErrBadCheckpoint, i, err)
 		}
 	}
-	return halves, nil
+	return nums, emb, nil
 }
 
 // headParams clones the head's parameters in params() order.
@@ -138,24 +168,27 @@ func headParams(h headB) []*tensor.Dense {
 
 // restoreHead rebuilds a family's plaintext head through the training-time
 // constructor (so the module shapes match) and overwrites its parameters
-// with saved — the one head restore behind Predictor and Resume. The family,
-// class count and widths may come from the checkpoint itself, so they are
-// vetted arithmetically before anything is built: the head's linear layers
-// must fit in the elements saved actually carries, which bounds the
-// allocation by the input. Every refusal is a typed ErrBadCheckpoint.
+// with saved — the one head restore behind Predictor and Resume. The family
+// and class count are readCheckpoint's to vet; the widths may come from the
+// checkpoint itself, so they are vetted arithmetically before anything is
+// built: the head's linear layers must fit in the elements saved actually
+// carries, which bounds the allocation by the input. Every refusal is a
+// typed ErrBadCheckpoint.
 func restoreHead(kind Kind, classes int, h Hyper, saved []*tensor.Dense) (headB, error) {
-	if _, err := ParseKind(string(kind)); err != nil || kind.UsesEmbedding() || classes < 2 {
-		return nil, fmt.Errorf("%w: head of family %q over %d classes (checkpoints cover lr|mlr|mlp)", ErrBadCheckpoint, kind, classes)
-	}
 	have := 0
 	for _, w := range saved {
 		if w != nil {
 			have += len(w.Data)
 		}
 	}
+	// The widths of the head's linear layers, input first: an MLP tower
+	// (MLP, WDL), one layer (DLRM), or none (a bias: LR, MLR).
 	dims := []int{outDim(classes)}
-	if kind == MLP {
+	switch kind {
+	case MLP, WDL:
 		dims = append(append([]int{firstHidden(h)}, restHidden(h)...), dims...)
+	case DLRM:
+		dims = []int{firstHidden(h), dims[0]}
 	}
 	for i, d := range dims {
 		if d < 1 || d > have || i > 0 && dims[i-1]*d > have {

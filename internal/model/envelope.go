@@ -30,11 +30,12 @@ var ErrBadCheckpoint = errors.New("model: bad checkpoint")
 // ckMagic identifies a sealed blindfl checkpoint stream.
 var ckMagic = [4]byte{'B', 'F', 'C', 'K'}
 
-// ckVersion is the current envelope format version. 3: one gob root for
-// every checkpoint (runCheckpoint), and a layer half holds plaintext pieces,
-// momentum and config only — version 2 had a separate serve-checkpoint root
-// and kept each half's encrypted copy of the peer's piece.
-const ckVersion = 3
+// ckVersion is the current envelope format version. 4: the root records
+// its source layout, and a session's blob holds every half of that session
+// (sparse and Embed-MatMul ones too). 3 had one gob root for every
+// checkpoint and dense MatMul halves only; 2 had a separate serve-checkpoint
+// root and kept each half's encrypted copy of the peer's piece.
+const ckVersion = 4
 
 // maxCkPayload is the ceiling on a declared payload length. It is a sanity
 // bound, not the allocation bound: openEnvelope's buffer grows with the

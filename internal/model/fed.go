@@ -11,45 +11,6 @@ import (
 	"blindfl/internal/tensor"
 )
 
-// numericSrcA adapts the dense and sparse MatMul halves behind one facade.
-type numericSrcA struct {
-	dense  *core.MatMulA
-	sparse *core.SparseMatMulA
-}
-
-func (s *numericSrcA) forward(p data.Part) {
-	if s.sparse != nil {
-		s.sparse.Forward(p.Sparse)
-		return
-	}
-	s.dense.Forward(core.DenseFeatures{M: p.Dense})
-}
-
-func (s *numericSrcA) backward() {
-	if s.sparse != nil {
-		s.sparse.Backward()
-		return
-	}
-	s.dense.Backward()
-}
-
-// settle ends a run on the layer: the sparse half waits for the ack of its
-// last masked gradient; a dense step leaves nothing owed.
-func (s *numericSrcA) settle() {
-	if s.sparse != nil {
-		s.sparse.Settle()
-	}
-}
-
-func (s *numericSrcA) serveStart() {
-	if s.sparse != nil {
-		panic("model: the serve path covers dense numeric source layers only")
-	}
-	s.dense.ServeStart()
-}
-
-func (s *numericSrcA) serveForward(x *tensor.Dense) { s.dense.ServeForward(x) }
-
 // numSrcB is the label party's numeric source layer as a run sees it: the
 // k-session group layer over local sessions (groupSrcB), or the shard root's
 // view of halves living in worker processes (shardSrcB, shard.go). The serve
@@ -61,12 +22,12 @@ type numSrcB interface {
 	forward(p data.Part) *tensor.Dense
 	backward(g *tensor.Dense)
 	// settle takes what the last backward left owed (a sparse layer's
-	// masked gradient of V_A): at the end of a run, or before another layer
-	// receives on the same peer.
+	// masked gradient of V_A): at a checkpoint, at the end of a run, or
+	// before another layer receives on the same peer.
 	settle()
 	serveStart()
 	serveForward(x *tensor.Dense) *tensor.Dense
-	// layers serializes the per-session dense halves, in session order, at
+	// layers serializes the settled per-session halves, in session order, at
 	// the epoch-e checkpoint boundary.
 	layers(epoch int) ([][]byte, error)
 }
@@ -79,14 +40,14 @@ func numeric(p data.Part) core.Numeric {
 	return core.DenseFeatures{M: p.Dense}
 }
 
-// openGroupLayer opens the k-session numeric source layer on g: built fresh,
-// or assembled from restored halves (loadLayers) and put through the resume
-// exchange. Must run concurrently with the feature parties opening theirs.
-func openGroupLayer(g *protocol.Group, subs []*core.MatMulB, cfg core.Config, inAs []int, inB int, sparse bool) *core.MultiMatMulB {
+// openGroup opens the k-session numeric source layer on g: built fresh, or
+// assembled from restored halves (subs) and put through the resume exchange.
+// Must run concurrently with the feature parties opening theirs.
+func (pl *runPlan) openGroup(g *protocol.Group, subs []core.NumericB) *core.MultiMatMulB {
 	if subs == nil {
-		return core.NewMultiMatMulB(g, cfg, inAs, inB, sparse)
+		return core.NewMultiMatMulB(g, pl.cfg, pl.inAs, pl.inB, pl.lay.Sparse)
 	}
-	l := core.NewMultiMatMulBFrom(g, subs)
+	l := core.NewMultiMatMulBFrom(g, pl.cfg, subs)
 	l.ResumeExchange()
 	return l
 }
@@ -108,13 +69,49 @@ func (s *groupSrcB) serveStart()              { s.l.ServeStart() }
 
 func (s *groupSrcB) serveForward(x *tensor.Dense) *tensor.Dense { return s.l.ServeForward(x) }
 
-func (s *groupSrcB) layers(int) ([][]byte, error) { return saveLayersB(s.l) }
+func (s *groupSrcB) layers(int) ([][]byte, error) { return saveGroup(s.l) }
 
-// FedA is Party A's half of a federated model: at most one numeric source
-// layer and one Embed-MatMul source layer, mirroring FedB.
+// FedA is Party A's half of a federated model: its numeric source layer
+// and, for the embedding families, its Embed-MatMul half, mirroring FedB.
 type FedA struct {
-	num *numericSrcA
+	num core.NumericA
 	emb *core.EmbedMatMulA
+}
+
+// halves lists the source-layer halves in the order they are built, saved,
+// loaded and resumed: numeric first.
+func (m *FedA) halves() []core.Half {
+	if m.emb == nil {
+		return []core.Half{m.num}
+	}
+	return []core.Half{m.num, m.emb}
+}
+
+// settle settles every half: at a checkpoint, and where a run ends.
+func (m *FedA) settle() {
+	for _, h := range m.halves() {
+		h.Settle()
+	}
+}
+
+// settle settles the label party's halves, like FedA.settle.
+func (m *FedB) settle() {
+	m.num.settle()
+	if m.emb != nil {
+		m.emb.Settle()
+	}
+}
+
+// layers serializes the label party's halves per session at the epoch-e
+// checkpoint boundary: the embedding half follows session 0's numeric half.
+func (m *FedB) layers(e int) ([][]byte, error) {
+	blobs, err := m.num.layers(e)
+	if err != nil || m.emb == nil {
+		return blobs, err
+	}
+	emb, err := saveHalves(m.emb)
+	blobs[0] = append(blobs[0], emb...)
+	return blobs, err
 }
 
 // FedB is Party B's half: the source layers plus the plaintext top model.
@@ -223,57 +220,66 @@ func restHidden(h Hyper) []int {
 	return h.Hidden[1:]
 }
 
-// coreCfg assembles the source-layer Config a Hyper implies for a family.
-func coreCfg(kind Kind, classes int, h Hyper) core.Config {
-	return core.Config{Out: sourceOut(kind, classes, h), LR: h.LR, Momentum: h.Momentum}
-}
-
 // NewFedA builds Party A's model half. Must run concurrently with NewFedB.
 func NewFedA(p *protocol.Peer, kind Kind, ds *data.Dataset, h Hyper) *FedA {
 	applyOptions(h.Options, p)
-	return newFedA(p, kind, ds, h, ds.TrainA.NumCols(), 1)
-}
-
-// newFedA builds one feature party's half of a k-session run over its inA
-// columns: the ordinary two-party A-half with the run's k agreed in the
-// layer Config. The embedding layer attaches for the embedding families,
-// which train at k = 1 only (Trainer.plan).
-func newFedA(p *protocol.Peer, kind Kind, ds *data.Dataset, h Hyper, inA, k int) *FedA {
-	m := &FedA{}
-	cfg := coreCfg(kind, ds.Spec.Classes, h)
-	cfg.GroupParties = k
-	inB := ds.TrainB.NumCols()
-	if ds.Spec.Dense() {
-		m.num = &numericSrcA{dense: core.NewMatMulA(p, cfg, inA, inB)}
-	} else {
-		m.num = &numericSrcA{sparse: core.NewSparseMatMulA(p, cfg, inA, inB)}
-	}
-	if kind.UsesEmbedding() {
-		m.emb = core.NewEmbedMatMulA(p, embedCfg(kind, ds, h))
-	}
-	return m
+	return pairPlan(kind, ds, h).openA(p, 0, nil)
 }
 
 // NewFedB builds Party B's model half with the plaintext top model: the
 // label party of a one-session group.
 func NewFedB(p *protocol.Peer, kind Kind, ds *data.Dataset, h Hyper) *FedB {
 	applyOptions(h.Options, p)
-	g := protocol.NewGroup([]*protocol.Peer{p})
-	l := openGroupLayer(g, nil, coreCfg(kind, ds.Spec.Classes, h), []int{ds.TrainA.NumCols()}, ds.TrainB.NumCols(), !ds.Spec.Dense())
+	num, emb := pairPlan(kind, ds, h).openB(protocol.NewGroup([]*protocol.Peer{p}), nil, nil)
 	head := buildHead(kind, ds.Spec.Classes, h)
-	return newFedB(kind, ds, h, &groupSrcB{g: g, l: l}, p, head, nn.NewSGD(h.LR, h.Momentum, head.params()))
+	return &FedB{kind: kind, classes: ds.Spec.Classes, num: num, emb: emb, head: head, opt: nn.NewSGD(h.LR, h.Momentum, head.params())}
 }
 
-// newFedB assembles the label party's half around an opened numeric source
-// layer and a head built (or restored) beforehand. The embedding layer, for
-// the embedding families, attaches to embPeer — the run's one session —
-// after the numeric layer, the order their init draws have always had.
-func newFedB(kind Kind, ds *data.Dataset, h Hyper, num numSrcB, embPeer *protocol.Peer, head headB, opt *nn.SGD) *FedB {
-	m := &FedB{kind: kind, classes: ds.Spec.Classes, num: num, head: head, opt: opt}
-	if kind.UsesEmbedding() {
-		m.emb = core.NewEmbedMatMulB(embPeer, embedCfg(kind, ds, h))
+// pairPlan is the plan of a fresh two-party run over ds.
+func pairPlan(kind Kind, ds *data.Dataset, h Hyper) *runPlan {
+	pl, err := Trainer{Kind: kind, Hyper: h}.plan(ds, 1, nil, false)
+	if err != nil {
+		panic(err)
+	}
+	return pl
+}
+
+// openA builds feature party i's halves on p — or puts the ones restored
+// from a checkpoint through their resume exchange: the numeric layer, then
+// an embedding family's Embed-MatMul layer, the order their init draws have
+// always had. Must run concurrently with openB.
+func (pl *runPlan) openA(p *protocol.Peer, i int, restored *FedA) *FedA {
+	if restored != nil {
+		for _, h := range restored.halves() {
+			h.ResumeExchange()
+		}
+		return restored
+	}
+	m := &FedA{}
+	if pl.lay.Sparse {
+		m.num = core.NewSparseMatMulA(p, pl.cfg, pl.inAs[i], pl.inB)
+	} else {
+		m.num = core.NewMatMulA(p, pl.cfg, pl.inAs[i], pl.inB)
+	}
+	if pl.kind.UsesEmbedding() {
+		m.emb = core.NewEmbedMatMulA(p, pl.emb)
 	}
 	return m
+}
+
+// openB is the label party's side of openA on a local group: the numeric
+// layer over every session, then the embedding half on the run's one
+// session, each built fresh (subs nil) or resumed.
+func (pl *runPlan) openB(g *protocol.Group, subs []core.NumericB, emb *core.EmbedMatMulB) (numSrcB, *core.EmbedMatMulB) {
+	num := &groupSrcB{g: g, l: pl.openGroup(g, subs)}
+	switch {
+	case !pl.kind.UsesEmbedding():
+		return num, nil
+	case subs == nil:
+		return num, core.NewEmbedMatMulB(g.Peers[0], pl.emb)
+	}
+	emb.ResumeExchange()
+	return num, emb
 }
 
 // buildHead constructs the plaintext head for a family, drawing its init
@@ -299,28 +305,10 @@ func buildHead(kind Kind, classes int, h Hyper) headB {
 // sourceOutEmbed is the Embed-MatMul output width (the deep tower input).
 func sourceOutEmbed(h Hyper) int { return firstHidden(h) }
 
-func embedCfg(kind Kind, ds *data.Dataset, h Hyper) core.EmbedConfig {
-	out := sourceOutEmbed(h)
-	if kind == DLRM {
-		out = firstHidden(h)
-	}
-	return core.EmbedConfig{
-		Config:  core.Config{Out: out, LR: h.LR, Momentum: h.Momentum},
-		VocabA:  ds.Spec.CatVocab,
-		VocabB:  ds.Spec.CatVocab,
-		FieldsA: ds.TrainA.Cat.Cols,
-		FieldsB: ds.TrainB.Cat.Cols,
-		Dim:     h.EmbDim,
-	}
-}
-
 // StepA runs Party A's forward and backward for one mini-batch.
 func (m *FedA) StepA(p data.Part) {
-	m.num.forward(p)
-	if m.emb != nil {
-		m.emb.Forward(p.Cat)
-	}
-	m.num.backward()
+	m.ForwardA(p)
+	m.num.Backward()
 	if m.emb != nil {
 		m.emb.Backward()
 	}
@@ -328,14 +316,14 @@ func (m *FedA) StepA(p data.Part) {
 
 // ForwardA runs Party A's inference-only pass.
 func (m *FedA) ForwardA(p data.Part) {
-	m.num.forward(p)
+	m.num.Forward(numeric(p))
 	if m.emb != nil {
 		m.emb.Forward(p.Cat)
 	}
 }
 
-// forwardB runs Party B's forward and returns the logits.
-func (m *FedB) forwardB(p data.Part) *tensor.Dense {
+// ForwardB runs Party B's inference-only pass and returns the logits.
+func (m *FedB) ForwardB(p data.Part) *tensor.Dense {
 	zNum := m.num.forward(p)
 	var zEmb *tensor.Dense
 	if m.emb != nil {
@@ -346,7 +334,7 @@ func (m *FedB) forwardB(p data.Part) *tensor.Dense {
 
 // StepB runs Party B's full training step and returns the mini-batch loss.
 func (m *FedB) StepB(p data.Part, y []int) float64 {
-	logits := m.forwardB(p)
+	logits := m.ForwardB(p)
 	loss, grad := m.lossGrad(logits, y)
 	m.opt.ZeroGrad()
 	gNum, gEmb := m.head.backward(grad)
@@ -361,23 +349,21 @@ func (m *FedB) StepB(p data.Part, y []int) float64 {
 	return loss
 }
 
-// ForwardB runs Party B's inference-only pass and returns the logits.
-func (m *FedB) ForwardB(p data.Part) *tensor.Dense { return m.forwardB(p) }
-
 // Serveable reports whether a family/dataset pair is covered by the serve
 // path: the dense numeric families (LR, MLR, MLP). The embedding families
-// and sparse datasets keep the training-shaped forward only.
+// and sparse datasets keep the training-shaped forward only; they train,
+// checkpoint and resume like the rest, but NewPredictor refuses them.
 func Serveable(kind Kind, ds *data.Dataset) bool {
 	return !kind.UsesEmbedding() && ds.Spec.Dense()
 }
 
 // ServeStart opens a serve session on Party A's numeric source layer (the
-// unpacked weight-piece exchange). Serveable models only; must run
-// concurrently with FedB.ServeStart.
-func (m *FedA) ServeStart() { m.num.serveStart() }
+// unpacked weight-piece exchange). Serveable models only — the serve path
+// runs on a dense MatMul half; must run concurrently with FedB.ServeStart.
+func (m *FedA) ServeStart() { m.num.(*core.MatMulA).ServeStart() }
 
 // ServeForward runs Party A's half of a batched serve forward.
-func (m *FedA) ServeForward(x *tensor.Dense) { m.num.serveForward(x) }
+func (m *FedA) ServeForward(x *tensor.Dense) { m.num.(*core.MatMulA).ServeForward(x) }
 
 // ServeStart opens a serve session on Party B's numeric source layer.
 func (m *FedB) ServeStart() { m.num.serveStart() }
@@ -403,18 +389,14 @@ func (m *FedB) lossGrad(logits *tensor.Dense, y []int) (float64, *tensor.Dense) 
 // a later Predictor reproduces these logits bit for bit); the rest use the
 // training forward. Must run concurrently with evalA's matching branch.
 func evalB(mb *FedB, ds *data.Dataset, h Hyper) *tensor.Dense {
-	serveable := Serveable(mb.kind, ds)
-	if serveable {
+	forward := mb.ForwardB
+	if Serveable(mb.kind, ds) {
 		mb.ServeStart()
+		forward = func(p data.Part) *tensor.Dense { return mb.ServeForward(p.Dense) }
 	}
 	var rows []*tensor.Dense
 	for _, idx := range data.BatchIndices(ds.TestB.Rows(), h.Batch) {
-		p := ds.TestB.Batch(idx)
-		if serveable {
-			rows = append(rows, mb.ServeForward(p.Dense))
-		} else {
-			rows = append(rows, mb.ForwardB(p))
-		}
+		rows = append(rows, forward(ds.TestB.Batch(idx)))
 	}
 	return vstack(rows)
 }
@@ -423,17 +405,13 @@ func evalB(mb *FedB, ds *data.Dataset, h Hyper) *tensor.Dense {
 // serve/training branch. testA is this party's test split (a column block of
 // ds.TestA in the multi-party case).
 func evalA(ma *FedA, kind Kind, ds *data.Dataset, testA data.Part, batch int) {
-	serveable := Serveable(kind, ds)
-	if serveable {
+	forward := ma.ForwardA
+	if Serveable(kind, ds) {
 		ma.ServeStart()
+		forward = func(p data.Part) { ma.ServeForward(p.Dense) }
 	}
 	for _, idx := range data.BatchIndices(testA.Rows(), batch) {
-		p := testA.Batch(idx)
-		if serveable {
-			ma.ServeForward(p.Dense)
-		} else {
-			ma.ForwardA(p)
-		}
+		forward(testA.Batch(idx))
 	}
 }
 

@@ -54,23 +54,32 @@ func TestEnvelopeLyingLengthAllocatesWhatArrives(t *testing.T) {
 // a valid envelope (so the gob root and the vetting behind the checksum are
 // reached), and through it to both restore halves: NewPredictor's over a live
 // pair, and the training body's behind the resume scan. It is seeded from
-// the two files a run writes, both of the one format — the final epoch's
-// (Trainer.Checkpoint) and a mid-run one (CheckpointDir). The property is
-// FuzzRecvMatrix's: a value or a typed error — the bytes are bad
-// (ErrBadCheckpoint) or sound but some other run's (errCkMismatch) — never a
-// panic, never a hang, and allocation bounded by the input's length.
+// the checkpoints of every source layout: the two files a dense LR run
+// writes, both of the one format — the final epoch's (Trainer.Checkpoint)
+// and a mid-run one (CheckpointDir) — and the final ones of sparse LR at
+// k = 1 and k = 3, WDL and DLRM. A decoded checkpoint is restored for
+// training under each of those runs' trainers: it plans (and restores) under
+// at most the one it matches, and is refused typed by the rest. The property
+// is FuzzRecvMatrix's: a value or a typed error — the bytes are bad
+// (ErrBadCheckpoint), sound but some other run's (errCkMismatch), or sound
+// but not serveable (ErrNotServeable) — never a panic, never a hang, and
+// allocation bounded by the input's length.
 func FuzzCheckpoint(f *testing.F) {
-	ds := data.Generate(tinySpec("t-fuzz-ck", 12, 12, 2, false), 3)
 	h := tinyHyper()
-	var final bytes.Buffer
-	tr := Trainer{Kind: LR, Hyper: h, Checkpoint: &final, CheckpointDir: f.TempDir()}
-	as, g := fedGroup(f, 1, 690)
-	if _, err := tr.Train(ds, PartySet{As: as, B: g}); err != nil {
-		f.Fatal(err)
+	h.Epochs = 1
+	sp := tinySpec("t-fuzz-sp", 60, 6, 2, false)
+	sp.Train, sp.Test = 32, 16
+	runs := []struct {
+		tr Trainer
+		ds *data.Dataset
+		k  int
+	}{
+		{Trainer{Kind: LR, Hyper: tinyHyper(), CheckpointDir: f.TempDir()}, data.Generate(tinySpec("t-fuzz-ck", 12, 12, 2, false), 3), 1},
+		{Trainer{Kind: LR, Hyper: h}, data.Generate(sp, 4), 1},
+		{Trainer{Kind: LR, Hyper: h}, data.Generate(sp, 4), 3},
+		{Trainer{Kind: WDL, Hyper: h}, data.Generate(catSpec("t-fuzz-wdl", 12, 12), 5), 1},
+		{Trainer{Kind: DLRM, Hyper: h}, data.Generate(catSpec("t-fuzz-dlrm", 60, 6), 6), 1},
 	}
-	// Both seeds resume under a raised epoch count, the final one included.
-	tr.Checkpoint = nil
-	tr.Hyper.Epochs++
 	unsealed := func(sealed []byte) []byte {
 		payload, err := openEnvelope(bytes.NewReader(sealed))
 		if err != nil {
@@ -78,13 +87,26 @@ func FuzzCheckpoint(f *testing.F) {
 		}
 		return payload
 	}
-	runFile, err := os.ReadFile(filepath.Join(tr.CheckpointDir, "ckpt-00001"))
-	if err != nil {
-		f.Fatal(err)
+	for i := range runs {
+		var final bytes.Buffer
+		tr := runs[i].tr
+		tr.Checkpoint = &final
+		as, g := fedGroup(f, runs[i].k, 690)
+		if _, err := tr.Train(runs[i].ds, PartySet{As: as, B: g}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(unsealed(final.Bytes()))
+		// Every seed resumes under a raised epoch count, the final one included.
+		runs[i].tr.Hyper.Epochs++
+		if i == 0 {
+			runFile, err := os.ReadFile(filepath.Join(tr.CheckpointDir, "ckpt-00001"))
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(unsealed(runFile))
+			f.Add(final.Bytes()[:16])
+		}
 	}
-	f.Add(unsealed(final.Bytes()))
-	f.Add(unsealed(runFile))
-	f.Add(final.Bytes()[:16])
 	f.Add(append(lyingHeader(maxCkPayload), make([]byte, 10)...))
 	f.Add(lyingHeader(maxCkPayload + 1))
 	f.Add([]byte("not a checkpoint"))
@@ -108,7 +130,7 @@ func FuzzCheckpoint(f *testing.F) {
 			if got, limit := allocatedBy(func() { err = read() }), uint64(16<<20+4096*len(in)); got > limit {
 				t.Fatalf("%s: %d input bytes drove %d bytes of allocation (limit %d)", what, len(in), got, limit)
 			}
-			if err != nil && !errors.Is(err, ErrBadCheckpoint) && !errors.Is(err, errCkMismatch) {
+			if err != nil && !errors.Is(err, ErrBadCheckpoint) && !errors.Is(err, errCkMismatch) && !errors.Is(err, ErrNotServeable) {
 				t.Fatalf("%s: untyped error %v", what, err)
 			}
 			return err == nil
@@ -118,25 +140,29 @@ func FuzzCheckpoint(f *testing.F) {
 			return err
 		})
 		as, g := fedGroup(t, 1, 691)
-		if check("NewPredictor, sealed", func() error {
+		check("NewPredictor, sealed", func() error {
 			_, err := NewPredictor(bytes.NewReader(sealed.Bytes()), PartySet{As: as, B: g})
 			return err
-		}) {
-			// The serve-session exchange ran on these sessions: restore the
-			// checkpoint for training onto fresh ones, as a deployment would.
-			as, g = fedGroup(t, 1, 691)
-		}
-		check("resume scan and restore", func() error {
-			ck, err := latestRunCheckpoint(scratch)
-			if err != nil {
-				return err
-			}
-			pl, err := tr.plan(ds, 1, ck, false)
-			if err != nil {
-				return err
-			}
-			_, err = tr.restore(pl, as, &groupSide{g: g})
-			return err
 		})
+		ck, err := latestRunCheckpoint(scratch)
+		if !check("resume scan", func() error { return err }) {
+			return
+		}
+		for _, run := range runs {
+			var pl *runPlan
+			if !check("resume plan", func() (err error) {
+				pl, err = run.tr.plan(run.ds, run.k, ck, false)
+				return err
+			}) {
+				continue
+			}
+			// A fresh party set: the serve-session exchange may have run on
+			// the first, as a deployment would restore onto new sessions.
+			as, g := fedGroup(t, run.k, 692)
+			check("restore", func() error {
+				_, err := run.tr.restore(pl, as, &groupSide{g: g})
+				return err
+			})
+		}
 	})
 }

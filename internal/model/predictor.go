@@ -16,8 +16,8 @@ import (
 	"blindfl/internal/transport"
 )
 
-// Predictor is the forward-only model blindfl-serve runs: the dense source
-// layers restored from a serve checkpoint onto live protocol sessions, plus
+// Predictor is the forward-only model blindfl-serve runs: the dense MatMul
+// source layers restored from a serve checkpoint onto live protocol sessions, plus
 // the label party's plaintext head. Train and serve share one forward path —
 // the layers' serve protocol is exactly the one training-time evaluation
 // used — so served logits are bit-identical to the checkpointed model's
@@ -34,7 +34,7 @@ type Predictor struct {
 
 	as   []*protocol.Peer
 	g    *protocol.Group
-	las  []*core.MatMulA
+	las  []*FedA
 	lb   *core.MultiMatMulB
 	head headB
 
@@ -45,17 +45,25 @@ type Predictor struct {
 	mu sync.Mutex
 }
 
+// ErrNotServeable is NewPredictor's refusal of a sound checkpoint of a
+// model the serve path does not cover: a sparse or an embedding one.
+var ErrNotServeable = errors.New("model: checkpoint is not a serveable model")
+
 // NewPredictor restores a Predictor from a checkpoint — the one
 // Trainer.Checkpoint receives, or any run checkpoint — onto the party set's
 // live sessions and runs the serve-session weight exchange. The party set
 // must span exactly the checkpoint's feature-party count. The stream must
 // carry a sealed checkpoint envelope; a truncated, corrupted or foreign
 // stream — or one whose contents do not add up to a model — fails with the
-// typed (and permanent) ErrBadCheckpoint before any session is touched.
+// typed (and permanent) ErrBadCheckpoint before any session is touched, and
+// a sparse or embedding model with ErrNotServeable.
 func NewPredictor(r io.Reader, ps PartySet) (*Predictor, error) {
 	ck, err := readCheckpoint(r)
 	if err != nil {
 		return nil, err
+	}
+	if ck.Layout.Sparse || ck.Kind.UsesEmbedding() {
+		return nil, fmt.Errorf("%w: a %s model over %+v", ErrNotServeable, ck.Kind, ck.Layout)
 	}
 	if err := ps.check("NewPredictor"); err != nil {
 		return nil, err
@@ -69,18 +77,12 @@ func NewPredictor(r io.Reader, ps PartySet) (*Predictor, error) {
 		inAs: ck.InAs, inB: ck.InB,
 		as: ps.As, g: ps.B,
 	}
-	if p.head, err = restoreHead(ck.Kind, ck.Classes, ck.Hyper, ck.Head); err != nil {
-		return nil, err
-	}
-	out := sourceOut(ck.Kind, ck.Classes, ck.Hyper)
-	if p.las, err = loadLayers(core.LoadMatMulA, ck.LayerA, ps.As, ck.InAs, ck.InB, out); err != nil {
-		return nil, err
-	}
-	subs, err := loadLayers(core.LoadMatMulB, ck.LayerB, ps.B.Peers, ck.InAs, ck.InB, out)
+	pl, gs := ck.plan(), &groupSide{g: ps.B}
+	st, err := Trainer{Kind: ck.Kind, Hyper: ck.Hyper}.restore(pl, ps.As, gs)
 	if err != nil {
 		return nil, err
 	}
-	p.lb = core.NewMultiMatMulBFrom(ps.B, subs)
+	p.head, p.las, p.lb = st.head, st.fas, core.NewMultiMatMulBFrom(ps.B, pl.cfg, gs.subs)
 	applyOptions(ck.Hyper.Options, slices.Concat(ps.As, ps.B.Peers)...)
 	err = protocol.RunGroup(ps.As, ps.B,
 		func(i int) { p.las[i].ServeStart() },
@@ -186,13 +188,15 @@ func (p *Predictor) PlainLogits(xAs []*tensor.Dense, xB *tensor.Dense) (*tensor.
 	if err := p.checkBatch(xAs, xB); err != nil {
 		return nil, err
 	}
-	z := hetensor.IntMatMulT(xB, p.lb.Sub(0).UB)
-	for i := range p.las {
-		z.AddInPlace(hetensor.IntMatMulT(xAs[i], p.las[i].UA))
-		z.AddInPlace(hetensor.IntMatMulT(xAs[i], p.lb.Sub(i).VA))
-		z.AddInPlace(hetensor.IntMatMulT(xB, p.las[i].VB))
+	sub := func(i int) *core.MatMulB { return p.lb.Sub(i).(*core.MatMulB) }
+	z := hetensor.IntMatMulT(xB, sub(0).UB)
+	for i, fa := range p.las {
+		a := fa.num.(*core.MatMulA)
+		z.AddInPlace(hetensor.IntMatMulT(xAs[i], a.UA))
+		z.AddInPlace(hetensor.IntMatMulT(xAs[i], sub(i).VA))
+		z.AddInPlace(hetensor.IntMatMulT(xB, a.VB))
 		if i > 0 {
-			z.AddInPlace(hetensor.IntMatMulT(xB, p.lb.Sub(i).UB))
+			z.AddInPlace(hetensor.IntMatMulT(xB, sub(i).UB))
 		}
 	}
 	return p.head.forward(z.DecodeTranspose(), nil), nil

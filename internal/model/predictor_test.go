@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"blindfl/internal/data"
@@ -129,17 +130,26 @@ func TestPredictorBitIdentityMulti(t *testing.T) {
 	assertSameBits(t, got, hist.TestLogits, "k-party served logits")
 }
 
-// TestCheckpointRejectsNonServeable: sparse datasets and embedding families
-// have no serve path, so asking for a checkpoint must fail up front.
+// TestCheckpointRejectsNonServeable: a sparse or an embedding model
+// checkpoints like any other, but has no serve path, so NewPredictor refuses
+// its checkpoint with the typed ErrNotServeable before any session is
+// touched.
 func TestCheckpointRejectsNonServeable(t *testing.T) {
-	ds := data.Generate(tinySpec("t-predsp", 40, 5, 2, false), 13)
-	pa, pb := fedPipe(t, 620)
-	var buf bytes.Buffer
-	_, err := Trainer{Kind: LR, Hyper: tinyHyper(), Checkpoint: &buf}.Train(ds, Pair(pa, pb))
-	if err == nil {
-		t.Fatal("Trainer accepted a checkpoint request for a sparse dataset")
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("checkpoint written despite error (%d bytes)", buf.Len())
+	h := tinyHyper()
+	h.Epochs = 1
+	for _, tc := range []struct {
+		kind Kind
+		ds   *data.Dataset
+	}{
+		{LR, data.Generate(tinySpec("t-predsp", 40, 5, 2, false), 13)},
+		{WDL, data.Generate(catSpec("t-predwdl", 8, 8), 14)},
+	} {
+		var buf bytes.Buffer
+		if _, err := (Trainer{Kind: tc.kind, Hyper: h, Checkpoint: &buf}).Train(tc.ds, Pair(fedPipe(t, 620))); err != nil {
+			t.Fatalf("%s over %s: %v", tc.kind, tc.ds.Spec.Name, err)
+		}
+		if _, err := NewPredictor(&buf, PartySet{}); !errors.Is(err, ErrNotServeable) {
+			t.Fatalf("%s over %s: NewPredictor err = %v, want ErrNotServeable", tc.kind, tc.ds.Spec.Name, err)
+		}
 	}
 }

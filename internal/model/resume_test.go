@@ -72,7 +72,7 @@ func TestLatestCheckpointOrdersByEpoch(t *testing.T) {
 			dir := t.TempDir()
 			for _, e := range tc.epochs {
 				var buf bytes.Buffer
-				ck := &runCheckpoint{InAs: []int{1}, LayerA: [][]byte{{0}}, LayerB: [][]byte{{0}}, Epoch: e}
+				ck := &runCheckpoint{Kind: LR, Classes: 2, InAs: []int{1}, LayerA: [][]byte{{0}}, LayerB: [][]byte{{0}}, Epoch: e}
 				if err := writeCheckpoint(&buf, ck); err != nil {
 					t.Fatal(err)
 				}
@@ -269,58 +269,69 @@ func TestResumeHandAssembledSession(t *testing.T) {
 	assertBitExact(t, piped, clean)
 }
 
-// TestChaosResumeRefusesChangedConfig: a resume whose trainer disagrees with
-// the checkpointed run — different engine options (fingerprint), different
-// hyper-parameters, or no epochs left to train — must be refused up front:
-// it could not be bit-exact, so it must not start.
+// TestChaosResumeRefusesChangedConfig: a resume whose trainer or data
+// disagrees with the checkpointed run — different engine options
+// (fingerprint), different hyper-parameters, no epochs left to train, or
+// data of another source layout (sparse where the checkpoint was dense at
+// the same widths; another vocabulary under an embedding family) — must be
+// refused up front with errCkMismatch: it could not be bit-exact, so it must
+// not start.
 func TestChaosResumeRefusesChangedConfig(t *testing.T) {
 	const seed = 641
 	ds := data.Generate(tinySpec("t-chaos-refuse", 12, 12, 2, false), 3)
+	cat := catSpec("t-chaos-refuse-wdl", 12, 12)
+	wdl := data.Generate(cat, 5)
+	cat.CatVocab *= 2
+	wdlVocab := data.Generate(cat, 5)
 	h := chaosHyper()
 	h.Epochs = 2
 
-	dir := t.TempDir()
-	pa, pb := fedPipe(t, seed)
-	if _, err := (Trainer{Kind: LR, Hyper: h, CheckpointDir: dir}).Train(ds, Pair(pa, pb)); err != nil {
-		t.Fatal(err)
-	}
-	if files := ckptFiles(t, dir); len(files) != 1 {
-		t.Fatalf("2-epoch run left %d checkpoints, want 1", len(files))
+	dir, wdlDir := t.TempDir(), t.TempDir()
+	for _, run := range []struct {
+		tr Trainer
+		ds *data.Dataset
+	}{
+		{Trainer{Kind: LR, Hyper: h, CheckpointDir: dir}, ds},
+		{Trainer{Kind: WDL, Hyper: h, CheckpointDir: wdlDir}, wdl},
+	} {
+		if _, err := run.tr.Train(run.ds, Pair(fedPipe(t, seed))); err != nil {
+			t.Fatal(err)
+		}
+		if files := ckptFiles(t, run.tr.CheckpointDir); len(files) != 1 {
+			t.Fatalf("2-epoch %s run left %d checkpoints, want 1", run.tr.Kind, len(files))
+		}
 	}
 
-	try := func(tr Trainer) error {
+	hEng, hLR, hDone := h, h, h
+	hEng.SpotCheck = !hEng.SpotCheck
+	hLR.LR *= 2
+	hDone.Epochs = 1 // the checkpoint already covers epoch 1
+	for _, row := range []struct {
+		name string
+		tr   Trainer
+		ds   *data.Dataset
+		want string
+	}{
+		{"engine options", Trainer{Kind: LR, Hyper: hEng, CheckpointDir: dir}, ds, "engine options"},
+		{"learning rate", Trainer{Kind: LR, Hyper: hLR, CheckpointDir: dir}, ds, "hyper-parameters"},
+		{"past the final epoch", Trainer{Kind: LR, Hyper: hDone, CheckpointDir: dir}, ds, "nothing to resume"},
+		{"dense checkpoint on sparse data", Trainer{Kind: LR, Hyper: h, CheckpointDir: dir},
+			data.Generate(tinySpec("t-chaos-refuse", 12, 6, 2, false), 3), "source layers"},
+		{"embedding checkpoint over another vocabulary", Trainer{Kind: WDL, Hyper: h, CheckpointDir: wdlDir}, wdlVocab, "source layers"},
+	} {
 		pa, pb := fedPipe(t, seed)
-		_, err := tr.Resume(ds, Pair(pa, pb))
+		_, err := row.tr.Resume(row.ds, Pair(pa, pb))
 		pa.Conn.Close()
 		pb.Conn.Close()
-		return err
-	}
-
-	hEng := h
-	hEng.SpotCheck = !hEng.SpotCheck
-	if err := try(Trainer{Kind: LR, Hyper: hEng, CheckpointDir: dir}); err == nil ||
-		!strings.Contains(err.Error(), "engine options") {
-		t.Fatalf("resume under changed engine options = %v, want a fingerprint refusal", err)
-	}
-
-	hLR := h
-	hLR.LR *= 2
-	if err := try(Trainer{Kind: LR, Hyper: hLR, CheckpointDir: dir}); err == nil ||
-		!strings.Contains(err.Error(), "hyper-parameters") {
-		t.Fatalf("resume under a changed learning rate = %v, want a hyper refusal", err)
-	}
-
-	hDone := h
-	hDone.Epochs = 1 // the checkpoint already covers epoch 1
-	if err := try(Trainer{Kind: LR, Hyper: hDone, CheckpointDir: dir}); err == nil ||
-		!strings.Contains(err.Error(), "nothing to resume") {
-		t.Fatalf("resume past the final epoch = %v, want a nothing-to-resume refusal", err)
+		if !errors.Is(err, errCkMismatch) || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("resume under a changed %s = %v, want errCkMismatch (%s)", row.name, err, row.want)
+		}
 	}
 
 	// Raising the epoch count is the one legal change: train further.
 	hMore := h
 	hMore.Epochs = 3
-	pa, pb = fedPipe(t, seed)
+	pa, pb := fedPipe(t, seed)
 	hist, err := Trainer{Kind: LR, Hyper: hMore, CheckpointDir: dir}.Resume(ds, Pair(pa, pb))
 	if err != nil {
 		t.Fatalf("resume with a raised epoch count failed: %v", err)

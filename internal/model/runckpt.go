@@ -53,18 +53,19 @@ func newRunCkpt(t Trainer, ds *data.Dataset, inAs []int) *runCkpt {
 		pend: make(map[int]*runCheckpoint), n: make(map[int]int)}
 }
 
-// depositA adds feature party i's layer half for epoch e.
+// depositA adds feature party i's settled halves for epoch e.
 func (c *runCkpt) depositA(e, i int, ma *FedA) {
-	blob, err := saveLayerA(ma)
+	blob, err := saveHalves(ma.halves()...)
 	c.add(e, err, func(ck *runCheckpoint) { ck.LayerA[i] = blob })
 }
 
-// depositB adds the label party's halves (serialized locally, or gathered
-// from the shard workers), head, momentum and loss prefix for epoch e.
+// depositB adds the label party's settled halves (serialized locally, or
+// gathered from the shard workers), head, momentum and loss prefix for epoch
+// e.
 // losses is read under the collector lock inside add — the label party
 // goroutine owns it, and it appends only between deposits.
 func (c *runCkpt) depositB(e int, mb *FedB, losses []float64) {
-	blobs, err := mb.num.layers(e)
+	blobs, err := mb.layers(e)
 	c.add(e, err, func(ck *runCheckpoint) {
 		ck.LayerB = blobs
 		ck.Head = headParams(mb.head)
@@ -86,7 +87,7 @@ func (c *runCkpt) add(e int, err error, fill func(*runCheckpoint)) {
 	if ck == nil {
 		ck = &runCheckpoint{
 			Kind: c.t.Kind, Classes: c.ds.Spec.Classes, Hyper: c.t.Hyper,
-			InAs: c.inAs, InB: c.ds.TrainB.NumCols(), Epoch: e + 1,
+			Layout: layoutOf(c.t.Kind, c.ds), InAs: c.inAs, InB: c.ds.TrainB.NumCols(), Epoch: e + 1,
 			LayerA:      make([][]byte, len(c.inAs)),
 			Fingerprint: c.t.Hyper.Options.Fingerprint(),
 		}
@@ -222,9 +223,9 @@ var errCkMismatch = errors.New("model: checkpoint does not match this run")
 // configuration and the run's shape — the validation gate of every resume.
 // inAs are the per-session feature widths the caller will run; a
 // checkpoint's *shard* topology is deliberately not checked (any shard count
-// resumes any checkpoint), but its sessions, model family, dataset shape,
-// engine options and hyper-parameters must match for the resumed trajectory
-// to be the uninterrupted run's.
+// resumes any checkpoint), but its sessions, model family, source layout,
+// dataset shape, engine options and hyper-parameters must match for the
+// resumed trajectory to be the uninterrupted run's.
 func (t Trainer) resumeCompat(ck *runCheckpoint, ds *data.Dataset, inAs []int) error {
 	if !slices.Equal(ck.InAs, inAs) || ck.InB != ds.TrainB.NumCols() || ck.Classes != ds.Spec.Classes {
 		return fmt.Errorf("%w: it spans feature widths %v + %d over %d classes, this run %v + %d over %d",
@@ -232,6 +233,9 @@ func (t Trainer) resumeCompat(ck *runCheckpoint, ds *data.Dataset, inAs []int) e
 	}
 	if ck.Kind != t.Kind {
 		return fmt.Errorf("%w: it is a %s run, trainer wants %s", errCkMismatch, ck.Kind, t.Kind)
+	}
+	if lay := layoutOf(t.Kind, ds); ck.Layout != lay {
+		return fmt.Errorf("%w: its source layers are %+v, this run's %+v", errCkMismatch, ck.Layout, lay)
 	}
 	if ck.Fingerprint != t.Hyper.Options.Fingerprint() {
 		return fmt.Errorf("%w: engine options changed since the checkpoint (fingerprint %016x, trainer %016x) — a resume under a different engine configuration would not be bit-exact",

@@ -123,13 +123,13 @@ type shardSide struct{ sg *protocol.ShardGroup }
 
 // restore has nothing to decode at the root: the workers were handed the
 // checkpoint's halves in the setup document and restore their own slices.
-func (s shardSide) restore(*runPlan, int) error { return nil }
+func (s shardSide) restore(*runPlan) error { return nil }
 
-func (s shardSide) open(_ *runPlan, cfg core.Config) numSrcB {
-	return &shardSrcB{sg: s.sg, out: cfg.Out}
+// open has no embedding half to give: the embedding families do not shard.
+func (s shardSide) open(pl *runPlan) (numSrcB, *core.EmbedMatMulB) {
+	return &shardSrcB{sg: s.sg, out: pl.cfg.Out}, nil
 }
-func (s shardSide) embPeer() *protocol.Peer { return nil }
-func (s shardSide) lost() []bool            { return nil }
+func (s shardSide) lost() []bool { return nil }
 
 func (s shardSide) run(as []*protocol.Peer, fa func(i int), fb func()) error {
 	return protocol.RunShardRoot(as, s.sg,
@@ -140,8 +140,8 @@ func (s shardSide) run(as []*protocol.Peer, fa func(i int), fb func()) error {
 // TrainSharded runs federated training with the label party sharded across
 // the worker fleet and returns the training history — Trainer.Train's
 // k-party semantics, bit-identical for any shard count (a 1-shard run is the
-// single-process run over one control link). Numeric families only;
-// checkpoints follow the same Serveable rule.
+// single-process run over one control link). Numeric families only, dense or
+// sparse; both checkpoint and resume on any shard count.
 func (t Trainer) TrainSharded(ds *data.Dataset, ss ShardSet) (*History, error) {
 	return t.trainShards(ds, ss, nil)
 }

@@ -118,27 +118,27 @@ func installPool(o engine.Options, skB *paillier.PrivateKey) {
 func shardWorkerLoop(link *protocol.ShardLink, g *protocol.Group, su *shardSetup, plan protocol.ShardPlan, shard int) error {
 	h := su.Hyper
 	lo, hi := plan.Range(shard)
-	inAs := su.InAs[lo:hi]
-	cfg := coreCfg(su.Kind, su.Classes, h)
-	cfg.GroupParties = plan.Sessions // the W_B pieces and ∇Z/k scale by the run's k, not the slice's
-	var subs []*core.MatMulB
+	pl := newPlan(su.Kind, su.Classes, h, sourceLayout{Sparse: su.TrainB.Sparse != nil}, su.InAs[lo:hi], su.InB)
+	pl.cfg.GroupParties = plan.Sessions // the W_B pieces and ∇Z/k scale by the run's k, not the slice's
+	var subs []core.NumericB
 	if su.LayerB != nil {
 		var err error
-		if subs, err = loadLayers(core.LoadMatMulB, su.LayerB[lo:hi], g.Peers, inAs, su.InB, cfg.Out); err != nil {
+		if subs, _, err = loadSide(pl, su.LayerB[lo:hi], g.Peers, core.LoadMatMulB, core.LoadEmbedMatMulB); err != nil {
 			return err
 		}
 	}
-	md := openGroupLayer(g, subs, cfg, inAs, su.InB, su.TrainB.Sparse != nil)
+	md := pl.openGroup(g, subs)
 
 	schedule{h: h, rows: su.TrainB.Rows(), start: su.StartEpoch, ckptEvery: su.CkptEvery, ckptFinal: su.CkptFinal}.each(g.SeedEpoch,
 		func(idx []int) {
 			link.SendParts(md.ForwardParts(numeric(su.TrainB.Batch(idx))))
-			md.Backward(link.RecvGrad(len(idx), cfg.Out))
+			md.Backward(link.RecvGrad(len(idx), pl.cfg.Out))
 		},
-		// A checkpoint epoch ships the slice's halves in shard-local session
-		// order (the root re-slots them by plan range).
+		// A checkpoint epoch settles the slice and ships its halves in
+		// shard-local session order (the root re-slots them by plan range).
 		func(e int) {
-			blobs, err := saveLayersB(md)
+			md.Settle()
+			blobs, err := saveGroup(md)
 			if err != nil {
 				g.Peers[0].Fail("shard %d: layer halves for epoch %d: %w", shard, e, err)
 			}

@@ -26,22 +26,23 @@ type Trainer struct {
 
 	// Checkpoint, when set, receives the checkpoint of the final epoch after
 	// a successful run — CheckpointDir's format, and the stream blindfl-serve
-	// restores through NewPredictor. Serveable families only. A real
-	// deployment would have each party persist its own half; the combined
-	// stream matches the single-binary simulation runtime, and still
-	// contains no more than the parties' processes jointly held.
+	// restores through NewPredictor (Serveable models; every family's resumes
+	// under a raised epoch count). A real deployment would have each party
+	// persist its own half; the combined stream matches the single-binary
+	// simulation runtime, and still contains no more than the parties'
+	// processes jointly held.
 	Checkpoint io.Writer
 
 	// CheckpointDir, when set, makes the run crash-recoverable: every
-	// CheckpointEvery completed epochs the parties deposit their layer
-	// halves, the label party adds its head, optimizer momentum and the
-	// loss history, and the assembled run checkpoint is written to
+	// CheckpointEvery completed epochs the parties settle and deposit their
+	// layer halves, the label party adds its head, optimizer momentum and
+	// the loss history, and the assembled run checkpoint is written to
 	// CheckpointDir/ckpt-<epoch> — sealed in the checksum envelope, via a
 	// temp file and an atomic rename, so a crash mid-write never leaves a
 	// half-written file a later Resume could trip over. Resume restores the
 	// newest usable checkpoint onto fresh sessions and continues the run
 	// bit-exactly. The final epoch is Checkpoint's, not the directory's.
-	// Serveable families only, like Checkpoint.
+	// Every family and layout checkpoints.
 	CheckpointDir string
 
 	// CheckpointEvery is the epoch stride between run checkpoints; values
@@ -121,6 +122,12 @@ func (t Trainer) trainGroup(ds *data.Dataset, ps PartySet, ck *runCheckpoint) (*
 // trainer, the dataset, the session count and the checkpoint before any
 // session is touched.
 type runPlan struct {
+	kind            Kind
+	classes         int
+	lay             sourceLayout
+	cfg             core.Config      // the numeric layer's; GroupParties is k
+	emb             core.EmbedConfig // an embedding family's Embed-MatMul layer's
+	inB             int
 	ds              *data.Dataset
 	inAs            []int       // feature party i's column width
 	trainAs, testAs []data.Part // feature party i's column block
@@ -131,9 +138,6 @@ type runPlan struct {
 // plan validates a run of k sessions over ds, resumed from ck unless nil.
 // sharded says the label party's halves will live in shard workers.
 func (t Trainer) plan(ds *data.Dataset, k int, ck *runCheckpoint, sharded bool) (*runPlan, error) {
-	if (t.Checkpoint != nil || t.CheckpointDir != "") && !Serveable(t.Kind, ds) {
-		return nil, fmt.Errorf("model: checkpoints cover the dense numeric families (lr|mlr|mlp on dense data); %s is not serveable here", t.Kind)
-	}
 	// The embedding layer attaches to the run's one local session; a k-party
 	// or sharded run would need a multi-party Embed-MatMul layer.
 	if t.Kind.UsesEmbedding() && (k > 1 || sharded) {
@@ -142,12 +146,14 @@ func (t Trainer) plan(ds *data.Dataset, k int, ck *runCheckpoint, sharded bool) 
 	if cols := ds.TrainA.NumCols(); k > cols {
 		return nil, fmt.Errorf("model: cannot split %d feature columns across %d parties", cols, k)
 	}
-	pl := &runPlan{ds: ds, ck: ck, inAs: make([]int, k),
-		trainAs: data.SplitCols(ds.TrainA, k), testAs: data.SplitCols(ds.TestA, k),
-		sched: schedule{h: t.Hyper, rows: ds.TrainB.Rows()}}
-	for i, p := range pl.trainAs {
-		pl.inAs[i] = p.NumCols()
+	trainAs := data.SplitCols(ds.TrainA, k)
+	inAs := make([]int, k)
+	for i, p := range trainAs {
+		inAs[i] = p.NumCols()
 	}
+	pl := newPlan(t.Kind, ds.Spec.Classes, t.Hyper, layoutOf(t.Kind, ds), inAs, ds.TrainB.NumCols())
+	pl.ds, pl.ck, pl.trainAs, pl.testAs = ds, ck, trainAs, data.SplitCols(ds.TestA, k)
+	pl.sched = schedule{h: t.Hyper, rows: ds.TrainB.Rows()}
 	if t.CheckpointDir != "" {
 		pl.sched.ckptEvery = max(1, t.CheckpointEvery)
 	}
@@ -159,6 +165,16 @@ func (t Trainer) plan(ds *data.Dataset, k int, ck *runCheckpoint, sharded bool) 
 		pl.sched.start = ck.Epoch
 	}
 	return pl, nil
+}
+
+// newPlan is the shape of a run's source-layer halves — the layer configs a
+// Hyper implies for a family over a layout: what the halves are built to,
+// and what restored ones are vetted against — with nothing yet to train.
+func newPlan(kind Kind, classes int, h Hyper, lay sourceLayout, inAs []int, inB int) *runPlan {
+	cfg := core.Config{Out: sourceOut(kind, classes, h), LR: h.LR, Momentum: h.Momentum, GroupParties: len(inAs)}
+	emb := core.EmbedConfig{Config: core.Config{Out: sourceOutEmbed(h), LR: h.LR, Momentum: h.Momentum},
+		VocabA: lay.Vocab, VocabB: lay.Vocab, FieldsA: lay.FieldsA, FieldsB: lay.FieldsB, Dim: h.EmbDim}
+	return &runPlan{kind: kind, classes: classes, lay: lay, cfg: cfg, emb: emb, inAs: inAs, inB: inB}
 }
 
 // schedule is a run's batch plan — a pure function of (seed, rows, batch,
@@ -211,13 +227,12 @@ func (s schedule) each(seedEpoch func(e int), step func(idx []int), ckpt func(e 
 type labelSide interface {
 	// restore decodes the label-side halves of the plan's checkpoint, before
 	// any session traffic; a fresh run has nothing to restore.
-	restore(pl *runPlan, out int) error
-	// open builds — or, after restore, resumes — the numeric source layer.
-	// It runs inside the label closure, concurrently with the feature
-	// parties opening theirs.
-	open(pl *runPlan, cfg core.Config) numSrcB
-	// embPeer is the local session the embedding layer attaches to.
-	embPeer() *protocol.Peer
+	restore(pl *runPlan) error
+	// open builds — or, after restore, resumes — the source layers: the
+	// numeric one, then an embedding family's Embed-MatMul half. It runs
+	// inside the label closure, concurrently with the feature parties
+	// opening theirs.
+	open(pl *runPlan) (numSrcB, *core.EmbedMatMulB)
 	// run drives the k feature-party closures and the label closure to
 	// completion, closing everything on the first error.
 	run(as []*protocol.Peer, fa func(i int), fb func()) error
@@ -227,22 +242,23 @@ type labelSide interface {
 
 // groupSide is the label party on local sessions.
 type groupSide struct {
-	g    *protocol.Group
-	subs []*core.MatMulB // restored halves awaiting their resume exchange
+	g *protocol.Group
+	// The restored halves awaiting their resume exchange: each session's
+	// numeric half, and the embedding half that follows session 0's.
+	subs []core.NumericB
+	emb  *core.EmbedMatMulB
 }
 
-func (s *groupSide) restore(pl *runPlan, out int) (err error) {
+func (s *groupSide) restore(pl *runPlan) (err error) {
 	if pl.ck != nil {
-		s.subs, err = loadLayers(core.LoadMatMulB, pl.ck.LayerB, s.g.Peers, pl.inAs, pl.ck.InB, out)
+		s.subs, s.emb, err = loadSide(pl, pl.ck.LayerB, s.g.Peers, core.LoadMatMulB, core.LoadEmbedMatMulB)
 	}
 	return err
 }
 
-func (s *groupSide) open(pl *runPlan, cfg core.Config) numSrcB {
-	return &groupSrcB{g: s.g, l: openGroupLayer(s.g, s.subs, cfg, pl.inAs, pl.ds.TrainB.NumCols(), !pl.ds.Spec.Dense())}
+func (s *groupSide) open(pl *runPlan) (numSrcB, *core.EmbedMatMulB) {
+	return pl.openB(s.g, s.subs, s.emb)
 }
-
-func (s *groupSide) embPeer() *protocol.Peer { return s.g.Peers[0] }
 
 func (s *groupSide) run(as []*protocol.Peer, fa func(i int), fb func()) error {
 	return protocol.RunGroup(as, s.g, fa, fb)
@@ -262,7 +278,7 @@ type runState struct {
 	head   headB
 	opt    *nn.SGD
 	losses []float64
-	las    []*core.MatMulA // nil on a fresh run
+	fas    []*FedA // feature party i's restored halves; nil ones on a fresh run
 }
 
 // restore is the first half of the body. A fresh run is a resume from epoch
@@ -270,19 +286,23 @@ type runState struct {
 // the checkpoint here, touching no session — so a rotted checkpoint is one
 // typed error, with the sessions still usable.
 func (t Trainer) restore(pl *runPlan, as []*protocol.Peer, lb labelSide) (*runState, error) {
-	kind, classes, h := t.Kind, pl.ds.Spec.Classes, t.Hyper
-	st := &runState{head: buildHead(kind, classes, h)}
+	kind, classes, h := t.Kind, pl.classes, t.Hyper
+	st := &runState{head: buildHead(kind, classes, h), fas: make([]*FedA, len(as))}
 	var mom []*tensor.Dense
 	if ck := pl.ck; ck != nil {
-		out := sourceOut(kind, classes, h)
 		var err error
 		if st.head, err = restoreHead(kind, classes, h, ck.Head); err != nil {
 			return nil, err
 		}
-		if st.las, err = loadLayers(core.LoadMatMulA, ck.LayerA, as, pl.inAs, ck.InB, out); err != nil {
+		nums, emb, err := loadSide(pl, ck.LayerA, as, core.LoadMatMulA, core.LoadEmbedMatMulA)
+		if err != nil {
 			return nil, err
 		}
-		if err = lb.restore(pl, out); err != nil {
+		for i, num := range nums {
+			st.fas[i] = &FedA{num: num}
+		}
+		st.fas[0].emb = emb
+		if err = lb.restore(pl); err != nil {
 			return nil, err
 		}
 		st.losses, mom = append([]float64(nil), ck.Losses...), ck.HeadMom
@@ -296,7 +316,7 @@ func (t Trainer) restore(pl *runPlan, as []*protocol.Peer, lb labelSide) (*runSt
 // everything after that the same code whatever k, whichever side of a crash,
 // wherever the label party's halves live.
 func (t Trainer) run(pl *runPlan, as []*protocol.Peer, lb labelSide) (*History, error) {
-	kind, h, ds, k := t.Kind, t.Hyper, pl.ds, len(as)
+	kind, h, ds := t.Kind, t.Hyper, pl.ds
 	st, err := t.restore(pl, as, lb)
 	if err != nil {
 		return nil, err
@@ -306,27 +326,22 @@ func (t Trainer) run(pl *runPlan, as []*protocol.Peer, lb labelSide) (*History, 
 	rc := newRunCkpt(t, ds, pl.inAs)
 	err = lb.run(as,
 		func(i int) {
-			var ma *FedA
-			if st.las == nil {
-				ma = newFedA(as[i], kind, ds, h, pl.inAs[i], k)
-			} else {
-				st.las[i].ResumeExchange()
-				ma = &FedA{num: &numericSrcA{dense: st.las[i]}}
-			}
+			ma := pl.openA(as[i], i, st.fas[i])
 			pl.sched.each(as[i].SeedEpoch,
 				func(idx []int) { ma.StepA(pl.trainAs[i].Batch(idx)) },
-				func(e int) { rc.depositA(e, i, ma) })
-			ma.num.settle()
+				func(e int) { ma.settle(); rc.depositA(e, i, ma) })
+			ma.settle()
 			evalA(ma, kind, ds, pl.testAs[i], h.Batch)
 		},
 		func() {
-			mb := newFedB(kind, ds, h, lb.open(pl, coreCfg(kind, ds.Spec.Classes, h)), lb.embPeer(), st.head, st.opt)
+			num, emb := lb.open(pl)
+			mb := &FedB{kind: kind, classes: ds.Spec.Classes, num: num, emb: emb, head: st.head, opt: st.opt}
 			pl.sched.each(mb.num.seedEpoch,
 				func(idx []int) {
 					hist.Losses = append(hist.Losses, mb.StepB(ds.TrainB.Batch(idx), gather(ds.TrainY, idx)))
 				},
-				func(e int) { rc.depositB(e, mb, hist.Losses) })
-			mb.num.settle()
+				func(e int) { mb.settle(); rc.depositB(e, mb, hist.Losses) })
+			mb.settle()
 			hist.TestLogits = evalB(mb, ds, h)
 		})
 	if err != nil {

@@ -166,3 +166,82 @@ func FuzzHandshake(f *testing.F) {
 		}
 	})
 }
+
+// shardReceivers are the shard plane's decoders, each fed one peer's bytes
+// on conn: the worker's accepts of the root's hello and of a feature party's
+// session hello, the root's wait for the hello's ack, the setup document's
+// receive, and the sealed data plane — forward partials, the gradient, the
+// serve share and the checkpoint's layer blobs (a session's dense or sparse
+// MatMul halves, opaque here).
+func shardReceivers() []struct {
+	name string
+	recv func(c transport.Conn) error
+} {
+	link := func(f func(l *ShardLink)) func(transport.Conn) error {
+		return func(c transport.Conn) error { return Catch("shard", func() { f(&ShardLink{Conn: c}) }) }
+	}
+	return []struct {
+		name string
+		recv func(c transport.Conn) error
+	}{
+		{"hello", func(c transport.Conn) error { _, _, err := AcceptShard(c); return err }},
+		{"ack", func(c transport.Conn) error {
+			_, err := ConnectShards(ShardPlan{Sessions: 2, Shards: 1}, 7, func(int) (transport.Conn, error) { return c, nil })
+			return err
+		}},
+		{"session hello", func(c transport.Conn) error {
+			_, err := AcceptSessions(func() (transport.Conn, error) { return c, nil }, ShardPlan{Sessions: 1, Shards: 1}, 0, 7, &WorkerConns{})
+			return err
+		}},
+		{"setup", func(c transport.Conn) error { _, err := (&ShardLink{Conn: c}).RecvSetup(); return err }},
+		{"parts", link(func(l *ShardLink) { l.RecvParts(2, 3, 2) })},
+		{"grad", link(func(l *ShardLink) { l.RecvGrad(3, 2) })},
+		{"share", link(func(l *ShardLink) { l.RecvShare(2, 3, 2) })},
+		{"layers", link(func(l *ShardLink) { l.RecvLayers(1, 2) })},
+	}
+}
+
+// FuzzShard feeds arbitrary bytes, as a gob link delivers them, to every
+// shard-plane decoder. It is seeded with one sealed message of each kind the
+// plane carries. Whatever arrives, each decoder returns a value or an error
+// typed as corrupt, closed, a schedule mismatch or a lost shard — never a
+// panic — and allocates no more than a fixed multiple of what it was sent.
+func FuzzShard(f *testing.F) {
+	z := tensor.NewDense(3, 2)
+	share := &hetensor.BigMatrix{Rows: 2, Cols: 3, Scale: 2, V: make([]*big.Int, 6)}
+	for i := range share.V {
+		share.V[i] = big.NewInt(int64(i) - 3)
+	}
+	for _, v := range []any{
+		&transport.ShardHello{Shard: 0, Shards: 1, Sessions: 2, Fingerprint: 7},
+		&transport.ShardAck{Shard: 0, Fingerprint: 7},
+		&transport.SessionHello{Session: 0, Fingerprint: 7},
+		&transport.ShardBlob{Kind: "setup", Data: []byte("a setup document")},
+		&transport.ShardParts{Seq: 0, Zs: []*tensor.Dense{z, z}},
+		&transport.ShardGrad{Seq: 0, G: z},
+		&transport.ShardShare{Seq: 0, S: share},
+		&transport.ShardLayers{Epoch: 1, Blobs: [][]byte{{1, 2, 3}, {4}}},
+	} {
+		f.Add(wireBytes(f, func(c transport.Conn) error { return c.Send(transport.NewHandshake(v)) }))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, r := range shardReceivers() {
+			w, rd := net.Pipe()
+			go io.Copy(io.Discard, w)
+			go func() {
+				w.Write(data)
+				w.Close()
+			}()
+			c := transport.NewGobConn(rd)
+			var err error
+			if n := allocated(func() { err = r.recv(c) }); n > 16<<20+4096*uint64(len(data)) {
+				t.Fatalf("%s: allocated %d bytes receiving %d", r.name, n, len(data))
+			}
+			c.Close()
+			if err != nil && !errors.Is(err, transport.ErrCorrupt) && !errors.Is(err, transport.ErrClosed) &&
+				!errors.Is(err, ErrShardMismatch) && !errors.Is(err, ErrShardLost) {
+				t.Fatalf("%s: untyped error %v", r.name, err)
+			}
+		}
+	})
+}

@@ -138,6 +138,19 @@ func (l *ShardLink) failLink(op string, err error) {
 	panic(protoErr{fmt.Errorf("%w: shard %d %s: %v", ErrShardLost, l.Shard, op, err)})
 }
 
+// recvErr types a failed connect-time receive the way failLink types a
+// mid-run one: a typed transport or schedule error keeps its type, and
+// anything else — bytes that decode to no message, a broken socket — is the
+// link lost, with the cause flattened.
+func recvErr(op string, err error) error {
+	for _, typed := range []error{transport.ErrCorrupt, transport.ErrClosed, transport.ErrTimeout, ErrShardMismatch} {
+		if errors.Is(err, typed) {
+			return fmt.Errorf("protocol: %s: %w", op, err)
+		}
+	}
+	return fmt.Errorf("%w: %s: %v", ErrShardLost, op, err)
+}
+
 // failPayload reports a data-plane message whose payload does not fit the
 // batch it claims to be for: a typed transport.ErrCorrupt naming the shard
 // and the message's ordinal, where summing it would have dropped a session
@@ -323,7 +336,7 @@ func ConnectShards(plan ShardPlan, fp uint64, dial func(shard int) (transport.Co
 		v, err := l.recvSealed()
 		if err != nil {
 			sg.Close()
-			return nil, fmt.Errorf("protocol: shard %d ack: %w", s, err)
+			return nil, recvErr(fmt.Sprintf("shard %d ack", s), err)
 		}
 		ack, ok := v.(*transport.ShardAck)
 		if !ok {
@@ -354,7 +367,7 @@ func (sg *ShardGroup) Setup(s int, kind string, doc []byte, fp uint64) error {
 	}
 	v, err := l.recvSealed()
 	if err != nil {
-		return fmt.Errorf("protocol: shard %d setup ack: %w", s, err)
+		return recvErr(fmt.Sprintf("shard %d setup ack", s), err)
 	}
 	ack, ok := v.(*transport.ShardAck)
 	if !ok {
@@ -498,7 +511,7 @@ func AcceptShard(ctl transport.Conn) (*ShardLink, *transport.ShardHello, error) 
 	l := &ShardLink{Conn: ctl}
 	v, err := l.recvSealed()
 	if err != nil {
-		return nil, nil, fmt.Errorf("protocol: shard hello: %w", err)
+		return nil, nil, recvErr("shard hello", err)
 	}
 	hello, ok := v.(*transport.ShardHello)
 	if !ok {
@@ -506,7 +519,7 @@ func AcceptShard(ctl transport.Conn) (*ShardLink, *transport.ShardHello, error) 
 	}
 	plan := ShardPlan{Sessions: hello.Sessions, Shards: hello.Shards}
 	if err := plan.Validate(); err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%w: hello: %v", ErrShardMismatch, err)
 	}
 	if hello.Shard < 0 || hello.Shard >= hello.Shards {
 		return nil, nil, fmt.Errorf("%w: hello names shard %d of %d", ErrShardMismatch, hello.Shard, hello.Shards)
@@ -522,7 +535,7 @@ func AcceptShard(ctl transport.Conn) (*ShardLink, *transport.ShardHello, error) 
 func (l *ShardLink) RecvSetup() (*transport.ShardBlob, error) {
 	v, err := l.recvSealed()
 	if err != nil {
-		return nil, fmt.Errorf("protocol: shard setup: %w", err)
+		return nil, recvErr("shard setup", err)
 	}
 	blob, ok := v.(*transport.ShardBlob)
 	if !ok {
@@ -563,7 +576,7 @@ func AcceptSessions(accept func() (transport.Conn, error), plan ShardPlan, shard
 		l := ShardLink{Shard: shard, Conn: c}
 		v, err := l.recvSealed()
 		if err != nil {
-			return nil, fmt.Errorf("protocol: session hello: %w", err)
+			return nil, recvErr("session hello", err)
 		}
 		hello, ok := v.(*transport.SessionHello)
 		if !ok {

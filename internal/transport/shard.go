@@ -80,9 +80,9 @@ type ShardShare struct {
 	S   *hetensor.BigMatrix
 }
 
-// ShardLayers carries a worker's serialized per-session layer halves up to
-// the root at a checkpoint boundary (or, with Epoch < 0, for the final serve
-// checkpoint), in shard-local session order.
+// ShardLayers carries a worker's serialized per-session layer halves — each
+// session's settled dense or sparse MatMul half — up to the root at a
+// checkpoint epoch, in shard-local session order.
 type ShardLayers struct {
 	Epoch int
 	Blobs [][]byte
