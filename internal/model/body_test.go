@@ -140,7 +140,8 @@ func TestChaosOneBodyMatrix(t *testing.T) {
 	refs := map[refKey]*History{}
 	refMsgs := map[refKey]int64{}
 	for _, row := range rows {
-		name := fmt.Sprintf("%s/k%d/%s/%v", row.kind, row.k, row.ds.Spec.Name, row.on)
+		// Each family has datasets of its own, so the dataset names the row.
+		name := fmt.Sprintf("k%d/%s/%v", row.k, row.ds.Spec.Name, row.on)
 		t.Run(name, func(t *testing.T) {
 			if testing.Short() && !row.shortLane {
 				t.Skip("row skipped in -short")
