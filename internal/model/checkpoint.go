@@ -37,8 +37,9 @@ type runCheckpoint struct {
 	InB         int
 	Epoch       int       // completed epochs at capture time
 	Losses      []float64 // per-iteration loss prefix through Epoch
-	LayerA      [][]byte  // feature party i's halves (saveHalves), numeric first
-	LayerB      [][]byte  // the label party's session-i halves, likewise
+	LayerA      [][]byte  // feature party i's MatMul half
+	LayerB      [][]byte  // the label party's session-i MatMul half
+	EmbA, EmbB  []byte    // an embedding family's Embed-MatMul halves; nil for the rest
 	Head        []*tensor.Dense
 	HeadMom     []*tensor.Dense // head optimizer momentum, params() order
 	Fingerprint uint64          // engine.Options.Fingerprint() of the run
@@ -55,7 +56,7 @@ func writeCheckpoint(w io.Writer, ck *runCheckpoint) error {
 
 // readCheckpoint is the one checkpoint decoder, behind NewPredictor and the
 // resume scan alike: open the envelope, decode the gob root, and vet that it
-// names a family and spans a non-empty party set with one blob of halves per
+// names a family and spans a non-empty party set with one MatMul half per
 // session on each side. Every refusal is a typed ErrBadCheckpoint; the
 // halves and the head are vetted where they are restored (loadSide,
 // restoreHead).
@@ -106,16 +107,11 @@ func (ck *runCheckpoint) plan() *runPlan {
 	return pl
 }
 
-// saveHalves serializes one session's settled halves into one blob: each
-// half's own gob stream, back to back, in the order loadSide reads them.
-func saveHalves(hs ...core.Half) ([]byte, error) {
+// saveHalf serializes one settled half into a blob of its own.
+func saveHalf(h core.Half) ([]byte, error) {
 	var buf bytes.Buffer
-	for _, h := range hs {
-		if err := h.Save(&buf); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
+	err := h.Save(&buf)
+	return buf.Bytes(), err
 }
 
 // saveGroup serializes a group layer's per-session halves, in session order.
@@ -123,37 +119,46 @@ func saveGroup(l *core.MultiMatMulB) ([][]byte, error) {
 	out := make([][]byte, l.K())
 	for i := range out {
 		var err error
-		if out[i], err = saveHalves(l.Sub(i)); err != nil {
+		if out[i], err = saveHalf(l.Sub(i)); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// loadSide decodes one side's per-session blobs onto peers, in the order the
-// halves were saved: each session's MatMul half and, after session 0's, an
-// embedding family's Embed-MatMul half, each vetted against the plan's
+// loadSide decodes one side's halves onto peers: each session's MatMul
+// half from its blob in nums and, for an embedding family, the Embed-MatMul
+// half from emb onto the run's one session, each vetted against the plan's
 // shape. It runs sequentially, before any session traffic: a rotted half —
-// or bytes past a session's halves — is one typed ErrBadCheckpoint naming
-// its session, and the sessions are left untouched.
-func loadSide[N, E any](pl *runPlan, blobs [][]byte, peers []*protocol.Peer,
+// or bytes past one — is one typed ErrBadCheckpoint naming it, and the
+// sessions are left untouched.
+func loadSide[N, E any](pl *runPlan, nums [][]byte, emb []byte, peers []*protocol.Peer,
 	loadNum func(io.Reader, *protocol.Peer, bool, int, int, int) (N, error),
-	loadEmb func(io.Reader, *protocol.Peer, core.EmbedConfig) (E, error)) (nums []N, emb E, err error) {
-	nums = make([]N, len(blobs))
-	for i, blob := range blobs {
-		r := bytes.NewReader(blob)
-		nums[i], err = loadNum(r, peers[i], pl.lay.Sparse, pl.inAs[i], pl.inB, pl.cfg.Out)
-		if err == nil && i == 0 && pl.kind.UsesEmbedding() {
-			emb, err = loadEmb(r, peers[0], pl.emb)
-		}
-		if err == nil && r.Len() > 0 {
-			err = fmt.Errorf("%d bytes past its halves", r.Len())
-		}
-		if err != nil {
-			return nil, emb, fmt.Errorf("%w: session %d: %v", ErrBadCheckpoint, i, err)
+	loadEmb func(io.Reader, *protocol.Peer, core.EmbedConfig) (E, error)) (ns []N, e E, err error) {
+	ns = make([]N, len(nums))
+	for i, blob := range nums {
+		if ns[i], err = loadHalf(blob, func(r io.Reader) (N, error) {
+			return loadNum(r, peers[i], pl.lay.Sparse, pl.inAs[i], pl.inB, pl.cfg.Out)
+		}); err != nil {
+			return nil, e, fmt.Errorf("%w: session %d: %v", ErrBadCheckpoint, i, err)
 		}
 	}
-	return nums, emb, nil
+	if pl.kind.UsesEmbedding() {
+		if e, err = loadHalf(emb, func(r io.Reader) (E, error) { return loadEmb(r, peers[0], pl.emb) }); err != nil {
+			return nil, e, fmt.Errorf("%w: embedding half: %v", ErrBadCheckpoint, err)
+		}
+	}
+	return ns, e, nil
+}
+
+// loadHalf decodes a blob that holds exactly one half.
+func loadHalf[H any](blob []byte, load func(io.Reader) (H, error)) (H, error) {
+	r := bytes.NewReader(blob)
+	h, err := load(r)
+	if err == nil && r.Len() > 0 {
+		err = fmt.Errorf("%d bytes past the half", r.Len())
+	}
+	return h, err
 }
 
 // headParams clones the head's parameters in params() order.

@@ -31,10 +31,11 @@ var ErrBadCheckpoint = errors.New("model: bad checkpoint")
 var ckMagic = [4]byte{'B', 'F', 'C', 'K'}
 
 // ckVersion is the current envelope format version. 4: the root records
-// its source layout, and a session's blob holds every half of that session
-// (sparse and Embed-MatMul ones too). 3 had one gob root for every
-// checkpoint and dense MatMul halves only; 2 had a separate serve-checkpoint
-// root and kept each half's encrypted copy of the peer's piece.
+// its source layout and holds every source-layer half — the sparse MatMul
+// ones, and the Embed-MatMul ones in blobs of their own. 3 had one gob root
+// for every checkpoint and dense MatMul halves only; 2 had a separate
+// serve-checkpoint root and kept each half's encrypted copy of the peer's
+// piece.
 const ckVersion = 4
 
 // maxCkPayload is the ceiling on a declared payload length. It is a sanity

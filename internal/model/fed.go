@@ -78,19 +78,11 @@ type FedA struct {
 	emb *core.EmbedMatMulA
 }
 
-// halves lists the source-layer halves in the order they are built, saved,
-// loaded and resumed: numeric first.
-func (m *FedA) halves() []core.Half {
-	if m.emb == nil {
-		return []core.Half{m.num}
-	}
-	return []core.Half{m.num, m.emb}
-}
-
 // settle settles every half: at a checkpoint, and where a run ends.
 func (m *FedA) settle() {
-	for _, h := range m.halves() {
-		h.Settle()
+	m.num.Settle()
+	if m.emb != nil {
+		m.emb.Settle()
 	}
 }
 
@@ -100,18 +92,6 @@ func (m *FedB) settle() {
 	if m.emb != nil {
 		m.emb.Settle()
 	}
-}
-
-// layers serializes the label party's halves per session at the epoch-e
-// checkpoint boundary: the embedding half follows session 0's numeric half.
-func (m *FedB) layers(e int) ([][]byte, error) {
-	blobs, err := m.num.layers(e)
-	if err != nil || m.emb == nil {
-		return blobs, err
-	}
-	emb, err := saveHalves(m.emb)
-	blobs[0] = append(blobs[0], emb...)
-	return blobs, err
 }
 
 // FedB is Party B's half: the source layers plus the plaintext top model.
@@ -230,7 +210,7 @@ func NewFedA(p *protocol.Peer, kind Kind, ds *data.Dataset, h Hyper) *FedA {
 // label party of a one-session group.
 func NewFedB(p *protocol.Peer, kind Kind, ds *data.Dataset, h Hyper) *FedB {
 	applyOptions(h.Options, p)
-	num, emb := pairPlan(kind, ds, h).openB(protocol.NewGroup([]*protocol.Peer{p}), nil, nil)
+	num, emb := (&groupSide{g: protocol.NewGroup([]*protocol.Peer{p})}).open(pairPlan(kind, ds, h))
 	head := buildHead(kind, ds.Spec.Classes, h)
 	return &FedB{kind: kind, classes: ds.Spec.Classes, num: num, emb: emb, head: head, opt: nn.NewSGD(h.LR, h.Momentum, head.params())}
 }
@@ -247,15 +227,16 @@ func pairPlan(kind Kind, ds *data.Dataset, h Hyper) *runPlan {
 // openA builds feature party i's halves on p — or puts the ones restored
 // from a checkpoint through their resume exchange: the numeric layer, then
 // an embedding family's Embed-MatMul layer, the order their init draws have
-// always had. Must run concurrently with openB.
-func (pl *runPlan) openA(p *protocol.Peer, i int, restored *FedA) *FedA {
-	if restored != nil {
-		for _, h := range restored.halves() {
-			h.ResumeExchange()
+// always had. Must run concurrently with the label side's open.
+func (pl *runPlan) openA(p *protocol.Peer, i int, m *FedA) *FedA {
+	if m != nil {
+		m.num.ResumeExchange()
+		if m.emb != nil {
+			m.emb.ResumeExchange()
 		}
-		return restored
+		return m
 	}
-	m := &FedA{}
+	m = &FedA{}
 	if pl.lay.Sparse {
 		m.num = core.NewSparseMatMulA(p, pl.cfg, pl.inAs[i], pl.inB)
 	} else {
@@ -265,21 +246,6 @@ func (pl *runPlan) openA(p *protocol.Peer, i int, restored *FedA) *FedA {
 		m.emb = core.NewEmbedMatMulA(p, pl.emb)
 	}
 	return m
-}
-
-// openB is the label party's side of openA on a local group: the numeric
-// layer over every session, then the embedding half on the run's one
-// session, each built fresh (subs nil) or resumed.
-func (pl *runPlan) openB(g *protocol.Group, subs []core.NumericB, emb *core.EmbedMatMulB) (numSrcB, *core.EmbedMatMulB) {
-	num := &groupSrcB{g: g, l: pl.openGroup(g, subs)}
-	switch {
-	case !pl.kind.UsesEmbedding():
-		return num, nil
-	case subs == nil:
-		return num, core.NewEmbedMatMulB(g.Peers[0], pl.emb)
-	}
-	emb.ResumeExchange()
-	return num, emb
 }
 
 // buildHead constructs the plaintext head for a family, drawing its init
@@ -357,26 +323,6 @@ func Serveable(kind Kind, ds *data.Dataset) bool {
 	return !kind.UsesEmbedding() && ds.Spec.Dense()
 }
 
-// ServeStart opens a serve session on Party A's numeric source layer (the
-// unpacked weight-piece exchange). Serveable models only — the serve path
-// runs on a dense MatMul half; must run concurrently with FedB.ServeStart.
-func (m *FedA) ServeStart() { m.num.(*core.MatMulA).ServeStart() }
-
-// ServeForward runs Party A's half of a batched serve forward.
-func (m *FedA) ServeForward(x *tensor.Dense) { m.num.(*core.MatMulA).ServeForward(x) }
-
-// ServeStart opens a serve session on Party B's numeric source layer.
-func (m *FedB) ServeStart() { m.num.serveStart() }
-
-// ServeForward runs Party B's half of a batched serve forward and applies
-// the plaintext head. This is the inference path blindfl-serve runs; the
-// training-time evaluation of serveable models goes through it too, so a
-// Predictor restored from a checkpoint is bit-identical to the reported
-// test logits.
-func (m *FedB) ServeForward(x *tensor.Dense) *tensor.Dense {
-	return m.head.forward(m.num.serveForward(x), nil)
-}
-
 func (m *FedB) lossGrad(logits *tensor.Dense, y []int) (float64, *tensor.Dense) {
 	if m.classes == 2 {
 		return nn.BCEWithLogits(logits, y)
@@ -385,14 +331,15 @@ func (m *FedB) lossGrad(logits *tensor.Dense, y []int) (float64, *tensor.Dense) 
 }
 
 // evalB computes Party B's test-set logits. Serveable models evaluate
-// through the exact-integer serve forward (mask- and engine-independent, so
-// a later Predictor reproduces these logits bit for bit); the rest use the
+// through the exact-integer serve forward and the plaintext head — the
+// inference path blindfl-serve runs, mask- and engine-independent, so a
+// later Predictor reproduces these logits bit for bit; the rest use the
 // training forward. Must run concurrently with evalA's matching branch.
 func evalB(mb *FedB, ds *data.Dataset, h Hyper) *tensor.Dense {
 	forward := mb.ForwardB
 	if Serveable(mb.kind, ds) {
-		mb.ServeStart()
-		forward = func(p data.Part) *tensor.Dense { return mb.ServeForward(p.Dense) }
+		mb.num.serveStart()
+		forward = func(p data.Part) *tensor.Dense { return mb.head.forward(mb.num.serveForward(p.Dense), nil) }
 	}
 	var rows []*tensor.Dense
 	for _, idx := range data.BatchIndices(ds.TestB.Rows(), h.Batch) {
@@ -407,8 +354,9 @@ func evalB(mb *FedB, ds *data.Dataset, h Hyper) *tensor.Dense {
 func evalA(ma *FedA, kind Kind, ds *data.Dataset, testA data.Part, batch int) {
 	forward := ma.ForwardA
 	if Serveable(kind, ds) {
-		ma.ServeStart()
-		forward = func(p data.Part) { ma.ServeForward(p.Dense) }
+		dense := ma.num.(*core.MatMulA) // a serveable layer is dense
+		dense.ServeStart()
+		forward = func(p data.Part) { dense.ServeForward(p.Dense) }
 	}
 	for _, idx := range data.BatchIndices(testA.Rows(), batch) {
 		forward(testA.Batch(idx))

@@ -57,7 +57,8 @@ func TestEnvelopeLyingLengthAllocatesWhatArrives(t *testing.T) {
 // the checkpoints of every source layout: the two files a dense LR run
 // writes, both of the one format — the final epoch's (Trainer.Checkpoint)
 // and a mid-run one (CheckpointDir) — and the final ones of sparse LR at
-// k = 1 and k = 3, WDL and DLRM. A decoded checkpoint is restored for
+// k = 1 and k = 3, WDL and DLRM — and with MLP checkpoints whose head widths
+// lie (hostileHeads). A decoded checkpoint is restored for
 // training under each of those runs' trainers: it plans (and restores) under
 // at most the one it matches, and is refused typed by the rest. The property
 // is FuzzRecvMatrix's: a value or a typed error — the bytes are bad
@@ -106,6 +107,9 @@ func FuzzCheckpoint(f *testing.F) {
 			f.Add(unsealed(runFile))
 			f.Add(final.Bytes()[:16])
 		}
+	}
+	for _, sealed := range hostileHeads(f) {
+		f.Add(unsealed(sealed))
 	}
 	f.Add(append(lyingHeader(maxCkPayload), make([]byte, 10)...))
 	f.Add(lyingHeader(maxCkPayload + 1))

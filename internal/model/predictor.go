@@ -34,8 +34,8 @@ type Predictor struct {
 
 	as   []*protocol.Peer
 	g    *protocol.Group
-	las  []*FedA
-	lb   *core.MultiMatMulB
+	sess []denseSession
+	lb   *core.MultiMatMulB // the sessions' B halves, driven as one layer
 	head headB
 
 	// mu serializes batches: the serve protocol is a fixed message sequence
@@ -43,6 +43,13 @@ type Predictor struct {
 	// Server (internal/serve) batches concurrent requests into lanes above
 	// this lock rather than contending on it per request.
 	mu sync.Mutex
+}
+
+// denseSession is one session's pair of dense MatMul halves: the serve path
+// runs on nothing else, and PlainLogits reads both halves' pieces.
+type denseSession struct {
+	a *core.MatMulA
+	b *core.MatMulB
 }
 
 // ErrNotServeable is NewPredictor's refusal of a sound checkpoint of a
@@ -82,10 +89,15 @@ func NewPredictor(r io.Reader, ps PartySet) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.head, p.las, p.lb = st.head, st.fas, core.NewMultiMatMulBFrom(ps.B, pl.cfg, gs.subs)
+	p.head, p.lb = st.head, core.NewMultiMatMulBFrom(ps.B, pl.cfg, gs.subs)
+	for i, fa := range st.fas {
+		// The ErrNotServeable gate above leaves dense layouts only, and a
+		// dense layout loads dense halves.
+		p.sess = append(p.sess, denseSession{fa.num.(*core.MatMulA), gs.subs[i].(*core.MatMulB)})
+	}
 	applyOptions(ck.Hyper.Options, slices.Concat(ps.As, ps.B.Peers)...)
 	err = protocol.RunGroup(ps.As, ps.B,
-		func(i int) { p.las[i].ServeStart() },
+		func(i int) { p.sess[i].a.ServeStart() },
 		func() { p.lb.ServeStart() })
 	if err != nil {
 		return nil, err
@@ -169,7 +181,7 @@ func (p *Predictor) PredictBatch(xAs []*tensor.Dense, xB *tensor.Dense) (*tensor
 	defer p.mu.Unlock()
 	var logits *tensor.Dense
 	err := protocol.RunGroup(p.as, p.g,
-		func(i int) { p.las[i].ServeForward(xAs[i]) },
+		func(i int) { p.sess[i].a.ServeForward(xAs[i]) },
 		func() { logits = p.head.forward(p.lb.ServeForward(xB), nil) })
 	if err != nil {
 		return nil, err
@@ -188,15 +200,13 @@ func (p *Predictor) PlainLogits(xAs []*tensor.Dense, xB *tensor.Dense) (*tensor.
 	if err := p.checkBatch(xAs, xB); err != nil {
 		return nil, err
 	}
-	sub := func(i int) *core.MatMulB { return p.lb.Sub(i).(*core.MatMulB) }
-	z := hetensor.IntMatMulT(xB, sub(0).UB)
-	for i, fa := range p.las {
-		a := fa.num.(*core.MatMulA)
-		z.AddInPlace(hetensor.IntMatMulT(xAs[i], a.UA))
-		z.AddInPlace(hetensor.IntMatMulT(xAs[i], sub(i).VA))
-		z.AddInPlace(hetensor.IntMatMulT(xB, a.VB))
+	z := hetensor.IntMatMulT(xB, p.sess[0].b.UB)
+	for i, s := range p.sess {
+		z.AddInPlace(hetensor.IntMatMulT(xAs[i], s.a.UA))
+		z.AddInPlace(hetensor.IntMatMulT(xAs[i], s.b.VA))
+		z.AddInPlace(hetensor.IntMatMulT(xB, s.a.VB))
 		if i > 0 {
-			z.AddInPlace(hetensor.IntMatMulT(xB, sub(i).UB))
+			z.AddInPlace(hetensor.IntMatMulT(xB, s.b.UB))
 		}
 	}
 	return p.head.forward(z.DecodeTranspose(), nil), nil

@@ -130,6 +130,52 @@ func TestPredictorBitIdentityMulti(t *testing.T) {
 	assertSameBits(t, got, hist.TestLogits, "k-party served logits")
 }
 
+// hostileHeads re-seals a sound MLP checkpoint with head widths it does not
+// carry the parameters for: a negative hidden width, and a class count far
+// past the saved head. Both would panic or allocate without bound if a head
+// were built before its widths were vetted.
+func hostileHeads(t testing.TB) map[string][]byte {
+	t.Helper()
+	h := tinyHyper()
+	h.Epochs, h.Hidden = 1, []int{4}
+	var sound bytes.Buffer
+	as, g := fedGroup(t, 1, 640)
+	if _, err := (Trainer{Kind: MLP, Hyper: h, Checkpoint: &sound}).Train(data.Generate(tinySpec("t-pred", 12, 12, 2, false), 11), PartySet{As: as, B: g}); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for name, lie := range map[string]func(*runCheckpoint){
+		"hidden -1":    func(ck *runCheckpoint) { ck.Hyper.Hidden = []int{-1} },
+		"classes 2^40": func(ck *runCheckpoint) { ck.Classes = 1 << 40 },
+		"hidden 2^40":  func(ck *runCheckpoint) { ck.Hyper.Hidden = []int{1 << 40} },
+	} {
+		ck, err := readCheckpoint(bytes.NewReader(sound.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lie(ck)
+		var buf bytes.Buffer
+		if err := writeCheckpoint(&buf, ck); err != nil {
+			t.Fatal(err)
+		}
+		out[name] = buf.Bytes()
+	}
+	return out
+}
+
+// TestPredictorRefusesHostileHeadWidths: the serve path takes the family,
+// class count and hidden widths from the checkpoint itself, so NewPredictor
+// must vet them against the saved head before building one — a typed
+// ErrBadCheckpoint, never a panic or an unbounded allocation.
+func TestPredictorRefusesHostileHeadWidths(t *testing.T) {
+	for name, ck := range hostileHeads(t) {
+		as, g := fedGroup(t, 1, 641)
+		if _, err := NewPredictor(bytes.NewReader(ck), PartySet{As: as, B: g}); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("%s: NewPredictor err = %v, want ErrBadCheckpoint", name, err)
+		}
+	}
+}
+
 // TestCheckpointRejectsNonServeable: a sparse or an embedding model
 // checkpoints like any other, but has no serve path, so NewPredictor refuses
 // its checkpoint with the typed ErrNotServeable before any session is

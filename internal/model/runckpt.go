@@ -32,9 +32,8 @@ import (
 // errors are recorded and surfaced once by finish — a failing checkpoint
 // disk should not tear down an otherwise healthy training run mid-epoch.
 type runCkpt struct {
-	t    Trainer
-	ds   *data.Dataset
-	inAs []int
+	t  Trainer
+	pl *runPlan
 
 	mu    sync.Mutex
 	pend  map[int]*runCheckpoint
@@ -45,18 +44,22 @@ type runCkpt struct {
 
 // newRunCkpt returns nil without a destination; the schedule then never
 // calls a deposit, and finish on nil reports no error.
-func newRunCkpt(t Trainer, ds *data.Dataset, inAs []int) *runCkpt {
+func newRunCkpt(t Trainer, pl *runPlan) *runCkpt {
 	if t.CheckpointDir == "" && t.Checkpoint == nil {
 		return nil
 	}
-	return &runCkpt{t: t, ds: ds, inAs: inAs,
-		pend: make(map[int]*runCheckpoint), n: make(map[int]int)}
+	return &runCkpt{t: t, pl: pl, pend: make(map[int]*runCheckpoint), n: make(map[int]int)}
 }
 
 // depositA adds feature party i's settled halves for epoch e.
 func (c *runCkpt) depositA(e, i int, ma *FedA) {
-	blob, err := saveHalves(ma.halves()...)
-	c.add(e, err, func(ck *runCheckpoint) { ck.LayerA[i] = blob })
+	num, err := saveHalf(ma.num)
+	var emb []byte
+	if ma.emb != nil && err == nil {
+		emb, err = saveHalf(ma.emb)
+	}
+	// An embedding family runs one feature party; the rest leave EmbA nil.
+	c.add(e, err, func(ck *runCheckpoint) { ck.LayerA[i], ck.EmbA = num, emb })
 }
 
 // depositB adds the label party's settled halves (serialized locally, or
@@ -65,9 +68,13 @@ func (c *runCkpt) depositA(e, i int, ma *FedA) {
 // losses is read under the collector lock inside add — the label party
 // goroutine owns it, and it appends only between deposits.
 func (c *runCkpt) depositB(e int, mb *FedB, losses []float64) {
-	blobs, err := mb.layers(e)
+	blobs, err := mb.num.layers(e)
+	var emb []byte
+	if mb.emb != nil && err == nil {
+		emb, err = saveHalf(mb.emb)
+	}
 	c.add(e, err, func(ck *runCheckpoint) {
-		ck.LayerB = blobs
+		ck.LayerB, ck.EmbB = blobs, emb
 		ck.Head = headParams(mb.head)
 		ck.HeadMom = mb.opt.MomentumState()
 		ck.Losses = append([]float64(nil), losses...)
@@ -85,17 +92,18 @@ func (c *runCkpt) add(e int, err error, fill func(*runCheckpoint)) {
 	}
 	ck := c.pend[e]
 	if ck == nil {
+		pl := c.pl
 		ck = &runCheckpoint{
-			Kind: c.t.Kind, Classes: c.ds.Spec.Classes, Hyper: c.t.Hyper,
-			Layout: layoutOf(c.t.Kind, c.ds), InAs: c.inAs, InB: c.ds.TrainB.NumCols(), Epoch: e + 1,
-			LayerA:      make([][]byte, len(c.inAs)),
+			Kind: pl.kind, Classes: pl.classes, Hyper: c.t.Hyper,
+			Layout: pl.lay, InAs: pl.inAs, InB: pl.inB, Epoch: e + 1,
+			LayerA:      make([][]byte, len(pl.inAs)),
 			Fingerprint: c.t.Hyper.Options.Fingerprint(),
 		}
 		c.pend[e] = ck
 	}
 	fill(ck)
 	c.n[e]++
-	if c.n[e] < len(c.inAs)+1 {
+	if c.n[e] < len(c.pl.inAs)+1 {
 		return
 	}
 	delete(c.pend, e)
@@ -220,22 +228,21 @@ func (t Trainer) latestCheckpoint(op string) (*runCheckpoint, error) {
 var errCkMismatch = errors.New("model: checkpoint does not match this run")
 
 // resumeCompat checks a restored checkpoint against the trainer's
-// configuration and the run's shape — the validation gate of every resume.
-// inAs are the per-session feature widths the caller will run; a
-// checkpoint's *shard* topology is deliberately not checked (any shard count
-// resumes any checkpoint), but its sessions, model family, source layout,
-// dataset shape, engine options and hyper-parameters must match for the
-// resumed trajectory to be the uninterrupted run's.
-func (t Trainer) resumeCompat(ck *runCheckpoint, ds *data.Dataset, inAs []int) error {
-	if !slices.Equal(ck.InAs, inAs) || ck.InB != ds.TrainB.NumCols() || ck.Classes != ds.Spec.Classes {
+// configuration and the run's shape (pl) — the validation gate of every
+// resume. A checkpoint's *shard* topology is deliberately not checked (any
+// shard count resumes any checkpoint), but its sessions, model family,
+// source layout, dataset shape, engine options and hyper-parameters must
+// match for the resumed trajectory to be the uninterrupted run's.
+func (t Trainer) resumeCompat(ck *runCheckpoint, pl *runPlan) error {
+	if !slices.Equal(ck.InAs, pl.inAs) || ck.InB != pl.inB || ck.Classes != pl.classes {
 		return fmt.Errorf("%w: it spans feature widths %v + %d over %d classes, this run %v + %d over %d",
-			errCkMismatch, ck.InAs, ck.InB, ck.Classes, inAs, ds.TrainB.NumCols(), ds.Spec.Classes)
+			errCkMismatch, ck.InAs, ck.InB, ck.Classes, pl.inAs, pl.inB, pl.classes)
 	}
 	if ck.Kind != t.Kind {
 		return fmt.Errorf("%w: it is a %s run, trainer wants %s", errCkMismatch, ck.Kind, t.Kind)
 	}
-	if lay := layoutOf(t.Kind, ds); ck.Layout != lay {
-		return fmt.Errorf("%w: its source layers are %+v, this run's %+v", errCkMismatch, ck.Layout, lay)
+	if ck.Layout != pl.lay {
+		return fmt.Errorf("%w: its source layers are %+v, this run's %+v", errCkMismatch, ck.Layout, pl.lay)
 	}
 	if ck.Fingerprint != t.Hyper.Options.Fingerprint() {
 		return fmt.Errorf("%w: engine options changed since the checkpoint (fingerprint %016x, trainer %016x) — a resume under a different engine configuration would not be bit-exact",

@@ -123,7 +123,7 @@ func shardWorkerLoop(link *protocol.ShardLink, g *protocol.Group, su *shardSetup
 	var subs []core.NumericB
 	if su.LayerB != nil {
 		var err error
-		if subs, _, err = loadSide(pl, su.LayerB[lo:hi], g.Peers, core.LoadMatMulB, core.LoadEmbedMatMulB); err != nil {
+		if subs, _, err = loadSide(pl, su.LayerB[lo:hi], nil, g.Peers, core.LoadMatMulB, core.LoadEmbedMatMulB); err != nil {
 			return err
 		}
 	}

@@ -159,7 +159,7 @@ func (t Trainer) plan(ds *data.Dataset, k int, ck *runCheckpoint, sharded bool) 
 	}
 	pl.sched.ckptFinal = t.Checkpoint != nil
 	if ck != nil {
-		if err := t.resumeCompat(ck, ds, pl.inAs); err != nil {
+		if err := t.resumeCompat(ck, pl); err != nil {
 			return nil, err
 		}
 		pl.sched.start = ck.Epoch
@@ -243,21 +243,33 @@ type labelSide interface {
 // groupSide is the label party on local sessions.
 type groupSide struct {
 	g *protocol.Group
-	// The restored halves awaiting their resume exchange: each session's
-	// numeric half, and the embedding half that follows session 0's.
+	// The restored halves awaiting their resume exchange, nil on a fresh
+	// run: each session's numeric half, and an embedding family's
+	// Embed-MatMul half.
 	subs []core.NumericB
 	emb  *core.EmbedMatMulB
 }
 
 func (s *groupSide) restore(pl *runPlan) (err error) {
 	if pl.ck != nil {
-		s.subs, s.emb, err = loadSide(pl, pl.ck.LayerB, s.g.Peers, core.LoadMatMulB, core.LoadEmbedMatMulB)
+		s.subs, s.emb, err = loadSide(pl, pl.ck.LayerB, pl.ck.EmbB, s.g.Peers, core.LoadMatMulB, core.LoadEmbedMatMulB)
 	}
 	return err
 }
 
+// open is the label party's side of openA on a local group: the numeric
+// layer over every session, then the embedding half on the run's one
+// session, each built fresh or resumed.
 func (s *groupSide) open(pl *runPlan) (numSrcB, *core.EmbedMatMulB) {
-	return pl.openB(s.g, s.subs, s.emb)
+	num := &groupSrcB{g: s.g, l: pl.openGroup(s.g, s.subs)}
+	switch {
+	case !pl.kind.UsesEmbedding():
+		return num, nil
+	case s.emb == nil:
+		return num, core.NewEmbedMatMulB(s.g.Peers[0], pl.emb)
+	}
+	s.emb.ResumeExchange()
+	return num, s.emb
 }
 
 func (s *groupSide) run(as []*protocol.Peer, fa func(i int), fb func()) error {
@@ -287,21 +299,25 @@ type runState struct {
 // typed error, with the sessions still usable.
 func (t Trainer) restore(pl *runPlan, as []*protocol.Peer, lb labelSide) (*runState, error) {
 	kind, classes, h := t.Kind, pl.classes, t.Hyper
-	st := &runState{head: buildHead(kind, classes, h), fas: make([]*FedA, len(as))}
+	st := &runState{fas: make([]*FedA, len(as))}
 	var mom []*tensor.Dense
-	if ck := pl.ck; ck != nil {
+	if ck := pl.ck; ck == nil {
+		st.head = buildHead(kind, classes, h)
+	} else {
+		// A restored head's widths come from the checkpoint: restoreHead vets
+		// them before it builds anything.
 		var err error
 		if st.head, err = restoreHead(kind, classes, h, ck.Head); err != nil {
 			return nil, err
 		}
-		nums, emb, err := loadSide(pl, ck.LayerA, as, core.LoadMatMulA, core.LoadEmbedMatMulA)
+		nums, emb, err := loadSide(pl, ck.LayerA, ck.EmbA, as, core.LoadMatMulA, core.LoadEmbedMatMulA)
 		if err != nil {
 			return nil, err
 		}
 		for i, num := range nums {
 			st.fas[i] = &FedA{num: num}
 		}
-		st.fas[0].emb = emb
+		st.fas[0].emb = emb // an embedding family runs one session
 		if err = lb.restore(pl); err != nil {
 			return nil, err
 		}
@@ -323,7 +339,7 @@ func (t Trainer) run(pl *runPlan, as []*protocol.Peer, lb labelSide) (*History, 
 	}
 	hist := &History{MetricName: metricName(ds.Spec.Classes), Losses: st.losses}
 
-	rc := newRunCkpt(t, ds, pl.inAs)
+	rc := newRunCkpt(t, pl)
 	err = lb.run(as,
 		func(i int) {
 			ma := pl.openA(as[i], i, st.fas[i])
